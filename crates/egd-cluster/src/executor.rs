@@ -10,7 +10,9 @@
 //! Per generation:
 //!
 //! 1. every worker plays the games of its own SSets against all opponent
-//!    strategies (locally, no communication — §V-A),
+//!    strategies (locally, no communication — §V-A): it keeps the payoff
+//!    matrix rows of its own block between generations
+//!    ([`PairEvaluator::block_fitness`]) and plays only what entered,
 //! 2. the Nature Agent broadcasts which SSets (if any) were selected for
 //!    pairwise comparison (the collective-network announcement),
 //! 3. the owners of the selected SSets return their fitness — either as
@@ -30,11 +32,10 @@ use crate::trace::{GenerationTrace, RankTiming, RunTrace};
 use egd_core::config::SimulationConfig;
 use egd_core::dynamics::GenerationDecision;
 use egd_core::error::{EgdError, EgdResult};
+use egd_core::payoff_table::PayoffTableStats;
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairEvaluator, SimulationState};
-use egd_core::sset::OpponentPolicy;
 use egd_obs::{SpanKind, SpanTimer};
-use egd_parallel::grouping::StrategyGrouping;
 use egd_parallel::partition::SSetPartition;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -115,18 +116,25 @@ pub struct DistributedRunSummary {
     pub trace: RunTrace,
     /// Number of ranks (workers + Nature Agent).
     pub ranks: usize,
+    /// Payoff-table counters summed over the worker ranks (each rank keeps
+    /// the rows of its own SSet block).
+    pub payoff: PayoffTableStats,
 }
 
 impl DistributedRunSummary {
-    /// The unified metrics view of the run: the world's collective traffic
-    /// plus one per-generation row per sampled timing trace. Mergeable with
-    /// a scheduled run's [`egd_obs::MetricsSnapshot`] — the two backends then
-    /// appear on one record.
+    /// The unified metrics view of the run: the world's collective traffic,
+    /// the ranks' payoff-table counters, plus one per-generation row per
+    /// sampled timing trace. Mergeable with a scheduled run's
+    /// [`egd_obs::MetricsSnapshot`] — the two backends then appear on one
+    /// record.
     pub fn metrics(&self) -> egd_obs::MetricsSnapshot {
         let mut snap = egd_obs::MetricsSnapshot::labelled("distributed");
         snap.run.ranks = self.ranks as u64;
         snap.run.generations = self.generations;
         snap.traffic = self.traffic.metrics();
+        snap.add_counter("pair_cache_hits", self.payoff.hits);
+        snap.add_counter("pair_cache_misses", self.payoff.misses);
+        egd_parallel::cache::record_table_counters(&mut snap, &self.payoff);
         for generation in &self.trace.generations {
             snap.record_generation(egd_obs::GenerationMetrics {
                 generation: generation.generation,
@@ -148,6 +156,7 @@ pub(crate) struct RankResult {
     pub(crate) population: Population,
     pub(crate) changes: u64,
     pub(crate) timings: Vec<(u64, RankTiming)>,
+    pub(crate) payoff: PayoffTableStats,
 }
 
 /// Where a rank's per-generation loop starts — generation 0 with the initial
@@ -268,6 +277,10 @@ pub(crate) fn assemble_summary(
         }
     }
 
+    let mut payoff = PayoffTableStats::default();
+    for result in &results {
+        payoff.merge(&result.payoff);
+    }
     let nature_result = results.remove(0);
     let mut trace = RunTrace::default();
     // Assemble per-generation traces across ranks (nature first).
@@ -296,6 +309,7 @@ pub(crate) fn assemble_summary(
         traffic,
         trace,
         ranks,
+        payoff,
     })
 }
 
@@ -384,8 +398,7 @@ pub(crate) async fn run_rank_from(
         } else {
             let start = Instant::now();
             let block = partition.block(rank - 1);
-            let fitness =
-                fitness_for_block(&population, &mut evaluator, generation, block.clone())?;
+            let fitness = evaluator.block_fitness(&population, block.clone(), generation)?;
             compute_us += start.elapsed().as_secs_f64() * 1e6;
             block.zip(fitness).collect()
         };
@@ -409,11 +422,11 @@ pub(crate) async fn run_rank_from(
                     let teacher_owner = partition.owner_of(teacher) + 1;
                     let learner_owner = partition.owner_of(learner) + 1;
                     if rank == teacher_owner {
-                        let value = lookup_fitness(&block_fitness, teacher);
+                        let value = lookup_fitness(&block_fitness, teacher, rank, generation)?;
                         comm.send(0, teacher_tag(generation), &value)?;
                     }
                     if rank == learner_owner {
-                        let value = lookup_fitness(&block_fitness, learner);
+                        let value = lookup_fitness(&block_fitness, learner, rank, generation)?;
                         comm.send(0, learner_tag(generation), &value)?;
                     }
                     if rank == 0 {
@@ -465,70 +478,29 @@ pub(crate) async fn run_rank_from(
         population,
         changes,
         timings,
+        payoff: evaluator.table_stats(),
     })
 }
 
-/// Looks up the fitness of an SSet in a worker's block results.
-fn lookup_fitness(block: &[(usize, f64)], sset: usize) -> f64 {
+/// Looks up the fitness of an SSet in a worker's block results. An SSet the
+/// rank does not own means the partition and the ownership map disagree;
+/// answering would feed an invented fitness into the Fermi draw.
+fn lookup_fitness(
+    block: &[(usize, f64)],
+    sset: usize,
+    rank: usize,
+    generation: u64,
+) -> EgdResult<f64> {
     block
         .iter()
         .find(|(index, _)| *index == sset)
         .map(|(_, fitness)| *fitness)
-        .unwrap_or(0.0)
-}
-
-/// Computes the fitness of the SSets in `block` only, using the same
-/// strategy-grouping scheme (and therefore the exact same random streams and
-/// cache keys) as the sequential reference, so that distributed and
-/// sequential runs agree bit-for-bit.
-fn fitness_for_block(
-    population: &Population,
-    evaluator: &mut PairEvaluator,
-    generation: u64,
-    block: std::ops::Range<usize>,
-) -> EgdResult<Vec<f64>> {
-    let strategies = population.strategies();
-
-    // Global grouping (identical on every rank because every rank holds the
-    // same strategy view).
-    let StrategyGrouping {
-        group_of,
-        group_rep,
-        group_count,
-    } = StrategyGrouping::of(strategies);
-    let num_groups = group_rep.len();
-    let include_self = matches!(
-        population.opponent_policy(),
-        OpponentPolicy::AllIncludingSelf
-    );
-
-    // Only the pay-matrix rows needed by this block are evaluated: these are
-    // exactly the games the block's agents would play.
-    let mut row_cache: HashMap<usize, Vec<f64>> = HashMap::new();
-    let mut fitness = Vec::with_capacity(block.len());
-    for i in block {
-        let g = group_of[i];
-        if let std::collections::hash_map::Entry::Vacant(e) = row_cache.entry(g) {
-            let mut row = vec![0.0; num_groups];
-            for (h, row_value) in row.iter_mut().enumerate() {
-                let (gi, gj) = (group_rep[g], group_rep[h]);
-                let (to_g, _) =
-                    evaluator.pair_payoff(gi, &strategies[gi], gj, &strategies[gj], generation)?;
-                *row_value = to_g;
-            }
-            e.insert(row);
-        }
-        let row = &row_cache[&g];
-        let mut total = 0.0;
-        for h in 0..num_groups {
-            total += group_count[h] * row[h];
-        }
-        if !include_self {
-            total -= row[g];
-        }
-        fitness.push(total);
-    }
-    Ok(fitness)
+        .ok_or_else(|| EgdError::Communication {
+            reason: format!(
+                "rank {rank} was asked for the fitness of SSet {sset} in generation \
+                 {generation}, which is not in its block"
+            ),
+        })
 }
 
 #[cfg(test)]
@@ -673,6 +645,33 @@ mod tests {
         assert_eq!(metrics.generations.len(), 4);
         assert!(metrics.generations.iter().all(|g| g.items == 4));
         assert!(metrics.generations.iter().all(|g| g.compute_us > 0.0));
+    }
+
+    #[test]
+    fn lookup_outside_the_block_is_an_error_naming_rank_sset_and_generation() {
+        let block = [(4usize, 1.5f64), (5, 2.5)];
+        assert_eq!(lookup_fitness(&block, 5, 2, 7).unwrap(), 2.5);
+        let message = lookup_fitness(&block, 6, 2, 7).unwrap_err().to_string();
+        for part in ["rank 2", "SSet 6", "generation 7"] {
+            assert!(message.contains(part), "{message}");
+        }
+    }
+
+    #[test]
+    fn metrics_snapshot_carries_payoff_table_counters() {
+        // Noise-free: every cell is cacheable. Each of the 3 worker ranks
+        // keeps a table of its own block's rows.
+        let cfg = sim_config(38, 20);
+        let summary = DistributedExecutor::new(cfg, DistributedConfig::with_workers(3))
+            .unwrap()
+            .run()
+            .unwrap();
+        let metrics = summary.metrics();
+        assert!(metrics.counter("pair_cache_hits") > 0);
+        assert!(metrics.counter("pair_cache_misses") > 0);
+        assert!(metrics.counter("payoff_cells_played") >= metrics.counter("pair_cache_misses"));
+        assert!(metrics.counter("payoff_slots_occupied") > 0);
+        assert_eq!(summary.payoff.hits, metrics.counter("pair_cache_hits"));
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! [`ScheduledExecutor`] is the canonical execution backend for the
 //! distributed layer: every generation, each rank's game-play phase (the
-//! fitness of its contiguous SSet block) becomes one task on the `egd-sched`
-//! work-stealing scheduler, executed by a small fixed pool of workers.
-//! Thousands of ranks then cost no OS threads — only tasks — and skewed
-//! per-rank work (small `R` = SSets per rank, heterogeneous blocks) is
-//! handled in two levels: the initial per-worker segments of the rank space
-//! are **sized by predicted rank cost** (the shared `egd-cost` model prices
-//! each rank's block — deterministic pairs as cache probes, stochastic pairs
-//! as full games), and adaptive stealing corrects whatever the prediction
-//! got wrong instead of serialising on the slowest rank. (The
+//! games of the strategies its contiguous SSet block represents) becomes
+//! one task on the `egd-sched` work-stealing scheduler, executed by a small
+//! fixed pool of workers. Thousands of ranks then cost no OS threads — only
+//! tasks — and skewed per-rank work (small `R` = SSets per rank,
+//! heterogeneous blocks) is handled in two levels: the initial per-worker
+//! segments of the rank space are **sized by predicted rank cost** (the
+//! shared `egd-cost` model prices the games each rank has to play this
+//! generation), and adaptive stealing corrects whatever the prediction got
+//! wrong instead of serialising on the slowest rank. (The
 //! protocol-level [`crate::executor::DistributedExecutor`] runs the same
 //! science with explicit message passing; since the retirement of the
 //! thread-per-rank transport its ranks are cooperative tasks too.)
@@ -21,12 +21,16 @@
 //!
 //! Semantics are unchanged from the thread-per-rank executor:
 //!
-//! * each rank computes its block's fitness with the same strategy-grouping
-//!   scheme and the same per-`(pair, generation)` random streams as the
-//!   sequential reference, so fitness values are bit-identical;
-//! * the per-rank results are assembled **in rank order** (the scheduler's
-//!   deterministic index-ordered reduction), so the Nature Agent sees the
-//!   exact fitness view the sequential engine produces;
+//! * the ranks share one retained payoff matrix
+//!   ([`ConcurrentPairEvaluator::generation_fitness`]): a rank plays the
+//!   matrix rows of the strategies whose representative SSet it owns — only
+//!   the cells of strategies that entered the population, plus the
+//!   stochastic ones — with the same strategy-grouping scheme and the same
+//!   per-`(pair, generation)` random streams as the sequential reference,
+//!   so fitness values are bit-identical;
+//! * the per-rank results are scattered into the matrix after the join and
+//!   reduced by the routine every engine shares, so the Nature Agent sees
+//!   the exact fitness view the sequential engine produces;
 //! * the Nature Agent's decision is applied once to the shared strategy
 //!   view — the logical equivalent of the broadcast that keeps all rank
 //!   views consistent.
@@ -38,16 +42,15 @@
 use crate::trace::{GenerationTrace, LoadBalance, RankTiming, RunTrace};
 use egd_core::config::SimulationConfig;
 use egd_core::error::{EgdError, EgdResult};
+use egd_core::game::IpdGame;
+use egd_core::payoff_table::PlannedCells;
 use egd_core::population::Population;
 use egd_core::simulation::FitnessMode;
-use egd_core::sset::OpponentPolicy;
 use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_parallel::cache::ConcurrentPairEvaluator;
-use egd_parallel::grouping::StrategyGrouping;
 use egd_parallel::partition::SSetPartition;
 use egd_sched::SchedStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration of a scheduled distributed run.
@@ -190,59 +193,50 @@ impl ScheduledExecutor {
 
         for generation in 0..config.generations {
             let generation_span = SpanTimer::start(SpanKind::Generation);
-            let grouping = StrategyGrouping::of(population.strategies());
-            let rank_weights = predicted_rank_weights(
-                &self.cost_model,
-                &evaluator,
-                &population,
-                &grouping,
-                &partition,
-                self.sched_config.ranks,
-            );
-            let evaluator_ref = &evaluator;
-            let population_ref = &population;
-            let grouping_ref = &grouping;
-            let partition_ref = &partition;
+            let mut generation_row = GenerationMetrics {
+                generation,
+                ..GenerationMetrics::default()
+            };
+            let mut rank_timings = Vec::with_capacity(self.sched_config.ranks);
 
             // Every rank's game-play phase is one scheduled task; the
             // initial per-worker segments of the rank space are sized by
             // predicted rank cost, so a heavy contiguous prefix (deep-memory
             // or mixed-strategy blocks) no longer piles onto the first
             // workers. Results come back in rank order (deterministic
-            // index-keyed reduction).
-            let per_rank: Vec<EgdResult<(Vec<f64>, f64)>> =
-                run_rank_tasks_weighted(threads, &rank_weights, |rank| {
-                    let start = Instant::now();
-                    let fitness = block_fitness(
-                        population_ref,
-                        evaluator_ref,
-                        grouping_ref,
-                        generation,
-                        partition_ref.block(rank),
-                    )?;
-                    Ok((fitness, start.elapsed().as_secs_f64() * 1e6))
-                });
-            let mut generation_row = GenerationMetrics {
-                generation,
-                ..GenerationMetrics::default()
-            };
-            if let Some(stats) = egd_sched::take_last_run_stats() {
-                generation_row.items = stats.items;
-                generation_row.steals = stats.steals;
-                generation_row.busy_ns = stats.critical_path_ns();
-                match sched_total.as_mut() {
-                    Some(total) => total.merge(&stats),
-                    None => sched_total = Some(stats),
+            // index-keyed reduction) and are scattered into batch order.
+            let fitness = evaluator.generation_fitness(&population, generation, |batch| {
+                let cells = batch.cells();
+                let (rank_cells, rank_weights) =
+                    rank_work(&self.cost_model, evaluator.game(), cells, &partition);
+                let per_rank: Vec<EgdResult<(Vec<f64>, f64)>> =
+                    run_rank_tasks_weighted(threads, &rank_weights, |rank| {
+                        let start = Instant::now();
+                        let mut payoffs = Vec::with_capacity(rank_cells[rank].len());
+                        for &k in &rank_cells[rank] {
+                            payoffs.push(batch.play(k)?);
+                        }
+                        Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
+                    });
+                if let Some(stats) = egd_sched::take_last_run_stats() {
+                    generation_row.items = stats.items;
+                    generation_row.steals = stats.steals;
+                    generation_row.busy_ns = stats.critical_path_ns();
+                    match sched_total.as_mut() {
+                        Some(total) => total.merge(&stats),
+                        None => sched_total = Some(stats),
+                    }
                 }
-            }
-
-            let mut fitness = Vec::with_capacity(config.num_ssets);
-            let mut rank_timings = Vec::with_capacity(self.sched_config.ranks);
-            for result in per_rank {
-                let (block, compute_us) = result?;
-                fitness.extend(block);
-                rank_timings.push(RankTiming::new(compute_us, 0.0));
-            }
+                let mut payoffs = vec![0.0; cells.len()];
+                for (result, owned) in per_rank.into_iter().zip(&rank_cells) {
+                    let (played, compute_us) = result?;
+                    for (&k, payoff) in owned.iter().zip(played) {
+                        payoffs[k] = payoff;
+                    }
+                    rank_timings.push(RankTiming::new(compute_us, 0.0));
+                }
+                Ok(payoffs)
+            })?;
             if !rank_timings.is_empty() {
                 generation_row.compute_us = rank_timings.iter().map(|t| t.compute_us).sum::<f64>()
                     / rank_timings.len() as f64;
@@ -277,14 +271,7 @@ impl ScheduledExecutor {
                 metrics.record_worker(worker);
             }
         }
-        metrics.add_counter("pair_cache_hits", evaluator.cache_hits());
-        metrics.add_counter("pair_cache_misses", evaluator.cache_misses());
-        metrics.add_counter("pair_cache_entries", evaluator.cached_pairs() as u64);
-        metrics.add_counter(
-            "interned_strategies",
-            evaluator.interned_strategies() as u64,
-        );
-        metrics.add_counter("strategy_compiles", evaluator.strategy_compiles());
+        evaluator.record_counters(&mut metrics);
         Ok(ScheduledRunSummary {
             population,
             generations: config.generations,
@@ -352,90 +339,34 @@ where
     }
 }
 
-/// Predicted per-rank cost (ns) of one generation's game-play phase: each
-/// rank evaluates one pair-matrix **row per distinct strategy group** in its
-/// SSet block (rows are cached per rank), then accumulates per SSet. Priced
-/// by the shared cost model — deterministic pairs as cache probes,
-/// stochastic pairs as full games — so deep-memory or mixed-strategy blocks
-/// weigh in proportion to their real cost.
-fn predicted_rank_weights(
+/// Splits one generation's games over the ranks: a game belongs to the rank
+/// that owns its row strategy's representative SSet (`a_index`), so every
+/// matrix row is played by exactly one rank. Returns, per rank, the batch
+/// indices it plays and their predicted cost (ns) under the shared cost
+/// model — deterministic pairs at the cached-pair price, stochastic pairs as
+/// full games — so deep-memory or mixed-strategy blocks weigh in proportion
+/// to their real cost.
+fn rank_work(
     model: &egd_cost::CostModel,
-    evaluator: &ConcurrentPairEvaluator,
-    population: &Population,
-    grouping: &StrategyGrouping,
+    game: &IpdGame,
+    cells: &PlannedCells<'_>,
     partition: &SSetPartition,
-    ranks: usize,
-) -> Vec<u64> {
-    let row_costs = egd_cost::predict::row_weights(
-        model,
-        evaluator.game(),
-        population.strategies(),
-        &grouping.group_rep,
-    );
-    let mut seen: Vec<usize> = Vec::new();
-    (0..ranks)
-        .map(|rank| {
-            let block = partition.block(rank);
-            let block_len = block.len() as u64;
-            seen.clear();
-            let mut weight = 0u64;
-            for sset in block {
-                let g = grouping.group_of[sset];
-                if !seen.contains(&g) {
-                    seen.push(g);
-                    weight = weight.saturating_add(row_costs[g]);
-                }
-            }
-            // Per-SSet accumulation overhead keeps empty-looking ranks from
-            // weighing zero.
-            weight.saturating_add(block_len)
-        })
-        .collect()
-}
-
-/// Computes the fitness of the SSets in `block`, mirroring the protocol
-/// executor's per-block evaluation but against the shared concurrent
-/// evaluator (same strategy grouping, same random streams, bit-identical
-/// values).
-fn block_fitness(
-    population: &Population,
-    evaluator: &ConcurrentPairEvaluator,
-    grouping: &StrategyGrouping,
-    generation: u64,
-    block: std::ops::Range<usize>,
-) -> EgdResult<Vec<f64>> {
-    let strategies = population.strategies();
-    let num_groups = grouping.num_groups();
-    let include_self = matches!(
-        population.opponent_policy(),
-        OpponentPolicy::AllIncludingSelf
-    );
-
-    let mut row_cache: HashMap<usize, Vec<f64>> = HashMap::new();
-    let mut fitness = Vec::with_capacity(block.len());
-    for i in block {
-        let g = grouping.group_of[i];
-        if let std::collections::hash_map::Entry::Vacant(e) = row_cache.entry(g) {
-            let mut row = vec![0.0; num_groups];
-            for (h, row_value) in row.iter_mut().enumerate() {
-                let (gi, gj) = (grouping.group_rep[g], grouping.group_rep[h]);
-                let (to_g, _) =
-                    evaluator.pair_payoff(gi, &strategies[gi], gj, &strategies[gj], generation)?;
-                *row_value = to_g;
-            }
-            e.insert(row);
-        }
-        let row = &row_cache[&g];
-        let mut total = 0.0;
-        for (count, value) in grouping.group_count.iter().zip(row) {
-            total += count * value;
-        }
-        if !include_self {
-            total -= row[g];
-        }
-        fitness.push(total);
+) -> (Vec<Vec<usize>>, Vec<u64>) {
+    let ranks = partition.num_workers();
+    let mut rank_cells = vec![Vec::new(); ranks];
+    // Per-SSet accumulation overhead keeps ranks without games from
+    // weighing zero.
+    let mut weights: Vec<u64> = (0..ranks)
+        .map(|rank| partition.block(rank).len() as u64)
+        .collect();
+    for (k, cell) in cells.iter().enumerate() {
+        let rank = partition.owner_of(cell.a_index);
+        rank_cells[rank].push(k);
+        weights[rank] = weights[rank].saturating_add(egd_cost::predict::pair_weight_ns(
+            model, game, cell.a, cell.b,
+        ));
     }
-    Ok(fitness)
+    (rank_cells, weights)
 }
 
 #[cfg(test)]
@@ -567,7 +498,7 @@ mod tests {
 
         // 4 ranks x 3 SSets; the first block holds distinct mixed strategies
         // (full games every generation), the rest share one pure strategy
-        // (cache probes).
+        // whose representative SSet is rank 1's.
         let memory = egd_core::state::MemoryDepth::ONE;
         let mut rng = egd_core::rng::stream(3, egd_core::rng::StreamKind::InitialStrategy, 9);
         let mut strategies: Vec<StrategyKind> = (0..3)
@@ -578,30 +509,38 @@ mod tests {
         let population =
             Population::from_strategies(StrategySpace::mixed(memory), 2, strategies).unwrap();
 
-        let grouping = StrategyGrouping::of(population.strategies());
         let partition = SSetPartition::new(12, 4).unwrap();
         let cfg = sim_config(40, 12, 1);
         let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
-        let weights = predicted_rank_weights(
-            &egd_cost::CostModel::blue_gene_like(),
-            &evaluator,
-            &population,
-            &grouping,
-            &partition,
-            4,
-        );
+        let model = egd_cost::CostModel::blue_gene_like();
+        let mut work = None;
+        evaluator
+            .generation_fitness(&population, 0, |batch| {
+                work = Some(rank_work(
+                    &model,
+                    evaluator.game(),
+                    batch.cells(),
+                    &partition,
+                ));
+                (0..batch.cells().len()).map(|k| batch.play(k)).collect()
+            })
+            .unwrap();
+        let (rank_cells, weights) = work.unwrap();
         assert_eq!(weights.len(), 4);
-        // The mixed block pays three full rows; a pure block pays one row
-        // that is itself mostly games against the mixed groups — so the
-        // predicted gap is ~3x here, not the cached-vs-game ratio.
+        // Every matrix row is played by exactly one rank: the mixed block
+        // plays three full rows of four games, rank 1 the pure row (three
+        // games against the mixed groups and its one cacheable cell), and
+        // the ranks that only hold copies of the pure strategy play nothing.
+        let played: Vec<usize> = rank_cells.iter().map(Vec::len).collect();
+        assert_eq!(played, vec![12, 4, 0, 0]);
         assert!(
-            weights[0] > 3 * weights[3],
-            "mixed block {} should dwarf pure blocks {:?}",
+            weights[0] > 3 * weights[1],
+            "mixed block {} should dwarf the pure row {}",
             weights[0],
-            &weights[1..]
+            weights[1]
         );
-        // Ranks sharing one pure group predict identically.
-        assert_eq!(weights[1], weights[2]);
+        assert!(weights[1] > 100 * weights[2]);
+        // Ranks without games still weigh their per-SSet accumulation.
         assert_eq!(weights[2], weights[3]);
         assert!(weights[3] > 0);
     }
@@ -697,6 +636,14 @@ mod tests {
         // The worker table sums to the run's task count.
         assert_eq!(metrics.total_items(), 4 * 8);
         assert!(metrics.counter("pair_cache_hits") > 0);
+        // Noise-free memory one: every game is a payoff-table cell, and the
+        // sixteen strategies fit the table without reclaiming.
+        assert_eq!(
+            metrics.counter("payoff_cells_played"),
+            metrics.counter("pair_cache_misses")
+        );
+        assert!(metrics.counter("payoff_slots_occupied") > 0);
+        assert_eq!(metrics.counter("payoff_slots_reclaimed"), 0);
         assert_eq!(
             metrics.generations.iter().filter(|g| g.changed).count() as u64,
             summary.generations_with_change

@@ -65,6 +65,55 @@ impl GameOutcome {
     }
 }
 
+/// Per-thread scratch of [`IpdGame::play_pure`]: the cycle detector's
+/// first-visit table and prefix sums, kept between games so a game allocates
+/// nothing and clears nothing. Entries are stamped with the game that wrote
+/// them, so a new game invalidates the whole table by taking the next stamp
+/// (at memory six the table is 32 KiB — re-zeroing it per game cost more
+/// than the ≤ 200 rounds played on it).
+#[derive(Debug, Default)]
+struct PureScratch {
+    /// Stamp of the current game (never 0, which marks a never-written entry).
+    stamp: u32,
+    /// `stamp << 32 | round` of the first round A's view equalled the state.
+    first_seen: Vec<u64>,
+    /// `(fitness_a, fitness_b, coop_a, coop_b)` before each simulated round.
+    prefix: Vec<(f64, f64, u32, u32)>,
+}
+
+impl PureScratch {
+    /// Readies the scratch for a game over `num_states` states.
+    fn begin(&mut self, num_states: usize) {
+        if self.first_seen.len() < num_states {
+            self.first_seen.resize(num_states, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // 2^32 games on this thread: the stamps start over.
+            self.first_seen.fill(0);
+            self.stamp = 1;
+        }
+        self.prefix.clear();
+    }
+
+    /// The round at which the current game first saw `state`, if it did.
+    #[inline]
+    fn first_seen(&self, state: usize) -> Option<u32> {
+        let entry = self.first_seen[state];
+        ((entry >> 32) as u32 == self.stamp).then_some(entry as u32)
+    }
+
+    #[inline]
+    fn mark(&mut self, state: usize, round: u32) {
+        self.first_seen[state] = u64::from(self.stamp) << 32 | u64::from(round);
+    }
+}
+
+thread_local! {
+    static PURE_SCRATCH: std::cell::RefCell<PureScratch> =
+        std::cell::RefCell::new(PureScratch::default());
+}
+
 /// Configuration of an Iterated Prisoner's Dilemma game between two
 /// strategies of the same memory depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -660,15 +709,23 @@ impl IpdGame {
                 reason: "play_pure requires a noise-free game; use play() with an RNG".to_string(),
             });
         }
+        PURE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.begin(self.memory.num_states());
+            Ok(self.play_pure_with(a, b, scratch))
+        })
+    }
+
+    /// [`IpdGame::play_pure`] after its checks, on a scratch that
+    /// [`PureScratch::begin`] has prepared for this game.
+    fn play_pure_with(
+        &self,
+        a: &PureStrategy,
+        b: &PureStrategy,
+        scratch: &mut PureScratch,
+    ) -> GameOutcome {
         let space = &self.space;
         let table = &self.table;
-        let num_states = self.memory.num_states();
-
-        // `visited[s]` records the round at which A's view first equalled `s`
-        // (plus payoff/cooperation prefix sums at that time) so that the cycle
-        // can be closed exactly.
-        let mut first_seen: Vec<i64> = vec![-1; num_states];
-        let mut prefix: Vec<(f64, f64, u32, u32)> = Vec::with_capacity(num_states + 1);
 
         let mut view_a = StateIndex::INITIAL;
         let mut fitness_a = 0.0f64;
@@ -679,11 +736,10 @@ impl IpdGame {
         let mut round = 0u32;
         while round < self.rounds {
             let s = view_a.index();
-            if first_seen[s] >= 0 {
-                // Cycle detected: rounds [first_seen[s], round) repeat forever.
-                let start = first_seen[s] as usize;
-                let cycle_len = (round as usize - start) as u32;
-                let (fa0, fb0, ca0, cb0) = prefix[start];
+            if let Some(start) = scratch.first_seen(s) {
+                // Cycle detected: rounds [start, round) repeat forever.
+                let cycle_len = round - start;
+                let (fa0, fb0, ca0, cb0) = scratch.prefix[start as usize];
                 let cycle_fa = fitness_a - fa0;
                 let cycle_fb = fitness_b - fb0;
                 let cycle_ca = coop_a - ca0;
@@ -707,8 +763,8 @@ impl IpdGame {
                 }
                 break;
             }
-            first_seen[s] = round as i64;
-            prefix.push((fitness_a, fitness_b, coop_a, coop_b));
+            scratch.mark(s, round);
+            scratch.prefix.push((fitness_a, fitness_b, coop_a, coop_b));
 
             let (fa, fb, ca, cb, next) = Self::step_pure(a, b, space, view_a, table);
             fitness_a += fa;
@@ -719,13 +775,13 @@ impl IpdGame {
             round += 1;
         }
 
-        Ok(GameOutcome {
+        GameOutcome {
             fitness_a,
             fitness_b,
             cooperations_a: coop_a,
             cooperations_b: coop_b,
             rounds: self.rounds,
-        })
+        }
     }
 
     /// One deterministic round: both strategies read their move from A's view
@@ -900,6 +956,31 @@ mod tests {
         // total fitness of both players per round is between 2P and 2R..T+S range.
         let total_avg = (outcome.fitness_a + outcome.fitness_b) / 1_000_000.0;
         assert!((2.0..=6.0).contains(&total_avg));
+    }
+
+    #[test]
+    fn pure_scratch_stamps_invalidate_without_clearing_and_survive_wrap() {
+        let mut scratch = PureScratch::default();
+        scratch.begin(16);
+        assert_eq!(scratch.stamp, 1);
+        assert_eq!(scratch.first_seen(3), None);
+        scratch.mark(3, 7);
+        scratch.prefix.push((1.0, 2.0, 3, 4));
+        assert_eq!(scratch.first_seen(3), Some(7));
+        // The next game sees nothing of it, on a larger table too.
+        scratch.begin(64);
+        assert_eq!(scratch.first_seen(3), None);
+        assert!(scratch.prefix.is_empty());
+        assert_eq!(scratch.first_seen.len(), 64);
+        // When the stamps start over, entries written under stamp 1 long
+        // ago must not come back to life.
+        scratch.stamp = 0;
+        scratch.begin(64);
+        scratch.mark(5, 9);
+        scratch.stamp = u32::MAX;
+        scratch.begin(64);
+        assert_eq!(scratch.stamp, 1);
+        assert_eq!(scratch.first_seen(5), None);
     }
 
     #[test]

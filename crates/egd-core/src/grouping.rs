@@ -1,15 +1,15 @@
 //! Strategy grouping by fingerprint.
 //!
-//! Every engine that exploits the SSet abstraction — the shared-memory
-//! engine, the distributed executors, the benchmark cost probes — first
-//! collapses the population to its distinct strategies so each pair payoff
-//! is computed once per group instead of once per SSet pair. The grouping
-//! is **determinism-critical**: representative indices feed the per-pair
-//! random streams, so every consumer must group identically (first
-//! occurrence order) or bit-identical cross-engine results break. This
-//! module is that single shared implementation.
+//! Every engine that exploits the SSet abstraction — the sequential
+//! reference, the shared-memory engine, the distributed executors, the
+//! benchmark cost probes — first collapses the population to its distinct
+//! strategies so each pair payoff is computed once per group instead of once
+//! per SSet pair. The grouping is **determinism-critical**: representative
+//! indices feed the per-pair random streams, so every consumer must group
+//! identically (first occurrence order) or bit-identical cross-engine
+//! results break. This module is that single shared implementation.
 
-use egd_core::strategy::StrategyKind;
+use crate::strategy::StrategyKind;
 use std::collections::HashMap;
 
 /// A population's strategies collapsed to distinct groups, in first
@@ -23,6 +23,10 @@ pub struct StrategyGrouping {
     pub group_rep: Vec<usize>,
     /// Number of SSets in each group (as `f64`, ready for fitness sums).
     pub group_count: Vec<f64>,
+    /// `fingerprints[g]` is the fingerprint of group `g`'s strategy (the
+    /// key the grouping itself was made by, kept so no consumer hashes a
+    /// strategy twice in one generation).
+    pub fingerprints: Vec<u64>,
 }
 
 impl StrategyGrouping {
@@ -31,12 +35,14 @@ impl StrategyGrouping {
         let mut group_of = Vec::with_capacity(strategies.len());
         let mut group_rep = Vec::new();
         let mut group_count: Vec<f64> = Vec::new();
+        let mut fingerprints = Vec::new();
         let mut by_fingerprint: HashMap<u64, usize> = HashMap::new();
         for (i, s) in strategies.iter().enumerate() {
             let fp = s.fingerprint();
             let g = *by_fingerprint.entry(fp).or_insert_with(|| {
                 group_rep.push(i);
                 group_count.push(0.0);
+                fingerprints.push(fp);
                 group_rep.len() - 1
             });
             group_count[g] += 1.0;
@@ -46,6 +52,7 @@ impl StrategyGrouping {
             group_of,
             group_rep,
             group_count,
+            fingerprints,
         }
     }
 
@@ -58,8 +65,8 @@ impl StrategyGrouping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egd_core::state::MemoryDepth;
-    use egd_core::strategy::PureStrategy;
+    use crate::state::MemoryDepth;
+    use crate::strategy::PureStrategy;
 
     fn strategy(bits: &str) -> StrategyKind {
         StrategyKind::Pure(PureStrategy::from_bitstring(MemoryDepth::ONE, bits).unwrap())
@@ -79,6 +86,11 @@ mod tests {
         assert_eq!(grouping.group_of, vec![0, 1, 0, 2, 1]);
         assert_eq!(grouping.group_rep, vec![0, 1, 3]);
         assert_eq!(grouping.group_count, vec![2.0, 2.0, 1.0]);
+        let expected: Vec<u64> = [0, 1, 3]
+            .iter()
+            .map(|&i: &usize| strategies[i].fingerprint())
+            .collect();
+        assert_eq!(grouping.fingerprints, expected);
     }
 
     #[test]

@@ -50,8 +50,10 @@ pub mod config;
 pub mod dynamics;
 pub mod error;
 pub mod game;
+pub mod grouping;
 pub mod metrics;
 pub mod payoff;
+pub mod payoff_table;
 pub mod population;
 pub mod prelude;
 pub mod rng;

@@ -15,20 +15,26 @@
 //!   distinct strategy pair and weighted by group sizes (this is the same
 //!   observation that motivates the paper's SSets: "for deterministic
 //!   strategies this would lead to redundant work").
-//! * **Pairwise-fitness caching** — for deterministic games the payoff of a
-//!   strategy pair never changes, so it is memoised across generations.
+//! * **The retained payoff matrix** — for deterministic games the payoff of a
+//!   strategy pair never changes, and the Nature Agent changes at most two
+//!   SSets per generation. The distinct-strategy payoff matrix is therefore
+//!   kept between generations in a [`PayoffTable`]: a generation plays only
+//!   the rows and columns of strategies that entered the population and
+//!   re-reads nothing. [`PairEvaluator::pair_payoff`] keeps a separate
+//!   per-pair memo for callers that ask for single pairs.
 
 use crate::config::SimulationConfig;
 use crate::dynamics::{GenerationDecision, NatureAgent};
 use crate::error::{EgdError, EgdResult};
 use crate::game::{CompiledStrategy, IpdGame, MarkovGame};
 use crate::metrics::{FitnessStats, GenerationRecord};
+use crate::payoff_table::{PayoffTable, PayoffTableStats};
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
-use crate::sset::OpponentPolicy;
-use crate::strategy::StrategyKind;
+use crate::strategy::{Strategy, StrategyKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// How per-pair payoffs are obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -45,16 +51,34 @@ pub enum FitnessMode {
     ExpectedValue,
 }
 
-/// Pairwise payoff evaluator shared by the sequential and parallel engines.
+impl FitnessMode {
+    /// Whether games of `strategy`, under a game with the given `noise`,
+    /// against another strategy this holds for are a pure function of the
+    /// pair — the strategies a [`PayoffTable`] gives slots to. A pair is
+    /// cacheable exactly when both sides are.
+    pub fn caches(self, noise: f64, strategy: &StrategyKind) -> bool {
+        match self {
+            FitnessMode::Simulated => noise == 0.0 && strategy.is_deterministic(),
+            FitnessMode::ExpectedValue => true,
+        }
+    }
+}
+
+/// Pairwise payoff evaluator of the sequential engine and of each rank of
+/// the message-passing executor.
 #[derive(Debug, Clone)]
 pub struct PairEvaluator {
     game: IpdGame,
     markov: MarkovGame,
     mode: FitnessMode,
     seed: u64,
+    /// Memo of [`PairEvaluator::pair_payoff`] (single-pair callers only).
     cache: HashMap<(u64, u64), (f64, f64)>,
     cache_hits: u64,
     cache_misses: u64,
+    /// The payoff matrix [`PairEvaluator::block_fitness`] keeps between
+    /// generations.
+    table: PayoffTable,
     /// Per-generation interning of compiled strategies for the stochastic
     /// kernel: each distinct strategy is compiled once per generation, not
     /// once per game.
@@ -76,21 +100,23 @@ impl PairEvaluator {
             cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
+            table: PayoffTable::new(config.num_ssets),
             compiled: HashMap::new(),
             compiled_generation: 0,
         })
     }
 
-    /// Interns the compiled form of `strategy` for `generation`, clearing the
-    /// intern table when the generation rolls over (strategies churn under
-    /// mutation, so a per-generation lifetime keeps the table bounded).
-    fn intern_compiled(&mut self, generation: u64, strategy: &StrategyKind) {
+    /// Interns the compiled form of `strategy` (fingerprint `fp`) for
+    /// `generation`, clearing the intern table when the generation rolls
+    /// over (strategies churn under mutation, so a per-generation lifetime
+    /// keeps the table bounded).
+    fn intern_compiled(&mut self, generation: u64, fp: u64, strategy: &StrategyKind) {
         if self.compiled_generation != generation {
             self.compiled.clear();
             self.compiled_generation = generation;
         }
         self.compiled
-            .entry(strategy.fingerprint())
+            .entry(fp)
             .or_insert_with(|| CompiledStrategy::compile(strategy));
     }
 
@@ -99,14 +125,20 @@ impl PairEvaluator {
         self.mode
     }
 
-    /// Number of cache hits so far.
+    /// Cacheable cells served without playing a game so far (by the payoff
+    /// table and by the `pair_payoff` memo).
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.cache_hits + self.table.stats().hits
     }
 
-    /// Number of cache misses so far.
+    /// Cacheable cells that played a game so far.
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
+        self.cache_misses + self.table.stats().misses
+    }
+
+    /// Counters of the retained payoff matrix.
+    pub fn table_stats(&self) -> PayoffTableStats {
+        self.table.stats()
     }
 
     /// Payoffs `(to_a, to_b)` of one game between two strategies in a given
@@ -122,10 +154,8 @@ impl PairEvaluator {
         b: &StrategyKind,
         generation: u64,
     ) -> EgdResult<(f64, f64)> {
-        let cacheable = match self.mode {
-            FitnessMode::Simulated => self.game.is_deterministic_for(a, b),
-            FitnessMode::ExpectedValue => true,
-        };
+        let noise = self.game.noise();
+        let cacheable = self.mode.caches(noise, a) && self.mode.caches(noise, b);
         let key = (a.fingerprint(), b.fingerprint());
         if cacheable {
             if let Some(&hit) = self.cache.get(&key) {
@@ -133,31 +163,7 @@ impl PairEvaluator {
                 return Ok(hit);
             }
         }
-        let result = match self.mode {
-            FitnessMode::ExpectedValue => {
-                let e = self.markov.finite_horizon(a, b)?;
-                (e.payoff_a, e.payoff_b)
-            }
-            FitnessMode::Simulated => {
-                if self.game.is_deterministic_for(a, b) {
-                    let (pa, pb) = match (a, b) {
-                        (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => (pa, pb),
-                        _ => unreachable!("deterministic pairs are pure"),
-                    };
-                    let outcome = self.game.play_pure(pa, pb)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                } else {
-                    self.intern_compiled(generation, a);
-                    self.intern_compiled(generation, b);
-                    let ca = &self.compiled[&key.0];
-                    let cb = &self.compiled[&key.1];
-                    let pair_id = (a_index as u64) << 32 | b_index as u64;
-                    let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
-                    let outcome = self.game.play_compiled(ca, cb, &mut rng)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                }
-            }
-        };
+        let result = self.play(key, cacheable, a_index, a, b_index, b, generation)?;
         if cacheable {
             if self.cache.len() >= Self::MAX_CACHE_ENTRIES {
                 self.cache.clear();
@@ -167,67 +173,99 @@ impl PairEvaluator {
         }
         Ok(result)
     }
+
+    /// Plays one game, whatever any cache holds. `key` is the pair's
+    /// fingerprints, `cacheable` whether both sides are
+    /// [`FitnessMode::caches`] strategies.
+    #[allow(clippy::too_many_arguments)]
+    fn play(
+        &mut self,
+        key: (u64, u64),
+        cacheable: bool,
+        a_index: usize,
+        a: &StrategyKind,
+        b_index: usize,
+        b: &StrategyKind,
+        generation: u64,
+    ) -> EgdResult<(f64, f64)> {
+        Ok(match self.mode {
+            FitnessMode::ExpectedValue => {
+                let e = self.markov.finite_horizon(a, b)?;
+                (e.payoff_a, e.payoff_b)
+            }
+            FitnessMode::Simulated => {
+                if cacheable {
+                    let (pa, pb) = match (a, b) {
+                        (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => (pa, pb),
+                        _ => unreachable!("deterministic pairs are pure"),
+                    };
+                    let outcome = self.game.play_pure(pa, pb)?;
+                    (outcome.fitness_a, outcome.fitness_b)
+                } else {
+                    self.intern_compiled(generation, key.0, a);
+                    self.intern_compiled(generation, key.1, b);
+                    let ca = &self.compiled[&key.0];
+                    let cb = &self.compiled[&key.1];
+                    let pair_id = (a_index as u64) << 32 | b_index as u64;
+                    let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
+                    let outcome = self.game.play_compiled(ca, cb, &mut rng)?;
+                    (outcome.fitness_a, outcome.fitness_b)
+                }
+            }
+        })
+    }
+
+    /// Computes the fitness of the SSets in `block` for one generation
+    /// through the retained payoff matrix, playing the generation's fresh
+    /// and stochastic cells inline (see [`PayoffTable::generation_fitness`]).
+    /// A rank of the message-passing executor passes its own block and so
+    /// plays only its own rows; everything else passes the whole population.
+    pub fn block_fitness(
+        &mut self,
+        population: &Population,
+        block: Range<usize>,
+        generation: u64,
+    ) -> EgdResult<Vec<f64>> {
+        let mut table = std::mem::take(&mut self.table);
+        let (mode, noise) = (self.mode, self.game.noise());
+        let fitness = table.generation_fitness(
+            population,
+            block,
+            |strategy| mode.caches(noise, strategy),
+            |cells| {
+                // Sized up front: a `Result` collect grows by doubling.
+                let mut payoffs = Vec::with_capacity(cells.len());
+                for cell in cells.iter() {
+                    let (to_a, _) = self.play(
+                        cell.fingerprints,
+                        cell.cacheable,
+                        cell.a_index,
+                        cell.a,
+                        cell.b_index,
+                        cell.b,
+                        generation,
+                    )?;
+                    payoffs.push(to_a);
+                }
+                Ok(payoffs)
+            },
+        );
+        self.table = table;
+        fitness
+    }
 }
 
 /// Computes the fitness of every SSet for one generation, exploiting
-/// strategy grouping. This free function is shared with the parallel and
-/// distributed engines so all execution modes agree exactly.
+/// strategy grouping and the evaluator's retained payoff matrix. The
+/// parallel and distributed engines run the same
+/// [`PayoffTable::generation_fitness`] routine, so all execution modes agree
+/// exactly.
 pub fn compute_generation_fitness(
     population: &Population,
     evaluator: &mut PairEvaluator,
     generation: u64,
 ) -> EgdResult<Vec<f64>> {
-    let n = population.num_ssets();
-    let strategies = population.strategies();
-
-    // Group SSets by identical strategy.
-    let mut group_of: Vec<usize> = Vec::with_capacity(n);
-    let mut group_rep: Vec<usize> = Vec::new(); // representative SSet index
-    let mut group_count: Vec<f64> = Vec::new();
-    let mut by_fingerprint: HashMap<u64, usize> = HashMap::new();
-    for (i, s) in strategies.iter().enumerate() {
-        let fp = s.fingerprint();
-        let g = *by_fingerprint.entry(fp).or_insert_with(|| {
-            group_rep.push(i);
-            group_count.push(0.0);
-            group_rep.len() - 1
-        });
-        group_count[g] += 1.0;
-        group_of.push(g);
-    }
-    let num_groups = group_rep.len();
-
-    // Payoff of group g's strategy against group h's strategy (to g).
-    let mut pay = vec![0.0f64; num_groups * num_groups];
-    for g in 0..num_groups {
-        for h in 0..num_groups {
-            let (i, j) = (group_rep[g], group_rep[h]);
-            let (to_g, _) =
-                evaluator.pair_payoff(i, &strategies[i], j, &strategies[j], generation)?;
-            pay[g * num_groups + h] = to_g;
-        }
-    }
-
-    // Fitness of SSet i: sum of its payoff against every opponent SSet.
-    let include_self = matches!(
-        population.opponent_policy(),
-        OpponentPolicy::AllIncludingSelf
-    );
-    let fitness = (0..n)
-        .map(|i| {
-            let g = group_of[i];
-            let mut total = 0.0;
-            for h in 0..num_groups {
-                total += group_count[h] * pay[g * num_groups + h];
-            }
-            if !include_self {
-                // Remove the self-pairing counted in the group sums.
-                total -= pay[g * num_groups + g];
-            }
-            total
-        })
-        .collect();
-    Ok(fitness)
+    evaluator.block_fitness(population, 0..population.num_ssets(), generation)
 }
 
 /// Saved position of one deterministic RNG stream: the `(kind, id, sub_id)`

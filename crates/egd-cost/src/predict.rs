@@ -2,10 +2,10 @@
 //!
 //! The bridge between the abstract [`CostModel`](crate::CostModel) and the
 //! engines' actual work items. All predictions are **steady-state**: a
-//! deterministic pair is priced as a cache probe (its first evaluation is
-//! simulated once and memoised by `egd-parallel`'s payoff slab), a
-//! stochastic pair as a full simulated game at the game's memory depth and
-//! round count. The outputs are the weight vectors the scheduler's
+//! deterministic pair is priced as a cache probe (it is played once, when
+//! its strategies enter the population, and kept in the engines' retained
+//! payoff matrix), a stochastic pair as a full simulated game at the game's
+//! memory depth and round count. The outputs are the weight vectors the scheduler's
 //! cost-guided partition ([`egd_sched::map_indexed_weighted`]) and the
 //! virtual-time replay ([`egd_sched::simulate_schedule_guided`]) consume.
 //!
@@ -114,39 +114,27 @@ impl MeasuredEwma {
     }
 }
 
-/// [`cell_weights`] with measured-EWMA refinement: stochastic cells whose
-/// fingerprint pair has an observed smoothed cost are priced from the
-/// measurement, everything else (deterministic cache probes, never-seen
-/// pairings) falls back to the analytic model. `fingerprints` is the dense
-/// per-group fingerprint lane aligned with `group_rep`.
-pub fn cell_weights_refined(
+/// [`pair_weight_ns`] with measured-EWMA refinement: a stochastic pairing
+/// whose fingerprint pair has an observed smoothed cost is priced from the
+/// measurement, everything else (deterministic pairs, never-seen pairings,
+/// no table at all) falls back to the analytic model.
+pub fn refined_pair_weight_ns(
     model: &CostModel,
     game: &IpdGame,
-    strategies: &[StrategyKind],
-    group_rep: &[usize],
-    fingerprints: &[u64],
-    ewma: &MeasuredEwma,
-) -> Vec<u64> {
-    debug_assert_eq!(group_rep.len(), fingerprints.len());
-    let num_groups = group_rep.len();
-    let mut weights = Vec::with_capacity(num_groups * num_groups);
-    for (g, &gi) in group_rep.iter().enumerate() {
-        for (h, &hj) in group_rep.iter().enumerate() {
-            let a = &strategies[gi];
-            let b = &strategies[hj];
-            let analytic = pair_weight_ns(model, game, a, b);
-            let weight = if game.is_deterministic_for(a, b) {
-                analytic
-            } else {
-                match ewma.cell_ns(fingerprints[g], fingerprints[h]) {
-                    Some(ns) => (ns as u64).max(1),
-                    None => analytic,
-                }
-            };
-            weights.push(weight);
-        }
+    a: &StrategyKind,
+    b: &StrategyKind,
+    fingerprints: (u64, u64),
+    ewma: Option<&MeasuredEwma>,
+) -> u64 {
+    let deterministic = game.is_deterministic_for(a, b);
+    let measured = match ewma {
+        Some(ewma) if !deterministic => ewma.cell_ns(fingerprints.0, fingerprints.1),
+        _ => None,
+    };
+    match measured {
+        Some(ns) => (ns as u64).max(1),
+        None => model.pair_cost_ns(game.memory(), game.rounds(), deterministic),
     }
-    weights
 }
 
 /// Predicted cost of each group's full **row** of the pair matrix (group
@@ -269,41 +257,46 @@ mod tests {
         let game = game(0.0);
         let strategies = sample_strategies();
         let group_rep = [0usize, 1, 2];
-        let fingerprints: Vec<u64> = group_rep
-            .iter()
-            .map(|&i| strategies[i].fingerprint())
-            .collect();
+        let fingerprints: Vec<u64> = strategies.iter().map(|s| s.fingerprint()).collect();
         let analytic = cell_weights(&model, &game, &strategies, &group_rep);
+        // The full matrix priced cell by cell, in `cell_weights` order.
+        let refined = |ewma: Option<&MeasuredEwma>| -> Vec<u64> {
+            (0..9)
+                .map(|idx| {
+                    let (g, h) = (idx / 3, idx % 3);
+                    refined_pair_weight_ns(
+                        &model,
+                        &game,
+                        &strategies[g],
+                        &strategies[h],
+                        (fingerprints[g], fingerprints[h]),
+                        ewma,
+                    )
+                })
+                .collect()
+        };
 
-        // Empty table: refinement is a no-op.
-        let empty = MeasuredEwma::new(0.2);
-        let refined = cell_weights_refined(
-            &model,
-            &game,
-            &strategies,
-            &group_rep,
-            &fingerprints,
-            &empty,
-        );
-        assert_eq!(refined, analytic);
+        // No table, or an empty one: refinement is a no-op.
+        assert_eq!(refined(None), analytic);
+        assert_eq!(refined(Some(&MeasuredEwma::new(0.2))), analytic);
 
         // Observe the (mixed, pure0) cell and a deterministic (pure0, pure1)
         // cell: only the stochastic one repriced.
         let mut ewma = MeasuredEwma::new(0.2);
         ewma.observe(fingerprints[2], fingerprints[0], 123_456.0);
         ewma.observe(fingerprints[0], fingerprints[1], 999_999.0);
-        let refined =
-            cell_weights_refined(&model, &game, &strategies, &group_rep, &fingerprints, &ewma);
-        assert_eq!(refined[2 * 3], 123_456);
-        assert_eq!(refined[1], analytic[1], "deterministic cells stay analytic");
+        let repriced = refined(Some(&ewma));
+        assert_eq!(repriced[2 * 3], 123_456);
+        assert_eq!(
+            repriced[1], analytic[1],
+            "deterministic cells stay analytic"
+        );
         // Unobserved stochastic cells keep the analytic price.
-        assert_eq!(refined[2], analytic[2]);
+        assert_eq!(repriced[2], analytic[2]);
         // Tiny measurements still yield schedulable (non-zero) weights.
         let mut tiny = MeasuredEwma::new(0.2);
         tiny.observe(fingerprints[2], fingerprints[2], 0.25);
-        let refined =
-            cell_weights_refined(&model, &game, &strategies, &group_rep, &fingerprints, &tiny);
-        assert_eq!(refined[2 * 3 + 2], 1);
+        assert_eq!(refined(Some(&tiny))[2 * 3 + 2], 1);
     }
 
     #[test]

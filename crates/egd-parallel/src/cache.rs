@@ -20,15 +20,25 @@
 //! Stochastic pairs are never cached; they now run on the compiled kernel
 //! ([`IpdGame::play_compiled`]) with per-generation interning of compiled
 //! strategies ([`crate::intern::CompiledInterner`]).
+//!
+//! The slab serves callers that ask for single pairs
+//! ([`ConcurrentPairEvaluator::pair_payoff`], the agent-plan path). The
+//! engines' per-generation fitness does not probe it: it goes through the
+//! evaluator's retained [`PayoffTable`]
+//! ([`ConcurrentPairEvaluator::generation_fitness`]), which plays only the
+//! rows and columns of strategies that entered the population.
 
 use crate::intern::CompiledInterner;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 use egd_core::game::{CompiledPair, CompiledStrategy, IpdGame, MarkovGame};
+use egd_core::payoff_table::{PayoffTable, PayoffTableStats, PlannedCells};
+use egd_core::population::Population;
 use egd_core::rng::{substream, StreamKind};
 use egd_core::simulation::FitnessMode;
 use egd_core::strategy::{Strategy, StrategyKind};
-use parking_lot::RwLock;
+use egd_obs::MetricsSnapshot;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -215,9 +225,64 @@ pub struct ConcurrentPairEvaluator {
     mode: FitnessMode,
     seed: u64,
     cache: PayoffSlab,
+    /// The payoff matrix [`ConcurrentPairEvaluator::generation_fitness`]
+    /// keeps between generations. Locked for a whole fitness call; the
+    /// games themselves run outside it, on the caller's workers.
+    table: Mutex<PayoffTable>,
     interner: CompiledInterner,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// Adds a payoff table's occupancy, reclaim and games-played counters to a
+/// metrics snapshot (`pair_cache_hits` / `pair_cache_misses` are the
+/// caller's: an evaluator adds its single-pair cache to the table's).
+pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStats) {
+    snap.add_counter("payoff_slots_occupied", stats.slots_occupied);
+    snap.add_counter("payoff_slots_reclaimed", stats.slots_reclaimed);
+    snap.add_counter("payoff_cells_played", stats.cells_played);
+}
+
+/// One generation's games ([`PlannedCells`]) bound to the evaluator that
+/// plays them: what [`ConcurrentPairEvaluator::generation_fitness`] hands its
+/// executor. [`CellBatch::play`] is callable from any thread.
+#[derive(Debug)]
+pub struct CellBatch<'a> {
+    evaluator: &'a ConcurrentPairEvaluator,
+    cells: &'a PlannedCells<'a>,
+    /// Compiled strategy per group; empty when no cell is stochastic.
+    compiled: Vec<Arc<CompiledStrategy>>,
+    generation: u64,
+}
+
+impl<'a> CellBatch<'a> {
+    /// The games to play, in the order their payoffs are to be returned.
+    pub fn cells(&self) -> &'a PlannedCells<'a> {
+        self.cells
+    }
+
+    /// Plays game `k` and returns the payoff to its row strategy.
+    pub fn play(&self, k: usize) -> EgdResult<f64> {
+        let cell = self.cells.get(k);
+        let group_of = &self.cells.grouping().group_of;
+        let compiled = (!cell.cacheable).then(|| {
+            (
+                &*self.compiled[group_of[cell.a_index]],
+                &*self.compiled[group_of[cell.b_index]],
+            )
+        });
+        self.evaluator
+            .play(
+                cell.cacheable,
+                cell.a_index,
+                cell.a,
+                cell.b_index,
+                cell.b,
+                compiled,
+                self.generation,
+            )
+            .map(|(to_a, _)| to_a)
+    }
 }
 
 impl ConcurrentPairEvaluator {
@@ -229,6 +294,7 @@ impl ConcurrentPairEvaluator {
             mode,
             seed: config.seed,
             cache: PayoffSlab::new(),
+            table: Mutex::new(PayoffTable::new(config.num_ssets)),
             interner: CompiledInterner::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -250,19 +316,36 @@ impl ConcurrentPairEvaluator {
         self.seed
     }
 
-    /// Number of cache hits so far.
+    /// Cacheable cells served without playing a game so far (by the payoff
+    /// table and by the `pair_payoff` slab).
     pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed) + self.table.lock().stats().hits
     }
 
-    /// Number of cache misses so far.
+    /// Cacheable cells that played a game so far.
     pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed) + self.table.lock().stats().misses
     }
 
-    /// Total number of cached pairs.
+    /// Total number of cached pairs (slab entries plus valid table cells).
     pub fn cached_pairs(&self) -> usize {
-        self.cache.len()
+        self.cache.len() + self.table.lock().valid_cells()
+    }
+
+    /// Counters of the retained payoff matrix.
+    pub fn table_stats(&self) -> PayoffTableStats {
+        self.table.lock().stats()
+    }
+
+    /// Adds the evaluator's cache, payoff-table and interner counters to a
+    /// metrics snapshot.
+    pub fn record_counters(&self, snap: &mut MetricsSnapshot) {
+        snap.add_counter("pair_cache_hits", self.cache_hits());
+        snap.add_counter("pair_cache_misses", self.cache_misses());
+        snap.add_counter("pair_cache_entries", self.cached_pairs() as u64);
+        record_table_counters(snap, &self.table_stats());
+        snap.add_counter("interned_strategies", self.interned_strategies() as u64);
+        snap.add_counter("strategy_compiles", self.strategy_compiles());
     }
 
     /// Strategies interned for the active generation.
@@ -333,35 +416,12 @@ impl ConcurrentPairEvaluator {
             .iter()
             .map(|&i| strategies[i].is_deterministic())
             .collect();
-        self.generation_context_precomputed(
-            generation,
-            strategies,
-            group_rep,
-            fingerprints,
-            deterministic,
-        )
-    }
-
-    /// [`ConcurrentPairEvaluator::generation_context`] with the per-group
-    /// fingerprint and determinism lanes already computed — the entry point
-    /// for callers holding an SoA population view
-    /// ([`crate::soa::PopulationSoA`]), which derives both lanes once per
-    /// generation anyway.
-    pub fn generation_context_precomputed(
-        &self,
-        generation: u64,
-        strategies: &[StrategyKind],
-        group_rep: &[usize],
-        fingerprints: Vec<u64>,
-        deterministic: Vec<bool>,
-    ) -> GenerationContext {
         let stochastic_possible = self.mode == FitnessMode::Simulated
             && (self.game.noise() > 0.0 || deterministic.iter().any(|&d| !d));
-        let compiled: Vec<Option<Arc<CompiledStrategy>>> = if stochastic_possible {
-            self.interner.prepare(generation, strategies, group_rep);
-            group_rep
-                .iter()
-                .map(|&i| Some(self.interner.compiled_for(generation, &strategies[i])))
+        let compiled = if stochastic_possible {
+            self.compiled_groups(generation, strategies, group_rep)
+                .into_iter()
+                .map(Some)
                 .collect()
         } else {
             vec![None; group_rep.len()]
@@ -371,6 +431,57 @@ impl ConcurrentPairEvaluator {
             deterministic,
             compiled,
         }
+    }
+
+    /// The compiled strategy of every group representative, interned for
+    /// `generation` (one compile per distinct strategy).
+    fn compiled_groups(
+        &self,
+        generation: u64,
+        strategies: &[StrategyKind],
+        group_rep: &[usize],
+    ) -> Vec<Arc<CompiledStrategy>> {
+        self.interner.prepare(generation, strategies, group_rep);
+        group_rep
+            .iter()
+            .map(|&i| self.interner.compiled_for(generation, &strategies[i]))
+            .collect()
+    }
+
+    /// Computes the fitness of every SSet for one generation through the
+    /// retained payoff matrix (see [`PayoffTable::generation_fitness`]):
+    /// `execute` receives the generation's fresh and stochastic games as a
+    /// [`CellBatch`] and returns their payoffs in batch order, running
+    /// [`CellBatch::play`] on whatever workers it has. Bit-identical to
+    /// [`egd_core::simulation::compute_generation_fitness`].
+    pub fn generation_fitness(
+        &self,
+        population: &Population,
+        generation: u64,
+        execute: impl FnOnce(&CellBatch<'_>) -> EgdResult<Vec<f64>>,
+    ) -> EgdResult<Vec<f64>> {
+        let strategies = population.strategies();
+        let noise = self.game.noise();
+        self.table.lock().generation_fitness(
+            population,
+            0..population.num_ssets(),
+            |strategy| self.mode.caches(noise, strategy),
+            |cells| {
+                // Hoist compilation out of the cell loop: once per distinct
+                // strategy per generation, and only when a game needs it.
+                let compiled = if cells.stochastic_len() > 0 {
+                    self.compiled_groups(generation, strategies, &cells.grouping().group_rep)
+                } else {
+                    Vec::new()
+                };
+                execute(&CellBatch {
+                    evaluator: self,
+                    cells,
+                    compiled,
+                    generation,
+                })
+            },
+        )
     }
 
     /// Payoff of the distinct-pair matrix cell `(g, h)` using the
@@ -432,10 +543,8 @@ impl ConcurrentPairEvaluator {
     }
 
     /// The single evaluation routine behind [`ConcurrentPairEvaluator::pair_payoff`]
-    /// and [`ConcurrentPairEvaluator::cell_payoff`]: cache lookup, kernel
-    /// dispatch and cache insertion. `compiled` supplies pre-resolved
-    /// compiled strategies for the stochastic path; when `None`, they are
-    /// fetched from the per-generation interner.
+    /// and [`ConcurrentPairEvaluator::cell_payoff`]: cache lookup,
+    /// [`ConcurrentPairEvaluator::play`], cache insertion.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_pair(
         &self,
@@ -458,13 +567,35 @@ impl ConcurrentPairEvaluator {
                 return Ok(hit);
             }
         }
-        let result = match self.mode {
+        let result = self.play(cacheable, a_index, a, b_index, b, compiled, generation)?;
+        if cacheable {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.cache.insert(key, result);
+        }
+        Ok(result)
+    }
+
+    /// Plays one game, whatever any cache holds. `compiled` supplies
+    /// pre-resolved compiled strategies for the stochastic path; when
+    /// `None`, they are fetched from the per-generation interner.
+    #[allow(clippy::too_many_arguments)]
+    fn play(
+        &self,
+        cacheable: bool,
+        a_index: usize,
+        a: &StrategyKind,
+        b_index: usize,
+        b: &StrategyKind,
+        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
+        generation: u64,
+    ) -> EgdResult<(f64, f64)> {
+        Ok(match self.mode {
             FitnessMode::ExpectedValue => {
                 let e = self.markov.finite_horizon(a, b)?;
                 (e.payoff_a, e.payoff_b)
             }
             FitnessMode::Simulated => {
-                if deterministic_pair {
+                if cacheable {
                     let (pa, pb) = match (a, b) {
                         (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => (pa, pb),
                         _ => unreachable!("deterministic pairs are pure"),
@@ -489,12 +620,7 @@ impl ConcurrentPairEvaluator {
                     (outcome.fitness_a, outcome.fitness_b)
                 }
             }
-        };
-        if cacheable {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.cache.insert(key, result);
-        }
-        Ok(result)
+        })
     }
 }
 
@@ -636,7 +762,7 @@ mod tests {
 
     #[test]
     fn prepare_generation_prefills_the_interner() {
-        use crate::grouping::StrategyGrouping;
+        use egd_core::grouping::StrategyGrouping;
         let cfg = config(0.05);
         let population = cfg.initial_population().unwrap();
         let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();

@@ -5,8 +5,9 @@
 //!
 //! * [`ParallelEngine::compute_fitness`] — the production path. Strategies
 //!   are grouped (SSets holding identical strategies share their pair
-//!   payoffs) and the distinct-pair payoff matrix is evaluated in parallel.
-//!   This matches `egd_core::simulation::compute_generation_fitness`
+//!   payoffs), the distinct-pair payoff matrix is kept between generations
+//!   and the cells that have to be played are evaluated in parallel. This
+//!   matches `egd_core::simulation::compute_generation_fitness`
 //!   bit-for-bit, so sequential and parallel runs are interchangeable.
 //! * [`ParallelEngine::compute_fitness_via_plan`] — the paper-faithful
 //!   agent-level path: every agent's chunk of opponent games is an
@@ -17,14 +18,12 @@
 use crate::cache::ConcurrentPairEvaluator;
 use crate::partition::WorkPlan;
 use crate::reduction::reduce_partials;
-use crate::soa::PopulationSoA;
 use crate::stochastic::{StochasticBlock, StochasticScratch};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 use egd_core::population::Population;
 use egd_core::simulation::FitnessMode;
-use egd_core::sset::OpponentPolicy;
 use egd_cost::predict::MeasuredEwma;
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_sched::SchedStats;
@@ -179,14 +178,7 @@ impl ParallelEngine {
                 snap.record_worker(row);
             }
         }
-        snap.add_counter("pair_cache_hits", self.evaluator.cache_hits());
-        snap.add_counter("pair_cache_misses", self.evaluator.cache_misses());
-        snap.add_counter("pair_cache_entries", self.evaluator.cached_pairs() as u64);
-        snap.add_counter(
-            "interned_strategies",
-            self.evaluator.interned_strategies() as u64,
-        );
-        snap.add_counter("strategy_compiles", self.evaluator.strategy_compiles());
+        self.evaluator.record_counters(&mut snap);
         snap.add_counter(
             "measured_cost_samples",
             self.measured.lock().total_samples(),
@@ -217,99 +209,70 @@ impl ParallelEngine {
     }
 
     /// Computes the fitness of every SSet for `generation` using strategy
-    /// grouping (production path).
+    /// grouping and the evaluator's retained payoff matrix (production
+    /// path): only the cells of strategies that entered the population, and
+    /// the stochastic cells, are played — in parallel — and scattered into
+    /// the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
         self.reset_sched_stats();
-        let strategies = population.strategies();
-
-        // Collapse the population into dense SoA lanes once per generation
-        // (same first-occurrence group order as the sequential reference):
-        // the cell loop streams the fingerprint lane, the reduction streams
-        // group counts and the `group_of` scatter lane.
-        let soa = PopulationSoA::of(strategies);
-        let num_groups = soa.num_groups();
-
-        // Hoist per-strategy work (fingerprints, determinism, compiled
-        // tables) out of the cell loop: computed once per distinct strategy
-        // per generation instead of once per matrix cell. The SoA lanes are
-        // handed over instead of being re-derived per strategy.
-        let ctx = self.evaluator.generation_context_precomputed(
-            generation,
-            strategies,
-            &soa.group_rep,
-            soa.fingerprints.clone(),
-            soa.deterministic.clone(),
-        );
-
-        // Evaluate the distinct-pair payoff matrix in parallel. The initial
-        // per-worker segments are seeded from the cost-proportional
-        // partition (cached pairs priced as probes, stochastic pairs as full
-        // games), so both the static and the adaptive policy start balanced
-        // and stealing only corrects prediction error. With repricing
-        // enabled, measured means from earlier generations replace the
-        // analytic prices of observed stochastic cells.
-        let weights = {
-            let mut repricing = self.repricing.lock();
-            match repricing.as_mut() {
-                Some(ewma) => {
-                    for ((a, b), mean) in self.measured.lock().mean_iter() {
-                        ewma.observe(a, b, mean);
-                    }
-                    egd_cost::predict::cell_weights_refined(
-                        &self.cost_model,
-                        self.evaluator.game(),
-                        strategies,
-                        &soa.group_rep,
-                        &ctx.fingerprints,
-                        ewma,
-                    )
+        self.evaluator
+            .generation_fitness(population, generation, |batch| {
+                let cells = batch.cells();
+                if cells.is_empty() {
+                    // Nothing entered the population: no fork, no join.
+                    return Ok(Vec::new());
                 }
-                None => egd_cost::predict::cell_weights(
-                    &self.cost_model,
-                    self.evaluator.game(),
-                    strategies,
-                    &soa.group_rep,
-                ),
-            }
-        };
-        let evaluator = &self.evaluator;
-        let ctx_ref = &ctx;
-        let group_rep_ref = &soa.group_rep;
-        let measured = &self.measured;
-        let pay: Vec<f64> = self.install(|| {
-            egd_obs::obs_span!(SpanKind::CellMatrix, (num_groups * num_groups) as u64, {
-                egd_sched::map_indexed_weighted(self.threads.effective_threads(), &weights, |idx| {
-                    let g = idx / num_groups;
-                    let h = idx % num_groups;
-                    let span = SpanTimer::start(SpanKind::Cell);
-                    let cell = evaluator
-                        .cell_payoff(ctx_ref, strategies, group_rep_ref, g, h, generation)
-                        .map(|(to_g, _)| to_g);
-                    if let Some(span) = span {
-                        let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
-                        measured.lock().record(
-                            ctx_ref.fingerprints[g],
-                            ctx_ref.fingerprints[h],
-                            elapsed,
-                        );
-                        span.finish(idx as u64);
+                // The initial per-worker segments are seeded from the
+                // cost-proportional partition of the games actually played,
+                // so both the static and the adaptive policy start balanced
+                // and stealing only corrects prediction error. With
+                // repricing enabled, measured means from earlier generations
+                // replace the analytic prices of observed stochastic cells.
+                let weights: Vec<u64> = {
+                    let game = self.evaluator.game();
+                    let mut repricing = self.repricing.lock();
+                    if let Some(ewma) = repricing.as_mut() {
+                        for ((a, b), mean) in self.measured.lock().mean_iter() {
+                            ewma.observe(a, b, mean);
+                        }
                     }
-                    cell
+                    cells
+                        .iter()
+                        .map(|cell| {
+                            egd_cost::predict::refined_pair_weight_ns(
+                                &self.cost_model,
+                                game,
+                                cell.a,
+                                cell.b,
+                                cell.fingerprints,
+                                repricing.as_ref(),
+                            )
+                        })
+                        .collect()
+                };
+                let measured = &self.measured;
+                self.install(|| {
+                    egd_obs::obs_span!(SpanKind::CellMatrix, cells.len() as u64, {
+                        egd_sched::map_indexed_weighted(
+                            self.threads.effective_threads(),
+                            &weights,
+                            |idx| {
+                                let span = SpanTimer::start(SpanKind::Cell);
+                                let payoff = batch.play(idx);
+                                if let Some(span) = span {
+                                    let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
+                                    let (a, b) = cells.get(idx).fingerprints;
+                                    measured.lock().record(a, b, elapsed);
+                                    span.finish(idx as u64);
+                                }
+                                payoff
+                            },
+                        )
+                        .into_iter()
+                        .collect()
+                    })
                 })
-                .into_iter()
-                .collect::<EgdResult<Vec<f64>>>()
             })
-        })?;
-
-        let include_self = matches!(
-            population.opponent_policy(),
-            OpponentPolicy::AllIncludingSelf
-        );
-        // One O(G²) sweep into per-group fitness lanes, scattered to SSets
-        // in O(N) — bit-identical f64 additions to the historical per-SSet
-        // loop, each group's sum computed once instead of once per member.
-        let lanes = soa.group_fitness(&pay, include_self);
-        Ok(soa.scatter(&lanes))
     }
 
     /// Computes the fitness via the explicit agent-level work plan: every
@@ -560,7 +523,11 @@ mod tests {
             .iter()
             .filter(|e| e.kind == egd_obs::SpanKind::Cell)
             .count();
-        assert_eq!(cells, num_groups * num_groups, "one span per matrix cell");
+        // The tracing switch is process-wide: engines of tests running
+        // beside this one add their cells to the log while it is on, so the
+        // log bounds the count from below and the engine's own cost table
+        // (one sample per span it opened) pins it.
+        assert!(cells >= num_groups * num_groups, "one span per cold cell");
         assert!(log
             .events
             .iter()
@@ -617,13 +584,25 @@ mod tests {
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(2))
                 .unwrap();
         engine.compute_fitness(&population, 0).unwrap();
-        engine.compute_fitness(&population, 1).unwrap();
         let snap = engine.metrics("parallel");
         assert_eq!(snap.run.label, "parallel");
         assert_eq!(snap.run.workers, 2);
         assert!(!snap.workers.is_empty(), "worker table populated");
         assert!(snap.total_items() > 0);
-        assert!(snap.counter("pair_cache_hits") > 0);
+        assert_eq!(snap.counter("pair_cache_hits"), 0, "a cold table plays");
+        let played = snap.counter("payoff_cells_played");
+        assert_eq!(played, snap.counter("pair_cache_misses"));
+        assert!(snap.counter("payoff_slots_occupied") > 0);
+        assert_eq!(snap.counter("payoff_slots_reclaimed"), 0);
+
+        // The same population again: every cell is served from the table,
+        // nothing is played and no parallel section runs.
+        engine.compute_fitness(&population, 1).unwrap();
+        assert!(engine.last_sched_stats().is_none());
+        let snap = engine.metrics("parallel");
+        assert!(snap.workers.is_empty());
+        assert_eq!(snap.counter("payoff_cells_played"), played);
+        assert_eq!(snap.counter("pair_cache_hits"), played);
         assert_eq!(
             snap.counter("pair_cache_hits"),
             engine.evaluator().cache_hits()

@@ -31,24 +31,21 @@
 
 pub mod cache;
 pub mod engine;
-pub mod grouping;
 pub mod intern;
 pub mod kernel;
 pub mod partition;
 pub mod reduction;
 pub mod simulation;
-pub mod soa;
 pub mod stochastic;
 pub mod thread_pool;
 
-pub use cache::ConcurrentPairEvaluator;
+pub use cache::{CellBatch, ConcurrentPairEvaluator};
+pub use egd_core::grouping::{self, StrategyGrouping};
 pub use engine::{GenerationTiming, ParallelEngine};
-pub use grouping::StrategyGrouping;
 pub use intern::{CompiledInterner, FingerprintBuildHasher, FingerprintMap};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
 pub use partition::{SSetPartition, WorkItem, WorkPlan};
 pub use simulation::{ParallelReport, ParallelSimulation};
-pub use soa::PopulationSoA;
 pub use stochastic::{StochasticBlock, StochasticScratch};
 pub use thread_pool::{SchedPolicy, ThreadConfig};
 

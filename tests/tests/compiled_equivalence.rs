@@ -297,3 +297,34 @@ fn batched_odd_tail_splits_preserve_equivalence() {
         assert_batched_matches_single(&game, &pairs, width, 17);
     }
 }
+
+/// The cycle-closing pure kernel keeps its cycle detector's table between
+/// games (stamped, never cleared). Games of every memory depth interleaved
+/// on one thread — so each finds the table as some other game left it —
+/// must reproduce the paper-literal round-by-round loop exactly: payoffs are
+/// small integers, so closing cycles analytically loses no bit.
+#[test]
+fn pure_kernel_matches_the_naive_loop_at_every_memory_depth() {
+    use egd_core::game::naive::NaiveIpd;
+    for round_trip in 0..3u64 {
+        for n in (1..=6u32).rev().chain(1..=6) {
+            let memory = MemoryDepth::new(n).unwrap();
+            for rounds in [1u32, 7, 200, 1000] {
+                let mut rng = stream(
+                    round_trip,
+                    StreamKind::InitialStrategy,
+                    u64::from(n * rounds),
+                );
+                let a = PureStrategy::random(memory, &mut rng);
+                let b = PureStrategy::random(memory, &mut rng);
+                let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0).unwrap();
+                let naive = NaiveIpd::new(memory, rounds, PayoffMatrix::PAPER);
+                assert_eq!(
+                    game.play_pure(&a, &b).unwrap(),
+                    naive.play(&a, &b).unwrap(),
+                    "memory {n}, {rounds} rounds, trip {round_trip}"
+                );
+            }
+        }
+    }
+}

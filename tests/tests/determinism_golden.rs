@@ -186,6 +186,65 @@ fn cost_guided_partitions_stay_byte_identical_on_mixed_populations() {
     );
 }
 
+/// The goldens above are memory one: sixteen strategies, so the retained
+/// payoff matrix never leaves its first few slots. This one is noise-free
+/// (every cell is kept between generations), memory three and
+/// mutation-heavy: strategies enter nearly every generation, go extinct,
+/// and the table — as large as the population — reclaims slots. The
+/// parallel engine plays only the entering rows and columns, on any thread
+/// count and under forced steals; the bytes must be the sequential ones.
+#[test]
+fn retained_matrix_is_byte_identical_on_a_deep_memory_mutation_heavy_run() {
+    let config = SimulationConfig::builder()
+        .memory(MemoryDepth::THREE)
+        .num_ssets(24)
+        .agents_per_sset(2)
+        .rounds_per_game(60)
+        .generations(150)
+        .pc_rate(0.5)
+        .mutation_rate(0.9)
+        .seed(20_130_521)
+        .build()
+        .unwrap();
+
+    let mut reference = Simulation::new(config.clone()).unwrap();
+    reference.run();
+    let reference_bytes = population_bytes(reference.population());
+    // The run does what it is here for: more strategies than slots.
+    assert!(reference.evaluator().table_stats().slots_reclaimed > 0);
+
+    for threads in [1usize, 2, 4, 8] {
+        let mut parallel =
+            ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(threads)).unwrap();
+        parallel.run();
+        assert_eq!(
+            population_bytes(parallel.population()),
+            reference_bytes,
+            "deep-memory run at {threads} threads diverged"
+        );
+        let evaluator = parallel.engine().evaluator();
+        assert_eq!(
+            evaluator.cache_misses(),
+            reference.evaluator().cache_misses(),
+            "{threads} threads played other games than the sequential engine"
+        );
+        assert_eq!(evaluator.cache_hits(), reference.evaluator().cache_hits());
+    }
+
+    let _stress = egd_sched::force_steals();
+    let mut stressed = ParallelSimulation::new(config, ThreadConfig::with_threads(4)).unwrap();
+    let report = stressed.run();
+    assert_eq!(
+        population_bytes(stressed.population()),
+        reference_bytes,
+        "forced-steal deep-memory run diverged"
+    );
+    assert!(
+        report.sched.expect("scheduler stats recorded").steals > 0,
+        "forced steals must occur while entering strategies are played"
+    );
+}
+
 #[test]
 fn different_seeds_diverge() {
     let mut a =
