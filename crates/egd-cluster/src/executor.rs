@@ -670,6 +670,13 @@ mod tests {
         assert!(metrics.counter("pair_cache_hits") > 0);
         assert!(metrics.counter("pair_cache_misses") > 0);
         assert!(metrics.counter("payoff_cells_played") >= metrics.counter("pair_cache_misses"));
+        // Merged across the ranks like the others; a rank mirrors inside
+        // its own block only.
+        assert_eq!(
+            summary.payoff.games_played,
+            metrics.counter("payoff_games_played")
+        );
+        assert!(summary.payoff.games_played < summary.payoff.cells_played);
         assert!(metrics.counter("payoff_slots_occupied") > 0);
         assert_eq!(summary.payoff.hits, metrics.counter("pair_cache_hits"));
     }

@@ -248,7 +248,7 @@ impl SupervisedExecutor {
                 .workers(dist.pool_threads)
                 .epoch(u64::from(attempt))
                 .fault_domain(self.supervisor.fault_domain);
-            let fired_mark = egd_fault::fired_count();
+            let fired_mark = egd_fault::fired_count(self.supervisor.fault_domain);
 
             let body_config = Arc::clone(&sim_config);
             let outcome = world.run_detailed(move |comm| {
@@ -265,7 +265,7 @@ impl SupervisedExecutor {
                     for rank in 0..ranks {
                         stats.checkpoints_saved += self.store.generations(rank)?.len() as u64;
                     }
-                    let report = egd_fault::injection_report();
+                    let report = egd_fault::injection_report(self.supervisor.fault_domain);
                     stats.faults_injected = report.fired.len() as u64;
                     stats.crashes_injected = report.crashes;
                     stats.drops_injected = report.drops;
@@ -286,7 +286,7 @@ impl SupervisedExecutor {
                     // snapshot reaches the summary.)
                     let _ = egd_sched::take_last_run_stats();
 
-                    let fired = egd_fault::fired_events();
+                    let fired = egd_fault::fired_events(self.supervisor.fault_domain);
                     let fired_since: &[FiredFault] = fired.get(fired_mark..).unwrap_or(&[]);
                     if fired_since.is_empty() {
                         // Nothing was injected during this attempt: the

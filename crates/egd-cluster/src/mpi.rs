@@ -279,7 +279,7 @@ impl WorldShared {
         if packet.epoch != self.epoch {
             // A straggler from a pre-recovery attempt: reject at the door so
             // a replayed collective epoch never consumes a stale payload.
-            egd_fault::note_stale_rejected();
+            egd_fault::note_stale_rejected(self.fault_domain);
             return Ok(());
         }
         // Every delivery is one tick of virtual network time: age held
@@ -1220,7 +1220,7 @@ mod tests {
     fn stale_epoch_packets_are_rejected_when_armed() {
         let _session = egd_fault::arm(egd_fault::FaultPlan::new(0));
         let shared = bare_shared(2);
-        let before = egd_fault::injection_report().stale_rejected;
+        let before = egd_fault::injection_report(0).stale_rejected;
         shared
             .deliver(
                 1,
@@ -1233,7 +1233,7 @@ mod tests {
             )
             .unwrap();
         assert!(shared.mailboxes[1].inner.lock().unwrap().queue.is_empty());
-        assert_eq!(egd_fault::injection_report().stale_rejected, before + 1);
+        assert_eq!(egd_fault::injection_report(0).stale_rejected, before + 1);
         // A current-epoch packet still goes through.
         shared
             .deliver(
@@ -1281,7 +1281,7 @@ mod tests {
                     && matches!(op, Some(PendingOp::Recv { from: 0, tag: 5 }))),
             "{failure:?}"
         );
-        assert_eq!(egd_fault::injection_report().drops, 1);
+        assert_eq!(egd_fault::injection_report(1).drops, 1);
     }
 
     #[test]
@@ -1314,7 +1314,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(results[1], vec![1, 2, 3]);
-        assert_eq!(egd_fault::injection_report().delays, 1);
+        assert_eq!(egd_fault::injection_report(2).delays, 1);
     }
 
     #[test]

@@ -209,15 +209,14 @@ impl ScheduledExecutor {
                 let cells = batch.cells();
                 let (rank_cells, rank_weights) =
                     rank_work(&self.cost_model, evaluator.game(), cells, &partition);
-                let per_rank: Vec<EgdResult<(Vec<f64>, f64)>> =
-                    run_rank_tasks_weighted(threads, &rank_weights, |rank| {
-                        let start = Instant::now();
-                        let mut payoffs = Vec::with_capacity(rank_cells[rank].len());
-                        for &k in &rank_cells[rank] {
-                            payoffs.push(batch.play(k)?);
-                        }
-                        Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
-                    });
+                let per_rank = run_rank_tasks_weighted(threads, &rank_weights, |rank| {
+                    let start = Instant::now();
+                    let mut payoffs = Vec::with_capacity(rank_cells[rank].len());
+                    for &k in &rank_cells[rank] {
+                        payoffs.push(batch.play(k)?);
+                    }
+                    Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
+                });
                 if let Some(stats) = egd_sched::take_last_run_stats() {
                     generation_row.items = stats.items;
                     generation_row.steals = stats.steals;
@@ -227,7 +226,7 @@ impl ScheduledExecutor {
                         None => sched_total = Some(stats),
                     }
                 }
-                let mut payoffs = vec![0.0; cells.len()];
+                let mut payoffs = vec![(0.0, 0.0); cells.len()];
                 for (result, owned) in per_rank.into_iter().zip(&rank_cells) {
                     let (played, compute_us) = result?;
                     for (&k, payoff) in owned.iter().zip(played) {
@@ -340,12 +339,12 @@ where
 }
 
 /// Splits one generation's games over the ranks: a game belongs to the rank
-/// that owns its row strategy's representative SSet (`a_index`), so every
-/// matrix row is played by exactly one rank. Returns, per rank, the batch
-/// indices it plays and their predicted cost (ns) under the shared cost
-/// model — deterministic pairs at the cached-pair price, stochastic pairs as
-/// full games — so deep-memory or mixed-strategy blocks weigh in proportion
-/// to their real cost.
+/// that owns its `a` side's representative SSet (`a_index`), so every game
+/// is played by exactly one rank (the table orients a pair played once for
+/// both of its cells so that each row keeps about half of its pairs).
+/// Returns, per rank, the batch indices it plays and their predicted cost
+/// (ns) under the shared cost model — every planned game is a full game, a
+/// fresh deterministic one included — so blocks that play more weigh more.
 fn rank_work(
     model: &egd_cost::CostModel,
     game: &IpdGame,
@@ -359,12 +358,11 @@ fn rank_work(
     let mut weights: Vec<u64> = (0..ranks)
         .map(|rank| partition.block(rank).len() as u64)
         .collect();
+    let game_ns = egd_cost::predict::game_weight_ns(model, game);
     for (k, cell) in cells.iter().enumerate() {
         let rank = partition.owner_of(cell.a_index);
         rank_cells[rank].push(k);
-        weights[rank] = weights[rank].saturating_add(egd_cost::predict::pair_weight_ns(
-            model, game, cell.a, cell.b,
-        ));
+        weights[rank] = weights[rank].saturating_add(game_ns);
     }
     (rank_cells, weights)
 }
@@ -533,9 +531,11 @@ mod tests {
         // the ranks that only hold copies of the pure strategy play nothing.
         let played: Vec<usize> = rank_cells.iter().map(Vec::len).collect();
         assert_eq!(played, vec![12, 4, 0, 0]);
+        // Every planned game is priced as a game, the pure row's one fresh
+        // cacheable game too.
         assert!(
-            weights[0] > 3 * weights[1],
-            "mixed block {} should dwarf the pure row {}",
+            weights[0] > 2 * weights[1],
+            "mixed block {} should outweigh the pure row {} three to one",
             weights[0],
             weights[1]
         );
@@ -642,6 +642,9 @@ mod tests {
             metrics.counter("payoff_cells_played"),
             metrics.counter("pair_cache_misses")
         );
+        // A game that filled a cell and its mirror is counted once.
+        let games = metrics.counter("payoff_games_played");
+        assert!(games > 0 && games < metrics.counter("payoff_cells_played"));
         assert!(metrics.counter("payoff_slots_occupied") > 0);
         assert_eq!(metrics.counter("payoff_slots_reclaimed"), 0);
         assert_eq!(

@@ -220,9 +220,11 @@ pub fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
     let results_ref = &results;
     let wakers_ref = &wakers;
     let on_stall_ref = &on_stall;
+    let session = egd_obs::current_session();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
+            scope.spawn(move || {
+                egd_obs::join_session(session);
                 worker_loop(
                     exec_ref,
                     slots_ref,

@@ -13,7 +13,7 @@
 //!    fingerprint, giving every strategy that entered the population a slot
 //!    (a free one, or — only when the table is full — the slot of the
 //!    strategy that has been extinct the longest);
-//! 2. **fills**: lists the cells that have to be played — for every newcomer
+//! 2. **fills**: lists the games that have to be played — for every newcomer
 //!    its column in every filled row, for every requested row that is not
 //!    filled yet the whole row, plus the stochastic cells of the requested
 //!    rows, which are played afresh every generation — hands the list to the
@@ -31,6 +31,26 @@
 //! ask for every row; a distributed rank asks for the rows of its own SSet
 //! block only and never plays the others.
 //!
+//! # One game, two cells
+//!
+//! The unit of the fill step is a **game**, not a cell. A game between `a`
+//! and `b` yields `(to_a, to_b)`; `to_a` is cell `(a, b)`. When the caller
+//! says the mode's kernel is *swap-exact* — `play(a, b)` with its two scores
+//! exchanged is bit for bit `play(b, a)` — and cell `(b, a)` has to be played
+//! this generation too, the same game fills it with `to_b`, and the pair is
+//! played once. The noise-free pure kernel is swap-exact
+//! ([`crate::game::IpdGame::play_pure`]): both orientations visit the same
+//! joint states in the same order (`swap_perspective` is a bijection on
+//! views, so the cycle is found at the same round), every round adds the
+//! same two payoff-table entries to the two sums, only with the sums'
+//! names exchanged, and the cycle closure multiplies the same differences by
+//! the same count. The Markov analyser is not (its state sums run in index
+//! order, which the swap permutes), so expected-value cells stay one game
+//! each, as does every pair of which only one side is due: a column kept
+//! complete for a row outside the request, or a distributed rank's row whose
+//! mirror row belongs to another rank. Stochastic games draw from a stream
+//! keyed by the ordered pair and are never mirrored.
+//!
 //! Memory follows occupancy, not capacity: the cell matrix is allocated when
 //! the first cacheable strategy arrives and grows with the number of
 //! occupied slots, up to `capacity²` cells.
@@ -47,15 +67,17 @@ use std::ops::Range;
 /// [`PlannedCells`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedCell<'a> {
-    /// The row strategy (whose payoff the cell holds).
+    /// The row strategy of the cell the game is played for (`to_a` is its
+    /// payoff).
     pub a: &'a StrategyKind,
-    /// The column strategy.
+    /// The column strategy. When the mirror cell is due too, the table
+    /// stores `to_b` there.
     pub b: &'a StrategyKind,
     /// Fingerprints of `a` and `b`.
     pub fingerprints: (u64, u64),
     /// Representative SSet index of `a` — with `b_index` the key of the
     /// game's random stream. A cacheable game draws nothing, so there the
-    /// indices only say whose work the cell is: a strategy that is in the
+    /// indices only say whose work the game is: a strategy that is in the
     /// table but no longer in the population borrows the other side's index.
     pub a_index: usize,
     /// Representative SSet index of `b`.
@@ -65,24 +87,53 @@ pub struct PlannedCell<'a> {
     pub cacheable: bool,
 }
 
+/// A fresh game in slot terms: `to_a` goes to cell `(a, b)` and, when
+/// `mirrored`, `to_b` to cell `(b, a)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FreshGame {
+    a: usize,
+    b: usize,
+    mirrored: bool,
+}
+
 /// The games of one generation, in the order their payoffs are to be
-/// returned: the table's fresh cells first, then the stochastic cells of the
+/// returned: the table's fresh games first, then the stochastic cells of the
 /// requested rows in row-major group order. The list is computed, not
-/// stored: a cold generation of 256 strategies has 65 536 entries, and
+/// stored: a cold generation of 256 strategies has 32 896 entries, and
 /// even a few thousand short-lived entries per generation show in the
 /// process's peak memory.
+///
+/// The fresh cells are (filled rows × newcomer columns) and (rows filled
+/// whole this generation × occupied columns). A cell of the first part whose
+/// newcomer's row is filled now has its mirror in the second part, and so
+/// does every off-diagonal cell between two rows filled now; with a
+/// swap-exact kernel each such pair is one game. The first part lists the
+/// pairs it shares; the second part lists, per row, what is left: the
+/// filled rows' columns unless the first part covered them, the columns of
+/// the slots no row is kept for here, and its share of the rows filled now.
 #[derive(Debug)]
 pub struct PlannedCells<'a> {
     strategies: &'a [StrategyKind],
     grouping: &'a StrategyGrouping,
     slots: &'a [Slot],
     tick: u64,
-    /// Fresh cells, first part: every filled row × every newcomer column.
+    /// Whether a game's `to_b` may fill the mirror cell.
+    swap_exact: bool,
+    /// Fresh games, first part: every filled row × every newcomer column —
+    /// mirrored where the newcomer's own row is filled now.
     filled_rows: Vec<usize>,
     new_slots: Vec<usize>,
-    /// Fresh cells, second part: every requested row that is filled whole
-    /// this generation × every occupied column.
+    new_slot_mirrored: Vec<bool>,
+    /// Fresh games, second part: one run of games per requested row that is
+    /// filled whole this generation. Row `i`'s games end before game
+    /// `new_row_ends[i]` of this part (and start where row `i - 1`'s end).
     new_rows: Vec<usize>,
+    new_row_ends: Vec<usize>,
+    /// Whether row `i` plays the filled rows' columns itself (the first part
+    /// did not play them as mirrors).
+    plays_filled: Vec<bool>,
+    /// The slots whose row is neither filled nor filled now.
+    unkept_slots: Vec<usize>,
     /// The requested groups, and the number of stochastic cells before each
     /// one's row (one more entry than rows: the total).
     rows: &'a [usize],
@@ -117,30 +168,125 @@ impl<'a> PlannedCells<'a> {
             .expect("the offsets end in the total")
     }
 
+    /// Number of fresh games (the head of the list).
     fn fresh_len(&self) -> usize {
-        self.filled_rows.len() * self.new_slots.len() + self.new_rows.len() * self.slots.len()
+        self.column_games() + self.new_row_ends.last().copied().unwrap_or(0)
     }
 
-    /// `(row slot, column slot)` of fresh cell `k`.
-    fn fresh_target(&self, k: usize) -> (usize, usize) {
-        let columns = self.filled_rows.len() * self.new_slots.len();
-        if k < columns {
-            let width = self.new_slots.len();
-            (self.filled_rows[k / width], self.new_slots[k % width])
+    /// Number of fresh cells the games fill.
+    fn fresh_cells(&self) -> usize {
+        self.column_games() + self.new_rows.len() * self.slots.len()
+    }
+
+    /// Number of games in the first part of the fresh list.
+    fn column_games(&self) -> usize {
+        self.filled_rows.len() * self.new_slots.len()
+    }
+
+    /// Of the rows filled now, how many row `i` plays as the `a` side: for
+    /// a swap-exact kernel itself and every other one of the rest,
+    /// alternating, so that each row keeps about half of its pairs (the
+    /// scheduled executor hands a game to the rank that owns its `a` side —
+    /// an upper triangle would give the first ranks all the work).
+    fn partners(&self, i: usize) -> usize {
+        let n = self.new_rows.len();
+        if self.swap_exact {
+            i.div_ceil(2) + 1 + (n - 1 - i) / 2
         } else {
-            let k = k - columns;
-            let width = self.slots.len();
-            (self.new_rows[k / width], k % width)
+            n
         }
+    }
+
+    /// Partner `q` of row `i`, ascending: a position in `new_rows`.
+    fn partner(&self, i: usize, q: usize) -> usize {
+        if !self.swap_exact {
+            return q;
+        }
+        // Below `i` the rows at odd distance, then `i`, then above it the
+        // rows at even distance: of every two rows exactly one lists the
+        // other.
+        let below = i.div_ceil(2);
+        if q < below {
+            (i + 1) % 2 + 2 * q
+        } else {
+            i + 2 * (q - below)
+        }
+    }
+
+    /// Number of games row `i` of the second part plays.
+    fn new_row_games(&self, i: usize) -> usize {
+        let filled = if self.plays_filled[i] {
+            self.filled_rows.len()
+        } else {
+            0
+        };
+        filled + self.unkept_slots.len() + self.partners(i)
+    }
+
+    /// Game `q` of row `i` of the second part.
+    fn new_row_game(&self, i: usize, q: usize) -> FreshGame {
+        let a = self.new_rows[i];
+        let one_sided = |b| FreshGame {
+            a,
+            b,
+            mirrored: false,
+        };
+        let mut q = q;
+        if self.plays_filled[i] {
+            if q < self.filled_rows.len() {
+                return one_sided(self.filled_rows[q]);
+            }
+            q -= self.filled_rows.len();
+        }
+        if q < self.unkept_slots.len() {
+            return one_sided(self.unkept_slots[q]);
+        }
+        let j = self.partner(i, q - self.unkept_slots.len());
+        FreshGame {
+            a,
+            b: self.new_rows[j],
+            mirrored: self.swap_exact && j != i,
+        }
+    }
+
+    /// Game `k` of the first part.
+    fn column_game(&self, k: usize) -> FreshGame {
+        let width = self.new_slots.len();
+        FreshGame {
+            a: self.filled_rows[k / width],
+            b: self.new_slots[k % width],
+            mirrored: self.new_slot_mirrored[k % width],
+        }
+    }
+
+    /// Fresh game `k` (a search over the rows filled now).
+    fn fresh_game(&self, k: usize) -> FreshGame {
+        let Some(k) = k.checked_sub(self.column_games()) else {
+            return self.column_game(k);
+        };
+        let i = self.new_row_ends.partition_point(|&end| end <= k);
+        let start = i
+            .checked_sub(1)
+            .map_or(0, |before| self.new_row_ends[before]);
+        self.new_row_game(i, k - start)
+    }
+
+    /// The fresh games in list order (a walk: no search per game).
+    fn fresh_games(&self) -> impl Iterator<Item = FreshGame> + '_ {
+        let rows = (0..self.new_rows.len())
+            .flat_map(move |i| (0..self.new_row_games(i)).map(move |q| self.new_row_game(i, q)));
+        (0..self.column_games())
+            .map(|k| self.column_game(k))
+            .chain(rows)
     }
 
     /// Game `k` of the list.
     pub fn get(&self, k: usize) -> PlannedCell<'a> {
         if k < self.fresh_len() {
-            return self.fresh_cell(k);
+            return self.fresh_cell(self.fresh_game(k));
         }
         let k = k - self.fresh_len();
-        assert!(k < self.stochastic_len(), "planned cell out of range");
+        assert!(k < self.stochastic_len(), "planned game out of range");
         let row = self.row_offsets.partition_point(|&offset| offset <= k) - 1;
         let g = self.rows[row];
         let column = k - self.row_offsets[row];
@@ -167,15 +313,14 @@ impl<'a> PlannedCells<'a> {
                 .chain(all)
                 .map(move |h| self.stochastic_cell(g, h))
         });
-        (0..self.fresh_len())
-            .map(|k| self.fresh_cell(k))
+        self.fresh_games()
+            .map(|game| self.fresh_cell(game))
             .chain(stochastic)
     }
 
-    fn fresh_cell(&self, k: usize) -> PlannedCell<'a> {
-        let (r, c) = self.fresh_target(k);
-        let (row, col) = (&self.slots[r], &self.slots[c]);
-        // A fresh cell always has a side that is in the population (a
+    fn fresh_cell(&self, game: FreshGame) -> PlannedCell<'a> {
+        let (row, col) = (&self.slots[game.a], &self.slots[game.b]);
+        // A fresh game always has a side that is in the population (a
         // newcomer or a requested row).
         let in_population = |slot: &Slot| slot.last_seen == self.tick;
         PlannedCell {
@@ -207,12 +352,16 @@ impl<'a> PlannedCells<'a> {
 pub struct PayoffTableStats {
     /// Cacheable cells of requested rows served without playing a game.
     pub hits: u64,
-    /// Cacheable cells of requested rows that played a game.
+    /// Cacheable cells of requested rows that a game of their generation
+    /// filled.
     pub misses: u64,
-    /// Cacheable games played in total: the misses plus the games that keep
+    /// Cacheable cells filled in total: the misses plus the cells that keep
     /// rows of strategies outside the request (extinct, or another rank's)
     /// complete.
     pub cells_played: u64,
+    /// Cacheable games played: one per cell, or one per two mirror cells
+    /// where the kernel is swap-exact.
+    pub games_played: u64,
     /// Slots taken from an extinct strategy because the table was full.
     pub slots_reclaimed: u64,
     /// Slots holding a strategy now (a gauge, not a lifetime count).
@@ -225,6 +374,7 @@ impl PayoffTableStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.cells_played += other.cells_played;
+        self.games_played += other.games_played;
         self.slots_reclaimed += other.slots_reclaimed;
         self.slots_occupied += other.slots_occupied;
     }
@@ -384,10 +534,14 @@ impl PayoffTable {
     ///
     /// `cacheable(strategy)` says whether games of that strategy against
     /// another cacheable strategy are a pure function of the pair; only such
-    /// strategies get slots. `execute` receives the list of games to play
-    /// ([`PlannedCells`]) and returns the payoff **to `a`** of each, in list
-    /// order. How it runs them (inline, on a thread pool, one task per rank)
-    /// is the only thing the engines differ in.
+    /// strategies get slots. `swap_exact` says whether such a game with its
+    /// two scores exchanged is, bit for bit, the game with the players
+    /// exchanged, so that one game may fill a cell and its mirror. `execute`
+    /// receives the list of games to play ([`PlannedCells`]) and returns
+    /// `(to_a, to_b)` of each, in list order (`to_b` is read only where a
+    /// cacheable game fills its mirror cell). How it runs them (inline, on a
+    /// thread pool, one task per rank) is the only thing the engines differ
+    /// in.
     ///
     /// The result is bit-identical to summing a freshly evaluated payoff
     /// matrix: `Σ_h count[h] · pay[g][h]` over the groups in first-occurrence
@@ -398,7 +552,8 @@ impl PayoffTable {
         population: &Population,
         block: Range<usize>,
         cacheable: impl Fn(&StrategyKind) -> bool,
-        execute: impl FnOnce(&PlannedCells<'_>) -> EgdResult<Vec<f64>>,
+        swap_exact: bool,
+        execute: impl FnOnce(&PlannedCells<'_>) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
         let strategies = population.strategies();
         let grouping = StrategyGrouping::of(strategies);
@@ -428,28 +583,11 @@ impl PayoffTable {
         // whole row of every requested strategy whose row is not filled yet.
         // A miss is a fresh cell of a requested row and a column that is in
         // the population.
-        let mut filled_rows = Vec::new();
-        let mut misses = 0u64;
-        if !new_slots.is_empty() {
-            let mut slot_requested = vec![false; self.slots.len()];
-            for &g in &rows {
-                if cacheable[g] {
-                    slot_requested[group_slot[g]] = true;
-                }
-            }
-            for (r, slot) in self.slots.iter().enumerate() {
-                if slot.row_filled {
-                    filled_rows.push(r);
-                    if slot_requested[r] {
-                        misses += new_slots.len() as u64;
-                    }
-                }
-            }
-        }
         let mut new_rows = Vec::new();
         let mut row_offsets = Vec::with_capacity(rows.len() + 1);
         let mut stochastic_cells = 0;
         let mut cacheable_rows = 0u64;
+        let mut misses = 0u64;
         for &g in &rows {
             row_offsets.push(stochastic_cells);
             if cacheable[g] {
@@ -465,23 +603,70 @@ impl PayoffTable {
         }
         row_offsets.push(stochastic_cells);
 
-        let planned = PlannedCells {
+        // What the other slots are to the fresh cells (nothing entered and
+        // nothing is asked for the first time in most generations: skip it).
+        let mut filled_rows = Vec::new();
+        let mut unkept_slots = Vec::new();
+        let mut new_slot_mirrored = Vec::new();
+        let mut plays_filled = Vec::new();
+        if !(new_slots.is_empty() && new_rows.is_empty()) {
+            let mut slot_requested = vec![false; self.slots.len()];
+            for &g in &rows {
+                if cacheable[g] {
+                    slot_requested[group_slot[g]] = true;
+                }
+            }
+            for (s, slot) in self.slots.iter().enumerate() {
+                if slot.row_filled {
+                    filled_rows.push(s);
+                    if slot_requested[s] {
+                        misses += new_slots.len() as u64;
+                    }
+                } else if !slot_requested[s] {
+                    unkept_slots.push(s);
+                }
+            }
+            // A newcomer whose own row is filled now has the mirrors of its
+            // column among that row's cells: the column's games fill both,
+            // and the row skips the filled rows.
+            new_slot_mirrored = new_slots
+                .iter()
+                .map(|&s| swap_exact && slot_requested[s])
+                .collect();
+            plays_filled = new_rows
+                .iter()
+                .map(|r| !(swap_exact && new_slots.contains(r)))
+                .collect();
+        }
+
+        let mut planned = PlannedCells {
             strategies,
             grouping: &grouping,
             slots: &self.slots,
             tick: self.tick,
+            swap_exact,
             filled_rows,
             new_slots,
+            new_slot_mirrored,
             new_rows,
+            plays_filled,
+            new_row_ends: Vec::new(),
+            unkept_slots,
             rows: &rows,
             row_offsets,
             cacheable: &cacheable,
             uncacheable,
         };
+        let mut games = 0;
+        for i in 0..planned.new_rows.len() {
+            games += planned.new_row_games(i);
+            planned.new_row_ends.push(games);
+        }
         let fresh = planned.fresh_len();
         self.stats.misses += misses;
         self.stats.hits += cacheable_rows * present - misses;
-        self.stats.cells_played += fresh as u64;
+        self.stats.cells_played += planned.fresh_cells() as u64;
+        self.stats.games_played += fresh as u64;
 
         let values = match execute(&planned) {
             Ok(values) => values,
@@ -495,12 +680,14 @@ impl PayoffTable {
         assert_eq!(
             values.len(),
             planned.len(),
-            "the executor returns one payoff per planned cell"
+            "the executor returns one result per planned game"
         );
         let stride = self.stride;
-        for (k, &value) in values[..fresh].iter().enumerate() {
-            let (r, c) = planned.fresh_target(k);
-            self.cells[r * stride + c] = value;
+        for (game, &(to_a, to_b)) in planned.fresh_games().zip(&values) {
+            self.cells[game.a * stride + game.b] = to_a;
+            if game.mirrored {
+                self.cells[game.b * stride + game.a] = to_b;
+            }
         }
         let new_rows = planned.new_rows;
         for r in new_rows {
@@ -512,27 +699,64 @@ impl PayoffTable {
             population.opponent_policy(),
             OpponentPolicy::AllIncludingSelf
         );
-        let mut stochastic = values[fresh..].iter();
-        let mut group_fitness = vec![0.0f64; num_groups];
-        for &g in &rows {
-            let row_base = if cacheable[g] {
-                group_slot[g] * stride
-            } else {
-                0
-            };
+        let group_fitness = self.reduce(
+            &grouping,
+            &rows,
+            &cacheable,
+            &group_slot,
+            &values[fresh..],
+            include_self,
+        );
+        Ok(grouping.group_of[block]
+            .iter()
+            .map(|&g| group_fitness[g])
+            .collect())
+    }
+
+    /// The fitness total of every group in `rows` (0 for the others):
+    /// `Σ_h count[h] · pay[g][h]` in group order, `pay` read from the table
+    /// where both groups are cacheable and taken from `stochastic` (the
+    /// results of the generation's stochastic games, in list order)
+    /// otherwise; minus the self-pairing unless `include_self`.
+    ///
+    /// A steady generation is nothing but this loop — one dependent `f64`
+    /// addition per cell — so the cacheable row's inner loop carries nothing
+    /// else: no self-pairing test (the self-pairing is read afterwards) and
+    /// no bounds check but the slot's.
+    fn reduce(
+        &self,
+        grouping: &StrategyGrouping,
+        rows: &[usize],
+        cacheable: &[bool],
+        group_slot: &[usize],
+        stochastic: &[(f64, f64)],
+        include_self: bool,
+    ) -> Vec<f64> {
+        let counts = &grouping.group_count;
+        let mut stochastic = stochastic.iter().map(|&(to_a, _)| to_a);
+        let mut next_stochastic = move || {
+            stochastic
+                .next()
+                .expect("one value per stochastic cell, checked by the caller")
+        };
+        let mut group_fitness = vec![0.0f64; counts.len()];
+        for &g in rows {
             let mut total = 0.0;
             let mut self_pay = 0.0;
-            for h in 0..num_groups {
-                let pay = if cacheable[g] && cacheable[h] {
-                    self.cells[row_base + group_slot[h]]
-                } else {
-                    *stochastic
-                        .next()
-                        .expect("one value per stochastic cell, checked above")
-                };
-                total += grouping.group_count[h] * pay;
-                if h == g {
-                    self_pay = pay;
+            if cacheable[g] {
+                let row = &self.cells[group_slot[g] * self.stride..][..self.stride];
+                for ((&count, &kept), &slot) in counts.iter().zip(cacheable).zip(group_slot) {
+                    let pay = if kept { row[slot] } else { next_stochastic() };
+                    total += count * pay;
+                }
+                self_pay = row[group_slot[g]];
+            } else {
+                for (h, &count) in counts.iter().enumerate() {
+                    let pay = next_stochastic();
+                    total += count * pay;
+                    if h == g {
+                        self_pay = pay;
+                    }
                 }
             }
             if !include_self {
@@ -541,10 +765,7 @@ impl PayoffTable {
             }
             group_fitness[g] = total;
         }
-        Ok(grouping.group_of[block]
-            .iter()
-            .map(|&g| group_fitness[g])
-            .collect())
+        group_fitness
     }
 }
 
@@ -553,6 +774,7 @@ mod tests {
     use super::*;
     use crate::state::MemoryDepth;
     use crate::strategy::{MixedStrategy, PureStrategy, StrategySpace};
+    use std::collections::HashSet;
 
     fn pure(bits: &str) -> StrategyKind {
         StrategyKind::Pure(PureStrategy::from_bitstring(MemoryDepth::ONE, bits).unwrap())
@@ -562,9 +784,11 @@ mod tests {
         Population::from_strategies(StrategySpace::mixed(MemoryDepth::ONE), 1, strategies).unwrap()
     }
 
-    /// A made-up payoff that depends on the pair only.
-    fn pay(cell: &PlannedCell<'_>) -> f64 {
-        (cell.fingerprints.0 % 97) as f64 * 0.37 + (cell.fingerprints.1 % 89) as f64 * 1.3
+    /// A made-up payoff to the first of a pair of fingerprints, which
+    /// depends on the ordered pair only — so `(pay(a, b), pay(b, a))` is a
+    /// swap-exact game.
+    fn pay((a, b): (u64, u64)) -> f64 {
+        (a % 97) as f64 * 0.37 + (b % 89) as f64 * 1.3
     }
 
     /// Runs one generation with `pay` as the game, returning the fitness and
@@ -573,6 +797,7 @@ mod tests {
         table: &mut PayoffTable,
         population: &Population,
         block: Range<usize>,
+        swap_exact: bool,
     ) -> (Vec<f64>, Vec<(u64, u64)>) {
         let mut played = Vec::new();
         let fitness = table
@@ -580,14 +805,18 @@ mod tests {
                 population,
                 block,
                 |s| matches!(s, StrategyKind::Pure(_)),
-                |cells| {
-                    played = cells.iter().map(|c| c.fingerprints).collect();
+                swap_exact,
+                |games| {
+                    played = games.iter().map(|c| c.fingerprints).collect();
                     // The walk and the indexed access are the same list.
                     let key =
                         |c: PlannedCell<'_>| (c.fingerprints, c.a_index, c.b_index, c.cacheable);
-                    let indexed: Vec<_> = (0..cells.len()).map(|k| key(cells.get(k))).collect();
-                    assert_eq!(cells.iter().map(key).collect::<Vec<_>>(), indexed);
-                    Ok(cells.iter().map(|c| pay(&c)).collect())
+                    let indexed: Vec<_> = (0..games.len()).map(|k| key(games.get(k))).collect();
+                    assert_eq!(games.iter().map(key).collect::<Vec<_>>(), indexed);
+                    Ok(played
+                        .iter()
+                        .map(|&(a, b)| (pay((a, b)), pay((b, a))))
+                        .collect())
                 },
             )
             .unwrap();
@@ -597,8 +826,8 @@ mod tests {
     #[test]
     fn reduction_matches_per_sset_reference() {
         // Pure (kept) and mixed (replayed) strategies side by side, with
-        // duplicates; both opponent policies; twice, so the second pass is
-        // served from the table.
+        // duplicates; both opponent policies; with and without mirroring;
+        // twice, so the second pass is served from the table.
         let mixed = StrategyKind::Mixed(MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap());
         let strategies = vec![
             pure("0110"),
@@ -608,31 +837,29 @@ mod tests {
             pure("0000"),
             pure("1111"),
         ];
-        for policy in [OpponentPolicy::AllOthers, OpponentPolicy::AllIncludingSelf] {
+        for (policy, swap_exact) in [
+            (OpponentPolicy::AllOthers, true),
+            (OpponentPolicy::AllIncludingSelf, true),
+            (OpponentPolicy::AllOthers, false),
+        ] {
             let population = population(strategies.clone()).with_opponent_policy(policy);
             let grouping = StrategyGrouping::of(&strategies);
             let num_groups = grouping.num_groups();
             let fp = &grouping.fingerprints;
+            // 3 × 3 cacheable cells: six games when a game fills its mirror.
+            let cold_games = if swap_exact { 6 } else { 9 };
             let mut table = PayoffTable::new(6);
             for pass in 0..2 {
-                let (fitness, played) = generation(&mut table, &population, 0..6);
-                // 3 × 3 cacheable cells once, 7 stochastic cells every pass.
-                assert_eq!(played.len(), if pass == 0 { 16 } else { 7 });
+                let (fitness, played) = generation(&mut table, &population, 0..6, swap_exact);
+                // The cacheable games once, 7 stochastic cells every pass.
+                assert_eq!(played.len(), if pass == 0 { cold_games + 7 } else { 7 });
                 for (i, &g) in grouping.group_of.iter().enumerate() {
-                    let cell = |h: usize| PlannedCell {
-                        a: &strategies[0],
-                        b: &strategies[0],
-                        fingerprints: (fp[g], fp[h]),
-                        a_index: 0,
-                        b_index: 0,
-                        cacheable: false,
-                    };
                     let mut total = 0.0;
                     for h in 0..num_groups {
-                        total += grouping.group_count[h] * pay(&cell(h));
+                        total += grouping.group_count[h] * pay((fp[g], fp[h]));
                     }
                     if policy == OpponentPolicy::AllOthers {
-                        total -= pay(&cell(g));
+                        total -= pay((fp[g], fp[g]));
                     }
                     assert_eq!(
                         total.to_bits(),
@@ -643,100 +870,244 @@ mod tests {
             }
             let stats = table.stats();
             assert_eq!((stats.misses, stats.hits, stats.cells_played), (9, 9, 9));
+            assert_eq!(stats.games_played, cold_games as u64);
             assert_eq!(table.valid_cells(), 9);
         }
     }
 
     #[test]
     fn newcomers_play_rows_and_columns_and_reclaim_the_longest_extinct() {
-        let mut table = PayoffTable::new(3);
-        let (a, b, c, d, e) = (
-            pure("0001"),
-            pure("0010"),
-            pure("0100"),
-            pure("1000"),
-            pure("1001"),
-        );
-        let fp = |s: &StrategyKind| s.fingerprint();
+        for swap_exact in [true, false] {
+            let mut table = PayoffTable::new(3);
+            let (a, b, c, d, e) = (
+                pure("0001"),
+                pure("0010"),
+                pure("0100"),
+                pure("1000"),
+                pure("1001"),
+            );
+            let fp = |s: &StrategyKind| s.fingerprint();
 
-        // Cold: the whole 3 × 3 matrix, row-major.
-        let (_, played) = generation(
-            &mut table,
-            &population(vec![a.clone(), b.clone(), c.clone()]),
-            0..3,
-        );
-        assert_eq!(played.len(), 9);
-        assert_eq!(played[1], (fp(&a), fp(&b)));
+            // Cold: the whole 3 × 3 matrix — every unordered pair once when
+            // a game fills its mirror.
+            let (_, played) = generation(
+                &mut table,
+                &population(vec![a.clone(), b.clone(), c.clone()]),
+                0..3,
+                swap_exact,
+            );
+            assert_eq!(played.len(), if swap_exact { 6 } else { 9 });
+            let unordered: HashSet<_> = played.iter().map(|&(x, y)| (x.min(y), x.max(y))).collect();
+            assert_eq!(unordered.len(), 6);
 
-        // `b` goes extinct, nothing enters: nothing is played.
-        let (_, played) = generation(
-            &mut table,
-            &population(vec![a.clone(), a.clone(), c.clone()]),
-            0..3,
-        );
-        assert!(played.is_empty());
+            // `b` goes extinct, nothing enters: nothing is played.
+            let (_, played) = generation(
+                &mut table,
+                &population(vec![a.clone(), a.clone(), c.clone()]),
+                0..3,
+                swap_exact,
+            );
+            assert!(played.is_empty());
 
-        // `c` goes extinct too and `d` enters a full table: it takes the slot
-        // of `b`, extinct the longest, and plays its column in the filled
-        // rows (`a`, and `c`, which is still in the table) and its own row.
-        let (_, played) = generation(
-            &mut table,
-            &population(vec![a.clone(), d.clone(), d.clone()]),
-            0..3,
-        );
-        assert_eq!(table.stats().slots_reclaimed, 1);
-        assert_eq!(
-            played,
-            vec![
-                (fp(&a), fp(&d)),
-                (fp(&c), fp(&d)),
-                (fp(&d), fp(&a)),
-                (fp(&d), fp(&d)),
-                (fp(&d), fp(&c)),
-            ]
-        );
-        // Of those five games, the two against `c` are no cell of this
-        // generation's 2 × 2 matrix.
-        let stats = table.stats();
-        assert_eq!(stats.cells_played, 9 + 5);
-        assert_eq!(stats.misses, 9 + 3);
-        assert_eq!(stats.hits, 4 + 1);
+            // `c` goes extinct too and `d` enters a full table: it takes the
+            // slot of `b`, extinct the longest, and plays the filled rows
+            // (`a`, and `c`, which is still in the table) and itself. Those
+            // games fill its column and its row at once, or its row is
+            // played after them.
+            let (_, played) = generation(
+                &mut table,
+                &population(vec![a.clone(), d.clone(), d.clone()]),
+                0..3,
+                swap_exact,
+            );
+            assert_eq!(table.stats().slots_reclaimed, 1);
+            let mut expected = vec![(fp(&a), fp(&d)), (fp(&c), fp(&d))];
+            if !swap_exact {
+                expected.extend([(fp(&d), fp(&a)), (fp(&d), fp(&c))]);
+            }
+            expected.push((fp(&d), fp(&d)));
+            assert_eq!(played, expected);
+            // Of the five cells filled, the two against `c` are no cell of
+            // this generation's 2 × 2 matrix.
+            let stats = table.stats();
+            assert_eq!(stats.cells_played, 9 + 5);
+            assert_eq!(stats.games_played, if swap_exact { 6 + 3 } else { 9 + 5 });
+            assert_eq!(stats.misses, 9 + 3);
+            assert_eq!(stats.hits, 4 + 1);
 
-        // `c` re-enters: its row and column are complete, nothing is played.
-        let (_, played) = generation(
-            &mut table,
-            &population(vec![a.clone(), c.clone(), d.clone()]),
-            0..3,
-        );
-        assert!(played.is_empty());
+            // `c` re-enters: its row and column are complete, nothing is
+            // played.
+            let (_, played) = generation(
+                &mut table,
+                &population(vec![a.clone(), c.clone(), d.clone()]),
+                0..3,
+                swap_exact,
+            );
+            assert!(played.is_empty());
 
-        // `b` was reclaimed, so it comes back as a newcomer — into the slot
-        // of ... nobody: `a`, `c`, `d` are all present and `e` needs one too,
-        // so the population outgrows the table, which starts over larger.
-        let (_, played) = generation(&mut table, &population(vec![a, c, d, b, e]), 0..5);
-        assert_eq!(played.len(), 25);
-        assert_eq!(table.stats().slots_occupied, 5);
+            // `b` was reclaimed, so it comes back as a newcomer — into the
+            // slot of ... nobody: `a`, `c`, `d` are all present and `e`
+            // needs one too, so the population outgrows the table, which
+            // starts over larger.
+            let (_, played) = generation(
+                &mut table,
+                &population(vec![a, c, d, b, e]),
+                0..5,
+                swap_exact,
+            );
+            assert_eq!(played.len(), if swap_exact { 15 } else { 25 });
+            assert_eq!(table.stats().slots_occupied, 5);
+        }
     }
 
     #[test]
     fn a_block_plays_only_its_own_rows() {
         let strategies = vec![pure("0001"), pure("0010"), pure("0100"), pure("1000")];
         let mut table = PayoffTable::new(4);
-        // SSets 1..3: two rows of four cells.
-        let (fitness, played) = generation(&mut table, &population(strategies.clone()), 1..3);
+        // SSets 1..3: two rows of four cells. The two rows mirror each
+        // other; the columns of the rows this block does not keep have no
+        // mirror here.
+        let (fitness, played) = generation(&mut table, &population(strategies.clone()), 1..3, true);
         assert_eq!(fitness.len(), 2);
-        assert_eq!(played.len(), 8);
+        assert_eq!(played.len(), 7);
         assert_eq!(table.valid_cells(), 8);
         // SSet 2 adopts SSet 0's strategy: that row is asked for the first
-        // time and played whole; the row of the strategy that left the block
-        // stays complete and costs nothing.
+        // time and played whole — its column in the filled rows is already
+        // there, so nothing is mirrored; the row of the strategy that left
+        // the block stays complete and costs nothing.
         let mut adopted = strategies;
         adopted[2] = adopted[0].clone();
-        let (_, played) = generation(&mut table, &population(adopted), 1..3);
+        let (_, played) = generation(&mut table, &population(adopted), 1..3, true);
         assert_eq!(played.len(), 4, "strategy 0 against every occupant");
         assert_eq!(table.stats().misses, 8 + 3, "one occupant is extinct");
         let stats = table.stats();
         assert_eq!(stats.hits + stats.misses, 8 + 2 * 3);
+        assert_eq!((stats.cells_played, stats.games_played), (12, 11));
+    }
+
+    /// The cells a list of fresh games fills, checked to be distinct.
+    fn filled_cells(games: &PlannedCells<'_>) -> HashSet<(usize, usize)> {
+        let mut cells = HashSet::new();
+        for game in games.fresh_games() {
+            assert!(
+                cells.insert((game.a, game.b)),
+                "{game:?} fills a cell twice"
+            );
+            if game.mirrored {
+                assert!(
+                    cells.insert((game.b, game.a)),
+                    "{game:?} mirrors a filled cell"
+                );
+            }
+        }
+        cells
+    }
+
+    #[test]
+    fn games_fill_each_fresh_cell_once_and_rows_share_the_pairs() {
+        // Thirteen strategies over three generations and two callers — the
+        // whole population and a rank-like block — so that every kind of
+        // fresh cell occurs: columns of newcomers inside and outside the
+        // request, rows asked for late, rows nobody keeps here.
+        let all: Vec<StrategyKind> = (0..13).map(|i| pure(&format!("{:04b}", i + 1))).collect();
+        let generations = [
+            all[..9].to_vec(),
+            [&all[2..9], &all[9..12]].concat(),
+            [&all[5..12], &all[..3], &all[12..]].concat(),
+        ];
+        for swap_exact in [true, false] {
+            for block in [0..9, 2..6] {
+                let mut table = PayoffTable::new(16);
+                for strategies in &generations {
+                    let population = population(strategies.clone());
+                    let block = block.start..block.end.min(strategies.len());
+                    let whole = block.len() == strategies.len();
+                    table
+                        .generation_fitness(
+                            &population,
+                            block,
+                            |_| true,
+                            swap_exact,
+                            |games| {
+                                let cells = filled_cells(games);
+                                assert_eq!(cells.len(), games.fresh_cells());
+                                // Every fresh cell: filled row × newcomer,
+                                // and row filled now × occupied slot.
+                                for &r in &games.filled_rows {
+                                    for &c in &games.new_slots {
+                                        assert!(cells.contains(&(r, c)));
+                                    }
+                                }
+                                for &r in &games.new_rows {
+                                    for c in 0..games.slots.len() {
+                                        assert!(cells.contains(&(r, c)));
+                                    }
+                                }
+                                let n = games.new_rows.len();
+                                if swap_exact && whole {
+                                    // Nothing is played from both sides.
+                                    assert_eq!(
+                                        games.fresh_len(),
+                                        games.column_games() + n * (n + 1) / 2
+                                    );
+                                }
+                                if !swap_exact {
+                                    assert_eq!(games.fresh_len(), games.fresh_cells());
+                                }
+                                let played: Vec<_> = games.iter().map(|c| c.fingerprints).collect();
+                                assert_eq!(played.len(), games.fresh_len());
+                                let indexed: Vec<_> = (0..games.fresh_len())
+                                    .map(|k| games.fresh_game(k))
+                                    .collect();
+                                assert_eq!(games.fresh_games().collect::<Vec<_>>(), indexed);
+                                Ok(played
+                                    .iter()
+                                    .map(|&(a, b)| (pay((a, b)), pay((b, a))))
+                                    .collect())
+                            },
+                        )
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_generation_gives_every_row_half_of_its_pairs() {
+        // The scheduled executor hands a game to the rank that owns its `a`
+        // side: an upper triangle would give row 0 all 33 games and row 32
+        // one.
+        let strategies: Vec<StrategyKind> = (0..33)
+            .map(|i| {
+                StrategyKind::Pure(
+                    PureStrategy::from_bitstring(MemoryDepth::TWO, &format!("{:016b}", i * 77 + 1))
+                        .unwrap(),
+                )
+            })
+            .collect();
+        let population =
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::TWO), 1, strategies)
+                .unwrap();
+        let mut table = PayoffTable::new(33);
+        table
+            .generation_fitness(
+                &population,
+                0..33,
+                |_| true,
+                true,
+                |games| {
+                    assert_eq!(games.len(), 33 * 34 / 2);
+                    let mut per_row = [0usize; 33];
+                    for game in games.iter() {
+                        per_row[game.a_index] += 1;
+                    }
+                    assert!(per_row.iter().all(|&n| n == 17), "{per_row:?}");
+                    Ok(vec![(0.0, 0.0); games.len()])
+                },
+            )
+            .unwrap();
+        assert_eq!(table.stats().cells_played, 33 * 33);
+        assert_eq!(table.stats().games_played, 33 * 34 / 2);
     }
 
     #[test]
@@ -747,6 +1118,7 @@ mod tests {
             &population,
             0..2,
             |_| true,
+            true,
             |_| {
                 Err(crate::error::EgdError::Communication {
                     reason: "rank 1 panicked".to_string(),
@@ -755,7 +1127,7 @@ mod tests {
         );
         assert!(failed.is_err());
         assert_eq!(table.stats().slots_occupied, 0);
-        let (_, played) = generation(&mut table, &population, 0..2);
-        assert_eq!(played.len(), 4, "nothing half-filled survived");
+        let (_, played) = generation(&mut table, &population, 0..2, true);
+        assert_eq!(played.len(), 3, "nothing half-filled survived");
     }
 }

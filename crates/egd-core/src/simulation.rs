@@ -62,16 +62,172 @@ impl FitnessMode {
             FitnessMode::ExpectedValue => true,
         }
     }
+
+    /// Whether a cacheable game of this mode, with its two scores exchanged,
+    /// is bit for bit the game with the two players exchanged — so that a
+    /// [`PayoffTable`] may fill a cell and its mirror from one game.
+    ///
+    /// `Simulated` caches [`IpdGame::play_pure`] games only, and those are:
+    /// both orientations walk the same joint states in the same order and
+    /// add the same payoff-table entries to the same two sums (the argument
+    /// is in the [`crate::payoff_table`] module docs, the proptest in
+    /// `compiled_equivalence`). `ExpectedValue` is not:
+    /// [`MarkovGame::finite_horizon`] sums over states in index order, which
+    /// exchanging the players permutes, so the two orientations may round
+    /// differently.
+    pub fn swap_exact(self) -> bool {
+        match self {
+            FitnessMode::Simulated => true,
+            FitnessMode::ExpectedValue => false,
+        }
+    }
+}
+
+/// What plays a game for both pair evaluators: the game, its Markov
+/// analyser, the fitness mode and the seed the random streams derive from.
+#[derive(Debug, Clone)]
+pub struct PairKernel {
+    game: IpdGame,
+    markov: MarkovGame,
+    mode: FitnessMode,
+    seed: u64,
+}
+
+impl PairKernel {
+    /// The kernel of a configuration.
+    pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
+        Ok(PairKernel {
+            game: config.game()?,
+            markov: config.markov_game()?,
+            mode,
+            seed: config.seed,
+        })
+    }
+
+    /// The game played.
+    pub fn game(&self) -> &IpdGame {
+        &self.game
+    }
+
+    /// The fitness mode in use.
+    pub fn mode(&self) -> FitnessMode {
+        self.mode
+    }
+
+    /// The global seed payoff streams derive from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// [`FitnessMode::caches`] under this kernel's game.
+    pub fn caches(&self, strategy: &StrategyKind) -> bool {
+        self.mode.caches(self.game.noise(), strategy)
+    }
+
+    /// Plays one game, whatever any cache holds, and returns `(to_a, to_b)`.
+    /// `cacheable` says whether both sides are [`PairKernel::caches`]
+    /// strategies; a game that is not draws from the stream keyed by
+    /// `(a_index, b_index, generation)`, so its result does not depend on
+    /// evaluation order, and needs the two `compiled` strategies. A
+    /// cacheable game's two scores are each other's mirror exactly when the
+    /// mode is [`FitnessMode::swap_exact`].
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn play(
+        &self,
+        cacheable: bool,
+        a_index: usize,
+        a: &StrategyKind,
+        b_index: usize,
+        b: &StrategyKind,
+        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
+        generation: u64,
+    ) -> EgdResult<(f64, f64)> {
+        let outcome = match self.mode {
+            FitnessMode::ExpectedValue => {
+                let e = self.markov.finite_horizon(a, b)?;
+                return Ok((e.payoff_a, e.payoff_b));
+            }
+            FitnessMode::Simulated if cacheable => match (a, b) {
+                (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => self.game.play_pure(pa, pb)?,
+                _ => unreachable!("deterministic pairs are pure"),
+            },
+            FitnessMode::Simulated => {
+                let (ca, cb) = compiled.expect("a stochastic game comes with its compiled pair");
+                let pair_id = (a_index as u64) << 32 | b_index as u64;
+                let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
+                self.game.play_compiled(ca, cb, &mut rng)?
+            }
+        };
+        Ok((outcome.fitness_a, outcome.fitness_b))
+    }
+
+    /// [`PairKernel::play`] for a game of a [`PayoffTable`]'s planned list,
+    /// whose `to_b` matters only where it can fill a mirror cell: a
+    /// stochastic game reports `(to_a, 0.0)`. Said here rather than left to
+    /// the callers to ignore, because it is worth ~6 % of a stochastic game:
+    /// inlined with `to_b` unused, the round loop drops the second player's
+    /// payoff sum.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn play_planned(
+        &self,
+        cacheable: bool,
+        a_index: usize,
+        a: &StrategyKind,
+        b_index: usize,
+        b: &StrategyKind,
+        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
+        generation: u64,
+    ) -> EgdResult<(f64, f64)> {
+        if cacheable {
+            self.play(true, a_index, a, b_index, b, None, generation)
+        } else {
+            let (to_a, _) = self.play(false, a_index, a, b_index, b, compiled, generation)?;
+            Ok((to_a, 0.0))
+        }
+    }
+}
+
+/// Per-generation interning of compiled strategies for the sequential
+/// evaluator's stochastic games: each distinct strategy is compiled once per
+/// generation, not once per game.
+#[derive(Debug, Clone, Default)]
+struct GenerationInterner {
+    compiled: HashMap<u64, CompiledStrategy>,
+    generation: u64,
+}
+
+impl GenerationInterner {
+    /// The compiled forms of `a` and `b` (fingerprints `key`) for
+    /// `generation`, compiling on first use. The table is cleared when the
+    /// generation rolls over (strategies churn under mutation, so a
+    /// per-generation lifetime keeps it bounded).
+    fn pair(
+        &mut self,
+        generation: u64,
+        key: (u64, u64),
+        a: &StrategyKind,
+        b: &StrategyKind,
+    ) -> (&CompiledStrategy, &CompiledStrategy) {
+        if self.generation != generation {
+            self.compiled.clear();
+            self.generation = generation;
+        }
+        for (fp, strategy) in [(key.0, a), (key.1, b)] {
+            self.compiled
+                .entry(fp)
+                .or_insert_with(|| CompiledStrategy::compile(strategy));
+        }
+        (&self.compiled[&key.0], &self.compiled[&key.1])
+    }
 }
 
 /// Pairwise payoff evaluator of the sequential engine and of each rank of
 /// the message-passing executor.
 #[derive(Debug, Clone)]
 pub struct PairEvaluator {
-    game: IpdGame,
-    markov: MarkovGame,
-    mode: FitnessMode,
-    seed: u64,
+    kernel: PairKernel,
     /// Memo of [`PairEvaluator::pair_payoff`] (single-pair callers only).
     cache: HashMap<(u64, u64), (f64, f64)>,
     cache_hits: u64,
@@ -79,11 +235,7 @@ pub struct PairEvaluator {
     /// The payoff matrix [`PairEvaluator::block_fitness`] keeps between
     /// generations.
     table: PayoffTable,
-    /// Per-generation interning of compiled strategies for the stochastic
-    /// kernel: each distinct strategy is compiled once per generation, not
-    /// once per game.
-    compiled: HashMap<u64, CompiledStrategy>,
-    compiled_generation: u64,
+    interner: GenerationInterner,
 }
 
 impl PairEvaluator {
@@ -93,36 +245,18 @@ impl PairEvaluator {
     /// Creates an evaluator for a configuration.
     pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
         Ok(PairEvaluator {
-            game: config.game()?,
-            markov: config.markov_game()?,
-            mode,
-            seed: config.seed,
+            kernel: PairKernel::new(config, mode)?,
             cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
             table: PayoffTable::new(config.num_ssets),
-            compiled: HashMap::new(),
-            compiled_generation: 0,
+            interner: GenerationInterner::default(),
         })
-    }
-
-    /// Interns the compiled form of `strategy` (fingerprint `fp`) for
-    /// `generation`, clearing the intern table when the generation rolls
-    /// over (strategies churn under mutation, so a per-generation lifetime
-    /// keeps the table bounded).
-    fn intern_compiled(&mut self, generation: u64, fp: u64, strategy: &StrategyKind) {
-        if self.compiled_generation != generation {
-            self.compiled.clear();
-            self.compiled_generation = generation;
-        }
-        self.compiled
-            .entry(fp)
-            .or_insert_with(|| CompiledStrategy::compile(strategy));
     }
 
     /// The fitness mode in use.
     pub fn mode(&self) -> FitnessMode {
-        self.mode
+        self.kernel.mode()
     }
 
     /// Cacheable cells served without playing a game so far (by the payoff
@@ -131,7 +265,7 @@ impl PairEvaluator {
         self.cache_hits + self.table.stats().hits
     }
 
-    /// Cacheable cells that played a game so far.
+    /// Cacheable cells that a game had to fill so far.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses + self.table.stats().misses
     }
@@ -154,8 +288,7 @@ impl PairEvaluator {
         b: &StrategyKind,
         generation: u64,
     ) -> EgdResult<(f64, f64)> {
-        let noise = self.game.noise();
-        let cacheable = self.mode.caches(noise, a) && self.mode.caches(noise, b);
+        let cacheable = self.kernel.caches(a) && self.kernel.caches(b);
         let key = (a.fingerprint(), b.fingerprint());
         if cacheable {
             if let Some(&hit) = self.cache.get(&key) {
@@ -163,7 +296,10 @@ impl PairEvaluator {
                 return Ok(hit);
             }
         }
-        let result = self.play(key, cacheable, a_index, a, b_index, b, generation)?;
+        let compiled = (!cacheable).then(|| self.interner.pair(generation, key, a, b));
+        let result = self
+            .kernel
+            .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
         if cacheable {
             if self.cache.len() >= Self::MAX_CACHE_ENTRIES {
                 self.cache.clear();
@@ -174,50 +310,9 @@ impl PairEvaluator {
         Ok(result)
     }
 
-    /// Plays one game, whatever any cache holds. `key` is the pair's
-    /// fingerprints, `cacheable` whether both sides are
-    /// [`FitnessMode::caches`] strategies.
-    #[allow(clippy::too_many_arguments)]
-    fn play(
-        &mut self,
-        key: (u64, u64),
-        cacheable: bool,
-        a_index: usize,
-        a: &StrategyKind,
-        b_index: usize,
-        b: &StrategyKind,
-        generation: u64,
-    ) -> EgdResult<(f64, f64)> {
-        Ok(match self.mode {
-            FitnessMode::ExpectedValue => {
-                let e = self.markov.finite_horizon(a, b)?;
-                (e.payoff_a, e.payoff_b)
-            }
-            FitnessMode::Simulated => {
-                if cacheable {
-                    let (pa, pb) = match (a, b) {
-                        (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => (pa, pb),
-                        _ => unreachable!("deterministic pairs are pure"),
-                    };
-                    let outcome = self.game.play_pure(pa, pb)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                } else {
-                    self.intern_compiled(generation, key.0, a);
-                    self.intern_compiled(generation, key.1, b);
-                    let ca = &self.compiled[&key.0];
-                    let cb = &self.compiled[&key.1];
-                    let pair_id = (a_index as u64) << 32 | b_index as u64;
-                    let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
-                    let outcome = self.game.play_compiled(ca, cb, &mut rng)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                }
-            }
-        })
-    }
-
     /// Computes the fitness of the SSets in `block` for one generation
     /// through the retained payoff matrix, playing the generation's fresh
-    /// and stochastic cells inline (see [`PayoffTable::generation_fitness`]).
+    /// and stochastic games inline (see [`PayoffTable::generation_fitness`]).
     /// A rank of the message-passing executor passes its own block and so
     /// plays only its own rows; everything else passes the whole population.
     pub fn block_fitness(
@@ -227,25 +322,29 @@ impl PairEvaluator {
         generation: u64,
     ) -> EgdResult<Vec<f64>> {
         let mut table = std::mem::take(&mut self.table);
-        let (mode, noise) = (self.mode, self.game.noise());
+        let (mode, noise) = (self.kernel.mode(), self.kernel.game().noise());
         let fitness = table.generation_fitness(
             population,
             block,
             |strategy| mode.caches(noise, strategy),
-            |cells| {
+            mode.swap_exact(),
+            |games| {
                 // Sized up front: a `Result` collect grows by doubling.
-                let mut payoffs = Vec::with_capacity(cells.len());
-                for cell in cells.iter() {
-                    let (to_a, _) = self.play(
-                        cell.fingerprints,
-                        cell.cacheable,
-                        cell.a_index,
-                        cell.a,
-                        cell.b_index,
-                        cell.b,
+                let mut payoffs = Vec::with_capacity(games.len());
+                for game in games.iter() {
+                    let compiled = (!game.cacheable).then(|| {
+                        self.interner
+                            .pair(generation, game.fingerprints, game.a, game.b)
+                    });
+                    payoffs.push(self.kernel.play_planned(
+                        game.cacheable,
+                        game.a_index,
+                        game.a,
+                        game.b_index,
+                        game.b,
+                        compiled,
                         generation,
-                    )?;
-                    payoffs.push(to_a);
+                    )?);
                 }
                 Ok(payoffs)
             },

@@ -1,11 +1,15 @@
 //! Workload cost prediction: pricing real game work items.
 //!
 //! The bridge between the abstract [`CostModel`](crate::CostModel) and the
-//! engines' actual work items. All predictions are **steady-state**: a
-//! deterministic pair is priced as a cache probe (it is played once, when
-//! its strategies enter the population, and kept in the engines' retained
-//! payoff matrix), a stochastic pair as a full simulated game at the game's
-//! memory depth and round count. The outputs are the weight vectors the scheduler's
+//! engines' actual work items. The matrix predictors ([`pair_weight_ns`] and
+//! what is built on it) are **steady-state**: a deterministic pair is priced
+//! as a read of the engines' retained payoff matrix
+//! ([`CostModel::cached_pair_us`](crate::CostModel) — it is played once,
+//! when its strategies enter the population, and kept), a stochastic pair as
+//! a full simulated game at the game's memory depth and round count. The
+//! games an engine actually *plays* in a generation — the fresh
+//! deterministic ones included — are all priced as games
+//! ([`game_weight_ns`]). The outputs are the weight vectors the scheduler's
 //! cost-guided partition ([`egd_sched::map_indexed_weighted`]) and the
 //! virtual-time replay ([`egd_sched::simulate_schedule_guided`]) consume.
 //!
@@ -17,9 +21,9 @@ use egd_core::game::IpdGame;
 use egd_core::strategy::StrategyKind;
 use std::collections::{HashMap, HashSet};
 
-/// Predicted cost (ns) of one pair payoff between `a` and `b` under `game`:
-/// cache-probe cheap when the pairing is deterministic (pure vs pure,
-/// noise-free), a full simulated game otherwise.
+/// Predicted steady-state cost (ns) of one pair payoff between `a` and `b`
+/// under `game`: a retained-matrix read when the pairing is deterministic
+/// (pure vs pure, noise-free), a full simulated game otherwise.
 pub fn pair_weight_ns(
     model: &CostModel,
     game: &IpdGame,
@@ -31,6 +35,14 @@ pub fn pair_weight_ns(
         game.rounds(),
         game.is_deterministic_for(a, b),
     )
+}
+
+/// Predicted cost (ns) of one game an engine plays this generation (an entry
+/// of the payoff table's planned list): a full game, whether it is a
+/// stochastic cell or a deterministic pair that has just entered — that one
+/// is played too, once, and only later read.
+pub fn game_weight_ns(model: &CostModel, game: &IpdGame) -> u64 {
+    model.pair_cost_ns(game.memory(), game.rounds(), false)
 }
 
 /// Predicted weights of the distinct-pair payoff matrix, in the engine's
@@ -114,27 +126,23 @@ impl MeasuredEwma {
     }
 }
 
-/// [`pair_weight_ns`] with measured-EWMA refinement: a stochastic pairing
-/// whose fingerprint pair has an observed smoothed cost is priced from the
-/// measurement, everything else (deterministic pairs, never-seen pairings,
-/// no table at all) falls back to the analytic model.
-pub fn refined_pair_weight_ns(
-    model: &CostModel,
-    game: &IpdGame,
-    a: &StrategyKind,
-    b: &StrategyKind,
+/// [`game_weight_ns`] (passed in as `game_ns`: it is the same for every game
+/// of a generation) with measured-EWMA refinement: a stochastic game whose
+/// fingerprint pair has an observed smoothed cost is priced from the
+/// measurement, everything else (deterministic games, never-seen pairings)
+/// keeps the analytic price.
+pub fn refined_game_weight_ns(
+    game_ns: u64,
+    stochastic: bool,
     fingerprints: (u64, u64),
-    ewma: Option<&MeasuredEwma>,
+    ewma: &MeasuredEwma,
 ) -> u64 {
-    let deterministic = game.is_deterministic_for(a, b);
-    let measured = match ewma {
-        Some(ewma) if !deterministic => ewma.cell_ns(fingerprints.0, fingerprints.1),
-        _ => None,
+    let measured = if stochastic {
+        ewma.cell_ns(fingerprints.0, fingerprints.1)
+    } else {
+        None
     };
-    match measured {
-        Some(ns) => (ns as u64).max(1),
-        None => model.pair_cost_ns(game.memory(), game.rounds(), deterministic),
-    }
+    measured.map_or(game_ns, |ns| (ns as u64).max(1))
 }
 
 /// Predicted cost of each group's full **row** of the pair matrix (group
@@ -256,19 +264,24 @@ mod tests {
         let model = CostModel::blue_gene_like();
         let game = game(0.0);
         let strategies = sample_strategies();
-        let group_rep = [0usize, 1, 2];
         let fingerprints: Vec<u64> = strategies.iter().map(|s| s.fingerprint()).collect();
-        let analytic = cell_weights(&model, &game, &strategies, &group_rep);
-        // The full matrix priced cell by cell, in `cell_weights` order.
-        let refined = |ewma: Option<&MeasuredEwma>| -> Vec<u64> {
+        // A played game is a game, whichever pair plays it: the price of
+        // the stochastic cells of the steady-state matrix.
+        let game_ns = game_weight_ns(&model, &game);
+        assert_eq!(
+            game_ns,
+            pair_weight_ns(&model, &game, &strategies[2], &strategies[0])
+        );
+        assert!(game_ns > 20 * pair_weight_ns(&model, &game, &strategies[0], &strategies[1]));
+        // The full matrix priced game by game, in `cell_weights` order.
+        let refined = |ewma: &MeasuredEwma| -> Vec<u64> {
             (0..9)
                 .map(|idx| {
                     let (g, h) = (idx / 3, idx % 3);
-                    refined_pair_weight_ns(
-                        &model,
-                        &game,
-                        &strategies[g],
-                        &strategies[h],
+                    let stochastic = !game.is_deterministic_for(&strategies[g], &strategies[h]);
+                    refined_game_weight_ns(
+                        game_ns,
+                        stochastic,
                         (fingerprints[g], fingerprints[h]),
                         ewma,
                     )
@@ -276,27 +289,23 @@ mod tests {
                 .collect()
         };
 
-        // No table, or an empty one: refinement is a no-op.
-        assert_eq!(refined(None), analytic);
-        assert_eq!(refined(Some(&MeasuredEwma::new(0.2))), analytic);
+        // An empty table: refinement is a no-op.
+        assert_eq!(refined(&MeasuredEwma::new(0.2)), vec![game_ns; 9]);
 
         // Observe the (mixed, pure0) cell and a deterministic (pure0, pure1)
         // cell: only the stochastic one repriced.
         let mut ewma = MeasuredEwma::new(0.2);
         ewma.observe(fingerprints[2], fingerprints[0], 123_456.0);
         ewma.observe(fingerprints[0], fingerprints[1], 999_999.0);
-        let repriced = refined(Some(&ewma));
+        let repriced = refined(&ewma);
         assert_eq!(repriced[2 * 3], 123_456);
-        assert_eq!(
-            repriced[1], analytic[1],
-            "deterministic cells stay analytic"
-        );
-        // Unobserved stochastic cells keep the analytic price.
-        assert_eq!(repriced[2], analytic[2]);
+        assert_eq!(repriced[1], game_ns, "deterministic games stay analytic");
+        // Unobserved stochastic games keep the analytic price.
+        assert_eq!(repriced[2], game_ns);
         // Tiny measurements still yield schedulable (non-zero) weights.
         let mut tiny = MeasuredEwma::new(0.2);
         tiny.observe(fingerprints[2], fingerprints[2], 0.25);
-        assert_eq!(refined(Some(&tiny))[2 * 3 + 2], 1);
+        assert_eq!(refined(&tiny)[2 * 3 + 2], 1);
     }
 
     #[test]

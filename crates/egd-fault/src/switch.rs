@@ -5,6 +5,12 @@
 //! ([`injection_armed`]); everything else — channel ordinal counting, event
 //! matching, the fired-event log — lives behind that branch and is only paid
 //! while a chaos test holds an [`InjectionSession`].
+//!
+//! The switch is global, what it lets through is not: a plan is armed for
+//! one *domain* (its seed), and every matcher, counter and report below
+//! takes the caller's domain and answers for the plan armed for it, or as
+//! if nothing were armed. A world running beside a chaos test — another
+//! test of the same binary, say — neither absorbs its faults nor reads them.
 
 use crate::plan::{FaultEvent, FaultPlan};
 use std::collections::HashMap;
@@ -127,12 +133,9 @@ pub fn injection_armed() -> bool {
 /// neither consume channel ordinals nor absorb the faults.
 pub fn message_fate(domain: u64, from: usize, to: usize) -> MessageFate {
     let mut guard = lock_active();
-    let Some(state) = guard.as_mut() else {
+    let Some(state) = state_of(&mut guard, domain) else {
         return MessageFate::Deliver;
     };
-    if state.plan.seed != domain {
-        return MessageFate::Deliver;
-    }
     let ordinal = {
         let slot = state.sent.entry((from, to)).or_insert(0);
         let n = *slot;
@@ -186,10 +189,7 @@ pub fn message_fate(domain: u64, from: usize, to: usize) -> MessageFate {
 /// the plan to one world as in [`message_fate`].
 pub fn crash_fault(domain: u64, rank: usize, generation: u64) -> Option<usize> {
     let mut guard = lock_active();
-    let state = guard.as_mut()?;
-    if state.plan.seed != domain {
-        return None;
-    }
+    let state = state_of(&mut guard, domain)?;
     for (id, event) in state.plan.events.iter().enumerate() {
         if state.fired[id] {
             continue;
@@ -218,10 +218,7 @@ pub fn crash_fault(domain: u64, rank: usize, generation: u64) -> Option<usize> {
 /// `domain` scopes the plan to one world as in [`message_fate`].
 pub fn slow_fault(domain: u64, rank: usize, generation: u64) -> Option<(usize, u32)> {
     let mut guard = lock_active();
-    let state = guard.as_mut()?;
-    if state.plan.seed != domain {
-        return None;
-    }
+    let state = state_of(&mut guard, domain)?;
     for (id, event) in state.plan.events.iter().enumerate() {
         if state.fired[id] {
             continue;
@@ -246,33 +243,39 @@ pub fn slow_fault(domain: u64, rank: usize, generation: u64) -> Option<(usize, u
     None
 }
 
-/// Counts a stale packet the transport rejected (epoch mismatch after a
-/// recovery respawn).
-pub fn note_stale_rejected() {
-    if let Some(state) = lock_active().as_mut() {
+/// The armed plan's state, if it is armed for `domain` — what every read
+/// and count below goes through, so that a world only ever sees the faults
+/// of the plan armed for it, not those another world of the same process is
+/// being tested with.
+fn state_of(active: &mut Option<ActiveState>, domain: u64) -> Option<&mut ActiveState> {
+    active.as_mut().filter(|state| state.plan.seed == domain)
+}
+
+/// Counts a stale packet the transport of `domain`'s world rejected (epoch
+/// mismatch after a recovery respawn).
+pub fn note_stale_rejected(domain: u64) {
+    if let Some(state) = state_of(&mut lock_active(), domain) {
         state.report.stale_rejected += 1;
     }
 }
 
-/// Snapshot of the session's counters and fired-event log (empty when no
-/// plan is armed).
-pub fn injection_report() -> InjectionReport {
-    lock_active()
-        .as_ref()
+/// Snapshot of the counters and fired-event log of the plan armed for
+/// `domain` (empty when none is).
+pub fn injection_report(domain: u64) -> InjectionReport {
+    state_of(&mut lock_active(), domain)
         .map(|s| s.report.clone())
         .unwrap_or_default()
 }
 
-/// Number of faults fired so far — a cheap progress mark for supervisors
-/// classifying what happened between two points in time.
-pub fn fired_count() -> usize {
-    lock_active().as_ref().map_or(0, |s| s.report.fired.len())
+/// Number of faults fired so far in `domain` — a cheap progress mark for
+/// supervisors classifying what happened between two points in time.
+pub fn fired_count(domain: u64) -> usize {
+    state_of(&mut lock_active(), domain).map_or(0, |s| s.report.fired.len())
 }
 
-/// The fired-event log so far, in firing order.
-pub fn fired_events() -> Vec<FiredFault> {
-    lock_active()
-        .as_ref()
+/// The fired-event log of `domain` so far, in firing order.
+pub fn fired_events(domain: u64) -> Vec<FiredFault> {
+    state_of(&mut lock_active(), domain)
         .map(|s| s.report.fired.clone())
         .unwrap_or_default()
 }
@@ -335,27 +338,33 @@ mod tests {
         assert_eq!(crash_fault(1, 3, 4), None);
         assert_eq!(slow_fault(1, 0, 2), Some((3, 7)));
         assert_eq!(slow_fault(1, 0, 2), None);
-        note_stale_rejected();
+        note_stale_rejected(99);
+        note_stale_rejected(1);
 
-        let report = injection_report();
+        // Another domain sees nothing of this plan.
+        assert_eq!(injection_report(99), InjectionReport::default());
+        assert_eq!(fired_count(99), 0);
+        assert!(fired_events(99).is_empty());
+
+        let report = injection_report(1);
         assert_eq!(report.drops, 1);
         assert_eq!(report.crashes, 1);
         assert_eq!(report.delays, 1);
         assert_eq!(report.stalls, 1);
         assert_eq!(report.stale_rejected, 1);
         assert_eq!(report.fired.len(), 4);
-        assert_eq!(fired_count(), 4);
+        assert_eq!(fired_count(1), 4);
         // Firing order: drop (event 0), delay (event 2), crash (event 1),
         // slow (event 3).
-        let order: Vec<usize> = fired_events().iter().map(|f| f.event).collect();
+        let order: Vec<usize> = fired_events(1).iter().map(|f| f.event).collect();
         assert_eq!(order, vec![0, 2, 1, 3]);
 
         drop(session);
         assert!(!injection_armed());
-        assert_eq!(injection_report(), InjectionReport::default());
+        assert_eq!(injection_report(1), InjectionReport::default());
         assert_eq!(message_fate(1, 0, 1), MessageFate::Deliver);
         assert_eq!(crash_fault(1, 3, 5), None);
         assert_eq!(slow_fault(1, 0, 2), None);
-        assert_eq!(fired_count(), 0);
+        assert_eq!(fired_count(1), 0);
     }
 }

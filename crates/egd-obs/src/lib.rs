@@ -34,15 +34,17 @@ pub use export::{
 };
 pub use metrics::{GenerationMetrics, MetricsSnapshot, RunInfo, TrafficMetrics, WorkerMetrics};
 pub use span::{
-    collect, disable_tracing, enable_tracing, enable_tracing_sampled, flush_thread, now_ns,
-    record_span, set_track, tracing_enabled, SpanEvent, SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
+    collect, current_session, disable_tracing, enable_tracing, enable_tracing_sampled,
+    flush_thread, join_session, now_ns, record_span, set_track, tracing_enabled, SpanEvent,
+    SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
 };
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serialises trace sessions. The span collector is process-global, so
-/// concurrent sessions — parallel `#[test]`s most of all — would interleave
-/// their events; hold this guard around `enable_tracing` … `collect`.
+/// Serialises trace sessions. The span collector is process-global and holds
+/// one session at a time, so concurrent sessions — parallel `#[test]`s most
+/// of all — take turns: hold this guard around `enable_tracing` … `collect`.
+/// Threads outside the session need no guard; tracing is off for them.
 pub fn session_guard() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))

@@ -14,12 +14,19 @@
 //! run-to-run) and bumps the session epoch that invalidates stale
 //! thread-local buffers. [`collect`] drains the session into a [`TraceLog`].
 //!
+//! A session belongs to the thread that enabled it and to the threads that
+//! work for it: a pool that spawns workers hands them the spawner's
+//! [`current_session`] and each worker calls [`join_session`]. To every
+//! other thread of the process tracing stays off, so code running beside a
+//! session — the other `#[test]`s of a test binary most of all — neither
+//! pays for spans nor writes into a log it does not own.
+//!
 //! With the `trace` cargo feature disabled the recording path compiles out
 //! entirely: [`tracing_enabled`] is a constant `false`, so `SpanTimer::start`
 //! folds to `None` and `obs_span!` leaves only the wrapped body.
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -147,13 +154,21 @@ pub fn now_ns() -> u64 {
     clock_epoch().elapsed().as_nanos() as u64
 }
 
-/// Whether span recording is live. With the `trace` feature off this is a
-/// constant `false` and instrumentation folds away.
+thread_local! {
+    /// Epoch of the trace session the thread records into (0: none; a live
+    /// session's epoch is never 0).
+    static SESSION: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether span recording is live on the calling thread: a session is
+/// enabled and the thread belongs to it. Disabled costs one relaxed load.
+/// With the `trace` feature off this is a constant `false` and
+/// instrumentation folds away.
 #[inline(always)]
 pub fn tracing_enabled() -> bool {
     #[cfg(feature = "trace")]
     {
-        STATE.load(Ordering::Relaxed) & 1 == 1
+        STATE.load(Ordering::Relaxed) & 1 == 1 && SESSION.get() == EPOCH.load(Ordering::Relaxed)
     }
     #[cfg(not(feature = "trace"))]
     {
@@ -161,8 +176,26 @@ pub fn tracing_enabled() -> bool {
     }
 }
 
+/// The live trace session the calling thread records into, as a token for
+/// [`join_session`] (0 when tracing is off for this thread).
+pub fn current_session() -> u64 {
+    if tracing_enabled() {
+        SESSION.get()
+    } else {
+        0
+    }
+}
+
+/// Makes the calling thread record into `session` (a [`current_session`]
+/// token taken by the thread that spawned this one). Pools call this first
+/// thing in each worker; with token 0 the worker stays out of any session.
+pub fn join_session(session: u64) {
+    SESSION.set(session);
+}
+
 /// Starts a fresh trace session recording every span (sampling mask 0):
-/// clears previously collected events and restarts span-id assignment.
+/// clears previously collected events and restarts span-id assignment. The
+/// calling thread owns the session.
 pub fn enable_tracing() {
     enable_tracing_sampled(0);
 }
@@ -176,7 +209,7 @@ pub fn enable_tracing_sampled(shift: u32) {
     } else {
         (1u64 << shift) - 1
     };
-    EPOCH.fetch_add(1, Ordering::Relaxed);
+    SESSION.set(EPOCH.fetch_add(1, Ordering::Relaxed) + 1);
     NEXT_SPAN_ID.store(0, Ordering::Relaxed);
     DROPPED.store(0, Ordering::Relaxed);
     COLLECTOR.lock().expect("trace collector poisoned").clear();
@@ -445,6 +478,36 @@ mod tests {
         assert_eq!(log.events.len(), 4);
         assert_eq!(log.events[0].payload, 0);
         assert_eq!(log.events[1].payload, 4);
+    }
+
+    #[test]
+    fn only_threads_of_the_session_record() {
+        let _guard = test_lock();
+        enable_tracing();
+        let session = current_session();
+        assert_ne!(session, 0);
+        std::thread::scope(|scope| {
+            // A bystander — another test of the same binary, say.
+            scope.spawn(|| {
+                assert!(!tracing_enabled());
+                assert_eq!(current_session(), 0);
+                assert!(SpanTimer::start(SpanKind::Cell).is_none());
+                record_span(9, SpanKind::Cell, 1, 0, 1);
+                flush_thread();
+            });
+            // A worker of the session's pool.
+            scope.spawn(move || {
+                join_session(session);
+                assert!(tracing_enabled());
+                record_span(4, SpanKind::BlockClaim, 2, 0, 1);
+                flush_thread();
+            });
+        });
+        disable_tracing();
+        assert_eq!(current_session(), 0);
+        let log = collect();
+        assert_eq!(log.events.len(), 1);
+        assert_eq!(log.events[0].track, 4);
     }
 
     #[test]

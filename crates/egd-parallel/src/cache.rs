@@ -31,11 +31,10 @@
 use crate::intern::CompiledInterner;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
-use egd_core::game::{CompiledPair, CompiledStrategy, IpdGame, MarkovGame};
+use egd_core::game::{CompiledStrategy, IpdGame};
 use egd_core::payoff_table::{PayoffTable, PayoffTableStats, PlannedCells};
 use egd_core::population::Population;
-use egd_core::rng::{substream, StreamKind};
-use egd_core::simulation::FitnessMode;
+use egd_core::simulation::{FitnessMode, PairKernel};
 use egd_core::strategy::{Strategy, StrategyKind};
 use egd_obs::MetricsSnapshot;
 use parking_lot::{Mutex, RwLock};
@@ -220,10 +219,7 @@ pub struct GenerationContext {
 /// once through `&self`.
 #[derive(Debug)]
 pub struct ConcurrentPairEvaluator {
-    game: IpdGame,
-    markov: MarkovGame,
-    mode: FitnessMode,
-    seed: u64,
+    kernel: PairKernel,
     cache: PayoffSlab,
     /// The payoff matrix [`ConcurrentPairEvaluator::generation_fitness`]
     /// keeps between generations. Locked for a whole fitness call; the
@@ -241,6 +237,7 @@ pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStat
     snap.add_counter("payoff_slots_occupied", stats.slots_occupied);
     snap.add_counter("payoff_slots_reclaimed", stats.slots_reclaimed);
     snap.add_counter("payoff_cells_played", stats.cells_played);
+    snap.add_counter("payoff_games_played", stats.games_played);
 }
 
 /// One generation's games ([`PlannedCells`]) bound to the evaluator that
@@ -261,27 +258,26 @@ impl<'a> CellBatch<'a> {
         self.cells
     }
 
-    /// Plays game `k` and returns the payoff to its row strategy.
-    pub fn play(&self, k: usize) -> EgdResult<f64> {
-        let cell = self.cells.get(k);
+    /// Plays game `k` and returns `(to_a, to_b)` (see
+    /// [`PairKernel::play_planned`]).
+    pub fn play(&self, k: usize) -> EgdResult<(f64, f64)> {
+        let game = self.cells.get(k);
         let group_of = &self.cells.grouping().group_of;
-        let compiled = (!cell.cacheable).then(|| {
+        let compiled = (!game.cacheable).then(|| {
             (
-                &*self.compiled[group_of[cell.a_index]],
-                &*self.compiled[group_of[cell.b_index]],
+                &*self.compiled[group_of[game.a_index]],
+                &*self.compiled[group_of[game.b_index]],
             )
         });
-        self.evaluator
-            .play(
-                cell.cacheable,
-                cell.a_index,
-                cell.a,
-                cell.b_index,
-                cell.b,
-                compiled,
-                self.generation,
-            )
-            .map(|(to_a, _)| to_a)
+        self.evaluator.kernel.play_planned(
+            game.cacheable,
+            game.a_index,
+            game.a,
+            game.b_index,
+            game.b,
+            compiled,
+            self.generation,
+        )
     }
 }
 
@@ -289,10 +285,7 @@ impl ConcurrentPairEvaluator {
     /// Creates an evaluator for a configuration.
     pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
         Ok(ConcurrentPairEvaluator {
-            game: config.game()?,
-            markov: config.markov_game()?,
-            mode,
-            seed: config.seed,
+            kernel: PairKernel::new(config, mode)?,
             cache: PayoffSlab::new(),
             table: Mutex::new(PayoffTable::new(config.num_ssets)),
             interner: CompiledInterner::new(),
@@ -303,17 +296,17 @@ impl ConcurrentPairEvaluator {
 
     /// The fitness mode in use.
     pub fn mode(&self) -> FitnessMode {
-        self.mode
+        self.kernel.mode()
     }
 
     /// The game the evaluator plays.
     pub fn game(&self) -> &IpdGame {
-        &self.game
+        self.kernel.game()
     }
 
     /// The global seed payoff streams derive from.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.kernel.seed()
     }
 
     /// Cacheable cells served without playing a game so far (by the payoff
@@ -322,7 +315,7 @@ impl ConcurrentPairEvaluator {
         self.hits.load(Ordering::Relaxed) + self.table.lock().stats().hits
     }
 
-    /// Cacheable cells that played a game so far.
+    /// Cacheable cells that a game had to fill so far.
     pub fn cache_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed) + self.table.lock().stats().misses
     }
@@ -387,11 +380,11 @@ impl ConcurrentPairEvaluator {
         strategies: &[StrategyKind],
         group_rep: &[usize],
     ) {
-        if self.mode != FitnessMode::Simulated {
+        if self.mode() != FitnessMode::Simulated {
             return;
         }
-        let any_stochastic =
-            self.game.noise() > 0.0 || group_rep.iter().any(|&i| !strategies[i].is_deterministic());
+        let any_stochastic = self.game().noise() > 0.0
+            || group_rep.iter().any(|&i| !strategies[i].is_deterministic());
         if any_stochastic {
             self.interner.prepare(generation, strategies, group_rep);
         }
@@ -416,8 +409,8 @@ impl ConcurrentPairEvaluator {
             .iter()
             .map(|&i| strategies[i].is_deterministic())
             .collect();
-        let stochastic_possible = self.mode == FitnessMode::Simulated
-            && (self.game.noise() > 0.0 || deterministic.iter().any(|&d| !d));
+        let stochastic_possible = self.mode() == FitnessMode::Simulated
+            && (self.game().noise() > 0.0 || deterministic.iter().any(|&d| !d));
         let compiled = if stochastic_possible {
             self.compiled_groups(generation, strategies, group_rep)
                 .into_iter()
@@ -451,21 +444,21 @@ impl ConcurrentPairEvaluator {
     /// Computes the fitness of every SSet for one generation through the
     /// retained payoff matrix (see [`PayoffTable::generation_fitness`]):
     /// `execute` receives the generation's fresh and stochastic games as a
-    /// [`CellBatch`] and returns their payoffs in batch order, running
+    /// [`CellBatch`] and returns their `(to_a, to_b)` in batch order, running
     /// [`CellBatch::play`] on whatever workers it has. Bit-identical to
     /// [`egd_core::simulation::compute_generation_fitness`].
     pub fn generation_fitness(
         &self,
         population: &Population,
         generation: u64,
-        execute: impl FnOnce(&CellBatch<'_>) -> EgdResult<Vec<f64>>,
+        execute: impl FnOnce(&CellBatch<'_>) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
         let strategies = population.strategies();
-        let noise = self.game.noise();
         self.table.lock().generation_fitness(
             population,
             0..population.num_ssets(),
-            |strategy| self.mode.caches(noise, strategy),
+            |strategy| self.kernel.caches(strategy),
+            self.mode().swap_exact(),
             |cells| {
                 // Hoist compilation out of the cell loop: once per distinct
                 // strategy per generation, and only when a game needs it.
@@ -500,7 +493,7 @@ impl ConcurrentPairEvaluator {
     ) -> EgdResult<(f64, f64)> {
         let (i, j) = (group_rep[g], group_rep[h]);
         let deterministic_pair =
-            self.game.noise() == 0.0 && ctx.deterministic[g] && ctx.deterministic[h];
+            self.game().noise() == 0.0 && ctx.deterministic[g] && ctx.deterministic[h];
         let compiled = if deterministic_pair {
             None
         } else {
@@ -532,7 +525,7 @@ impl ConcurrentPairEvaluator {
     ) -> EgdResult<(f64, f64)> {
         self.evaluate_pair(
             (a.fingerprint(), b.fingerprint()),
-            self.game.is_deterministic_for(a, b),
+            self.game().is_deterministic_for(a, b),
             a_index,
             a,
             b_index,
@@ -544,7 +537,9 @@ impl ConcurrentPairEvaluator {
 
     /// The single evaluation routine behind [`ConcurrentPairEvaluator::pair_payoff`]
     /// and [`ConcurrentPairEvaluator::cell_payoff`]: cache lookup,
-    /// [`ConcurrentPairEvaluator::play`], cache insertion.
+    /// [`PairKernel::play`], cache insertion. `compiled` supplies
+    /// pre-resolved compiled strategies for a stochastic game; when `None`,
+    /// they are fetched from the per-generation interner.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_pair(
         &self,
@@ -557,7 +552,7 @@ impl ConcurrentPairEvaluator {
         compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
         generation: u64,
     ) -> EgdResult<(f64, f64)> {
-        let cacheable = match self.mode {
+        let cacheable = match self.mode() {
             FitnessMode::Simulated => deterministic_pair,
             FitnessMode::ExpectedValue => true,
         };
@@ -567,60 +562,25 @@ impl ConcurrentPairEvaluator {
                 return Ok(hit);
             }
         }
-        let result = self.play(cacheable, a_index, a, b_index, b, compiled, generation)?;
+        let interned;
+        let compiled = match compiled {
+            None if !cacheable => {
+                interned = (
+                    self.interner.compiled_for(generation, a),
+                    self.interner.compiled_for(generation, b),
+                );
+                Some((&*interned.0, &*interned.1))
+            }
+            given => given,
+        };
+        let result = self
+            .kernel
+            .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
         if cacheable {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.cache.insert(key, result);
         }
         Ok(result)
-    }
-
-    /// Plays one game, whatever any cache holds. `compiled` supplies
-    /// pre-resolved compiled strategies for the stochastic path; when
-    /// `None`, they are fetched from the per-generation interner.
-    #[allow(clippy::too_many_arguments)]
-    fn play(
-        &self,
-        cacheable: bool,
-        a_index: usize,
-        a: &StrategyKind,
-        b_index: usize,
-        b: &StrategyKind,
-        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
-        generation: u64,
-    ) -> EgdResult<(f64, f64)> {
-        Ok(match self.mode {
-            FitnessMode::ExpectedValue => {
-                let e = self.markov.finite_horizon(a, b)?;
-                (e.payoff_a, e.payoff_b)
-            }
-            FitnessMode::Simulated => {
-                if cacheable {
-                    let (pa, pb) = match (a, b) {
-                        (StrategyKind::Pure(pa), StrategyKind::Pure(pb)) => (pa, pb),
-                        _ => unreachable!("deterministic pairs are pure"),
-                    };
-                    let outcome = self.game.play_pure(pa, pb)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                } else {
-                    let interned;
-                    let (ca, cb) = match compiled {
-                        Some(refs) => refs,
-                        None => {
-                            interned = (
-                                self.interner.compiled_for(generation, a),
-                                self.interner.compiled_for(generation, b),
-                            );
-                            (&*interned.0, &*interned.1)
-                        }
-                    };
-                    let pair_id = (a_index as u64) << 32 | b_index as u64;
-                    let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
-                    let outcome = self.game.play_pair(&CompiledPair::new(ca, cb), &mut rng)?;
-                    (outcome.fitness_a, outcome.fitness_b)
-                }
-            }
-        })
     }
 }
 

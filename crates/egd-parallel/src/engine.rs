@@ -210,8 +210,8 @@ impl ParallelEngine {
 
     /// Computes the fitness of every SSet for `generation` using strategy
     /// grouping and the evaluator's retained payoff matrix (production
-    /// path): only the cells of strategies that entered the population, and
-    /// the stochastic cells, are played — in parallel — and scattered into
+    /// path): only the games of strategies that entered the population, and
+    /// the stochastic ones, are played — in parallel — and scattered into
     /// the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
         self.reset_sched_stats();
@@ -225,30 +225,31 @@ impl ParallelEngine {
                 // The initial per-worker segments are seeded from the
                 // cost-proportional partition of the games actually played,
                 // so both the static and the adaptive policy start balanced
-                // and stealing only corrects prediction error. With
-                // repricing enabled, measured means from earlier generations
-                // replace the analytic prices of observed stochastic cells.
-                let weights: Vec<u64> = {
-                    let game = self.evaluator.game();
-                    let mut repricing = self.repricing.lock();
-                    if let Some(ewma) = repricing.as_mut() {
+                // and stealing only corrects prediction error. Every planned
+                // game is priced as a game — a fresh deterministic one too:
+                // it is played, not probed. With repricing enabled, measured
+                // means from earlier generations replace the analytic price
+                // of observed stochastic games.
+                let game_ns =
+                    egd_cost::predict::game_weight_ns(&self.cost_model, self.evaluator.game());
+                let weights: Vec<u64> = match self.repricing.lock().as_mut() {
+                    None => vec![game_ns; cells.len()],
+                    Some(ewma) => {
                         for ((a, b), mean) in self.measured.lock().mean_iter() {
                             ewma.observe(a, b, mean);
                         }
+                        cells
+                            .iter()
+                            .map(|game| {
+                                egd_cost::predict::refined_game_weight_ns(
+                                    game_ns,
+                                    !game.cacheable,
+                                    game.fingerprints,
+                                    ewma,
+                                )
+                            })
+                            .collect()
                     }
-                    cells
-                        .iter()
-                        .map(|cell| {
-                            egd_cost::predict::refined_pair_weight_ns(
-                                &self.cost_model,
-                                game,
-                                cell.a,
-                                cell.b,
-                                cell.fingerprints,
-                                repricing.as_ref(),
-                            )
-                        })
-                        .collect()
                 };
                 let measured = &self.measured;
                 self.install(|| {
@@ -523,19 +524,18 @@ mod tests {
             .iter()
             .filter(|e| e.kind == egd_obs::SpanKind::Cell)
             .count();
-        // The tracing switch is process-wide: engines of tests running
-        // beside this one add their cells to the log while it is on, so the
-        // log bounds the count from below and the engine's own cost table
-        // (one sample per span it opened) pins it.
-        assert!(cells >= num_groups * num_groups, "one span per cold cell");
+        // A cold table plays every unordered pair of groups once: the game
+        // fills the pair's two cells.
+        let games = num_groups * (num_groups + 1) / 2;
+        assert_eq!(cells, games, "one span per cold game");
         assert!(log
             .events
             .iter()
             .any(|e| e.kind == egd_obs::SpanKind::CellMatrix));
 
-        // Every cell's wall time landed in the fingerprint-keyed cost table.
+        // Every game's wall time landed in the fingerprint-keyed cost table.
         let costs = engine.measured_costs();
-        assert_eq!(costs.total_samples(), (num_groups * num_groups) as u64);
+        assert_eq!(costs.total_samples(), games as u64);
         let fps: Vec<u64> = StrategyGrouping::of(population.strategies())
             .group_rep
             .iter()
@@ -592,6 +592,10 @@ mod tests {
         assert_eq!(snap.counter("pair_cache_hits"), 0, "a cold table plays");
         let played = snap.counter("payoff_cells_played");
         assert_eq!(played, snap.counter("pair_cache_misses"));
+        // n² cells from n(n+1)/2 games: 2·games − cells = n, the diagonal.
+        let games = snap.counter("payoff_games_played");
+        let n = snap.counter("payoff_slots_occupied");
+        assert_eq!((played, games), (n * n, n * (n + 1) / 2));
         assert!(snap.counter("payoff_slots_occupied") > 0);
         assert_eq!(snap.counter("payoff_slots_reclaimed"), 0);
 
@@ -602,6 +606,7 @@ mod tests {
         let snap = engine.metrics("parallel");
         assert!(snap.workers.is_empty());
         assert_eq!(snap.counter("payoff_cells_played"), played);
+        assert_eq!(snap.counter("payoff_games_played"), games);
         assert_eq!(snap.counter("pair_cache_hits"), played);
         assert_eq!(
             snap.counter("pair_cache_hits"),

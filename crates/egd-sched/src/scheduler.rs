@@ -108,10 +108,12 @@ where
     };
 
     let shared_ref = &shared;
+    let session = egd_obs::current_session();
     let per_worker: Vec<WorkerOutput<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..effective)
             .map(|id| {
                 scope.spawn(move || {
+                    egd_obs::join_session(session);
                     let out = worker_loop(id, shared_ref, f, policy, max_block);
                     // Flush spans before the scope join unblocks: thread-local
                     // destructors may run after it, racing egd_obs::collect().

@@ -328,3 +328,113 @@ fn pure_kernel_matches_the_naive_loop_at_every_memory_depth() {
         }
     }
 }
+
+/// Round counts around everything the pure kernel branches on: a single
+/// round, counts that straddle the round at which the cycle is detected (at
+/// most `4^n + 1`: 5, 17, 65 at memory one to three, so `2..=70` lands one
+/// short of, on and one past it), the paper's 200 and its neighbours, and
+/// counts so long that nearly every round is closed analytically — with and
+/// without a leftover.
+fn arb_rounds() -> impl PropStrategy<Value = u32> {
+    (0u8..6, 2u32..=70).prop_map(|(kind, small)| match kind {
+        0 => 1,
+        1 | 2 => small,
+        3 => 199 + small % 3,
+        4 => 1_000_000,
+        _ => 1_000_003,
+    })
+}
+
+fn arb_payoffs() -> impl PropStrategy<Value = PayoffMatrix> {
+    let payoff = || {
+        (0u8..3, -1.0e6f64..1.0e6).prop_map(|(kind, v)| match kind {
+            // Small integers (exact sums), tenths (inexact ones), anything.
+            0 => (v % 8.0).round(),
+            1 => (v % 80.0).round() / 10.0,
+            _ => v,
+        })
+    };
+    (payoff(), payoff(), payoff(), payoff()).prop_map(|(r, s, t, p)| PayoffMatrix::new(r, s, t, p))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// What lets the payoff table fill cell `(a, b)` and cell `(b, a)` from
+    /// one game (`FitnessMode::swap_exact`): the pure kernel played with the
+    /// players exchanged returns the exchanged outcome — every field, the
+    /// two fitness values bit for bit — at every memory depth, round count
+    /// and payoff matrix, rounding or not.
+    #[test]
+    fn pure_kernel_is_swap_exact(
+        n in 1u32..=6,
+        rounds in arb_rounds(),
+        payoffs in arb_payoffs(),
+        seed in any::<u64>(),
+    ) {
+        let memory = MemoryDepth::new(n).unwrap();
+        let mut rng = stream(seed, StreamKind::InitialStrategy, 0);
+        let a = PureStrategy::random(memory, &mut rng);
+        let b = PureStrategy::random(memory, &mut rng);
+        let game = IpdGame::new(memory, rounds, payoffs, 0.0).unwrap();
+        for (x, y) in [(&a, &b), (&a, &a)] {
+            let forward = game.play_pure(x, y).unwrap().swapped();
+            let backward = game.play_pure(y, x).unwrap();
+            prop_assert_eq!(forward, backward);
+            prop_assert_eq!(forward.fitness_a.to_bits(), backward.fitness_a.to_bits());
+            prop_assert_eq!(forward.fitness_b.to_bits(), backward.fitness_b.to_bits());
+        }
+        prop_assert!(FitnessMode::Simulated.swap_exact());
+    }
+
+    /// The Markov analyser is *not* assumed swap-exact — its state sums run
+    /// in index order, which exchanging the players permutes — so the
+    /// payoff table plays both orientations of an expected-value pair. What
+    /// is pinned here is that nobody relies on the symmetry: the mode says
+    /// so, the two orientations agree to rounding only, and an evaluator
+    /// asked for both cells returns each orientation's own bits.
+    #[test]
+    fn expected_value_pairs_are_played_from_both_sides(
+        n in 1u32..=2,
+        noise in 0.0f64..=0.2,
+        seed in any::<u64>(),
+    ) {
+        prop_assert!(!FitnessMode::ExpectedValue.swap_exact());
+        let memory = MemoryDepth::new(n).unwrap();
+        let config = SimulationConfig::builder()
+            .memory(memory)
+            .family(StrategyFamily::Mixed)
+            .num_ssets(4)
+            .rounds_per_game(60)
+            .noise(noise)
+            .seed(seed % 4096)
+            .build()
+            .unwrap();
+        let population = config.initial_population().unwrap();
+        let markov = config.markov_game().unwrap();
+        let strategies = population.strategies();
+        let forward = markov.finite_horizon(&strategies[0], &strategies[1]).unwrap();
+        let backward = markov.finite_horizon(&strategies[1], &strategies[0]).unwrap();
+        prop_assert!((forward.payoff_a - backward.payoff_b).abs() < 1e-9);
+        prop_assert!((forward.payoff_b - backward.payoff_a).abs() < 1e-9);
+
+        // Through the table: each SSet's fitness is the sum of its own
+        // orientation's payoffs, whatever the mirror orientation rounds to.
+        let mut evaluator = PairEvaluator::new(&config, FitnessMode::ExpectedValue).unwrap();
+        let fitness = compute_generation_fitness(&population, &mut evaluator, 0).unwrap();
+        for (i, a) in strategies.iter().enumerate() {
+            let mut total = 0.0;
+            let mut own = 0.0;
+            for b in strategies {
+                let pay = markov.finite_horizon(a, b).unwrap().payoff_a;
+                total += pay;
+                if std::ptr::eq(a, b) {
+                    own = pay;
+                }
+            }
+            prop_assert_eq!((total - own).to_bits(), fitness[i].to_bits(), "sset {}", i);
+        }
+        let stats = evaluator.table_stats();
+        prop_assert_eq!(stats.games_played, stats.cells_played);
+    }
+}

@@ -390,7 +390,7 @@ fn fault_during_barrier_surfaces_blocked_barrier_ops() {
     );
     // The root itself is among the stranded ranks.
     assert!(failure.blocked.iter().any(|(rank, _)| *rank == 0));
-    assert_eq!(egd_fault::injection_report().drops, 1);
+    assert_eq!(egd_fault::injection_report(601).drops, 1);
 }
 
 #[test]

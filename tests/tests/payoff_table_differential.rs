@@ -19,6 +19,15 @@
 //! a checkpoint/`restore` mid-run, which starts cold; a caller that hands the
 //! evaluator an unrelated population for one generation; and a caller that,
 //! like a distributed rank, only ever asks for its own block of SSets.
+//!
+//! The table fills a cell and its mirror from one game where the kernel is
+//! swap-exact (`FitnessMode::swap_exact`). The brute-force side never does —
+//! it plays every ordered pair and keeps `to_a` — so a `to_b` stored in the
+//! wrong cell, or taken from a kernel that is not swap-exact, shows as a
+//! fitness bit. The number of games is pinned beside the values: every
+//! unordered pair once on a cold whole-population generation, every cell its
+//! own game in expected-value mode and wherever the mirror row is not asked
+//! for.
 
 use egd_core::grouping::StrategyGrouping;
 use egd_core::prelude::*;
@@ -201,6 +210,32 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// `(cells, games)` a cold table plays for the SSets in `block`: the `k`
+/// cacheable rows of the block against the `n` cacheable strategies of the
+/// population, the `k(k-1)/2` pairs inside the block once where one game
+/// fills both cells.
+fn cold_counts(
+    config: &SimulationConfig,
+    mode: FitnessMode,
+    population: &Population,
+    block: std::ops::Range<usize>,
+) -> (u64, u64) {
+    let strategies = population.strategies();
+    let grouping = StrategyGrouping::of(strategies);
+    let caches = |g: usize| mode.caches(config.noise, &strategies[grouping.group_rep[g]]);
+    let n = (0..grouping.num_groups()).filter(|&g| caches(g)).count() as u64;
+    let mut rows: Vec<usize> = grouping.group_of[block].to_vec();
+    rows.sort_unstable();
+    rows.dedup();
+    let k = rows.into_iter().filter(|&g| caches(g)).count() as u64;
+    let mirrored = if mode.swap_exact() {
+        k * k.saturating_sub(1) / 2
+    } else {
+        0
+    };
+    (k * n, k * n - mirrored)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -217,6 +252,21 @@ proptest! {
         let mut whole = PairEvaluator::new(&config, scenario.mode).unwrap();
         let mut rank = PairEvaluator::new(&config, scenario.mode).unwrap();
         let block = scenario.block();
+
+        // A cold table plays every cell asked for — a pair with both of its
+        // cells asked for once, so the whole population's n² cells take
+        // n(n+1)/2 games (the values are compared in the loop below).
+        for asked in [0..scenario.num_ssets, block.clone()] {
+            let mut cold = PairEvaluator::new(&config, scenario.mode).unwrap();
+            cold.block_fitness(&population, asked.clone(), 0).unwrap();
+            let stats = cold.table_stats();
+            prop_assert_eq!(
+                (stats.cells_played, stats.games_played),
+                cold_counts(&config, scenario.mode, &population, asked.clone()),
+                "cold block {:?}",
+                asked
+            );
+        }
 
         for generation in 0..scenario.generations {
             if generation == scenario.stranger_at {
@@ -253,6 +303,14 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.misses, whole.cache_hits() + whole.cache_misses());
         prop_assert!(stats.cells_played >= stats.misses);
         prop_assert!(stats.slots_occupied as usize <= scenario.num_ssets);
+        // A game fills one cell or two; in expected-value mode always one.
+        for stats in [stats, rank.table_stats()] {
+            prop_assert!(stats.games_played <= stats.cells_played);
+            prop_assert!(2 * stats.games_played >= stats.cells_played);
+            if !scenario.mode.swap_exact() {
+                prop_assert_eq!(stats.games_played, stats.cells_played);
+            }
+        }
     }
 
     /// `Simulation` checkpointed mid-run, the snapshot round-tripped through
@@ -364,4 +422,33 @@ fn a_strategy_that_re_enters_plays_no_game() {
     assert_eq!(stats.slots_reclaimed, 0);
     assert!(stats.cells_played <= 16 * 16, "{stats:?}");
     assert_eq!(stats.hits + stats.misses, cells);
+}
+
+/// A rank whose block holds one strategy has no mirror row of its own: the
+/// cold row is one game per cell. A second distinct strategy in the block
+/// shares exactly one pair with the first.
+#[test]
+fn a_block_mirrors_only_inside_itself() {
+    let config = SimulationConfig::builder()
+        .memory(MemoryDepth::THREE)
+        .num_ssets(12)
+        .agents_per_sset(2)
+        .rounds_per_game(40)
+        .seed(31)
+        .build()
+        .unwrap();
+    let population = config.initial_population().unwrap();
+    let expected = brute_force(&config, FitnessMode::Simulated, &population, 0);
+    for (block, cells, games) in [(4..5, 12, 12), (4..6, 24, 23), (0..12, 144, 78)] {
+        let mut rank = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+        let owned = rank.block_fitness(&population, block.clone(), 0).unwrap();
+        assert_eq!(bits(&owned), bits(&expected[block.clone()]), "{block:?}");
+        let stats = rank.table_stats();
+        assert_eq!(
+            (stats.cells_played, stats.games_played),
+            (cells, games),
+            "{block:?}"
+        );
+        assert_eq!(stats.misses, cells);
+    }
 }
