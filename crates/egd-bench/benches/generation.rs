@@ -1,12 +1,10 @@
-//! Criterion benchmarks of full generations: the sequential reference, the
-//! shared-memory parallel engine at several thread counts, and the grouped vs
-//! agent-level (work-plan) decomposition — the ablation for the SSet
-//! abstraction that the paper's §IV argues for.
+//! Criterion benchmarks of full generations: the sequential reference and the
+//! shared-memory parallel engine at several thread counts, for one fitness
+//! evaluation and for short runs end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egd_core::prelude::*;
 use egd_parallel::engine::ParallelEngine;
-use egd_parallel::partition::WorkPlan;
 use egd_parallel::thread_pool::ThreadConfig;
 use std::hint::black_box;
 use std::time::Duration;
@@ -58,40 +56,6 @@ fn bench_generation_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// Grouped (SSet-level) vs work-plan (agent-level) decomposition: the benefit
-/// of the paper's SSet abstraction for deterministic strategies.
-fn bench_decomposition_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decomposition_ablation");
-    group
-        .measurement_time(Duration::from_secs(3))
-        .sample_size(10);
-    let cfg = config(64, MemoryDepth::ONE);
-    let population = cfg.initial_population().unwrap();
-    let plan = WorkPlan::for_population(&population);
-
-    group.bench_function("grouped_ssets", |bench| {
-        bench.iter(|| {
-            let engine =
-                ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                    .unwrap();
-            black_box(engine.compute_fitness(&population, 0).unwrap())
-        });
-    });
-    group.bench_function("agent_level_workplan", |bench| {
-        bench.iter(|| {
-            let engine =
-                ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                    .unwrap();
-            black_box(
-                engine
-                    .compute_fitness_via_plan(&population, &plan, 0)
-                    .unwrap(),
-            )
-        });
-    });
-    group.finish();
-}
-
 /// Full short simulations end to end (including population dynamics).
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end_generations");
@@ -122,10 +86,5 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_generation_threads,
-    bench_decomposition_ablation,
-    bench_end_to_end
-);
+criterion_group!(benches, bench_generation_threads, bench_end_to_end);
 criterion_main!(benches);

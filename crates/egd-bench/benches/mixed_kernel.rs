@@ -4,8 +4,8 @@
 //! Compares the paper-literal engine (`IpdGame::play`: dynamic strategy
 //! dispatch, per-round `gen_bool` float compares, two view advances) against
 //! the compiled threshold kernel (`IpdGame::play_compiled`), which produces
-//! bit-identical outcomes from the same RNG stream. Also benches the
-//! interned block path that the parallel engine's agent-plan uses.
+//! bit-identical outcomes from the same RNG stream, and the lane-parallel
+//! batch kernel against it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use egd_core::prelude::*;
@@ -90,43 +90,6 @@ fn bench_noisy_pure(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interned block path: one agent's whole opponent block of stochastic
-/// pairings through `StochasticBlock` (amortised substream setup + SoA
-/// scratch), as used by the agent-level work plan.
-fn bench_stochastic_block(c: &mut Criterion) {
-    use egd_core::simulation::FitnessMode;
-    use egd_parallel::{ConcurrentPairEvaluator, StochasticBlock, StochasticScratch};
-
-    let mut group = c.benchmark_group("stochastic_block");
-    group
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-    let config = egd_core::config::SimulationConfig::builder()
-        .memory(MemoryDepth::TWO)
-        .num_ssets(16)
-        .rounds_per_game(200)
-        .noise(0.02)
-        .seed(11)
-        .build()
-        .unwrap();
-    let population = config.initial_population().unwrap();
-    let strategies = population.strategies();
-    let evaluator = ConcurrentPairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
-    let opponents: Vec<(usize, &StrategyKind)> =
-        (1..strategies.len()).map(|j| (j, &strategies[j])).collect();
-    group.bench_function(BenchmarkId::new("block", opponents.len()), |bench| {
-        let block = StochasticBlock::new(&evaluator);
-        let mut scratch = StochasticScratch::new();
-        bench.iter(|| {
-            block
-                .play(0, &strategies[0], &opponents, 0, &mut scratch)
-                .unwrap();
-            black_box(scratch.fitness_a.iter().sum::<f64>())
-        });
-    });
-    group.finish();
-}
-
 /// The lane-parallel batch kernel vs the one-game-at-a-time compiled kernel
 /// on a block of mixed pairings — the batched rung of the ladder. Each
 /// iteration replays the whole block so ns/iter divides by `BLOCK` games.
@@ -192,7 +155,6 @@ criterion_group!(
     benches,
     bench_mixed_ladder,
     bench_noisy_pure,
-    bench_stochastic_block,
     bench_batched_block
 );
 criterion_main!(benches);

@@ -13,9 +13,8 @@
 //! `egd-cluster::perf` (measure what the hardware can execute, model what it
 //! cannot):
 //!
-//! * [`measure_cell_costs`] times every distinct-pair matrix cell — the
-//!   engine's actual parallel work items — **sequentially**, which is exact
-//!   on any machine, and
+//! * [`measure_cell_costs`] times every cell of the distinct-pair payoff
+//!   matrix **sequentially**, which is exact on any machine, and
 //! * [`egd_sched::simulate_schedule`] replays the real scheduling algorithm
 //!   over those measured costs in virtual time, yielding the per-policy
 //!   critical path a machine with one core per worker would observe. This
@@ -103,8 +102,8 @@ pub fn uniform_mixed_workload(num_ssets: usize, rounds: u32, seed: u64) -> Workl
 }
 
 /// Predicted per-cell weights of the workload's distinct-pair matrix under
-/// the shared cost model — the exact vector the engine's cost-guided
-/// initial partition seeds from (cells ordered like [`measure_cell_costs`]).
+/// the shared cost model, in `G × G` row-major order over the strategy
+/// groups.
 pub fn predicted_cell_weights(workload: &Workload) -> Vec<u64> {
     let game = workload.config.game().expect("workload game builds");
     let strategies = workload.population.strategies();
@@ -118,54 +117,37 @@ pub fn predicted_cell_weights(workload: &Workload) -> Vec<u64> {
 }
 
 /// Measures the per-cell cost (ns) of the workload's distinct-pair payoff
-/// matrix — the engine's parallel work items — sequentially, averaged over
-/// `reps` generations after a cache warm-up. Cell order matches the
-/// engine's: `cell = g * num_groups + h`.
+/// matrix sequentially — one [`ConcurrentPairEvaluator::pair_payoff`] per
+/// cell between the groups' representatives — averaged over `reps`
+/// generations after a cache warm-up. Cells are ordered like
+/// [`predicted_cell_weights`]: `cell = g * num_groups + h`.
 pub fn measure_cell_costs(workload: &Workload, reps: u32) -> Vec<u64> {
     let evaluator = ConcurrentPairEvaluator::new(&workload.config, FitnessMode::Simulated)
         .expect("evaluator builds");
     let strategies = workload.population.strategies();
-
-    // Group identically to the engine so representative indices (and random
-    // streams) coincide, and evaluate through the same per-generation
-    // context the engine's cell loop uses.
     let grouping = StrategyGrouping::of(strategies);
     let group_rep = &grouping.group_rep;
     let num_groups = grouping.num_groups();
+    let reps = reps.max(1);
 
-    // Warm-up: fill the deterministic pair cache.
-    for generation in 0..2 {
-        let ctx = evaluator.generation_context(generation, strategies, group_rep);
-        for idx in 0..num_groups * num_groups {
-            evaluator
-                .cell_payoff(
-                    &ctx,
-                    strategies,
-                    group_rep,
-                    idx / num_groups,
-                    idx % num_groups,
-                    generation,
-                )
-                .expect("payoff evaluates");
-        }
-    }
-
+    // The first two generations warm the deterministic pair cache and are
+    // not counted.
     let mut totals = vec![0u64; num_groups * num_groups];
-    for rep in 0..reps.max(1) {
-        let generation = 2 + rep as u64;
-        let ctx = evaluator.generation_context(generation, strategies, group_rep);
+    for generation in 0..2 + u64::from(reps) {
         for (idx, total) in totals.iter_mut().enumerate() {
-            let (g, h) = (idx / num_groups, idx % num_groups);
+            let (i, j) = (group_rep[idx / num_groups], group_rep[idx % num_groups]);
             let start = Instant::now();
             evaluator
-                .cell_payoff(&ctx, strategies, group_rep, g, h, generation)
+                .pair_payoff(i, &strategies[i], j, &strategies[j], generation)
                 .expect("payoff evaluates");
-            *total += start.elapsed().as_nanos() as u64;
+            if generation >= 2 {
+                *total += start.elapsed().as_nanos() as u64;
+            }
         }
     }
     totals
         .into_iter()
-        .map(|total| total / reps.max(1) as u64)
+        .map(|total| total / u64::from(reps))
         .collect()
 }
 
@@ -295,7 +277,9 @@ mod tests {
 
     #[test]
     fn cell_costs_expose_the_skew() {
-        let workload = skewed_mixed_workload(12, 9, 40, 13);
+        // The paper's 200 rounds: a cache hit is a lock and a hash lookup
+        // (~75 ns), which a 40-round game outweighs only ~4×.
+        let workload = skewed_mixed_workload(12, 9, 200, 13);
         let costs = measure_cell_costs(&workload, 2);
         assert_eq!(costs.len(), 12 * 12);
         // Pure-pure cells (rows/cols < 9) are cache hits; mixed cells are

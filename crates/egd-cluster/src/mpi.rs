@@ -53,6 +53,7 @@ use crate::collective;
 use crate::taskexec::{self, ExecError};
 use egd_core::error::{EgdError, EgdResult};
 use egd_obs::{SpanKind, SpanTimer};
+use egd_parallel::thread_pool::ThreadConfig;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -859,16 +860,6 @@ impl SimWorld {
         self
     }
 
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
-    }
-
     /// Runs `body` on every rank — each as a cooperatively scheduled task on
     /// the world's worker pool — and returns the per-rank results in rank
     /// order, plus the world's traffic statistics.
@@ -938,15 +929,15 @@ impl SimWorld {
         // (guard objects), which are dropped when the executor returns — so
         // the blocked-rank list is captured *at stall-detection time*.
         let stall_blocked: Mutex<Option<BlockedRanks>> = Mutex::new(None);
-        let (results, fatal) =
-            taskexec::run_tasks_observed(self.effective_workers(), tasks, |waiting| {
-                *stall_blocked.lock().expect("stall report poisoned") = Some(
-                    waiting
-                        .iter()
-                        .map(|&rank| (rank, shared.pending_op(rank)))
-                        .collect(),
-                );
-            });
+        let workers = ThreadConfig::with_threads(self.workers).effective_threads();
+        let (results, fatal) = taskexec::run_tasks_observed(workers, tasks, |waiting| {
+            *stall_blocked.lock().expect("stall report poisoned") = Some(
+                waiting
+                    .iter()
+                    .map(|&rank| (rank, shared.pending_op(rank)))
+                    .collect(),
+            );
+        });
         let failed_ranks: Vec<(usize, EgdError)> = results
             .iter()
             .enumerate()

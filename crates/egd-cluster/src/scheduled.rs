@@ -49,6 +49,7 @@ use egd_core::simulation::FitnessMode;
 use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_parallel::cache::ConcurrentPairEvaluator;
 use egd_parallel::partition::SSetPartition;
+use egd_parallel::thread_pool::ThreadConfig;
 use egd_sched::SchedStats;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -95,16 +96,6 @@ impl ScheduledConfig {
     pub fn trace_interval(mut self, interval: u64) -> Self {
         self.trace_interval = interval;
         self
-    }
-
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -180,7 +171,7 @@ impl ScheduledExecutor {
     /// scheduled task.
     pub fn run(&self) -> EgdResult<ScheduledRunSummary> {
         let config = &self.sim_config;
-        let threads = self.sched_config.effective_threads();
+        let threads = ThreadConfig::with_threads(self.sched_config.threads).effective_threads();
         let partition = SSetPartition::new(config.num_ssets, self.sched_config.ranks)?;
         let evaluator = ConcurrentPairEvaluator::new(config, self.sched_config.fitness_mode)?;
         let nature = config.nature_agent()?;

@@ -1,6 +1,7 @@
 //! Summary statistics collected during a simulation.
 
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// Summary statistics of a fitness table (one value per SSet).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,6 +48,31 @@ impl FitnessStats {
     /// The spread between the best and worst SSet.
     pub fn range(&self) -> f64 {
         self.max - self.min
+    }
+}
+
+/// Wall-clock breakdown of one or more generations, mirroring the paper's
+/// computation/communication split (Fig. 5): on one node, "dynamics" plays
+/// the role of the global synchronisation.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct GenerationTiming {
+    /// Time spent playing games (the parallel section).
+    pub game_play: Duration,
+    /// Time spent in population dynamics and strategy-view updates
+    /// (the serial / synchronisation section).
+    pub dynamics: Duration,
+}
+
+impl GenerationTiming {
+    /// Total wall-clock time.
+    pub fn total(&self) -> Duration {
+        self.game_play + self.dynamics
+    }
+
+    /// Adds another timing sample into this one.
+    pub fn merge(&mut self, other: &GenerationTiming) {
+        self.game_play += other.game_play;
+        self.dynamics += other.dynamics;
     }
 }
 

@@ -78,17 +78,7 @@ impl Population {
                 reason: "agents_per_sset must be at least 1".to_string(),
             });
         }
-        for (i, s) in strategies.iter().enumerate() {
-            if s.memory() != space.memory() {
-                return Err(EgdError::InvalidConfig {
-                    reason: format!(
-                        "strategy of SSet {i} has {} but the population is {}",
-                        s.memory(),
-                        space.memory()
-                    ),
-                });
-            }
-        }
+        Self::check_memory(&space, &strategies)?;
         Ok(Self::from_strategies_internal(
             space,
             agents_per_sset,
@@ -118,6 +108,37 @@ impl Population {
             opponent_policy: OpponentPolicy::default(),
             version: 0,
         }
+    }
+
+    /// Checks what deserialisation does not: that the strategy view holds one
+    /// strategy per SSet, each of the space's memory depth. A population that
+    /// came from bytes must pass this before an engine indexes into it.
+    pub fn validate(&self) -> EgdResult<()> {
+        if self.strategies.len() != self.ssets.len() {
+            return Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "population has {} SSets but {} strategies",
+                    self.ssets.len(),
+                    self.strategies.len()
+                ),
+            });
+        }
+        Self::check_memory(&self.space, &self.strategies)
+    }
+
+    fn check_memory(space: &StrategySpace, strategies: &[StrategyKind]) -> EgdResult<()> {
+        for (i, s) in strategies.iter().enumerate() {
+            if s.memory() != space.memory() {
+                return Err(EgdError::InvalidConfig {
+                    reason: format!(
+                        "strategy of SSet {i} has {} but the population is {}",
+                        s.memory(),
+                        space.memory()
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Sets the opponent-selection policy (default: every SSet plays all

@@ -1,9 +1,12 @@
-//! Sequential reference simulation.
+//! The generation loop, and its sequential reference backend.
 //!
 //! [`Simulation`] runs the full model — game dynamics within a generation,
-//! then the Nature Agent's population dynamics — on a single thread. It is
-//! the semantic reference: the shared-memory engine (`egd-parallel`) and the
-//! simulated-cluster executor (`egd-cluster`) must produce bit-identical
+//! then the Nature Agent's population dynamics. The loop exists once: what an
+//! execution engine supplies is a [`FitnessBackend`], the computation of one
+//! generation's fitness table. Over the default backend, [`PairEvaluator`],
+//! the simulation runs on a single thread and is the semantic reference: the
+//! shared-memory engine (`egd-parallel`, a backend of this loop) and the
+//! simulated-cluster executors (`egd-cluster`) must produce bit-identical
 //! populations for the same [`SimulationConfig`], which the integration tests
 //! verify.
 //!
@@ -27,7 +30,7 @@ use crate::config::SimulationConfig;
 use crate::dynamics::{GenerationDecision, NatureAgent};
 use crate::error::{EgdError, EgdResult};
 use crate::game::{CompiledStrategy, IpdGame, MarkovGame};
-use crate::metrics::{FitnessStats, GenerationRecord};
+use crate::metrics::{FitnessStats, GenerationRecord, GenerationTiming};
 use crate::payoff_table::{PayoffTable, PayoffTableStats};
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
@@ -35,6 +38,7 @@ use crate::strategy::{Strategy, StrategyKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 
 /// How per-pair payoffs are obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -112,11 +116,6 @@ impl PairKernel {
     /// The fitness mode in use.
     pub fn mode(&self) -> FitnessMode {
         self.mode
-    }
-
-    /// The global seed payoff streams derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// [`FitnessMode::caches`] under this kernel's game.
@@ -480,13 +479,15 @@ impl SimulationState {
         })
     }
 
-    /// Deserialises a snapshot and verifies its RNG stream positions.
+    /// Deserialises a snapshot and verifies its RNG stream positions and
+    /// that its population is consistent.
     pub fn from_bytes(bytes: &[u8]) -> EgdResult<SimulationState> {
         let state: SimulationState =
             serde_json::from_slice(bytes).map_err(|e| EgdError::InvalidConfig {
                 reason: format!("checkpoint deserialisation failed: {e}"),
             })?;
         state.verify_streams()?;
+        state.population.validate()?;
         Ok(state)
     }
 }
@@ -508,17 +509,42 @@ pub struct SimulationReport {
     pub history: Vec<GenerationRecord>,
 }
 
-/// The sequential reference simulation.
+/// What computes a generation's fitness table for [`Simulation`]: the one
+/// step of a generation that differs between execution engines. Every
+/// implementation must return, bit for bit, what
+/// [`compute_generation_fitness`] returns.
+pub trait FitnessBackend {
+    /// The fitness of every SSet of `population` in `generation`.
+    fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>>;
+}
+
+impl FitnessBackend for PairEvaluator {
+    fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
+        compute_generation_fitness(population, self, generation)
+    }
+}
+
+impl<B: FitnessBackend + ?Sized> FitnessBackend for Box<B> {
+    fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
+        (**self).fitness(population, generation)
+    }
+}
+
+/// The generation loop: game dynamics through a [`FitnessBackend`], then the
+/// Nature Agent's population dynamics. With the default backend it is the
+/// sequential reference; `egd-parallel` and `egd-serve` run the same loop
+/// over theirs.
 #[derive(Debug, Clone)]
-pub struct Simulation {
+pub struct Simulation<B = PairEvaluator> {
     config: SimulationConfig,
     population: Population,
     nature: NatureAgent,
-    evaluator: PairEvaluator,
+    backend: B,
     generation: u64,
     generations_with_change: u64,
     last_fitness: Vec<f64>,
     record_interval: u64,
+    timing: GenerationTiming,
 }
 
 impl Simulation {
@@ -530,20 +556,8 @@ impl Simulation {
 
     /// Creates a simulation with an explicit fitness mode.
     pub fn with_fitness_mode(config: SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
-        config.validate()?;
-        let population = config.initial_population()?;
-        let nature = config.nature_agent()?;
         let evaluator = PairEvaluator::new(&config, mode)?;
-        Ok(Simulation {
-            config,
-            population,
-            nature,
-            evaluator,
-            generation: 0,
-            generations_with_change: 0,
-            last_fitness: Vec::new(),
-            record_interval: 0,
-        })
+        Self::with_backend(config, None, evaluator)
     }
 
     /// Creates a simulation starting from an explicit population.
@@ -552,33 +566,96 @@ impl Simulation {
         population: Population,
         mode: FitnessMode,
     ) -> EgdResult<Self> {
-        config.validate()?;
-        if population.num_ssets() != config.num_ssets {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "population has {} SSets but the configuration expects {}",
-                    population.num_ssets(),
-                    config.num_ssets
-                ),
-            });
-        }
-        if population.memory() != config.memory {
-            return Err(EgdError::InvalidConfig {
-                reason: "population memory depth does not match the configuration".to_string(),
-            });
-        }
-        let nature = config.nature_agent()?;
         let evaluator = PairEvaluator::new(&config, mode)?;
+        Self::with_backend(config, Some(population), evaluator)
+    }
+
+    /// [`Simulation::restore_with_backend`] for the sequential evaluator.
+    pub fn restore(
+        config: SimulationConfig,
+        state: &SimulationState,
+        mode: FitnessMode,
+    ) -> EgdResult<Self> {
+        let evaluator = PairEvaluator::new(&config, mode)?;
+        Self::restore_with_backend(config, state, evaluator)
+    }
+
+    /// The pair evaluator (for cache statistics).
+    pub fn evaluator(&self) -> &PairEvaluator {
+        &self.backend
+    }
+}
+
+impl<B: FitnessBackend> Simulation<B> {
+    /// Creates a simulation over `backend`, starting from `population` or,
+    /// without one, from the configuration's random initial population.
+    pub fn with_backend(
+        config: SimulationConfig,
+        population: Option<Population>,
+        backend: B,
+    ) -> EgdResult<Self> {
+        config.validate()?;
+        let population = match population {
+            None => config.initial_population()?,
+            Some(population) => {
+                population.validate()?;
+                if population.num_ssets() != config.num_ssets {
+                    return Err(EgdError::InvalidConfig {
+                        reason: format!(
+                            "population has {} SSets but the configuration expects {}",
+                            population.num_ssets(),
+                            config.num_ssets
+                        ),
+                    });
+                }
+                if population.memory() != config.memory {
+                    return Err(EgdError::InvalidConfig {
+                        reason: "population memory depth does not match the configuration"
+                            .to_string(),
+                    });
+                }
+                population
+            }
+        };
+        let nature = config.nature_agent()?;
         Ok(Simulation {
             config,
             population,
             nature,
-            evaluator,
+            backend,
             generation: 0,
             generations_with_change: 0,
             last_fitness: Vec::new(),
             record_interval: 0,
+            timing: GenerationTiming::default(),
         })
+    }
+
+    /// Rebuilds a simulation from a checkpointed state, verifying that the
+    /// snapshot matches `config` (seed, population shape) and that its RNG
+    /// stream positions re-derive exactly. Because every random decision of
+    /// generation `g` draws from substreams keyed by `(seed, g)`, the
+    /// resumed trajectory is bit-identical to an uninterrupted run on any
+    /// backend. The backend's payoff caches start cold — they are a
+    /// performance device, not semantic state.
+    pub fn restore_with_backend(
+        config: SimulationConfig,
+        state: &SimulationState,
+        backend: B,
+    ) -> EgdResult<Self> {
+        if config.seed != state.seed {
+            return Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "checkpoint was taken under seed {} but the configuration has seed {}",
+                    state.seed, config.seed
+                ),
+            });
+        }
+        state.verify_streams()?;
+        let mut sim = Self::with_backend(config, Some(state.population.clone()), backend)?;
+        sim.generation = state.generation;
+        sim.generations_with_change = state.generations_with_change;
+        Ok(sim)
     }
 
     /// Records a [`GenerationRecord`] every `interval` generations while
@@ -607,19 +684,30 @@ impl Simulation {
         &self.last_fitness
     }
 
-    /// The pair evaluator (for cache statistics).
-    pub fn evaluator(&self) -> &PairEvaluator {
-        &self.evaluator
+    /// The fitness backend (for its statistics).
+    pub fn backend(&self) -> &B {
+        &self.backend
+    }
+
+    /// Wall-clock time spent so far, split into the backend's game play and
+    /// the Nature Agent's dynamics.
+    pub fn timing(&self) -> GenerationTiming {
+        self.timing
     }
 
     /// Runs one generation: game dynamics, then population dynamics.
     /// Returns the Nature Agent's decision for the generation.
     pub fn step(&mut self) -> EgdResult<GenerationDecision> {
-        let fitness =
-            compute_generation_fitness(&self.population, &mut self.evaluator, self.generation)?;
+        let start = Instant::now();
+        let fitness = self.backend.fitness(&self.population, self.generation)?;
+        let played = Instant::now();
         let decision = self
             .nature
             .evolve(self.generation, &fitness, &mut self.population)?;
+        self.timing.merge(&GenerationTiming {
+            game_play: played - start,
+            dynamics: played.elapsed(),
+        });
         if decision.changes_population() {
             self.generations_with_change += 1;
         }
@@ -635,7 +723,7 @@ impl Simulation {
     }
 
     /// Captures the simulation's cross-generation state at the current
-    /// boundary. `restore` of the result reproduces the remaining run
+    /// boundary. Restoring the result reproduces the remaining run
     /// bit-for-bit.
     pub fn checkpoint(&self) -> SimulationState {
         SimulationState::capture(
@@ -646,40 +734,13 @@ impl Simulation {
         )
     }
 
-    /// Rebuilds a simulation from a checkpointed state, verifying that the
-    /// snapshot matches `config` (seed, population shape) and that its RNG
-    /// stream positions re-derive exactly. The pair-payoff caches start cold
-    /// — they are a performance device, not semantic state.
-    pub fn restore(
-        config: SimulationConfig,
-        state: &SimulationState,
-        mode: FitnessMode,
-    ) -> EgdResult<Simulation> {
-        if config.seed != state.seed {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "checkpoint was taken under seed {} but the configuration has seed {}",
-                    state.seed, config.seed
-                ),
-            });
-        }
-        state.verify_streams()?;
-        let mut sim = Simulation::with_population(config, state.population.clone(), mode)?;
-        sim.generation = state.generation;
-        sim.generations_with_change = state.generations_with_change;
-        Ok(sim)
-    }
-
     /// Runs `generations` additional generations, collecting history records
     /// at the configured interval.
     pub fn run_for(&mut self, generations: u64) -> EgdResult<SimulationReport> {
         let mut history = Vec::new();
-        let mut changes = 0u64;
+        let changes_before = self.generations_with_change;
         for _ in 0..generations {
             let decision = self.step()?;
-            if decision.changes_population() {
-                changes += 1;
-            }
             if self.record_interval > 0 && self.generation.is_multiple_of(self.record_interval) {
                 history.push(self.snapshot(decision.changes_population()));
             }
@@ -687,7 +748,7 @@ impl Simulation {
         let (_, dominant_fraction) = self.population.dominant_strategy();
         Ok(SimulationReport {
             generations_run: generations,
-            generations_with_change: changes,
+            generations_with_change: self.generations_with_change - changes_before,
             final_dominant_fraction: dominant_fraction,
             final_distinct_strategies: self.population.census().len(),
             final_fitness: FitnessStats::from_slice(&self.last_fitness),

@@ -1,8 +1,7 @@
 //! Shared skew and load-balance arithmetic.
 //!
-//! Before this layer existed, `WorkPlan::static_skew`, the benchmark
-//! harnesses and the scheduler's replay each re-derived their own
-//! max-over-mean imbalance from per-chunk weight sums. These helpers are the
+//! The benchmark harnesses and the scheduler's replay both need a
+//! max-over-mean imbalance of per-chunk weight sums. These helpers are the
 //! single home for that math; every consumer reduces to
 //! [`egd_sched::max_over_mean`], so "imbalance" means the same number
 //! everywhere (1.0 = perfectly balanced, `workers` = one worker did

@@ -1,32 +1,19 @@
-//! Thread-safe pairwise-fitness evaluation with a contention-free cache.
+//! Thread-safe pairwise-fitness evaluation.
 //!
-//! For deterministic games (pure strategies, no noise — the paper's
-//! production setting) the payoff of a strategy pair never changes, so the
-//! engine memoises it. Under the work-stealing scheduler the cache is hit
-//! concurrently from many worker threads; the previous design (64
-//! `RwLock<HashMap>` shards) still serialised hits through shard read locks
-//! and paid SipHash on keys that are already 64-bit fingerprint hashes.
+//! [`ConcurrentPairEvaluator`] is what the parallel engines share between
+//! their workers. A generation's fitness goes through its retained
+//! [`PayoffTable`] ([`ConcurrentPairEvaluator::generation_fitness`]): only
+//! the rows and columns of strategies that entered the population, and the
+//! stochastic games, are played, as a [`CellBatch`] the caller spreads over
+//! its workers. Stochastic games run on the compiled kernel
+//! ([`egd_core::game::IpdGame::play_compiled`]) with per-generation interning
+//! of compiled strategies ([`crate::intern::CompiledInterner`]).
 //!
-//! [`PayoffSlab`] replaces it: an **append-only, read-mostly** open-addressed
-//! table of atomic slots. A hit is a handful of atomic loads — no locks, no
-//! CAS, no re-hashing (slots are addressed by mixing the fingerprints
-//! directly). Writes CAS an empty slot through a short `WRITING` window and
-//! publish with a release store; because deterministic payoffs are a pure
-//! function of the key, racing writers of the same key are benign (both
-//! write identical values). When the fixed-capacity slab fills up, inserts
-//! spill to a small lock-guarded overflow map, preserving unbounded capacity
-//! without complicating the lock-free fast path.
-//!
-//! Stochastic pairs are never cached; they now run on the compiled kernel
-//! ([`IpdGame::play_compiled`]) with per-generation interning of compiled
-//! strategies ([`crate::intern::CompiledInterner`]).
-//!
-//! The slab serves callers that ask for single pairs
-//! ([`ConcurrentPairEvaluator::pair_payoff`], the agent-plan path). The
-//! engines' per-generation fitness does not probe it: it goes through the
-//! evaluator's retained [`PayoffTable`]
-//! ([`ConcurrentPairEvaluator::generation_fitness`]), which plays only the
-//! rows and columns of strategies that entered the population.
+//! Callers that ask for single pairs
+//! ([`ConcurrentPairEvaluator::pair_payoff`]: the benchmarks' cost probes)
+//! get the same bounded memo the sequential
+//! [`egd_core::simulation::PairEvaluator::pair_payoff`] keeps, behind a
+//! mutex. No engine probes it.
 
 use crate::intern::CompiledInterner;
 use egd_core::config::SimulationConfig;
@@ -35,184 +22,12 @@ use egd_core::game::{CompiledStrategy, IpdGame};
 use egd_core::payoff_table::{PayoffTable, PayoffTableStats, PlannedCells};
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairKernel};
-use egd_core::strategy::{Strategy, StrategyKind};
+use egd_core::strategy::StrategyKind;
 use egd_obs::MetricsSnapshot;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Slot is unclaimed.
-const SLOT_EMPTY: u64 = 0;
-/// A writer has claimed the slot and is filling it in.
-const SLOT_WRITING: u64 = 1;
-/// The slot's key and payoffs are published.
-const SLOT_FULL: u64 = 2;
-
-/// log2 of the lock-free slab capacity (8192 pairs ≈ 320 KiB of slots —
-/// far beyond the distinct-pair count of any population this workspace
-/// runs; overflow degrades gracefully to a locked map).
-const SLAB_BITS: u32 = 13;
-/// Linear-probe bound before an operation falls through to the overflow map.
-const MAX_PROBE: usize = 32;
-/// Occupancy (in slots) beyond which inserts spill to the overflow map.
-const SPILL_AT: usize = (1usize << SLAB_BITS) / 4 * 3;
-
-#[derive(Debug, Default)]
-struct Slot {
-    state: AtomicU64,
-    key_a: AtomicU64,
-    key_b: AtomicU64,
-    pay_a: AtomicU64,
-    pay_b: AtomicU64,
-}
-
-/// Append-only concurrent payoff table: `(fingerprint_a, fingerprint_b)` →
-/// `(payoff_a, payoff_b)`. Lock-free on the hit path.
-#[derive(Debug)]
-struct PayoffSlab {
-    slots: Box<[Slot]>,
-    filled: AtomicUsize,
-    overflow: RwLock<HashMap<(u64, u64), (f64, f64)>>,
-    overflow_len: AtomicUsize,
-}
-
-impl PayoffSlab {
-    fn new() -> Self {
-        PayoffSlab {
-            slots: (0..1usize << SLAB_BITS)
-                .map(|_| Slot::default())
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            filled: AtomicUsize::new(0),
-            overflow: RwLock::new(HashMap::new()),
-            overflow_len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Mixes the two fingerprints into a probe start. The fingerprints are
-    /// already FNV-mixed, so a cheap combine suffices — no SipHash pass.
-    #[inline]
-    fn probe_start(key: (u64, u64)) -> usize {
-        let mixed = key.0 ^ key.1.rotate_left(29).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed as usize) & ((1usize << SLAB_BITS) - 1)
-    }
-
-    /// Waits out a concurrent writer's brief `WRITING` window. Bounded
-    /// spinning, then yields (the host may have a single core).
-    #[inline]
-    fn wait_published(slot: &Slot) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let state = slot.state.load(Ordering::Acquire);
-            if state != SLOT_WRITING {
-                return state;
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Looks up a pair. Lock-free unless the entry spilled to overflow.
-    fn get(&self, key: (u64, u64)) -> Option<(f64, f64)> {
-        let mask = (1usize << SLAB_BITS) - 1;
-        let mut idx = Self::probe_start(key);
-        for _ in 0..MAX_PROBE {
-            let slot = &self.slots[idx];
-            let state = match slot.state.load(Ordering::Acquire) {
-                SLOT_WRITING => Self::wait_published(slot),
-                s => s,
-            };
-            if state == SLOT_EMPTY {
-                return self.get_overflow(key);
-            }
-            if slot.key_a.load(Ordering::Relaxed) == key.0
-                && slot.key_b.load(Ordering::Relaxed) == key.1
-            {
-                return Some((
-                    f64::from_bits(slot.pay_a.load(Ordering::Relaxed)),
-                    f64::from_bits(slot.pay_b.load(Ordering::Relaxed)),
-                ));
-            }
-            idx = (idx + 1) & mask;
-        }
-        self.get_overflow(key)
-    }
-
-    fn get_overflow(&self, key: (u64, u64)) -> Option<(f64, f64)> {
-        if self.overflow_len.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        self.overflow.read().get(&key).copied()
-    }
-
-    /// Inserts a pair. Values are a pure function of the key, so racing
-    /// inserts of the same key are benign.
-    fn insert(&self, key: (u64, u64), value: (f64, f64)) {
-        if self.filled.load(Ordering::Relaxed) < SPILL_AT {
-            let mask = (1usize << SLAB_BITS) - 1;
-            let mut idx = Self::probe_start(key);
-            for _ in 0..MAX_PROBE {
-                let slot = &self.slots[idx];
-                match slot.state.compare_exchange(
-                    SLOT_EMPTY,
-                    SLOT_WRITING,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        slot.key_a.store(key.0, Ordering::Relaxed);
-                        slot.key_b.store(key.1, Ordering::Relaxed);
-                        slot.pay_a.store(value.0.to_bits(), Ordering::Relaxed);
-                        slot.pay_b.store(value.1.to_bits(), Ordering::Relaxed);
-                        slot.state.store(SLOT_FULL, Ordering::Release);
-                        self.filled.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    Err(SLOT_WRITING) => {
-                        Self::wait_published(slot);
-                    }
-                    Err(_) => {}
-                }
-                // Slot is FULL (either it already was, or the writer we
-                // waited for published): if it holds our key we are done.
-                if slot.key_a.load(Ordering::Relaxed) == key.0
-                    && slot.key_b.load(Ordering::Relaxed) == key.1
-                {
-                    return;
-                }
-                idx = (idx + 1) & mask;
-            }
-        }
-        let mut overflow = self.overflow.write();
-        overflow.insert(key, value);
-        self.overflow_len.store(overflow.len(), Ordering::Relaxed);
-    }
-
-    /// Total number of cached pairs (slab + overflow).
-    fn len(&self) -> usize {
-        self.filled.load(Ordering::Relaxed) + self.overflow_len.load(Ordering::Relaxed)
-    }
-}
-
-/// Precomputed per-generation evaluation state for a grouped population:
-/// one fingerprint, determinism flag and (when stochastic play is possible)
-/// compiled strategy per distinct-strategy group. Built once per generation
-/// by [`ConcurrentPairEvaluator::generation_context`] and shared read-only
-/// by every pair-matrix cell.
-#[derive(Debug)]
-pub struct GenerationContext {
-    /// Fingerprint of each group representative's strategy.
-    pub fingerprints: Vec<u64>,
-    /// Whether each group's strategy is deterministic.
-    pub deterministic: Vec<bool>,
-    /// Compiled strategies, populated when any stochastic game can occur.
-    compiled: Vec<Option<Arc<CompiledStrategy>>>,
-}
 
 /// A concurrent pairwise-payoff evaluator, semantically identical to
 /// [`egd_core::simulation::PairEvaluator`] but callable from many threads at
@@ -220,7 +35,10 @@ pub struct GenerationContext {
 #[derive(Debug)]
 pub struct ConcurrentPairEvaluator {
     kernel: PairKernel,
-    cache: PayoffSlab,
+    /// Memo of [`ConcurrentPairEvaluator::pair_payoff`] (single-pair callers
+    /// only). Payoffs are a pure function of the key, so two threads that
+    /// miss the same pair insert the same value.
+    cache: Mutex<HashMap<(u64, u64), (f64, f64)>>,
     /// The payoff matrix [`ConcurrentPairEvaluator::generation_fitness`]
     /// keeps between generations. Locked for a whole fitness call; the
     /// games themselves run outside it, on the caller's workers.
@@ -282,11 +100,14 @@ impl<'a> CellBatch<'a> {
 }
 
 impl ConcurrentPairEvaluator {
+    /// Maximum number of memoised strategy pairs before the memo is reset.
+    const MAX_CACHE_ENTRIES: usize = 1 << 20;
+
     /// Creates an evaluator for a configuration.
     pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
         Ok(ConcurrentPairEvaluator {
             kernel: PairKernel::new(config, mode)?,
-            cache: PayoffSlab::new(),
+            cache: Mutex::new(HashMap::new()),
             table: Mutex::new(PayoffTable::new(config.num_ssets)),
             interner: CompiledInterner::new(),
             hits: AtomicU64::new(0),
@@ -304,13 +125,8 @@ impl ConcurrentPairEvaluator {
         self.kernel.game()
     }
 
-    /// The global seed payoff streams derive from.
-    pub fn seed(&self) -> u64 {
-        self.kernel.seed()
-    }
-
     /// Cacheable cells served without playing a game so far (by the payoff
-    /// table and by the `pair_payoff` slab).
+    /// table and by the `pair_payoff` memo).
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed) + self.table.lock().stats().hits
     }
@@ -320,9 +136,9 @@ impl ConcurrentPairEvaluator {
         self.misses.load(Ordering::Relaxed) + self.table.lock().stats().misses
     }
 
-    /// Total number of cached pairs (slab entries plus valid table cells).
+    /// Total number of cached pairs (memo entries plus valid table cells).
     pub fn cached_pairs(&self) -> usize {
-        self.cache.len() + self.table.lock().valid_cells()
+        self.cache.lock().len() + self.table.lock().valid_cells()
     }
 
     /// Counters of the retained payoff matrix.
@@ -350,80 +166,6 @@ impl ConcurrentPairEvaluator {
     /// while tracing is enabled).
     pub fn strategy_compiles(&self) -> u64 {
         self.interner.compiles()
-    }
-
-    /// The compiled form of `strategy` for `generation` (interned: one
-    /// compile per distinct strategy per generation).
-    pub fn compiled_for(&self, generation: u64, strategy: &StrategyKind) -> Arc<CompiledStrategy> {
-        self.interner.compiled_for(generation, strategy)
-    }
-
-    /// The interned dense pair table for `(a, b)` in `generation` — the unit
-    /// the batched stochastic kernel copies lanes from (see
-    /// [`CompiledInterner::pair_table_for`]).
-    pub fn pair_table_for(
-        &self,
-        generation: u64,
-        a: &StrategyKind,
-        b: &StrategyKind,
-    ) -> Arc<egd_core::game::CompiledPairTable> {
-        self.interner.pair_table_for(generation, a, b)
-    }
-
-    /// Pre-compiles the distinct strategies of a generation (one per group
-    /// representative) so the parallel section only takes read locks. Call
-    /// before fanning out when stochastic games will be played; harmless
-    /// (and skipped) when every pair is deterministic or expected-value.
-    pub fn prepare_generation(
-        &self,
-        generation: u64,
-        strategies: &[StrategyKind],
-        group_rep: &[usize],
-    ) {
-        if self.mode() != FitnessMode::Simulated {
-            return;
-        }
-        let any_stochastic = self.game().noise() > 0.0
-            || group_rep.iter().any(|&i| !strategies[i].is_deterministic());
-        if any_stochastic {
-            self.interner.prepare(generation, strategies, group_rep);
-        }
-    }
-
-    /// Builds the per-generation evaluation context for a grouped
-    /// population: group fingerprints, determinism flags and compiled
-    /// strategies are computed **once per distinct strategy** instead of
-    /// once per pair-matrix cell (a `G×G` matrix recomputes each
-    /// fingerprint `2G` times through [`ConcurrentPairEvaluator::pair_payoff`]).
-    pub fn generation_context(
-        &self,
-        generation: u64,
-        strategies: &[StrategyKind],
-        group_rep: &[usize],
-    ) -> GenerationContext {
-        let fingerprints: Vec<u64> = group_rep
-            .iter()
-            .map(|&i| strategies[i].fingerprint())
-            .collect();
-        let deterministic: Vec<bool> = group_rep
-            .iter()
-            .map(|&i| strategies[i].is_deterministic())
-            .collect();
-        let stochastic_possible = self.mode() == FitnessMode::Simulated
-            && (self.game().noise() > 0.0 || deterministic.iter().any(|&d| !d));
-        let compiled = if stochastic_possible {
-            self.compiled_groups(generation, strategies, group_rep)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            vec![None; group_rep.len()]
-        };
-        GenerationContext {
-            fingerprints,
-            deterministic,
-            compiled,
-        }
     }
 
     /// The compiled strategy of every group representative, interned for
@@ -477,44 +219,11 @@ impl ConcurrentPairEvaluator {
         )
     }
 
-    /// Payoff of the distinct-pair matrix cell `(g, h)` using the
-    /// precomputed [`GenerationContext`]. Semantically identical to
-    /// [`ConcurrentPairEvaluator::pair_payoff`] on the groups'
-    /// representatives — same cache keys, same per-pair random streams,
-    /// same kernels — with all per-strategy work hoisted out.
-    pub fn cell_payoff(
-        &self,
-        ctx: &GenerationContext,
-        strategies: &[StrategyKind],
-        group_rep: &[usize],
-        g: usize,
-        h: usize,
-        generation: u64,
-    ) -> EgdResult<(f64, f64)> {
-        let (i, j) = (group_rep[g], group_rep[h]);
-        let deterministic_pair =
-            self.game().noise() == 0.0 && ctx.deterministic[g] && ctx.deterministic[h];
-        let compiled = if deterministic_pair {
-            None
-        } else {
-            ctx.compiled[g].as_deref().zip(ctx.compiled[h].as_deref())
-        };
-        self.evaluate_pair(
-            (ctx.fingerprints[g], ctx.fingerprints[h]),
-            deterministic_pair,
-            i,
-            &strategies[i],
-            j,
-            &strategies[j],
-            compiled,
-            generation,
-        )
-    }
-
     /// Payoffs `(to_a, to_b)` of one game between two strategies in a given
     /// generation. Exactly mirrors
-    /// [`egd_core::simulation::PairEvaluator::pair_payoff`] so that parallel
-    /// and sequential runs stay bit-identical.
+    /// [`egd_core::simulation::PairEvaluator::pair_payoff`] — same cache
+    /// keys, same bounded memo, same per-pair random streams — but callable
+    /// from many threads at once through `&self`.
     pub fn pair_payoff(
         &self,
         a_index: usize,
@@ -523,62 +232,32 @@ impl ConcurrentPairEvaluator {
         b: &StrategyKind,
         generation: u64,
     ) -> EgdResult<(f64, f64)> {
-        self.evaluate_pair(
-            (a.fingerprint(), b.fingerprint()),
-            self.game().is_deterministic_for(a, b),
-            a_index,
-            a,
-            b_index,
-            b,
-            None,
-            generation,
-        )
-    }
-
-    /// The single evaluation routine behind [`ConcurrentPairEvaluator::pair_payoff`]
-    /// and [`ConcurrentPairEvaluator::cell_payoff`]: cache lookup,
-    /// [`PairKernel::play`], cache insertion. `compiled` supplies
-    /// pre-resolved compiled strategies for a stochastic game; when `None`,
-    /// they are fetched from the per-generation interner.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_pair(
-        &self,
-        key: (u64, u64),
-        deterministic_pair: bool,
-        a_index: usize,
-        a: &StrategyKind,
-        b_index: usize,
-        b: &StrategyKind,
-        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
-        generation: u64,
-    ) -> EgdResult<(f64, f64)> {
-        let cacheable = match self.mode() {
-            FitnessMode::Simulated => deterministic_pair,
-            FitnessMode::ExpectedValue => true,
-        };
+        let cacheable = self.kernel.caches(a) && self.kernel.caches(b);
+        let key = (a.fingerprint(), b.fingerprint());
         if cacheable {
-            if let Some(hit) = self.cache.get(key) {
+            if let Some(&hit) = self.cache.lock().get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
         }
-        let interned;
-        let compiled = match compiled {
-            None if !cacheable => {
-                interned = (
-                    self.interner.compiled_for(generation, a),
-                    self.interner.compiled_for(generation, b),
-                );
-                Some((&*interned.0, &*interned.1))
-            }
-            given => given,
-        };
+        // The game is played outside the memo's lock.
+        let interned = (!cacheable).then(|| {
+            (
+                self.interner.compiled_for(generation, a),
+                self.interner.compiled_for(generation, b),
+            )
+        });
+        let compiled = interned.as_ref().map(|(ca, cb)| (&**ca, &**cb));
         let result = self
             .kernel
             .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
         if cacheable {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.cache.insert(key, result);
+            let mut cache = self.cache.lock();
+            if cache.len() >= Self::MAX_CACHE_ENTRIES {
+                cache.clear();
+            }
+            cache.insert(key, result);
         }
         Ok(result)
     }
@@ -599,36 +278,6 @@ mod tests {
             .seed(5)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn slab_round_trips_and_counts() {
-        let slab = PayoffSlab::new();
-        assert_eq!(slab.get((1, 2)), None);
-        slab.insert((1, 2), (3.5, -0.25));
-        assert_eq!(slab.get((1, 2)), Some((3.5, -0.25)));
-        // Idempotent re-insert of the same key does not grow the table.
-        slab.insert((1, 2), (3.5, -0.25));
-        assert_eq!(slab.len(), 1);
-        assert_eq!(slab.get((2, 1)), None, "asymmetric keys are distinct");
-    }
-
-    #[test]
-    fn slab_handles_probe_collisions() {
-        let slab = PayoffSlab::new();
-        // Many keys sharing low bits force linear probing and overflow.
-        let n = MAX_PROBE as u64 * 3;
-        for i in 0..n {
-            // key.1 = 0 keeps probe_start = key.0's low bits; stride by the
-            // slab size so every key lands on the same start slot.
-            let key = ((i << SLAB_BITS) + 7, 0);
-            slab.insert(key, (i as f64, -(i as f64)));
-        }
-        for i in 0..n {
-            let key = ((i << SLAB_BITS) + 7, 0);
-            assert_eq!(slab.get(key), Some((i as f64, -(i as f64))), "key {i}");
-        }
-        assert_eq!(slab.len(), n as usize);
     }
 
     #[test]
@@ -718,20 +367,5 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(evaluator.cache_hits(), 1);
         assert_eq!(evaluator.mode(), FitnessMode::ExpectedValue);
-    }
-
-    #[test]
-    fn prepare_generation_prefills_the_interner() {
-        use egd_core::grouping::StrategyGrouping;
-        let cfg = config(0.05);
-        let population = cfg.initial_population().unwrap();
-        let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
-        let strategies = population.strategies();
-        let grouping = StrategyGrouping::of(strategies);
-        evaluator.prepare_generation(0, strategies, &grouping.group_rep);
-        // Noisy games make every pair stochastic, so every rep is compiled.
-        let compiled = evaluator.compiled_for(0, &strategies[0]);
-        let again = evaluator.compiled_for(0, &strategies[0]);
-        assert!(Arc::ptr_eq(&compiled, &again));
     }
 }

@@ -1,75 +1,26 @@
 //! The parallel generation engine.
 //!
 //! [`ParallelEngine`] computes the per-SSet fitness of one generation on a
-//! rayon thread pool. Two equivalent execution paths are provided:
-//!
-//! * [`ParallelEngine::compute_fitness`] — the production path. Strategies
-//!   are grouped (SSets holding identical strategies share their pair
-//!   payoffs), the distinct-pair payoff matrix is kept between generations
-//!   and the cells that have to be played are evaluated in parallel. This
-//!   matches `egd_core::simulation::compute_generation_fitness`
-//!   bit-for-bit, so sequential and parallel runs are interchangeable.
-//! * [`ParallelEngine::compute_fitness_via_plan`] — the paper-faithful
-//!   agent-level path: every agent's chunk of opponent games is an
-//!   independent work item ([`crate::partition::WorkPlan`]), partial fitness
-//!   sums are reduced per worker in fixed order. Used by the ablation
-//!   benchmarks that quantify what the SSet grouping buys.
+//! rayon thread pool ([`ParallelEngine::compute_fitness`]): strategies are
+//! grouped (SSets holding identical strategies share their pair payoffs), the
+//! distinct-pair payoff matrix is kept between generations and the games that
+//! have to be played are spread over the workers. The result matches
+//! `egd_core::simulation::compute_generation_fitness` bit-for-bit, so the
+//! engine is a [`FitnessBackend`] of the one generation loop,
+//! `egd_core::simulation::Simulation`.
 
 use crate::cache::ConcurrentPairEvaluator;
-use crate::partition::WorkPlan;
-use crate::reduction::reduce_partials;
-use crate::stochastic::{StochasticBlock, StochasticScratch};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
+pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
-use egd_core::simulation::FitnessMode;
+use egd_core::simulation::{FitnessBackend, FitnessMode};
 use egd_cost::predict::MeasuredEwma;
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_sched::SchedStats;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Wall-clock breakdown of one generation, mirroring the paper's
-/// computation/communication split (Fig. 5) for the shared-memory engine
-/// (where "dynamics" plays the role of the global synchronisation).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct GenerationTiming {
-    /// Time spent playing games (the parallel section).
-    pub game_play: Duration,
-    /// Time spent in population dynamics and strategy-view updates
-    /// (the serial / synchronisation section).
-    pub dynamics: Duration,
-}
-
-impl GenerationTiming {
-    /// Total wall-clock time of the generation.
-    pub fn total(&self) -> Duration {
-        self.game_play + self.dynamics
-    }
-
-    /// Adds another timing sample into this one.
-    pub fn merge(&mut self, other: &GenerationTiming) {
-        self.game_play += other.game_play;
-        self.dynamics += other.dynamics;
-    }
-}
-
-/// Per-worker reusable buffers for the agent-plan fitness path: the
-/// stochastic game scratch plus the block bookkeeping vectors.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    /// `(position in block, opponent index)` of each stochastic pairing.
-    stochastic: Vec<(usize, usize)>,
-    /// Opponent indices handed to the block kernel.
-    opp_indices: Vec<usize>,
-    /// Per-opponent payoffs in block order (cacheable + stochastic merged).
-    to_me: Vec<f64>,
-    /// SoA result buffers of the stochastic block kernel.
-    games: StochasticScratch,
-}
 
 /// The parallel fitness engine.
 #[derive(Debug)]
@@ -82,6 +33,9 @@ pub struct ParallelEngine {
     cost_model: egd_cost::CostModel,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
+    /// Scheduler statistics merged over every [`FitnessBackend::fitness`]
+    /// call.
+    run_sched: Option<SchedStats>,
     /// Measured per-cell wall time keyed by fingerprint pair, accumulated
     /// while tracing is enabled (the feedback table the cost layer can
     /// calibrate against).
@@ -106,6 +60,7 @@ impl ParallelEngine {
             threads,
             cost_model: egd_cost::CostModel::blue_gene_like(),
             last_sched: Mutex::new(None),
+            run_sched: None,
             measured: Mutex::new(MeasuredCosts::default()),
             repricing: Mutex::new(None),
         })
@@ -154,6 +109,13 @@ impl ParallelEngine {
         self.last_sched.lock().clone()
     }
 
+    /// Scheduler statistics accumulated over the generations the engine
+    /// computed as a [`FitnessBackend`]; `None` before any parallel section
+    /// ran.
+    pub fn run_sched_stats(&self) -> Option<&SchedStats> {
+        self.run_sched.as_ref()
+    }
+
     /// Measured per-cell wall time keyed by `(fingerprint_a, fingerprint_b)`,
     /// accumulated across fitness calls while span tracing is enabled. Empty
     /// when tracing never ran. The cost layer can calibrate its predicted
@@ -194,11 +156,7 @@ impl ParallelEngine {
             .pool
             .install(|| egd_sched::with_policy(self.threads.policy, op));
         if let Some(stats) = egd_sched::take_last_run_stats() {
-            let mut slot = self.last_sched.lock();
-            match slot.as_mut() {
-                Some(total) => total.merge(&stats),
-                None => *slot = Some(stats),
-            }
+            bank(&mut self.last_sched.lock(), &stats);
         }
         result
     }
@@ -209,10 +167,9 @@ impl ParallelEngine {
     }
 
     /// Computes the fitness of every SSet for `generation` using strategy
-    /// grouping and the evaluator's retained payoff matrix (production
-    /// path): only the games of strategies that entered the population, and
-    /// the stochastic ones, are played — in parallel — and scattered into
-    /// the matrix after the join.
+    /// grouping and the evaluator's retained payoff matrix: only the games of
+    /// strategies that entered the population, and the stochastic ones, are
+    /// played — in parallel — and scattered into the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
         self.reset_sched_stats();
         self.evaluator
@@ -275,97 +232,23 @@ impl ParallelEngine {
                 })
             })
     }
+}
 
-    /// Computes the fitness via the explicit agent-level work plan: every
-    /// agent's chunk of games is an independent task, partial sums are
-    /// reduced in worker order. Matches [`ParallelEngine::compute_fitness`]
-    /// for deterministic and expected-value games.
-    pub fn compute_fitness_via_plan(
-        &self,
-        population: &Population,
-        plan: &WorkPlan,
-        generation: u64,
-    ) -> EgdResult<Vec<f64>> {
-        self.reset_sched_stats();
-        let n = population.num_ssets();
-        let strategies = population.strategies();
-        let evaluator = &self.evaluator;
-
-        // Per-worker reusable buffers: one stochastic scratch plus the
-        // block's bookkeeping vectors, so the hot per-item closure performs
-        // no allocations after warm-up.
-        thread_local! {
-            static PLAN_SCRATCH: std::cell::RefCell<PlanScratch> =
-                std::cell::RefCell::new(PlanScratch::default());
+impl FitnessBackend for ParallelEngine {
+    fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
+        let fitness = self.compute_fitness(population, generation)?;
+        if let Some(stats) = self.last_sched.get_mut() {
+            bank(&mut self.run_sched, stats);
         }
+        Ok(fitness)
+    }
+}
 
-        let simulated = self.evaluator.mode() == FitnessMode::Simulated;
-        // Seed the initial per-worker segments from the plan's predicted
-        // item costs — same two-level contract as the grouped path.
-        let weights = plan.predicted_weights(population, self.evaluator.game(), &self.cost_model);
-        let items = plan.items();
-        let partials: Vec<Vec<f64>> = self.install(|| {
-            let section = SpanTimer::start(SpanKind::CellMatrix);
-            let out = egd_sched::map_indexed_weighted(
-                self.threads.effective_threads(),
-                &weights,
-                |idx| {
-                    let item = &items[idx];
-                    {
-                        PLAN_SCRATCH.with(|cell| {
-                            let scratch = &mut *cell.borrow_mut();
-                            let mut partial = vec![0.0; n];
-                            let me = &strategies[item.sset];
-                            let opponents = population.opponents_of(item.sset);
-                            let block = &opponents[item.opponent_range.clone()];
-                            // Cacheable pairings go through the payoff cache; the
-                            // stochastic remainder of the block is batch-played
-                            // on the compiled kernel with amortised substream
-                            // setup. `to_me[k]` keeps the per-opponent payoffs so
-                            // the final accumulation runs in opponent order — the
-                            // same f64 summation order as a per-pair loop.
-                            scratch.stochastic.clear();
-                            scratch.to_me.clear();
-                            scratch.to_me.resize(block.len(), 0.0);
-                            for (k, &opp) in block.iter().enumerate() {
-                                let b = &strategies[opp];
-                                if simulated && !evaluator.game().is_deterministic_for(me, b) {
-                                    scratch.stochastic.push((k, opp));
-                                } else {
-                                    let (to_me, _) =
-                                        evaluator.pair_payoff(item.sset, me, opp, b, generation)?;
-                                    scratch.to_me[k] = to_me;
-                                }
-                            }
-                            if !scratch.stochastic.is_empty() {
-                                scratch.opp_indices.clear();
-                                scratch
-                                    .opp_indices
-                                    .extend(scratch.stochastic.iter().map(|&(_, opp)| opp));
-                                StochasticBlock::new(evaluator).play_indexed(
-                                    item.sset,
-                                    me,
-                                    &scratch.opp_indices,
-                                    strategies,
-                                    generation,
-                                    &mut scratch.games,
-                                )?;
-                                for (slot, &(k, _)) in scratch.stochastic.iter().enumerate() {
-                                    scratch.to_me[k] = scratch.games.fitness_a[slot];
-                                }
-                            }
-                            partial[item.sset] = scratch.to_me.iter().sum::<f64>();
-                            Ok(partial)
-                        })
-                    }
-                },
-            );
-            if let Some(section) = section {
-                section.finish(items.len() as u64);
-            }
-            out.into_iter().collect::<EgdResult<Vec<Vec<f64>>>>()
-        })?;
-        Ok(reduce_partials(&partials, n))
+/// Merges `stats` into the running total in `slot`.
+fn bank(slot: &mut Option<SchedStats>, stats: &SchedStats) {
+    match slot.as_mut() {
+        Some(total) => total.merge(stats),
+        None => *slot = Some(stats.clone()),
     }
 }
 
@@ -374,6 +257,7 @@ mod tests {
     use super::*;
     use egd_core::simulation::{compute_generation_fitness, PairEvaluator};
     use egd_core::state::MemoryDepth;
+    use std::time::Duration;
 
     fn config(noise: f64, seed: u64) -> SimulationConfig {
         SimulationConfig::builder()
@@ -418,43 +302,6 @@ mod tests {
                 single.compute_fitness(&population, generation).unwrap(),
                 many.compute_fitness(&population, generation).unwrap()
             );
-        }
-    }
-
-    #[test]
-    fn plan_path_matches_grouped_path_for_deterministic_games() {
-        let cfg = config(0.0, 11);
-        let population = cfg.initial_population().unwrap();
-        let engine =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let grouped = engine.compute_fitness(&population, 0).unwrap();
-        let planned = engine
-            .compute_fitness_via_plan(&population, &plan, 0)
-            .unwrap();
-        for (g, p) in grouped.iter().zip(&planned) {
-            assert!((g - p).abs() < 1e-9, "grouped {g} vs planned {p}");
-        }
-    }
-
-    #[test]
-    fn expected_value_mode_agrees_across_paths_under_noise() {
-        let cfg = config(0.05, 13);
-        let population = cfg.initial_population().unwrap();
-        let engine = ParallelEngine::new(
-            &cfg,
-            FitnessMode::ExpectedValue,
-            ThreadConfig::with_threads(2),
-        )
-        .unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let grouped = engine.compute_fitness(&population, 0).unwrap();
-        let planned = engine
-            .compute_fitness_via_plan(&population, &plan, 0)
-            .unwrap();
-        for (g, p) in grouped.iter().zip(&planned) {
-            assert!((g - p).abs() < 1e-6);
         }
     }
 

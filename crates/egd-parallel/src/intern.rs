@@ -17,7 +17,7 @@
 //! under mutation would otherwise grow the table without bound over a
 //! 30 000-generation run.
 
-use egd_core::game::{CompiledPairTable, CompiledStrategy};
+use egd_core::game::CompiledStrategy;
 use egd_core::strategy::StrategyKind;
 use egd_obs::{obs_span, SpanKind};
 use parking_lot::RwLock;
@@ -72,11 +72,6 @@ pub type FingerprintMap<V> = HashMap<u64, V, FingerprintBuildHasher>;
 struct InternerInner {
     generation: u64,
     map: FingerprintMap<Arc<CompiledStrategy>>,
-    /// Dense pair tables for the batched kernel, keyed by the fingerprint
-    /// pair. Ordinary SipHash here: a lookup happens once per *pairing* per
-    /// block (not per round), and a 128-bit key squeezed through the
-    /// identity hasher would collide by construction.
-    pairs: HashMap<(u64, u64), Arc<CompiledPairTable>>,
 }
 
 /// Thread-safe per-generation intern table of compiled strategies.
@@ -91,8 +86,6 @@ pub struct CompiledInterner {
     /// Compilations performed over the interner's lifetime (racing compiles
     /// whose result is dropped still count: they measure work done).
     compiles: AtomicU64,
-    /// Pair-table constructions performed over the interner's lifetime.
-    pair_builds: AtomicU64,
 }
 
 impl Default for CompiledInterner {
@@ -108,21 +101,14 @@ impl CompiledInterner {
             inner: RwLock::new(InternerInner {
                 generation: 0,
                 map: FingerprintMap::default(),
-                pairs: HashMap::new(),
             }),
             compiles: AtomicU64::new(0),
-            pair_builds: AtomicU64::new(0),
         }
     }
 
     /// Total strategy compilations performed so far.
     pub fn compiles(&self) -> u64 {
         self.compiles.load(Ordering::Relaxed)
-    }
-
-    /// Total pair-table constructions performed so far.
-    pub fn pair_builds(&self) -> u64 {
-        self.pair_builds.load(Ordering::Relaxed)
     }
 
     /// Compiles one strategy under a `Compile` span (payload: fingerprint).
@@ -160,49 +146,9 @@ impl CompiledInterner {
         let mut inner = self.inner.write();
         if inner.generation != generation {
             inner.map.clear();
-            inner.pairs.clear();
             inner.generation = generation;
         }
         Arc::clone(inner.map.entry(fp).or_insert(compiled))
-    }
-
-    /// Returns the dense pair table for `(a, b)` in `generation`, building
-    /// and interning it on first sight. Repeated pairings — the focal
-    /// strategy of an SSet block against the same opponents, generation
-    /// after generation within a converged population — skip table
-    /// construction entirely: one read lock, one `Arc` clone.
-    pub fn pair_table_for(
-        &self,
-        generation: u64,
-        a: &StrategyKind,
-        b: &StrategyKind,
-    ) -> Arc<CompiledPairTable> {
-        let key = (a.fingerprint(), b.fingerprint());
-        {
-            let inner = self.inner.read();
-            if inner.generation == generation {
-                if let Some(table) = inner.pairs.get(&key) {
-                    return Arc::clone(table);
-                }
-            }
-        }
-        // Build outside any lock (benign race: first writer wins).
-        let ca = self.compiled_for(generation, a);
-        let cb = self.compiled_for(generation, b);
-        let table = Arc::new(CompiledPairTable::build(&ca, &cb));
-        self.pair_builds.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        if inner.generation != generation {
-            inner.map.clear();
-            inner.pairs.clear();
-            inner.generation = generation;
-        }
-        Arc::clone(inner.pairs.entry(key).or_insert(table))
-    }
-
-    /// Number of pair tables currently interned (for the active generation).
-    pub fn num_pairs(&self) -> usize {
-        self.inner.read().pairs.len()
     }
 
     /// Pre-compiles every distinct strategy of a population (one compile per
@@ -219,7 +165,6 @@ impl CompiledInterner {
         let mut inner = self.inner.write();
         if inner.generation != generation {
             inner.map.clear();
-            inner.pairs.clear();
             inner.generation = generation;
         }
         for (fp, c) in compiled {
@@ -268,30 +213,6 @@ mod tests {
         assert_eq!(interner.len(), 2);
         interner.compiled_for(1, &s);
         assert_eq!(interner.len(), 1, "old generation entries must be dropped");
-    }
-
-    #[test]
-    fn pair_tables_intern_once_per_generation() {
-        let interner = CompiledInterner::new();
-        let a = mixed(8);
-        let b = mixed(9);
-        let t1 = interner.pair_table_for(0, &a, &b);
-        let t2 = interner.pair_table_for(0, &a, &b);
-        assert!(Arc::ptr_eq(&t1, &t2), "repeated pairing must share the Arc");
-        assert_eq!(interner.pair_builds(), 1);
-        assert_eq!(interner.num_pairs(), 1);
-        // The reversed pairing is a distinct table (perspective swap).
-        let t3 = interner.pair_table_for(0, &b, &a);
-        assert!(!Arc::ptr_eq(&t1, &t3));
-        assert_eq!(interner.num_pairs(), 2);
-        // Rollover drops pair tables along with strategies.
-        interner.pair_table_for(1, &a, &b);
-        assert_eq!(interner.num_pairs(), 1);
-        // The tables agree with direct construction.
-        let ca = CompiledStrategy::compile(&a);
-        let cb = CompiledStrategy::compile(&b);
-        let direct = CompiledPairTable::build(&ca, &cb);
-        assert_eq!(t1.interleaved_thr(), direct.interleaved_thr());
     }
 
     #[test]

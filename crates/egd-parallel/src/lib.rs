@@ -5,14 +5,16 @@
 //!
 //! * the population's SSets are divided into chunks of work (the role MPI
 //!   ranks play on Blue Gene — here they map onto worker threads), and
-//! * within each SSet the games against the assigned opponent strategies are
-//!   played concurrently by the threads of a [rayon] pool, mirroring the
-//!   paper's OpenMP level.
+//! * the games of a generation are played concurrently by the threads of a
+//!   [rayon] pool, mirroring the paper's OpenMP level — once per distinct
+//!   strategy pair, since SSets holding the same strategy share their games.
 //!
-//! The engine produces *bit-identical* populations to the sequential
-//! reference in `egd-core` for any thread count: all randomness is drawn from
-//! per-`(pair, generation)` streams and reductions are performed in a fixed
-//! order.
+//! There is one execution path. [`ParallelEngine`] is a fitness backend of
+//! the generation loop in `egd-core` (`Simulation<B>`), and
+//! [`ParallelSimulation`] is that loop over it. The engine produces
+//! *bit-identical* populations to the sequential reference for any thread
+//! count: all randomness is drawn from per-`(pair, generation)` streams and
+//! payoffs are scattered into the fitness table in a fixed order.
 //!
 //! The crate also contains the game-play [`kernel`] variants that make up the
 //! optimisation ladder of the paper's Fig. 3 (naive linear state search →
@@ -34,9 +36,7 @@ pub mod engine;
 pub mod intern;
 pub mod kernel;
 pub mod partition;
-pub mod reduction;
 pub mod simulation;
-pub mod stochastic;
 pub mod thread_pool;
 
 pub use cache::{CellBatch, ConcurrentPairEvaluator};
@@ -44,9 +44,8 @@ pub use egd_core::grouping::{self, StrategyGrouping};
 pub use engine::{GenerationTiming, ParallelEngine};
 pub use intern::{CompiledInterner, FingerprintBuildHasher, FingerprintMap};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
-pub use partition::{SSetPartition, WorkItem, WorkPlan};
+pub use partition::SSetPartition;
 pub use simulation::{ParallelReport, ParallelSimulation};
-pub use stochastic::{StochasticBlock, StochasticScratch};
 pub use thread_pool::{SchedPolicy, ThreadConfig};
 
 pub use egd_sched::{SchedStats, WorkerStats};

@@ -9,12 +9,13 @@
 //!    strategies are split across the SSet's agents, whose games run on the
 //!    node's threads.
 //!
-//! [`SSetPartition`] implements level 1 and [`WorkPlan`] expands a
-//! generation's games into flat [`WorkItem`]s for level 2.
+//! [`SSetPartition`] implements level 1. Level 2 needs no partition of its
+//! own: SSets holding the same strategy share their games, so the engines
+//! spread the games of a generation's distinct strategy pairs
+//! ([`crate::cache::CellBatch`]) over the threads.
 
 use egd_core::agent::block_for_slot;
 use egd_core::error::{EgdError, EgdResult};
-use egd_core::population::Population;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -81,125 +82,9 @@ impl SSetPartition {
     }
 }
 
-/// One unit of game work: an SSet plays a contiguous chunk of its opponents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkItem {
-    /// The SSet whose strategy is the focal player.
-    pub sset: usize,
-    /// The agent slot within the SSet that owns this chunk.
-    pub agent_slot: u32,
-    /// Indices into the SSet's opponent list covered by this item.
-    pub opponent_range: Range<usize>,
-}
-
-/// The full game-play plan for one generation: every SSet × opponent pairing
-/// appears in exactly one [`WorkItem`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkPlan {
-    items: Vec<WorkItem>,
-    num_ssets: usize,
-    agents_per_sset: u32,
-}
-
-impl WorkPlan {
-    /// Builds the plan for a population: each SSet's opponent list is split
-    /// across its agents following the paper's "each agent is assigned s/a
-    /// opposing SSets" rule.
-    pub fn for_population(population: &Population) -> Self {
-        let num_ssets = population.num_ssets();
-        let agents_per_sset = population.agents_per_sset();
-        let mut items = Vec::new();
-        for sset in 0..num_ssets {
-            let num_opponents = population.opponents_of(sset).len();
-            for slot in 0..agents_per_sset {
-                let range = block_for_slot(slot, num_opponents, agents_per_sset);
-                if !range.is_empty() {
-                    items.push(WorkItem {
-                        sset,
-                        agent_slot: slot,
-                        opponent_range: range,
-                    });
-                }
-            }
-        }
-        WorkPlan {
-            items,
-            num_ssets,
-            agents_per_sset,
-        }
-    }
-
-    /// The flat work items.
-    pub fn items(&self) -> &[WorkItem] {
-        &self.items
-    }
-
-    /// Number of SSets covered.
-    pub fn num_ssets(&self) -> usize {
-        self.num_ssets
-    }
-
-    /// Number of agents per SSet used to split the work.
-    pub fn agents_per_sset(&self) -> u32 {
-        self.agents_per_sset
-    }
-
-    /// Total number of games the plan describes.
-    pub fn total_games(&self) -> usize {
-        self.items.iter().map(|i| i.opponent_range.len()).sum()
-    }
-
-    /// Per-item work weights (games per item) — the input the scheduler's
-    /// load-balance reporting uses to quantify how skewed a plan is.
-    pub fn item_weights(&self) -> Vec<u64> {
-        self.items
-            .iter()
-            .map(|i| i.opponent_range.len() as u64)
-            .collect()
-    }
-
-    /// Per-item **predicted cost** (ns) of the plan's games for a population
-    /// under a cost model: cache-probe cheap for deterministic pairings,
-    /// full simulated games otherwise. This is the weight vector the
-    /// engine's cost-guided initial partition is seeded from.
-    pub fn predicted_weights(
-        &self,
-        population: &Population,
-        game: &egd_core::game::IpdGame,
-        model: &egd_cost::CostModel,
-    ) -> Vec<u64> {
-        let strategies = population.strategies();
-        self.items
-            .iter()
-            .map(|item| {
-                let me = &strategies[item.sset];
-                let opponents = population.opponents_of(item.sset);
-                opponents[item.opponent_range.clone()]
-                    .iter()
-                    .map(|&opp| {
-                        egd_cost::predict::pair_weight_ns(model, game, me, &strategies[opp])
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Skew factor of the plan under a contiguous split into `workers`
-    /// chunks: heaviest chunk weight over mean chunk weight (1.0 = perfectly
-    /// balanced). This is the imbalance a *static, uniform* schedule is
-    /// stuck with and that cost-guided partitioning (or stealing) removes.
-    /// Delegates to the shared skew helper in `egd-cost`.
-    pub fn static_skew(&self, workers: usize) -> f64 {
-        egd_cost::balance::static_skew(&self.item_weights(), workers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egd_core::sset::OpponentPolicy;
-    use egd_core::state::MemoryDepth;
-    use egd_core::strategy::StrategySpace;
 
     #[test]
     fn partition_validation() {
@@ -241,115 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn work_plan_covers_every_pairing_once() {
-        let population =
-            Population::random(StrategySpace::pure(MemoryDepth::ONE), 12, 3, 1).unwrap();
-        let plan = WorkPlan::for_population(&population);
-        assert_eq!(plan.num_ssets(), 12);
-        assert_eq!(plan.agents_per_sset(), 3);
-        // Each SSet has 11 opponents, so 12 * 11 games in total.
-        assert_eq!(plan.total_games(), 12 * 11);
-        // Per SSet, the union of opponent ranges is 0..11 with no overlap.
-        for sset in 0..12 {
-            let mut covered: Vec<usize> = plan
-                .items()
-                .iter()
-                .filter(|i| i.sset == sset)
-                .flat_map(|i| i.opponent_range.clone())
-                .collect();
-            covered.sort_unstable();
-            assert_eq!(covered, (0..11).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn work_plan_respects_self_play_policy() {
-        let population = Population::random(StrategySpace::pure(MemoryDepth::ONE), 6, 2, 1)
-            .unwrap()
-            .with_opponent_policy(OpponentPolicy::AllIncludingSelf);
-        let plan = WorkPlan::for_population(&population);
-        assert_eq!(plan.total_games(), 6 * 6);
-    }
-
-    #[test]
-    fn work_plan_skips_empty_chunks() {
-        // More agents than opponents: some agents have nothing to do and get
-        // no work item.
-        let population =
-            Population::random(StrategySpace::pure(MemoryDepth::ONE), 3, 8, 1).unwrap();
-        let plan = WorkPlan::for_population(&population);
-        assert_eq!(plan.total_games(), 3 * 2);
-        assert!(plan.items().iter().all(|i| !i.opponent_range.is_empty()));
-    }
-
-    #[test]
     #[should_panic(expected = "worker index out of range")]
     fn out_of_range_worker_panics() {
         SSetPartition::new(8, 2).unwrap().block(2);
-    }
-
-    #[test]
-    fn item_weights_and_static_skew() {
-        let population =
-            Population::random(StrategySpace::pure(MemoryDepth::ONE), 12, 3, 1).unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let weights = plan.item_weights();
-        assert_eq!(weights.len(), plan.items().len());
-        assert_eq!(weights.iter().sum::<u64>(), plan.total_games() as u64);
-        // A uniform plan splits evenly: skew close to 1.
-        let skew = plan.static_skew(4);
-        assert!((1.0..1.5).contains(&skew), "uniform plan skew {skew}");
-        // Degenerate inputs are safe.
-        assert_eq!(plan.static_skew(0), 1.0);
-    }
-
-    #[test]
-    fn predicted_weights_price_mixed_items_above_pure_items() {
-        use egd_core::game::IpdGame;
-        use egd_core::payoff::PayoffMatrix;
-        use egd_core::rng::{stream, StreamKind};
-        use egd_core::strategy::{MixedStrategy, PureStrategy, StrategyKind};
-
-        // Half the SSets pure (cacheable games), half mixed (simulated).
-        let memory = MemoryDepth::ONE;
-        let mut rng = stream(5, StreamKind::InitialStrategy, 1);
-        let strategies: Vec<StrategyKind> = (0..8)
-            .map(|i| {
-                if i < 4 {
-                    StrategyKind::Pure(PureStrategy::random(memory, &mut rng))
-                } else {
-                    StrategyKind::Mixed(MixedStrategy::random(memory, &mut rng))
-                }
-            })
-            .collect();
-        let population =
-            Population::from_strategies(StrategySpace::mixed(memory), 1, strategies).unwrap();
-        let plan = WorkPlan::for_population(&population);
-        let game = IpdGame::new(memory, 100, PayoffMatrix::PAPER, 0.0).unwrap();
-        let model = egd_cost::CostModel::blue_gene_like();
-        let weights = plan.predicted_weights(&population, &game, &model);
-        assert_eq!(weights.len(), plan.items().len());
-
-        // Every item whose focal SSet is mixed must outweigh every item
-        // whose focal SSet is pure *and* whose opponents include at most
-        // the pure block (pure items still meet mixed opponents, so compare
-        // focal-mixed vs focal-pure aggregate).
-        let (mixed_total, mixed_count, pure_total, pure_count) = plan
-            .items()
-            .iter()
-            .zip(&weights)
-            .fold((0u64, 0u64, 0u64, 0u64), |acc, (item, &w)| {
-                if item.sset >= 4 {
-                    (acc.0 + w, acc.1 + 1, acc.2, acc.3)
-                } else {
-                    (acc.0, acc.1, acc.2 + w, acc.3 + 1)
-                }
-            });
-        assert!(mixed_count > 0 && pure_count > 0);
-        assert!(
-            mixed_total / mixed_count > pure_total / pure_count,
-            "mixed items ({mixed_total}/{mixed_count}) should outweigh pure items \
-             ({pure_total}/{pure_count})"
-        );
     }
 }

@@ -1,60 +1,49 @@
 //! The parallel simulation driver.
 //!
-//! [`ParallelSimulation`] is the shared-memory counterpart of
-//! [`egd_core::simulation::Simulation`]: the same generation loop (game
-//! dynamics → Nature Agent decision → strategy-view update) with the fitness
-//! phase executed on a thread pool. For any thread count it follows the exact
-//! same trajectory as the sequential reference.
+//! [`ParallelSimulation`] is [`egd_core::simulation::Simulation`] — the one
+//! generation loop — over a [`ParallelEngine`]: the fitness phase runs on a
+//! thread pool, and for any thread count the run follows the exact same
+//! trajectory as the sequential reference. What this module adds is the
+//! constructors and a report that carries the engine's numbers.
 
 use crate::engine::{GenerationTiming, ParallelEngine};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
-use egd_core::dynamics::{GenerationDecision, NatureAgent};
-use egd_core::error::{EgdError, EgdResult};
-use egd_core::metrics::{FitnessStats, GenerationRecord};
+use egd_core::error::EgdResult;
 use egd_core::population::Population;
-use egd_core::simulation::{FitnessMode, SimulationState};
+use egd_core::simulation::{FitnessMode, Simulation, SimulationReport, SimulationState};
 use egd_sched::SchedStats;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::ops::{Deref, DerefMut};
 
-/// Report of a completed parallel run.
+/// Report of a completed parallel run: the shared [`SimulationReport`]
+/// (whose fields read through it) plus the engine's timing, thread count and
+/// scheduler statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParallelReport {
-    /// Number of generations simulated.
-    pub generations_run: u64,
-    /// Number of generations in which the population changed.
-    pub generations_with_change: u64,
-    /// Fraction of SSets holding the dominant strategy at the end.
-    pub final_dominant_fraction: f64,
-    /// Number of distinct strategies at the end.
-    pub final_distinct_strategies: usize,
-    /// Fitness statistics of the final generation.
-    pub final_fitness: Option<FitnessStats>,
-    /// Periodic history snapshots.
-    pub history: Vec<GenerationRecord>,
-    /// Accumulated wall-clock breakdown.
+    /// What every backend reports.
+    pub run: SimulationReport,
+    /// Wall-clock breakdown accumulated since the simulation started.
     pub timing: GenerationTiming,
     /// Number of worker threads used.
     pub threads: usize,
-    /// Scheduler statistics accumulated over the run (steal counts,
-    /// per-worker busy/CPU time); `None` if no generation ran.
+    /// Scheduler statistics accumulated since the simulation started (steal
+    /// counts, per-worker busy/CPU time); `None` if no parallel section ran.
     pub sched: Option<SchedStats>,
 }
 
-/// The shared-memory parallel simulation.
-#[derive(Debug)]
-pub struct ParallelSimulation {
-    config: SimulationConfig,
-    population: Population,
-    nature: NatureAgent,
-    engine: ParallelEngine,
-    generation: u64,
-    last_fitness: Vec<f64>,
-    record_interval: u64,
-    timing: GenerationTiming,
-    sched: Option<SchedStats>,
+impl Deref for ParallelReport {
+    type Target = SimulationReport;
+
+    fn deref(&self) -> &SimulationReport {
+        &self.run
+    }
 }
+
+/// The shared-memory parallel simulation. Everything but construction and
+/// the report is the generic loop's, reached through `Deref`.
+#[derive(Debug)]
+pub struct ParallelSimulation(Simulation<ParallelEngine>);
 
 impl ParallelSimulation {
     /// Creates a parallel simulation with a random initial population.
@@ -68,9 +57,8 @@ impl ParallelSimulation {
         threads: ThreadConfig,
         mode: FitnessMode,
     ) -> EgdResult<Self> {
-        config.validate()?;
-        let population = config.initial_population()?;
-        Self::with_population(config, population, threads, mode)
+        let engine = ParallelEngine::new(&config, mode, threads)?;
+        Simulation::with_backend(config, None, engine).map(ParallelSimulation)
     }
 
     /// Creates a parallel simulation starting from an explicit population.
@@ -80,181 +68,60 @@ impl ParallelSimulation {
         threads: ThreadConfig,
         mode: FitnessMode,
     ) -> EgdResult<Self> {
-        config.validate()?;
-        if population.num_ssets() != config.num_ssets {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "population has {} SSets but the configuration expects {}",
-                    population.num_ssets(),
-                    config.num_ssets
-                ),
-            });
-        }
-        if population.memory() != config.memory {
-            return Err(EgdError::InvalidConfig {
-                reason: "population memory depth does not match the configuration".to_string(),
-            });
-        }
-        let nature = config.nature_agent()?;
         let engine = ParallelEngine::new(&config, mode, threads)?;
-        Ok(ParallelSimulation {
-            config,
-            population,
-            nature,
-            engine,
-            generation: 0,
-            last_fitness: Vec::new(),
-            record_interval: 0,
-            timing: GenerationTiming::default(),
-            sched: None,
-        })
+        Simulation::with_backend(config, Some(population), engine).map(ParallelSimulation)
     }
 
-    /// Rebuilds a parallel simulation from a checkpointed state, verifying
-    /// that the snapshot matches `config` (seed, population shape) and that
-    /// its RNG stream positions re-derive exactly. Because every random
-    /// decision of generation `g` draws from substreams keyed by
-    /// `(seed, g)`, the resumed trajectory is bit-identical to an
-    /// uninterrupted run for any thread count. Payoff caches start cold —
-    /// they are a performance device, not semantic state.
+    /// [`Simulation::restore_with_backend`] for a parallel engine; the
+    /// thread count need not be the one the checkpoint was taken under.
     pub fn restore(
         config: SimulationConfig,
         state: &SimulationState,
         threads: ThreadConfig,
         mode: FitnessMode,
     ) -> EgdResult<Self> {
-        if config.seed != state.seed {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "checkpoint was taken under seed {} but the configuration has seed {}",
-                    state.seed, config.seed
-                ),
-            });
-        }
-        state.verify_streams()?;
-        let mut sim = Self::with_population(config, state.population.clone(), threads, mode)?;
-        sim.generation = state.generation;
-        Ok(sim)
-    }
-
-    /// Records a history snapshot every `interval` generations (0 disables).
-    pub fn set_record_interval(&mut self, interval: u64) {
-        self.record_interval = interval;
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
-    /// The current population.
-    pub fn population(&self) -> &Population {
-        &self.population
-    }
-
-    /// The current generation index.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The fitness table of the most recently completed generation.
-    pub fn last_fitness(&self) -> &[f64] {
-        &self.last_fitness
+        let engine = ParallelEngine::new(&config, mode, threads)?;
+        Simulation::restore_with_backend(config, state, engine).map(ParallelSimulation)
     }
 
     /// The engine (for cache statistics).
     pub fn engine(&self) -> &ParallelEngine {
-        &self.engine
-    }
-
-    /// Accumulated wall-clock breakdown.
-    pub fn timing(&self) -> GenerationTiming {
-        self.timing
+        self.0.backend()
     }
 
     /// Scheduler statistics accumulated since the simulation started.
     pub fn sched_stats(&self) -> Option<&SchedStats> {
-        self.sched.as_ref()
-    }
-
-    /// Runs one generation, returning the Nature Agent's decision.
-    pub fn step(&mut self) -> EgdResult<GenerationDecision> {
-        let game_start = Instant::now();
-        let fitness = self
-            .engine
-            .compute_fitness(&self.population, self.generation)?;
-        let game_play = game_start.elapsed();
-        if let Some(stats) = self.engine.last_sched_stats() {
-            match self.sched.as_mut() {
-                Some(total) => total.merge(&stats),
-                None => self.sched = Some(stats),
-            }
-        }
-
-        let dynamics_start = Instant::now();
-        let decision = self
-            .nature
-            .evolve(self.generation, &fitness, &mut self.population)?;
-        let dynamics = dynamics_start.elapsed();
-
-        self.timing.merge(&GenerationTiming {
-            game_play,
-            dynamics,
-        });
-        self.last_fitness = fitness;
-        self.generation += 1;
-        Ok(decision)
+        self.engine().run_sched_stats()
     }
 
     /// Runs `generations` additional generations.
     pub fn run_for(&mut self, generations: u64) -> EgdResult<ParallelReport> {
-        let mut history = Vec::new();
-        let mut changes = 0u64;
-        for _ in 0..generations {
-            let decision = self.step()?;
-            if decision.changes_population() {
-                changes += 1;
-            }
-            if self.record_interval > 0 && self.generation.is_multiple_of(self.record_interval) {
-                history.push(self.snapshot(decision.changes_population()));
-            }
-        }
-        let (_, dominant_fraction) = self.population.dominant_strategy();
         Ok(ParallelReport {
-            generations_run: generations,
-            generations_with_change: changes,
-            final_dominant_fraction: dominant_fraction,
-            final_distinct_strategies: self.population.census().len(),
-            final_fitness: FitnessStats::from_slice(&self.last_fitness),
-            history,
-            timing: self.timing,
-            threads: self.engine.thread_config().effective_threads(),
-            sched: self.sched.clone(),
+            run: self.0.run_for(generations)?,
+            timing: self.timing(),
+            threads: self.engine().thread_config().effective_threads(),
+            sched: self.sched_stats().cloned(),
         })
     }
 
     /// Runs the number of generations specified in the configuration.
     pub fn run(&mut self) -> ParallelReport {
-        self.run_for(self.config.generations)
+        self.run_for(self.config().generations)
             .expect("a validated configuration cannot fail mid-run")
     }
+}
 
-    fn snapshot(&self, population_changed: bool) -> GenerationRecord {
-        let census = self.population.census();
-        GenerationRecord {
-            generation: self.generation,
-            fitness: FitnessStats::from_slice(&self.last_fitness).unwrap_or(FitnessStats {
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                std_dev: 0.0,
-                count: 0,
-            }),
-            dominant_fraction: census[0].count as f64 / self.population.num_ssets() as f64,
-            distinct_strategies: census.len(),
-            cooperation_propensity: self.population.mean_cooperation_propensity(),
-            population_changed,
-        }
+impl Deref for ParallelSimulation {
+    type Target = Simulation<ParallelEngine>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for ParallelSimulation {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
@@ -344,9 +211,7 @@ mod tests {
         let mut first_leg =
             ParallelSimulation::new(cfg.clone(), ThreadConfig::with_threads(4)).unwrap();
         first_leg.run_for(25).unwrap();
-        let state =
-            SimulationState::capture(cfg.seed, first_leg.generation(), 0, first_leg.population());
-        let bytes = state.to_bytes().unwrap();
+        let bytes = first_leg.checkpoint().to_bytes().unwrap();
         let reloaded = SimulationState::from_bytes(&bytes).unwrap();
 
         // Resume with a different thread count: trajectory must not care.

@@ -1,92 +1,34 @@
-//! Engine abstraction: one stepping interface over the sequential and
-//! shared-memory engines, with uniform checkpoint capture.
+//! A session's engine: the one generation loop of `egd-core` over whichever
+//! fitness backend the session asked for.
 
 use crate::config::{EngineKind, SessionConfig};
-use egd_core::dynamics::GenerationDecision;
 use egd_core::error::EgdResult;
-use egd_core::population::Population;
-use egd_core::simulation::{Simulation, SimulationState};
-use egd_parallel::simulation::ParallelSimulation;
+use egd_core::simulation::{FitnessBackend, PairEvaluator, Simulation, SimulationState};
+use egd_parallel::engine::ParallelEngine;
 use egd_parallel::thread_pool::ThreadConfig;
 
-enum Inner {
-    Sequential(Box<Simulation>),
-    Parallel(Box<ParallelSimulation>),
-}
-
 /// A running engine instance for one session, either fresh or restored from
-/// a checkpoint. Tracks `generations_with_change` itself so checkpoints
-/// captured here are byte-identical across engines (the parallel engine does
-/// not carry the counter natively).
-pub(crate) struct EngineInstance {
-    inner: Inner,
-    changes: u64,
-}
+/// a checkpoint. Checkpoints are byte-identical across engine kinds because
+/// the loop that captures them is the same.
+pub(crate) type EngineInstance = Simulation<Box<dyn FitnessBackend + Send>>;
 
-impl EngineInstance {
-    /// Builds an engine at generation 0 (when `resume_from` is `None`) or
-    /// restored byte-exactly from a checkpointed state.
-    pub(crate) fn build(
-        config: &SessionConfig,
-        resume_from: Option<&SimulationState>,
-    ) -> EgdResult<EngineInstance> {
-        let changes = resume_from.map_or(0, |s| s.generations_with_change);
-        let inner = match (config.engine, resume_from) {
-            (EngineKind::Sequential, None) => Inner::Sequential(Box::new(
-                Simulation::with_fitness_mode(config.simulation.clone(), config.fitness_mode)?,
-            )),
-            (EngineKind::Sequential, Some(state)) => Inner::Sequential(Box::new(
-                Simulation::restore(config.simulation.clone(), state, config.fitness_mode)?,
-            )),
-            (EngineKind::Parallel { threads }, None) => {
-                Inner::Parallel(Box::new(ParallelSimulation::with_fitness_mode(
-                    config.simulation.clone(),
-                    ThreadConfig::with_threads(threads),
-                    config.fitness_mode,
-                )?))
-            }
-            (EngineKind::Parallel { threads }, Some(state)) => {
-                Inner::Parallel(Box::new(ParallelSimulation::restore(
-                    config.simulation.clone(),
-                    state,
-                    ThreadConfig::with_threads(threads),
-                    config.fitness_mode,
-                )?))
-            }
-        };
-        Ok(EngineInstance { inner, changes })
-    }
-
-    /// Index of the next generation to run.
-    pub(crate) fn generation(&self) -> u64 {
-        match &self.inner {
-            Inner::Sequential(sim) => sim.generation(),
-            Inner::Parallel(sim) => sim.generation(),
-        }
-    }
-
-    /// The current population.
-    pub(crate) fn population(&self) -> &Population {
-        match &self.inner {
-            Inner::Sequential(sim) => sim.population(),
-            Inner::Parallel(sim) => sim.population(),
-        }
-    }
-
-    /// Runs one generation.
-    pub(crate) fn step(&mut self) -> EgdResult<GenerationDecision> {
-        let decision = match &mut self.inner {
-            Inner::Sequential(sim) => sim.step()?,
-            Inner::Parallel(sim) => sim.step()?,
-        };
-        if decision.changes_population() {
-            self.changes += 1;
-        }
-        Ok(decision)
-    }
-
-    /// Captures the cross-generation state at the current boundary.
-    pub(crate) fn checkpoint(&self, seed: u64) -> SimulationState {
-        SimulationState::capture(seed, self.generation(), self.changes, self.population())
+/// Builds an engine at generation 0 (when `resume_from` is `None`) or
+/// restored byte-exactly from a checkpointed state.
+pub(crate) fn build(
+    config: &SessionConfig,
+    resume_from: Option<&SimulationState>,
+) -> EgdResult<EngineInstance> {
+    let simulation = config.simulation.clone();
+    let backend: Box<dyn FitnessBackend + Send> = match config.engine {
+        EngineKind::Sequential => Box::new(PairEvaluator::new(&simulation, config.fitness_mode)?),
+        EngineKind::Parallel { threads } => Box::new(ParallelEngine::new(
+            &simulation,
+            config.fitness_mode,
+            ThreadConfig::with_threads(threads),
+        )?),
+    };
+    match resume_from {
+        None => Simulation::with_backend(simulation, None, backend),
+        Some(state) => Simulation::restore_with_backend(simulation, state, backend),
     }
 }

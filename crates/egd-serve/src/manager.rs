@@ -3,7 +3,7 @@
 
 use crate::admission::{Admission, AdmissionAction, AdmissionRecord};
 use crate::config::{ServeConfig, SessionConfig};
-use crate::engine::EngineInstance;
+use crate::engine::{self, EngineInstance};
 use crate::session::{SessionEvent, SessionHandle, SessionId, SessionShared, SessionStatus};
 use egd_cluster::taskexec::{self, TaskFuture};
 use egd_core::error::{EgdError, EgdResult};
@@ -391,9 +391,8 @@ fn save_checkpoint(
     store: &dyn CheckpointStore,
     shared: &SessionShared,
     engine: &EngineInstance,
-    seed: u64,
 ) -> EgdResult<u64> {
-    let state = engine.checkpoint(seed);
+    let state = engine.checkpoint();
     let generation = state.generation;
     let bytes = state.to_bytes()?;
     let span = SpanTimer::start_on(shared.id as u32, SpanKind::Checkpoint);
@@ -476,7 +475,7 @@ async fn run_generations(
         Ok(state) => state,
         Err(e) => return fail(shared, e.to_string()),
     };
-    let mut engine = match EngineInstance::build(config, resume_state.as_ref()) {
+    let mut engine = match engine::build(config, resume_state.as_ref()) {
         Ok(engine) => engine,
         Err(e) => return fail(shared, e.to_string()),
     };
@@ -490,7 +489,7 @@ async fn run_generations(
         let generation = engine.generation();
 
         if generation >= total {
-            let state = engine.checkpoint(seed);
+            let state = engine.checkpoint();
             match state.to_bytes() {
                 Ok(bytes) => {
                     let mut state = shared.lock();
@@ -512,7 +511,7 @@ async fn run_generations(
         }
 
         if shared.suspend_due(generation) {
-            if let Err(e) = save_checkpoint(&*ctx.store, shared, &engine, seed) {
+            if let Err(e) = save_checkpoint(&*ctx.store, shared, &engine) {
                 return fail(shared, e.to_string());
             }
             let mut state = shared.lock();
@@ -560,7 +559,7 @@ async fn run_generations(
                     Err(e) => return fail(shared, e.to_string()),
                 };
                 let resumed_generation = resume.as_ref().map_or(0, |s| s.generation);
-                engine = match EngineInstance::build(config, resume.as_ref()) {
+                engine = match engine::build(config, resume.as_ref()) {
                     Ok(engine) => engine,
                     Err(e) => return fail(shared, e.to_string()),
                 };
@@ -616,7 +615,7 @@ async fn run_generations(
                     && boundary.is_multiple_of(ctx.cfg.checkpoint_interval)
                     && boundary < total
                 {
-                    if let Err(e) = save_checkpoint(&*ctx.store, shared, &engine, seed) {
+                    if let Err(e) = save_checkpoint(&*ctx.store, shared, &engine) {
                         return fail(shared, e.to_string());
                     }
                 }

@@ -202,3 +202,76 @@ fn population_size_is_conserved_across_a_long_run() {
         assert_eq!(strategy.memory(), cfg.memory);
     }
 }
+
+#[test]
+fn checkpoints_are_byte_identical_across_backends_before_and_after_a_restore() {
+    let cfg = config(MemoryDepth::ONE, 0.0, 505, 150);
+    let mut sequential = Simulation::new(cfg.clone()).unwrap();
+    let mut parallel = ParallelSimulation::new(cfg.clone(), ThreadConfig::with_threads(3)).unwrap();
+    sequential.run_for(90).unwrap();
+    parallel.run_for(90).unwrap();
+    assert!(sequential.generations_with_change() > 0);
+    let bytes = sequential.checkpoint().to_bytes().unwrap();
+    assert_eq!(parallel.checkpoint().to_bytes().unwrap(), bytes);
+
+    let state = SimulationState::from_bytes(&bytes).unwrap();
+    let mut sequential = Simulation::restore(cfg.clone(), &state, FitnessMode::Simulated).unwrap();
+    let mut parallel = ParallelSimulation::restore(
+        cfg.clone(),
+        &state,
+        ThreadConfig::with_threads(2),
+        FitnessMode::Simulated,
+    )
+    .unwrap();
+    sequential.run_for(60).unwrap();
+    parallel.run_for(60).unwrap();
+    let mut straight = Simulation::new(cfg).unwrap();
+    straight.run_for(150).unwrap();
+    let bytes = straight.checkpoint().to_bytes().unwrap();
+    assert_eq!(sequential.checkpoint().to_bytes().unwrap(), bytes);
+    assert_eq!(parallel.checkpoint().to_bytes().unwrap(), bytes);
+}
+
+/// The checkpoint bytes of `state` with the strategy view replaced by
+/// `donor`'s: decodable, but a population no constructor would build.
+fn checkpoint_with_strategies_of(state: &SimulationState, donor: &Population) -> Vec<u8> {
+    let bytes = state.to_bytes().unwrap();
+    let own = serde_json::to_vec(&state.population.strategies().to_vec()).unwrap();
+    let theirs = serde_json::to_vec(&donor.strategies().to_vec()).unwrap();
+    let at = bytes
+        .windows(own.len())
+        .rposition(|window| window == own)
+        .expect("the strategy view is in the checkpoint");
+    [&bytes[..at], &theirs[..], &bytes[at + own.len()..]].concat()
+}
+
+#[test]
+fn a_checkpoint_with_an_inconsistent_population_is_an_error_on_every_backend() {
+    let cfg = config(MemoryDepth::ONE, 0.0, 606, 10);
+    let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
+    // Fewer strategies than SSets; strategies of another memory depth.
+    let short = Population::random(StrategySpace::pure(MemoryDepth::ONE), 3, 3, 1).unwrap();
+    let deep = Population::random(StrategySpace::pure(MemoryDepth::TWO), 18, 3, 1).unwrap();
+    for donor in [&short, &deep] {
+        let bytes = checkpoint_with_strategies_of(&state, donor);
+        assert!(matches!(
+            SimulationState::from_bytes(&bytes),
+            Err(EgdError::InvalidConfig { .. })
+        ));
+        // A state decoded some other way meets the same check in `restore`.
+        let unchecked: SimulationState = serde_json::from_slice(&bytes).unwrap();
+        assert!(matches!(
+            Simulation::restore(cfg.clone(), &unchecked, FitnessMode::Simulated),
+            Err(EgdError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            ParallelSimulation::restore(
+                cfg.clone(),
+                &unchecked,
+                ThreadConfig::sequential(),
+                FitnessMode::Simulated
+            ),
+            Err(EgdError::InvalidConfig { .. })
+        ));
+    }
+}
