@@ -95,7 +95,7 @@ fn bench_noisy_pure(c: &mut Criterion) {
 /// iteration replays the whole block so ns/iter divides by `BLOCK` games.
 fn bench_batched_block(c: &mut Criterion) {
     use egd_core::game::compiled::BatchedDraws;
-    use egd_core::game::CompiledPairTable;
+    use egd_core::game::CompiledPair;
     use egd_core::rng::substream_state;
     use rand_pcg::Pcg64Mcg;
 
@@ -111,10 +111,6 @@ fn bench_batched_block(c: &mut Criterion) {
             let (a, b) = random_mixed_pair(memory, 1000 + i as u64);
             (CompiledStrategy::compile(&a), CompiledStrategy::compile(&b))
         })
-        .collect();
-    let tables: Vec<CompiledPairTable> = pairs
-        .iter()
-        .map(|(ca, cb)| CompiledPairTable::build(ca, cb))
         .collect();
 
     group.bench_function(BenchmarkId::new("single", BLOCK), |bench| {
@@ -136,9 +132,9 @@ fn bench_batched_block(c: &mut Criterion) {
                 let mut batch = BatchedDraws::new();
                 bench.iter(|| {
                     batch.begin(memory.num_states());
-                    for (k, table) in tables.iter().enumerate() {
-                        batch.push_game_table(
-                            table,
+                    for (k, (ca, cb)) in pairs.iter().enumerate() {
+                        batch.push_game(
+                            CompiledPair::new(ca, cb),
                             substream_state(13, StreamKind::GamePlay, k as u64, 0),
                         );
                     }

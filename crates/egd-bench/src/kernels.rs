@@ -19,7 +19,7 @@
 //!   timed, so the speedup can never come from divergent behaviour.
 
 use crate::skew::Workload;
-use egd_core::game::{BatchedDraws, CompiledPairTable, CompiledStrategy};
+use egd_core::game::{BatchedDraws, CompiledPair, CompiledStrategy};
 use egd_core::rng::{stream, substream, substream_state, StreamKind};
 use egd_core::strategy::PureStrategy;
 use egd_parallel::{GameKernel, KernelVariant, StrategyGrouping};
@@ -264,12 +264,10 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
         "workload {} has no stochastic pairs to measure",
         workload.label
     );
-    // Compiled strategies and interned pair tables are built once, outside
-    // every timed region: the engines amortise both through the
-    // per-generation interner (repeated pairings share one `Arc`d table),
-    // so neither belongs to the per-game cost of either rung. The timed
-    // regions compare like with like — per-pair stream derivation plus the
-    // kernel itself.
+    // Strategies are compiled once, outside every timed region: the engines
+    // compile once per group per generation, so compilation belongs to the
+    // per-game cost of neither rung. The timed regions compare like with
+    // like — per-pair stream derivation plus the kernel itself.
     let compiled: Vec<Option<CompiledStrategy>> = grouping
         .group_rep
         .iter()
@@ -282,10 +280,6 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
         let g = grouping.group_of[rep_index];
         compiled[g].as_ref().expect("stochastic rep compiled")
     };
-    let tables: Vec<CompiledPairTable> = stochastic
-        .iter()
-        .map(|&(i, j)| CompiledPairTable::build(compiled_of(i), compiled_of(j)))
-        .collect();
 
     // Each rung/rep is timed as its own ~half-millisecond block and the
     // study keeps the per-rep minimum: on shared hosts the mean folds
@@ -299,10 +293,9 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
     let mut reference = Vec::with_capacity(stochastic.len());
     let mut single_ns = f64::INFINITY;
     let mut width_ns = [f64::INFINITY; BATCH_WIDTHS.len()];
-    // The batch fill (stream derivation + lane-major table copies) stays
-    // inside the timed region — it is part of the batched design's per-game
-    // cost — and the `BatchedDraws` buffers are reused like the engine's
-    // scratch.
+    // The batch fill (stream derivation + one lane of borrowed tables per
+    // game) stays inside the timed region — it is part of the batched
+    // design's per-game cost — and the `BatchedDraws` buffers are reused.
     let mut batch = BatchedDraws::new();
     for rep in 0..reps {
         let generation = rep as u64;
@@ -322,10 +315,10 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
         for (wi, &width) in BATCH_WIDTHS.iter().enumerate() {
             let start = Instant::now();
             batch.begin(game.memory().num_states());
-            for (k, &(i, j)) in stochastic.iter().enumerate() {
+            for &(i, j) in &stochastic {
                 let pair_id = (i as u64) << 32 | j as u64;
-                batch.push_game_table(
-                    &tables[k],
+                batch.push_game(
+                    CompiledPair::new(compiled_of(i), compiled_of(j)),
                     substream_state(seed, StreamKind::GamePlay, pair_id, generation),
                 );
             }

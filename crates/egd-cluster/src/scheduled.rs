@@ -52,6 +52,7 @@ use egd_parallel::partition::SSetPartition;
 use egd_parallel::thread_pool::ThreadConfig;
 use egd_sched::SchedStats;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of a scheduled distributed run.
@@ -202,9 +203,9 @@ impl ScheduledExecutor {
                     rank_work(&self.cost_model, evaluator.game(), cells, &partition);
                 let per_rank = run_rank_tasks_weighted(threads, &rank_weights, |rank| {
                     let start = Instant::now();
-                    let mut payoffs = Vec::with_capacity(rank_cells[rank].len());
-                    for &k in &rank_cells[rank] {
-                        payoffs.push(batch.play(k)?);
+                    let mut payoffs = Vec::new();
+                    for run in &rank_cells[rank] {
+                        batch.play_range(run.clone(), &mut payoffs)?;
                     }
                     Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
                 });
@@ -220,7 +221,7 @@ impl ScheduledExecutor {
                 let mut payoffs = vec![(0.0, 0.0); cells.len()];
                 for (result, owned) in per_rank.into_iter().zip(&rank_cells) {
                     let (played, compute_us) = result?;
-                    for (&k, payoff) in owned.iter().zip(played) {
+                    for (k, payoff) in owned.iter().cloned().flatten().zip(played) {
                         payoffs[k] = payoff;
                     }
                     rank_timings.push(RankTiming::new(compute_us, 0.0));
@@ -333,7 +334,9 @@ where
 /// that owns its `a` side's representative SSet (`a_index`), so every game
 /// is played by exactly one rank (the table orients a pair played once for
 /// both of its cells so that each row keeps about half of its pairs).
-/// Returns, per rank, the batch indices it plays and their predicted cost
+/// Returns, per rank, the games it plays as runs of consecutive list
+/// positions — a rank's rows are neighbours in the list, so its stochastic
+/// games are one run, which it plays in chunks — and their predicted cost
 /// (ns) under the shared cost model — every planned game is a full game, a
 /// fresh deterministic one included — so blocks that play more weigh more.
 fn rank_work(
@@ -341,9 +344,9 @@ fn rank_work(
     game: &IpdGame,
     cells: &PlannedCells<'_>,
     partition: &SSetPartition,
-) -> (Vec<Vec<usize>>, Vec<u64>) {
+) -> (Vec<Vec<Range<usize>>>, Vec<u64>) {
     let ranks = partition.num_workers();
-    let mut rank_cells = vec![Vec::new(); ranks];
+    let mut rank_cells: Vec<Vec<Range<usize>>> = vec![Vec::new(); ranks];
     // Per-SSet accumulation overhead keeps ranks without games from
     // weighing zero.
     let mut weights: Vec<u64> = (0..ranks)
@@ -352,7 +355,10 @@ fn rank_work(
     let game_ns = egd_cost::predict::game_weight_ns(model, game);
     for (k, cell) in cells.iter().enumerate() {
         let rank = partition.owner_of(cell.a_index);
-        rank_cells[rank].push(k);
+        match rank_cells[rank].last_mut() {
+            Some(run) if run.end == k => run.end += 1,
+            _ => rank_cells[rank].push(k..k + 1),
+        }
         weights[rank] = weights[rank].saturating_add(game_ns);
     }
     (rank_cells, weights)
@@ -511,7 +517,9 @@ mod tests {
                     batch.cells(),
                     &partition,
                 ));
-                (0..batch.cells().len()).map(|k| batch.play(k)).collect()
+                let mut payoffs = Vec::new();
+                batch.play_range(0..batch.cells().len(), &mut payoffs)?;
+                Ok(payoffs)
             })
             .unwrap();
         let (rank_cells, weights) = work.unwrap();
@@ -520,8 +528,15 @@ mod tests {
         // plays three full rows of four games, rank 1 the pure row (three
         // games against the mixed groups and its one cacheable cell), and
         // the ranks that only hold copies of the pure strategy play nothing.
-        let played: Vec<usize> = rank_cells.iter().map(Vec::len).collect();
+        let played: Vec<usize> = rank_cells
+            .iter()
+            .map(|runs| runs.iter().map(Range::len).sum())
+            .collect();
         assert_eq!(played, vec![12, 4, 0, 0]);
+        // The list is the fresh game, then the stochastic rows in SSet
+        // order: a rank's stochastic games are one run.
+        assert_eq!(rank_cells[0], vec![1..13]);
+        assert_eq!(rank_cells[1], vec![0..1, 13..16]);
         // Every planned game is priced as a game, the pure row's one fresh
         // cacheable game too.
         assert!(

@@ -33,6 +33,17 @@
 //! same moves as the paper-literal loop, which is what keeps every
 //! determinism golden byte-identical. The [`crate::game`] proptest
 //! equivalence suite and `tests/compiled_equivalence.rs` enforce this.
+//!
+//! # Who runs the tables
+//!
+//! A [`CompiledPair`] borrows the two tables of a pairing. The engines play
+//! a generation's stochastic games as blocks of `(CompiledPair, stream start
+//! state)` lanes through [`IpdGame::play_block`](crate::game::IpdGame::play_block),
+//! two lanes to a round loop; [`BatchedDraws`] is the harness form of the
+//! same loop, which keeps full outcomes and sweeps the lane width; and
+//! [`IpdGame::play_pair`](crate::game::IpdGame::play_pair) is the
+//! one-game-at-a-time, `R: Rng`-generic reference both are tested against.
+//! None of them copies a table.
 
 use crate::state::{MemoryDepth, StateIndex, StateSpace};
 use crate::strategy::{Strategy, StrategyKind};
@@ -86,8 +97,8 @@ pub fn draw_threshold(p: f64) -> u64 {
 /// indexed directly by the focal player's view.
 ///
 /// Compilation is pure per-strategy work (no game parameters involved), so a
-/// compiled strategy can be interned by fingerprint and shared across every
-/// game of a generation (see `egd-parallel`'s interning layer).
+/// strategy is compiled once per generation and every game of the generation
+/// borrows its tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledStrategy {
     memory: MemoryDepth,
@@ -165,9 +176,9 @@ pub struct CompiledPair<'a> {
 }
 
 impl<'a> CompiledPair<'a> {
-    /// Pairs two compiled strategies of equal memory depth.
+    /// Pairs two compiled strategies. Whether both are of the game's memory
+    /// depth is checked where the pair is played, which returns an error.
     pub fn new(a: &'a CompiledStrategy, b: &'a CompiledStrategy) -> Self {
-        debug_assert_eq!(a.memory(), b.memory());
         CompiledPair {
             a_thr: a.thresholds(),
             b_thr: b.swapped_thresholds(),
@@ -177,77 +188,21 @@ impl<'a> CompiledPair<'a> {
     }
 }
 
-/// An owned pairing of two compiled strategies with both threshold tables
-/// interleaved per state in one contiguous allocation (`thr[2s]` = A's
-/// own-view threshold, `thr[2s + 1]` = B's perspective-swapped one) — the
-/// exact lane layout [`BatchedDraws`] uses, so pushing a lane is one dense
-/// `memcpy` instead of per-element gathers. This is the unit
-/// `egd-parallel`'s interner caches per fingerprint pair so repeated
-/// pairings (the focal strategy of an SSet against the whole population,
-/// generation after generation) skip table construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledPairTable {
-    num_states: usize,
-    /// Interleaved thresholds: `thr[2s]` is A's at state `s`, `thr[2s + 1]`
-    /// B's swapped one.
-    thr: Box<[u64]>,
-    a_deterministic: bool,
-    b_deterministic: bool,
-}
-
-impl CompiledPairTable {
-    /// Builds the dense pair table for `(a, b)` of equal memory depth.
-    pub fn build(a: &CompiledStrategy, b: &CompiledStrategy) -> Self {
-        debug_assert_eq!(a.memory(), b.memory());
-        let num_states = a.thresholds().len();
-        let mut thr = Vec::with_capacity(2 * num_states);
-        for (&ta, &tb) in a.thresholds().iter().zip(b.swapped_thresholds()) {
-            thr.push(ta);
-            thr.push(tb);
-        }
-        CompiledPairTable {
-            num_states,
-            thr: thr.into_boxed_slice(),
-            a_deterministic: a.is_deterministic(),
-            b_deterministic: b.is_deterministic(),
-        }
-    }
-
-    /// Number of states per player table.
-    #[inline]
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// The interleaved threshold lane (`[a0, b0, a1, b1, …]`), ready to be
-    /// copied verbatim into a [`BatchedDraws`] lane.
-    #[inline]
-    pub fn interleaved_thr(&self) -> &[u64] {
-        &self.thr
-    }
-
-    /// A's threshold at state `s`.
-    #[inline]
-    pub fn a_thr_at(&self, s: usize) -> u64 {
-        self.thr[2 * s]
-    }
-
-    /// B's perspective-swapped threshold at state `s`.
-    #[inline]
-    pub fn b_thr_at(&self, s: usize) -> u64 {
-        self.thr[2 * s + 1]
-    }
-}
-
-/// The lane-parallel batch stage of the kernel ladder: K independent games
-/// laid out structure-of-arrays, advanced together by
-/// [`IpdGame::play_batched`](crate::game::IpdGame::play_batched).
+/// The lane-parallel batch stage of the kernel ladder: K independent games,
+/// advanced together by
+/// [`IpdGame::play_batched`](crate::game::IpdGame::play_batched) through
+/// the same lane round loop the engines' block entry
+/// ([`IpdGame::play_block`](crate::game::IpdGame::play_block)) runs. This is
+/// the harness form — it keeps every game's full outcome, structure-of-arrays
+/// — that the benchmarks sweep lane widths with; the engines hand
+/// `play_block` a plain slice of lanes and keep `to_a` only.
 ///
-/// Each lane carries its own RNG state, packed view, and accumulators, and
-/// reads its thresholds from one dense lane-major table that interleaves
-/// both players per state (`thr[lane * 2n + 2s]` = A, `… + 1` = B-swapped,
-/// so a round touches one cache line per lane). Lanes are fully independent — the
-/// batch kernel interleaves their serial 128-bit-multiply RNG chains for
+/// A lane **borrows** its two threshold tables ([`CompiledPair`]: A's
+/// own-view table and B's perspective-swapped one, both indexed by A's
+/// view). Copying them into a lane-major layout costs `2·4ⁿ` words per game
+/// — 64 KB at memory six, dearer than the game — and the borrowed tables are
+/// also the faster of the two at memory two. Lanes are fully independent: the
+/// loop interleaves their serial 128-bit-multiply RNG chains for
 /// instruction-level parallelism, but every lane consumes *exactly* the draw
 /// sequence the one-game-at-a-time compiled kernel would (sentinel states
 /// draw nothing, interior states draw once, noise draws are unconditional)
@@ -256,16 +211,12 @@ impl CompiledPairTable {
 /// equivalence proof in the module docs is per-draw and therefore extends
 /// unchanged to batched draws.
 #[derive(Debug, Clone, Default)]
-pub struct BatchedDraws {
+pub struct BatchedDraws<'a> {
     num_states: usize,
-    /// Lane-major interleaved thresholds: `thr[k * 2 * num_states + 2 * s]`
-    /// is A's threshold at state `s`, the next element B's swapped one.
-    pub(crate) thr: Vec<u64>,
-    /// Per-lane raw RNG state: the start state going in, the final stream
-    /// position after [`IpdGame::play_batched`](crate::game::IpdGame::play_batched).
-    pub(crate) rng_state: Vec<u128>,
-    /// Per-lane packed view of player A (all-cooperation start).
-    pub(crate) view: Vec<u64>,
+    /// Per lane: the borrowed pairing and the raw RNG state — the start
+    /// state going in, the final stream position after
+    /// [`IpdGame::play_batched`](crate::game::IpdGame::play_batched).
+    pub(crate) lanes: Vec<(CompiledPair<'a>, u128)>,
     /// Per-lane accumulated fitness of player A.
     pub fitness_a: Vec<f64>,
     /// Per-lane accumulated fitness of player B.
@@ -276,7 +227,7 @@ pub struct BatchedDraws {
     pub cooperations_b: Vec<u32>,
 }
 
-impl BatchedDraws {
+impl<'a> BatchedDraws<'a> {
     /// Widest lane chunk the batch kernel monomorphises.
     pub const MAX_WIDTH: usize = 16;
 
@@ -290,9 +241,7 @@ impl BatchedDraws {
     pub fn begin(&mut self, num_states: usize) {
         debug_assert!(num_states.is_power_of_two());
         self.num_states = num_states;
-        self.thr.clear();
-        self.rng_state.clear();
-        self.view.clear();
+        self.lanes.clear();
         self.fitness_a.clear();
         self.fitness_b.clear();
         self.cooperations_a.clear();
@@ -300,32 +249,11 @@ impl BatchedDraws {
     }
 
     /// Appends one game lane: a compiled pairing plus the raw RNG state of
-    /// its per-pair stream (see `egd_core::rng::substream_state`).
-    pub fn push_game(&mut self, pair: CompiledPair<'_>, rng_state: u128) {
-        debug_assert_eq!(pair.a_thr.len(), self.num_states);
-        debug_assert_eq!(pair.b_thr.len(), self.num_states);
-        self.thr.reserve(2 * self.num_states);
-        for (&ta, &tb) in pair.a_thr.iter().zip(pair.b_thr) {
-            self.thr.push(ta);
-            self.thr.push(tb);
-        }
-        self.rng_state.push(rng_state);
-        self.view.push(0);
-        self.fitness_a.push(0.0);
-        self.fitness_b.push(0.0);
-        self.cooperations_a.push(0);
-        self.cooperations_b.push(0);
-    }
-
-    /// Appends one game lane from an owned pair table. The table already
-    /// holds the batch's interleaved lane layout, so this is one contiguous
-    /// copy — the cheap path the engines and harnesses use for interned
-    /// tables.
-    pub fn push_game_table(&mut self, table: &CompiledPairTable, rng_state: u128) {
-        debug_assert_eq!(table.num_states(), self.num_states);
-        self.thr.extend_from_slice(table.interleaved_thr());
-        self.rng_state.push(rng_state);
-        self.view.push(0);
+    /// its per-pair stream (see `egd_core::rng::substream_state`). A pairing
+    /// whose tables are not of the batch's size is an error when the batch
+    /// is played, naming the lane.
+    pub fn push_game(&mut self, pair: CompiledPair<'a>, rng_state: u128) {
+        self.lanes.push((pair, rng_state));
         self.fitness_a.push(0.0);
         self.fitness_b.push(0.0);
         self.cooperations_a.push(0);
@@ -335,13 +263,13 @@ impl BatchedDraws {
     /// Number of game lanes in the batch.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rng_state.len()
+        self.lanes.len()
     }
 
     /// Whether the batch holds no games.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rng_state.is_empty()
+        self.lanes.is_empty()
     }
 
     /// Per-player table size the batch was begun with.
@@ -353,7 +281,7 @@ impl BatchedDraws {
     /// Lane `k`'s final raw RNG state (its stream position after play).
     #[inline]
     pub fn final_rng_state(&self, k: usize) -> u128 {
-        self.rng_state[k]
+        self.lanes[k].1
     }
 }
 
@@ -455,30 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_table_matches_borrowed_pair() {
-        let mut rng = stream(13, StreamKind::InitialStrategy, 1);
-        let a = CompiledStrategy::compile(&StrategyKind::Mixed(MixedStrategy::random(
-            MemoryDepth::TWO,
-            &mut rng,
-        )));
-        let b = CompiledStrategy::compile(&StrategyKind::Pure(PureStrategy::random(
-            MemoryDepth::TWO,
-            &mut rng,
-        )));
-        let table = CompiledPairTable::build(&a, &b);
-        let pair = CompiledPair::new(&a, &b);
-        assert_eq!(table.num_states(), 16);
-        assert_eq!(table.interleaved_thr().len(), 32);
-        for s in 0..16 {
-            assert_eq!(table.a_thr_at(s), pair.a_thr[s]);
-            assert_eq!(table.b_thr_at(s), pair.b_thr[s]);
-            assert_eq!(table.interleaved_thr()[2 * s], pair.a_thr[s]);
-            assert_eq!(table.interleaved_thr()[2 * s + 1], pair.b_thr[s]);
-        }
-    }
-
-    #[test]
-    fn batched_draws_layout_is_lane_major() {
+    fn batched_draws_borrow_their_tables() {
         let tft =
             CompiledStrategy::compile(&StrategyKind::Pure(NamedStrategy::TitForTat.to_pure()));
         let gtft = CompiledStrategy::compile(&StrategyKind::Mixed(
@@ -487,21 +392,21 @@ mod tests {
         let mut batch = BatchedDraws::new();
         batch.begin(4);
         batch.push_game(CompiledPair::new(&tft, &gtft), 3);
-        batch.push_game_table(&CompiledPairTable::build(&gtft, &tft), 5);
+        batch.push_game(CompiledPair::new(&gtft, &tft), 5);
         assert_eq!(batch.len(), 2);
         assert!(!batch.is_empty());
         assert_eq!(batch.num_states(), 4);
-        // Lane 0 occupies interleaved thresholds [0, 8), lane 1 [8, 16).
-        for s in 0..4 {
-            assert_eq!(batch.thr[2 * s], tft.thresholds()[s]);
-            assert_eq!(batch.thr[2 * s + 1], gtft.swapped_thresholds()[s]);
-            assert_eq!(batch.thr[8 + 2 * s], gtft.thresholds()[s]);
-            assert_eq!(batch.thr[8 + 2 * s + 1], tft.swapped_thresholds()[s]);
-        }
+        // A lane points at the strategies' own tables: nothing is copied.
+        let (lane0, lane1) = (batch.lanes[0].0, batch.lanes[1].0);
+        assert!(std::ptr::eq(lane0.a_thr, tft.thresholds()));
+        assert!(std::ptr::eq(lane0.b_thr, gtft.swapped_thresholds()));
+        assert!(std::ptr::eq(lane1.a_thr, gtft.thresholds()));
+        assert!(std::ptr::eq(lane1.b_thr, tft.swapped_thresholds()));
+        assert_eq!((batch.final_rng_state(0), batch.final_rng_state(1)), (3, 5));
         // begin() resets lanes but keeps the configured table size.
         batch.begin(4);
         assert!(batch.is_empty());
-        assert!(batch.thr.is_empty());
+        assert_eq!(batch.num_states(), 4);
     }
 
     #[test]

@@ -114,6 +114,16 @@ thread_local! {
         std::cell::RefCell::new(PureScratch::default());
 }
 
+/// What one lane of the lane round loop ends with (its final stream position
+/// is written back into the lane).
+#[derive(Debug, Clone, Copy)]
+struct LaneEnd {
+    fitness_a: f64,
+    fitness_b: f64,
+    defections_a: u32,
+    defections_b: u32,
+}
+
 /// Configuration of an Iterated Prisoner's Dilemma game between two
 /// strategies of the same memory depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -435,26 +445,100 @@ impl IpdGame {
         }
     }
 
-    /// Plays every lane of a [`BatchedDraws`] batch at the widest supported
-    /// lane width — the batched rung of the Fig. 3 kernel ladder.
+    /// Plays a block of stochastic games — the entry every engine plays a
+    /// generation's planned stochastic games through, and the batched rung of
+    /// the Fig. 3 kernel ladder.
     ///
-    /// Lanes are chunked into groups of [`BatchedDraws::MAX_WIDTH`] games
-    /// that advance round-by-round together: the K serial RNG multiply
-    /// chains interleave, hiding the 128-bit-multiply latency that bounds
-    /// the one-game-at-a-time kernel, while the lane-major threshold tables
-    /// stream densely. Each lane still consumes exactly its own per-pair
-    /// draw sequence and accumulates payoffs in per-round order, so every
-    /// lane's outcome and final stream position are bit-identical to
-    /// [`IpdGame::play_pair`] on the same pairing and seed (tail chunks
-    /// narrower than the width change nothing — lanes never interact).
-    pub fn play_batched(&self, batch: &mut BatchedDraws) -> EgdResult<()> {
+    /// A lane is a borrowed pairing and the raw state its per-pair stream
+    /// starts at (see `egd_core::rng::substream_state`). The lanes advance
+    /// [`IpdGame::BLOCK_LANES`] at a time through the lane round loop, an odd
+    /// last lane alone; `to_a[k]` receives lane `k`'s payoff to its `a` side
+    /// and the lane's state is left at the game's final stream position —
+    /// both bit-identical to [`IpdGame::play_pair`] on the same pairing and
+    /// stream (lanes never interact, so neither the block's length nor a
+    /// lane's place in it changes anything). Every lane's tables are checked
+    /// against the game's memory, as `play_pair` checks its pair's; nothing
+    /// is played when a lane fails the check.
+    pub fn play_block(
+        &self,
+        lanes: &mut [(CompiledPair<'_>, u128)],
+        to_a: &mut [f64],
+    ) -> EgdResult<()> {
+        if lanes.len() != to_a.len() {
+            return Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "a block of {} lanes cannot report into {} payoffs",
+                    lanes.len(),
+                    to_a.len()
+                ),
+            });
+        }
+        self.check_lanes(lanes)?;
+        if self.noise > 0.0 {
+            self.run_block::<true>(lanes, to_a);
+        } else {
+            self.run_block::<false>(lanes, to_a);
+        }
+        Ok(())
+    }
+
+    /// Lanes the engines' block entry advances together. Two is the width
+    /// that won every recorded sweep (`batch_kernel/*` in
+    /// `BENCH_baseline.json`): it hides most of the 128-bit-multiply
+    /// latency, and wider groups spill the lane state out of registers.
+    pub const BLOCK_LANES: usize = 2;
+
+    fn run_block<const NOISE: bool>(
+        &self,
+        lanes: &mut [(CompiledPair<'_>, u128)],
+        to_a: &mut [f64],
+    ) {
+        let mut groups = lanes.chunks_exact_mut(Self::BLOCK_LANES);
+        let mut payoffs = to_a.chunks_exact_mut(Self::BLOCK_LANES);
+        for (group, out) in groups.by_ref().zip(payoffs.by_ref()) {
+            let ends = self.run_lanes::<{ Self::BLOCK_LANES }, NOISE>(group);
+            for (pay, end) in out.iter_mut().zip(&ends) {
+                *pay = end.fitness_a;
+            }
+        }
+        for (lane, pay) in groups
+            .into_remainder()
+            .chunks_exact_mut(1)
+            .zip(payoffs.into_remainder())
+        {
+            let [end] = self.run_lanes::<1, NOISE>(lane);
+            *pay = end.fitness_a;
+        }
+    }
+
+    /// Rejects a lane whose tables are not of the game's memory (the round
+    /// loop masks its state index to the game's table size).
+    fn check_lanes(&self, lanes: &[(CompiledPair<'_>, u128)]) -> EgdResult<()> {
+        let num_states = self.memory.num_states();
+        match lanes
+            .iter()
+            .position(|(pair, _)| pair.a_thr.len() != num_states || pair.b_thr.len() != num_states)
+        {
+            None => Ok(()),
+            Some(k) => Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "lane {k}: compiled strategy tables do not match the game's memory"
+                ),
+            }),
+        }
+    }
+
+    /// Plays every lane of a [`BatchedDraws`] batch at the widest supported
+    /// lane width, keeping each game's full outcome — the harness form of
+    /// [`IpdGame::play_block`], over the same lane round loop.
+    pub fn play_batched(&self, batch: &mut BatchedDraws<'_>) -> EgdResult<()> {
         self.play_batched_width(batch, BatchedDraws::MAX_WIDTH)
     }
 
     /// [`IpdGame::play_batched`] at an explicit lane width (1/2/4/8/16) —
     /// the knob the `egd-bench` width harness sweeps. Lanes beyond the last
     /// full chunk run at the widest power of two that still fits.
-    pub fn play_batched_width(&self, batch: &mut BatchedDraws, width: usize) -> EgdResult<()> {
+    pub fn play_batched_width(&self, batch: &mut BatchedDraws<'_>, width: usize) -> EgdResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -471,6 +555,7 @@ impl IpdGame {
                 ),
             });
         }
+        self.check_lanes(&batch.lanes)?;
         if self.noise > 0.0 {
             self.run_batch::<true>(batch, width);
         } else {
@@ -479,38 +564,8 @@ impl IpdGame {
         Ok(())
     }
 
-    /// The outcome of lane `k` of a played batch.
-    pub fn batch_outcome(&self, batch: &BatchedDraws, k: usize) -> GameOutcome {
-        GameOutcome {
-            fitness_a: batch.fitness_a[k],
-            fitness_b: batch.fitness_b[k],
-            cooperations_a: batch.cooperations_a[k],
-            cooperations_b: batch.cooperations_b[k],
-            rounds: self.rounds,
-        }
-    }
-
-    /// Dispatches the batch to a stride-monomorphised run. The common
-    /// memory depths (one to three, strides 8/32/128) get a compile-time
-    /// `STRIDE`, which turns the per-round threshold mask into an immediate
-    /// and lets the compiler prove every lane-table index in-bounds —
-    /// deeper memories fall back to the dynamic-stride instantiation
-    /// (`STRIDE = 0`), which keeps the checks.
-    fn run_batch<const NOISE: bool>(&self, batch: &mut BatchedDraws, width: usize) {
-        match 2 * self.memory.num_states() {
-            8 => self.run_batch_strided::<8, NOISE>(batch, width),
-            32 => self.run_batch_strided::<32, NOISE>(batch, width),
-            128 => self.run_batch_strided::<128, NOISE>(batch, width),
-            _ => self.run_batch_strided::<0, NOISE>(batch, width),
-        }
-    }
-
     /// Chunks the batch into monomorphised lane groups of at most `width`.
-    fn run_batch_strided<const STRIDE: usize, const NOISE: bool>(
-        &self,
-        batch: &mut BatchedDraws,
-        width: usize,
-    ) {
+    fn run_batch<const NOISE: bool>(&self, batch: &mut BatchedDraws<'_>, width: usize) {
         let n = batch.len();
         let mut base = 0;
         let mut w = width;
@@ -519,35 +574,49 @@ impl IpdGame {
                 w /= 2;
             }
             match w {
-                16 => self.run_lanes::<16, STRIDE, NOISE>(batch, base),
-                8 => self.run_lanes::<8, STRIDE, NOISE>(batch, base),
-                4 => self.run_lanes::<4, STRIDE, NOISE>(batch, base),
-                2 => self.run_lanes::<2, STRIDE, NOISE>(batch, base),
-                _ => self.run_lanes::<1, STRIDE, NOISE>(batch, base),
+                16 => self.run_batch_group::<16, NOISE>(batch, base),
+                8 => self.run_batch_group::<8, NOISE>(batch, base),
+                4 => self.run_batch_group::<4, NOISE>(batch, base),
+                2 => self.run_batch_group::<2, NOISE>(batch, base),
+                _ => self.run_batch_group::<1, NOISE>(batch, base),
             }
             base += w;
         }
     }
 
-    /// The lane-parallel round loop over lanes `base..base + W`.
+    /// Plays lanes `base..base + W` of the batch and stores their outcomes.
+    fn run_batch_group<const W: usize, const NOISE: bool>(
+        &self,
+        batch: &mut BatchedDraws<'_>,
+        base: usize,
+    ) {
+        let ends = self.run_lanes::<W, NOISE>(&mut batch.lanes[base..base + W]);
+        for (l, end) in ends.iter().enumerate() {
+            batch.fitness_a[base + l] = end.fitness_a;
+            batch.fitness_b[base + l] = end.fitness_b;
+            batch.cooperations_a[base + l] = self.rounds - end.defections_a;
+            batch.cooperations_b[base + l] = self.rounds - end.defections_b;
+        }
+    }
+
+    /// The lane-parallel round loop over the `W` lanes of `lanes`, whose
+    /// tables [`IpdGame::check_lanes`] has passed: returns what each lane
+    /// ends with and leaves its RNG state at its final stream position.
+    /// Inlined into its callers, so one that reads `fitness_a` only (the
+    /// engines' block entry) does not pay for the other three sums.
     ///
     /// Round-major, lane-minor: per round every lane decides, draws, and
     /// accumulates before any lane moves to the next round. Because lanes
     /// share no state, this loop interchange preserves each lane's exact
     /// draw sequence and f64 summation order — it only interleaves the
     /// independent RNG dependency chains so the CPU can overlap them.
-    fn run_lanes<const W: usize, const STRIDE: usize, const NOISE: bool>(
+    #[inline(always)]
+    fn run_lanes<const W: usize, const NOISE: bool>(
         &self,
-        batch: &mut BatchedDraws,
-        base: usize,
-    ) {
+        lanes: &mut [(CompiledPair<'_>, u128)],
+    ) -> [LaneEnd; W] {
         let num_states = self.memory.num_states();
-        // With a compile-time stride both the mask and every slice length
-        // below are constants, so the per-round threshold indexing compiles
-        // to unchecked loads.
-        let stride = if STRIDE == 0 { 2 * num_states } else { STRIDE };
-        debug_assert_eq!(stride, 2 * num_states);
-        let mask = (stride / 2 - 1) as u64;
+        let mask = (num_states - 1) as u64;
         let noise_thr = if NOISE {
             compiled::draw_threshold(self.noise)
         } else {
@@ -555,20 +624,17 @@ impl IpdGame {
         };
 
         // Hot lane state lives in fixed-size local arrays (registers / L1).
-        let mut state: [u128; W] = std::array::from_fn(|l| batch.rng_state[base + l]);
-        // Views are kept pre-masked throughout the loop (masked on load and
-        // after every update), so the state index needs no AND on the load
-        // path and the threshold index is provably in-bounds.
-        let mut view: [u64; W] = std::array::from_fn(|l| batch.view[base + l] & mask);
+        let mut state: [u128; W] = std::array::from_fn(|l| lanes[l].1);
+        // Views are kept pre-masked throughout the loop (masked after every
+        // update), so the view IS the state index: no AND on the load path.
+        let mut view = [0u64; W]; // all-cooperation start, packed
         let mut fitness_a = [0.0f64; W];
         let mut fitness_b = [0.0f64; W];
         let mut defect_a = [0u32; W];
         let mut defect_b = [0u32; W];
-        // Per-lane interleaved threshold slices of exact length
-        // `2 * num_states` (one cache line serves both players' lookups).
-        // With a compile-time stride each slice length is a constant, so the
-        // masked index below is provably in-bounds.
-        let thr: [&[u64]; W] = std::array::from_fn(|l| &batch.thr[(base + l) * stride..][..stride]);
+        // The two borrowed tables of each lane, both indexed by A's view.
+        let a_thr: [&[u64]; W] = std::array::from_fn(|l| &lanes[l].0.a_thr[..num_states]);
+        let b_thr: [&[u64]; W] = std::array::from_fn(|l| &lanes[l].0.b_thr[..num_states]);
         // Both players' payoffs for one round, indexed by A's history bits —
         // the same `table` values run_pair reads, pre-paired so a round does
         // one indexed load from one cache line.
@@ -595,15 +661,12 @@ impl IpdGame {
         // loop. Sentinel thresholds (`thr + 1 <= 1` ⇔ never/always) consume
         // no draw, exactly as in the per-game kernel. The loop tracks
         // *defections* (`da`/`db`), which are the history bits themselves;
-        // cooperation counts are recovered exactly as `rounds - defections`
-        // after the loop.
+        // cooperation counts are `rounds - defections`, exactly.
         for _ in 0..self.rounds {
             for l in 0..W {
-                // `view` is kept pre-masked (below), so it IS the state
-                // index — no AND on the load path.
                 let s = view[l] as usize;
-                let ta = thr[l][2 * s];
-                let tb = thr[l][2 * s + 1];
+                let ta = a_thr[l][s];
+                let tb = b_thr[l][s];
                 let s0 = state[l];
                 let mut da;
                 let mut db;
@@ -669,14 +732,15 @@ impl IpdGame {
             }
         }
 
-        for l in 0..W {
-            batch.rng_state[base + l] = state[l];
-            batch.view[base + l] = view[l];
-            batch.fitness_a[base + l] = fitness_a[l];
-            batch.fitness_b[base + l] = fitness_b[l];
-            batch.cooperations_a[base + l] = self.rounds - defect_a[l];
-            batch.cooperations_b[base + l] = self.rounds - defect_b[l];
+        for (lane, &end) in lanes.iter_mut().zip(&state) {
+            lane.1 = end;
         }
+        std::array::from_fn(|l| LaneEnd {
+            fitness_a: fitness_a[l],
+            fitness_b: fitness_b[l],
+            defections_a: defect_a[l],
+            defections_b: defect_b[l],
+        })
     }
 
     /// The two unconditional noise draws of a round, computed off the
@@ -1106,15 +1170,14 @@ mod tests {
                 let state = substream_state(seed, StreamKind::GamePlay, k as u64, 0);
                 let mut rng = crate::rng::SimRng::new(state);
                 let reference = game.play_compiled(ca, cb, &mut rng).unwrap();
-                let batched = game.batch_outcome(&batch, k);
                 assert_eq!(
                     reference.fitness_a.to_bits(),
-                    batched.fitness_a.to_bits(),
+                    batch.fitness_a[k].to_bits(),
                     "lane {k} width {width}"
                 );
-                assert_eq!(reference.fitness_b.to_bits(), batched.fitness_b.to_bits());
-                assert_eq!(reference.cooperations_a, batched.cooperations_a);
-                assert_eq!(reference.cooperations_b, batched.cooperations_b);
+                assert_eq!(reference.fitness_b.to_bits(), batch.fitness_b[k].to_bits());
+                assert_eq!(reference.cooperations_a, batch.cooperations_a[k]);
+                assert_eq!(reference.cooperations_b, batch.cooperations_b[k]);
                 assert_eq!(
                     rng.raw_state(),
                     batch.final_rng_state(k),
@@ -1181,6 +1244,79 @@ mod tests {
         assert!(m1.play_batched_width(&mut batch, 3).is_err());
         assert!(m1.play_batched_width(&mut batch, 32).is_err());
         assert!(m1.play_batched_width(&mut batch, 0).is_err());
+    }
+
+    /// A pair of the wrong memory among good ones used to reach the round
+    /// loop, which sliced its tables to the game's size and panicked (the
+    /// batch checked only the size it was begun with, `push_game` only in
+    /// debug builds). Both entries now refuse the block and name the lane.
+    #[test]
+    fn a_lane_of_the_wrong_memory_is_an_error_naming_the_lane() {
+        let game = IpdGame::paper_defaults(MemoryDepth::TWO);
+        let m1 = CompiledStrategy::compile(&kind(NamedStrategy::TitForTat));
+        let mut srng = stream(8, StreamKind::InitialStrategy, 0);
+        let m2 = CompiledStrategy::compile(&StrategyKind::Mixed(MixedStrategy::random(
+            MemoryDepth::TWO,
+            &mut srng,
+        )));
+        let names_lane_one = |err: EgdError| match err {
+            EgdError::InvalidConfig { reason } => assert!(reason.contains("lane 1"), "{reason}"),
+            other => panic!("unexpected error {other:?}"),
+        };
+
+        let mut batch = BatchedDraws::new();
+        batch.begin(game.memory().num_states());
+        batch.push_game(CompiledPair::new(&m2, &m2), 3);
+        batch.push_game(CompiledPair::new(&m1, &m1), 5);
+        names_lane_one(game.play_batched(&mut batch).unwrap_err());
+        // One good side does not make a lane good.
+        let mut lanes = [
+            (CompiledPair::new(&m2, &m2), 3),
+            (CompiledPair::new(&m2, &m1), 5),
+            (CompiledPair::new(&m2, &m2), 7),
+        ];
+        let mut to_a = [-1.0; 3];
+        names_lane_one(game.play_block(&mut lanes, &mut to_a).unwrap_err());
+        assert_eq!(to_a, [-1.0; 3], "nothing is played");
+        assert_eq!(lanes[0].1, 3, "no stream moves");
+        // As many payoffs as lanes.
+        assert!(game.play_block(&mut lanes[..1], &mut to_a).is_err());
+    }
+
+    #[test]
+    fn block_entry_matches_per_game_kernel_at_every_length() {
+        use crate::rng::{substream_state, SimRng};
+        for noise in [0.0, 0.05] {
+            let game = IpdGame::new(MemoryDepth::TWO, 90, PayoffMatrix::PAPER, noise).unwrap();
+            let compiled: Vec<(CompiledStrategy, CompiledStrategy)> =
+                sample_pairs(MemoryDepth::TWO, 5, 35)
+                    .iter()
+                    .map(|(a, b)| (CompiledStrategy::compile(a), CompiledStrategy::compile(b)))
+                    .collect();
+            for len in 0..=compiled.len() {
+                let mut lanes: Vec<_> = compiled[..len]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, (a, b))| {
+                        let state = substream_state(105, StreamKind::GamePlay, k as u64, 0);
+                        (CompiledPair::new(a, b), state)
+                    })
+                    .collect();
+                let mut to_a = vec![f64::NAN; len];
+                game.play_block(&mut lanes, &mut to_a).unwrap();
+                for (k, (a, b)) in compiled[..len].iter().enumerate() {
+                    let mut rng =
+                        SimRng::new(substream_state(105, StreamKind::GamePlay, k as u64, 0));
+                    let reference = game.play_compiled(a, b, &mut rng).unwrap();
+                    assert_eq!(reference.fitness_a.to_bits(), to_a[k].to_bits(), "lane {k}");
+                    assert_eq!(
+                        rng.raw_state(),
+                        lanes[k].1,
+                        "lane {k} of {len}, noise {noise}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   strategies.
 //! * [`compiled`] is the stochastic rung of the optimisation ladder:
 //!   strategies compiled into integer-threshold tables that
-//!   [`IpdGame::play_compiled`] executes with the exact RNG draw sequence of
-//!   the paper-literal loop.
+//!   [`IpdGame::play_compiled`] (one game) and [`IpdGame::play_block`] (the
+//!   engines: a block of games, two lanes at a time) execute with the exact
+//!   RNG draw sequence of the paper-literal loop.
 
 pub mod compiled;
 pub mod ipd;
@@ -20,7 +21,7 @@ pub mod markov;
 pub mod naive;
 pub mod tournament;
 
-pub use compiled::{BatchedDraws, CompiledPair, CompiledPairTable, CompiledStrategy};
+pub use compiled::{BatchedDraws, CompiledPair, CompiledStrategy};
 pub use ipd::{GameOutcome, IpdGame};
 pub use markov::MarkovGame;
 pub use tournament::{MatchMode, Tournament, TournamentResult};

@@ -259,61 +259,60 @@ impl<'a> PlannedCells<'a> {
         }
     }
 
-    /// Fresh game `k` (a search over the rows filled now).
-    fn fresh_game(&self, k: usize) -> FreshGame {
-        let Some(k) = k.checked_sub(self.column_games()) else {
-            return self.column_game(k);
-        };
-        let i = self.new_row_ends.partition_point(|&end| end <= k);
-        let start = i
-            .checked_sub(1)
-            .map_or(0, |before| self.new_row_ends[before]);
-        self.new_row_game(i, k - start)
-    }
-
-    /// The fresh games in list order (a walk: no search per game).
-    fn fresh_games(&self) -> impl Iterator<Item = FreshGame> + '_ {
-        let rows = (0..self.new_rows.len())
-            .flat_map(move |i| (0..self.new_row_games(i)).map(move |q| self.new_row_game(i, q)));
-        (0..self.column_games())
+    /// The fresh games in list order from fresh game `k` on (a walk: one
+    /// search for the starting row, none per game).
+    fn fresh_games_from(&self, k: usize) -> impl Iterator<Item = FreshGame> + '_ {
+        let columns = self.column_games();
+        let k_rows = k.saturating_sub(columns);
+        let first = self.new_row_ends.partition_point(|&end| end <= k_rows);
+        let skip = k_rows
+            - first
+                .checked_sub(1)
+                .map_or(0, |before| self.new_row_ends[before]);
+        let rows = (first..self.new_rows.len()).flat_map(move |i| {
+            let from = if i == first { skip } else { 0 };
+            (from..self.new_row_games(i)).map(move |q| self.new_row_game(i, q))
+        });
+        (k.min(columns)..columns)
             .map(|k| self.column_game(k))
             .chain(rows)
     }
 
-    /// Game `k` of the list.
-    pub fn get(&self, k: usize) -> PlannedCell<'a> {
-        if k < self.fresh_len() {
-            return self.fresh_cell(self.fresh_game(k));
-        }
-        let k = k - self.fresh_len();
-        assert!(k < self.stochastic_len(), "planned game out of range");
-        let row = self.row_offsets.partition_point(|&offset| offset <= k) - 1;
-        let g = self.rows[row];
-        let column = k - self.row_offsets[row];
-        let h = if self.cacheable[g] {
-            self.uncacheable[column]
-        } else {
-            column
-        };
-        self.stochastic_cell(g, h)
+    /// The games in list order (a walk: no search per game).
+    pub fn iter(&self) -> impl Iterator<Item = PlannedCell<'a>> + '_ {
+        self.iter_from(0)
     }
 
-    /// The games in list order (a walk: no search per game, unlike
-    /// [`PlannedCells::get`]).
-    pub fn iter(&self) -> impl Iterator<Item = PlannedCell<'a>> + '_ {
-        let stochastic = self.rows.iter().flat_map(move |&g| {
-            let (listed, all) = if self.cacheable[g] {
-                (&self.uncacheable[..], 0..0)
-            } else {
-                (&[][..], 0..self.cacheable.len())
-            };
-            listed
-                .iter()
-                .copied()
-                .chain(all)
-                .map(move |h| self.stochastic_cell(g, h))
-        });
-        self.fresh_games()
+    /// The games in list order from game `k` on: one search for where the
+    /// walk starts, none per game — what lets an executor play any run of
+    /// the list, in chunks, without a search per game.
+    pub fn iter_from(&self, k: usize) -> impl Iterator<Item = PlannedCell<'a>> + '_ {
+        let fresh = self.fresh_len();
+        let k_stochastic = k.saturating_sub(fresh);
+        // The last row that starts at or before the game (rows without
+        // stochastic cells share their successor's offset).
+        let first = self
+            .row_offsets
+            .partition_point(|&offset| offset <= k_stochastic)
+            - 1;
+        let skip = k_stochastic - self.row_offsets[first];
+        let stochastic = self.rows[first..]
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, &g)| {
+                let from = if i == 0 { skip } else { 0 };
+                let (listed, all) = if self.cacheable[g] {
+                    (&self.uncacheable[from..], 0..0)
+                } else {
+                    (&[][..], from..self.cacheable.len())
+                };
+                listed
+                    .iter()
+                    .copied()
+                    .chain(all)
+                    .map(move |h| self.stochastic_cell(g, h))
+            });
+        self.fresh_games_from(k.min(fresh))
             .map(|game| self.fresh_cell(game))
             .chain(stochastic)
     }
@@ -683,7 +682,7 @@ impl PayoffTable {
             "the executor returns one result per planned game"
         );
         let stride = self.stride;
-        for (game, &(to_a, to_b)) in planned.fresh_games().zip(&values) {
+        for (game, &(to_a, to_b)) in planned.fresh_games_from(0).zip(&values) {
             self.cells[game.a * stride + game.b] = to_a;
             if game.mirrored {
                 self.cells[game.b * stride + game.a] = to_b;
@@ -808,11 +807,15 @@ mod tests {
                 swap_exact,
                 |games| {
                     played = games.iter().map(|c| c.fingerprints).collect();
-                    // The walk and the indexed access are the same list.
+                    // A walk started at game `k` is the list from `k` on.
                     let key =
                         |c: PlannedCell<'_>| (c.fingerprints, c.a_index, c.b_index, c.cacheable);
-                    let indexed: Vec<_> = (0..games.len()).map(|k| key(games.get(k))).collect();
-                    assert_eq!(games.iter().map(key).collect::<Vec<_>>(), indexed);
+                    let walk: Vec<_> = games.iter().map(key).collect();
+                    assert_eq!(walk.len(), games.len());
+                    for k in 0..=games.len() {
+                        let from_k: Vec<_> = games.iter_from(k).map(key).collect();
+                        assert_eq!(from_k, walk[k..], "walk from game {k}");
+                    }
                     Ok(played
                         .iter()
                         .map(|&(a, b)| (pay((a, b)), pay((b, a))))
@@ -988,7 +991,7 @@ mod tests {
     /// The cells a list of fresh games fills, checked to be distinct.
     fn filled_cells(games: &PlannedCells<'_>) -> HashSet<(usize, usize)> {
         let mut cells = HashSet::new();
-        for game in games.fresh_games() {
+        for game in games.fresh_games_from(0) {
             assert!(
                 cells.insert((game.a, game.b)),
                 "{game:?} fills a cell twice"
@@ -1056,10 +1059,11 @@ mod tests {
                                 }
                                 let played: Vec<_> = games.iter().map(|c| c.fingerprints).collect();
                                 assert_eq!(played.len(), games.fresh_len());
-                                let indexed: Vec<_> = (0..games.fresh_len())
-                                    .map(|k| games.fresh_game(k))
-                                    .collect();
-                                assert_eq!(games.fresh_games().collect::<Vec<_>>(), indexed);
+                                let walk: Vec<_> = games.fresh_games_from(0).collect();
+                                for k in 0..=games.fresh_len() {
+                                    let from_k: Vec<_> = games.fresh_games_from(k).collect();
+                                    assert_eq!(from_k, walk[k..], "fresh walk from {k}");
+                                }
                                 Ok(played
                                     .iter()
                                     .map(|&(a, b)| (pay((a, b)), pay((b, a))))

@@ -25,13 +25,22 @@
 //!   the rows and columns of strategies that entered the population and
 //!   re-reads nothing. [`PairEvaluator::pair_payoff`] keeps a separate
 //!   per-pair memo for callers that ask for single pairs.
+//!
+//! What a generation does have to play — the games of strategies that
+//! entered, and every stochastic game — every engine plays the same way, a
+//! chunk of the planned list at a time through [`PairKernel::play_games`]:
+//! the chunk's stochastic games are the lanes of one
+//! [`IpdGame::play_block`] call (two lanes to a round loop, on strategies
+//! compiled once per group per generation), its fresh deterministic games
+//! go to [`IpdGame::play_pure`]. The engines differ only in who calls it for
+//! which chunks.
 
 use crate::config::SimulationConfig;
 use crate::dynamics::{GenerationDecision, NatureAgent};
 use crate::error::{EgdError, EgdResult};
-use crate::game::{CompiledStrategy, IpdGame, MarkovGame};
+use crate::game::{CompiledPair, CompiledStrategy, IpdGame, MarkovGame};
 use crate::metrics::{FitnessStats, GenerationRecord, GenerationTiming};
-use crate::payoff_table::{PayoffTable, PayoffTableStats};
+use crate::payoff_table::{PayoffTable, PayoffTableStats, PlannedCell};
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
 use crate::strategy::{Strategy, StrategyKind};
@@ -153,7 +162,7 @@ impl PairKernel {
             },
             FitnessMode::Simulated => {
                 let (ca, cb) = compiled.expect("a stochastic game comes with its compiled pair");
-                let pair_id = (a_index as u64) << 32 | b_index as u64;
+                let pair_id = pair_id(a_index, b_index);
                 let mut rng = substream(self.seed, StreamKind::GamePlay, pair_id, generation);
                 self.game.play_compiled(ca, cb, &mut rng)?
             }
@@ -161,65 +170,86 @@ impl PairKernel {
         Ok((outcome.fitness_a, outcome.fitness_b))
     }
 
-    /// [`PairKernel::play`] for a game of a [`PayoffTable`]'s planned list,
-    /// whose `to_b` matters only where it can fill a mirror cell: a
-    /// stochastic game reports `(to_a, 0.0)`. Said here rather than left to
-    /// the callers to ignore, because it is worth ~6 % of a stochastic game:
-    /// inlined with `to_b` unused, the round loop drops the second player's
-    /// payoff sum.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn play_planned(
+    /// Games per chunk: how many planned games
+    /// [`PairKernel::play_games`] plays at a time, and so the most lanes one
+    /// [`IpdGame::play_block`] call receives. A chunk is also the parallel
+    /// engines' work item: long enough to amortise its dispatch and its
+    /// span over ~20 µs of play, short enough that a generation of a few
+    /// hundred stochastic games still splits over the workers.
+    pub const CHUNK_GAMES: usize = 32;
+
+    /// Plays games of a [`PayoffTable`]'s planned list — all of the walk
+    /// `games` — and appends their `(to_a, to_b)` to `out` in list order.
+    /// This is the one way an engine plays a planned game.
+    ///
+    /// The walk is played [`PairKernel::CHUNK_GAMES`] games at a time. A
+    /// cacheable game is played by [`PairKernel::play`] on the spot. A
+    /// chunk's stochastic games become the lanes of one
+    /// [`IpdGame::play_block`] call: `compiled(i)` is the compiled strategy
+    /// of the group SSet `i` represents, each lane starts at the state of the
+    /// stream [`PairKernel::play`] would draw from, and a lane reports
+    /// `(to_a, 0.0)` — a stochastic game's `to_b` has no mirror cell to fill,
+    /// and the block kernel does not sum it.
+    pub fn play_games<'c>(
         &self,
-        cacheable: bool,
-        a_index: usize,
-        a: &StrategyKind,
-        b_index: usize,
-        b: &StrategyKind,
-        compiled: Option<(&CompiledStrategy, &CompiledStrategy)>,
+        games: impl Iterator<Item = PlannedCell<'c>>,
+        compiled: impl Fn(usize) -> &'c CompiledStrategy,
         generation: u64,
-    ) -> EgdResult<(f64, f64)> {
-        if cacheable {
-            self.play(true, a_index, a, b_index, b, None, generation)
-        } else {
-            let (to_a, _) = self.play(false, a_index, a, b_index, b, compiled, generation)?;
-            Ok((to_a, 0.0))
+        out: &mut Vec<(f64, f64)>,
+    ) -> EgdResult<()> {
+        let mut games = games.peekable();
+        while games.peek().is_some() {
+            self.play_chunk(&mut games, &compiled, generation, out)?;
         }
+        Ok(())
+    }
+
+    /// The next chunk of [`PairKernel::play_games`]'s walk.
+    fn play_chunk<'c>(
+        &self,
+        games: &mut impl Iterator<Item = PlannedCell<'c>>,
+        compiled: &impl Fn(usize) -> &'c CompiledStrategy,
+        generation: u64,
+        out: &mut Vec<(f64, f64)>,
+    ) -> EgdResult<()> {
+        // Allocated by the chunk's first stochastic game: the chunks of a
+        // deterministic run have none.
+        let mut lanes = Vec::new();
+        // Where in `out` each lane reports.
+        let mut reports = [0usize; Self::CHUNK_GAMES];
+        for game in games.take(Self::CHUNK_GAMES) {
+            let (a, b) = (game.a_index, game.b_index);
+            if game.cacheable {
+                out.push(self.play(true, a, game.a, b, game.b, None, generation)?);
+                continue;
+            }
+            if lanes.is_empty() {
+                lanes.reserve_exact(Self::CHUNK_GAMES);
+            }
+            reports[lanes.len()] = out.len();
+            out.push((0.0, 0.0));
+            lanes.push((
+                CompiledPair::new(compiled(a), compiled(b)),
+                substream_state(self.seed, StreamKind::GamePlay, pair_id(a, b), generation),
+            ));
+        }
+        if lanes.is_empty() {
+            return Ok(());
+        }
+        let mut to_a = [0.0; Self::CHUNK_GAMES];
+        let to_a = &mut to_a[..lanes.len()];
+        self.game.play_block(&mut lanes, to_a)?;
+        for (&report, &pay) in reports.iter().zip(to_a.iter()) {
+            out[report].0 = pay;
+        }
+        Ok(())
     }
 }
 
-/// Per-generation interning of compiled strategies for the sequential
-/// evaluator's stochastic games: each distinct strategy is compiled once per
-/// generation, not once per game.
-#[derive(Debug, Clone, Default)]
-struct GenerationInterner {
-    compiled: HashMap<u64, CompiledStrategy>,
-    generation: u64,
-}
-
-impl GenerationInterner {
-    /// The compiled forms of `a` and `b` (fingerprints `key`) for
-    /// `generation`, compiling on first use. The table is cleared when the
-    /// generation rolls over (strategies churn under mutation, so a
-    /// per-generation lifetime keeps it bounded).
-    fn pair(
-        &mut self,
-        generation: u64,
-        key: (u64, u64),
-        a: &StrategyKind,
-        b: &StrategyKind,
-    ) -> (&CompiledStrategy, &CompiledStrategy) {
-        if self.generation != generation {
-            self.compiled.clear();
-            self.generation = generation;
-        }
-        for (fp, strategy) in [(key.0, a), (key.1, b)] {
-            self.compiled
-                .entry(fp)
-                .or_insert_with(|| CompiledStrategy::compile(strategy));
-        }
-        (&self.compiled[&key.0], &self.compiled[&key.1])
-    }
+/// The id of the random stream of the game between the strategies SSets
+/// `a_index` and `b_index` represent (an ordered pair).
+fn pair_id(a_index: usize, b_index: usize) -> u64 {
+    (a_index as u64) << 32 | b_index as u64
 }
 
 /// Pairwise payoff evaluator of the sequential engine and of each rank of
@@ -234,7 +264,6 @@ pub struct PairEvaluator {
     /// The payoff matrix [`PairEvaluator::block_fitness`] keeps between
     /// generations.
     table: PayoffTable,
-    interner: GenerationInterner,
 }
 
 impl PairEvaluator {
@@ -249,7 +278,6 @@ impl PairEvaluator {
             cache_hits: 0,
             cache_misses: 0,
             table: PayoffTable::new(config.num_ssets),
-            interner: GenerationInterner::default(),
         })
     }
 
@@ -295,7 +323,11 @@ impl PairEvaluator {
                 return Ok(hit);
             }
         }
-        let compiled = (!cacheable).then(|| self.interner.pair(generation, key, a, b));
+        // Compiled per call: single stochastic pairs are asked for by tests
+        // and references, never by an engine.
+        let compiled =
+            (!cacheable).then(|| (CompiledStrategy::compile(a), CompiledStrategy::compile(b)));
+        let compiled = compiled.as_ref().map(|(ca, cb)| (ca, cb));
         let result = self
             .kernel
             .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
@@ -328,23 +360,27 @@ impl PairEvaluator {
             |strategy| mode.caches(noise, strategy),
             mode.swap_exact(),
             |games| {
+                // Compiled once per group per generation, and only when a
+                // game needs it.
+                let grouping = games.grouping();
+                let compiled: Vec<CompiledStrategy> = if games.stochastic_len() > 0 {
+                    let strategies = population.strategies();
+                    grouping
+                        .group_rep
+                        .iter()
+                        .map(|&i| CompiledStrategy::compile(&strategies[i]))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 // Sized up front: a `Result` collect grows by doubling.
                 let mut payoffs = Vec::with_capacity(games.len());
-                for game in games.iter() {
-                    let compiled = (!game.cacheable).then(|| {
-                        self.interner
-                            .pair(generation, game.fingerprints, game.a, game.b)
-                    });
-                    payoffs.push(self.kernel.play_planned(
-                        game.cacheable,
-                        game.a_index,
-                        game.a,
-                        game.b_index,
-                        game.b,
-                        compiled,
-                        generation,
-                    )?);
-                }
+                self.kernel.play_games(
+                    games.iter(),
+                    |i| &compiled[grouping.group_of[i]],
+                    generation,
+                    &mut payoffs,
+                )?;
                 Ok(payoffs)
             },
         );

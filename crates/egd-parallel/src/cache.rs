@@ -5,9 +5,12 @@
 //! [`PayoffTable`] ([`ConcurrentPairEvaluator::generation_fitness`]): only
 //! the rows and columns of strategies that entered the population, and the
 //! stochastic games, are played, as a [`CellBatch`] the caller spreads over
-//! its workers. Stochastic games run on the compiled kernel
-//! ([`egd_core::game::IpdGame::play_compiled`]) with per-generation interning
-//! of compiled strategies ([`crate::intern::CompiledInterner`]).
+//! its workers a chunk of games at a time ([`CellBatch::play_range`]). A
+//! chunk's stochastic games are the lanes of one block-kernel call
+//! ([`egd_core::simulation::PairKernel::play_games`] →
+//! [`egd_core::game::IpdGame::play_block`]) on strategies compiled once per
+//! group per generation ([`crate::intern::CompiledInterner`]); its fresh
+//! deterministic games are played on the spot.
 //!
 //! Callers that ask for single pairs
 //! ([`ConcurrentPairEvaluator::pair_payoff`]: the benchmarks' cost probes)
@@ -26,6 +29,7 @@ use egd_core::strategy::StrategyKind;
 use egd_obs::MetricsSnapshot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,7 +64,7 @@ pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStat
 
 /// One generation's games ([`PlannedCells`]) bound to the evaluator that
 /// plays them: what [`ConcurrentPairEvaluator::generation_fitness`] hands its
-/// executor. [`CellBatch::play`] is callable from any thread.
+/// executor. [`CellBatch::play_range`] is callable from any thread.
 #[derive(Debug)]
 pub struct CellBatch<'a> {
     evaluator: &'a ConcurrentPairEvaluator,
@@ -76,25 +80,25 @@ impl<'a> CellBatch<'a> {
         self.cells
     }
 
-    /// Plays game `k` and returns `(to_a, to_b)` (see
-    /// [`PairKernel::play_planned`]).
-    pub fn play(&self, k: usize) -> EgdResult<(f64, f64)> {
-        let game = self.cells.get(k);
+    /// The list cut into the executors' work items: consecutive ranges of
+    /// [`PairKernel::CHUNK_GAMES`] games, the last one shorter.
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = Range<usize>> {
+        let len = self.cells.len();
+        (0..len.div_ceil(PairKernel::CHUNK_GAMES)).map(move |c| {
+            let start = c * PairKernel::CHUNK_GAMES;
+            start..len.min(start + PairKernel::CHUNK_GAMES)
+        })
+    }
+
+    /// Plays the games `range` of the list (see
+    /// [`PairKernel::play_games`]) and appends their `(to_a, to_b)` to `out`.
+    pub fn play_range(&self, range: Range<usize>, out: &mut Vec<(f64, f64)>) -> EgdResult<()> {
         let group_of = &self.cells.grouping().group_of;
-        let compiled = (!game.cacheable).then(|| {
-            (
-                &*self.compiled[group_of[game.a_index]],
-                &*self.compiled[group_of[game.b_index]],
-            )
-        });
-        self.evaluator.kernel.play_planned(
-            game.cacheable,
-            game.a_index,
-            game.a,
-            game.b_index,
-            game.b,
-            compiled,
+        self.evaluator.kernel.play_games(
+            self.cells.iter_from(range.start).take(range.len()),
+            |i| &*self.compiled[group_of[i]],
             self.generation,
+            out,
         )
     }
 }
@@ -187,7 +191,7 @@ impl ConcurrentPairEvaluator {
     /// retained payoff matrix (see [`PayoffTable::generation_fitness`]):
     /// `execute` receives the generation's fresh and stochastic games as a
     /// [`CellBatch`] and returns their `(to_a, to_b)` in batch order, running
-    /// [`CellBatch::play`] on whatever workers it has. Bit-identical to
+    /// [`CellBatch::play_range`] on whatever workers it has. Bit-identical to
     /// [`egd_core::simulation::compute_generation_fitness`].
     pub fn generation_fitness(
         &self,

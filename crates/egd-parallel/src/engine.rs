@@ -9,7 +9,7 @@
 //! engine is a [`FitnessBackend`] of the one generation loop,
 //! `egd_core::simulation::Simulation`.
 
-use crate::cache::ConcurrentPairEvaluator;
+use crate::cache::{CellBatch, ConcurrentPairEvaluator};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
@@ -20,6 +20,7 @@ use egd_cost::predict::MeasuredEwma;
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_sched::SchedStats;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The parallel fitness engine.
@@ -179,58 +180,83 @@ impl ParallelEngine {
                     // Nothing entered the population: no fork, no join.
                     return Ok(Vec::new());
                 }
-                // The initial per-worker segments are seeded from the
-                // cost-proportional partition of the games actually played,
-                // so both the static and the adaptive policy start balanced
-                // and stealing only corrects prediction error. Every planned
-                // game is priced as a game — a fresh deterministic one too:
-                // it is played, not probed. With repricing enabled, measured
-                // means from earlier generations replace the analytic price
-                // of observed stochastic games.
+                // A work item is a chunk of the list. The initial per-worker
+                // segments are seeded from the cost-proportional partition of
+                // the games actually played, so both the static and the
+                // adaptive policy start balanced and stealing only corrects
+                // prediction error: a chunk weighs the sum of its games'
+                // prices. Every planned game is priced as a game — a fresh
+                // deterministic one too: it is played, not probed. With
+                // repricing enabled, measured means from earlier generations
+                // replace the analytic price of observed stochastic games.
                 let game_ns =
                     egd_cost::predict::game_weight_ns(&self.cost_model, self.evaluator.game());
+                let chunks: Vec<Range<usize>> = batch.chunks().collect();
                 let weights: Vec<u64> = match self.repricing.lock().as_mut() {
-                    None => vec![game_ns; cells.len()],
+                    None => chunks
+                        .iter()
+                        .map(|chunk| game_ns * chunk.len() as u64)
+                        .collect(),
                     Some(ewma) => {
                         for ((a, b), mean) in self.measured.lock().mean_iter() {
                             ewma.observe(a, b, mean);
                         }
-                        cells
+                        let mut games = cells.iter();
+                        chunks
                             .iter()
-                            .map(|game| {
-                                egd_cost::predict::refined_game_weight_ns(
-                                    game_ns,
-                                    !game.cacheable,
-                                    game.fingerprints,
-                                    ewma,
-                                )
+                            .map(|chunk| {
+                                games
+                                    .by_ref()
+                                    .take(chunk.len())
+                                    .map(|game| {
+                                        egd_cost::predict::refined_game_weight_ns(
+                                            game_ns,
+                                            !game.cacheable,
+                                            game.fingerprints,
+                                            ewma,
+                                        )
+                                    })
+                                    .sum()
                             })
                             .collect()
                     }
                 };
-                let measured = &self.measured;
-                self.install(|| {
+                let played = self.install(|| {
                     egd_obs::obs_span!(SpanKind::CellMatrix, cells.len() as u64, {
                         egd_sched::map_indexed_weighted(
                             self.threads.effective_threads(),
                             &weights,
-                            |idx| {
-                                let span = SpanTimer::start(SpanKind::Cell);
-                                let payoff = batch.play(idx);
-                                if let Some(span) = span {
-                                    let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
-                                    let (a, b) = cells.get(idx).fingerprints;
-                                    measured.lock().record(a, b, elapsed);
-                                    span.finish(idx as u64);
-                                }
-                                payoff
-                            },
+                            |c| self.play_chunk(batch, chunks[c].clone()),
                         )
-                        .into_iter()
-                        .collect()
                     })
-                })
+                });
+                let mut payoffs = Vec::with_capacity(cells.len());
+                for chunk in played {
+                    payoffs.extend(chunk?);
+                }
+                Ok(payoffs)
             })
+    }
+
+    /// Plays one chunk of the batch. While tracing, the chunk is one `Cell`
+    /// span carrying its game count, and each of its games is booked an
+    /// equal share of the chunk's wall time in the measured-cost table.
+    fn play_chunk(&self, batch: &CellBatch<'_>, chunk: Range<usize>) -> EgdResult<Vec<(f64, f64)>> {
+        let games = chunk.len();
+        let mut payoffs = Vec::with_capacity(games);
+        let span = SpanTimer::start(SpanKind::Cell);
+        batch.play_range(chunk.clone(), &mut payoffs)?;
+        if let Some(span) = span {
+            let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
+            let mut measured = self.measured.lock();
+            for game in batch.cells().iter_from(chunk.start).take(games) {
+                let (a, b) = game.fingerprints;
+                measured.record(a, b, elapsed / games as u64);
+            }
+            drop(measured);
+            span.finish(games as u64);
+        }
+        Ok(payoffs)
     }
 }
 
@@ -351,6 +377,7 @@ mod tests {
     #[test]
     fn tracing_records_cell_spans_and_measured_costs() {
         use crate::grouping::StrategyGrouping;
+        use egd_core::simulation::PairKernel;
         let _guard = egd_obs::session_guard();
         let cfg = config(0.0, 21);
         let population = cfg.initial_population().unwrap();
@@ -374,7 +401,19 @@ mod tests {
         // A cold table plays every unordered pair of groups once: the game
         // fills the pair's two cells.
         let games = num_groups * (num_groups + 1) / 2;
-        assert_eq!(cells, games, "one span per cold game");
+        assert!(games > PairKernel::CHUNK_GAMES, "more than one work item");
+        assert_eq!(
+            cells,
+            games.div_ceil(PairKernel::CHUNK_GAMES),
+            "one span per chunk of cold games"
+        );
+        let spanned: u64 = log
+            .events
+            .iter()
+            .filter(|e| e.kind == egd_obs::SpanKind::Cell)
+            .map(|e| e.payload)
+            .sum();
+        assert_eq!(spanned, games as u64, "a span carries its game count");
         assert!(log
             .events
             .iter()

@@ -66,26 +66,28 @@ impl KernelVariant {
 /// Calibrates the compute coefficients of a [`egd_cost::CostModel`] by
 /// timing the real kernels on the host machine (memory-one and memory-four
 /// games). Stochastic full-game work — what `round_base_us` and
-/// `round_per_state_bit_us` price — now runs through the lane-parallel
-/// batched kernel ([`egd_core::game::IpdGame::play_batched`]), so those
-/// coefficients are fitted from batched mixed-strategy games at the
-/// engines' common lane width rather than from the one-game-at-a-time pure
-/// kernel. The naive-scan penalty still comes from the Naive-vs-Indexed
-/// pure-kernel gap (the ladder's "Original" rung has no batched form).
-/// Communication coefficients keep their Blue Gene-like defaults because
-/// the host has no torus to measure.
+/// `round_per_state_bit_us` price — runs through the block kernel
+/// ([`egd_core::game::IpdGame::play_block`]), so those coefficients are
+/// fitted from mixed-strategy games played exactly as the engines play a
+/// chunk of them: one block of
+/// [`egd_core::simulation::PairKernel::CHUNK_GAMES`] lanes that borrow
+/// their tables, two lanes to a round loop. The naive-scan penalty still
+/// comes from the Naive-vs-Indexed pure-kernel gap (the ladder's "Original"
+/// rung has no block form). Communication coefficients keep their Blue
+/// Gene-like defaults because the host has no torus to measure.
 pub fn calibrated_cost_model() -> egd_cost::CostModel {
-    use egd_core::game::{BatchedDraws, CompiledPairTable, CompiledStrategy};
+    use egd_core::game::{CompiledPair, CompiledStrategy};
     use egd_core::rng::{substream_state, StreamKind};
+    use egd_core::simulation::PairKernel;
     use egd_core::strategy::{MixedStrategy, StrategyKind};
     use std::time::Instant;
     let mut model = egd_cost::CostModel::blue_gene_like();
     let rounds = 200u32;
 
-    // Amortised µs per stochastic game through the batched kernel at the
-    // widest lane chunk — the shape the engines' stochastic blocks run at.
-    let time_batched = |memory: MemoryDepth| -> f64 {
-        const LANES: usize = BatchedDraws::MAX_WIDTH;
+    // Amortised µs per stochastic game through the block kernel, at the
+    // engines' chunk length.
+    let time_block = |memory: MemoryDepth| -> f64 {
+        const LANES: usize = PairKernel::CHUNK_GAMES;
         let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0)
             .expect("noise-free calibration parameters are always valid");
         let mut rng = egd_core::rng::stream(1234, StreamKind::Auxiliary, 9);
@@ -95,25 +97,25 @@ pub fn calibrated_cost_model() -> egd_cost::CostModel {
         let b = CompiledStrategy::compile(&StrategyKind::Mixed(MixedStrategy::random(
             memory, &mut rng,
         )));
-        let table = CompiledPairTable::build(&a, &b);
-        let mut batch = BatchedDraws::new();
-        let run = |batch: &mut BatchedDraws| {
-            batch.begin(memory.num_states());
-            for k in 0..LANES {
-                batch.push_game_table(
-                    &table,
+        let run = || {
+            let mut lanes: [_; LANES] = std::array::from_fn(|k| {
+                (
+                    CompiledPair::new(&a, &b),
                     substream_state(1234, StreamKind::GamePlay, k as u64, 0),
-                );
-            }
-            game.play_batched(batch).expect("batched calibration play");
+                )
+            });
+            let mut to_a = [0.0; LANES];
+            game.play_block(&mut lanes, &mut to_a)
+                .expect("block calibration play");
+            std::hint::black_box(to_a);
         };
         for _ in 0..3 {
-            run(&mut batch);
+            run();
         }
         let reps = 50;
         let start = Instant::now();
         for _ in 0..reps {
-            run(&mut batch);
+            run();
         }
         start.elapsed().as_secs_f64() * 1e6 / (reps * LANES) as f64
     };
@@ -135,8 +137,8 @@ pub fn calibrated_cost_model() -> egd_cost::CostModel {
         start.elapsed().as_secs_f64() * 1e6 / reps as f64
     };
 
-    let m1 = time_batched(MemoryDepth::ONE);
-    let m4 = time_batched(MemoryDepth::FOUR);
+    let m1 = time_block(MemoryDepth::ONE);
+    let m4 = time_block(MemoryDepth::FOUR);
     let per_round_m1 = m1 / rounds as f64;
     let per_round_m4 = m4 / rounds as f64;
     // Linear fit over state bits: memory-one has 2 bits, memory-four 8.

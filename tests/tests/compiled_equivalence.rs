@@ -11,9 +11,10 @@
 //! two, noise levels and seeds.
 
 use egd_core::game::compiled::{cooperation_threshold, BatchedDraws, THR_ALWAYS, THR_NEVER};
-use egd_core::game::CompiledPairTable;
+use egd_core::game::CompiledPair;
 use egd_core::prelude::*;
 use egd_core::rng::{stream, substream_state, StreamKind};
+use egd_core::simulation::PairKernel;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use rand::{Rng, RngCore};
@@ -176,9 +177,8 @@ fn assert_batched_matches_single(
     let mut batch = BatchedDraws::new();
     batch.begin(game.memory().num_states());
     for (k, (ca, cb)) in compiled.iter().enumerate() {
-        let table = CompiledPairTable::build(ca, cb);
-        batch.push_game_table(
-            &table,
+        batch.push_game(
+            CompiledPair::new(ca, cb),
             substream_state(seed, StreamKind::GamePlay, k as u64, 0),
         );
     }
@@ -255,6 +255,58 @@ proptest! {
     ) {
         let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, noise).unwrap();
         assert_batched_matches_single(&game, &pairs, 1usize << width_pow, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The engines' block entry is the per-game compiled kernel, lane by
+    /// lane: the payoff to `a` and the stream position each game ends at, bit
+    /// for bit — at the block lengths around everything the entry branches
+    /// on (empty, the one-lane tail alone, one lane pair, a pair and a tail,
+    /// and the engines' chunk length with its neighbours), every memory
+    /// depth, with and without noise, and with pure and mixed sides mixed
+    /// within one block.
+    #[test]
+    fn block_entry_is_bit_identical_to_the_per_game_kernel(
+        n in 1u32..=6,
+        length in 0usize..7,
+        (noisy, level) in (any::<bool>(), 0.001f64..=1.0),
+        rounds in 1u32..60,
+        seed in any::<u64>(),
+    ) {
+        const CHUNK: usize = PairKernel::CHUNK_GAMES;
+        let length = [0, 1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1][length];
+        let memory = MemoryDepth::new(n).unwrap();
+        let noise = if noisy { level } else { 0.0 };
+        let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, noise).unwrap();
+        let mut rng = stream(seed, StreamKind::InitialStrategy, 0);
+        let side = |rng: &mut Pcg64Mcg| {
+            CompiledStrategy::compile(&if rng.gen_bool(0.5) {
+                StrategyKind::Pure(PureStrategy::random(memory, rng))
+            } else {
+                StrategyKind::Mixed(MixedStrategy::random(memory, rng))
+            })
+        };
+        let compiled: Vec<(CompiledStrategy, CompiledStrategy)> =
+            (0..length).map(|_| (side(&mut rng), side(&mut rng))).collect();
+        let start = |k: usize| substream_state(seed, StreamKind::GamePlay, k as u64, 1);
+
+        let mut lanes: Vec<_> = compiled
+            .iter()
+            .enumerate()
+            .map(|(k, (a, b))| (CompiledPair::new(a, b), start(k)))
+            .collect();
+        let mut to_a = vec![f64::NAN; length];
+        game.play_block(&mut lanes, &mut to_a).unwrap();
+
+        for (k, (a, b)) in compiled.iter().enumerate() {
+            let mut rng = Pcg64Mcg::new(start(k));
+            let reference = game.play_compiled(a, b, &mut rng).unwrap();
+            prop_assert_eq!(to_a[k].to_bits(), reference.fitness_a.to_bits(), "lane {}", k);
+            prop_assert_eq!(lanes[k].1, rng.raw_state(), "lane {} stream position", k);
+        }
     }
 }
 

@@ -7,7 +7,7 @@ use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
 use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
 use egd_core::prelude::*;
-use egd_core::simulation::SimulationState;
+use egd_core::simulation::{PairKernel, SimulationState};
 use egd_fault::{arm, FaultEvent, FaultPlan};
 use egd_parallel::simulation::ParallelSimulation;
 use egd_parallel::thread_pool::ThreadConfig;
@@ -188,6 +188,61 @@ fn retained_matrix_engines_agree_on_a_deep_memory_mutation_heavy_run() {
         reference_state,
         "a served sequential session is the sequential run"
     );
+}
+
+/// Every engine plays its stochastic games through the one block kernel:
+/// two lanes to a round loop, an odd last lane alone, a chunk of games at a
+/// time. Thirteen distinct mixed strategies are 169 stochastic games per
+/// generation — odd, and five chunks and a bit — which the engines cut up
+/// differently (the whole list in order; chunks as work items on 3 threads;
+/// a rank task's rows on 5 ranks; 52 or 39 games on each of 4
+/// message-passing ranks; a served session). Who shares a round loop with
+/// whom, and who is the odd lane, differs on all of them; the bytes must
+/// not.
+#[test]
+fn an_odd_stochastic_game_count_agrees_on_all_five_engines() {
+    let cfg = SimulationConfig::builder()
+        .memory(MemoryDepth::TWO)
+        .family(StrategyFamily::Mixed)
+        .num_ssets(13)
+        .agents_per_sset(2)
+        .rounds_per_game(25)
+        .generations(30)
+        .pc_rate(0.5)
+        .mutation_rate(0.2)
+        .noise(0.01)
+        .seed(707)
+        .build()
+        .unwrap();
+    let games = cfg.initial_population().unwrap().census().len().pow(2);
+    assert_eq!(games, 169, "every SSet starts with a strategy of its own");
+    assert!(games % 2 == 1 && !games.is_multiple_of(PairKernel::CHUNK_GAMES));
+
+    let mut sequential = Simulation::new(cfg.clone()).unwrap();
+    sequential.run();
+    let reference = sequential.checkpoint().to_bytes().unwrap();
+    assert!(sequential.generations_with_change() > 0);
+
+    let mut parallel = ParallelSimulation::new(cfg.clone(), ThreadConfig::with_threads(3)).unwrap();
+    parallel.run();
+    assert_eq!(parallel.checkpoint().to_bytes().unwrap(), reference, "par");
+
+    let scheduled = ScheduledExecutor::new(cfg.clone(), ScheduledConfig::with_ranks(5).threads(2))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(&scheduled.population, sequential.population(), "sched");
+
+    let distributed = DistributedExecutor::new(cfg.clone(), DistributedConfig::with_workers(4))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(&distributed.population, sequential.population(), "dist");
+
+    let mut manager = SessionManager::new(ServeConfig::default()).unwrap();
+    let served = manager.submit(SessionConfig::new("odd", cfg)).unwrap();
+    manager.run().unwrap();
+    assert_eq!(served.final_state_bytes().unwrap(), reference, "serve");
 }
 
 #[test]

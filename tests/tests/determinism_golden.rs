@@ -140,50 +140,56 @@ fn forced_steal_schedules_are_byte_identical_across_thread_counts() {
 /// game is stochastic, predictions are far from uniform, and the initial
 /// segment boundaries move accordingly. Under forced steals on top, the
 /// schedule differs from the uniform-partition days in every way a schedule
-/// can — the bytes still must not.
+/// can — the bytes still must not. The work items are chunks of games that
+/// the block kernel plays two lanes at a time: sixteen SSets start at 256
+/// stochastic games, whole chunks of whole lane pairs; thirteen start at
+/// 169, so the last chunk is short and its last lane plays alone.
 #[test]
 fn cost_guided_partitions_stay_byte_identical_on_mixed_populations() {
-    let config = SimulationConfig::builder()
-        .memory(MemoryDepth::ONE)
-        .family(StrategyFamily::Mixed)
-        .num_ssets(16)
-        .agents_per_sset(2)
-        .rounds_per_game(30)
-        .generations(50)
-        .pc_rate(0.4)
-        .mutation_rate(0.1)
-        .noise(0.02)
-        .seed(20_130_521)
-        .build()
-        .unwrap();
+    for num_ssets in [16, 13] {
+        let config = SimulationConfig::builder()
+            .memory(MemoryDepth::ONE)
+            .family(StrategyFamily::Mixed)
+            .num_ssets(num_ssets)
+            .agents_per_sset(2)
+            .rounds_per_game(30)
+            .generations(50)
+            .pc_rate(0.4)
+            .mutation_rate(0.1)
+            .noise(0.02)
+            .seed(20_130_521)
+            .build()
+            .unwrap();
 
-    let mut reference = Simulation::new(config.clone()).unwrap();
-    reference.run();
-    let reference_bytes = population_bytes(reference.population());
+        let mut reference = Simulation::new(config.clone()).unwrap();
+        reference.run();
+        let reference_bytes = population_bytes(reference.population());
 
-    for threads in [1usize, 2, 4, 8] {
-        let mut parallel =
-            ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(threads)).unwrap();
-        parallel.run();
+        for threads in [1usize, 2, 4, 8] {
+            let mut parallel =
+                ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(threads))
+                    .unwrap();
+            parallel.run();
+            assert_eq!(
+                population_bytes(parallel.population()),
+                reference_bytes,
+                "cost-guided mixed run of {num_ssets} SSets at {threads} threads diverged"
+            );
+        }
+
+        let _stress = egd_sched::force_steals();
+        let mut stressed = ParallelSimulation::new(config, ThreadConfig::with_threads(4)).unwrap();
+        let report = stressed.run();
         assert_eq!(
-            population_bytes(parallel.population()),
+            population_bytes(stressed.population()),
             reference_bytes,
-            "cost-guided mixed run at {threads} threads diverged"
+            "forced-steal cost-guided mixed run of {num_ssets} SSets diverged"
+        );
+        assert!(
+            report.sched.expect("scheduler stats recorded").steals > 0,
+            "forced steals must occur on the guided partition too"
         );
     }
-
-    let _stress = egd_sched::force_steals();
-    let mut stressed = ParallelSimulation::new(config, ThreadConfig::with_threads(4)).unwrap();
-    let report = stressed.run();
-    assert_eq!(
-        population_bytes(stressed.population()),
-        reference_bytes,
-        "forced-steal cost-guided mixed run diverged"
-    );
-    assert!(
-        report.sched.expect("scheduler stats recorded").steals > 0,
-        "forced steals must occur on the guided partition too"
-    );
 }
 
 /// The goldens above are memory one: sixteen strategies, so the retained
