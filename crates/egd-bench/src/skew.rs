@@ -343,10 +343,17 @@ mod tests {
             .unwrap();
         assert!(costly_min > 5 * cheap_max, "{costly_min} vs {cheap_max}");
         // The static split of the *prediction* is as skewed as the measured
-        // reality, and the guided replay over measured costs with predicted
-        // weights recovers a near-balanced schedule with few steals.
+        // reality, and the guided replay over costs the prediction only
+        // approximates recovers a near-balanced schedule with few steals.
         assert!(egd_cost::balance::static_skew(&predicted, 4) > 1.3);
-        let measured = measure_cell_costs(&workload, 2);
+        // The costs are the prediction off by up to ±30 % per cell, seeded:
+        // the replay is in virtual time, so nothing here reads the wall
+        // clock (`cell_costs_expose_the_skew` is where costs are measured).
+        let mut rng = stream(13, StreamKind::Auxiliary, 0x5CE3);
+        let measured: Vec<u64> = predicted
+            .iter()
+            .map(|&w| (w as f64 * (0.7 + 0.6 * egd_core::rng::uniform01(&mut rng))) as u64)
+            .collect();
         let guided =
             egd_sched::simulate_schedule_guided(4, &measured, &predicted, Policy::Adaptive);
         let uniform = simulate_schedule(4, &measured, Policy::Adaptive);

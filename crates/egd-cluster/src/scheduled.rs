@@ -602,6 +602,21 @@ mod tests {
         assert_eq!(again, (0..16).collect::<Vec<_>>());
     }
 
+    /// Checks the rank-task accounting of a run's metrics: a generation
+    /// dispatches `ranks` tasks or — reused from the retained generation —
+    /// none, the cold generation is dispatched, a dispatched generation was
+    /// timed, and the worker table sums to the dispatched tasks. Returns the
+    /// number of generations that dispatched.
+    fn assert_rank_dispatch(metrics: &MetricsSnapshot, ranks: u64) -> u64 {
+        let rows = &metrics.generations;
+        assert!(rows.iter().all(|g| g.items == 0 || g.items == ranks));
+        assert_eq!(rows[0].items, ranks, "the cold generation plays games");
+        assert!(rows.iter().all(|g| (g.items > 0) == (g.compute_us > 0.0)));
+        let dispatched = rows.iter().filter(|g| g.items > 0).count() as u64;
+        assert_eq!(metrics.total_items(), ranks * dispatched);
+        dispatched
+    }
+
     #[test]
     fn scales_past_thread_per_rank_limits() {
         // 256 ranks would mean 256 OS threads under the thread-per-rank
@@ -617,9 +632,11 @@ mod tests {
         assert_eq!(summary.ranks, 256);
         assert_eq!(summary.threads, 4);
         let sched = summary.sched.unwrap();
-        // 256 tasks per generation across 3 generations, executed by ≤ 4
-        // scheduler workers.
-        assert_eq!(sched.items, 256 * 3);
+        // 256 tasks in every generation that was computed (the cold one at
+        // least; one the payoff table answered from the retained generation
+        // dispatches nothing), executed by ≤ 4 scheduler workers.
+        let dispatched = assert_rank_dispatch(&summary.metrics, 256);
+        assert_eq!(sched.items, 256 * dispatched);
         assert!(sched.num_workers() <= 4);
     }
 
@@ -635,12 +652,12 @@ mod tests {
         assert_eq!(metrics.run.ranks, 4);
         assert_eq!(metrics.run.workers, 2);
         assert_eq!(metrics.run.generations, 8);
-        // One generation row per generation, each carrying the rank tasks.
+        // One generation row per generation, carrying the rank tasks when
+        // the generation was computed and none when it was reused — which
+        // the snapshot accounts for.
         assert_eq!(metrics.generations.len(), 8);
-        assert!(metrics.generations.iter().all(|g| g.items == 4));
-        assert!(metrics.generations.iter().all(|g| g.compute_us > 0.0));
-        // The worker table sums to the run's task count.
-        assert_eq!(metrics.total_items(), 4 * 8);
+        let dispatched = assert_rank_dispatch(metrics, 4);
+        assert_eq!(metrics.counter("payoff_generations_reused"), 8 - dispatched);
         assert!(metrics.counter("pair_cache_hits") > 0);
         // Noise-free memory one: every game is a payoff-table cell, and the
         // sixteen strategies fit the table without reclaiming.

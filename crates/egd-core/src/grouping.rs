@@ -32,13 +32,22 @@ pub struct StrategyGrouping {
 impl StrategyGrouping {
     /// Groups `strategies` by fingerprint in first-occurrence order.
     pub fn of(strategies: &[StrategyKind]) -> Self {
-        let mut group_of = Vec::with_capacity(strategies.len());
+        let fingerprints: Vec<u64> = strategies.iter().map(StrategyKind::fingerprint).collect();
+        Self::from_fingerprints(&fingerprints)
+    }
+
+    /// Groups SSets by their strategies' fingerprints (`sset_fingerprints[i]`
+    /// is SSet `i`'s), in first-occurrence order: the one grouping routine.
+    /// A caller that keeps the fingerprint lane between generations
+    /// ([`crate::payoff_table::PayoffTable`]) re-hashes only the strategies
+    /// that changed.
+    pub fn from_fingerprints(sset_fingerprints: &[u64]) -> Self {
+        let mut group_of = Vec::with_capacity(sset_fingerprints.len());
         let mut group_rep = Vec::new();
         let mut group_count: Vec<f64> = Vec::new();
         let mut fingerprints = Vec::new();
         let mut by_fingerprint: HashMap<u64, usize> = HashMap::new();
-        for (i, s) in strategies.iter().enumerate() {
-            let fp = s.fingerprint();
+        for (i, &fp) in sset_fingerprints.iter().enumerate() {
             let g = *by_fingerprint.entry(fp).or_insert_with(|| {
                 group_rep.push(i);
                 group_count.push(0.0);

@@ -9,6 +9,10 @@
 //! **slot**, and `cells[row_slot][col_slot]` is the payoff to the row
 //! strategy against the column strategy. Per generation the table
 //!
+//! 0. **diffs** the population against the last generation it computed, and
+//!    returns that generation's fitness vector if nothing differs (see "A
+//!    generation that changed nothing" below); otherwise it re-hashes only
+//!    the SSets whose strategy differs, regroups, and
 //! 1. **syncs**: maps the population's strategy groups to slots by
 //!    fingerprint, giving every strategy that entered the population a slot
 //!    (a free one, or — only when the table is full — the slot of the
@@ -51,9 +55,50 @@
 //! mirror row belongs to another rank. Stochastic games draw from a stream
 //! keyed by the ordered pair and are never mirrored.
 //!
+//! # A generation that changed nothing
+//!
+//! At the paper's rates most generations change no SSet at all. Beside the
+//! matrix the table therefore retains the last generation it computed
+//! (`RetainedGeneration`): per SSet the slot that holds its strategy and the
+//! strategy's fingerprint, the request (block, `swap_exact`, whether the
+//! opponent policy includes the self-pairing), and the block's fitness
+//! vector. [`PayoffTable::generation_fitness`] begins by comparing every
+//! SSet's strategy with the one in the slot it held (`==` on the strategies —
+//! the table's own clone, so no second copy of the genomes is kept; an
+//! uncacheable SSet has no slot and always counts as changed).
+//!
+//! * **Nothing differs and the request is the same.** Every SSet holds a
+//!   slot, so no cell is stochastic; every requested row is filled and no
+//!   strategy entered, so the generation would plan no game, read the same
+//!   cells and add them in the same order. The retained vector *is* that
+//!   sum: it is returned verbatim, **the executor is not called**, and the
+//!   counters advance as if the generation had been computed (`hits` by the
+//!   cacheable cells of the requested rows, `generations_reused` by one;
+//!   nothing else moves in such a generation). The sync tick is not
+//!   advanced. That leaves the reclaim order as it was: a slot's
+//!   `last_seen` matters only relative to the others', no slot's strategy
+//!   left or entered the population in a reused generation, and the slots
+//!   of the present strategies — all stamped with the retained generation's
+//!   tick — are stamped again by the next sync before it looks for a victim.
+//! * **Otherwise** only the SSets that differ are hashed again, the
+//!   [`StrategyGrouping`] is rebuilt from the fingerprint lane
+//!   ([`StrategyGrouping::from_fingerprints`], the one grouping routine), and
+//!   sync → fill → reduce run in full. There is one reduce; a changed
+//!   generation re-sums every requested row, so bit-identity with the
+//!   per-generation rebuild holds by construction.
+//!
+//! The key is the strategies themselves, not [`Population::version`]: two
+//! unrelated populations can carry equal versions, and the table trusts
+//! nothing the caller could get wrong. The predicate `cacheable` and the game
+//! behind `execute` are the table's for life, as they are for the cells. An
+//! executor error drops the retained generation together with the slots.
+//! (`==` implies equal fingerprints: see
+//! [`crate::strategy::MixedStrategy::fingerprint`].)
+//!
 //! Memory follows occupancy, not capacity: the cell matrix is allocated when
 //! the first cacheable strategy arrives and grows with the number of
-//! occupied slots, up to `capacity²` cells.
+//! occupied slots, up to `capacity²` cells. The retained generation adds two
+//! words per SSet and one `f64` per SSet of the block.
 
 use crate::error::EgdResult;
 use crate::grouping::StrategyGrouping;
@@ -363,6 +408,9 @@ pub struct PayoffTableStats {
     pub games_played: u64,
     /// Slots taken from an extinct strategy because the table was full.
     pub slots_reclaimed: u64,
+    /// Generations answered with the retained fitness vector: nothing
+    /// planned, the executor not called (their cells are counted in `hits`).
+    pub generations_reused: u64,
     /// Slots holding a strategy now (a gauge, not a lifetime count).
     pub slots_occupied: u64,
 }
@@ -375,6 +423,7 @@ impl PayoffTableStats {
         self.cells_played += other.cells_played;
         self.games_played += other.games_played;
         self.slots_reclaimed += other.slots_reclaimed;
+        self.generations_reused += other.generations_reused;
         self.slots_occupied += other.slots_occupied;
     }
 }
@@ -391,8 +440,32 @@ struct Slot {
     row_filled: bool,
 }
 
-/// Marks an uncacheable group in the per-generation group → slot map.
+/// Marks an uncacheable group in the per-generation group → slot map (and an
+/// uncacheable SSet in [`RetainedGeneration::sset_slot`]).
 const NO_SLOT: usize = usize::MAX;
+
+/// The last generation the table computed: what the diff step compares the
+/// next one with, and what it answers with when nothing differs (see
+/// "A generation that changed nothing" in the module docs).
+#[derive(Debug, Clone, Default)]
+struct RetainedGeneration {
+    /// Per SSet, the slot that holds its strategy — the table's own clone
+    /// ([`Slot::strategy`]) is what the next generation's strategy is
+    /// compared with, so no second copy of the genomes is kept. `NO_SLOT`
+    /// for an uncacheable SSet, which therefore always counts as changed.
+    sset_slot: Vec<usize>,
+    /// Per SSet, its strategy's fingerprint: the lane the grouping is
+    /// rebuilt from after re-hashing only the SSets that changed.
+    sset_fingerprints: Vec<u64>,
+    /// What was asked for: the block, `swap_exact`, and whether the opponent
+    /// policy includes the self-pairing.
+    request: (Range<usize>, bool, bool),
+    /// The cacheable cells of the requested rows: the hits the generation
+    /// stands for when it is served again.
+    cells: u64,
+    /// The block's fitness vector.
+    fitness: Vec<f64>,
+}
 
 /// Generation-persistent dense payoff table (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -407,6 +480,7 @@ pub struct PayoffTable {
     slot_of: HashMap<u64, usize>,
     tick: u64,
     stats: PayoffTableStats,
+    retained: RetainedGeneration,
 }
 
 impl PayoffTable {
@@ -529,7 +603,9 @@ impl PayoffTable {
     }
 
     /// Computes the fitness of the SSets in `block` for one generation:
-    /// sync, fill, reduce (see the module docs).
+    /// diff, then sync, fill, reduce (see the module docs). A generation
+    /// that differs in nothing from the last one computed is answered with
+    /// that one's vector, and `execute` is not called.
     ///
     /// `cacheable(strategy)` says whether games of that strategy against
     /// another cacheable strategy are a pure function of the pair; only such
@@ -555,7 +631,45 @@ impl PayoffTable {
         execute: impl FnOnce(&PlannedCells<'_>) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
         let strategies = population.strategies();
-        let grouping = StrategyGrouping::of(strategies);
+        let include_self = matches!(
+            population.opponent_policy(),
+            OpponentPolicy::AllIncludingSelf
+        );
+        let request = (block.clone(), swap_exact, include_self);
+
+        // Diff: an SSet is unchanged when its strategy equals the one in the
+        // slot it held last generation; only the others are hashed again.
+        // Taken out of the table for the call, so that every error path
+        // drops it.
+        let mut retained = std::mem::take(&mut self.retained);
+        if retained.sset_slot.len() != strategies.len() {
+            retained.sset_slot = vec![NO_SLOT; strategies.len()];
+            retained.sset_fingerprints = vec![0; strategies.len()];
+        }
+        let mut changed = false;
+        let lanes = retained
+            .sset_slot
+            .iter()
+            .zip(&mut retained.sset_fingerprints);
+        for (strategy, (&slot, fingerprint)) in strategies.iter().zip(lanes) {
+            let held = self.slots.get(slot);
+            if held.is_none_or(|held| held.strategy != *strategy) {
+                *fingerprint = strategy.fingerprint();
+                changed = true;
+            }
+        }
+        if !changed && retained.request == request {
+            // Every SSet holds a slot (so no cell is stochastic), every
+            // requested row is filled and nothing entered: the generation
+            // would play no game and sum the same cells in the same order.
+            self.stats.hits += retained.cells;
+            self.stats.generations_reused += 1;
+            let fitness = retained.fitness.clone();
+            self.retained = retained;
+            return Ok(fitness);
+        }
+
+        let grouping = StrategyGrouping::from_fingerprints(&retained.sset_fingerprints);
         let num_groups = grouping.num_groups();
         let cacheable: Vec<bool> = grouping
             .group_rep
@@ -694,10 +808,6 @@ impl PayoffTable {
         }
 
         // Reduce: one total per requested group, scattered to its SSets.
-        let include_self = matches!(
-            population.opponent_policy(),
-            OpponentPolicy::AllIncludingSelf
-        );
         let group_fitness = self.reduce(
             &grouping,
             &rows,
@@ -706,10 +816,19 @@ impl PayoffTable {
             &values[fresh..],
             include_self,
         );
-        Ok(grouping.group_of[block]
+        let fitness: Vec<f64> = grouping.group_of[block]
             .iter()
             .map(|&g| group_fitness[g])
-            .collect())
+            .collect();
+
+        for (slot, &g) in retained.sset_slot.iter_mut().zip(&grouping.group_of) {
+            *slot = group_slot[g];
+        }
+        retained.request = request;
+        retained.cells = cacheable_rows * present;
+        retained.fitness.clone_from(&fitness);
+        self.retained = retained;
+        Ok(fitness)
     }
 
     /// The fitness total of every group in `rows` (0 for the others):

@@ -139,13 +139,15 @@ impl MixedStrategy {
     }
 
     /// A stable fingerprint of the probability table (bit pattern hash), used
-    /// as a pairwise-fitness cache key.
+    /// as a pairwise-fitness cache key. Strategies that are `==` have equal
+    /// fingerprints — the payoff table's diff step relies on it — so a
+    /// probability of `-0.0` hashes as `0.0`.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0x84222325_cbf29ce4u64;
         hash ^= self.memory.steps() as u64;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
         for p in &self.probs {
-            hash ^= p.to_bits();
+            hash ^= (p + 0.0).to_bits();
             hash = hash.wrapping_mul(0x1000_0000_01b3);
         }
         hash
@@ -274,5 +276,14 @@ mod tests {
         let a = MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap();
         let b = MixedStrategy::uniform(MemoryDepth::ONE, 0.6).unwrap();
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn equal_strategies_have_equal_fingerprints() {
+        // `0.0 == -0.0`: the one case where `==` and the bit patterns part.
+        let zero = MixedStrategy::uniform(MemoryDepth::ONE, 0.0).unwrap();
+        let negative_zero = MixedStrategy::uniform(MemoryDepth::ONE, -0.0).unwrap();
+        assert_eq!(zero, negative_zero);
+        assert_eq!(zero.fingerprint(), negative_zero.fingerprint());
     }
 }

@@ -52,14 +52,16 @@ pub struct ConcurrentPairEvaluator {
     misses: AtomicU64,
 }
 
-/// Adds a payoff table's occupancy, reclaim and games-played counters to a
-/// metrics snapshot (`pair_cache_hits` / `pair_cache_misses` are the
-/// caller's: an evaluator adds its single-pair cache to the table's).
+/// Adds a payoff table's occupancy, reclaim, games-played and
+/// generations-reused counters to a metrics snapshot (`pair_cache_hits` /
+/// `pair_cache_misses` are the caller's: an evaluator adds its single-pair
+/// cache to the table's).
 pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStats) {
     snap.add_counter("payoff_slots_occupied", stats.slots_occupied);
     snap.add_counter("payoff_slots_reclaimed", stats.slots_reclaimed);
     snap.add_counter("payoff_cells_played", stats.cells_played);
     snap.add_counter("payoff_games_played", stats.games_played);
+    snap.add_counter("payoff_generations_reused", stats.generations_reused);
 }
 
 /// One generation's games ([`PlannedCells`]) bound to the evaluator that

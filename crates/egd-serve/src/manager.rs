@@ -483,6 +483,9 @@ async fn run_generations(
     // replayed generations regenerate identical state but stay silent, so
     // subscribers see each generation exactly once.
     let mut published_through = engine.generation();
+    // The last event published by this engine instance: a generation that
+    // did not change the population republishes its census-derived fields.
+    let mut last_event: Option<SessionEvent> = None;
     let mut attempts: u32 = 0;
 
     loop {
@@ -566,6 +569,7 @@ async fn run_generations(
                 if let Some(span) = span {
                     span.finish(resumed_generation);
                 }
+                last_event = None;
                 let mut state = shared.lock();
                 state.respawns += 1;
                 state.replayed_generations += generation - resumed_generation;
@@ -586,15 +590,30 @@ async fn run_generations(
                 let boundary = engine.generation();
                 if generation >= published_through {
                     let population = engine.population();
-                    let census = population.census();
-                    let (_, dominant_fraction) = population.dominant_strategy();
-                    shared.events.publish(SessionEvent {
-                        generation,
-                        distinct_strategies: census.len(),
-                        dominant_fraction,
-                        cooperation: population.mean_cooperation_propensity(),
-                        changed: decision.changes_population(),
-                    });
+                    let changed = decision.changes_population();
+                    let event = match last_event.take() {
+                        // Same population as the previous event described.
+                        Some(previous) if !changed => SessionEvent {
+                            generation,
+                            changed,
+                            ..previous
+                        },
+                        // One census: its first entry is the dominant
+                        // strategy.
+                        _ => {
+                            let census = population.census();
+                            SessionEvent {
+                                generation,
+                                distinct_strategies: census.len(),
+                                dominant_fraction: census[0].count as f64
+                                    / population.num_ssets() as f64,
+                                cooperation: population.mean_cooperation_propensity(),
+                                changed,
+                            }
+                        }
+                    };
+                    shared.events.publish(event.clone());
+                    last_event = Some(event);
                     published_through = generation + 1;
                     let mut state = shared.lock();
                     state.generations_done = boundary;
@@ -605,7 +624,7 @@ async fn run_generations(
                         busy_ns: 0,
                         compute_us: 0.0,
                         comm_us: 0.0,
-                        changed: decision.changes_population(),
+                        changed,
                     });
                 } else {
                     let mut state = shared.lock();
@@ -625,5 +644,64 @@ async fn run_generations(
         // The cooperative heart of multiplexing: give the worker back after
         // every generation so sessions ≫ workers share the pool fairly.
         taskexec::yield_now().await;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use egd_core::config::SimulationConfig;
+    use egd_core::simulation::Simulation;
+    use egd_core::state::MemoryDepth;
+
+    /// The event stream is the one `census()`, `dominant_strategy()` and
+    /// `mean_cooperation_propensity()` give after every generation of the
+    /// solo run — through changed and unchanged generations and across a
+    /// suspend/resume, which starts without a previous event.
+    #[test]
+    fn event_stream_matches_a_census_of_every_generation() {
+        let simulation = SimulationConfig::builder()
+            .memory(MemoryDepth::TWO)
+            .num_ssets(10)
+            .agents_per_sset(2)
+            .rounds_per_game(10)
+            .generations(60)
+            .pc_rate(0.4)
+            .mutation_rate(0.15)
+            .seed(2013)
+            .build()
+            .unwrap();
+        let mut solo = Simulation::new(simulation.clone()).unwrap();
+        let expected: Vec<SessionEvent> = (0..simulation.generations)
+            .map(|generation| {
+                let decision = solo.step().unwrap();
+                let population = solo.population();
+                SessionEvent {
+                    generation,
+                    distinct_strategies: population.census().len(),
+                    dominant_fraction: population.dominant_strategy().1,
+                    cooperation: population.mean_cooperation_propensity(),
+                    changed: decision.changes_population(),
+                }
+            })
+            .collect();
+        let unchanged = expected.iter().filter(|e| !e.changed).count();
+        assert!(
+            unchanged > 10 && unchanged < 50,
+            "both branches run: {unchanged} of 60 generations unchanged"
+        );
+
+        let mut manager = SessionManager::new(ServeConfig::default()).unwrap();
+        let handle = manager
+            .submit(SessionConfig::new("tenant", simulation))
+            .unwrap();
+        handle.suspend_at(23);
+        manager.run().unwrap();
+        let mut events = handle.drain_events();
+        manager.resume(handle.id()).unwrap();
+        manager.run().unwrap();
+        assert_eq!(handle.status(), SessionStatus::Completed);
+        events.extend(handle.drain_events());
+        assert_eq!(events, expected);
     }
 }

@@ -159,8 +159,18 @@ fn assert_snapshot_is_unified(snapshot: &egd_obs::MetricsSnapshot, ranks: u64, g
         !snapshot.workers.is_empty(),
         "snapshot must carry the worker table"
     );
+    // One row per generation; a generation dispatches every rank or — when
+    // the payoff table answered it from the retained generation — none, and
+    // the cold one is always computed.
     assert_eq!(snapshot.generations.len() as u64, generations);
-    assert!(snapshot.generations.iter().all(|g| g.items == ranks));
+    let rows = &snapshot.generations;
+    assert!(rows.iter().all(|g| g.items == 0 || g.items == ranks));
+    assert_eq!(rows[0].items, ranks);
+    let dispatched = rows.iter().filter(|g| g.items > 0).count() as u64;
+    assert_eq!(
+        snapshot.counter("payoff_generations_reused"),
+        generations - dispatched
+    );
     assert!(
         snapshot.traffic.broadcasts > 0 && !snapshot.traffic.is_empty(),
         "snapshot must carry collective traffic"
@@ -169,7 +179,7 @@ fn assert_snapshot_is_unified(snapshot: &egd_obs::MetricsSnapshot, ranks: u64, g
         snapshot.counter("pair_cache_hits") > 0,
         "snapshot must carry engine counters"
     );
-    assert_eq!(snapshot.total_items(), ranks * generations);
+    assert_eq!(snapshot.total_items(), ranks * dispatched);
 }
 
 #[test]

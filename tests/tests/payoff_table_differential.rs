@@ -20,6 +20,18 @@
 //! evaluator an unrelated population for one generation; and a caller that,
 //! like a distributed rank, only ever asks for its own block of SSets.
 //!
+//! The table also answers a generation that changed nothing with the vector
+//! it retained, without calling its executor. Half of the scenarios are
+//! *calm* (selection and mutation rates down to zero), so runs of unchanged
+//! generations, and the change → reuse → change transitions between them,
+//! are compared with the brute force like everything else; the fixed tests
+//! below pin when the retained vector must **not** be served (a population
+//! that differs in one SSet but not in `version()`, another block, another
+//! opponent policy, a failed generation in between, a stochastic cell) and
+//! that serving it moves no counter and no reclaim victim: the
+//! `PayoffTableStats` of three trajectories are pinned to what the commit
+//! before the reuse recorded.
+//!
 //! The table fills a cell and its mirror from one game where the kernel is
 //! swap-exact (`FitnessMode::swap_exact`). The brute-force side never does —
 //! it plays every ordered pair and keeps `to_a` — so a `to_b` stored in the
@@ -30,6 +42,7 @@
 //! for.
 
 use egd_core::grouping::StrategyGrouping;
+use egd_core::payoff_table::{PayoffTable, PayoffTableStats};
 use egd_core::prelude::*;
 use egd_core::rng::{stream, StreamKind};
 use egd_core::simulation::SimulationState;
@@ -66,15 +79,20 @@ struct Scenario {
 fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
     (
         (1u32..=3, 3usize..=9, 0u8..3, 0u8..3),
-        (any::<bool>(), 0.3f64..=1.0, 0.0f64..=1.0, any::<u64>()),
-        (8u64..28, 0u64..28, 0.0f64..1.0, 0.0f64..1.0),
+        (any::<bool>(), 0.0f64..=1.0, 0.0f64..=1.0, any::<u64>()),
+        (8u64..28, 0u64..28, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()),
     )
         .prop_map(
             |(
                 (memory, num_ssets, mix, mode),
                 (include_self, mutation_rate, pc_rate, seed),
-                (generations, stranger_at, lo, len),
+                (generations, stranger_at, lo, len, calm),
             )| {
+                // A calm scenario changes the population in about one
+                // generation of eight: runs of generations the table reuses,
+                // between generations it recomputes.
+                let rate_scale = if calm { 0.15 } else { 1.0 };
+                let (mutation_rate, pc_rate) = (mutation_rate * rate_scale, pc_rate * rate_scale);
                 let mix = match mix {
                     0 => Mix::Pure,
                     1 => Mix::PureAndMixed,
@@ -450,5 +468,335 @@ fn a_block_mirrors_only_inside_itself() {
             "{block:?}"
         );
         assert_eq!(stats.misses, cells);
+    }
+}
+
+/// A `PayoffTable` driven directly, the way an evaluator drives it, with an
+/// executor that counts its calls and the games planned for it and plays
+/// them through `pair_payoff` on a separate evaluator.
+struct CountingTable {
+    config: SimulationConfig,
+    mode: FitnessMode,
+    table: PayoffTable,
+    player: PairEvaluator,
+    calls: usize,
+    planned: usize,
+}
+
+impl CountingTable {
+    fn new(config: &SimulationConfig, mode: FitnessMode) -> Self {
+        CountingTable {
+            config: config.clone(),
+            mode,
+            table: PayoffTable::new(config.num_ssets),
+            player: PairEvaluator::new(config, mode).unwrap(),
+            calls: 0,
+            planned: 0,
+        }
+    }
+
+    /// One generation; `fail` makes the executor return an error instead of
+    /// playing. Checks a successful result against the brute force.
+    fn run(
+        &mut self,
+        population: &Population,
+        block: std::ops::Range<usize>,
+        generation: u64,
+        swap_exact: bool,
+        fail: bool,
+    ) -> EgdResult<Vec<f64>> {
+        let (mode, noise) = (self.mode, self.config.noise);
+        let (player, calls, planned) = (&mut self.player, &mut self.calls, &mut self.planned);
+        let fitness = self.table.generation_fitness(
+            population,
+            block.clone(),
+            |strategy| mode.caches(noise, strategy),
+            swap_exact,
+            |games| {
+                *calls += 1;
+                *planned += games.len();
+                if fail {
+                    return Err(EgdError::Communication {
+                        reason: "rank 1 panicked".to_string(),
+                    });
+                }
+                games
+                    .iter()
+                    .map(|c| player.pair_payoff(c.a_index, c.a, c.b_index, c.b, generation))
+                    .collect()
+            },
+        )?;
+        let expected = brute_force(&self.config, mode, population, generation);
+        assert_eq!(
+            bits(&fitness),
+            bits(&expected[block]),
+            "generation {generation}"
+        );
+        Ok(fitness)
+    }
+
+    /// A successful generation over `block` with the mode's own
+    /// `swap_exact`; returns whether the executor was called.
+    fn computes(&mut self, population: &Population, block: std::ops::Range<usize>) -> bool {
+        let calls = self.calls;
+        self.run(population, block, 0, self.mode.swap_exact(), false)
+            .unwrap();
+        self.calls > calls
+    }
+}
+
+fn memory_two(num_ssets: usize, seed: u64) -> SimulationConfig {
+    SimulationConfig::builder()
+        .memory(MemoryDepth::TWO)
+        .family(StrategyFamily::Mixed)
+        .num_ssets(num_ssets)
+        .agents_per_sset(2)
+        .rounds_per_game(30)
+        .seed(seed)
+        .build()
+        .unwrap()
+}
+
+/// `num_ssets` pure strategies (two SSets share one), and the same
+/// population with SSet 5 holding another strategy: a distinct `Population`
+/// with an equal `version()`.
+fn pure_population_and_near_stranger(config: &SimulationConfig) -> (Population, Population) {
+    let mut rng = stream(config.seed, StreamKind::Auxiliary, 16);
+    let mut strategies: Vec<StrategyKind> = (0..config.num_ssets)
+        .map(|_| StrategyKind::Pure(PureStrategy::random(config.memory, &mut rng)))
+        .collect();
+    strategies[3] = strategies[1].clone();
+    let space = StrategySpace::mixed(config.memory);
+    let population = Population::from_strategies(space, 2, strategies.clone()).unwrap();
+    strategies[5] = StrategyKind::Pure(PureStrategy::random(config.memory, &mut rng));
+    let near_stranger = Population::from_strategies(space, 2, strategies).unwrap();
+    assert_eq!(population.version(), near_stranger.version());
+    (population, near_stranger)
+}
+
+/// An unchanged all-cacheable generation is answered without calling the
+/// executor and without planning a game — and only that: a population that
+/// differs in one SSet, another block, another opponent policy, another
+/// `swap_exact` are all computed, each exactly.
+#[test]
+fn only_the_same_request_for_the_same_strategies_is_reused() {
+    let config = memory_two(8, 41);
+    let (population, near_stranger) = pure_population_and_near_stranger(&config);
+    let mut table = CountingTable::new(&config, FitnessMode::Simulated);
+    let all = 0..config.num_ssets;
+
+    assert!(table.computes(&population, all.clone()));
+    // Seven distinct strategies: 28 games fill the 49 cells.
+    assert_eq!((table.calls, table.planned), (1, 28));
+    let cold = table.table.stats();
+    assert_eq!(
+        (cold.hits, cold.misses, cold.generations_reused),
+        (0, 49, 0)
+    );
+
+    // Unchanged, twice: no call, no game, and the counters advance as if
+    // the 49 cells had been read.
+    assert!(!table.computes(&population, all.clone()));
+    assert!(!table.computes(&population.clone(), all.clone()));
+    assert_eq!((table.calls, table.planned), (1, 28));
+    let stats = table.table.stats();
+    assert_eq!(
+        stats,
+        PayoffTableStats {
+            hits: 2 * 49,
+            generations_reused: 2,
+            ..cold
+        }
+    );
+
+    // The near-stranger between two identical generations: it is computed
+    // (its newcomer plays the seven filled rows and itself), and so is the
+    // population after it, which differs from what is retained now.
+    let strange = table
+        .run(&near_stranger, all.clone(), 0, true, false)
+        .unwrap();
+    let own = table.run(&population, all.clone(), 0, true, false).unwrap();
+    assert_ne!(bits(&strange), bits(&own));
+    assert_eq!((table.calls, table.planned), (3, 28 + 8));
+    assert_eq!(table.table.stats().generations_reused, 2);
+    assert!(!table.computes(&population, all.clone()));
+
+    // Another block, then the first one again: computed both times.
+    assert!(table.computes(&population, 2..5));
+    assert!(!table.computes(&population, 2..5));
+    assert!(table.computes(&population, all.clone()));
+    assert!(!table.computes(&population, all.clone()));
+
+    // Another opponent policy (the brute force inside `run` includes the
+    // self-pairing too).
+    let including_self = population
+        .clone()
+        .with_opponent_policy(OpponentPolicy::AllIncludingSelf);
+    assert!(table.computes(&including_self, all.clone()));
+    assert!(!table.computes(&including_self, all.clone()));
+    assert!(table.computes(&population, all.clone()));
+
+    // Another `swap_exact`.
+    let calls = table.calls;
+    table
+        .run(&population, all.clone(), 0, false, false)
+        .unwrap();
+    assert_eq!(table.calls, calls + 1);
+
+    // Nothing after the near-stranger's newcomer was ever played.
+    assert_eq!(table.planned, 28 + 8);
+    assert_eq!(table.table.stats().generations_reused, 6);
+}
+
+/// A generation whose executor failed leaves nothing to reuse: the same
+/// population is played from scratch afterwards.
+#[test]
+fn a_failed_generation_between_two_identical_ones_is_not_reused() {
+    let config = memory_two(8, 42);
+    let (population, near_stranger) = pure_population_and_near_stranger(&config);
+    let mut table = CountingTable::new(&config, FitnessMode::Simulated);
+    let all = 0..config.num_ssets;
+    assert!(table.computes(&population, all.clone()));
+    assert!(table
+        .run(&near_stranger, all.clone(), 0, true, true)
+        .is_err());
+    assert_eq!(table.table.stats().slots_occupied, 0);
+    let planned = table.planned;
+    assert!(table.computes(&population, all.clone()));
+    assert_eq!(table.planned - planned, 28, "the cold generation again");
+    assert!(!table.computes(&population, all));
+    assert_eq!(table.table.stats().generations_reused, 1);
+}
+
+/// One stochastic cell is enough: the block's single row is cacheable, the
+/// one mixed strategy is outside the block, and every generation — the
+/// strategies unchanged — plays that one game afresh.
+#[test]
+fn an_unchanged_generation_with_one_stochastic_cell_calls_the_executor() {
+    let config = memory_two(8, 43);
+    let (pure, _) = pure_population_and_near_stranger(&config);
+    let mut strategies = pure.strategies().to_vec();
+    let mut rng = stream(config.seed, StreamKind::Auxiliary, 17);
+    strategies[6] = StrategyKind::Mixed(MixedStrategy::random(config.memory, &mut rng));
+    let population = Population::from_strategies(pure.space(), 2, strategies).unwrap();
+    let mut table = CountingTable::new(&config, FitnessMode::Simulated);
+    let mut previous = Vec::new();
+    for generation in 0..4 {
+        let planned = table.planned;
+        let fitness = table
+            .run(&population, 2..3, generation, true, false)
+            .unwrap();
+        // Cold: the row's six cacheable cells and the stochastic one.
+        let expected = if generation == 0 { 6 + 1 } else { 1 };
+        assert_eq!(table.planned - planned, expected);
+        assert_ne!(bits(&fitness), bits(&previous), "a fresh draw");
+        previous = fitness;
+    }
+    assert_eq!(table.calls, 4);
+    assert_eq!(table.table.stats().generations_reused, 0);
+}
+
+/// A trajectory under `config` with one evaluator asked for `block` in every
+/// generation (the Nature Agent sees the whole population's brute-force
+/// fitness); every generation is compared with the brute force. Returns the
+/// table's counters and the number of generations that found the strategies
+/// of the generation before.
+fn trajectory_stats(
+    config: &SimulationConfig,
+    block: std::ops::Range<usize>,
+) -> (PayoffTableStats, u64) {
+    let nature = config.nature_agent().unwrap();
+    let mut population = config.initial_population().unwrap();
+    let mut evaluator = PairEvaluator::new(config, FitnessMode::Simulated).unwrap();
+    let mut previous: Vec<StrategyKind> = Vec::new();
+    let mut unchanged = 0;
+    for generation in 0..config.generations {
+        unchanged += u64::from(previous == population.strategies());
+        previous = population.strategies().to_vec();
+        let expected = brute_force(config, FitnessMode::Simulated, &population, generation);
+        let fitness = evaluator
+            .block_fitness(&population, block.clone(), generation)
+            .unwrap();
+        assert_eq!(
+            bits(&fitness),
+            bits(&expected[block.clone()]),
+            "generation {generation}"
+        );
+        nature
+            .evolve(generation, &expected, &mut population)
+            .unwrap();
+    }
+    (evaluator.table_stats(), unchanged)
+}
+
+/// Reuse changes no count and no reclaim victim: the counters of three
+/// trajectories with runs of unchanged generations in them — a full table
+/// that reclaims, strategies that go extinct and re-enter, a rank-like
+/// block — are the ones recorded on the commit before the table reused
+/// anything. (`generations_reused` did not exist there: it is the number of
+/// generations that found the strategies unchanged.)
+#[test]
+fn counters_are_the_ones_recorded_before_generations_were_reused() {
+    let scenario = |memory: u32, num_ssets, generations, pc_rate, mutation_rate, seed| {
+        SimulationConfig::builder()
+            .memory(MemoryDepth::new(memory).unwrap())
+            .num_ssets(num_ssets)
+            .agents_per_sset(2)
+            .rounds_per_game(40)
+            .generations(generations)
+            .pc_rate(pc_rate)
+            .mutation_rate(mutation_rate)
+            .seed(seed)
+            .build()
+            .unwrap()
+    };
+    let recorded = |hits, misses, cells_played, games_played, slots_reclaimed, slots_occupied| {
+        PayoffTableStats {
+            hits,
+            misses,
+            cells_played,
+            games_played,
+            slots_reclaimed,
+            generations_reused: 0,
+            slots_occupied,
+        }
+    };
+    let cases = [
+        // Memory three on five SSets: the table is full and reclaims.
+        (
+            "full table with reclaim",
+            scenario(3, 5, 120, 0.3, 0.4, 12),
+            0..5,
+            recorded(2398, 449, 457, 255, 48, 5),
+        ),
+        // Memory one on twenty SSets: sixteen strategies come and go.
+        (
+            "extinction and re-entry",
+            scenario(1, 20, 300, 0.5, 0.4, 5),
+            0..20,
+            recorded(33747, 244, 256, 136, 0, 16),
+        ),
+        // A rank's block of a memory-two population.
+        (
+            "rank-like block",
+            scenario(2, 12, 150, 0.4, 0.3, 31),
+            3..7,
+            recorded(3846, 323, 455, 368, 39, 12),
+        ),
+    ];
+    for (name, config, block, recorded) in cases {
+        let (stats, unchanged) = trajectory_stats(&config, block);
+        assert!(
+            unchanged > 20 && unchanged < config.generations - 20,
+            "{name}: both branches run"
+        );
+        assert_eq!(
+            stats,
+            PayoffTableStats {
+                generations_reused: unchanged,
+                ..recorded
+            },
+            "{name}"
+        );
     }
 }
