@@ -21,6 +21,7 @@
 use crate::skew::Workload;
 use egd_core::game::{BatchedDraws, CompiledPair, CompiledStrategy};
 use egd_core::rng::{stream, substream, substream_state, StreamKind};
+use egd_core::simulation::PairKernel;
 use egd_core::strategy::PureStrategy;
 use egd_parallel::{GameKernel, KernelVariant, StrategyGrouping};
 use std::time::Instant;
@@ -35,27 +36,36 @@ pub struct KernelMeasurement {
 }
 
 /// Times the deterministic Fig. 3 ladder (naive / indexed / optimized) at
-/// memory one over `reps` games of the same random pair the criterion
-/// `kernel_ladder_memory_one` group benches.
+/// memory one over about `reps` games of the same random pair the criterion
+/// `kernel_ladder_memory_one` group benches. Every rung plays the pair the
+/// way the engines play a generation's fresh games: a
+/// [`GameKernel::play_block`] of [`PairKernel::CHUNK_GAMES`] games at a
+/// time, which on the optimised rung is one block walk.
 pub fn measure_pure_ladder(reps: u32) -> Vec<KernelMeasurement> {
     let mut rng = stream(1, StreamKind::Auxiliary, 0);
     let memory = egd_core::state::MemoryDepth::ONE;
     let a = PureStrategy::random(memory, &mut rng);
     let b = PureStrategy::random(memory, &mut rng);
+    let chunk = [(&a, &b); PairKernel::CHUNK_GAMES];
+    let chunks = (reps as usize).div_ceil(chunk.len()).max(1);
     KernelVariant::LADDER
         .into_iter()
         .map(|variant| {
             let kernel = GameKernel::paper_defaults(variant, memory);
-            // Warm-up, then measure.
+            let mut payoffs = [(0.0, 0.0); PairKernel::CHUNK_GAMES];
             let mut sink = 0.0f64;
-            for _ in 0..reps.min(16) {
-                sink += kernel.play(&a, &b).expect("kernel plays").fitness_a;
-            }
+            // Warm-up, then measure.
+            kernel
+                .play_block(&chunk, &mut payoffs)
+                .expect("kernel plays");
             let start = Instant::now();
-            for _ in 0..reps.max(1) {
-                sink += kernel.play(&a, &b).expect("kernel plays").fitness_a;
+            for _ in 0..chunks {
+                kernel
+                    .play_block(&chunk, &mut payoffs)
+                    .expect("kernel plays");
+                sink += payoffs[0].0;
             }
-            let ns = start.elapsed().as_nanos() as f64 / reps.max(1) as f64;
+            let ns = start.elapsed().as_nanos() as f64 / (chunks * chunk.len()) as f64;
             std::hint::black_box(sink);
             KernelMeasurement {
                 key: format!("kernel_ladder/{}/ns_per_game", variant.label()),

@@ -65,47 +65,87 @@ impl GameOutcome {
     }
 }
 
-/// Per-thread scratch of [`IpdGame::play_pure`]: the cycle detector's
-/// first-visit table and prefix sums, kept between games so a game allocates
-/// nothing and clears nothing. Entries are stamped with the game that wrote
-/// them, so a new game invalidates the whole table by taking the next stamp
-/// (at memory six the table is 32 KiB — re-zeroing it per game cost more
-/// than the ≤ 200 rounds played on it).
+/// What the deterministic walk records of a round.
+#[derive(Debug, Clone, Copy, Default)]
+struct WalkedRound {
+    /// Both running sums before the round: `(walker's, other player's)`.
+    before: (f64, f64),
+    /// The round's joint outcome, `walker_defects << 1 | other_defects`:
+    /// what the closure re-adds for a leftover round and what cooperation
+    /// counts are read off.
+    bits: u8,
+}
+
+/// How a deterministic game's unwalked rounds repeat its walked ones: after
+/// `walked` explicit rounds the rounds from `cycle_start` on recur —
+/// `full_cycles` times whole, then the first `leftover` of them once more. A
+/// game that ran out of rounds before its view recurred has
+/// `cycle_start == walked` and repeats nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CycleClosure {
+    walked: usize,
+    cycle_start: usize,
+    full_cycles: u32,
+    leftover: usize,
+}
+
+/// Per-thread scratch of the deterministic walk ([`IpdGame::walk_pure`]),
+/// kept between games so a game allocates nothing and clears nothing.
+/// First-visit entries are stamped with the game that wrote them, so a new
+/// game invalidates the whole table by taking the next stamp (at memory six
+/// the table is 16 KiB — re-zeroing it per game cost more than the ≤ 200
+/// rounds played on it).
 #[derive(Debug, Default)]
 struct PureScratch {
-    /// Stamp of the current game (never 0, which marks a never-written entry).
+    /// Stamp of the latest game, in `1..=MAX_STAMP` (0 marks a
+    /// never-written entry).
     stamp: u32,
-    /// `stamp << 32 | round` of the first round A's view equalled the state.
-    first_seen: Vec<u64>,
-    /// `(fitness_a, fitness_b, coop_a, coop_b)` before each simulated round.
-    prefix: Vec<(f64, f64, u32, u32)>,
+    /// `stamp << 16 | round` of the first round the walked view equalled
+    /// the state; one entry per state of the latest game's memory depth. A
+    /// walk marks fewer than `4^n ≤ 2^16` rounds.
+    first_seen: Vec<u32>,
+    /// The rounds of the latest game, in walked order.
+    walked: Vec<WalkedRound>,
+    /// How the latest game ended.
+    closure: CycleClosure,
+    /// The perspective mirror the latest game read its other player through.
+    mirror: Vec<u64>,
 }
 
 impl PureScratch {
-    /// Readies the scratch for a game over `num_states` states.
-    fn begin(&mut self, num_states: usize) {
-        if self.first_seen.len() < num_states {
+    const MAX_STAMP: u32 = u16::MAX as u32;
+    /// The round's place in a first-seen entry.
+    const ROUND_BITS: u32 = 0xffff;
+
+    /// Readies the scratch for a game of `rounds` rounds over `num_states`
+    /// states and returns the game's stamp, shifted to its place in a
+    /// first-seen entry.
+    fn begin(&mut self, num_states: usize, rounds: u32) -> u32 {
+        if self.first_seen.len() != num_states {
+            // Another memory depth's entries: zeroed, so that the stamps
+            // can go on from where they are.
+            self.first_seen.clear();
             self.first_seen.resize(num_states, 0);
         }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            // 2^32 games on this thread: the stamps start over.
+        let record = Self::record_len(num_states, rounds);
+        if self.walked.len() < record {
+            self.walked.resize(record, WalkedRound::default());
+        }
+        self.stamp += 1;
+        if self.stamp > Self::MAX_STAMP {
+            // 2^16 - 1 games on this thread: the stamps start over.
             self.first_seen.fill(0);
             self.stamp = 1;
         }
-        self.prefix.clear();
+        self.stamp << 16
     }
 
-    /// The round at which the current game first saw `state`, if it did.
-    #[inline]
-    fn first_seen(&self, state: usize) -> Option<u32> {
-        let entry = self.first_seen[state];
-        ((entry >> 32) as u32 == self.stamp).then_some(entry as u32)
-    }
-
-    #[inline]
-    fn mark(&mut self, state: usize, round: u32) {
-        self.first_seen[state] = u64::from(self.stamp) << 32 | u64::from(round);
+    /// Rounds a game can walk, `min(rounds, num_states + 1)` — cut so that
+    /// running off the record's end *is* running out of rounds: a game
+    /// shorter than that ends there, and a longer one sees a view again by
+    /// round `num_states` at the latest, so its closure is found first.
+    fn record_len(num_states: usize, rounds: u32) -> usize {
+        (num_states + 1).min(rounds as usize)
     }
 }
 
@@ -635,14 +675,7 @@ impl IpdGame {
         // The two borrowed tables of each lane, both indexed by A's view.
         let a_thr: [&[u64]; W] = std::array::from_fn(|l| &lanes[l].0.a_thr[..num_states]);
         let b_thr: [&[u64]; W] = std::array::from_fn(|l| &lanes[l].0.b_thr[..num_states]);
-        // Both players' payoffs for one round, indexed by A's history bits —
-        // the same `table` values run_pair reads, pre-paired so a round does
-        // one indexed load from one cache line.
-        let table = &self.table;
-        let pay: [[f64; 2]; 4] = std::array::from_fn(|bits| {
-            let swapped = ((bits & 1) << 1) | (bits >> 1);
-            [table[bits], table[swapped]]
-        });
+        let pay = self.paired_payoffs();
 
         // Jump-ahead multipliers: draw `j` of a round (1-indexed) is
         // `xsl_rr(s0 · M^j)` for the round's base state `s0`, because the
@@ -743,6 +776,18 @@ impl IpdGame {
         })
     }
 
+    /// Both players' payoffs for one round, indexed by one player's history
+    /// bits `own_defects << 1 | other_defects`: `[to that player, to the
+    /// other]` — the same `table` values `run_pair` reads, pre-paired so a
+    /// round does one indexed load from one cache line.
+    #[inline(always)]
+    fn paired_payoffs(&self) -> [[f64; 2]; 4] {
+        std::array::from_fn(|bits| {
+            let swapped = ((bits & 1) << 1) | (bits >> 1);
+            [self.table[bits], self.table[swapped]]
+        })
+    }
+
     /// The two unconditional noise draws of a round, computed off the
     /// round's base state with the caller's (compile-time constant) jump
     /// multipliers: returns whether A's and B's actions flip, and the
@@ -765,111 +810,242 @@ impl IpdGame {
     /// Because the joint state space is finite, deterministic play eventually
     /// enters a cycle; this engine detects the cycle and closes the remaining
     /// rounds analytically, so a 200-round (or 10^6-round) game costs at most
-    /// `4^n` simulated rounds.
+    /// `4^n` simulated rounds. It is a [`IpdGame::play_pure_block`] of one
+    /// game — the same walk, the same closure, the same payoffs bit for bit
+    /// — that also reads the cooperation counts, which a block does not
+    /// report, off the rounds the walk recorded.
     pub fn play_pure(&self, a: &PureStrategy, b: &PureStrategy) -> EgdResult<GameOutcome> {
-        self.check_memory(a.memory(), b.memory())?;
+        self.check_pure_lanes(&[(a, b)])?;
+        PURE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            b.mirror_into(&mut scratch.mirror);
+            let (fitness_a, fitness_b) = self.walk_pure(a, scratch);
+            let CycleClosure {
+                walked,
+                cycle_start,
+                full_cycles,
+                leftover,
+            } = scratch.closure;
+            // Defections `(a's, b's)` over a stretch of the record.
+            let defections = |rounds: &[WalkedRound]| {
+                rounds.iter().fold((0u32, 0u32), |(a, b), round| {
+                    (
+                        a + u32::from(round.bits >> 1),
+                        b + u32::from(round.bits & 1),
+                    )
+                })
+            };
+            let before = defections(&scratch.walked[..cycle_start]);
+            let cycle = defections(&scratch.walked[cycle_start..walked]);
+            let again = defections(&scratch.walked[cycle_start..cycle_start + leftover]);
+            Ok(GameOutcome {
+                fitness_a,
+                fitness_b,
+                cooperations_a: self.rounds - before.0 - cycle.0 * (1 + full_cycles) - again.0,
+                cooperations_b: self.rounds - before.1 - cycle.1 * (1 + full_cycles) - again.1,
+                rounds: self.rounds,
+            })
+        })
+    }
+
+    /// Plays a block of deterministic games — the entry every engine plays a
+    /// generation's fresh noise-free pure games through, and the
+    /// deterministic twin of [`IpdGame::play_block`]: `out[k]` receives
+    /// `(to_a, to_b)` of `pairs[k]`, bit for bit what [`IpdGame::play_pure`]
+    /// returns for the pair (games never interact, so neither the block's
+    /// length nor a game's place in it changes anything), without the
+    /// cooperation counts.
+    ///
+    /// The players' views are perspective swaps of each other (the paper's
+    /// "each agent's current view will be the opposite of its opponent"), so
+    /// a round that follows `a`'s view has to swap it before it can look up
+    /// `b`'s move. Here one player of each game is replaced by its
+    /// *perspective mirror* ([`PureStrategy::mirror_into`]) and the game is
+    /// walked in the other player's view, where both moves are the same bit
+    /// of two words. A mirror is built once per run of games that share the
+    /// mirrored strategy: the side the previous game mirrored if this game
+    /// has it, else the side the next game repeats — so a row run (shared
+    /// `a`) and a newcomer's column (shared `b`) cost one mirror each.
+    /// Walking in `b`'s view visits the swapped states in the same order,
+    /// finds the cycle at the same round and adds the same payoffs to the
+    /// same two sums: the swap-exact argument of [`crate::payoff_table`], so
+    /// which side is mirrored changes no bit.
+    ///
+    /// Every strategy is checked against the game's memory, genome length
+    /// included (a strategy decoded from bytes may claim a memory its genome
+    /// does not have); nothing is played when a lane fails the check.
+    pub fn play_pure_block(
+        &self,
+        pairs: &[(&PureStrategy, &PureStrategy)],
+        out: &mut [(f64, f64)],
+    ) -> EgdResult<()> {
+        if pairs.len() != out.len() {
+            return Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "a block of {} games cannot report into {} payoffs",
+                    pairs.len(),
+                    out.len()
+                ),
+            });
+        }
+        self.check_pure_lanes(pairs)?;
+        PURE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            // The strategy whose mirror the scratch holds.
+            let mut mirrored: Option<&PureStrategy> = None;
+            for (k, (&(a, b), out)) in pairs.iter().zip(out).enumerate() {
+                let a_is_mirrored = match mirrored {
+                    Some(m) if std::ptr::eq(m, a) => true,
+                    Some(m) if std::ptr::eq(m, b) => false,
+                    _ => {
+                        let next_repeats_a = pairs
+                            .get(k + 1)
+                            .is_some_and(|&(c, d)| std::ptr::eq(a, c) || std::ptr::eq(a, d));
+                        let side = if next_repeats_a { a } else { b };
+                        side.mirror_into(&mut scratch.mirror);
+                        mirrored = Some(side);
+                        next_repeats_a
+                    }
+                };
+                *out = if a_is_mirrored {
+                    let (to_b, to_a) = self.walk_pure(b, scratch);
+                    (to_a, to_b)
+                } else {
+                    self.walk_pure(a, scratch)
+                };
+            }
+        });
+        Ok(())
+    }
+
+    /// Rejects a deterministic lane this game cannot walk: noise, a strategy
+    /// of another memory, or a genome shorter than its memory says (the walk
+    /// masks its state index to the game's table size).
+    fn check_pure_lanes(&self, pairs: &[(&PureStrategy, &PureStrategy)]) -> EgdResult<()> {
         if self.noise > 0.0 {
             return Err(EgdError::InvalidConfig {
                 reason: "play_pure requires a noise-free game; use play() with an RNG".to_string(),
             });
         }
-        PURE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            scratch.begin(self.memory.num_states());
-            Ok(self.play_pure_with(a, b, scratch))
-        })
+        let fits = |s: &PureStrategy| s.memory() == self.memory && s.is_well_formed();
+        match pairs.iter().position(|(a, b)| !fits(a) || !fits(b)) {
+            None => Ok(()),
+            Some(k) => Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "lane {k}: pure strategies ({}, {}) do not match the game's {}",
+                    pairs[k].0.memory(),
+                    pairs[k].1.memory(),
+                    self.memory
+                ),
+            }),
+        }
     }
 
-    /// [`IpdGame::play_pure`] after its checks, on a scratch that
-    /// [`PureScratch::begin`] has prepared for this game.
-    fn play_pure_with(
-        &self,
-        a: &PureStrategy,
-        b: &PureStrategy,
-        scratch: &mut PureScratch,
-    ) -> GameOutcome {
-        let space = &self.space;
-        let table = &self.table;
+    /// One deterministic game, walked in the view of the checked strategy
+    /// `walker` with the other player read through `scratch.mirror`, its
+    /// perspective mirror, so that both moves sit at one index. Returns `(to
+    /// the walker, to the other player)` and leaves the walked rounds and
+    /// how the game ended in the scratch.
+    ///
+    /// One game to the round loop, its state in plain locals. A round's
+    /// serial chain is `view → bit position → extract → combine → view`,
+    /// about five cycles: the two genome loads are not on it, because a
+    /// state's word index is the state of three rounds earlier (see below)
+    /// and so is known three rounds ahead. At that length the loop is bound
+    /// by instruction issue, not by latency, and a second game interleaved
+    /// into it (as [`IpdGame::run_lanes`] interleaves stochastic lanes,
+    /// whose chain is a 128-bit multiply) only made it slower — the
+    /// measurements are in EXPERIMENTS.md "PR 18".
+    fn walk_pure(&self, walker: &PureStrategy, scratch: &mut PureScratch) -> (f64, f64) {
+        let num_states = self.memory.num_states();
+        let stamp = scratch.begin(num_states, self.rounds);
+        let PureScratch {
+            first_seen,
+            walked,
+            mirror,
+            ..
+        } = scratch;
+        let walked = &mut walked[..PureScratch::record_len(num_states, self.rounds)];
+        let walker = walker.genome_words();
+        // `[to the walker, to the other player]` by the walker's history bits.
+        let pay = self.paired_payoffs();
 
-        let mut view_a = StateIndex::INITIAL;
-        let mut fitness_a = 0.0f64;
-        let mut fitness_b = 0.0f64;
-        let mut coop_a = 0u32;
-        let mut coop_b = 0u32;
-
-        let mut round = 0u32;
-        while round < self.rounds {
-            let s = view_a.index();
-            if let Some(start) = scratch.first_seen(s) {
-                // Cycle detected: rounds [start, round) repeat forever.
-                let cycle_len = round - start;
-                let (fa0, fb0, ca0, cb0) = scratch.prefix[start as usize];
-                let cycle_fa = fitness_a - fa0;
-                let cycle_fb = fitness_b - fb0;
-                let cycle_ca = coop_a - ca0;
-                let cycle_cb = coop_b - cb0;
-                let remaining = self.rounds - round;
-                let full_cycles = remaining / cycle_len;
-                fitness_a += cycle_fa * full_cycles as f64;
-                fitness_b += cycle_fb * full_cycles as f64;
-                coop_a += cycle_ca * full_cycles;
-                coop_b += cycle_cb * full_cycles;
-                let leftover = remaining % cycle_len;
-                // Replay the first `leftover` rounds of the cycle.
-                let mut v = StateIndex(s as u32);
-                for _ in 0..leftover {
-                    let (fa, fb, ca, cb, next) = Self::step_pure(a, b, space, v, table);
-                    fitness_a += fa;
-                    fitness_b += fb;
-                    coop_a += ca;
-                    coop_b += cb;
-                    v = next;
-                }
+        let mut view = 0usize; // all-cooperation start, packed
+        let mut past = (0usize, 0usize, 0usize);
+        let mut sums = (0.0f64, 0.0f64);
+        // Out of rounds before any view came back, unless the loop says
+        // otherwise.
+        let mut closure = CycleClosure {
+            walked: walked.len(),
+            cycle_start: walked.len(),
+            full_cycles: 0,
+            leftover: 0,
+        };
+        for round in 0..walked.len() {
+            // The tables hold a power of two of entries — one per state, one
+            // per 64 states — so a length less one is the mask that keeps an
+            // index in range, which also tells the optimiser that it is.
+            let state = view & (first_seen.len() - 1);
+            let entry = first_seen[state];
+            if entry & !PureScratch::ROUND_BITS == stamp {
+                let start = (entry & PureScratch::ROUND_BITS) as usize;
+                (sums, closure) = self.close_cycle(&walked[..round], start, sums, &pay);
                 break;
             }
-            scratch.mark(s, round);
-            scratch.prefix.push((fitness_a, fitness_b, coop_a, coop_b));
-
-            let (fa, fb, ca, cb, next) = Self::step_pure(a, b, space, view_a, table);
-            fitness_a += fa;
-            fitness_b += fb;
-            coop_a += ca;
-            coop_b += cb;
-            view_a = next;
-            round += 1;
+            first_seen[state] = stamp | round as u32;
+            // A state's word index is its bits above the three latest
+            // rounds: the state three rounds ago. Read there, the two loads'
+            // addresses do not wait for the rounds in between.
+            let (word, bit) = (past.2, state % 64);
+            past = (state, past.0, past.1);
+            let walker_defects = walker[word & (walker.len() - 1)] >> bit & 1;
+            let other_defects = mirror[word & (mirror.len() - 1)] >> bit & 1;
+            let bits = (walker_defects << 1 | other_defects) as usize;
+            walked[round] = WalkedRound {
+                before: sums,
+                bits: bits as u8,
+            };
+            let [to_walker, to_other] = pay[bits];
+            sums = (sums.0 + to_walker, sums.1 + to_other);
+            view = state << 2 | bits;
         }
-
-        GameOutcome {
-            fitness_a,
-            fitness_b,
-            cooperations_a: coop_a,
-            cooperations_b: coop_b,
-            rounds: self.rounds,
-        }
+        scratch.closure = closure;
+        sums
     }
 
-    /// One deterministic round: both strategies read their move from A's view
-    /// (B uses the perspective swap), payoffs accrue, and A's view advances.
-    #[inline]
-    fn step_pure(
-        a: &PureStrategy,
-        b: &PureStrategy,
-        space: &StateSpace,
-        view_a: StateIndex,
-        table: &[f64; 4],
-    ) -> (f64, f64, u32, u32, StateIndex) {
-        let view_b = space.swap_perspective(view_a);
-        let move_a = a.move_for(view_a);
-        let move_b = b.move_for(view_b);
-        let bits_a = ((move_a.bit() << 1) | move_b.bit()) as usize;
-        let bits_b = ((move_b.bit() << 1) | move_a.bit()) as usize;
-        (
-            table[bits_a],
-            table[bits_b],
-            move_a.is_cooperation() as u32,
-            move_b.is_cooperation() as u32,
-            space.advance(view_a, move_a, move_b),
-        )
+    /// The one cycle-closing routine. A walk that stands at round
+    /// `walked.len()` with `sums` found its view first seen at round
+    /// `start`, so rounds `start..` of `walked` repeat until the game ends:
+    /// whole repetitions are added as multiples of the cycle's sums, the
+    /// leftover rounds one by one from their recorded outcomes — the values
+    /// a replay of those rounds adds, in its order. Returns the game's final
+    /// sums and how it reached them.
+    fn close_cycle(
+        &self,
+        walked: &[WalkedRound],
+        start: usize,
+        (mut walker_sum, mut other_sum): (f64, f64),
+        pay: &[[f64; 2]; 4],
+    ) -> ((f64, f64), CycleClosure) {
+        let cycle = &walked[start..];
+        let remaining = self.rounds - walked.len() as u32;
+        let closure = CycleClosure {
+            walked: walked.len(),
+            cycle_start: start,
+            full_cycles: remaining / cycle.len() as u32,
+            leftover: (remaining % cycle.len() as u32) as usize,
+        };
+        let (walker_before, other_before) = cycle[0].before;
+        let cycle_walker = walker_sum - walker_before;
+        let cycle_other = other_sum - other_before;
+        walker_sum += cycle_walker * closure.full_cycles as f64;
+        other_sum += cycle_other * closure.full_cycles as f64;
+        for round in &cycle[..closure.leftover] {
+            let [to_walker, to_other] = pay[usize::from(round.bits & 3)];
+            walker_sum += to_walker;
+            other_sum += to_other;
+        }
+        ((walker_sum, other_sum), closure)
     }
 
     /// Plays a game and returns the full move trace — handy for debugging,
@@ -1022,29 +1198,145 @@ mod tests {
         assert!((2.0..=6.0).contains(&total_avg));
     }
 
+    /// Random pure pairs of one memory depth.
+    fn pure_pairs(memory: MemoryDepth, n: usize, seed: u64) -> Vec<(PureStrategy, PureStrategy)> {
+        let mut srng = stream(seed, StreamKind::InitialStrategy, 6);
+        (0..n)
+            .map(|_| {
+                (
+                    PureStrategy::random(memory, &mut srng),
+                    PureStrategy::random(memory, &mut srng),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn pure_scratch_stamps_invalidate_without_clearing_and_survive_wrap() {
-        let mut scratch = PureScratch::default();
-        scratch.begin(16);
-        assert_eq!(scratch.stamp, 1);
-        assert_eq!(scratch.first_seen(3), None);
-        scratch.mark(3, 7);
-        scratch.prefix.push((1.0, 2.0, 3, 4));
-        assert_eq!(scratch.first_seen(3), Some(7));
-        // The next game sees nothing of it, on a larger table too.
-        scratch.begin(64);
-        assert_eq!(scratch.first_seen(3), None);
-        assert!(scratch.prefix.is_empty());
-        assert_eq!(scratch.first_seen.len(), 64);
-        // When the stamps start over, entries written under stamp 1 long
-        // ago must not come back to life.
-        scratch.stamp = 0;
-        scratch.begin(64);
-        scratch.mark(5, 9);
-        scratch.stamp = u32::MAX;
-        scratch.begin(64);
-        assert_eq!(scratch.stamp, 1);
-        assert_eq!(scratch.first_seen(5), None);
+        let game = IpdGame::paper_defaults(MemoryDepth::THREE);
+        let pairs = pure_pairs(MemoryDepth::THREE, 3, 41);
+        let fresh: Vec<GameOutcome> = pairs
+            .iter()
+            .map(|(a, b)| game.play_pure(a, b).unwrap())
+            .collect();
+        let stamp = || PURE_SCRATCH.with(|cell| cell.borrow().stamp);
+        let marked = || {
+            PURE_SCRATCH.with(|cell| {
+                let entries = &cell.borrow().first_seen;
+                entries.iter().filter(|&&e| e != 0).count()
+            })
+        };
+        // Each game took the next stamp and left its marks behind.
+        assert_eq!(stamp(), 3);
+        assert!(marked() > 0);
+        // A table full of entries under the stamps the games after the wrap
+        // will take — written, as far as those games can tell, 2^16 - 1
+        // games ago — must not come back to life when the stamps start
+        // over: every state claims to have been seen at round 1.
+        PURE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            scratch.stamp = PureScratch::MAX_STAMP - 1;
+            let len = scratch.first_seen.len();
+            scratch.first_seen[..len / 2].fill(1 << 16 | 1);
+            scratch.first_seen[len / 2..].fill(2 << 16 | 1);
+        });
+        // The last game before the wrap.
+        game.play_pure(&pairs[0].0, &pairs[0].1).unwrap();
+        assert_eq!(stamp(), PureScratch::MAX_STAMP);
+        for ((a, b), expected) in pairs.iter().zip(&fresh) {
+            assert_eq!(game.play_pure(a, b).unwrap(), *expected);
+        }
+        assert_eq!(stamp(), 3);
+        // A game of another memory depth finds a table of its own size and
+        // none of the old marks, and the stamps go on.
+        let deeper = IpdGame::paper_defaults(MemoryDepth::FOUR);
+        let (a, b) = &pure_pairs(MemoryDepth::FOUR, 1, 42)[0];
+        let naive = crate::game::naive::NaiveIpd::new(MemoryDepth::FOUR, 200, PayoffMatrix::PAPER);
+        assert_eq!(deeper.play_pure(a, b).unwrap(), naive.play(a, b).unwrap());
+        assert_eq!(stamp(), 4);
+        assert!(marked() <= 200);
+    }
+
+    #[test]
+    fn pure_block_matches_per_game_kernel_at_every_length() {
+        for (memory, rounds) in [(MemoryDepth::TWO, 200), (MemoryDepth::FOUR, 37)] {
+            let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0).unwrap();
+            let owned = pure_pairs(memory, 7, 43);
+            for len in 0..=owned.len() {
+                let pairs: Vec<_> = owned[..len].iter().map(|(a, b)| (a, b)).collect();
+                let mut out = vec![(f64::NAN, f64::NAN); len];
+                game.play_pure_block(&pairs, &mut out).unwrap();
+                for (k, (a, b)) in pairs.iter().enumerate() {
+                    let reference = game.play_pure(a, b).unwrap();
+                    assert_eq!(
+                        out[k].0.to_bits(),
+                        reference.fitness_a.to_bits(),
+                        "{k}/{len}"
+                    );
+                    assert_eq!(
+                        out[k].1.to_bits(),
+                        reference.fitness_b.to_bits(),
+                        "{k}/{len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Cooperation counts are read off the recorded rounds, not summed in
+    /// the loop: they must still be the paper-literal loop's, whichever
+    /// player the walk follows and however the game ends (no cycle within
+    /// the game, a cycle with and without leftover rounds).
+    #[test]
+    fn play_pure_cooperation_counts_match_the_literal_loops() {
+        use crate::game::naive::NaiveIpd;
+        let mut rng = stream(19, StreamKind::GamePlay, 0);
+        for n in 1..=4u32 {
+            let memory = MemoryDepth::new(n).unwrap();
+            for rounds in [1u32, 3, 64, 200, 1001] {
+                let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0).unwrap();
+                let naive = NaiveIpd::new(memory, rounds, PayoffMatrix::PAPER);
+                for (a, b) in pure_pairs(memory, 4, u64::from(n * rounds)) {
+                    let fast = game.play_pure(&a, &b).unwrap();
+                    assert_eq!(fast, naive.play(&a, &b).unwrap(), "{memory}, {rounds}");
+                    let (traced, trace) = game
+                        .play_with_trace(
+                            &StrategyKind::Pure(a.clone()),
+                            &StrategyKind::Pure(b.clone()),
+                            &mut rng,
+                        )
+                        .unwrap();
+                    assert_eq!(fast, traced);
+                    let coop_b = trace.iter().filter(|(_, m)| m.is_cooperation()).count();
+                    assert_eq!(fast.cooperations_b as usize, coop_b);
+                }
+            }
+        }
+    }
+
+    /// The block checks its lanes as `play_block` does: the lane is named
+    /// and nothing is played. (A genome shorter than its memory tag says —
+    /// which only decoded bytes can produce — is refused by the same check;
+    /// `cross_engine_consistency` forges one.)
+    #[test]
+    fn a_pure_lane_of_the_wrong_memory_is_an_error_naming_the_lane() {
+        let game = IpdGame::paper_defaults(MemoryDepth::TWO);
+        let good = PureStrategy::all_defect(MemoryDepth::TWO);
+        let shallow = NamedStrategy::TitForTat.to_pure();
+        let mut out = [(-1.0, -1.0); 3];
+        let err = game
+            .play_pure_block(
+                &[(&good, &good), (&good, &shallow), (&good, &good)],
+                &mut out,
+            )
+            .unwrap_err();
+        match err {
+            EgdError::InvalidConfig { reason } => assert!(reason.contains("lane 1"), "{reason}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert_eq!(out, [(-1.0, -1.0); 3], "nothing is played");
+        // As many payoffs as games.
+        assert!(game.play_pure_block(&[(&good, &good)], &mut out).is_err());
     }
 
     #[test]

@@ -43,12 +43,15 @@
 //! exchanged is bit for bit `play(b, a)` — and cell `(b, a)` has to be played
 //! this generation too, the same game fills it with `to_b`, and the pair is
 //! played once. The noise-free pure kernel is swap-exact
-//! ([`crate::game::IpdGame::play_pure`]): both orientations visit the same
-//! joint states in the same order (`swap_perspective` is a bijection on
+//! ([`crate::game::IpdGame::play_pure_block`]): both orientations visit the
+//! same joint states in the same order (`swap_perspective` is a bijection on
 //! views, so the cycle is found at the same round), every round adds the
 //! same two payoff-table entries to the two sums, only with the sums'
 //! names exchanged, and the cycle closure multiplies the same differences by
-//! the same count. The Markov analyser is not (its state sums run in index
+//! the same count. The kernel leans on the same argument itself: it walks a
+//! game in whichever player's view lets it reuse the other side's
+//! perspective mirror, and reports the two sums under their own names. The
+//! Markov analyser is not (its state sums run in index
 //! order, which the swap permutes), so expected-value cells stay one game
 //! each, as does every pair of which only one side is due: a column kept
 //! complete for a row outside the request, or a distributed rank's row whose

@@ -78,7 +78,7 @@ impl Population {
                 reason: "agents_per_sset must be at least 1".to_string(),
             });
         }
-        Self::check_memory(&space, &strategies)?;
+        Self::check_strategies(&space, &strategies)?;
         Ok(Self::from_strategies_internal(
             space,
             agents_per_sset,
@@ -111,8 +111,9 @@ impl Population {
     }
 
     /// Checks what deserialisation does not: that the strategy view holds one
-    /// strategy per SSet, each of the space's memory depth. A population that
-    /// came from bytes must pass this before an engine indexes into it.
+    /// strategy per SSet, each of the space's memory depth and with a table
+    /// of that depth's length. A population that came from bytes must pass
+    /// this before an engine indexes into it.
     pub fn validate(&self) -> EgdResult<()> {
         if self.strategies.len() != self.ssets.len() {
             return Err(EgdError::InvalidConfig {
@@ -123,10 +124,10 @@ impl Population {
                 ),
             });
         }
-        Self::check_memory(&self.space, &self.strategies)
+        Self::check_strategies(&self.space, &self.strategies)
     }
 
-    fn check_memory(space: &StrategySpace, strategies: &[StrategyKind]) -> EgdResult<()> {
+    fn check_strategies(space: &StrategySpace, strategies: &[StrategyKind]) -> EgdResult<()> {
         for (i, s) in strategies.iter().enumerate() {
             if s.memory() != space.memory() {
                 return Err(EgdError::InvalidConfig {
@@ -134,6 +135,14 @@ impl Population {
                         "strategy of SSet {i} has {} but the population is {}",
                         s.memory(),
                         space.memory()
+                    ),
+                });
+            }
+            if !s.is_well_formed() {
+                return Err(EgdError::InvalidConfig {
+                    reason: format!(
+                        "strategy of SSet {i} says {} but its table is not that long",
+                        s.memory()
                     ),
                 });
             }

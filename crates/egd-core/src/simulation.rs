@@ -28,12 +28,14 @@
 //!
 //! What a generation does have to play — the games of strategies that
 //! entered, and every stochastic game — every engine plays the same way, a
-//! chunk of the planned list at a time through [`PairKernel::play_games`]:
-//! the chunk's stochastic games are the lanes of one
-//! [`IpdGame::play_block`] call (two lanes to a round loop, on strategies
-//! compiled once per group per generation), its fresh deterministic games
-//! go to [`IpdGame::play_pure`]. The engines differ only in who calls it for
-//! which chunks.
+//! chunk of the planned list at a time through [`PairKernel::play_games`],
+//! and a chunk's games of a kind as one block: its stochastic games are the
+//! lanes of one [`IpdGame::play_block`] call (two lanes to a round loop, on
+//! strategies compiled once per group per generation), its fresh
+//! deterministic games one [`IpdGame::play_pure_block`] call (each walked in
+//! one player's view against the other's perspective mirror, a mirror per
+//! run of games that share a side). The engines differ only in who calls it
+//! for which chunks.
 
 use crate::config::SimulationConfig;
 use crate::dynamics::{GenerationDecision, NatureAgent};
@@ -80,11 +82,11 @@ impl FitnessMode {
     /// is bit for bit the game with the two players exchanged — so that a
     /// [`PayoffTable`] may fill a cell and its mirror from one game.
     ///
-    /// `Simulated` caches [`IpdGame::play_pure`] games only, and those are:
-    /// both orientations walk the same joint states in the same order and
-    /// add the same payoff-table entries to the same two sums (the argument
-    /// is in the [`crate::payoff_table`] module docs, the proptest in
-    /// `compiled_equivalence`). `ExpectedValue` is not:
+    /// `Simulated` caches [`IpdGame::play_pure_block`] games only, and those
+    /// are: both orientations walk the same joint states in the same order
+    /// and add the same payoff-table entries to the same two sums (the
+    /// argument is in the [`crate::payoff_table`] module docs, the proptests
+    /// in `compiled_equivalence`). `ExpectedValue` is not:
     /// [`MarkovGame::finite_horizon`] sums over states in index order, which
     /// exchanging the players permutes, so the two orientations may round
     /// differently.
@@ -182,14 +184,16 @@ impl PairKernel {
     /// `games` — and appends their `(to_a, to_b)` to `out` in list order.
     /// This is the one way an engine plays a planned game.
     ///
-    /// The walk is played [`PairKernel::CHUNK_GAMES`] games at a time. A
-    /// cacheable game is played by [`PairKernel::play`] on the spot. A
-    /// chunk's stochastic games become the lanes of one
-    /// [`IpdGame::play_block`] call: `compiled(i)` is the compiled strategy
-    /// of the group SSet `i` represents, each lane starts at the state of the
-    /// stream [`PairKernel::play`] would draw from, and a lane reports
-    /// `(to_a, 0.0)` — a stochastic game's `to_b` has no mirror cell to fill,
-    /// and the block kernel does not sum it.
+    /// The walk is played [`PairKernel::CHUNK_GAMES`] games at a time, and a
+    /// chunk's games of each kind together. Its fresh deterministic games —
+    /// the cacheable games of [`FitnessMode::Simulated`] — are one
+    /// [`IpdGame::play_pure_block`] call. Its stochastic games become the
+    /// lanes of one [`IpdGame::play_block`] call: `compiled(i)` is the
+    /// compiled strategy of the group SSet `i` represents, each lane starts
+    /// at the state of the stream [`PairKernel::play`] would draw from, and
+    /// a lane reports `(to_a, 0.0)` — a stochastic game's `to_b` has no
+    /// mirror cell to fill, and the block kernel does not sum it. An
+    /// expected-value cell is computed by [`PairKernel::play`] on the spot.
     pub fn play_games<'c>(
         &self,
         games: impl Iterator<Item = PlannedCell<'c>>,
@@ -204,7 +208,9 @@ impl PairKernel {
         Ok(())
     }
 
-    /// The next chunk of [`PairKernel::play_games`]'s walk.
+    /// The next chunk of [`PairKernel::play_games`]'s walk: every game takes
+    /// its place in `out` as it is listed, and the two blocks report into
+    /// their games' places once the chunk is gathered.
     fn play_chunk<'c>(
         &self,
         games: &mut impl Iterator<Item = PlannedCell<'c>>,
@@ -212,26 +218,51 @@ impl PairKernel {
         generation: u64,
         out: &mut Vec<(f64, f64)>,
     ) -> EgdResult<()> {
-        // Allocated by the chunk's first stochastic game: the chunks of a
-        // deterministic run have none.
+        // Each allocated by the chunk's first game of its kind: the chunks
+        // of a deterministic run have no lanes, those of a mixed one no
+        // pure pairs.
         let mut lanes = Vec::new();
-        // Where in `out` each lane reports.
-        let mut reports = [0usize; Self::CHUNK_GAMES];
+        let mut pure = Vec::new();
+        // Where in `out` each lane, and each pure pair, reports.
+        let mut lane_reports = [0usize; Self::CHUNK_GAMES];
+        let mut pure_reports = [0usize; Self::CHUNK_GAMES];
         for game in games.take(Self::CHUNK_GAMES) {
             let (a, b) = (game.a_index, game.b_index);
             if game.cacheable {
-                out.push(self.play(true, a, game.a, b, game.b, None, generation)?);
+                match (self.mode, game.a, game.b) {
+                    (
+                        FitnessMode::Simulated,
+                        StrategyKind::Pure(pure_a),
+                        StrategyKind::Pure(pure_b),
+                    ) => {
+                        if pure.is_empty() {
+                            pure.reserve_exact(Self::CHUNK_GAMES);
+                        }
+                        pure_reports[pure.len()] = out.len();
+                        out.push((0.0, 0.0));
+                        pure.push((pure_a, pure_b));
+                    }
+                    _ => out.push(self.play(true, a, game.a, b, game.b, None, generation)?),
+                }
                 continue;
             }
             if lanes.is_empty() {
                 lanes.reserve_exact(Self::CHUNK_GAMES);
             }
-            reports[lanes.len()] = out.len();
+            lane_reports[lanes.len()] = out.len();
             out.push((0.0, 0.0));
             lanes.push((
                 CompiledPair::new(compiled(a), compiled(b)),
                 substream_state(self.seed, StreamKind::GamePlay, pair_id(a, b), generation),
             ));
+        }
+        if !pure.is_empty() {
+            let mut payoffs = [(0.0, 0.0); Self::CHUNK_GAMES];
+            let payoffs = &mut payoffs[..pure.len()];
+            self.game.play_pure_block(&pure, payoffs)?;
+            for (&report, &pay) in pure_reports.iter().zip(payoffs.iter()) {
+                out[report] = pay;
+            }
         }
         if lanes.is_empty() {
             return Ok(());
@@ -239,7 +270,7 @@ impl PairKernel {
         let mut to_a = [0.0; Self::CHUNK_GAMES];
         let to_a = &mut to_a[..lanes.len()];
         self.game.play_block(&mut lanes, to_a)?;
-        for (&report, &pay) in reports.iter().zip(to_a.iter()) {
+        for (&report, &pay) in lane_reports.iter().zip(to_a.iter()) {
             out[report].0 = pay;
         }
         Ok(())

@@ -117,6 +117,13 @@ impl MixedStrategy {
         self.memory
     }
 
+    /// Whether the table holds one probability per state of its memory
+    /// depth. Every constructor guarantees it; a strategy decoded from bytes
+    /// carries whatever the bytes said.
+    pub fn is_well_formed(&self) -> bool {
+        self.probs.len() == self.memory.num_states()
+    }
+
     /// The per-state cooperation probabilities.
     pub fn probabilities(&self) -> &[f64] {
         &self.probs

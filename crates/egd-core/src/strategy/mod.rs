@@ -80,6 +80,15 @@ impl StrategyKind {
         }
     }
 
+    /// Whether the strategy's table has the length its memory depth calls
+    /// for (see [`PureStrategy::is_well_formed`]).
+    pub fn is_well_formed(&self) -> bool {
+        match self {
+            StrategyKind::Pure(p) => p.is_well_formed(),
+            StrategyKind::Mixed(m) => m.is_well_formed(),
+        }
+    }
+
     /// A stable, hashable fingerprint of the strategy contents, used as a key
     /// for pairwise-fitness caching. Two strategies with equal fingerprints
     /// and equal memory depth behave identically.

@@ -169,6 +169,44 @@ impl PureStrategy {
         &self.genome
     }
 
+    /// Whether the genome holds exactly the words its memory depth calls
+    /// for. Every constructor guarantees it; a strategy decoded from bytes
+    /// carries whatever the bytes said, and must pass this before a kernel
+    /// indexes into it.
+    pub fn is_well_formed(&self) -> bool {
+        self.genome.len() == Self::words_for(self.num_states())
+    }
+
+    /// Writes into `out` the genome of this strategy's *perspective mirror*:
+    /// the strategy that plays in state `s` what this one plays in
+    /// [`StateSpace::swap_perspective`]`(s)`. An opponent's mirror is indexed
+    /// by the focal player's own view, which is what lets a game read both
+    /// moves at one index ([`crate::game::IpdGame::play_pure_block`]).
+    ///
+    /// The swap exchanges the two bits of every 2-bit group of the state
+    /// index. The groups above the three lowest address the word — a
+    /// permutation of the words — and the three lowest a bit within it: a
+    /// delta swap of every word each.
+    pub fn mirror_into(&self, out: &mut Vec<u64>) {
+        let word_mask = self.genome.len().saturating_sub(1);
+        out.clear();
+        out.extend(
+            (0..self.genome.len()).map(|w| {
+                self.genome[((w & 0x5555_5555) << 1 | (w >> 1) & 0x5555_5555) & word_mask]
+            }),
+        );
+        for word in out {
+            for (lower, distance) in [
+                (0x2222_2222_2222_2222u64, 1),
+                (0x00f0_00f0_00f0_00f0, 4),
+                (0x0000_0000_ffff_0000, 16),
+            ] {
+                let moved = ((*word >> distance) ^ *word) & lower;
+                *word ^= moved | moved << distance;
+            }
+        }
+    }
+
     /// The integer id of this strategy (only for memories with at most 64
     /// states, i.e. `n <= 3`).
     pub fn id(&self) -> Option<u64> {
@@ -387,6 +425,30 @@ mod tests {
         let mut rng = stream(3, StreamKind::InitialStrategy, 9);
         let r = PureStrategy::random(MemoryDepth::ONE, &mut rng);
         assert!(r.genome_words()[0] < 16);
+    }
+
+    #[test]
+    fn mirror_reads_the_swapped_state_and_is_an_involution() {
+        for n in 1..=MemoryDepth::MAX_SUPPORTED {
+            let memory = MemoryDepth::new(n).unwrap();
+            let space = StateSpace::new(memory);
+            let mut rng = stream(13, StreamKind::InitialStrategy, u64::from(n));
+            let strategy = PureStrategy::random(memory, &mut rng);
+            let mut genome = vec![7u64; 3];
+            strategy.mirror_into(&mut genome);
+            let mirror = PureStrategy { memory, genome };
+            assert!(mirror.is_well_formed());
+            for s in space.states() {
+                assert_eq!(
+                    mirror.move_for(s),
+                    strategy.move_for(space.swap_perspective(s)),
+                    "{memory}, state {s}"
+                );
+            }
+            let mut twice = Vec::new();
+            mirror.mirror_into(&mut twice);
+            assert_eq!(twice, strategy.genome_words(), "{memory}");
+        }
     }
 
     #[test]

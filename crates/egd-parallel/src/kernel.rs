@@ -9,7 +9,7 @@
 //! |---------|----------------|--------------|
 //! | [`KernelVariant::Naive`]      | "Original"             | explicit view lists, linear `find_state` scan (`O(4^n)` per round) |
 //! | [`KernelVariant::Indexed`]    | "Compiler"             | packed 2n-bit state, O(1) strategy lookup per round |
-//! | [`KernelVariant::Optimized`]  | "Instruction"          | indexed + branch-free payoff accumulation + cycle closing |
+//! | [`KernelVariant::Optimized`]  | "Instruction"          | the block walk ([`IpdGame::play_pure_block`]): both moves read at one index, loads addressed three rounds ahead, cycle closing |
 //!
 //! (The "Comm" rung of the ladder concerns the communication layer and lives
 //! in `egd-cluster`.)
@@ -18,6 +18,7 @@ use egd_core::error::EgdResult;
 use egd_core::game::naive::NaiveIpd;
 use egd_core::game::{GameOutcome, IpdGame};
 use egd_core::payoff::PayoffMatrix;
+use egd_core::simulation::PairKernel;
 use egd_core::state::{MemoryDepth, StateIndex, StateSpace};
 use egd_core::strategy::PureStrategy;
 use serde::{Deserialize, Serialize};
@@ -78,7 +79,6 @@ impl KernelVariant {
 pub fn calibrated_cost_model() -> egd_cost::CostModel {
     use egd_core::game::{CompiledPair, CompiledStrategy};
     use egd_core::rng::{substream_state, StreamKind};
-    use egd_core::simulation::PairKernel;
     use egd_core::strategy::{MixedStrategy, StrategyKind};
     use std::time::Instant;
     let mut model = egd_cost::CostModel::blue_gene_like();
@@ -220,24 +220,56 @@ impl GameKernel {
         }
     }
 
+    /// Plays a block of pairings on this thread: `payoffs[k]` receives
+    /// `(to_a, to_b)` of `pairs[k]`. The optimised rung plays the block as
+    /// the engines play a chunk of fresh deterministic games — one
+    /// [`IpdGame::play_pure_block`] call; the lower rungs have no block form
+    /// and play it game by game.
+    pub fn play_block(
+        &self,
+        pairs: &[(&PureStrategy, &PureStrategy)],
+        payoffs: &mut [(f64, f64)],
+    ) -> EgdResult<()> {
+        if self.variant == KernelVariant::Optimized {
+            return self.optimized.play_pure_block(pairs, payoffs);
+        }
+        for ((a, b), pay) in pairs.iter().zip(payoffs) {
+            let outcome = self.play(a, b)?;
+            *pay = (outcome.fitness_a, outcome.fitness_b);
+        }
+        Ok(())
+    }
+
     /// Plays a batch of pairings on the work-stealing scheduler, returning
-    /// outcomes in input order. Standalone batch entry point for harnesses
-    /// that drive the kernels directly (the `game_kernel` criterion bench,
-    /// ablation studies); the generation engine's production path instead
-    /// goes through [`crate::cache::ConcurrentPairEvaluator`]. Game lengths
-    /// differ wildly across the optimisation ladder and memory depths, and
-    /// the scheduler absorbs that skew.
+    /// `(to_a, to_b)` per pairing in input order. Standalone batch entry
+    /// point for harnesses that drive the kernels directly (the
+    /// `game_kernel` criterion bench, ablation studies); the generation
+    /// engine's production path instead goes through
+    /// [`crate::cache::ConcurrentPairEvaluator`]. A work item is one
+    /// [`GameKernel::play_block`] of [`PairKernel::CHUNK_GAMES`] pairings,
+    /// the engines' chunk. Game lengths differ wildly across the
+    /// optimisation ladder and memory depths, and the scheduler absorbs that
+    /// skew.
     pub fn play_batch(
         &self,
         pairs: &[(&PureStrategy, &PureStrategy)],
-    ) -> EgdResult<Vec<GameOutcome>> {
+    ) -> EgdResult<Vec<(f64, f64)>> {
         use rayon::prelude::*;
-        pairs
+        let blocks: Vec<&[(&PureStrategy, &PureStrategy)]> =
+            pairs.chunks(PairKernel::CHUNK_GAMES).collect();
+        let played = blocks
             .par_iter()
-            .map(|(a, b)| self.play(a, b))
-            .collect::<Vec<EgdResult<GameOutcome>>>()
-            .into_iter()
-            .collect()
+            .map(|block| {
+                let mut payoffs = vec![(0.0, 0.0); block.len()];
+                self.play_block(block, &mut payoffs)?;
+                Ok(payoffs)
+            })
+            .collect::<Vec<EgdResult<Vec<(f64, f64)>>>>();
+        let mut payoffs = Vec::with_capacity(pairs.len());
+        for block in played {
+            payoffs.extend(block?);
+        }
+        Ok(payoffs)
     }
 
     /// The "Indexed" kernel: packed state with O(1) lookups, but every round
@@ -289,7 +321,6 @@ mod tests {
 
     #[test]
     fn play_batch_matches_individual_plays() {
-        let kernel = GameKernel::paper_defaults(KernelVariant::Optimized, MemoryDepth::ONE);
         let strategies: Vec<PureStrategy> = NamedStrategy::ALL
             .iter()
             .filter(|s| s.native_memory() == MemoryDepth::ONE)
@@ -299,12 +330,16 @@ mod tests {
             .iter()
             .flat_map(|a| strategies.iter().map(move |b| (a, b)))
             .collect();
-        let batch = kernel.play_batch(&pairs).unwrap();
-        assert_eq!(batch.len(), pairs.len());
-        for ((a, b), outcome) in pairs.iter().zip(&batch) {
-            let reference = kernel.play(a, b).unwrap();
-            assert_eq!(outcome.fitness_a, reference.fitness_a);
-            assert_eq!(outcome.fitness_b, reference.fitness_b);
+        // 16 x 16 pairings: several blocks, the last one partial for the
+        // rungs' per-game loop and the optimised rung's block walk alike.
+        for variant in KernelVariant::LADDER {
+            let kernel = GameKernel::paper_defaults(variant, MemoryDepth::ONE);
+            let batch = kernel.play_batch(&pairs[..pairs.len() - 3]).unwrap();
+            assert_eq!(batch.len(), pairs.len() - 3);
+            for ((a, b), payoffs) in pairs.iter().zip(&batch) {
+                let reference = kernel.play(a, b).unwrap();
+                assert_eq!(*payoffs, (reference.fitness_a, reference.fitness_b));
+            }
         }
     }
 

@@ -490,3 +490,144 @@ proptest! {
         prop_assert_eq!(stats.games_played, stats.cells_played);
     }
 }
+
+/// Round counts for the block walk: a single round, counts around the round
+/// at which small memories' cycles are detected, the paper's 200 and its
+/// neighbours, and long games — so that games that never cycle, games that
+/// cycle at round 1 and closures with and without leftover rounds all occur.
+fn arb_block_rounds() -> impl PropStrategy<Value = u32> {
+    (0u8..6, 2u32..=70, 1000u32..=5000).prop_map(|(kind, small, long)| match kind {
+        0 => 1,
+        1 | 2 => small,
+        3 => 199 + small % 3,
+        _ => long,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The deterministic block walk plays each of its games bit for bit as
+    /// the per-game kernel does, at every memory depth, whichever player's
+    /// view a game is walked in: row-major blocks share `a` along a run (the
+    /// mirror of `a` is reused and the walk follows `b`), column-major blocks
+    /// share `b`, shuffled blocks share nothing and build a mirror per game.
+    /// And it stays swap-exact: the block with every pair exchanged returns
+    /// every pair's scores exchanged, so the payoff table may still fill a
+    /// cell and its mirror from one game.
+    #[test]
+    fn pure_block_is_bit_identical_to_the_per_game_kernel(
+        n in 1u32..=MemoryDepth::MAX_SUPPORTED,
+        rounds in arb_block_rounds(),
+        payoffs in arb_payoffs(),
+        (len, order) in (0usize..=40, 0u8..3),
+        seed in any::<u64>(),
+    ) {
+        let memory = MemoryDepth::new(n).unwrap();
+        let mut rng = stream(seed, StreamKind::InitialStrategy, 1);
+        // Rows and columns overlap, so a block has self-pairings too.
+        let pool: Vec<PureStrategy> = (0..9).map(|_| PureStrategy::random(memory, &mut rng)).collect();
+        let (rows, columns) = (&pool[..5], &pool[1..]);
+        let mut pairs: Vec<(&PureStrategy, &PureStrategy)> = match order {
+            0 => rows.iter().flat_map(|a| columns.iter().map(move |b| (a, b))).collect(),
+            _ => columns.iter().flat_map(|b| rows.iter().map(move |a| (a, b))).collect(),
+        };
+        if order == 2 {
+            for k in (1..pairs.len()).rev() {
+                pairs.swap(k, rng.gen_range(0..=k));
+            }
+        }
+        pairs.truncate(len);
+
+        let game = IpdGame::new(memory, rounds, payoffs, 0.0).unwrap();
+        let mut block = vec![(f64::NAN, f64::NAN); pairs.len()];
+        game.play_pure_block(&pairs, &mut block).unwrap();
+        for (k, ((a, b), (to_a, to_b))) in pairs.iter().zip(&block).enumerate() {
+            let single = game.play_pure(a, b).unwrap();
+            prop_assert_eq!(single.fitness_a.to_bits(), to_a.to_bits(), "game {} of {}", k, len);
+            prop_assert_eq!(single.fitness_b.to_bits(), to_b.to_bits(), "game {} of {}", k, len);
+        }
+        // `play_pure` is the same walk, so one game of the block is also
+        // held against the paper-literal loop, which follows both views and
+        // closes nothing: the same moves (counted exactly), and the same
+        // payoffs up to what closing the cycle analytically rounds.
+        if let Some(&(a, b)) = pairs.first() {
+            let single = game.play_pure(a, b).unwrap();
+            let literal = game
+                .play(&StrategyKind::Pure(a.clone()), &StrategyKind::Pure(b.clone()), &mut rng)
+                .unwrap();
+            prop_assert_eq!(single.cooperations_a, literal.cooperations_a);
+            prop_assert_eq!(single.cooperations_b, literal.cooperations_b);
+            let tolerance = 1e-9 * f64::from(rounds) * payoffs.max_payoff().abs().max(payoffs.min_payoff().abs());
+            prop_assert!((single.fitness_a - literal.fitness_a).abs() <= tolerance);
+            prop_assert!((single.fitness_b - literal.fitness_b).abs() <= tolerance);
+        }
+
+        let exchanged: Vec<(&PureStrategy, &PureStrategy)> =
+            pairs.iter().map(|&(a, b)| (b, a)).collect();
+        let mut mirrored = vec![(f64::NAN, f64::NAN); pairs.len()];
+        game.play_pure_block(&exchanged, &mut mirrored).unwrap();
+        for (k, ((to_a, to_b), (to_b_again, to_a_again))) in block.iter().zip(&mirrored).enumerate() {
+            prop_assert_eq!(to_a.to_bits(), to_a_again.to_bits(), "game {} of {}", k, len);
+            prop_assert_eq!(to_b.to_bits(), to_b_again.to_bits(), "game {} of {}", k, len);
+        }
+    }
+}
+
+/// FNV-1a digest of `play_pure` over the pinned pairs of one memory depth
+/// and payoff matrix: 17 random pairs, the round count cycling through
+/// counts that never cycle, close at once, and close with and without a
+/// leftover.
+fn pinned_pure_digest(n: u32, payoffs: PayoffMatrix) -> u64 {
+    const ROUNDS: [u32; 6] = [1, 2, 7, 200, 1000, 5000];
+    let memory = MemoryDepth::new(n).unwrap();
+    let mut rng = stream(2013, StreamKind::InitialStrategy, u64::from(n));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for k in 0..17usize {
+        let a = PureStrategy::random(memory, &mut rng);
+        let b = PureStrategy::random(memory, &mut rng);
+        let game = IpdGame::new(memory, ROUNDS[k % ROUNDS.len()], payoffs, 0.0).unwrap();
+        let outcome = game.play_pure(&a, &b).unwrap();
+        for word in [
+            outcome.fitness_a.to_bits(),
+            outcome.fitness_b.to_bits(),
+            u64::from(outcome.cooperations_a),
+            u64::from(outcome.cooperations_b),
+        ] {
+            hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// `play_pure` itself became the one-lane case of the block walk, so the
+/// proptest above compares the walk with itself. This pins it from outside:
+/// the digests of both payoffs' bit patterns and both cooperation counts of
+/// 204 games (memory one to six, the paper's matrix and one whose sums
+/// round) were recorded by running this function on the commit before the
+/// block walk, whose `play_pure` stepped every round through
+/// `swap_perspective` and re-stepped the leftover rounds.
+#[test]
+fn pure_kernel_reproduces_the_outcomes_recorded_before_the_block_walk() {
+    const RECORDED: [[u64; 2]; 6] = [
+        [0xae62736ec5edd1db, 0xfa64293ddfdaef3b],
+        [0xc15c9936b4c4eef2, 0x8e214731b7a65f95],
+        [0xfdf5b9a7d5ad5b7a, 0x68f96ed5d5738ea4],
+        [0x889046ce855e11a5, 0x1c2a6fe89b758f96],
+        [0x53019444abddc537, 0x97c7409e6efc2b71],
+        [0x00aac2c33ad0802f, 0x9c4c418ddb415c28],
+    ];
+    let rounding = PayoffMatrix::new(3.1, -0.2, 4.7, 0.9);
+    for (n, [paper, inexact]) in (1u32..).zip(RECORDED) {
+        assert_eq!(
+            pinned_pure_digest(n, PayoffMatrix::PAPER),
+            paper,
+            "memory {n}, paper matrix"
+        );
+        assert_eq!(
+            pinned_pure_digest(n, rounding),
+            inexact,
+            "memory {n}, rounding matrix"
+        );
+    }
+}

@@ -288,11 +288,11 @@ fn checkpoints_are_byte_identical_across_backends_before_and_after_a_restore() {
 }
 
 /// The checkpoint bytes of `state` with the strategy view replaced by
-/// `donor`'s: decodable, but a population no constructor would build.
-fn checkpoint_with_strategies_of(state: &SimulationState, donor: &Population) -> Vec<u8> {
+/// `strategies`: decodable, but a population no constructor would build.
+fn checkpoint_with_strategies(state: &SimulationState, strategies: &[StrategyKind]) -> Vec<u8> {
     let bytes = state.to_bytes().unwrap();
     let own = serde_json::to_vec(&state.population.strategies().to_vec()).unwrap();
-    let theirs = serde_json::to_vec(&donor.strategies().to_vec()).unwrap();
+    let theirs = serde_json::to_vec(&strategies.to_vec()).unwrap();
     let at = bytes
         .windows(own.len())
         .rposition(|window| window == own)
@@ -308,25 +308,103 @@ fn a_checkpoint_with_an_inconsistent_population_is_an_error_on_every_backend() {
     let short = Population::random(StrategySpace::pure(MemoryDepth::ONE), 3, 3, 1).unwrap();
     let deep = Population::random(StrategySpace::pure(MemoryDepth::TWO), 18, 3, 1).unwrap();
     for donor in [&short, &deep] {
-        let bytes = checkpoint_with_strategies_of(&state, donor);
-        assert!(matches!(
-            SimulationState::from_bytes(&bytes),
-            Err(EgdError::InvalidConfig { .. })
-        ));
-        // A state decoded some other way meets the same check in `restore`.
-        let unchecked: SimulationState = serde_json::from_slice(&bytes).unwrap();
-        assert!(matches!(
-            Simulation::restore(cfg.clone(), &unchecked, FitnessMode::Simulated),
-            Err(EgdError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            ParallelSimulation::restore(
-                cfg.clone(),
-                &unchecked,
-                ThreadConfig::sequential(),
-                FitnessMode::Simulated
-            ),
-            Err(EgdError::InvalidConfig { .. })
-        ));
+        let bytes = checkpoint_with_strategies(&state, donor.strategies());
+        assert_rejected_by_every_backend(&cfg, &bytes);
     }
+}
+
+/// `bytes` decode, but not into a checkpoint anything will run: `from_bytes`
+/// says so, and a state decoded some other way meets the same check in
+/// `restore`.
+fn assert_rejected_by_every_backend(cfg: &SimulationConfig, bytes: &[u8]) {
+    assert!(matches!(
+        SimulationState::from_bytes(bytes),
+        Err(EgdError::InvalidConfig { .. })
+    ));
+    let unchecked: SimulationState = serde_json::from_slice(bytes).unwrap();
+    assert!(matches!(
+        Simulation::restore(cfg.clone(), &unchecked, FitnessMode::Simulated),
+        Err(EgdError::InvalidConfig { .. })
+    ));
+    assert!(matches!(
+        ParallelSimulation::restore(
+            cfg.clone(),
+            &unchecked,
+            ThreadConfig::sequential(),
+            FitnessMode::Simulated
+        ),
+        Err(EgdError::InvalidConfig { .. })
+    ));
+}
+
+/// A strategy's encoding `bytes` under another memory depth's tag: the table
+/// keeps the length its real depth gave it. The derived decoders take the
+/// bytes at their word.
+fn retagged(mut bytes: Vec<u8>, real: MemoryDepth, claimed: MemoryDepth) -> Vec<u8> {
+    let (real, claimed) = (
+        serde_json::to_vec(&real).unwrap(),
+        serde_json::to_vec(&claimed).unwrap(),
+    );
+    assert_eq!(bytes[..real.len()], real[..], "the memory tag comes first");
+    bytes[..real.len()].copy_from_slice(&claimed);
+    bytes
+}
+
+/// A strategy whose memory tag promises a longer table than it carries used
+/// to pass `Population::validate` (which compared tags only) and then index
+/// out of bounds in the first game it played. It is an error where the bytes
+/// enter, and an error — naming the lane, with nothing played — for a kernel
+/// handed such a strategy directly.
+#[test]
+fn a_checkpoint_with_a_short_strategy_table_is_an_error_not_a_panic() {
+    // One genome word under a memory-six tag, in a memory-six population.
+    let cfg = config(MemoryDepth::SIX, 0.0, 707, 10);
+    let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
+    let forged: PureStrategy = serde_json::from_slice(&retagged(
+        serde_json::to_vec(&NamedStrategy::TitForTat.to_pure()).unwrap(),
+        MemoryDepth::ONE,
+        MemoryDepth::SIX,
+    ))
+    .unwrap();
+    assert_eq!(forged.memory(), MemoryDepth::SIX);
+    assert_eq!(forged.genome_words().len(), 1);
+    let mut strategies = state.population.strategies().to_vec();
+    strategies[5] = StrategyKind::Pure(forged.clone());
+    let bytes = checkpoint_with_strategies(&state, &strategies);
+    assert_rejected_by_every_backend(&cfg, &bytes);
+
+    let game = cfg.game().unwrap();
+    let good = strategies[0].as_pure().unwrap();
+    let mut payoffs = [(-1.0, -1.0); 2];
+    match game.play_pure_block(&[(good, good), (&forged, good)], &mut payoffs) {
+        Err(EgdError::InvalidConfig { reason }) => assert!(reason.contains("lane 1"), "{reason}"),
+        other => panic!("the forged lane must be refused, got {other:?}"),
+    }
+    assert_eq!(payoffs, [(-1.0, -1.0); 2], "nothing is played");
+    assert!(game.play_pure(good, &forged).is_err());
+
+    // Four probabilities under a memory-two tag, in a mixed population.
+    let cfg = SimulationConfig::builder()
+        .memory(MemoryDepth::TWO)
+        .family(StrategyFamily::Mixed)
+        .num_ssets(18)
+        .agents_per_sset(3)
+        .rounds_per_game(30)
+        .generations(10)
+        .seed(708)
+        .build()
+        .unwrap();
+    let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
+    let forged: MixedStrategy = serde_json::from_slice(&retagged(
+        serde_json::to_vec(&MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap()).unwrap(),
+        MemoryDepth::ONE,
+        MemoryDepth::TWO,
+    ))
+    .unwrap();
+    assert_eq!(forged.memory(), MemoryDepth::TWO);
+    assert_eq!(forged.probabilities().len(), 4);
+    let mut strategies = state.population.strategies().to_vec();
+    strategies[17] = StrategyKind::Mixed(forged);
+    let bytes = checkpoint_with_strategies(&state, &strategies);
+    assert_rejected_by_every_backend(&cfg, &bytes);
 }
