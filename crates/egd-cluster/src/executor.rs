@@ -9,15 +9,26 @@
 //! thread-per-rank backend this replaced topped out around 10² ranks.
 //! Per generation:
 //!
-//! 1. every worker plays the games of its own SSets against all opponent
-//!    strategies (locally, no communication — §V-A): it keeps the payoff
-//!    matrix rows of its own block between generations
+//! 1. every worker plays the games of the strategies it *keeps* against all
+//!    opponent strategies (locally, no communication — §V-A). A strategy is
+//!    kept by the rank whose block holds its keeper SSet
+//!    ([`egd_core::grouping`]): SSets that hold the same strategy have the
+//!    same fitness, so a strategy spread over many blocks — every strategy of
+//!    a converging population — is played by one rank, not by each of them.
+//!    The rank keeps those payoff matrix rows between generations
 //!    ([`PairEvaluator::block_fitness`]) and plays only what entered,
 //! 2. the Nature Agent broadcasts which SSets (if any) were selected for
 //!    pairwise comparison (the collective-network announcement),
-//! 3. the owners of the selected SSets return their fitness — either as
-//!    non-blocking point-to-point messages (the optimised protocol) or via a
-//!    blocking all-rank gather (the paper's "Original" communication),
+//! 3. the fitness of the selected SSets returns from the ranks that keep
+//!    their strategies' rows — either as non-blocking point-to-point messages
+//!    (the optimised protocol: a worker sends iff it has the number, and the
+//!    Nature Agent derives the sender from its own population view with the
+//!    keeper function the workers' tables use) or via a blocking all-rank
+//!    gather of what each rank answers for, every SSet exactly once (the
+//!    paper's "Original" communication). A rank never answers for a row it
+//!    does not keep: if the two sides ever disagreed, the Nature Agent would
+//!    wait for a message nobody sends and the world would end with the
+//!    deadlock report naming that receive,
 //! 4. the Nature Agent resolves learning and mutation and broadcasts the
 //!    resulting [`GenerationDecision`]; every rank applies it to its local
 //!    strategy view so all views stay consistent.
@@ -32,7 +43,8 @@ use crate::trace::{GenerationTrace, RankTiming, RunTrace};
 use egd_core::config::SimulationConfig;
 use egd_core::dynamics::GenerationDecision;
 use egd_core::error::{EgdError, EgdResult};
-use egd_core::payoff_table::PayoffTableStats;
+use egd_core::grouping::keeper_of;
+use egd_core::payoff_table::{KeptFitness, PayoffTableStats};
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairEvaluator, SimulationState};
 use egd_obs::{SpanKind, SpanTimer};
@@ -117,7 +129,7 @@ pub struct DistributedRunSummary {
     /// Number of ranks (workers + Nature Agent).
     pub ranks: usize,
     /// Payoff-table counters summed over the worker ranks (each rank keeps
-    /// the rows of its own SSet block).
+    /// the rows of the strategies whose keeper SSet is in its block).
     pub payoff: PayoffTableStats,
 }
 
@@ -392,15 +404,16 @@ pub(crate) async fn run_rank_from(
         let mut compute_us = 0.0f64;
         let mut comm_us = 0.0f64;
 
-        // --- Game dynamics: workers play the games of their own SSets. ---
-        let block_fitness: Vec<(usize, f64)> = if rank == 0 {
-            Vec::new()
+        // --- Game dynamics: workers play the rows of the strategies they
+        // keep, and answer for every SSet that holds one of them. ---
+        let kept = if rank == 0 {
+            KeptFitness::default()
         } else {
             let start = Instant::now();
-            let block = partition.block(rank - 1);
-            let fitness = evaluator.block_fitness(&population, block.clone(), generation)?;
+            let kept =
+                evaluator.block_fitness(&population, partition.block(rank - 1), generation)?;
             compute_us += start.elapsed().as_secs_f64() * 1e6;
-            block.zip(fitness).collect()
+            kept
         };
 
         // --- Population dynamics. ---
@@ -414,40 +427,47 @@ pub(crate) async fn run_rank_from(
             comm.broadcast(0, None).await?
         };
 
-        // 2. Fitness values return to the Nature Agent.
-        let mut fitness_view = vec![0.0f64; config.num_ssets];
-        match dist.comm_mode {
-            CommMode::NonBlocking => {
-                if let Some((teacher, learner)) = selection {
-                    let teacher_owner = partition.owner_of(teacher) + 1;
-                    let learner_owner = partition.owner_of(learner) + 1;
-                    if rank == teacher_owner {
-                        let value = lookup_fitness(&block_fitness, teacher, rank, generation)?;
-                        comm.send(0, teacher_tag(generation), &value)?;
-                    }
-                    if rank == learner_owner {
-                        let value = lookup_fitness(&block_fitness, learner, rank, generation)?;
-                        comm.send(0, learner_tag(generation), &value)?;
-                    }
-                    if rank == 0 {
-                        fitness_view[teacher] =
-                            comm.recv(teacher_owner, teacher_tag(generation)).await?;
-                        fitness_view[learner] =
-                            comm.recv(learner_owner, learner_tag(generation)).await?;
+        // 2. Fitness values return to the Nature Agent, each from the rank
+        //    that keeps the SSet's strategy.
+        let mut fitness_view = if rank == 0 {
+            vec![0.0f64; config.num_ssets]
+        } else {
+            Vec::new()
+        };
+        if let Some((teacher, learner)) = selection {
+            let keeper_rank =
+                |sset| partition.owner_of(keeper_of(population.strategies(), sset)) + 1;
+            let asked = [
+                (teacher, teacher_tag(generation)),
+                (learner, learner_tag(generation)),
+            ];
+            match dist.comm_mode {
+                CommMode::NonBlocking if rank == 0 => {
+                    for (sset, tag) in asked {
+                        fitness_view[sset] = comm.recv(keeper_rank(sset), tag).await?;
                     }
                 }
-            }
-            CommMode::Blocking => {
-                // Every rank participates in a gather of its whole block,
-                // every generation with a selection — the unoptimised
-                // protocol of Fig. 3.
-                if selection.is_some() {
-                    let gathered = comm.gather(0, &block_fitness).await?;
+                CommMode::NonBlocking => {
+                    for (sset, tag) in asked {
+                        if let Some(value) = kept.of(sset) {
+                            comm.send(0, tag, &value)?;
+                        }
+                    }
+                }
+                CommMode::Blocking => {
+                    // Every rank participates in a gather of everything it
+                    // answers for, every generation with a selection — the
+                    // unoptimised protocol of Fig. 3.
+                    let answered: Vec<(usize, f64)> = kept.iter().collect();
+                    let gathered = comm.gather(0, &answered).await?;
                     if rank == 0 {
-                        for block in gathered {
-                            for (sset, fitness) in block {
-                                fitness_view[sset] = fitness;
-                            }
+                        for &(sset, fitness) in gathered.iter().flatten() {
+                            fitness_view[sset] = fitness;
+                        }
+                        for (sset, _) in asked {
+                            let from = keeper_rank(sset);
+                            fitness_view[sset] =
+                                lookup_fitness(&gathered[from], sset, from, generation)?;
                         }
                     }
                 }
@@ -482,23 +502,24 @@ pub(crate) async fn run_rank_from(
     })
 }
 
-/// Looks up the fitness of an SSet in a worker's block results. An SSet the
-/// rank does not own means the partition and the ownership map disagree;
-/// answering would feed an invented fitness into the Fermi draw.
+/// Looks up the fitness of an SSet in what a worker answered for. An SSet
+/// the rank did not answer means the rank and the Nature Agent disagree on
+/// who keeps its strategy; taking the number from anywhere else would feed
+/// an invented fitness into the Fermi draw.
 fn lookup_fitness(
-    block: &[(usize, f64)],
+    answered: &[(usize, f64)],
     sset: usize,
     rank: usize,
     generation: u64,
 ) -> EgdResult<f64> {
-    block
+    answered
         .iter()
         .find(|(index, _)| *index == sset)
         .map(|(_, fitness)| *fitness)
         .ok_or_else(|| EgdError::Communication {
             reason: format!(
                 "rank {rank} was asked for the fitness of SSet {sset} in generation \
-                 {generation}, which is not in its block"
+                 {generation}, whose strategy it does not keep"
             ),
         })
 }
@@ -649,9 +670,12 @@ mod tests {
 
     #[test]
     fn lookup_outside_the_block_is_an_error_naming_rank_sset_and_generation() {
-        let block = [(4usize, 1.5f64), (5, 2.5)];
-        assert_eq!(lookup_fitness(&block, 5, 2, 7).unwrap(), 2.5);
-        let message = lookup_fitness(&block, 6, 2, 7).unwrap_err().to_string();
+        // What a rank answers for is not its block: here SSet 9 of another
+        // block holds a strategy this rank keeps, SSet 6 of its own does not.
+        let answered = [(4usize, 1.5f64), (5, 2.5), (9, 1.5)];
+        assert_eq!(lookup_fitness(&answered, 5, 2, 7).unwrap(), 2.5);
+        assert_eq!(lookup_fitness(&answered, 9, 2, 7).unwrap(), 1.5);
+        let message = lookup_fitness(&answered, 6, 2, 7).unwrap_err().to_string();
         for part in ["rank 2", "SSet 6", "generation 7"] {
             assert!(message.contains(part), "{message}");
         }
@@ -660,7 +684,7 @@ mod tests {
     #[test]
     fn metrics_snapshot_carries_payoff_table_counters() {
         // Noise-free: every cell is cacheable. Each of the 3 worker ranks
-        // keeps a table of its own block's rows.
+        // keeps a table of the rows of the strategies it keeps.
         let cfg = sim_config(38, 20);
         let summary = DistributedExecutor::new(cfg, DistributedConfig::with_workers(3))
             .unwrap()
@@ -670,8 +694,8 @@ mod tests {
         assert!(metrics.counter("pair_cache_hits") > 0);
         assert!(metrics.counter("pair_cache_misses") > 0);
         assert!(metrics.counter("payoff_cells_played") >= metrics.counter("pair_cache_misses"));
-        // Merged across the ranks like the others; a rank mirrors inside
-        // its own block only.
+        // Merged across the ranks like the others; a rank mirrors among the
+        // rows it keeps only.
         assert_eq!(
             summary.payoff.games_played,
             metrics.counter("payoff_games_played")

@@ -506,8 +506,15 @@ impl Communicator {
     }
 
     /// Receives the next message matching `from` and `tag`. Awaiting parks
-    /// this rank's *task* (a cooperative yield), never a pool thread.
+    /// this rank's *task* (a cooperative yield), never a pool thread. A
+    /// `from` outside the world is an error at once, as a `dest` is for
+    /// [`Self::send`]: no rank could ever send the message.
     pub async fn recv<T: DeserializeOwned>(&mut self, from: usize, tag: u64) -> EgdResult<T> {
+        if from >= self.size {
+            return Err(EgdError::Communication {
+                reason: format!("source rank {from} out of range (size {})", self.size),
+            });
+        }
         let packet = self.recv_packet(from, tag).await;
         Self::deserialize(&packet.payload)
     }
@@ -1404,6 +1411,20 @@ mod tests {
         let world = SimWorld::new(2).unwrap();
         let (results, _) = world
             .run(|comm| async move { Ok(comm.send(5, 0, &1u32).is_err()) })
+            .unwrap();
+        assert!(results.iter().all(|&r| r));
+    }
+
+    #[test]
+    fn recv_from_invalid_rank_errors_without_parking() {
+        // No deadlock report: the receive fails before it waits.
+        let world = SimWorld::new(2).unwrap();
+        let (results, _) = world
+            .run(|mut comm| async move {
+                let size = comm.size();
+                let message = comm.recv::<u32>(size, 0).await.unwrap_err().to_string();
+                Ok(message.contains("source rank 2 out of range (size 2)"))
+            })
             .unwrap();
         assert!(results.iter().all(|&r| r));
     }

@@ -26,14 +26,31 @@
 //!    order, so every `f64` addition is the one the per-generation matrix
 //!    rebuild made.
 //!
-//! A row is *filled* once its strategy's SSets were asked for; from then on
+//! A row is *filled* once a request asked for it; from then on
 //! `cells[row][col]` is valid for **every occupied** `col`, which the fill
 //! step maintains by playing each newcomer against every filled row, whether
 //! or not that row's strategy is still in the population. There are no
 //! per-cell validity bits: a strategy that went extinct and re-enters finds
-//! its row and its column complete. The sequential and shared-memory engines
-//! ask for every row; a distributed rank asks for the rows of its own SSet
-//! block only and never plays the others.
+//! its row and its column complete.
+//!
+//! # Who keeps a row
+//!
+//! The sequential and shared-memory engines ask for the whole population and
+//! so for every row. A rank of the message-passing executor asks for its
+//! block of SSets, and that request means: *the rows of the strategies whose
+//! keeper SSet lies in the block* ([`StrategyGrouping::keepers`] — the member
+//! of the group with the least rendezvous weight). The blocks partition the
+//! SSets and every group has one keeper, so each row is kept, and played, by
+//! exactly one rank, however many blocks its strategy's SSets are spread
+//! over. The members of a group share one reduced total — the sum below
+//! reads the group's row and the group counts, nothing of the SSet — so the
+//! rank that keeps a row answers for **every** member, inside its block or
+//! not, with the very `f64` a whole-population request computes
+//! ([`KeptFitness`] names the answered SSets), and answers for no SSet whose
+//! row another rank keeps. A singleton group's keeper is its only member: an
+//! all-distinct population is split exactly along the blocks. The
+//! whole-population request is the same rule with every keeper inside the
+//! block; it computes no keeper.
 //!
 //! # One game, two cells
 //!
@@ -55,7 +72,7 @@
 //! order, which the swap permutes), so expected-value cells stay one game
 //! each, as does every pair of which only one side is due: a column kept
 //! complete for a row outside the request, or a distributed rank's row whose
-//! mirror row belongs to another rank. Stochastic games draw from a stream
+//! mirror row another rank keeps. Stochastic games draw from a stream
 //! keyed by the ordered pair and are never mirrored.
 //!
 //! # A generation that changed nothing
@@ -64,17 +81,18 @@
 //! matrix the table therefore retains the last generation it computed
 //! (`RetainedGeneration`): per SSet the slot that holds its strategy and the
 //! strategy's fingerprint, the request (block, `swap_exact`, whether the
-//! opponent policy includes the self-pairing), and the block's fitness
-//! vector. [`PayoffTable::generation_fitness`] begins by comparing every
-//! SSet's strategy with the one in the slot it held (`==` on the strategies —
-//! the table's own clone, so no second copy of the genomes is kept; an
-//! uncacheable SSet has no slot and always counts as changed).
+//! opponent policy includes the self-pairing), and the answer
+//! ([`KeptFitness`]). [`PayoffTable::generation_fitness`] begins by comparing
+//! every SSet's strategy with the one in the slot it held (`==` on the
+//! strategies — the table's own clone, so no second copy of the genomes is
+//! kept; an uncacheable SSet has no slot and always counts as changed).
 //!
 //! * **Nothing differs and the request is the same.** Every SSet holds a
 //!   slot, so no cell is stochastic; every requested row is filled and no
 //!   strategy entered, so the generation would plan no game, read the same
-//!   cells and add them in the same order. The retained vector *is* that
-//!   sum: it is returned verbatim, **the executor is not called**, and the
+//!   cells and add them in the same order — and derive the same keepers. The
+//!   retained answer *is* that sum: it is returned verbatim, **the executor
+//!   is not called**, no keeper is computed, and the
 //!   counters advance as if the generation had been computed (`hits` by the
 //!   cacheable cells of the requested rows, `generations_reused` by one;
 //!   nothing else moves in such a generation). The sync tick is not
@@ -101,7 +119,8 @@
 //! Memory follows occupancy, not capacity: the cell matrix is allocated when
 //! the first cacheable strategy arrives and grows with the number of
 //! occupied slots, up to `capacity²` cells. The retained generation adds two
-//! words per SSet and one `f64` per SSet of the block.
+//! words per SSet and one `f64` (a proper sub-block: and one index) per
+//! answered SSet.
 
 use crate::error::EgdResult;
 use crate::grouping::StrategyGrouping;
@@ -110,6 +129,46 @@ use crate::sset::OpponentPolicy;
 use crate::strategy::StrategyKind;
 use std::collections::HashMap;
 use std::ops::Range;
+
+/// What a request answered: the fitness of every SSet whose strategy's row
+/// the request kept (see "Who keeps a row" in the module docs). A
+/// whole-population request answers every SSet; a proper sub-block answers
+/// the members of the groups whose keeper lies in the block — SSets of other
+/// blocks among them — and has no number for the rest.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KeptFitness {
+    /// The answered SSets, ascending, one per value. `None`: every SSet (the
+    /// whole-population request lists nothing).
+    ssets: Option<Vec<usize>>,
+    values: Vec<f64>,
+}
+
+impl KeptFitness {
+    /// The fitness of SSet `sset`, or `None` where its strategy's row is kept
+    /// by another request (or `sset` is out of range).
+    pub fn of(&self, sset: usize) -> Option<f64> {
+        let at = match &self.ssets {
+            Some(ssets) => ssets.binary_search(&sset).ok()?,
+            None => sset,
+        };
+        self.values.get(at).copied()
+    }
+
+    /// The answered `(sset, fitness)` pairs, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let sset = move |at: usize| self.ssets.as_ref().map_or(at, |ssets| ssets[at]);
+        self.values
+            .iter()
+            .enumerate()
+            .map(move |(at, &value)| (sset(at), value))
+    }
+
+    /// The values alone, in SSet order: a whole-population request's fitness
+    /// vector.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+}
 
 /// One game the current generation has to play (an entry of
 /// [`PlannedCells`]).
@@ -466,8 +525,8 @@ struct RetainedGeneration {
     /// The cacheable cells of the requested rows: the hits the generation
     /// stands for when it is served again.
     cells: u64,
-    /// The block's fitness vector.
-    fitness: Vec<f64>,
+    /// What the request answered.
+    fitness: KeptFitness,
 }
 
 /// Generation-persistent dense payoff table (see the module docs).
@@ -605,10 +664,12 @@ impl PayoffTable {
         (group_slot, new_slots)
     }
 
-    /// Computes the fitness of the SSets in `block` for one generation:
-    /// diff, then sync, fill, reduce (see the module docs). A generation
-    /// that differs in nothing from the last one computed is answered with
-    /// that one's vector, and `execute` is not called.
+    /// Computes one generation's fitness of the SSets whose strategy's
+    /// keeper lies in `block` — every SSet when `block` is the whole
+    /// population, which computes no keeper: diff, then sync, fill, reduce
+    /// (see the module docs). A generation that differs in nothing from the
+    /// last one computed is answered with that one's answer, and `execute`
+    /// is not called.
     ///
     /// `cacheable(strategy)` says whether games of that strategy against
     /// another cacheable strategy are a pure function of the pair; only such
@@ -632,7 +693,7 @@ impl PayoffTable {
         cacheable: impl Fn(&StrategyKind) -> bool,
         swap_exact: bool,
         execute: impl FnOnce(&PlannedCells<'_>) -> EgdResult<Vec<(f64, f64)>>,
-    ) -> EgdResult<Vec<f64>> {
+    ) -> EgdResult<KeptFitness> {
         let strategies = population.strategies();
         let include_self = matches!(
             population.opponent_policy(),
@@ -682,16 +743,15 @@ impl PayoffTable {
         let uncacheable: Vec<usize> = (0..num_groups).filter(|&g| !cacheable[g]).collect();
         let present = (num_groups - uncacheable.len()) as u64;
 
-        // The rows asked for: the groups of the block's SSets, once each, in
-        // first-occurrence order.
-        let mut requested = vec![false; num_groups];
-        let mut rows = Vec::new();
-        for &g in &grouping.group_of[block.clone()] {
-            if !requested[g] {
-                requested[g] = true;
-                rows.push(g);
-            }
-        }
+        // The rows asked for, in group order: of the groups whose keeper
+        // lies in the block — every group when the block is the population.
+        let keepers = (block.len() < strategies.len()).then(|| grouping.keepers());
+        let rows: Vec<usize> = match &keepers {
+            None => (0..num_groups).collect(),
+            Some(keepers) => (0..num_groups)
+                .filter(|&g| block.contains(&keepers[g]))
+                .collect(),
+        };
 
         let (group_slot, new_slots) = self.sync(strategies, &grouping, &cacheable);
 
@@ -810,7 +870,8 @@ impl PayoffTable {
             self.slots[r].row_filled = true;
         }
 
-        // Reduce: one total per requested group, scattered to its SSets.
+        // Reduce: one total per requested group, scattered to its SSets —
+        // all of them, wherever they sit.
         let group_fitness = self.reduce(
             &grouping,
             &rows,
@@ -819,17 +880,27 @@ impl PayoffTable {
             &values[fresh..],
             include_self,
         );
-        let fitness: Vec<f64> = grouping.group_of[block]
-            .iter()
-            .map(|&g| group_fitness[g])
-            .collect();
+        let group_of = &grouping.group_of;
+        let ssets: Option<Vec<usize>> = keepers.map(|keepers| {
+            // Sized for the common case: an all-distinct population answers
+            // exactly its block.
+            let mut ssets = Vec::with_capacity(block.len());
+            ssets.extend((0..group_of.len()).filter(|&i| block.contains(&keepers[group_of[i]])));
+            ssets
+        });
+        let values = match &ssets {
+            None => group_of.iter().map(|&g| group_fitness[g]).collect(),
+            Some(ssets) => ssets.iter().map(|&i| group_fitness[group_of[i]]).collect(),
+        };
+        let fitness = KeptFitness { ssets, values };
 
         for (slot, &g) in retained.sset_slot.iter_mut().zip(&grouping.group_of) {
             *slot = group_slot[g];
         }
         retained.request = request;
         retained.cells = cacheable_rows * present;
-        retained.fitness.clone_from(&fitness);
+        retained.fitness.ssets.clone_from(&fitness.ssets);
+        retained.fitness.values.clone_from(&fitness.values);
         self.retained = retained;
         Ok(fitness)
     }
@@ -912,14 +983,14 @@ mod tests {
         (a % 97) as f64 * 0.37 + (b % 89) as f64 * 1.3
     }
 
-    /// Runs one generation with `pay` as the game, returning the fitness and
+    /// Runs one generation with `pay` as the game, returning the answer and
     /// the fingerprint pairs of the games played.
     fn generation(
         table: &mut PayoffTable,
         population: &Population,
         block: Range<usize>,
         swap_exact: bool,
-    ) -> (Vec<f64>, Vec<(u64, u64)>) {
+    ) -> (KeptFitness, Vec<(u64, u64)>) {
         let mut played = Vec::new();
         let fitness = table
             .generation_fitness(
@@ -976,6 +1047,7 @@ mod tests {
             let mut table = PayoffTable::new(6);
             for pass in 0..2 {
                 let (fitness, played) = generation(&mut table, &population, 0..6, swap_exact);
+                let fitness = fitness.into_values();
                 // The cacheable games once, 7 stochastic cells every pass.
                 assert_eq!(played.len(), if pass == 0 { cold_games + 7 } else { 7 });
                 for (i, &g) in grouping.group_of.iter().enumerate() {
@@ -1088,26 +1160,55 @@ mod tests {
     #[test]
     fn a_block_plays_only_its_own_rows() {
         let strategies = vec![pure("0001"), pure("0010"), pure("0100"), pure("1000")];
+        let answered = |fitness: &KeptFitness| -> Vec<usize> {
+            fitness.iter().map(|(sset, _)| sset).collect()
+        };
         let mut table = PayoffTable::new(4);
-        // SSets 1..3: two rows of four cells. The two rows mirror each
-        // other; the columns of the rows this block does not keep have no
-        // mirror here.
+        // All distinct, so every SSet keeps its own row: SSets 1..3 are two
+        // rows of four cells. The two rows mirror each other; the columns of
+        // the rows this block does not keep have no mirror here.
         let (fitness, played) = generation(&mut table, &population(strategies.clone()), 1..3, true);
-        assert_eq!(fitness.len(), 2);
+        assert_eq!(answered(&fitness), [1, 2]);
+        assert_eq!(
+            (fitness.of(0), fitness.of(3), fitness.of(4)),
+            (None, None, None)
+        );
         assert_eq!(played.len(), 7);
         assert_eq!(table.valid_cells(), 8);
-        // SSet 2 adopts SSet 0's strategy: that row is asked for the first
-        // time and played whole — its column in the filled rows is already
-        // there, so nothing is mirrored; the row of the strategy that left
-        // the block stays complete and costs nothing.
-        let mut adopted = strategies;
+
+        // SSet 2 adopts SSet 0's strategy, and of the two SSet 2 weighs less
+        // (a fact of these genomes and the mixer): the block keeps the shared
+        // row and answers for both members, the one outside it too. The row
+        // is asked for the first time and played whole — its column in the
+        // filled rows is already there, so nothing is mirrored; the row of
+        // the strategy that left the block stays complete and costs nothing.
+        let mut adopted = strategies.clone();
         adopted[2] = adopted[0].clone();
-        let (_, played) = generation(&mut table, &population(adopted), 1..3, true);
+        assert_eq!(crate::grouping::keeper_of(&adopted, 0), 2);
+        let (fitness, played) = generation(&mut table, &population(adopted.clone()), 1..3, true);
+        assert_eq!(answered(&fitness), [0, 1, 2]);
+        assert_eq!(fitness.of(0), fitness.of(2));
         assert_eq!(played.len(), 4, "strategy 0 against every occupant");
         assert_eq!(table.stats().misses, 8 + 3, "one occupant is extinct");
         let stats = table.stats();
         assert_eq!(stats.hits + stats.misses, 8 + 2 * 3);
         assert_eq!((stats.cells_played, stats.games_played), (12, 11));
+        // The block that holds SSet 0 keeps nothing and answers nothing.
+        let (fitness, played) =
+            generation(&mut PayoffTable::new(4), &population(adopted), 0..1, true);
+        assert!(answered(&fitness).is_empty() && played.is_empty());
+
+        // SSet 3 adopts SSet 1's strategy, and SSet 3 weighs less: the row is
+        // another block's. This block keeps SSet 2's row only and has no
+        // number for SSet 1, although SSet 1 sits in it.
+        let mut adopted = strategies;
+        adopted[3] = adopted[1].clone();
+        assert_eq!(crate::grouping::keeper_of(&adopted, 1), 3);
+        let (fitness, played) =
+            generation(&mut PayoffTable::new(4), &population(adopted), 1..3, true);
+        assert_eq!(answered(&fitness), [2]);
+        assert_eq!(fitness.of(1), None);
+        assert_eq!(played.len(), 3, "one row against three strategies");
     }
 
     /// The cells a list of fresh games fills, checked to be distinct.

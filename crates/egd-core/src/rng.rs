@@ -48,10 +48,11 @@ impl StreamKind {
     }
 }
 
-/// SplitMix64 finaliser: a high-quality 64-bit mixing function used to derive
-/// independent stream seeds from `(seed, kind, id)` triples.
+/// SplitMix64 finaliser: a high-quality 64-bit mixing function (a bijection
+/// on `u64`) used to derive independent stream seeds from `(seed, kind, id)`
+/// triples, and the keeper weights of [`crate::grouping`].
 #[inline]
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

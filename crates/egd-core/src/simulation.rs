@@ -42,7 +42,7 @@ use crate::dynamics::{GenerationDecision, NatureAgent};
 use crate::error::{EgdError, EgdResult};
 use crate::game::{CompiledPair, CompiledStrategy, IpdGame, MarkovGame};
 use crate::metrics::{FitnessStats, GenerationRecord, GenerationTiming};
-use crate::payoff_table::{PayoffTable, PayoffTableStats, PlannedCell};
+use crate::payoff_table::{KeptFitness, PayoffTable, PayoffTableStats, PlannedCell};
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
 use crate::strategy::{Strategy, StrategyKind};
@@ -372,17 +372,19 @@ impl PairEvaluator {
         Ok(result)
     }
 
-    /// Computes the fitness of the SSets in `block` for one generation
-    /// through the retained payoff matrix, playing the generation's fresh
-    /// and stochastic games inline (see [`PayoffTable::generation_fitness`]).
-    /// A rank of the message-passing executor passes its own block and so
-    /// plays only its own rows; everything else passes the whole population.
+    /// Computes one generation's fitness of the SSets whose strategy's keeper
+    /// lies in `block` through the retained payoff matrix, playing the
+    /// generation's fresh and stochastic games inline (see
+    /// [`PayoffTable::generation_fitness`]). A rank of the message-passing
+    /// executor passes its own block and so plays the rows it keeps, each
+    /// strategy's row on one rank; everything else passes the whole
+    /// population.
     pub fn block_fitness(
         &mut self,
         population: &Population,
         block: Range<usize>,
         generation: u64,
-    ) -> EgdResult<Vec<f64>> {
+    ) -> EgdResult<KeptFitness> {
         let mut table = std::mem::take(&mut self.table);
         let (mode, noise) = (self.kernel.mode(), self.kernel.game().noise());
         let fitness = table.generation_fitness(
@@ -430,7 +432,9 @@ pub fn compute_generation_fitness(
     evaluator: &mut PairEvaluator,
     generation: u64,
 ) -> EgdResult<Vec<f64>> {
-    evaluator.block_fitness(population, 0..population.num_ssets(), generation)
+    evaluator
+        .block_fitness(population, 0..population.num_ssets(), generation)
+        .map(KeptFitness::into_values)
 }
 
 /// Saved position of one deterministic RNG stream: the `(kind, id, sub_id)`

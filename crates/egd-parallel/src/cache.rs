@@ -202,7 +202,7 @@ impl ConcurrentPairEvaluator {
         execute: impl FnOnce(&CellBatch<'_>) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
         let strategies = population.strategies();
-        self.table.lock().generation_fitness(
+        let fitness = self.table.lock().generation_fitness(
             population,
             0..population.num_ssets(),
             |strategy| self.kernel.caches(strategy),
@@ -222,7 +222,8 @@ impl ConcurrentPairEvaluator {
                     generation,
                 })
             },
-        )
+        )?;
+        Ok(fitness.into_values())
     }
 
     /// Payoffs `(to_a, to_b)` of one game between two strategies in a given

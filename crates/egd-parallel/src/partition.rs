@@ -9,9 +9,13 @@
 //!    strategies are split across the SSet's agents, whose games run on the
 //!    node's threads.
 //!
-//! [`SSetPartition`] implements level 1. Level 2 needs no partition of its
-//! own: SSets holding the same strategy share their games, so the engines
-//! spread the games of a generation's distinct strategy pairs
+//! [`SSetPartition`] implements level 1: who *holds* an SSet. Which rank of
+//! the message-passing executor plays a strategy's games follows from it —
+//! the rank whose block holds the strategy's keeper SSet
+//! ([`egd_core::grouping`]) — so a strategy held by SSets of many blocks is
+//! still played by one rank. Level 2 needs no partition of its own: SSets
+//! holding the same strategy share their games, so the engines spread the
+//! games of a generation's distinct strategy pairs
 //! ([`crate::cache::CellBatch`]) over the threads.
 
 use egd_core::agent::block_for_slot;
@@ -62,12 +66,23 @@ impl SSetPartition {
         block_for_slot(worker as u32, self.num_ssets, self.num_workers as u32)
     }
 
-    /// The worker that owns SSet `sset`.
+    /// The worker that owns SSet `sset`: the inverse of [`Self::block`] in
+    /// closed form. The first `num_ssets % num_workers` blocks are one SSet
+    /// longer than the rest ([`block_for_slot`]); this is called per planned
+    /// game and per selected SSet at 10³ ranks, so it must not walk the
+    /// blocks.
     pub fn owner_of(&self, sset: usize) -> usize {
         assert!(sset < self.num_ssets, "SSet index out of range");
-        (0..self.num_workers)
-            .find(|&w| self.block(w).contains(&sset))
-            .expect("blocks partition all SSets")
+        let base = self.num_ssets / self.num_workers;
+        let extra = self.num_ssets % self.num_workers;
+        let boundary = extra * (base + 1);
+        if sset < boundary {
+            sset / (base + 1)
+        } else {
+            // `base > 0` here: with `base == 0` every SSet is below the
+            // boundary.
+            extra + (sset - boundary) / base
+        }
     }
 
     /// Iterates over `(worker, block)` pairs.
@@ -112,6 +127,26 @@ mod tests {
         for sset in 0..20 {
             let owner = partition.owner_of(sset);
             assert!(partition.block(owner).contains(&sset));
+        }
+    }
+
+    #[test]
+    fn owner_of_is_the_inverse_of_block_for_every_shape() {
+        // Fewer SSets than workers, exact multiples, remainders: `owner_of(s)
+        // == w` exactly when `block(w)` contains `s`.
+        for ssets in 0..200 {
+            for workers in 1..40 {
+                let partition = SSetPartition::new(ssets, workers).unwrap();
+                for (worker, block) in partition.blocks() {
+                    for sset in 0..ssets {
+                        assert_eq!(
+                            partition.owner_of(sset) == worker,
+                            block.contains(&sset),
+                            "SSet {sset} of {ssets} over {workers}, worker {worker}"
+                        );
+                    }
+                }
+            }
         }
     }
 

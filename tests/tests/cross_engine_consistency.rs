@@ -3,6 +3,7 @@
 //! populations for the same configuration — regardless of thread or rank
 //! count. This is the end-to-end guarantee the whole decomposition relies on.
 
+use egd_cluster::cost::CommMode;
 use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
 use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
@@ -188,6 +189,94 @@ fn retained_matrix_engines_agree_on_a_deep_memory_mutation_heavy_run() {
         reference_state,
         "a served sequential session is the sequential run"
     );
+}
+
+/// A few strategies on many SSets — a memory-one population of 48: at most
+/// sixteen strategies, fewer as selection acts — is what every run converges
+/// to, and where the message-passing ranks' ownership rule matters: every
+/// block holds members of nearly every strategy, each strategy's row is kept
+/// by the one rank whose block holds its keeper SSet, and the fitness of a
+/// selected SSet comes from that rank, which need not hold the SSet. Noisy
+/// (every row replayed every generation) and noise-free (every row kept), on
+/// 1, 3, 6 and 8 workers under both protocols and under a supervisor with a
+/// rank crashing mid-run: the bytes of the sequential run.
+#[test]
+fn few_strategies_on_many_ssets_agree_whichever_rank_keeps_a_row() {
+    for (noise, seed) in [(0.0, 808), (0.02, 809)] {
+        let builder = SimulationConfig::builder()
+            .memory(MemoryDepth::ONE)
+            .num_ssets(48)
+            .agents_per_sset(2)
+            .rounds_per_game(30)
+            .pc_rate(0.8)
+            .mutation_rate(0.1)
+            .noise(noise)
+            .seed(seed);
+        let cfg = builder.clone().generations(80).build().unwrap();
+        let mut sequential = Simulation::new(cfg.clone()).unwrap();
+        let report = sequential.run();
+        let reference = sequential.population();
+        assert!(report.generations_with_change > 10, "noise {noise}");
+        assert!(reference.census().len() < 16, "noise {noise}");
+
+        for workers in [1, 3, 6, 8] {
+            for mode in [CommMode::NonBlocking, CommMode::Blocking] {
+                let dist = DistributedConfig::with_workers(workers).comm_mode(mode);
+                let summary = DistributedExecutor::new(cfg.clone(), dist)
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    &summary.population, reference,
+                    "noise {noise}, {workers} workers, {mode:?}"
+                );
+                assert_eq!(
+                    summary.generations_with_change,
+                    report.generations_with_change
+                );
+            }
+        }
+
+        let domain = 0xBEE5 + seed;
+        let _armed = arm(FaultPlan::new(domain).with(FaultEvent::CrashAtGeneration {
+            rank: 3,
+            generation: 41,
+        }));
+        let supervised = SupervisedExecutor::new(
+            cfg.clone(),
+            DistributedConfig::with_workers(6),
+            SupervisorConfig::default()
+                .checkpoint_interval(8)
+                .fault_domain(domain),
+        )
+        .unwrap()
+        .run()
+        .unwrap();
+        assert_eq!(supervised.recovery.respawns, 1);
+        assert_eq!(&supervised.summary.population, reference, "supervised");
+
+        if noise > 0.0 {
+            continue;
+        }
+        // The cold generation, counted: the ranks together fill the G² cells
+        // of the distinct-strategy matrix the sequential table fills — each
+        // row on one rank, not on every rank whose block holds a member.
+        let cold = builder.generations(1).build().unwrap();
+        let mut sequential = Simulation::new(cold.clone()).unwrap();
+        sequential.run();
+        let groups = cold.initial_population().unwrap().census().len() as u64;
+        let cells = sequential.evaluator().table_stats().cells_played;
+        assert_eq!(cells, groups * groups);
+        for workers in [1, 3, 6, 8] {
+            let summary =
+                DistributedExecutor::new(cold.clone(), DistributedConfig::with_workers(workers))
+                    .unwrap()
+                    .run()
+                    .unwrap();
+            assert_eq!(summary.payoff.cells_played, cells, "{workers} workers");
+            assert_eq!(summary.payoff.misses, cells, "{workers} workers");
+        }
+    }
 }
 
 /// Every engine plays its stochastic games through the one block kernel:

@@ -18,7 +18,12 @@
 //! (everything cacheable, noise or not); `OpponentPolicy::AllIncludingSelf`;
 //! a checkpoint/`restore` mid-run, which starts cold; a caller that hands the
 //! evaluator an unrelated population for one generation; and a caller that,
-//! like a distributed rank, only ever asks for its own block of SSets.
+//! like a distributed rank, only ever asks for its own block of SSets — which
+//! means the rows of the strategies whose *keeper* SSet lies in the block
+//! (`egd_core::grouping`), answered for every SSet that holds one of them.
+//! `blocks_keep_every_row_once_and_answer_every_sset_once` pins that rule over
+//! random populations and partitions, and
+//! `eight_ranks_play_no_more_stochastic_rows_than_one` what it is for.
 //!
 //! The table also answers a generation that changed nothing with the vector
 //! it retained, without calling its executor. Half of the scenarios are
@@ -41,8 +46,8 @@
 //! own game in expected-value mode and wherever the mirror row is not asked
 //! for.
 
-use egd_core::grouping::StrategyGrouping;
-use egd_core::payoff_table::{PayoffTable, PayoffTableStats};
+use egd_core::grouping::{keeper_of, keeper_weight, StrategyGrouping};
+use egd_core::payoff_table::{KeptFitness, PayoffTable, PayoffTableStats};
 use egd_core::prelude::*;
 use egd_core::rng::{stream, StreamKind};
 use egd_core::simulation::SimulationState;
@@ -228,10 +233,42 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// `(cells, games)` a cold table plays for the SSets in `block`: the `k`
-/// cacheable rows of the block against the `n` cacheable strategies of the
-/// population, the `k(k-1)/2` pairs inside the block once where one game
-/// fills both cells.
+/// The groups a request for `block` keeps: those whose keeper SSet lies in
+/// it.
+fn kept_groups(grouping: &StrategyGrouping, block: &std::ops::Range<usize>) -> Vec<usize> {
+    let keepers = grouping.keepers();
+    (0..grouping.num_groups())
+        .filter(|&g| block.contains(&keepers[g]))
+        .collect()
+}
+
+/// What a request for `block` has to answer, given the whole population's
+/// brute-force vector: every SSet whose strategy the block keeps — inside the
+/// block or not — with that SSet's own value, and no other SSet.
+fn expected_answer(
+    population: &Population,
+    block: &std::ops::Range<usize>,
+    expected: &[f64],
+) -> Vec<(usize, u64)> {
+    let grouping = StrategyGrouping::of(population.strategies());
+    let kept = kept_groups(&grouping, block);
+    (0..population.num_ssets())
+        .filter(|&sset| kept.contains(&grouping.group_of[sset]))
+        .map(|sset| (sset, expected[sset].to_bits()))
+        .collect()
+}
+
+fn answer_bits(answer: &KeptFitness) -> Vec<(usize, u64)> {
+    answer
+        .iter()
+        .map(|(sset, value)| (sset, value.to_bits()))
+        .collect()
+}
+
+/// `(cells, games)` a cold table plays for `block`: the `k` cacheable rows
+/// the block keeps against the `n` cacheable strategies of the population,
+/// the `k(k-1)/2` pairs among the kept rows once where one game fills both
+/// cells.
 fn cold_counts(
     config: &SimulationConfig,
     mode: FitnessMode,
@@ -242,9 +279,7 @@ fn cold_counts(
     let grouping = StrategyGrouping::of(strategies);
     let caches = |g: usize| mode.caches(config.noise, &strategies[grouping.group_rep[g]]);
     let n = (0..grouping.num_groups()).filter(|&g| caches(g)).count() as u64;
-    let mut rows: Vec<usize> = grouping.group_of[block].to_vec();
-    rows.sort_unstable();
-    rows.dedup();
+    let rows = kept_groups(&grouping, &block);
     let k = rows.into_iter().filter(|&g| caches(g)).count() as u64;
     let mirrored = if mode.swap_exact() {
         k * k.saturating_sub(1) / 2
@@ -306,8 +341,8 @@ proptest! {
             prop_assert_eq!(bits(&fitness), bits(&expected), "generation {}", generation);
             let owned = rank.block_fitness(&population, block.clone(), generation).unwrap();
             prop_assert_eq!(
-                bits(&owned),
-                bits(&expected[block.clone()]),
+                answer_bits(&owned),
+                expected_answer(&population, &block, &expected),
                 "block {:?} in generation {}",
                 block.clone(),
                 generation
@@ -357,6 +392,201 @@ proptest! {
             sim.step().unwrap();
             prop_assert_eq!(bits(sim.last_fitness()), bits(&expected), "generation {}", generation);
         }
+    }
+}
+
+/// A population of `assignment.len()` SSets: SSet `i` holds memory-two pure
+/// strategy number `assignment[i]` (distinct numbers are distinct strategies).
+fn numbered_population(config: &SimulationConfig, assignment: &[usize]) -> Population {
+    let strategies = assignment
+        .iter()
+        .map(|&k| {
+            let bits = format!("{:016b}", k * 77 + 1);
+            StrategyKind::Pure(PureStrategy::from_bitstring(MemoryDepth::TWO, &bits).unwrap())
+        })
+        .collect();
+    Population::from_strategies(config.strategy_space(), 2, strategies).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The ownership rule of the message-passing ranks, on the tables
+    /// themselves: 1–8 strategies spread at random over 8–64 SSets (or every
+    /// SSet a strategy of its own) and split into 1–9 blocks, noise-free
+    /// (every cell kept) and noisy (every cell replayed). Each block's
+    /// request is one rank.
+    #[test]
+    fn blocks_keep_every_row_once_and_answer_every_sset_once(
+        (num_ssets, num_strategies, workers) in (8usize..=64, 1usize..=8, 1usize..=9),
+        (all_distinct, noisy) in (any::<bool>(), any::<bool>()),
+        picks in proptest::collection::vec(any::<u32>(), 64),
+    ) {
+        let config = SimulationConfig::builder()
+            .memory(MemoryDepth::TWO)
+            .num_ssets(num_ssets)
+            .agents_per_sset(2)
+            .rounds_per_game(12)
+            .noise(if noisy { 0.03 } else { 0.0 })
+            .seed(u64::from(picks[0]))
+            .build()
+            .unwrap();
+        let assignment: Vec<usize> = (0..num_ssets)
+            .map(|i| if all_distinct { i } else { picks[i] as usize % num_strategies })
+            .collect();
+        let population = numbered_population(&config, &assignment);
+        let strategies = population.strategies();
+        let grouping = StrategyGrouping::of(strategies);
+        let keepers = grouping.keepers();
+        let whole = compute_generation_fitness(
+            &population,
+            &mut PairEvaluator::new(&config, FitnessMode::Simulated).unwrap(),
+            3,
+        )
+        .unwrap();
+
+        let partition = egd_parallel::partition::SSetPartition::new(num_ssets, workers).unwrap();
+        let mut answered_by = vec![Vec::new(); num_ssets];
+        let (mut cells, mut stochastic_rows) = (0, 0);
+        for (worker, block) in partition.blocks() {
+            let mut table = PayoffTable::new(num_ssets);
+            let mut player = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+            let answer = table
+                .generation_fitness(
+                    &population,
+                    block.clone(),
+                    |strategy| FitnessMode::Simulated.caches(config.noise, strategy),
+                    true,
+                    |games| {
+                        stochastic_rows += games.stochastic_len() / grouping.num_groups();
+                        games
+                            .iter()
+                            .map(|c| player.pair_payoff(c.a_index, c.a, c.b_index, c.b, 3))
+                            .collect()
+                    },
+                )
+                .unwrap();
+            cells += table.stats().misses;
+            for (sset, value) in answer.iter() {
+                answered_by[sset].push(worker);
+                // The number a whole-population request computes, whoever
+                // keeps the row.
+                prop_assert_eq!(value.to_bits(), whole[sset].to_bits(), "SSet {}", sset);
+                prop_assert_eq!(answer.of(sset), Some(value));
+            }
+            let kept: Vec<usize> = answer.iter().map(|(sset, _)| sset).collect();
+            if all_distinct {
+                prop_assert_eq!(&kept, &block.clone().collect::<Vec<_>>());
+            }
+            for sset in 0..num_ssets {
+                prop_assert_eq!(answer.of(sset).is_some(), kept.contains(&sset));
+            }
+        }
+        // Every row is played by one rank: G rows of G cells in all, not
+        // (blocks that hold a member) × G.
+        let groups = grouping.num_groups();
+        prop_assert_eq!(
+            (cells as usize, stochastic_rows),
+            if noisy { (0, groups) } else { (groups * groups, 0) }
+        );
+        for (sset, ranks) in answered_by.iter().enumerate() {
+            // Exactly one rank answers: the one whose block holds the
+            // keeper of the SSet's group — what the Nature Agent derives
+            // from the strategies alone.
+            let keeper = keepers[grouping.group_of[sset]];
+            prop_assert_eq!(ranks, &vec![partition.owner_of(keeper)], "SSet {}", sset);
+            prop_assert_eq!(keeper_of(strategies, sset), keeper);
+            prop_assert_eq!(grouping.group_of[keeper], grouping.group_of[sset]);
+        }
+
+        // A keeper stays when a member that is not the keeper leaves the
+        // group, and when an SSet that weighs more than the keeper joins it.
+        let sset = picks[1] as usize % num_ssets;
+        let keeper = keeper_of(strategies, sset);
+        let fingerprint = strategies[sset].fingerprint();
+        // A strategy no SSet holds (the numbers in use are below 64).
+        let outsider = 100 + sset;
+        for other in (0..num_ssets).filter(|&i| i != keeper && i != sset) {
+            let member = strategies[other] == strategies[sset];
+            let heavier = keeper_weight(fingerprint, other) > keeper_weight(fingerprint, keeper);
+            let mut moved = assignment.clone();
+            moved[other] = if member { outsider } else { assignment[sset] };
+            let moved = numbered_population(&config, &moved);
+            let expected = if member || heavier { keeper } else { other };
+            prop_assert_eq!(
+                keeper_of(moved.strategies(), sset),
+                expected,
+                "SSet {} {} the group of SSet {}",
+                other,
+                if member { "leaves" } else { "joins" },
+                sset
+            );
+        }
+    }
+}
+
+/// What the rule is for. The `validation` recipe of the benchmark — memory
+/// one under noise, so at most 16 strategies on 256 SSets and every game
+/// stochastic, replayed every generation — on eight ranks and on one. Every
+/// block of 32 SSets holds members of nearly every strategy; the eight ranks
+/// together must ask for no more stochastic rows than the one rank does (they
+/// asked for nearly eight times as many while a rank kept the row of every
+/// strategy any of its SSets held). Rows are counted from the planned lists,
+/// not timed.
+#[test]
+fn eight_ranks_play_no_more_stochastic_rows_than_one() {
+    let config = SimulationConfig::builder()
+        .memory(MemoryDepth::ONE)
+        .num_ssets(256)
+        .noise(0.02)
+        .pc_rate(0.5)
+        .mutation_rate(0.02)
+        .beta(SelectionIntensity::new(5.0).unwrap())
+        .rounds_per_game(20)
+        .generations(40)
+        .seed(2013)
+        .build()
+        .unwrap();
+    let nature = config.nature_agent().unwrap();
+    let mut population = config.initial_population().unwrap();
+    let mut driver = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+    let partition = egd_parallel::partition::SSetPartition::new(256, 8).unwrap();
+    let mut tables: Vec<PayoffTable> = (0..9).map(|_| PayoffTable::new(256)).collect();
+    for generation in 0..config.generations {
+        let groups = StrategyGrouping::of(population.strategies()).num_groups();
+        assert!(groups <= 16);
+        // Table 0 is the one rank; tables 1..=8 the eight.
+        let blocks = std::iter::once(0..256).chain(partition.blocks().map(|(_, block)| block));
+        let mut rows = Vec::new();
+        for (table, block) in tables.iter_mut().zip(blocks) {
+            let mut asked = 0;
+            table
+                .generation_fitness(
+                    &population,
+                    block,
+                    |strategy| FitnessMode::Simulated.caches(config.noise, strategy),
+                    true,
+                    |games| {
+                        assert_eq!(games.len(), games.stochastic_len());
+                        asked = games.stochastic_len() / groups;
+                        Ok(vec![(0.0, 0.0); games.len()])
+                    },
+                )
+                .unwrap();
+            rows.push(asked);
+        }
+        let eight: usize = rows[1..].iter().sum();
+        assert_eq!(rows[0], groups);
+        assert!(
+            eight <= rows[0],
+            "generation {generation}: eight ranks asked for {eight} rows ({:?}), one for {}",
+            &rows[1..],
+            rows[0]
+        );
+        let fitness = compute_generation_fitness(&population, &mut driver, generation).unwrap();
+        nature
+            .evolve(generation, &fitness, &mut population)
+            .unwrap();
     }
 }
 
@@ -442,9 +672,10 @@ fn a_strategy_that_re_enters_plays_no_game() {
     assert_eq!(stats.hits + stats.misses, cells);
 }
 
-/// A rank whose block holds one strategy has no mirror row of its own: the
-/// cold row is one game per cell. A second distinct strategy in the block
-/// shares exactly one pair with the first.
+/// A rank that keeps one strategy has no mirror row of its own: the cold row
+/// is one game per cell. A second distinct strategy kept by the block shares
+/// exactly one pair with the first. (All twelve strategies are distinct, so
+/// every SSet keeps its own row and a block keeps exactly its SSets.)
 #[test]
 fn a_block_mirrors_only_inside_itself() {
     let config = SimulationConfig::builder()
@@ -460,7 +691,8 @@ fn a_block_mirrors_only_inside_itself() {
     for (block, cells, games) in [(4..5, 12, 12), (4..6, 24, 23), (0..12, 144, 78)] {
         let mut rank = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
         let owned = rank.block_fitness(&population, block.clone(), 0).unwrap();
-        assert_eq!(bits(&owned), bits(&expected[block.clone()]), "{block:?}");
+        let own_ssets: Vec<_> = block.clone().map(|i| (i, expected[i].to_bits())).collect();
+        assert_eq!(answer_bits(&owned), own_ssets, "{block:?}");
         let stats = rank.table_stats();
         assert_eq!(
             (stats.cells_played, stats.games_played),
@@ -496,7 +728,8 @@ impl CountingTable {
     }
 
     /// One generation; `fail` makes the executor return an error instead of
-    /// playing. Checks a successful result against the brute force.
+    /// playing. Checks a successful answer against the brute force and
+    /// returns its values.
     fn run(
         &mut self,
         population: &Population,
@@ -528,11 +761,11 @@ impl CountingTable {
         )?;
         let expected = brute_force(&self.config, mode, population, generation);
         assert_eq!(
-            bits(&fitness),
-            bits(&expected[block]),
+            answer_bits(&fitness),
+            expected_answer(population, &block, &expected),
             "generation {generation}"
         );
-        Ok(fitness)
+        Ok(fitness.into_values())
     }
 
     /// A successful generation over `block` with the mode's own
@@ -699,34 +932,38 @@ fn an_unchanged_generation_with_one_stochastic_cell_calls_the_executor() {
 /// A trajectory under `config` with one evaluator asked for `block` in every
 /// generation (the Nature Agent sees the whole population's brute-force
 /// fitness); every generation is compared with the brute force. Returns the
-/// table's counters and the number of generations that found the strategies
-/// of the generation before.
+/// table's counters, the number of generations that found the strategies
+/// of the generation before, and the cells asked for over the run (kept rows
+/// × strategies present, every one cacheable here) counted from outside.
 fn trajectory_stats(
     config: &SimulationConfig,
     block: std::ops::Range<usize>,
-) -> (PayoffTableStats, u64) {
+) -> (PayoffTableStats, u64, u64) {
     let nature = config.nature_agent().unwrap();
     let mut population = config.initial_population().unwrap();
     let mut evaluator = PairEvaluator::new(config, FitnessMode::Simulated).unwrap();
     let mut previous: Vec<StrategyKind> = Vec::new();
     let mut unchanged = 0;
+    let mut asked = 0;
     for generation in 0..config.generations {
         unchanged += u64::from(previous == population.strategies());
         previous = population.strategies().to_vec();
+        let grouping = StrategyGrouping::of(&previous);
+        asked += (kept_groups(&grouping, &block).len() * grouping.num_groups()) as u64;
         let expected = brute_force(config, FitnessMode::Simulated, &population, generation);
         let fitness = evaluator
             .block_fitness(&population, block.clone(), generation)
             .unwrap();
         assert_eq!(
-            bits(&fitness),
-            bits(&expected[block.clone()]),
+            answer_bits(&fitness),
+            expected_answer(&population, &block, &expected),
             "generation {generation}"
         );
         nature
             .evolve(generation, &expected, &mut population)
             .unwrap();
     }
-    (evaluator.table_stats(), unchanged)
+    (evaluator.table_stats(), unchanged, asked)
 }
 
 /// Reuse changes no count and no reclaim victim: the counters of three
@@ -734,7 +971,13 @@ fn trajectory_stats(
 /// that reclaims, strategies that go extinct and re-enter, a rank-like
 /// block — are the ones recorded on the commit before the table reused
 /// anything. (`generations_reused` did not exist there: it is the number of
-/// generations that found the strategies unchanged.)
+/// generations that found the strategies unchanged.) The rank-like block's
+/// were recorded again when a block's request became the rows it *keeps*
+/// (PR 22: fewer rows than "any member in the block", so fewer cells) — with
+/// the reuse branch switched off, as the first recording was; the two
+/// whole-population trajectories did not move. Whatever the rule, the cells
+/// served plus the cells played are the cells asked for, counted here from
+/// the keepers without the table.
 #[test]
 fn counters_are_the_ones_recorded_before_generations_were_reused() {
     let scenario = |memory: u32, num_ssets, generations, pc_rate, mutation_rate, seed| {
@@ -781,11 +1024,12 @@ fn counters_are_the_ones_recorded_before_generations_were_reused() {
             "rank-like block",
             scenario(2, 12, 150, 0.4, 0.3, 31),
             3..7,
-            recorded(3846, 323, 455, 368, 39, 12),
+            recorded(3509, 304, 429, 347, 39, 12),
         ),
     ];
     for (name, config, block, recorded) in cases {
-        let (stats, unchanged) = trajectory_stats(&config, block);
+        let (stats, unchanged, asked) = trajectory_stats(&config, block);
+        assert_eq!(stats.hits + stats.misses, asked, "{name}");
         assert!(
             unchanged > 20 && unchanged < config.generations - 20,
             "{name}: both branches run"
