@@ -4,7 +4,8 @@
 //! distributed layer: every generation, each rank's game-play phase (the
 //! games of the strategies its contiguous SSet block represents) becomes
 //! one task on the `egd-sched` work-stealing scheduler, executed by a small
-//! fixed pool of workers. Thousands of ranks then cost no OS threads — only
+//! fixed crew of workers opened once per run — one round of rank tasks per
+//! generation. Thousands of ranks then cost no OS threads — only
 //! tasks — and skewed per-rank work (small `R` = SSets per rank,
 //! heterogeneous blocks) is handled in two levels: the initial per-worker
 //! segments of the rank space are **sized by predicted rank cost** (the
@@ -16,8 +17,8 @@
 //! thread-per-rank transport its ranks are cooperative tasks too.)
 //!
 //! Rank-task failure is contained: a panicking rank body is caught inside
-//! its own task ([`run_rank_tasks`]) and surfaces as an error naming the
-//! rank and the panic payload — it does not poison the scheduler pool.
+//! its own task (as in [`run_rank_tasks`]) and surfaces as an error naming
+//! the rank and the panic payload — it does not poison the crew.
 //!
 //! Semantics are unchanged from the thread-per-rank executor:
 //!
@@ -50,9 +51,10 @@ use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_parallel::cache::ConcurrentPairEvaluator;
 use egd_parallel::partition::SSetPartition;
 use egd_parallel::thread_pool::ThreadConfig;
-use egd_sched::SchedStats;
+use egd_sched::{SchedStats, WeightedSource};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::RwLock;
 use std::time::Instant;
 
 /// Configuration of a scheduled distributed run.
@@ -177,39 +179,45 @@ impl ScheduledExecutor {
         let evaluator = ConcurrentPairEvaluator::new(config, self.sched_config.fitness_mode)?;
         let nature = config.nature_agent()?;
         let mut population = config.initial_population()?;
+        // The runs of the planned list each rank plays this generation:
+        // written before a round, read by its rank tasks.
+        let rank_cells: RwLock<Vec<Vec<Range<usize>>>> = RwLock::new(Vec::new());
+        let rank_body = |rank: usize| {
+            let start = Instant::now();
+            let mut payoffs = Vec::new();
+            for run in &rank_cells.read().expect("rank work poisoned")[rank] {
+                evaluator.play_range(run.clone(), &mut payoffs)?;
+            }
+            Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
+        };
+        let workers = threads.max(1).min(self.sched_config.ranks);
+        egd_sched::with_crew(workers, contained(&rank_body), |crew| {
+            let mut changes = 0u64;
+            let mut trace = RunTrace::default();
+            let mut sched_total: Option<SchedStats> = None;
+            let mut metrics = MetricsSnapshot::labelled("scheduled");
 
-        let mut changes = 0u64;
-        let mut trace = RunTrace::default();
-        let mut sched_total: Option<SchedStats> = None;
-        let mut metrics = MetricsSnapshot::labelled("scheduled");
+            for generation in 0..config.generations {
+                let generation_span = SpanTimer::start(SpanKind::Generation);
+                let mut generation_row = GenerationMetrics {
+                    generation,
+                    ..GenerationMetrics::default()
+                };
+                let mut rank_timings = Vec::with_capacity(self.sched_config.ranks);
 
-        for generation in 0..config.generations {
-            let generation_span = SpanTimer::start(SpanKind::Generation);
-            let mut generation_row = GenerationMetrics {
-                generation,
-                ..GenerationMetrics::default()
-            };
-            let mut rank_timings = Vec::with_capacity(self.sched_config.ranks);
-
-            // Every rank's game-play phase is one scheduled task; the
-            // initial per-worker segments of the rank space are sized by
-            // predicted rank cost, so a heavy contiguous prefix (deep-memory
-            // or mixed-strategy blocks) no longer piles onto the first
-            // workers. Results come back in rank order (deterministic
-            // index-keyed reduction) and are scattered into batch order.
-            let fitness = evaluator.generation_fitness(&population, generation, |batch| {
-                let cells = batch.cells();
-                let (rank_cells, rank_weights) =
-                    rank_work(&self.cost_model, evaluator.game(), cells, &partition);
-                let per_rank = run_rank_tasks_weighted(threads, &rank_weights, |rank| {
-                    let start = Instant::now();
-                    let mut payoffs = Vec::new();
-                    for run in &rank_cells[rank] {
-                        batch.play_range(run.clone(), &mut payoffs)?;
-                    }
-                    Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
-                });
-                if let Some(stats) = egd_sched::take_last_run_stats() {
+                // Every rank's game-play phase is one scheduled task; the
+                // initial per-worker segments of the rank space are sized by
+                // predicted rank cost, so a heavy contiguous prefix
+                // (deep-memory or mixed-strategy blocks) no longer piles
+                // onto the first workers. Results come back in rank order
+                // (deterministic index-keyed reduction) and are scattered
+                // into list order.
+                let fitness = evaluator.generation_fitness(&population, generation, |games| {
+                    let (cells, rank_weights) = evaluator.with_planned(|planned| {
+                        rank_work(&self.cost_model, evaluator.game(), planned, &partition)
+                    });
+                    *rank_cells.write().expect("rank work poisoned") = cells;
+                    let (per_rank, stats) = crew.round(WeightedSource::new(&rank_weights));
                     generation_row.items = stats.items;
                     generation_row.steals = stats.steals;
                     generation_row.busy_ns = stats.critical_path_ns();
@@ -217,61 +225,63 @@ impl ScheduledExecutor {
                         Some(total) => total.merge(&stats),
                         None => sched_total = Some(stats),
                     }
-                }
-                let mut payoffs = vec![(0.0, 0.0); cells.len()];
-                for (result, owned) in per_rank.into_iter().zip(&rank_cells) {
-                    let (played, compute_us) = result?;
-                    for (k, payoff) in owned.iter().cloned().flatten().zip(played) {
-                        payoffs[k] = payoff;
+                    let mut payoffs = vec![(0.0, 0.0); games];
+                    let rank_cells = rank_cells.read().expect("rank work poisoned");
+                    for (result, owned) in per_rank.into_iter().zip(rank_cells.iter()) {
+                        let (played, compute_us) = result?;
+                        for (k, payoff) in owned.iter().cloned().flatten().zip(played) {
+                            payoffs[k] = payoff;
+                        }
+                        rank_timings.push(RankTiming::new(compute_us, 0.0));
                     }
-                    rank_timings.push(RankTiming::new(compute_us, 0.0));
+                    Ok(payoffs)
+                })?;
+                if !rank_timings.is_empty() {
+                    generation_row.compute_us =
+                        rank_timings.iter().map(|t| t.compute_us).sum::<f64>()
+                            / rank_timings.len() as f64;
                 }
-                Ok(payoffs)
-            })?;
-            if !rank_timings.is_empty() {
-                generation_row.compute_us = rank_timings.iter().map(|t| t.compute_us).sum::<f64>()
-                    / rank_timings.len() as f64;
+
+                let decision = nature.evolve(generation, &fitness, &mut population)?;
+                if decision.changes_population() {
+                    changes += 1;
+                    generation_row.changed = true;
+                }
+                metrics.record_generation(generation_row);
+                if let Some(span) = generation_span {
+                    span.finish(generation);
+                }
+
+                if self.sched_config.trace_interval > 0
+                    && generation % self.sched_config.trace_interval == 0
+                {
+                    trace.push(GenerationTrace {
+                        generation,
+                        ranks: rank_timings,
+                    });
+                }
             }
 
-            let decision = nature.evolve(generation, &fitness, &mut population)?;
-            if decision.changes_population() {
-                changes += 1;
-                generation_row.changed = true;
+            trace.load_balance = sched_total.as_ref().map(LoadBalance::from);
+            metrics.run.ranks = self.sched_config.ranks as u64;
+            metrics.run.workers = threads as u64;
+            metrics.run.generations = config.generations;
+            if let Some(total) = sched_total.as_ref() {
+                for worker in total.worker_metrics() {
+                    metrics.record_worker(worker);
+                }
             }
-            metrics.record_generation(generation_row);
-            if let Some(span) = generation_span {
-                span.finish(generation);
-            }
-
-            if self.sched_config.trace_interval > 0
-                && generation % self.sched_config.trace_interval == 0
-            {
-                trace.push(GenerationTrace {
-                    generation,
-                    ranks: rank_timings,
-                });
-            }
-        }
-
-        trace.load_balance = sched_total.as_ref().map(LoadBalance::from);
-        metrics.run.ranks = self.sched_config.ranks as u64;
-        metrics.run.workers = threads as u64;
-        metrics.run.generations = config.generations;
-        if let Some(total) = sched_total.as_ref() {
-            for worker in total.worker_metrics() {
-                metrics.record_worker(worker);
-            }
-        }
-        evaluator.record_counters(&mut metrics);
-        Ok(ScheduledRunSummary {
-            population,
-            generations: config.generations,
-            generations_with_change: changes,
-            ranks: self.sched_config.ranks,
-            threads,
-            sched: sched_total,
-            trace,
-            metrics,
+            evaluator.record_counters(&mut metrics);
+            Ok(ScheduledRunSummary {
+                population,
+                generations: config.generations,
+                generations_with_change: changes,
+                ranks: self.sched_config.ranks,
+                threads,
+                sched: sched_total,
+                trace,
+                metrics,
+            })
         })
     }
 }
@@ -294,25 +304,9 @@ where
     egd_sched::map_indexed(threads.max(1).min(ranks.max(1)), ranks, contained(&body))
 }
 
-/// Like [`run_rank_tasks`], but with the **cost-guided partition** active:
-/// the initial per-worker segments of the rank space are bounded at the cost
-/// quantiles of `weights` (one predicted cost per rank) and steals split at
-/// the victim's predicted cost midpoint. Same panic containment, same
-/// rank-ordered results — only the schedule differs.
-pub fn run_rank_tasks_weighted<T, F>(threads: usize, weights: &[u64], body: F) -> Vec<EgdResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> EgdResult<T> + Sync,
-{
-    egd_sched::map_indexed_weighted(
-        threads.max(1).min(weights.len().max(1)),
-        weights,
-        contained(&body),
-    )
-}
-
 /// Wraps a rank body so a panic is caught *inside its own task* and surfaces
-/// as an error naming the rank (shared by both rank-task entry points).
+/// as an error naming the rank (shared by [`run_rank_tasks`] and the
+/// executor's crew).
 fn contained<T, F>(body: &F) -> impl Fn(usize) -> EgdResult<T> + Sync + '_
 where
     T: Send,
@@ -458,18 +452,30 @@ mod tests {
         }
     }
 
+    /// One weighted round of rank tasks on a crew, as the executor runs
+    /// them.
+    fn weighted_rank_round<T: Send>(
+        threads: usize,
+        weights: &[u64],
+        body: impl Fn(usize) -> EgdResult<T> + Sync,
+    ) -> Vec<EgdResult<T>> {
+        egd_sched::with_crew(threads, contained(&body), |crew| {
+            crew.round(WeightedSource::new(weights)).0
+        })
+    }
+
     #[test]
     fn zero_ranks_is_an_empty_workload() {
         let results: Vec<EgdResult<usize>> = run_rank_tasks(4, 0, Ok);
         assert!(results.is_empty());
-        let weighted: Vec<EgdResult<usize>> = run_rank_tasks_weighted(4, &[], Ok);
+        let weighted: Vec<EgdResult<usize>> = weighted_rank_round(4, &[], Ok);
         assert!(weighted.is_empty());
     }
 
     #[test]
     fn weighted_rank_tasks_keep_rank_order_and_contain_panics() {
         let weights: Vec<u64> = (0..12).map(|r| if r < 3 { 10_000 } else { 10 }).collect();
-        let results: Vec<EgdResult<usize>> = run_rank_tasks_weighted(4, &weights, |rank| {
+        let results: Vec<EgdResult<usize>> = weighted_rank_round(4, &weights, |rank| {
             if rank == 7 {
                 panic!("weighted failure");
             }
@@ -510,15 +516,13 @@ mod tests {
         let model = egd_cost::CostModel::blue_gene_like();
         let mut work = None;
         evaluator
-            .generation_fitness(&population, 0, |batch| {
-                work = Some(rank_work(
-                    &model,
-                    evaluator.game(),
-                    batch.cells(),
-                    &partition,
-                ));
+            .generation_fitness(&population, 0, |games| {
+                work =
+                    Some(evaluator.with_planned(|cells| {
+                        rank_work(&model, evaluator.game(), cells, &partition)
+                    }));
                 let mut payoffs = Vec::new();
-                batch.play_range(0..batch.cells().len(), &mut payoffs)?;
+                evaluator.play_range(0..games, &mut payoffs)?;
                 Ok(payoffs)
             })
             .unwrap();

@@ -4,8 +4,9 @@
 //! rank and parked it inside every blocking collective, which caps worlds at
 //! roughly 10² ranks before thread creation and context switching dominate.
 //! This module multiplexes *rank-count ≫ worker-count*: every rank body is a
-//! [`Future`] and a small fixed pool of workers polls whichever ranks are
-//! runnable. A blocking collective is expressed as a task yield — the rank's
+//! [`Future`] and a small fixed pool of workers — an `egd-sched` crew of one
+//! round, the caller among them — polls whichever ranks are runnable. A
+//! blocking collective is expressed as a task yield — the rank's
 //! future returns [`Poll::Pending`] after registering a waker with its
 //! mailbox — so a waiting rank costs a few hundred bytes of state instead of
 //! an OS thread, and 10³–10⁴-rank protocol runs execute on a handful of
@@ -28,6 +29,7 @@
 //!   condition is stable and detected exactly; the blocked task indices are
 //!   reported.
 
+use egd_sched::source::RangeSource;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,32 +216,16 @@ pub fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
         })
         .collect();
 
+    // The pool is a one-round crew whose items are its workers' polling
+    // loops: the caller polls as worker 0. A worker that finds a second item
+    // (another's, not yet started) returns from it at once — the world is
+    // over by the time its first loop returns.
     let workers = workers.max(1).min(n);
-    let exec_ref = &exec;
-    let slots_ref = &slots;
-    let results_ref = &results;
-    let wakers_ref = &wakers;
-    let on_stall_ref = &on_stall;
-    let session = egd_obs::current_session();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || {
-                egd_obs::join_session(session);
-                worker_loop(
-                    exec_ref,
-                    slots_ref,
-                    results_ref,
-                    wakers_ref,
-                    n,
-                    on_stall_ref,
-                );
-                // The scope join unblocks when this closure returns, which
-                // can be before thread-local destructors run — flush the
-                // span buffer now so a collect() after run() sees our spans.
-                egd_obs::flush_thread();
-            });
-        }
-    });
+    egd_sched::with_crew(
+        workers,
+        |_: usize| worker_loop(&exec, &slots, &results, &wakers, n, &on_stall),
+        |crew| crew.round(RangeSource::new(workers)),
+    );
 
     let fatal = exec
         .state

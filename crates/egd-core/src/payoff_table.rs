@@ -26,6 +26,15 @@
 //!    order, so every `f64` addition is the one the per-generation matrix
 //!    rebuild made.
 //!
+//! The three steps after the diff are three calls, so that the games can be
+//! played where the table is not: [`PayoffTable::plan`] diffs, syncs and
+//! works out the list (an owned plan, with copies of the group
+//! representatives that stochastic cells read — the population is the
+//! caller's); the players read [`PayoffTable::planned`] from any thread
+//! while the table is only read; [`PayoffTable::finish`] stores and
+//! reduces. [`PayoffTable::generation_fitness`] is the three in one call,
+//! for callers that play the list where they plan it.
+//!
 //! A row is *filled* once a request asked for it; from then on
 //! `cells[row][col]` is valid for **every occupied** `col`, which the fill
 //! step maintains by playing each newcomer against every filled row, whether
@@ -203,27 +212,30 @@ struct FreshGame {
     mirrored: bool,
 }
 
-/// The games of one generation, in the order their payoffs are to be
-/// returned: the table's fresh games first, then the stochastic cells of the
-/// requested rows in row-major group order. The list is computed, not
-/// stored: a cold generation of 256 strategies has 32 896 entries, and
-/// even a few thousand short-lived entries per generation show in the
-/// process's peak memory.
+/// One generation as [`PayoffTable::plan`] worked it out: the list of games
+/// to play (see [`PlannedCells`]) and what [`PayoffTable::finish`] stores and
+/// sums. It is owned — it borrows neither the population nor the caller — so
+/// that the players of a round can read it, beside the table, from other
+/// threads.
 ///
-/// The fresh cells are (filled rows × newcomer columns) and (rows filled
-/// whole this generation × occupied columns). A cell of the first part whose
-/// newcomer's row is filled now has its mirror in the second part, and so
-/// does every off-diagonal cell between two rows filled now; with a
-/// swap-exact kernel each such pair is one game. The first part lists the
-/// pairs it shares; the second part lists, per row, what is left: the
-/// filled rows' columns unless the first part covered them, the columns of
-/// the slots no row is kept for here, and its share of the rows filled now.
-#[derive(Debug)]
-pub struct PlannedCells<'a> {
-    strategies: &'a [StrategyKind],
-    grouping: &'a StrategyGrouping,
-    slots: &'a [Slot],
-    tick: u64,
+/// The list is computed, not stored: a cold generation of 256 strategies
+/// has 32 896 entries, and even a few thousand short-lived entries per
+/// generation show in the process's peak memory. The fresh cells are (filled
+/// rows × newcomer columns) and (rows filled whole this generation ×
+/// occupied columns). A cell of the first part whose newcomer's row is
+/// filled now has its mirror in the second part, and so does every
+/// off-diagonal cell between two rows filled now; with a swap-exact kernel
+/// each such pair is one game. The first part lists the pairs it shares;
+/// the second part lists, per row, what is left: the filled rows' columns
+/// unless the first part covered them, the columns of the slots no row is
+/// kept for here, and its share of the rows filled now.
+#[derive(Debug, Clone)]
+struct Plan {
+    grouping: StrategyGrouping,
+    /// Copies of the group representatives' strategies when a stochastic
+    /// cell reads them, empty otherwise: the population is the caller's,
+    /// and a cacheable strategy's own copy is its slot's.
+    reps: Vec<StrategyKind>,
     /// Whether a game's `to_b` may fill the mirror cell.
     swap_exact: bool,
     /// Fresh games, first part: every filled row × every newcomer column —
@@ -243,32 +255,33 @@ pub struct PlannedCells<'a> {
     unkept_slots: Vec<usize>,
     /// The requested groups, and the number of stochastic cells before each
     /// one's row (one more entry than rows: the total).
-    rows: &'a [usize],
+    rows: Vec<usize>,
     row_offsets: Vec<usize>,
-    cacheable: &'a [bool],
+    cacheable: Vec<bool>,
     /// The uncacheable groups, ascending: the stochastic columns of a
     /// cacheable row (an uncacheable row is stochastic in every column).
     uncacheable: Vec<usize>,
+    /// Each group's slot (`NO_SLOT`: uncacheable).
+    group_slot: Vec<usize>,
+    /// Each group's keeper, for a request of a proper sub-block.
+    keepers: Option<Vec<usize>>,
+    block: Range<usize>,
+    include_self: bool,
+    /// The cacheable cells of the requested rows.
+    requested_cells: u64,
+    /// The retained generation, taken out of the table until the plan is
+    /// finished: a plan that is never finished drops it.
+    retained: RetainedGeneration,
 }
 
-impl<'a> PlannedCells<'a> {
-    /// The generation's strategy grouping.
-    pub fn grouping(&self) -> &'a StrategyGrouping {
-        self.grouping
-    }
-
+impl Plan {
     /// Number of games to play.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.fresh_len() + self.stochastic_len()
     }
 
-    /// Whether there is no game to play.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of stochastic games (the tail of the list).
-    pub fn stochastic_len(&self) -> usize {
+    fn stochastic_len(&self) -> usize {
         *self
             .row_offsets
             .last()
@@ -280,9 +293,9 @@ impl<'a> PlannedCells<'a> {
         self.column_games() + self.new_row_ends.last().copied().unwrap_or(0)
     }
 
-    /// Number of fresh cells the games fill.
-    fn fresh_cells(&self) -> usize {
-        self.column_games() + self.new_rows.len() * self.slots.len()
+    /// Number of fresh cells the games fill, among `occupied` slots.
+    fn fresh_cells(&self, occupied: usize) -> usize {
+        self.column_games() + self.new_rows.len() * occupied
     }
 
     /// Number of games in the first part of the fresh list.
@@ -384,43 +397,78 @@ impl<'a> PlannedCells<'a> {
             .map(|k| self.column_game(k))
             .chain(rows)
     }
+}
+
+/// The games of one generation, in the order their payoffs are to be
+/// returned: the table's fresh games first, then the stochastic cells of the
+/// requested rows in row-major group order — a view of the pending plan and
+/// the table's slots ([`PayoffTable::planned`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PlannedCells<'a> {
+    plan: &'a Plan,
+    slots: &'a [Slot],
+    tick: u64,
+}
+
+impl<'a> PlannedCells<'a> {
+    /// The generation's strategy grouping.
+    pub fn grouping(&self) -> &'a StrategyGrouping {
+        &self.plan.grouping
+    }
+
+    /// Number of games to play.
+    pub fn len(&self) -> usize {
+        self.plan.len()
+    }
+
+    /// Whether there is no game to play.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of stochastic games (the tail of the list).
+    pub fn stochastic_len(&self) -> usize {
+        self.plan.stochastic_len()
+    }
 
     /// The games in list order (a walk: no search per game).
-    pub fn iter(&self) -> impl Iterator<Item = PlannedCell<'a>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = PlannedCell<'a>> + 'a {
         self.iter_from(0)
     }
 
     /// The games in list order from game `k` on: one search for where the
     /// walk starts, none per game — what lets an executor play any run of
     /// the list, in chunks, without a search per game.
-    pub fn iter_from(&self, k: usize) -> impl Iterator<Item = PlannedCell<'a>> + '_ {
-        let fresh = self.fresh_len();
+    pub fn iter_from(&self, k: usize) -> impl Iterator<Item = PlannedCell<'a>> + 'a {
+        let cells = *self;
+        let plan = self.plan;
+        let fresh = plan.fresh_len();
         let k_stochastic = k.saturating_sub(fresh);
         // The last row that starts at or before the game (rows without
         // stochastic cells share their successor's offset).
-        let first = self
+        let first = plan
             .row_offsets
             .partition_point(|&offset| offset <= k_stochastic)
             - 1;
-        let skip = k_stochastic - self.row_offsets[first];
-        let stochastic = self.rows[first..]
+        let skip = k_stochastic - plan.row_offsets[first];
+        let stochastic = plan.rows[first..]
             .iter()
             .enumerate()
             .flat_map(move |(i, &g)| {
                 let from = if i == 0 { skip } else { 0 };
-                let (listed, all) = if self.cacheable[g] {
-                    (&self.uncacheable[from..], 0..0)
+                let (listed, all) = if plan.cacheable[g] {
+                    (&plan.uncacheable[from..], 0..0)
                 } else {
-                    (&[][..], from..self.cacheable.len())
+                    (&[][..], from..plan.cacheable.len())
                 };
                 listed
                     .iter()
                     .copied()
                     .chain(all)
-                    .map(move |h| self.stochastic_cell(g, h))
+                    .map(move |h| cells.stochastic_cell(g, h))
             });
-        self.fresh_games_from(k.min(fresh))
-            .map(|game| self.fresh_cell(game))
+        plan.fresh_games_from(k.min(fresh))
+            .map(move |game| cells.fresh_cell(game))
             .chain(stochastic)
     }
 
@@ -441,13 +489,13 @@ impl<'a> PlannedCells<'a> {
 
     /// The stochastic cell of groups `(g, h)`.
     fn stochastic_cell(&self, g: usize, h: usize) -> PlannedCell<'a> {
-        let (i, j) = (self.grouping.group_rep[g], self.grouping.group_rep[h]);
+        let grouping = &self.plan.grouping;
         PlannedCell {
-            a: &self.strategies[i],
-            b: &self.strategies[j],
-            fingerprints: (self.grouping.fingerprints[g], self.grouping.fingerprints[h]),
-            a_index: i,
-            b_index: j,
+            a: &self.plan.reps[g],
+            b: &self.plan.reps[h],
+            fingerprints: (grouping.fingerprints[g], grouping.fingerprints[h]),
+            a_index: grouping.group_rep[g],
+            b_index: grouping.group_rep[h],
             cacheable: false,
         }
     }
@@ -543,6 +591,8 @@ pub struct PayoffTable {
     tick: u64,
     stats: PayoffTableStats,
     retained: RetainedGeneration,
+    /// The generation planned and not yet finished.
+    plan: Option<Plan>,
 }
 
 impl PayoffTable {
@@ -686,6 +736,10 @@ impl PayoffTable {
     /// matrix: `Σ_h count[h] · pay[g][h]` over the groups in first-occurrence
     /// order, minus the self-pairing unless the population's opponent policy
     /// includes it.
+    ///
+    /// This is [`PayoffTable::plan`], `execute` on [`PayoffTable::planned`]
+    /// and [`PayoffTable::finish`] in one call, for callers that play the
+    /// list where they plan it.
     pub fn generation_fitness(
         &mut self,
         population: &Population,
@@ -694,6 +748,33 @@ impl PayoffTable {
         swap_exact: bool,
         execute: impl FnOnce(&PlannedCells<'_>) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<KeptFitness> {
+        if let Some(answer) = self.plan(population, block, cacheable, swap_exact) {
+            return Ok(answer);
+        }
+        let values = execute(&self.planned().expect("a generation was just planned"));
+        self.finish(values)
+    }
+
+    /// The first phase of [`PayoffTable::generation_fitness`]: diff, and
+    /// either answer from the retained generation (`Some`: nothing is to be
+    /// played) or sync and plan the generation's games (`None`: the list is
+    /// [`PayoffTable::planned`] until [`PayoffTable::finish`] is handed its
+    /// results). The plan keeps what the games read, so that they can be
+    /// played from other threads while the table is only read.
+    ///
+    /// A plan that was never finished — its players panicked — leaves the
+    /// newcomers holding slots whose cells were never stored: the next plan
+    /// starts from an empty table rather than serve them.
+    pub fn plan(
+        &mut self,
+        population: &Population,
+        block: Range<usize>,
+        cacheable: impl Fn(&StrategyKind) -> bool,
+        swap_exact: bool,
+    ) -> Option<KeptFitness> {
+        if self.plan.take().is_some() {
+            self.clear();
+        }
         let strategies = population.strategies();
         let include_self = matches!(
             population.opponent_policy(),
@@ -703,8 +784,8 @@ impl PayoffTable {
 
         // Diff: an SSet is unchanged when its strategy equals the one in the
         // slot it held last generation; only the others are hashed again.
-        // Taken out of the table for the call, so that every error path
-        // drops it.
+        // Taken out of the table until the plan is finished, so that every
+        // error path drops it.
         let mut retained = std::mem::take(&mut self.retained);
         if retained.sset_slot.len() != strategies.len() {
             retained.sset_slot = vec![NO_SLOT; strategies.len()];
@@ -730,7 +811,7 @@ impl PayoffTable {
             self.stats.generations_reused += 1;
             let fitness = retained.fitness.clone();
             self.retained = retained;
-            return Ok(fitness);
+            return Some(fitness);
         }
 
         let grouping = StrategyGrouping::from_fingerprints(&retained.sset_fingerprints);
@@ -745,7 +826,7 @@ impl PayoffTable {
 
         // The rows asked for, in group order: of the groups whose keeper
         // lies in the block — every group when the block is the population.
-        let keepers = (block.len() < strategies.len()).then(|| grouping.keepers());
+        let keepers = (block.len() < strategies.len()).then(|| grouping.keepers().into_owned());
         let rows: Vec<usize> = match &keepers {
             None => (0..num_groups).collect(),
             Some(keepers) => (0..num_groups)
@@ -815,77 +896,106 @@ impl PayoffTable {
                 .collect();
         }
 
-        let mut planned = PlannedCells {
-            strategies,
-            grouping: &grouping,
-            slots: &self.slots,
-            tick: self.tick,
+        let reps = if stochastic_cells > 0 {
+            grouping
+                .group_rep
+                .iter()
+                .map(|&i| strategies[i].clone())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut plan = Plan {
+            grouping,
+            reps,
             swap_exact,
             filled_rows,
             new_slots,
             new_slot_mirrored,
             new_rows,
-            plays_filled,
             new_row_ends: Vec::new(),
+            plays_filled,
             unkept_slots,
-            rows: &rows,
+            rows,
             row_offsets,
-            cacheable: &cacheable,
+            cacheable,
             uncacheable,
+            group_slot,
+            keepers,
+            block,
+            include_self,
+            requested_cells: cacheable_rows * present,
+            retained,
         };
         let mut games = 0;
-        for i in 0..planned.new_rows.len() {
-            games += planned.new_row_games(i);
-            planned.new_row_ends.push(games);
+        for i in 0..plan.new_rows.len() {
+            games += plan.new_row_games(i);
+            plan.new_row_ends.push(games);
         }
-        let fresh = planned.fresh_len();
         self.stats.misses += misses;
         self.stats.hits += cacheable_rows * present - misses;
-        self.stats.cells_played += planned.fresh_cells() as u64;
-        self.stats.games_played += fresh as u64;
+        self.stats.cells_played += plan.fresh_cells(self.slots.len()) as u64;
+        self.stats.games_played += plan.fresh_len() as u64;
+        self.plan = Some(plan);
+        None
+    }
 
-        let values = match execute(&planned) {
+    /// The games of the generation [`PayoffTable::plan`] planned, until it
+    /// is finished.
+    pub fn planned(&self) -> Option<PlannedCells<'_>> {
+        self.plan.as_ref().map(|plan| PlannedCells {
+            plan,
+            slots: &self.slots,
+            tick: self.tick,
+        })
+    }
+
+    /// The last phase of [`PayoffTable::generation_fitness`]: stores the
+    /// cacheable results of the planned games (`values`, one per game in
+    /// list order), reduces, and retains the generation. An `Err` from the
+    /// players empties the table — the newcomers' cells were never stored —
+    /// and is returned.
+    ///
+    /// # Panics
+    ///
+    /// Without a pending plan, or when `values` does not hold one result per
+    /// planned game.
+    pub fn finish(&mut self, values: EgdResult<Vec<(f64, f64)>>) -> EgdResult<KeptFitness> {
+        let mut plan = self.plan.take().expect("finish follows plan");
+        let values = match values {
             Ok(values) => values,
             Err(err) => {
-                // The newcomers hold slots whose cells were never stored:
-                // forget everything rather than serve them.
                 self.clear();
                 return Err(err);
             }
         };
         assert_eq!(
             values.len(),
-            planned.len(),
+            plan.len(),
             "the executor returns one result per planned game"
         );
         let stride = self.stride;
-        for (game, &(to_a, to_b)) in planned.fresh_games_from(0).zip(&values) {
+        for (game, &(to_a, to_b)) in plan.fresh_games_from(0).zip(&values) {
             self.cells[game.a * stride + game.b] = to_a;
             if game.mirrored {
                 self.cells[game.b * stride + game.a] = to_b;
             }
         }
-        let new_rows = planned.new_rows;
-        for r in new_rows {
+        for &r in &plan.new_rows {
             self.slots[r].row_filled = true;
         }
 
         // Reduce: one total per requested group, scattered to its SSets —
         // all of them, wherever they sit.
-        let group_fitness = self.reduce(
-            &grouping,
-            &rows,
-            &cacheable,
-            &group_slot,
-            &values[fresh..],
-            include_self,
-        );
-        let group_of = &grouping.group_of;
-        let ssets: Option<Vec<usize>> = keepers.map(|keepers| {
+        let group_fitness = self.reduce(&plan, &values[plan.fresh_len()..]);
+        let group_of = &plan.grouping.group_of;
+        let ssets: Option<Vec<usize>> = plan.keepers.as_ref().map(|keepers| {
             // Sized for the common case: an all-distinct population answers
             // exactly its block.
-            let mut ssets = Vec::with_capacity(block.len());
-            ssets.extend((0..group_of.len()).filter(|&i| block.contains(&keepers[group_of[i]])));
+            let mut ssets = Vec::with_capacity(plan.block.len());
+            ssets.extend(
+                (0..group_of.len()).filter(|&i| plan.block.contains(&keepers[group_of[i]])),
+            );
             ssets
         });
         let values = match &ssets {
@@ -894,37 +1004,36 @@ impl PayoffTable {
         };
         let fitness = KeptFitness { ssets, values };
 
-        for (slot, &g) in retained.sset_slot.iter_mut().zip(&grouping.group_of) {
-            *slot = group_slot[g];
+        let mut retained = std::mem::take(&mut plan.retained);
+        for (slot, &g) in retained.sset_slot.iter_mut().zip(group_of) {
+            *slot = plan.group_slot[g];
         }
-        retained.request = request;
-        retained.cells = cacheable_rows * present;
+        retained.request = (plan.block, plan.swap_exact, plan.include_self);
+        retained.cells = plan.requested_cells;
         retained.fitness.ssets.clone_from(&fitness.ssets);
         retained.fitness.values.clone_from(&fitness.values);
         self.retained = retained;
         Ok(fitness)
     }
 
-    /// The fitness total of every group in `rows` (0 for the others):
-    /// `Σ_h count[h] · pay[g][h]` in group order, `pay` read from the table
-    /// where both groups are cacheable and taken from `stochastic` (the
-    /// results of the generation's stochastic games, in list order)
-    /// otherwise; minus the self-pairing unless `include_self`.
+    /// The fitness total of every group in the plan's rows (0 for the
+    /// others): `Σ_h count[h] · pay[g][h]` in group order, `pay` read from
+    /// the table where both groups are cacheable and taken from `stochastic`
+    /// (the results of the generation's stochastic games, in list order)
+    /// otherwise; minus the self-pairing unless the population's policy
+    /// includes it.
     ///
     /// A steady generation is nothing but this loop — one dependent `f64`
     /// addition per cell — so the cacheable row's inner loop carries nothing
     /// else: no self-pairing test (the self-pairing is read afterwards) and
-    /// no bounds check but the slot's.
-    fn reduce(
-        &self,
-        grouping: &StrategyGrouping,
-        rows: &[usize],
-        cacheable: &[bool],
-        group_slot: &[usize],
-        stochastic: &[(f64, f64)],
-        include_self: bool,
-    ) -> Vec<f64> {
-        let counts = &grouping.group_count;
+    /// no bounds check but the slot's. Kept out of line: inlined into
+    /// [`PayoffTable::finish`] it runs out of registers and reloads a slice
+    /// pointer from the stack on every cell (≈ 5 % of a `churn` generation
+    /// on the sequential engine).
+    #[inline(never)]
+    fn reduce(&self, plan: &Plan, stochastic: &[(f64, f64)]) -> Vec<f64> {
+        let (cacheable, group_slot) = (&plan.cacheable[..], &plan.group_slot[..]);
+        let counts = &plan.grouping.group_count;
         let mut stochastic = stochastic.iter().map(|&(to_a, _)| to_a);
         let mut next_stochastic = move || {
             stochastic
@@ -932,7 +1041,7 @@ impl PayoffTable {
                 .expect("one value per stochastic cell, checked by the caller")
         };
         let mut group_fitness = vec![0.0f64; counts.len()];
-        for &g in rows {
+        for &g in &plan.rows {
             let mut total = 0.0;
             let mut self_pay = 0.0;
             if cacheable[g] {
@@ -951,7 +1060,7 @@ impl PayoffTable {
                     }
                 }
             }
-            if !include_self {
+            if !plan.include_self {
                 // Remove the self-pairing counted in the group sums.
                 total -= self_pay;
             }
@@ -1214,7 +1323,7 @@ mod tests {
     /// The cells a list of fresh games fills, checked to be distinct.
     fn filled_cells(games: &PlannedCells<'_>) -> HashSet<(usize, usize)> {
         let mut cells = HashSet::new();
-        for game in games.fresh_games_from(0) {
+        for game in games.plan.fresh_games_from(0) {
             assert!(
                 cells.insert((game.a, game.b)),
                 "{game:?} fills a cell twice"
@@ -1255,36 +1364,37 @@ mod tests {
                             |_| true,
                             swap_exact,
                             |games| {
+                                let (plan, occupied) = (games.plan, games.slots.len());
                                 let cells = filled_cells(games);
-                                assert_eq!(cells.len(), games.fresh_cells());
+                                assert_eq!(cells.len(), plan.fresh_cells(occupied));
                                 // Every fresh cell: filled row × newcomer,
                                 // and row filled now × occupied slot.
-                                for &r in &games.filled_rows {
-                                    for &c in &games.new_slots {
+                                for &r in &plan.filled_rows {
+                                    for &c in &plan.new_slots {
                                         assert!(cells.contains(&(r, c)));
                                     }
                                 }
-                                for &r in &games.new_rows {
-                                    for c in 0..games.slots.len() {
+                                for &r in &plan.new_rows {
+                                    for c in 0..occupied {
                                         assert!(cells.contains(&(r, c)));
                                     }
                                 }
-                                let n = games.new_rows.len();
+                                let n = plan.new_rows.len();
                                 if swap_exact && whole {
                                     // Nothing is played from both sides.
                                     assert_eq!(
-                                        games.fresh_len(),
-                                        games.column_games() + n * (n + 1) / 2
+                                        plan.fresh_len(),
+                                        plan.column_games() + n * (n + 1) / 2
                                     );
                                 }
                                 if !swap_exact {
-                                    assert_eq!(games.fresh_len(), games.fresh_cells());
+                                    assert_eq!(plan.fresh_len(), plan.fresh_cells(occupied));
                                 }
                                 let played: Vec<_> = games.iter().map(|c| c.fingerprints).collect();
-                                assert_eq!(played.len(), games.fresh_len());
-                                let walk: Vec<_> = games.fresh_games_from(0).collect();
-                                for k in 0..=games.fresh_len() {
-                                    let from_k: Vec<_> = games.fresh_games_from(k).collect();
+                                assert_eq!(played.len(), plan.fresh_len());
+                                let walk: Vec<_> = plan.fresh_games_from(0).collect();
+                                for k in 0..=plan.fresh_len() {
+                                    let from_k: Vec<_> = plan.fresh_games_from(k).collect();
                                     assert_eq!(from_k, walk[k..], "fresh walk from {k}");
                                 }
                                 Ok(played
@@ -1335,6 +1445,27 @@ mod tests {
             .unwrap();
         assert_eq!(table.stats().cells_played, 33 * 33);
         assert_eq!(table.stats().games_played, 33 * 34 / 2);
+    }
+
+    #[test]
+    fn a_plan_never_finished_is_forgotten() {
+        let (a, b, c) = (pure("0001"), pure("0010"), pure("0100"));
+        let mut table = PayoffTable::new(3);
+        generation(
+            &mut table,
+            &population(vec![a.clone(), b.clone(), a.clone()]),
+            0..3,
+            true,
+        );
+        // `c` enters, and the generation's players never report back (they
+        // panicked): `c` holds a slot whose column no filled row has.
+        let entered = population(vec![a, b, c]);
+        assert!(table.plan(&entered, 0..3, |_| true, true).is_none());
+        assert_eq!(table.planned().map(|cells| cells.len()), Some(3));
+        let (fitness, played) = generation(&mut table, &entered, 0..3, true);
+        let (fresh, _) = generation(&mut PayoffTable::new(3), &entered, 0..3, true);
+        assert_eq!(fitness, fresh);
+        assert_eq!(played.len(), 6, "the table started over");
     }
 
     #[test]

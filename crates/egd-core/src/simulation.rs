@@ -3,12 +3,14 @@
 //! [`Simulation`] runs the full model — game dynamics within a generation,
 //! then the Nature Agent's population dynamics. The loop exists once: what an
 //! execution engine supplies is a [`FitnessBackend`], the computation of one
-//! generation's fitness table. Over the default backend, [`PairEvaluator`],
-//! the simulation runs on a single thread and is the semantic reference: the
-//! shared-memory engine (`egd-parallel`, a backend of this loop) and the
-//! simulated-cluster executors (`egd-cluster`) must produce bit-identical
-//! populations for the same [`SimulationConfig`], which the integration tests
-//! verify.
+//! generation's fitness table (and, through
+//! [`FitnessBackend::run_generations`], the scope of a whole run, in which a
+//! parallel backend keeps its workers). Over the default backend,
+//! [`PairEvaluator`], the simulation runs on a single thread and is the
+//! semantic reference: the shared-memory engine (`egd-parallel`, a backend
+//! of this loop) and the simulated-cluster executors (`egd-cluster`) must
+//! produce bit-identical populations for the same [`SimulationConfig`],
+//! which the integration tests verify.
 //!
 //! Two performance devices keep even large sequential runs tractable without
 //! changing the dynamics:
@@ -580,6 +582,11 @@ pub struct SimulationReport {
     pub history: Vec<GenerationRecord>,
 }
 
+/// The fitness computation a backend hands the generation loop for one run
+/// ([`FitnessBackend::run_generations`]): the fitness of every SSet of a
+/// population in a generation.
+pub type RunFitness<'a> = dyn FnMut(&Population, u64) -> EgdResult<Vec<f64>> + 'a;
+
 /// What computes a generation's fitness table for [`Simulation`]: the one
 /// step of a generation that differs between execution engines. Every
 /// implementation must return, bit for bit, what
@@ -587,6 +594,18 @@ pub struct SimulationReport {
 pub trait FitnessBackend {
     /// The fitness of every SSet of `population` in `generation`.
     fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>>;
+
+    /// Runs `generations` — the loop of one [`Simulation::run_for`] — with
+    /// the fitness computation it calls once per generation, and returns
+    /// what the loop returns. A backend that keeps workers for a whole run
+    /// opens them here and closes them before returning; the default calls
+    /// [`FitnessBackend::fitness`].
+    fn run_generations(
+        &mut self,
+        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
+    ) -> EgdResult<()> {
+        generations(&mut |population, generation| self.fitness(population, generation))
+    }
 }
 
 impl FitnessBackend for PairEvaluator {
@@ -599,6 +618,13 @@ impl<B: FitnessBackend + ?Sized> FitnessBackend for Box<B> {
     fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
         (**self).fitness(population, generation)
     }
+
+    fn run_generations(
+        &mut self,
+        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
+    ) -> EgdResult<()> {
+        (**self).run_generations(generations)
+    }
 }
 
 /// The generation loop: game dynamics through a [`FitnessBackend`], then the
@@ -608,14 +634,64 @@ impl<B: FitnessBackend + ?Sized> FitnessBackend for Box<B> {
 #[derive(Debug, Clone)]
 pub struct Simulation<B = PairEvaluator> {
     config: SimulationConfig,
+    backend: B,
+    record_interval: u64,
+    course: Course,
+}
+
+/// Everything a generation carries forward but the backend: kept apart so
+/// that a run can borrow it while the backend holds its workers.
+#[derive(Debug, Clone)]
+struct Course {
     population: Population,
     nature: NatureAgent,
-    backend: B,
     generation: u64,
     generations_with_change: u64,
     last_fitness: Vec<f64>,
-    record_interval: u64,
     timing: GenerationTiming,
+}
+
+impl Course {
+    /// One generation: game dynamics through `fitness`, then population
+    /// dynamics.
+    fn step(&mut self, fitness: &mut RunFitness<'_>) -> EgdResult<GenerationDecision> {
+        let start = Instant::now();
+        let fitness = fitness(&self.population, self.generation)?;
+        let played = Instant::now();
+        let decision = self
+            .nature
+            .evolve(self.generation, &fitness, &mut self.population)?;
+        self.timing.merge(&GenerationTiming {
+            game_play: played - start,
+            dynamics: played.elapsed(),
+        });
+        if decision.changes_population() {
+            self.generations_with_change += 1;
+        }
+        self.last_fitness = fitness;
+        self.generation += 1;
+        Ok(decision)
+    }
+
+    /// A record of the current population state.
+    fn snapshot(&self, population_changed: bool) -> GenerationRecord {
+        let census = self.population.census();
+        let dominant_fraction = census[0].count as f64 / self.population.num_ssets() as f64;
+        GenerationRecord {
+            generation: self.generation,
+            fitness: FitnessStats::from_slice(&self.last_fitness).unwrap_or(FitnessStats {
+                min: 0.0,
+                max: 0.0,
+                mean: 0.0,
+                std_dev: 0.0,
+                count: 0,
+            }),
+            dominant_fraction,
+            distinct_strategies: census.len(),
+            cooperation_propensity: self.population.mean_cooperation_propensity(),
+            population_changed,
+        }
+    }
 }
 
 impl Simulation {
@@ -691,14 +767,16 @@ impl<B: FitnessBackend> Simulation<B> {
         let nature = config.nature_agent()?;
         Ok(Simulation {
             config,
-            population,
-            nature,
             backend,
-            generation: 0,
-            generations_with_change: 0,
-            last_fitness: Vec::new(),
             record_interval: 0,
-            timing: GenerationTiming::default(),
+            course: Course {
+                population,
+                nature,
+                generation: 0,
+                generations_with_change: 0,
+                last_fitness: Vec::new(),
+                timing: GenerationTiming::default(),
+            },
         })
     }
 
@@ -724,8 +802,8 @@ impl<B: FitnessBackend> Simulation<B> {
         }
         state.verify_streams()?;
         let mut sim = Self::with_backend(config, Some(state.population.clone()), backend)?;
-        sim.generation = state.generation;
-        sim.generations_with_change = state.generations_with_change;
+        sim.course.generation = state.generation;
+        sim.course.generations_with_change = state.generations_with_change;
         Ok(sim)
     }
 
@@ -742,17 +820,17 @@ impl<B: FitnessBackend> Simulation<B> {
 
     /// The current population.
     pub fn population(&self) -> &Population {
-        &self.population
+        &self.course.population
     }
 
     /// The current generation index (number of completed generations).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.course.generation
     }
 
     /// The fitness table of the most recently completed generation.
     pub fn last_fitness(&self) -> &[f64] {
-        &self.last_fitness
+        &self.course.last_fitness
     }
 
     /// The fitness backend (for its statistics).
@@ -763,34 +841,21 @@ impl<B: FitnessBackend> Simulation<B> {
     /// Wall-clock time spent so far, split into the backend's game play and
     /// the Nature Agent's dynamics.
     pub fn timing(&self) -> GenerationTiming {
-        self.timing
+        self.course.timing
     }
 
     /// Runs one generation: game dynamics, then population dynamics.
     /// Returns the Nature Agent's decision for the generation.
     pub fn step(&mut self) -> EgdResult<GenerationDecision> {
-        let start = Instant::now();
-        let fitness = self.backend.fitness(&self.population, self.generation)?;
-        let played = Instant::now();
-        let decision = self
-            .nature
-            .evolve(self.generation, &fitness, &mut self.population)?;
-        self.timing.merge(&GenerationTiming {
-            game_play: played - start,
-            dynamics: played.elapsed(),
-        });
-        if decision.changes_population() {
-            self.generations_with_change += 1;
-        }
-        self.last_fitness = fitness;
-        self.generation += 1;
-        Ok(decision)
+        let backend = &mut self.backend;
+        self.course
+            .step(&mut |population, generation| backend.fitness(population, generation))
     }
 
     /// Generations so far in which the population changed (counted across
     /// the simulation's whole lifetime, not per `run_for` call).
     pub fn generations_with_change(&self) -> u64 {
-        self.generations_with_change
+        self.course.generations_with_change
     }
 
     /// Captures the simulation's cross-generation state at the current
@@ -799,30 +864,37 @@ impl<B: FitnessBackend> Simulation<B> {
     pub fn checkpoint(&self) -> SimulationState {
         SimulationState::capture(
             self.config.seed,
-            self.generation,
-            self.generations_with_change,
-            &self.population,
+            self.course.generation,
+            self.course.generations_with_change,
+            &self.course.population,
         )
     }
 
     /// Runs `generations` additional generations, collecting history records
-    /// at the configured interval.
+    /// at the configured interval. The generations run inside one
+    /// [`FitnessBackend::run_generations`] call, so a backend keeps its
+    /// workers for the whole call.
     pub fn run_for(&mut self, generations: u64) -> EgdResult<SimulationReport> {
         let mut history = Vec::new();
-        let changes_before = self.generations_with_change;
-        for _ in 0..generations {
-            let decision = self.step()?;
-            if self.record_interval > 0 && self.generation.is_multiple_of(self.record_interval) {
-                history.push(self.snapshot(decision.changes_population()));
+        let changes_before = self.course.generations_with_change;
+        let (course, interval) = (&mut self.course, self.record_interval);
+        self.backend.run_generations(&mut |fitness| {
+            for _ in 0..generations {
+                let decision = course.step(fitness)?;
+                if interval > 0 && course.generation.is_multiple_of(interval) {
+                    history.push(course.snapshot(decision.changes_population()));
+                }
             }
-        }
-        let (_, dominant_fraction) = self.population.dominant_strategy();
+            Ok(())
+        })?;
+        let course = &self.course;
+        let (_, dominant_fraction) = course.population.dominant_strategy();
         Ok(SimulationReport {
             generations_run: generations,
-            generations_with_change: self.generations_with_change - changes_before,
+            generations_with_change: course.generations_with_change - changes_before,
             final_dominant_fraction: dominant_fraction,
-            final_distinct_strategies: self.population.census().len(),
-            final_fitness: FitnessStats::from_slice(&self.last_fitness),
+            final_distinct_strategies: course.population.census().len(),
+            final_fitness: FitnessStats::from_slice(&course.last_fitness),
             history,
         })
     }
@@ -831,26 +903,6 @@ impl<B: FitnessBackend> Simulation<B> {
     pub fn run(&mut self) -> SimulationReport {
         self.run_for(self.config.generations)
             .expect("a validated configuration cannot fail mid-run")
-    }
-
-    /// Builds a snapshot record of the current population state.
-    fn snapshot(&self, population_changed: bool) -> GenerationRecord {
-        let census = self.population.census();
-        let dominant_fraction = census[0].count as f64 / self.population.num_ssets() as f64;
-        GenerationRecord {
-            generation: self.generation,
-            fitness: FitnessStats::from_slice(&self.last_fitness).unwrap_or(FitnessStats {
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                std_dev: 0.0,
-                count: 0,
-            }),
-            dominant_fraction,
-            distinct_strategies: census.len(),
-            cooperation_propensity: self.population.mean_cooperation_propensity(),
-            population_changed,
-        }
     }
 }
 

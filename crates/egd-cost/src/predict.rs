@@ -173,17 +173,25 @@ pub fn row_weights(
 /// by the generations remaining for the session's predicted budget charge.
 /// Steady-state like every predictor here: it prices the population handed
 /// in (a session's initial population), not mutation churn.
+///
+/// A pair's price depends only on whether the game is deterministic for it
+/// ([`IpdGame::is_deterministic_for`]: a noise-free game between two
+/// deterministic strategies), so with `d` of the `G` distinct strategies
+/// deterministic the matrix sums to `d²` matrix reads and `G² − d²` games —
+/// the same integer as summing it pair by pair, in O(strategies).
 pub fn generation_weight_ns(model: &CostModel, game: &IpdGame, strategies: &[StrategyKind]) -> u64 {
     let mut seen = HashSet::new();
-    let mut group_rep = Vec::new();
-    for (i, s) in strategies.iter().enumerate() {
+    let (mut distinct, mut deterministic) = (0u64, 0u64);
+    for s in strategies {
         if seen.insert(s.fingerprint()) {
-            group_rep.push(i);
+            distinct += 1;
+            deterministic += u64::from(game.is_deterministic_for(s, s));
         }
     }
-    row_weights(model, game, strategies, &group_rep)
-        .iter()
-        .sum()
+    let read_ns = model.pair_cost_ns(game.memory(), game.rounds(), true);
+    let game_ns = model.pair_cost_ns(game.memory(), game.rounds(), false);
+    let reads = deterministic * deterministic;
+    reads * read_ns + (distinct * distinct - reads) * game_ns
 }
 
 #[cfg(test)]
@@ -238,6 +246,52 @@ mod tests {
         // an existing group.
         strategies.push(strategies[0].clone());
         assert_eq!(generation_weight_ns(&model, &game, &strategies), whole);
+    }
+
+    #[test]
+    fn generation_weight_is_the_pair_by_pair_sum() {
+        // The oracle: every ordered pair of distinct strategies priced on
+        // its own.
+        let pairwise = |game: &IpdGame, strategies: &[StrategyKind]| -> u64 {
+            let model = CostModel::blue_gene_like();
+            let mut seen = HashSet::new();
+            let reps: Vec<&StrategyKind> = strategies
+                .iter()
+                .filter(|s| seen.insert(s.fingerprint()))
+                .collect();
+            reps.iter()
+                .flat_map(|a| reps.iter().map(move |b| (*a, *b)))
+                .map(|(a, b)| pair_weight_ns(&model, game, a, b))
+                .sum()
+        };
+        let model = CostModel::blue_gene_like();
+        let mut rng = stream(29, StreamKind::Auxiliary, 5);
+        for case in 0..40u64 {
+            let len = 1 + (case as usize * 7) % 37;
+            let pure_share = case % 5; // of 4: none, some, all pure
+            let mut strategies: Vec<StrategyKind> = (0..len)
+                .map(|i| {
+                    if (i as u64 % 4) < pure_share {
+                        StrategyKind::Pure(PureStrategy::random(MemoryDepth::TWO, &mut rng))
+                    } else {
+                        StrategyKind::Mixed(MixedStrategy::random(MemoryDepth::TWO, &mut rng))
+                    }
+                })
+                .collect();
+            // Duplicates: every third strategy repeats an earlier one.
+            for i in (3..len).step_by(3) {
+                strategies[i] = strategies[i / 3].clone();
+            }
+            for noise in [0.0, 0.05] {
+                let game = game(noise);
+                assert_eq!(
+                    generation_weight_ns(&model, &game, &strategies),
+                    pairwise(&game, &strategies),
+                    "case {case}, noise {noise}"
+                );
+            }
+        }
+        assert_eq!(generation_weight_ns(&model, &game(0.0), &[]), 0);
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! their workers. A generation's fitness goes through its retained
 //! [`PayoffTable`] ([`ConcurrentPairEvaluator::generation_fitness`]): only
 //! the rows and columns of strategies that entered the population, and the
-//! stochastic games, are played, as a [`CellBatch`] the caller spreads over
-//! its workers a chunk of games at a time ([`CellBatch::play_range`]). A
+//! stochastic games, are played. The generation is planned under the
+//! table's write lock; the caller's executor then plays the planned list on
+//! whatever workers it has, any run of it from any thread
+//! ([`ConcurrentPairEvaluator::play_range`], under the read lock); the
+//! results are stored and summed under the write lock again. Because the
+//! plan lives beside the table rather than in the caller's stack frame,
+//! workers kept for a whole run can play every generation's list. A
 //! chunk's stochastic games are the lanes of one block-kernel call
 //! ([`egd_core::simulation::PairKernel::play_games`] →
 //! [`egd_core::game::IpdGame::play_block`]) on strategies compiled once per
@@ -27,7 +32,7 @@ use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairKernel};
 use egd_core::strategy::StrategyKind;
 use egd_obs::MetricsSnapshot;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,9 +49,9 @@ pub struct ConcurrentPairEvaluator {
     /// miss the same pair insert the same value.
     cache: Mutex<HashMap<(u64, u64), (f64, f64)>>,
     /// The payoff matrix [`ConcurrentPairEvaluator::generation_fitness`]
-    /// keeps between generations. Locked for a whole fitness call; the
-    /// games themselves run outside it, on the caller's workers.
-    table: Mutex<PayoffTable>,
+    /// keeps between generations, with the generation planned in it:
+    /// written by the caller between rounds of play, read by the players.
+    matrix: RwLock<Matrix>,
     interner: CompiledInterner,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -64,45 +69,15 @@ pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStat
     snap.add_counter("payoff_generations_reused", stats.generations_reused);
 }
 
-/// One generation's games ([`PlannedCells`]) bound to the evaluator that
-/// plays them: what [`ConcurrentPairEvaluator::generation_fitness`] hands its
-/// executor. [`CellBatch::play_range`] is callable from any thread.
-#[derive(Debug)]
-pub struct CellBatch<'a> {
-    evaluator: &'a ConcurrentPairEvaluator,
-    cells: &'a PlannedCells<'a>,
-    /// Compiled strategy per group; empty when no cell is stochastic.
+/// The retained payoff matrix and what the planned generation's players
+/// read beside it.
+#[derive(Debug, Default)]
+struct Matrix {
+    table: PayoffTable,
+    /// Compiled strategy per group of the planned generation; empty when no
+    /// cell is stochastic.
     compiled: Vec<Arc<CompiledStrategy>>,
     generation: u64,
-}
-
-impl<'a> CellBatch<'a> {
-    /// The games to play, in the order their payoffs are to be returned.
-    pub fn cells(&self) -> &'a PlannedCells<'a> {
-        self.cells
-    }
-
-    /// The list cut into the executors' work items: consecutive ranges of
-    /// [`PairKernel::CHUNK_GAMES`] games, the last one shorter.
-    pub fn chunks(&self) -> impl ExactSizeIterator<Item = Range<usize>> {
-        let len = self.cells.len();
-        (0..len.div_ceil(PairKernel::CHUNK_GAMES)).map(move |c| {
-            let start = c * PairKernel::CHUNK_GAMES;
-            start..len.min(start + PairKernel::CHUNK_GAMES)
-        })
-    }
-
-    /// Plays the games `range` of the list (see
-    /// [`PairKernel::play_games`]) and appends their `(to_a, to_b)` to `out`.
-    pub fn play_range(&self, range: Range<usize>, out: &mut Vec<(f64, f64)>) -> EgdResult<()> {
-        let group_of = &self.cells.grouping().group_of;
-        self.evaluator.kernel.play_games(
-            self.cells.iter_from(range.start).take(range.len()),
-            |i| &*self.compiled[group_of[i]],
-            self.generation,
-            out,
-        )
-    }
 }
 
 impl ConcurrentPairEvaluator {
@@ -114,7 +89,10 @@ impl ConcurrentPairEvaluator {
         Ok(ConcurrentPairEvaluator {
             kernel: PairKernel::new(config, mode)?,
             cache: Mutex::new(HashMap::new()),
-            table: Mutex::new(PayoffTable::new(config.num_ssets)),
+            matrix: RwLock::new(Matrix {
+                table: PayoffTable::new(config.num_ssets),
+                ..Matrix::default()
+            }),
             interner: CompiledInterner::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -134,22 +112,22 @@ impl ConcurrentPairEvaluator {
     /// Cacheable cells served without playing a game so far (by the payoff
     /// table and by the `pair_payoff` memo).
     pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed) + self.table.lock().stats().hits
+        self.hits.load(Ordering::Relaxed) + self.table_stats().hits
     }
 
     /// Cacheable cells that a game had to fill so far.
     pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed) + self.table.lock().stats().misses
+        self.misses.load(Ordering::Relaxed) + self.table_stats().misses
     }
 
     /// Total number of cached pairs (memo entries plus valid table cells).
     pub fn cached_pairs(&self) -> usize {
-        self.cache.lock().len() + self.table.lock().valid_cells()
+        self.cache.lock().len() + self.matrix.read().table.valid_cells()
     }
 
     /// Counters of the retained payoff matrix.
     pub fn table_stats(&self) -> PayoffTableStats {
-        self.table.lock().stats()
+        self.matrix.read().table.stats()
     }
 
     /// Adds the evaluator's cache, payoff-table and interner counters to a
@@ -191,39 +169,87 @@ impl ConcurrentPairEvaluator {
 
     /// Computes the fitness of every SSet for one generation through the
     /// retained payoff matrix (see [`PayoffTable::generation_fitness`]):
-    /// `execute` receives the generation's fresh and stochastic games as a
-    /// [`CellBatch`] and returns their `(to_a, to_b)` in batch order, running
-    /// [`CellBatch::play_range`] on whatever workers it has. Bit-identical to
+    /// `execute` receives the number of games the generation plays — its
+    /// fresh and stochastic games — and returns their `(to_a, to_b)` in list
+    /// order, running [`ConcurrentPairEvaluator::play_range`] on whatever
+    /// workers it has. It is not called when the retained generation
+    /// answers. Bit-identical to
     /// [`egd_core::simulation::compute_generation_fitness`].
     pub fn generation_fitness(
         &self,
         population: &Population,
         generation: u64,
-        execute: impl FnOnce(&CellBatch<'_>) -> EgdResult<Vec<(f64, f64)>>,
+        execute: impl FnOnce(usize) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
-        let strategies = population.strategies();
-        let fitness = self.table.lock().generation_fitness(
-            population,
-            0..population.num_ssets(),
-            |strategy| self.kernel.caches(strategy),
-            self.mode().swap_exact(),
-            |cells| {
-                // Hoist compilation out of the cell loop: once per distinct
-                // strategy per generation, and only when a game needs it.
-                let compiled = if cells.stochastic_len() > 0 {
-                    self.compiled_groups(generation, strategies, &cells.grouping().group_rep)
-                } else {
-                    Vec::new()
-                };
-                execute(&CellBatch {
-                    evaluator: self,
-                    cells,
-                    compiled,
-                    generation,
-                })
-            },
-        )?;
+        let games = {
+            let mut matrix = self.matrix.write();
+            let matrix = &mut *matrix;
+            if let Some(answer) = matrix.table.plan(
+                population,
+                0..population.num_ssets(),
+                |strategy| self.kernel.caches(strategy),
+                self.mode().swap_exact(),
+            ) {
+                return Ok(answer.into_values());
+            }
+            let cells = matrix
+                .table
+                .planned()
+                .expect("a generation was just planned");
+            // Hoist compilation out of the cell loop: once per distinct
+            // strategy per generation, and only when a game needs it.
+            matrix.compiled = if cells.stochastic_len() > 0 {
+                let group_rep = &cells.grouping().group_rep;
+                self.compiled_groups(generation, population.strategies(), group_rep)
+            } else {
+                Vec::new()
+            };
+            matrix.generation = generation;
+            cells.len()
+        };
+        let values = execute(games);
+        let fitness = self.matrix.write().table.finish(values)?;
         Ok(fitness.into_values())
+    }
+
+    /// Plays the games `range` of the planned generation's list — clamped
+    /// to the list — and appends their `(to_a, to_b)` to `out` (see
+    /// [`PairKernel::play_games`]). Callable from any thread while the
+    /// generation is being played.
+    ///
+    /// # Panics
+    ///
+    /// Outside the `execute` call of
+    /// [`ConcurrentPairEvaluator::generation_fitness`].
+    pub fn play_range(&self, range: Range<usize>, out: &mut Vec<(f64, f64)>) -> EgdResult<()> {
+        let matrix = self.matrix.read();
+        let cells = matrix
+            .table
+            .planned()
+            .expect("a generation is being played");
+        let group_of = &cells.grouping().group_of;
+        self.kernel.play_games(
+            cells.iter_from(range.start).take(range.len()),
+            |i| &*matrix.compiled[group_of[i]],
+            matrix.generation,
+            out,
+        )
+    }
+
+    /// Runs `read` on the planned generation's list of games.
+    ///
+    /// # Panics
+    ///
+    /// Outside the `execute` call of
+    /// [`ConcurrentPairEvaluator::generation_fitness`].
+    pub fn with_planned<T>(&self, read: impl FnOnce(&PlannedCells<'_>) -> T) -> T {
+        let matrix = self.matrix.read();
+        read(
+            &matrix
+                .table
+                .planned()
+                .expect("a generation is being played"),
+        )
     }
 
     /// Payoffs `(to_a, to_b)` of one game between two strategies in a given

@@ -1,32 +1,40 @@
 //! The parallel generation engine.
 //!
-//! [`ParallelEngine`] computes the per-SSet fitness of one generation on a
-//! rayon thread pool ([`ParallelEngine::compute_fitness`]): strategies are
+//! [`ParallelEngine`] computes the per-SSet fitness of one generation on an
+//! `egd-sched` crew ([`ParallelEngine::compute_fitness`]): strategies are
 //! grouped (SSets holding identical strategies share their pair payoffs), the
 //! distinct-pair payoff matrix is kept between generations and the games that
 //! have to be played are spread over the workers. The result matches
 //! `egd_core::simulation::compute_generation_fitness` bit-for-bit, so the
 //! engine is a [`FitnessBackend`] of the one generation loop,
 //! `egd_core::simulation::Simulation`.
+//!
+//! As a backend the engine opens one crew per run
+//! ([`FitnessBackend::run_generations`]) and hands it one round per
+//! generation that plays anything: its work items are chunks of the
+//! generation's planned list, which the crew's fixed job reads from the
+//! evaluator ([`ConcurrentPairEvaluator::play_range`]). A lone
+//! [`ParallelEngine::compute_fitness`] call is a crew of one round.
 
-use crate::cache::{CellBatch, ConcurrentPairEvaluator};
+use crate::cache::ConcurrentPairEvaluator;
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
-use egd_core::simulation::{FitnessBackend, FitnessMode};
+use egd_core::simulation::{FitnessBackend, FitnessMode, PairKernel, RunFitness};
 use egd_cost::predict::MeasuredEwma;
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
-use egd_sched::SchedStats;
+use egd_sched::{SchedStats, WeightedSource};
 use parking_lot::Mutex;
-use std::ops::Range;
-use std::sync::Arc;
+
+/// A round of play: the chunk weights in, each chunk's payoffs (in chunk
+/// order) and the round's statistics out.
+type Round<'r> = dyn FnMut(&[u64]) -> (Vec<EgdResult<Vec<(f64, f64)>>>, SchedStats) + 'r;
 
 /// The parallel fitness engine.
 #[derive(Debug)]
 pub struct ParallelEngine {
-    pool: Arc<rayon::ThreadPool>,
     evaluator: ConcurrentPairEvaluator,
     threads: ThreadConfig,
     /// Prices work items for the cost-guided initial partition (fixed
@@ -34,8 +42,8 @@ pub struct ParallelEngine {
     cost_model: egd_cost::CostModel,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
-    /// Scheduler statistics merged over every [`FitnessBackend::fitness`]
-    /// call.
+    /// Scheduler statistics merged over every generation the engine
+    /// computed as a [`FitnessBackend`].
     run_sched: Option<SchedStats>,
     /// Measured per-cell wall time keyed by fingerprint pair, accumulated
     /// while tracing is enabled (the feedback table the cost layer can
@@ -49,14 +57,14 @@ pub struct ParallelEngine {
 }
 
 impl ParallelEngine {
-    /// Creates an engine for a configuration.
+    /// Creates an engine for a configuration. No thread is started: the
+    /// workers live only while a generation, or a run, is computed.
     pub fn new(
         config: &SimulationConfig,
         mode: FitnessMode,
         threads: ThreadConfig,
     ) -> EgdResult<Self> {
         Ok(ParallelEngine {
-            pool: threads.build_pool()?,
             evaluator: ConcurrentPairEvaluator::new(config, mode)?,
             threads,
             cost_model: egd_cost::CostModel::blue_gene_like(),
@@ -149,88 +157,43 @@ impl ParallelEngine {
         snap
     }
 
-    /// Runs `op` inside the engine's pool with the configured scheduling
-    /// policy active, then banks the run's scheduler statistics.
-    fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let _ = egd_sched::take_last_run_stats();
-        let result = self
-            .pool
-            .install(|| egd_sched::with_policy(self.threads.policy, op));
-        if let Some(stats) = egd_sched::take_last_run_stats() {
-            bank(&mut self.last_sched.lock(), &stats);
-        }
-        result
-    }
-
-    /// Clears the banked scheduler statistics (start of a fitness call).
-    fn reset_sched_stats(&self) {
-        *self.last_sched.lock() = None;
-    }
-
     /// Computes the fitness of every SSet for `generation` using strategy
     /// grouping and the evaluator's retained payoff matrix: only the games of
     /// strategies that entered the population, and the stochastic ones, are
-    /// played — in parallel — and scattered into the matrix after the join.
+    /// played — in parallel, on a crew opened for this call — and scattered
+    /// into the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
-        self.reset_sched_stats();
+        self.fitness_on(population, generation, &mut |weights| {
+            let workers = self.threads.effective_threads().min(weights.len());
+            egd_sched::with_crew(
+                workers,
+                |c: usize| self.play_chunk(c),
+                |crew| crew.round(WeightedSource::new(weights)),
+            )
+        })
+    }
+
+    /// One generation's fitness, its games played by `round` (nothing is
+    /// dispatched when the generation plays no game).
+    fn fitness_on(
+        &self,
+        population: &Population,
+        generation: u64,
+        round: &mut Round<'_>,
+    ) -> EgdResult<Vec<f64>> {
+        *self.last_sched.lock() = None;
         self.evaluator
-            .generation_fitness(population, generation, |batch| {
-                let cells = batch.cells();
-                if cells.is_empty() {
-                    // Nothing entered the population: no fork, no join.
+            .generation_fitness(population, generation, |games| {
+                if games == 0 {
+                    // Nothing entered the population: no round.
                     return Ok(Vec::new());
                 }
-                // A work item is a chunk of the list. The initial per-worker
-                // segments are seeded from the cost-proportional partition of
-                // the games actually played, so both the static and the
-                // adaptive policy start balanced and stealing only corrects
-                // prediction error: a chunk weighs the sum of its games'
-                // prices. Every planned game is priced as a game — a fresh
-                // deterministic one too: it is played, not probed. With
-                // repricing enabled, measured means from earlier generations
-                // replace the analytic price of observed stochastic games.
-                let game_ns =
-                    egd_cost::predict::game_weight_ns(&self.cost_model, self.evaluator.game());
-                let chunks: Vec<Range<usize>> = batch.chunks().collect();
-                let weights: Vec<u64> = match self.repricing.lock().as_mut() {
-                    None => chunks
-                        .iter()
-                        .map(|chunk| game_ns * chunk.len() as u64)
-                        .collect(),
-                    Some(ewma) => {
-                        for ((a, b), mean) in self.measured.lock().mean_iter() {
-                            ewma.observe(a, b, mean);
-                        }
-                        let mut games = cells.iter();
-                        chunks
-                            .iter()
-                            .map(|chunk| {
-                                games
-                                    .by_ref()
-                                    .take(chunk.len())
-                                    .map(|game| {
-                                        egd_cost::predict::refined_game_weight_ns(
-                                            game_ns,
-                                            !game.cacheable,
-                                            game.fingerprints,
-                                            ewma,
-                                        )
-                                    })
-                                    .sum()
-                            })
-                            .collect()
-                    }
-                };
-                let played = self.install(|| {
-                    egd_obs::obs_span!(SpanKind::CellMatrix, cells.len() as u64, {
-                        egd_sched::map_indexed_weighted(
-                            self.threads.effective_threads(),
-                            &weights,
-                            |c| self.play_chunk(batch, chunks[c].clone()),
-                        )
-                    })
+                let weights = self.chunk_weights(games);
+                let (played, stats) = egd_obs::obs_span!(SpanKind::CellMatrix, games as u64, {
+                    egd_sched::with_policy(self.threads.policy, || round(&weights))
                 });
-                let mut payoffs = Vec::with_capacity(cells.len());
+                *self.last_sched.lock() = Some(stats);
+                let mut payoffs = Vec::with_capacity(games);
                 for chunk in played {
                     payoffs.extend(chunk?);
                 }
@@ -238,26 +201,81 @@ impl ParallelEngine {
             })
     }
 
-    /// Plays one chunk of the batch. While tracing, the chunk is one `Cell`
-    /// span carrying its game count, and each of its games is booked an
-    /// equal share of the chunk's wall time in the measured-cost table.
-    fn play_chunk(&self, batch: &CellBatch<'_>, chunk: Range<usize>) -> EgdResult<Vec<(f64, f64)>> {
-        let games = chunk.len();
-        let mut payoffs = Vec::with_capacity(games);
+    /// The weight of each work item of a generation of `games` games. A
+    /// work item is a chunk of the list. The initial per-worker segments are
+    /// seeded from the cost-proportional partition of the games actually
+    /// played, so both the static and the adaptive policy start balanced and
+    /// stealing only corrects prediction error: a chunk weighs the sum of
+    /// its games' prices. Every planned game is priced as a game — a fresh
+    /// deterministic one too: it is played, not probed. With repricing
+    /// enabled, measured means from earlier generations replace the analytic
+    /// price of observed stochastic games.
+    fn chunk_weights(&self, games: usize) -> Vec<u64> {
+        let game_ns = egd_cost::predict::game_weight_ns(&self.cost_model, self.evaluator.game());
+        let chunk_len = |c: usize| chunk(games, c).len() as u64;
+        let chunks = games.div_ceil(PairKernel::CHUNK_GAMES);
+        match self.repricing.lock().as_mut() {
+            None => (0..chunks).map(|c| game_ns * chunk_len(c)).collect(),
+            Some(ewma) => {
+                for ((a, b), mean) in self.measured.lock().mean_iter() {
+                    ewma.observe(a, b, mean);
+                }
+                self.evaluator.with_planned(|cells| {
+                    let mut cells = cells.iter();
+                    (0..chunks)
+                        .map(|c| {
+                            cells
+                                .by_ref()
+                                .take(chunk(games, c).len())
+                                .map(|game| {
+                                    egd_cost::predict::refined_game_weight_ns(
+                                        game_ns,
+                                        !game.cacheable,
+                                        game.fingerprints,
+                                        ewma,
+                                    )
+                                })
+                                .sum()
+                        })
+                        .collect()
+                })
+            }
+        }
+    }
+
+    /// Plays work item `c` of the planned generation. While tracing, the
+    /// chunk is one `Cell` span carrying its game count, and each of its
+    /// games is booked an equal share of the chunk's wall time in the
+    /// measured-cost table.
+    fn play_chunk(&self, c: usize) -> EgdResult<Vec<(f64, f64)>> {
+        let start = c * PairKernel::CHUNK_GAMES;
+        let mut payoffs = Vec::with_capacity(PairKernel::CHUNK_GAMES);
         let span = SpanTimer::start(SpanKind::Cell);
-        batch.play_range(chunk.clone(), &mut payoffs)?;
+        // The last chunk is shorter: the list ends inside the range.
+        self.evaluator
+            .play_range(start..start + PairKernel::CHUNK_GAMES, &mut payoffs)?;
         if let Some(span) = span {
+            let games = payoffs.len();
             let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
             let mut measured = self.measured.lock();
-            for game in batch.cells().iter_from(chunk.start).take(games) {
-                let (a, b) = game.fingerprints;
-                measured.record(a, b, elapsed / games as u64);
-            }
+            self.evaluator.with_planned(|cells| {
+                for game in cells.iter_from(start).take(games) {
+                    let (a, b) = game.fingerprints;
+                    measured.record(a, b, elapsed / games as u64);
+                }
+            });
             drop(measured);
             span.finish(games as u64);
         }
         Ok(payoffs)
     }
+}
+
+/// Work item `c` of a list of `games` games: [`PairKernel::CHUNK_GAMES`]
+/// consecutive games, the last item shorter.
+fn chunk(games: usize, c: usize) -> std::ops::Range<usize> {
+    let start = c * PairKernel::CHUNK_GAMES;
+    start..games.min(start + PairKernel::CHUNK_GAMES)
 }
 
 impl FitnessBackend for ParallelEngine {
@@ -267,6 +285,36 @@ impl FitnessBackend for ParallelEngine {
             bank(&mut self.run_sched, stats);
         }
         Ok(fitness)
+    }
+
+    /// Opens one crew for the run: the generations' rounds go to the same
+    /// workers, which wait between them instead of being forked per
+    /// generation.
+    fn run_generations(
+        &mut self,
+        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
+    ) -> EgdResult<()> {
+        let engine = &*self;
+        let mut banked = None;
+        let result = egd_sched::with_crew(
+            engine.threads.effective_threads(),
+            |c: usize| engine.play_chunk(c),
+            |crew| {
+                generations(&mut |population, generation| {
+                    let fitness = engine.fitness_on(population, generation, &mut |weights| {
+                        crew.round(WeightedSource::new(weights))
+                    })?;
+                    if let Some(stats) = engine.last_sched.lock().as_ref() {
+                        bank(&mut banked, stats);
+                    }
+                    Ok(fitness)
+                })
+            },
+        );
+        if let Some(stats) = &banked {
+            bank(&mut self.run_sched, stats);
+        }
+        result
     }
 }
 
@@ -499,6 +547,50 @@ mod tests {
             engine.evaluator().cache_hits()
         );
         assert!(snap.counter("pair_cache_entries") > 0);
+    }
+
+    #[test]
+    fn an_error_or_a_panic_between_rounds_ends_the_run() {
+        use egd_core::error::EgdError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Under a watchdog: a crew whose parked helpers were never told to
+        // stop would hang the run instead of ending it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cfg = config(0.05, 31);
+            let population = cfg.initial_population().unwrap();
+            let mut engine =
+                ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
+                    .unwrap();
+            let reference = engine.compute_fitness(&population, 0).unwrap();
+            let mut played = Vec::new();
+            let stopped = engine.run_generations(&mut |fitness| {
+                played = fitness(&population, 0)?;
+                // Long enough for the helpers to park.
+                std::thread::sleep(egd_sched::SPIN_WINDOW * 4);
+                Err(EgdError::InvalidConfig {
+                    reason: "stopped between rounds".to_string(),
+                })
+            });
+            assert!(stopped.unwrap_err().to_string().contains("between rounds"));
+            assert_eq!(played, reference);
+
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                engine.run_generations(&mut |fitness| {
+                    fitness(&population, 1)?;
+                    std::thread::sleep(egd_sched::SPIN_WINDOW * 4);
+                    panic!("a panic between rounds");
+                })
+            }))
+            .unwrap_err();
+            assert_eq!(panicked.downcast_ref(), Some(&"a panic between rounds"));
+            // The engine, and a new crew, carry on.
+            assert_eq!(engine.compute_fitness(&population, 0).unwrap(), reference);
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run ended within the watchdog's limit");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! * the population's SSets are divided into chunks of work (the role MPI
 //!   ranks play on Blue Gene — here they map onto worker threads), and
-//! * the games of a generation are played concurrently by the threads of a
-//!   [rayon] pool, mirroring the paper's OpenMP level — once per distinct
+//! * the games of a generation are played concurrently by the workers of an
+//!   `egd-sched` crew, mirroring the paper's OpenMP level — once per distinct
 //!   strategy pair, since SSets holding the same strategy share their games.
+//!   A run opens its crew once; each generation is one round of it.
 //!
 //! There is one execution path. [`ParallelEngine`] is a fitness backend of
 //! the generation loop in `egd-core` (`Simulation<B>`), and
@@ -39,7 +40,7 @@ pub mod partition;
 pub mod simulation;
 pub mod thread_pool;
 
-pub use cache::{CellBatch, ConcurrentPairEvaluator};
+pub use cache::ConcurrentPairEvaluator;
 pub use egd_core::grouping::{self, StrategyGrouping};
 pub use engine::{GenerationTiming, ParallelEngine};
 pub use intern::{CompiledInterner, FingerprintBuildHasher, FingerprintMap};

@@ -2,12 +2,13 @@
 //!
 //! The paper runs a hybrid MPI + OpenMP code and reports that on Blue Gene/Q
 //! the best configuration was 32 tasks × 2 threads per node (§VI-C). Here the
-//! OpenMP level maps onto a rayon thread pool whose size is chosen per
-//! engine, so scaling studies can sweep the thread count explicitly. The
-//! pool's iterators execute on the `egd-sched` work-stealing scheduler;
+//! OpenMP level maps onto an `egd-sched` crew whose size is chosen per
+//! engine, so scaling studies can sweep the thread count explicitly;
 //! [`ThreadConfig::policy`] selects between adaptive stealing (default) and
 //! the legacy static one-chunk-per-worker split (for load-balance A/B
 //! studies). Either way results are byte-identical.
+//! [`ThreadConfig::build_pool`] builds the vendored rayon pool of the same
+//! size, whose iterators run on `egd-sched` too.
 
 use egd_core::error::{EgdError, EgdResult};
 pub use egd_sched::Policy as SchedPolicy;

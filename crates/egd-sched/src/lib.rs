@@ -35,6 +35,11 @@
 //! * [`Policy::Static`] disables stealing and claims each segment as a single
 //!   block — byte-for-byte the old one-chunk-per-worker backend, kept for
 //!   A/B load-balance measurements.
+//! * The workers are a [`Crew`] ([`with_crew`]): the caller plus helpers
+//!   spawned once and kept for a whole run, which execute one parallel
+//!   section — a **round** — per generation, and poll, then park, in
+//!   between. The one-call entry points ([`map_indexed`] and friends) are
+//!   crews of one round.
 //!
 //! ## Determinism contract
 //!
@@ -68,13 +73,15 @@ pub mod stats;
 pub mod stress;
 pub mod weighted;
 
-pub use scheduler::{map_collect, map_indexed, map_indexed_weighted};
+pub use scheduler::{
+    live_helpers, map_collect, map_indexed, map_indexed_weighted, with_crew, Crew, SPIN_WINDOW,
+};
 pub use simulate::{
     simulate_schedule, simulate_schedule_guided, simulate_schedule_guided_recorded,
     simulate_schedule_recorded, SimOutcome,
 };
 pub use stats::{last_run_stats, max_over_mean, take_last_run_stats, SchedStats, WorkerStats};
-pub use stress::{force_steals, StressGuard};
+pub use stress::{delay_helpers, force_steals, DelayGuard, StressGuard};
 pub use weighted::{weighted_ranges, WeightedSource};
 
 use serde::{Deserialize, Serialize};

@@ -16,8 +16,13 @@
 //! The flag is a process-wide counter so that worker threads observe it;
 //! concurrent runs that did not ask for stress merely get slower, never
 //! wrong.
+//!
+//! Beside it, [`delay_helpers`] perturbs the crew itself rather than the
+//! steal schedule: seeded sleeps before a helper claims and before it parks
+//! produce helpers that join a round late, find it closed, or park and are
+//! woken — the interleavings of the crew's round protocol.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
 static ACTIVE_GUARDS: AtomicU32 = AtomicU32::new(0);
@@ -54,6 +59,55 @@ pub(crate) fn block_delay(start: usize) -> Duration {
     Duration::from_micros(hashed * 30)
 }
 
+static DELAY_GUARDS: AtomicU32 = AtomicU32::new(0);
+static DELAY_SEED: AtomicU64 = AtomicU64::new(0);
+
+/// Keeps seeded helper delays active while alive.
+#[derive(Debug)]
+pub struct DelayGuard(());
+
+impl Drop for DelayGuard {
+    fn drop(&mut self) {
+        DELAY_GUARDS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Activates seeded helper delays until the returned guard is dropped: a
+/// crew helper then sleeps before each claim and before it parks, for a time
+/// drawn from `seed`, the helper, the round and the claim — helpers that
+/// arrive late, leave late, miss rounds and park between them. Process-wide
+/// like [`force_steals`] (the last seed set wins), so runs that did not ask
+/// merely get slower, never wrong.
+pub fn delay_helpers(seed: u64) -> DelayGuard {
+    DELAY_SEED.store(seed, Ordering::Relaxed);
+    DELAY_GUARDS.fetch_add(1, Ordering::Relaxed);
+    DelayGuard(())
+}
+
+/// The seed of the helper delays, while [`delay_helpers`] is active.
+pub(crate) fn helper_delays() -> Option<u64> {
+    (DELAY_GUARDS.load(Ordering::Relaxed) > 0).then(|| DELAY_SEED.load(Ordering::Relaxed))
+}
+
+/// Helper `worker`'s delay before its `step`-th claim of round `round`
+/// (`step == u64::MAX`: before it parks): none three times in four,
+/// otherwise 1–63 µs.
+pub(crate) fn helper_delay(seed: u64, worker: usize, round: u32, step: u64) -> Duration {
+    // SplitMix64's finaliser over the four keys.
+    let mut x = seed
+        ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ u64::from(round).rotate_left(24)
+        ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    if x & 3 == 0 {
+        Duration::from_micros(1 + (x >> 58))
+    } else {
+        Duration::ZERO
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +122,21 @@ mod tests {
         let _inner = force_steals();
         assert!(stress_active());
         assert!(ACTIVE_GUARDS.load(Ordering::Relaxed) >= 2);
+    }
+
+    #[test]
+    fn helper_delays_are_seeded_bounded_and_mostly_zero() {
+        let draw = |seed| -> Vec<Duration> {
+            (0..256u64)
+                .map(|step| helper_delay(seed, (step % 3) as usize + 1, 7, step))
+                .collect()
+        };
+        let delays = draw(11);
+        assert_eq!(delays, draw(11), "a seed replays its delays");
+        assert_ne!(delays, draw(12));
+        assert!(delays.iter().all(|d| *d <= Duration::from_micros(64)));
+        let sleeping = delays.iter().filter(|d| !d.is_zero()).count();
+        assert!((32..128).contains(&sleeping), "{sleeping} of 256 sleep");
     }
 
     #[test]

@@ -117,8 +117,9 @@ fn forced_steal_schedules_are_byte_identical_across_thread_counts() {
     reference.run();
     let reference_bytes = population_bytes(reference.population());
 
+    // Each run is one crew: every generation is a round of the same workers.
     let _stress = egd_sched::force_steals();
-    for threads in [2usize, 4, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let mut parallel =
             ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(threads)).unwrap();
         let report = parallel.run();
@@ -127,11 +128,13 @@ fn forced_steal_schedules_are_byte_identical_across_thread_counts() {
             reference_bytes,
             "forced-steal run at {threads} threads diverged"
         );
-        // The stress mode must actually change the schedule: steals happen.
+        // The stress mode must actually change the schedule: steals happen
+        // wherever there is someone to steal from.
         let sched = report.sched.expect("scheduler stats recorded");
-        assert!(
+        assert_eq!(
             sched.steals > 0,
-            "forced-steal mode produced no steals at {threads} threads: {sched:?}"
+            threads > 1,
+            "forced-steal mode at {threads} threads: {sched:?}"
         );
     }
 }
