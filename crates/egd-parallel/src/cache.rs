@@ -52,6 +52,10 @@ pub struct ConcurrentPairEvaluator {
     /// keeps between generations, with the generation planned in it:
     /// written by the caller between rounds of play, read by the players.
     matrix: RwLock<Matrix>,
+    /// Held for a whole [`ConcurrentPairEvaluator::generation_fitness`]
+    /// call, so that overlapping callers take turns and none re-plans the
+    /// matrix while another's players read its plan. Players never take it.
+    generation_guard: Mutex<()>,
     interner: CompiledInterner,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -93,6 +97,7 @@ impl ConcurrentPairEvaluator {
                 table: PayoffTable::new(config.num_ssets),
                 ..Matrix::default()
             }),
+            generation_guard: Mutex::new(()),
             interner: CompiledInterner::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -174,13 +179,15 @@ impl ConcurrentPairEvaluator {
     /// order, running [`ConcurrentPairEvaluator::play_range`] on whatever
     /// workers it has. It is not called when the retained generation
     /// answers. Bit-identical to
-    /// [`egd_core::simulation::compute_generation_fitness`].
+    /// [`egd_core::simulation::compute_generation_fitness`]. Calls that
+    /// overlap on a shared evaluator run one after the other.
     pub fn generation_fitness(
         &self,
         population: &Population,
         generation: u64,
         execute: impl FnOnce(usize) -> EgdResult<Vec<(f64, f64)>>,
     ) -> EgdResult<Vec<f64>> {
+        let _turn = self.generation_guard.lock();
         let games = {
             let mut matrix = self.matrix.write();
             let matrix = &mut *matrix;
@@ -381,6 +388,57 @@ mod tests {
                 .pair_payoff(i, &strategies[i], j, &strategies[j], 0)
                 .unwrap();
             assert_eq!(results[k], expected);
+        }
+    }
+
+    #[test]
+    fn overlapping_generation_calls_take_turns() {
+        use egd_core::simulation::compute_generation_fitness;
+        // Two callers share one evaluator, each with its own population; a
+        // pause between the halves of a generation's play gives the other
+        // caller time to try to plan over it.
+        let cfg = config(0.05);
+        let reseeded = SimulationConfig {
+            seed: 6,
+            ..cfg.clone()
+        };
+        let populations = [
+            cfg.initial_population().unwrap(),
+            reseeded.initial_population().unwrap(),
+        ];
+        let evaluator = &ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let play = |games: usize| {
+            let mut payoffs = Vec::with_capacity(games);
+            evaluator.play_range(0..games / 2, &mut payoffs)?;
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            evaluator.play_range(games / 2..games, &mut payoffs)?;
+            Ok(payoffs)
+        };
+        let got: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = populations
+                .iter()
+                .map(|population| {
+                    scope.spawn(move || {
+                        (0..6u64)
+                            .map(|generation| {
+                                evaluator
+                                    .generation_fitness(population, generation, play)
+                                    .unwrap()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (population, got) in populations.iter().zip(got) {
+            let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+            for (generation, fitness) in got.into_iter().enumerate() {
+                let expected =
+                    compute_generation_fitness(population, &mut sequential, generation as u64)
+                        .unwrap();
+                assert_eq!(fitness, expected, "generation {generation}");
+            }
         }
     }
 

@@ -423,17 +423,26 @@ where
     fn spread(&mut self, source: S, effective: usize, policy: Policy) -> Vec<WorkerOutput<R>> {
         let deck = self.deck;
         let n = source.len();
+        let stressed = stress::stress_active();
+        // Under forced steals the caller starts with an empty slot, so its
+        // first claim is a steal from a helper's segment.
+        let caller_steals = stressed && policy == Policy::Adaptive;
         // Initial contiguous segmentation: uniform blocks for plain sources
         // (identical to the legacy static chunking, so `Policy::Static`
         // reproduces the old backend exactly), cost quantiles for weighted
         // ones.
-        let mut segments = source.split_initial(effective).into_iter();
-        for slot in &deck.slots {
-            *slot.lock().expect("slot poisoned") = segments.next().filter(|s| !s.is_empty());
+        let owners = effective - usize::from(caller_steals);
+        let mut segments = source.split_initial(owners).into_iter();
+        for (id, slot) in deck.slots.iter().enumerate() {
+            let segment = if caller_steals && id == 0 {
+                None
+            } else {
+                segments.next()
+            };
+            *slot.lock().expect("slot poisoned") = segment.filter(|s| !s.is_empty());
         }
         deck.unclaimed.store(n, Ordering::SeqCst);
         deck.abort.store(false, Ordering::SeqCst);
-        let stressed = stress::stress_active();
         self.rounds = self.rounds.wrapping_add(1);
         let round = RoundParams {
             number: self.rounds,
@@ -797,24 +806,17 @@ mod tests {
 
     #[test]
     fn weighted_forced_steals_change_schedule_not_results() {
-        // Unlike the uniform split, the cost-quantile split starts balanced,
-        // so even stress mode cannot *guarantee* a steal in any single run
-        // (all thieves may find every remaining item already in flight).
-        // Retry a bounded number of independent runs: results must be
-        // identical every time, and at least one run must actually steal.
+        // The cost-quantile split starts balanced, but under stress mode the
+        // caller starts empty and steals, so every run steals.
         let weights: Vec<u64> = (0..160).map(|i| (i as u64 % 7) * 1_000 + 1).collect();
         let reference: Vec<u64> = (0..160).map(|i| (i as u64) * 13 + 5).collect();
         let _guard = force_steals();
-        let mut saw_steals = false;
         for round in 0..20 {
             let stressed = map_indexed_weighted(4, &weights, |i| (i as u64) * 13 + 5);
             assert_eq!(stressed, reference, "round {round}");
-            if take_last_run_stats().unwrap().steals > 0 {
-                saw_steals = true;
-                break;
-            }
+            let stats = take_last_run_stats().unwrap();
+            assert!(stats.steals > 0, "round {round} did not steal: {stats:?}");
         }
-        assert!(saw_steals, "no run out of 20 stole under stress mode");
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! mode makes steals certain: while a [`StressGuard`] is alive, every run
 //!
 //! * caps the adaptive block size at a few items (many steal
-//!   opportunities), and
+//!   opportunities),
 //! * injects an artificial per-block delay whose length is a hash of the
-//!   block's logical start index (strongly skewed load).
+//!   block's logical start index (strongly skewed load), and
+//! * under the adaptive policy, splits the items among the helpers alone:
+//!   the caller starts with an empty slot, so its first claim is a steal
+//!   from a segment a helper has barely begun (the per-block delays keep
+//!   the helpers from draining their segments first).
 //!
 //! Determinism tests run identical simulations with and without the guard
 //! and across worker counts: the *schedule* changes radically (steal counts
