@@ -51,14 +51,11 @@ fn bench_batched_round_robin(c: &mut Criterion) {
         .collect();
     let kernel = GameKernel::paper_defaults(KernelVariant::Optimized, MemoryDepth::ONE);
     for threads in [1usize, 4] {
-        let pool = egd_parallel::ThreadConfig::with_threads(threads)
-            .build_pool()
-            .unwrap();
         group.bench_with_input(
             BenchmarkId::new("play_batch", threads),
             &pairs,
             |bench, pairs| {
-                bench.iter(|| pool.install(|| black_box(kernel.play_batch(pairs).unwrap())));
+                bench.iter(|| black_box(kernel.play_batch(threads, pairs).unwrap()));
             },
         );
     }

@@ -146,8 +146,8 @@ pub fn measure_stochastic_kernel(workload: &Workload, reps: u32) -> StochasticKe
     }
     let paper_ns = start.elapsed().as_nanos() as f64 / games;
 
-    // Compiled rung: per-generation interning (compile each distinct
-    // strategy once per generation, exactly like the engine's interner).
+    // Compiled rung: compile each distinct strategy once per generation,
+    // exactly like the engines' evaluators.
     let start = Instant::now();
     let mut check = Vec::with_capacity(stochastic.len());
     for rep in 0..reps {
@@ -250,7 +250,7 @@ impl BatchKernelStudy {
 /// ([`egd_core::game::IpdGame::play_batched_width`]) across
 /// [`BATCH_WIDTHS`] on the stochastic cells of the workload's distinct-pair
 /// matrix, against the single-game compiled kernel as reference. Both sides
-/// re-compile per generation (the engine interner's amortisation unit) and
+/// re-compile per generation (the engines' amortisation unit) and
 /// play the engine's exact per-pair substreams; every width's outcomes are
 /// asserted bit-identical to the reference while being timed.
 pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy {

@@ -278,14 +278,6 @@ impl SupervisedExecutor {
                     });
                 }
                 Err(failure) => {
-                    // Drain any scheduler stats the failed attempt left on
-                    // this thread, so a metrics snapshot assembled after
-                    // recovery cannot merge pre-crash numbers. (Traffic
-                    // stats need no reset: each attempt's world owns a fresh
-                    // `TrafficStats` and only the successful attempt's
-                    // snapshot reaches the summary.)
-                    let _ = egd_sched::take_last_run_stats();
-
                     let fired = egd_fault::fired_events(self.supervisor.fault_domain);
                     let fired_since: &[FiredFault] = fired.get(fired_mark..).unwrap_or(&[]);
                     if fired_since.is_empty() {

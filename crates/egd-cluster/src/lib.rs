@@ -23,8 +23,8 @@
 //!   sequential reference.
 //! * [`scheduled`] — the canonical distributed backend: ranks as *tasks* on
 //!   the `egd-sched` work-stealing scheduler, with rank-named panic
-//!   containment ([`scheduled::run_rank_tasks`]) and measured load balance
-//!   reported through [`trace::LoadBalance`].
+//!   containment and measured load balance reported through
+//!   [`trace::LoadBalance`].
 //! * [`fault`] — fault tolerance over all of the above: worlds run under an
 //!   `egd-fault` injection plan (rank crashes, message drops/delays, slow
 //!   ranks), every rank checkpoints its replicated state at a configurable
@@ -61,6 +61,6 @@ pub use machine::MachineSpec;
 pub use mpi::{Communicator, PendingOp, SimWorld, TrafficSnapshot, TrafficStats, WorldFailure};
 pub use network::{CollectiveNetwork, TorusNetwork};
 pub use perf::{ScalingHarness, ScalingPoint, Workload};
-pub use scheduled::{run_rank_tasks, ScheduledConfig, ScheduledExecutor, ScheduledRunSummary};
+pub use scheduled::{ScheduledConfig, ScheduledExecutor, ScheduledRunSummary};
 pub use topology::ClusterTopology;
 pub use trace::{GenerationTrace, RankTiming, RunTrace};

@@ -17,8 +17,8 @@
 //! thread-per-rank transport its ranks are cooperative tasks too.)
 //!
 //! Rank-task failure is contained: a panicking rank body is caught inside
-//! its own task (as in [`run_rank_tasks`]) and surfaces as an error naming
-//! the rank and the panic payload — it does not poison the crew.
+//! its own task and surfaces as an error naming the rank and the panic
+//! payload — it does not poison the crew.
 //!
 //! Semantics are unchanged from the thread-per-rank executor:
 //!
@@ -286,27 +286,8 @@ impl ScheduledExecutor {
     }
 }
 
-/// Runs `body` once per rank as tasks on the `egd-sched` work-stealing
-/// scheduler (up to `threads` workers; `ranks` may far exceed it) and
-/// returns the per-rank results in rank order.
-///
-/// A panicking rank body is caught *inside its own task* and converted into
-/// an error naming the rank and carrying the panic payload, so a failing
-/// rank neither poisons the scheduler pool nor takes down its siblings.
-/// Zero ranks is a valid (empty) workload, and `ranks < threads` simply
-/// leaves workers idle. Scheduler statistics of the run are retrievable
-/// afterwards via [`egd_sched::take_last_run_stats`] on the calling thread.
-pub fn run_rank_tasks<T, F>(threads: usize, ranks: usize, body: F) -> Vec<EgdResult<T>>
-where
-    T: Send,
-    F: Fn(usize) -> EgdResult<T> + Sync,
-{
-    egd_sched::map_indexed(threads.max(1).min(ranks.max(1)), ranks, contained(&body))
-}
-
 /// Wraps a rank body so a panic is caught *inside its own task* and surfaces
-/// as an error naming the rank (shared by [`run_rank_tasks`] and the
-/// executor's crew).
+/// as an error naming the rank.
 fn contained<T, F>(body: &F) -> impl Fn(usize) -> EgdResult<T> + Sync + '_
 where
     T: Send,
@@ -452,35 +433,38 @@ mod tests {
         }
     }
 
-    /// One weighted round of rank tasks on a crew, as the executor runs
-    /// them.
-    fn weighted_rank_round<T: Send>(
+    /// Weighted rounds of rank tasks on one crew of `threads` workers, as
+    /// the executor runs them (one round per entry of `rounds`, a weight per
+    /// rank): each round's results and statistics.
+    fn weighted_rank_rounds<T: Send>(
         threads: usize,
-        weights: &[u64],
+        rounds: &[&[u64]],
         body: impl Fn(usize) -> EgdResult<T> + Sync,
-    ) -> Vec<EgdResult<T>> {
+    ) -> Vec<(Vec<EgdResult<T>>, SchedStats)> {
         egd_sched::with_crew(threads, contained(&body), |crew| {
-            crew.round(WeightedSource::new(weights)).0
+            rounds
+                .iter()
+                .map(|weights| crew.round(WeightedSource::new(weights)))
+                .collect()
         })
     }
 
     #[test]
     fn zero_ranks_is_an_empty_workload() {
-        let results: Vec<EgdResult<usize>> = run_rank_tasks(4, 0, Ok);
-        assert!(results.is_empty());
-        let weighted: Vec<EgdResult<usize>> = weighted_rank_round(4, &[], Ok);
-        assert!(weighted.is_empty());
+        let rounds = weighted_rank_rounds(4, &[&[]], Ok::<usize, _>);
+        assert!(rounds[0].0.is_empty());
     }
 
     #[test]
     fn weighted_rank_tasks_keep_rank_order_and_contain_panics() {
         let weights: Vec<u64> = (0..12).map(|r| if r < 3 { 10_000 } else { 10 }).collect();
-        let results: Vec<EgdResult<usize>> = weighted_rank_round(4, &weights, |rank| {
+        let (results, _) = weighted_rank_rounds(4, &[&weights], |rank| {
             if rank == 7 {
                 panic!("weighted failure");
             }
             Ok(rank * 3)
-        });
+        })
+        .remove(0);
         assert_eq!(results.len(), 12);
         for (rank, result) in results.iter().enumerate() {
             if rank == 7 {
@@ -557,14 +541,12 @@ mod tests {
 
     #[test]
     fn fewer_ranks_than_workers_leaves_workers_idle() {
-        // 3 ranks on an 8-worker request: results stay rank-ordered and the
-        // scheduler clamps its pool to the rank count.
-        let results: Vec<usize> = run_rank_tasks(8, 3, |rank| Ok(rank * 10))
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+        // 3 ranks on an 8-worker crew: results stay rank-ordered and the
+        // round clamps its workers to the rank count.
+        let (results, stats) = weighted_rank_rounds(8, &[&[1; 3]], |rank| Ok(rank * 10)).remove(0);
+        let results: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(results, vec![0, 10, 20]);
-        assert!(egd_sched::take_last_run_stats().unwrap().num_workers() <= 3);
+        assert!(stats.num_workers() <= 3);
 
         // The full executor agrees: more threads than ranks changes nothing.
         let cfg = sim_config(36, 12, 20);
@@ -582,12 +564,16 @@ mod tests {
 
     #[test]
     fn rank_panic_names_rank_and_spares_the_pool() {
-        let results: Vec<EgdResult<usize>> = run_rank_tasks(4, 8, |rank| {
+        // Two rounds on one crew: eight ranks, then five.
+        let mut rounds = weighted_rank_rounds(4, &[&[1; 8], &[1; 5]], |rank| {
             if rank == 5 {
                 panic!("injected failure");
             }
             Ok(rank)
-        });
+        })
+        .into_iter()
+        .map(|(results, _)| results);
+        let results = rounds.next().unwrap();
         assert_eq!(results.len(), 8);
         for (rank, result) in results.iter().enumerate() {
             if rank == 5 {
@@ -598,12 +584,14 @@ mod tests {
                 assert_eq!(*result.as_ref().unwrap(), rank);
             }
         }
-        // The pool is not poisoned: the next run on this thread succeeds.
-        let again: Vec<usize> = run_rank_tasks(4, 16, Ok)
+        // The crew is not poisoned: its next round succeeds.
+        let again: Vec<usize> = rounds
+            .next()
+            .unwrap()
             .into_iter()
             .map(|r| r.unwrap())
             .collect();
-        assert_eq!(again, (0..16).collect::<Vec<_>>());
+        assert_eq!(again, (0..5).collect::<Vec<_>>());
     }
 
     /// Checks the rank-task accounting of a run's metrics: a generation

@@ -10,8 +10,9 @@
 //! games an engine actually *plays* in a generation — the fresh
 //! deterministic ones included — are all priced as games
 //! ([`game_weight_ns`]). The outputs are the weight vectors the scheduler's
-//! cost-guided partition ([`egd_sched::map_indexed_weighted`]) and the
-//! virtual-time replay ([`egd_sched::simulate_schedule_guided`]) consume.
+//! cost-guided partition (crew rounds over an [`egd_sched::WeightedSource`]:
+//! the scheduled executor's rank tasks) and the virtual-time replay
+//! ([`egd_sched::simulate_schedule_guided`]) consume.
 //!
 //! Predictions steer only the *schedule*; results flow through the
 //! deterministic index-ordered reduction and cannot depend on them.
@@ -19,7 +20,7 @@
 use crate::model::CostModel;
 use egd_core::game::IpdGame;
 use egd_core::strategy::StrategyKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Predicted steady-state cost (ns) of one pair payoff between `a` and `b`
 /// under `game`: a retained-matrix read when the pairing is deterministic
@@ -66,83 +67,6 @@ pub fn cell_weights(
         }
     }
     weights
-}
-
-/// Exponentially-weighted moving average of *measured* per-cell costs,
-/// keyed by the `(fingerprint_a, fingerprint_b)` pair identity the engines'
-/// measured-cost tables use. The first concrete rung of the ROADMAP's
-/// "online cost-model refinement" item: observed means from previous
-/// generations seed the stochastic row prices, so partitions tighten as the
-/// population converges (the same pairings recur) instead of forever
-/// trusting the static analytic model.
-///
-/// Predictions steer only the schedule — results flow through the
-/// deterministic index-ordered reduction, so repricing can never change a
-/// fitness bit.
-#[derive(Debug, Clone)]
-pub struct MeasuredEwma {
-    alpha: f64,
-    cells: HashMap<(u64, u64), f64>,
-}
-
-impl MeasuredEwma {
-    /// Creates an empty table with smoothing factor `alpha` (clamped into
-    /// `(0, 1]`; `1.0` means "trust the latest observation completely").
-    pub fn new(alpha: f64) -> Self {
-        MeasuredEwma {
-            alpha: if alpha.is_finite() {
-                alpha.clamp(f64::EPSILON, 1.0)
-            } else {
-                1.0
-            },
-            cells: HashMap::new(),
-        }
-    }
-
-    /// Folds one observed mean (ns) for the `(a, b)` cell into the average.
-    pub fn observe(&mut self, a: u64, b: u64, mean_ns: f64) {
-        if !mean_ns.is_finite() || mean_ns < 0.0 {
-            return;
-        }
-        self.cells
-            .entry((a, b))
-            .and_modify(|v| *v += self.alpha * (mean_ns - *v))
-            .or_insert(mean_ns);
-    }
-
-    /// The current smoothed estimate for the `(a, b)` cell, if observed.
-    pub fn cell_ns(&self, a: u64, b: u64) -> Option<f64> {
-        self.cells.get(&(a, b)).copied()
-    }
-
-    /// Number of cells with at least one observation.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-/// [`game_weight_ns`] (passed in as `game_ns`: it is the same for every game
-/// of a generation) with measured-EWMA refinement: a stochastic game whose
-/// fingerprint pair has an observed smoothed cost is priced from the
-/// measurement, everything else (deterministic games, never-seen pairings)
-/// keeps the analytic price.
-pub fn refined_game_weight_ns(
-    game_ns: u64,
-    stochastic: bool,
-    fingerprints: (u64, u64),
-    ewma: &MeasuredEwma,
-) -> u64 {
-    let measured = if stochastic {
-        ewma.cell_ns(fingerprints.0, fingerprints.1)
-    } else {
-        None
-    };
-    measured.map_or(game_ns, |ns| (ns as u64).max(1))
 }
 
 /// Predicted cost of each group's full **row** of the pair matrix (group
@@ -227,6 +151,10 @@ mod tests {
         let pure_pure = weights[0];
         let mixed = weights[2];
         assert!(mixed > 20 * pure_pure, "{mixed} vs {pure_pure}");
+        // A played game is a game, whichever pair plays it: the price of
+        // the stochastic cells of the steady-state matrix.
+        assert_eq!(game_weight_ns(&model, &game), mixed);
+        assert_eq!(weights[2 * 3], mixed);
         // Row weights are the row sums of the cell matrix.
         let rows = row_weights(&model, &game, &strategies, &[0, 1, 2]);
         assert_eq!(rows[0], weights[0..3].iter().sum::<u64>());
@@ -292,74 +220,6 @@ mod tests {
             }
         }
         assert_eq!(generation_weight_ns(&model, &game(0.0), &[]), 0);
-    }
-
-    #[test]
-    fn ewma_smooths_and_clamps() {
-        let mut ewma = MeasuredEwma::new(0.5);
-        assert!(ewma.is_empty());
-        ewma.observe(1, 2, 100.0);
-        assert_eq!(ewma.cell_ns(1, 2), Some(100.0));
-        ewma.observe(1, 2, 200.0);
-        assert_eq!(ewma.cell_ns(1, 2), Some(150.0));
-        ewma.observe(1, 2, f64::NAN); // ignored
-        ewma.observe(1, 2, -5.0); // ignored
-        assert_eq!(ewma.cell_ns(1, 2), Some(150.0));
-        assert_eq!(ewma.len(), 1);
-        // Degenerate alphas clamp into (0, 1].
-        let mut eager = MeasuredEwma::new(7.0);
-        eager.observe(3, 3, 10.0);
-        eager.observe(3, 3, 40.0);
-        assert_eq!(eager.cell_ns(3, 3), Some(40.0));
-    }
-
-    #[test]
-    fn refined_weights_reprice_only_observed_stochastic_cells() {
-        let model = CostModel::blue_gene_like();
-        let game = game(0.0);
-        let strategies = sample_strategies();
-        let fingerprints: Vec<u64> = strategies.iter().map(|s| s.fingerprint()).collect();
-        // A played game is a game, whichever pair plays it: the price of
-        // the stochastic cells of the steady-state matrix.
-        let game_ns = game_weight_ns(&model, &game);
-        assert_eq!(
-            game_ns,
-            pair_weight_ns(&model, &game, &strategies[2], &strategies[0])
-        );
-        assert!(game_ns > 20 * pair_weight_ns(&model, &game, &strategies[0], &strategies[1]));
-        // The full matrix priced game by game, in `cell_weights` order.
-        let refined = |ewma: &MeasuredEwma| -> Vec<u64> {
-            (0..9)
-                .map(|idx| {
-                    let (g, h) = (idx / 3, idx % 3);
-                    let stochastic = !game.is_deterministic_for(&strategies[g], &strategies[h]);
-                    refined_game_weight_ns(
-                        game_ns,
-                        stochastic,
-                        (fingerprints[g], fingerprints[h]),
-                        ewma,
-                    )
-                })
-                .collect()
-        };
-
-        // An empty table: refinement is a no-op.
-        assert_eq!(refined(&MeasuredEwma::new(0.2)), vec![game_ns; 9]);
-
-        // Observe the (mixed, pure0) cell and a deterministic (pure0, pure1)
-        // cell: only the stochastic one repriced.
-        let mut ewma = MeasuredEwma::new(0.2);
-        ewma.observe(fingerprints[2], fingerprints[0], 123_456.0);
-        ewma.observe(fingerprints[0], fingerprints[1], 999_999.0);
-        let repriced = refined(&ewma);
-        assert_eq!(repriced[2 * 3], 123_456);
-        assert_eq!(repriced[1], game_ns, "deterministic games stay analytic");
-        // Unobserved stochastic games keep the analytic price.
-        assert_eq!(repriced[2], game_ns);
-        // Tiny measurements still yield schedulable (non-zero) weights.
-        let mut tiny = MeasuredEwma::new(0.2);
-        tiny.observe(fingerprints[2], fingerprints[2], 0.25);
-        assert_eq!(refined(&tiny)[2 * 3 + 2], 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Measured per-fingerprint item costs.
 //!
-//! The `egd-cost` model prices cells *analytically*; the ROADMAP's
-//! measured-feedback item needs the complementary table: what each distinct
-//! strategy pairing actually cost when it last ran. [`MeasuredCosts`]
-//! accumulates per-cell wall-clock samples keyed by the pair of strategy
-//! fingerprints (the same identity `egd-parallel`'s interner uses), so a
-//! follow-up PR can feed `mean_ns` back into the predictor without a new
-//! measurement layer.
+//! The `egd-cost` model prices cells *analytically*; fitting its game
+//! prices to a machine needs the complementary table: what each distinct
+//! strategy pairing actually cost when it ran. [`MeasuredCosts`] accumulates
+//! per-cell wall-clock samples keyed by the pair of strategy fingerprints
+//! (the identity of a cell of the payoff matrix). Its consumer is the
+//! ROADMAP's cost-model fit, which scales per-class game prices to these
+//! per-pair marginals; no schedule is repriced from it.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -68,16 +68,6 @@ impl MeasuredCosts {
     /// Total samples across all cells.
     pub fn total_samples(&self) -> u64 {
         self.cells.values().map(|s| s.samples).sum()
-    }
-
-    /// Iterates the sampled cells as `((fp_a, fp_b), mean_ns)` in
-    /// deterministic key order — the shape `egd_cost`'s measured-EWMA
-    /// repricing consumes.
-    pub fn mean_iter(&self) -> impl Iterator<Item = ((u64, u64), f64)> + '_ {
-        self.cells
-            .iter()
-            .filter(|(_, s)| s.samples > 0)
-            .map(|(&key, s)| (key, s.mean_ns()))
     }
 
     /// Merges another table into this one.

@@ -44,7 +44,7 @@ pub enum SpanKind {
     CellMatrix,
     /// One distinct-pair cell (payload: cell index `g * num_groups + h`).
     Cell,
-    /// Compiling/interning one strategy (payload: fingerprint).
+    /// Compiling one strategy (payload: fingerprint).
     Compile,
     /// One async rank task's execution slice (payload: rank).
     RankTask,

@@ -14,8 +14,9 @@
 //! chunk's stochastic games are the lanes of one block-kernel call
 //! ([`egd_core::simulation::PairKernel::play_games`] →
 //! [`egd_core::game::IpdGame::play_block`]) on strategies compiled once per
-//! group per generation ([`crate::intern::CompiledInterner`]); its fresh
-//! deterministic games are played on the spot.
+//! group per generation into the planned matrix, exactly as
+//! [`egd_core::simulation::PairEvaluator::block_fitness`] compiles them; its
+//! fresh deterministic games are played on the spot.
 //!
 //! Callers that ask for single pairs
 //! ([`ConcurrentPairEvaluator::pair_payoff`]: the benchmarks' cost probes)
@@ -23,7 +24,6 @@
 //! [`egd_core::simulation::PairEvaluator::pair_payoff`] keeps, behind a
 //! mutex. No engine probes it.
 
-use crate::intern::CompiledInterner;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 use egd_core::game::{CompiledStrategy, IpdGame};
@@ -31,12 +31,11 @@ use egd_core::payoff_table::{PayoffTable, PayoffTableStats, PlannedCells};
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairKernel};
 use egd_core::strategy::StrategyKind;
-use egd_obs::MetricsSnapshot;
+use egd_obs::{obs_span, MetricsSnapshot, SpanKind};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A concurrent pairwise-payoff evaluator, semantically identical to
 /// [`egd_core::simulation::PairEvaluator`] but callable from many threads at
@@ -56,7 +55,8 @@ pub struct ConcurrentPairEvaluator {
     /// call, so that overlapping callers take turns and none re-plans the
     /// matrix while another's players read its plan. Players never take it.
     generation_guard: Mutex<()>,
-    interner: CompiledInterner,
+    /// Strategy compilations performed so far.
+    compiles: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -78,9 +78,10 @@ pub fn record_table_counters(snap: &mut MetricsSnapshot, stats: &PayoffTableStat
 #[derive(Debug, Default)]
 struct Matrix {
     table: PayoffTable,
-    /// Compiled strategy per group of the planned generation; empty when no
-    /// cell is stochastic.
-    compiled: Vec<Arc<CompiledStrategy>>,
+    /// Compiled strategy per group of the last generation that had a
+    /// stochastic cell to play; kept, unread, through generations that
+    /// compile nothing.
+    compiled: Vec<CompiledStrategy>,
     generation: u64,
 }
 
@@ -98,7 +99,7 @@ impl ConcurrentPairEvaluator {
                 ..Matrix::default()
             }),
             generation_guard: Mutex::new(()),
-            interner: CompiledInterner::new(),
+            compiles: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -135,7 +136,7 @@ impl ConcurrentPairEvaluator {
         self.matrix.read().table.stats()
     }
 
-    /// Adds the evaluator's cache, payoff-table and interner counters to a
+    /// Adds the evaluator's cache, payoff-table and compile counters to a
     /// metrics snapshot.
     pub fn record_counters(&self, snap: &mut MetricsSnapshot) {
         snap.add_counter("pair_cache_hits", self.cache_hits());
@@ -146,30 +147,24 @@ impl ConcurrentPairEvaluator {
         snap.add_counter("strategy_compiles", self.strategy_compiles());
     }
 
-    /// Strategies interned for the active generation.
+    /// Strategies compiled for the last generation that compiled any: its
+    /// group count.
     pub fn interned_strategies(&self) -> usize {
-        self.interner.len()
+        self.matrix.read().compiled.len()
     }
 
     /// Strategy compilations performed so far (each one is a `Compile` span
     /// while tracing is enabled).
     pub fn strategy_compiles(&self) -> u64 {
-        self.interner.compiles()
+        self.compiles.load(Ordering::Relaxed)
     }
 
-    /// The compiled strategy of every group representative, interned for
-    /// `generation` (one compile per distinct strategy).
-    fn compiled_groups(
-        &self,
-        generation: u64,
-        strategies: &[StrategyKind],
-        group_rep: &[usize],
-    ) -> Vec<Arc<CompiledStrategy>> {
-        self.interner.prepare(generation, strategies, group_rep);
-        group_rep
-            .iter()
-            .map(|&i| self.interner.compiled_for(generation, &strategies[i]))
-            .collect()
+    /// Compiles one strategy under a `Compile` span (payload: fingerprint).
+    fn compile(&self, strategy: &StrategyKind) -> CompiledStrategy {
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        obs_span!(SpanKind::Compile, strategy.fingerprint(), {
+            CompiledStrategy::compile(strategy)
+        })
     }
 
     /// Computes the fitness of every SSet for one generation through the
@@ -203,14 +198,17 @@ impl ConcurrentPairEvaluator {
                 .table
                 .planned()
                 .expect("a generation was just planned");
-            // Hoist compilation out of the cell loop: once per distinct
-            // strategy per generation, and only when a game needs it.
-            matrix.compiled = if cells.stochastic_len() > 0 {
-                let group_rep = &cells.grouping().group_rep;
-                self.compiled_groups(generation, population.strategies(), group_rep)
-            } else {
-                Vec::new()
-            };
+            // Compiled once per group per generation, and only when a game
+            // needs it.
+            if cells.stochastic_len() > 0 {
+                let strategies = population.strategies();
+                matrix.compiled = cells
+                    .grouping()
+                    .group_rep
+                    .iter()
+                    .map(|&i| self.compile(&strategies[i]))
+                    .collect();
+            }
             matrix.generation = generation;
             cells.len()
         };
@@ -237,7 +235,7 @@ impl ConcurrentPairEvaluator {
         let group_of = &cells.grouping().group_of;
         self.kernel.play_games(
             cells.iter_from(range.start).take(range.len()),
-            |i| &*matrix.compiled[group_of[i]],
+            |i| &matrix.compiled[group_of[i]],
             matrix.generation,
             out,
         )
@@ -280,14 +278,10 @@ impl ConcurrentPairEvaluator {
                 return Ok(hit);
             }
         }
-        // The game is played outside the memo's lock.
-        let interned = (!cacheable).then(|| {
-            (
-                self.interner.compiled_for(generation, a),
-                self.interner.compiled_for(generation, b),
-            )
-        });
-        let compiled = interned.as_ref().map(|(ca, cb)| (&**ca, &**cb));
+        // The game is played outside the memo's lock. Compiled per call, as
+        // the sequential evaluator does: no engine asks for single pairs.
+        let compiled = (!cacheable).then(|| (self.compile(a), self.compile(b)));
+        let compiled = compiled.as_ref().map(|(ca, cb)| (ca, cb));
         let result = self
             .kernel
             .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
@@ -368,20 +362,17 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        use rayon::prelude::*;
         let cfg = config(0.0);
         let population = cfg.initial_population().unwrap();
         let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
         let strategies = population.strategies();
         let pairs: Vec<(usize, usize)> = (0..8).flat_map(|i| (0..8).map(move |j| (i, j))).collect();
-        let results: Vec<(f64, f64)> = pairs
-            .par_iter()
-            .map(|&(i, j)| {
-                evaluator
-                    .pair_payoff(i, &strategies[i], j, &strategies[j], 0)
-                    .unwrap()
-            })
-            .collect();
+        let results: Vec<(f64, f64)> = egd_sched::map_indexed(4, pairs.len(), |k| {
+            let (i, j) = pairs[k];
+            evaluator
+                .pair_payoff(i, &strategies[i], j, &strategies[j], 0)
+                .unwrap()
+        });
         // Re-evaluate sequentially and compare.
         for (k, &(i, j)) in pairs.iter().enumerate() {
             let expected = evaluator
@@ -440,6 +431,123 @@ mod tests {
                 assert_eq!(fitness, expected, "generation {generation}");
             }
         }
+    }
+
+    /// Plays one generation through `evaluator` in chunks of
+    /// [`PairKernel::CHUNK_GAMES`] games, as the engine does, checks it
+    /// against the sequential reference, and returns its fitness and the
+    /// number of strategies it compiled.
+    fn generation_with_compiles(
+        evaluator: &ConcurrentPairEvaluator,
+        sequential: &mut PairEvaluator,
+        population: &Population,
+        generation: u64,
+    ) -> (Vec<f64>, u64) {
+        use egd_core::simulation::compute_generation_fitness;
+        let before = evaluator.strategy_compiles();
+        let fitness = evaluator
+            .generation_fitness(population, generation, |games| {
+                let mut payoffs = Vec::with_capacity(games);
+                for start in (0..games).step_by(PairKernel::CHUNK_GAMES) {
+                    evaluator.play_range(start..start + PairKernel::CHUNK_GAMES, &mut payoffs)?;
+                }
+                Ok(payoffs)
+            })
+            .unwrap();
+        let expected = compute_generation_fitness(population, sequential, generation).unwrap();
+        assert_eq!(fitness, expected, "generation {generation}");
+        (fitness, evaluator.strategy_compiles() - before)
+    }
+
+    #[test]
+    fn a_generation_with_a_stochastic_game_compiles_each_group_once() {
+        use egd_core::grouping::StrategyGrouping;
+        use egd_core::rng::{stream, StreamKind};
+        use egd_core::strategy::{MixedStrategy, StrategySpace};
+        let configure = |noise: f64| {
+            SimulationConfig::builder()
+                .memory(MemoryDepth::ONE)
+                .num_ssets(24)
+                .rounds_per_game(30)
+                .noise(noise)
+                .mutation_rate(0.2)
+                .seed(11)
+                .build()
+                .unwrap()
+        };
+        let groups = |population: &Population| {
+            let g = StrategyGrouping::of(population.strategies()).num_groups();
+            assert!(g * g > 2 * PairKernel::CHUNK_GAMES, "several chunks");
+            g as u64
+        };
+
+        // Noisy: every cell is stochastic, so no generation is reused and
+        // each compiles every group once, however many chunks play it.
+        let cfg = configure(0.05);
+        let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let nature = cfg.nature_agent().unwrap();
+        let mut population = cfg.initial_population().unwrap();
+        for generation in 0..6 {
+            let g = groups(&population);
+            let (fitness, compiled) =
+                generation_with_compiles(&evaluator, &mut sequential, &population, generation);
+            assert_eq!(compiled, g, "generation {generation}");
+            assert_eq!(evaluator.interned_strategies() as u64, g);
+            nature
+                .evolve(generation, &fitness, &mut population)
+                .unwrap();
+        }
+
+        // Noise-free: pure generations compile nothing, planned or reused,
+        // and keep the count of the last generation that compiled.
+        let cfg = configure(0.0);
+        let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let pure = cfg.initial_population().unwrap();
+        let mut rng = stream(11, StreamKind::InitialStrategy, 1);
+        let mut strategies = pure.strategies().to_vec();
+        for strategy in strategies.iter_mut().step_by(3) {
+            *strategy = StrategyKind::Mixed(MixedStrategy::random(MemoryDepth::ONE, &mut rng));
+        }
+        let mixed = Population::from_strategies(
+            StrategySpace::mixed(MemoryDepth::ONE),
+            cfg.agents_per_sset,
+            strategies,
+        )
+        .unwrap();
+        let mixed_groups = groups(&mixed);
+        // (population, compiles, interned, reused)
+        let steps = [
+            (&pure, 0, 0, false),
+            (&pure, 0, 0, true),
+            (&mixed, mixed_groups, mixed_groups, false),
+            (&pure, 0, mixed_groups, false),
+            (&pure, 0, mixed_groups, true),
+        ];
+        for (generation, (population, compiles, interned, reused)) in steps.into_iter().enumerate()
+        {
+            let generation = generation as u64;
+            let reused_before = evaluator.table_stats().generations_reused;
+            let (_, compiled) =
+                generation_with_compiles(&evaluator, &mut sequential, population, generation);
+            assert_eq!(compiled, compiles, "generation {generation}");
+            assert_eq!(
+                evaluator.interned_strategies() as u64,
+                interned,
+                "generation {generation}"
+            );
+            assert_eq!(
+                evaluator.table_stats().generations_reused - reused_before,
+                u64::from(reused),
+                "generation {generation}"
+            );
+        }
+        assert_eq!(
+            evaluator.strategy_compiles(),
+            mixed_groups,
+            "only the mixed generation compiled"
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! ([`FitnessBackend::run_generations`]) and hands it one round per
 //! generation that plays anything: its work items are chunks of the
 //! generation's planned list, which the crew's fixed job reads from the
-//! evaluator ([`ConcurrentPairEvaluator::play_range`]). A lone
+//! evaluator ([`ConcurrentPairEvaluator::play_range`]). Every planned game
+//! is priced as one game, so every chunk but the shorter last one weighs
+//! the same: a round's source is a plain range of chunks, whose uniform
+//! initial split is already the cost-proportional one. A lone
 //! [`ParallelEngine::compute_fitness`] call is a crew of one round.
 
 use crate::cache::ConcurrentPairEvaluator;
@@ -23,23 +26,20 @@ use egd_core::error::EgdResult;
 pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessBackend, FitnessMode, PairKernel, RunFitness};
-use egd_cost::predict::MeasuredEwma;
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
-use egd_sched::{SchedStats, WeightedSource};
+use egd_sched::source::RangeSource;
+use egd_sched::SchedStats;
 use parking_lot::Mutex;
 
-/// A round of play: the chunk weights in, each chunk's payoffs (in chunk
+/// A round of play: the number of chunks in, each chunk's payoffs (in chunk
 /// order) and the round's statistics out.
-type Round<'r> = dyn FnMut(&[u64]) -> (Vec<EgdResult<Vec<(f64, f64)>>>, SchedStats) + 'r;
+type Round<'r> = dyn FnMut(usize) -> (Vec<EgdResult<Vec<(f64, f64)>>>, SchedStats) + 'r;
 
 /// The parallel fitness engine.
 #[derive(Debug)]
 pub struct ParallelEngine {
     evaluator: ConcurrentPairEvaluator,
     threads: ThreadConfig,
-    /// Prices work items for the cost-guided initial partition (fixed
-    /// Blue Gene-like constants: deterministic, machine-independent).
-    cost_model: egd_cost::CostModel,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
     /// Scheduler statistics merged over every generation the engine
@@ -49,11 +49,6 @@ pub struct ParallelEngine {
     /// while tracing is enabled (the feedback table the cost layer can
     /// calibrate against).
     measured: Mutex<MeasuredCosts>,
-    /// Optional measured-cost repricing (off by default): when set, the
-    /// measured means are folded into this EWMA at the start of every
-    /// fitness call and seed the stochastic cell weights of the cost-guided
-    /// partition. Steers only the schedule, never the results.
-    repricing: Mutex<Option<MeasuredEwma>>,
 }
 
 impl ParallelEngine {
@@ -67,39 +62,10 @@ impl ParallelEngine {
         Ok(ParallelEngine {
             evaluator: ConcurrentPairEvaluator::new(config, mode)?,
             threads,
-            cost_model: egd_cost::CostModel::blue_gene_like(),
             last_sched: Mutex::new(None),
             run_sched: None,
             measured: Mutex::new(MeasuredCosts::default()),
-            repricing: Mutex::new(None),
         })
-    }
-
-    /// Enables measured-cost repricing with smoothing factor `alpha`: cell
-    /// means accumulated while tracing (see
-    /// [`ParallelEngine::measured_costs`]) are folded into an EWMA before
-    /// each fitness call and replace the analytic prices of *observed
-    /// stochastic* cells in the cost-guided partition. Off by default.
-    /// Repricing can never change fitness — predictions steer only the
-    /// schedule, and results flow through the deterministic reduction.
-    pub fn enable_measured_repricing(&self, alpha: f64) {
-        *self.repricing.lock() = Some(MeasuredEwma::new(alpha));
-    }
-
-    /// Disables measured-cost repricing and drops the EWMA table.
-    pub fn disable_measured_repricing(&self) {
-        *self.repricing.lock() = None;
-    }
-
-    /// Number of cells currently repriced from measurements (0 while the
-    /// flag is off or before anything has been measured).
-    pub fn repriced_cells(&self) -> usize {
-        self.repricing.lock().as_ref().map_or(0, MeasuredEwma::len)
-    }
-
-    /// The cost model pricing the engine's initial partitions.
-    pub fn cost_model(&self) -> &egd_cost::CostModel {
-        &self.cost_model
     }
 
     /// The thread configuration in use.
@@ -139,7 +105,7 @@ impl ParallelEngine {
     }
 
     /// The engine's unified metrics snapshot: the scheduler worker table of
-    /// the most recent fitness computation plus pair-cache and interner
+    /// the most recent fitness computation plus pair-cache and compile
     /// counters.
     pub fn metrics(&self, label: &str) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::labelled(label);
@@ -163,12 +129,12 @@ impl ParallelEngine {
     /// played — in parallel, on a crew opened for this call — and scattered
     /// into the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
-        self.fitness_on(population, generation, &mut |weights| {
-            let workers = self.threads.effective_threads().min(weights.len());
+        self.fitness_on(population, generation, &mut |chunks| {
+            let workers = self.threads.effective_threads().min(chunks);
             egd_sched::with_crew(
                 workers,
                 |c: usize| self.play_chunk(c),
-                |crew| crew.round(WeightedSource::new(weights)),
+                |crew| crew.round(RangeSource::new(chunks)),
             )
         })
     }
@@ -188,9 +154,9 @@ impl ParallelEngine {
                     // Nothing entered the population: no round.
                     return Ok(Vec::new());
                 }
-                let weights = self.chunk_weights(games);
+                let chunks = games.div_ceil(PairKernel::CHUNK_GAMES);
                 let (played, stats) = egd_obs::obs_span!(SpanKind::CellMatrix, games as u64, {
-                    egd_sched::with_policy(self.threads.policy, || round(&weights))
+                    egd_sched::with_policy(self.threads.policy, || round(chunks))
                 });
                 *self.last_sched.lock() = Some(stats);
                 let mut payoffs = Vec::with_capacity(games);
@@ -199,48 +165,6 @@ impl ParallelEngine {
                 }
                 Ok(payoffs)
             })
-    }
-
-    /// The weight of each work item of a generation of `games` games. A
-    /// work item is a chunk of the list. The initial per-worker segments are
-    /// seeded from the cost-proportional partition of the games actually
-    /// played, so both the static and the adaptive policy start balanced and
-    /// stealing only corrects prediction error: a chunk weighs the sum of
-    /// its games' prices. Every planned game is priced as a game — a fresh
-    /// deterministic one too: it is played, not probed. With repricing
-    /// enabled, measured means from earlier generations replace the analytic
-    /// price of observed stochastic games.
-    fn chunk_weights(&self, games: usize) -> Vec<u64> {
-        let game_ns = egd_cost::predict::game_weight_ns(&self.cost_model, self.evaluator.game());
-        let chunk_len = |c: usize| chunk(games, c).len() as u64;
-        let chunks = games.div_ceil(PairKernel::CHUNK_GAMES);
-        match self.repricing.lock().as_mut() {
-            None => (0..chunks).map(|c| game_ns * chunk_len(c)).collect(),
-            Some(ewma) => {
-                for ((a, b), mean) in self.measured.lock().mean_iter() {
-                    ewma.observe(a, b, mean);
-                }
-                self.evaluator.with_planned(|cells| {
-                    let mut cells = cells.iter();
-                    (0..chunks)
-                        .map(|c| {
-                            cells
-                                .by_ref()
-                                .take(chunk(games, c).len())
-                                .map(|game| {
-                                    egd_cost::predict::refined_game_weight_ns(
-                                        game_ns,
-                                        !game.cacheable,
-                                        game.fingerprints,
-                                        ewma,
-                                    )
-                                })
-                                .sum()
-                        })
-                        .collect()
-                })
-            }
-        }
     }
 
     /// Plays work item `c` of the planned generation. While tracing, the
@@ -271,13 +195,6 @@ impl ParallelEngine {
     }
 }
 
-/// Work item `c` of a list of `games` games: [`PairKernel::CHUNK_GAMES`]
-/// consecutive games, the last item shorter.
-fn chunk(games: usize, c: usize) -> std::ops::Range<usize> {
-    let start = c * PairKernel::CHUNK_GAMES;
-    start..games.min(start + PairKernel::CHUNK_GAMES)
-}
-
 impl FitnessBackend for ParallelEngine {
     fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
         let fitness = self.compute_fitness(population, generation)?;
@@ -301,8 +218,8 @@ impl FitnessBackend for ParallelEngine {
             |c: usize| engine.play_chunk(c),
             |crew| {
                 generations(&mut |population, generation| {
-                    let fitness = engine.fitness_on(population, generation, &mut |weights| {
-                        crew.round(WeightedSource::new(weights))
+                    let fitness = engine.fitness_on(population, generation, &mut |chunks| {
+                        crew.round(RangeSource::new(chunks))
                     })?;
                     if let Some(stats) = engine.last_sched.lock().as_ref() {
                         bank(&mut banked, stats);
@@ -478,36 +395,6 @@ mod tests {
         assert!(costs.mean_ns(fps[0], fps[0]).is_some());
         assert!(engine.take_measured_costs().total_samples() > 0);
         assert!(engine.measured_costs().is_empty(), "take clears the table");
-    }
-
-    #[test]
-    fn measured_repricing_keeps_results_and_seeds_weights() {
-        let _guard = egd_obs::session_guard();
-        let cfg = config(0.05, 27); // noise: every cell is stochastic
-        let population = cfg.initial_population().unwrap();
-        let plain =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        let repriced =
-            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
-                .unwrap();
-        repriced.enable_measured_repricing(0.3);
-        assert_eq!(repriced.repriced_cells(), 0, "no measurements yet");
-        egd_obs::enable_tracing();
-        for generation in 0..3 {
-            let a = plain.compute_fitness(&population, generation).unwrap();
-            let b = repriced.compute_fitness(&population, generation).unwrap();
-            assert_eq!(a, b, "repricing must not change fitness");
-        }
-        egd_obs::disable_tracing();
-        // Generations 1+ fed generation-0 measurements into the EWMA.
-        assert!(
-            repriced.repriced_cells() > 0,
-            "EWMA seeded from measurements"
-        );
-        assert!(!repriced.measured_costs().is_empty());
-        repriced.disable_measured_repricing();
-        assert_eq!(repriced.repriced_cells(), 0);
     }
 
     #[test]

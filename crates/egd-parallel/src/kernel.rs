@@ -240,7 +240,8 @@ impl GameKernel {
         Ok(())
     }
 
-    /// Plays a batch of pairings on the work-stealing scheduler, returning
+    /// Plays a batch of pairings on up to `threads` workers of the
+    /// work-stealing scheduler ([`egd_sched::map_indexed`]), returning
     /// `(to_a, to_b)` per pairing in input order. Standalone batch entry
     /// point for harnesses that drive the kernels directly (the
     /// `game_kernel` criterion bench, ablation studies); the generation
@@ -252,19 +253,16 @@ impl GameKernel {
     /// skew.
     pub fn play_batch(
         &self,
+        threads: usize,
         pairs: &[(&PureStrategy, &PureStrategy)],
     ) -> EgdResult<Vec<(f64, f64)>> {
-        use rayon::prelude::*;
         let blocks: Vec<&[(&PureStrategy, &PureStrategy)]> =
             pairs.chunks(PairKernel::CHUNK_GAMES).collect();
-        let played = blocks
-            .par_iter()
-            .map(|block| {
-                let mut payoffs = vec![(0.0, 0.0); block.len()];
-                self.play_block(block, &mut payoffs)?;
-                Ok(payoffs)
-            })
-            .collect::<Vec<EgdResult<Vec<(f64, f64)>>>>();
+        let played = egd_sched::map_indexed(threads, blocks.len(), |k| {
+            let mut payoffs = vec![(0.0, 0.0); blocks[k].len()];
+            self.play_block(blocks[k], &mut payoffs)?;
+            Ok(payoffs)
+        });
         let mut payoffs = Vec::with_capacity(pairs.len());
         for block in played {
             payoffs.extend(block?);
@@ -334,11 +332,15 @@ mod tests {
         // rungs' per-game loop and the optimised rung's block walk alike.
         for variant in KernelVariant::LADDER {
             let kernel = GameKernel::paper_defaults(variant, MemoryDepth::ONE);
-            let batch = kernel.play_batch(&pairs[..pairs.len() - 3]).unwrap();
-            assert_eq!(batch.len(), pairs.len() - 3);
-            for ((a, b), payoffs) in pairs.iter().zip(&batch) {
-                let reference = kernel.play(a, b).unwrap();
-                assert_eq!(*payoffs, (reference.fitness_a, reference.fitness_b));
+            for threads in [1, 4] {
+                let batch = kernel
+                    .play_batch(threads, &pairs[..pairs.len() - 3])
+                    .unwrap();
+                assert_eq!(batch.len(), pairs.len() - 3);
+                for ((a, b), payoffs) in pairs.iter().zip(&batch) {
+                    let reference = kernel.play(a, b).unwrap();
+                    assert_eq!(*payoffs, (reference.fitness_a, reference.fitness_b));
+                }
             }
         }
     }

@@ -34,7 +34,6 @@
 
 pub mod cache;
 pub mod engine;
-pub mod intern;
 pub mod kernel;
 pub mod partition;
 pub mod simulation;
@@ -43,7 +42,6 @@ pub mod thread_pool;
 pub use cache::ConcurrentPairEvaluator;
 pub use egd_core::grouping::{self, StrategyGrouping};
 pub use engine::{GenerationTiming, ParallelEngine};
-pub use intern::{CompiledInterner, FingerprintBuildHasher, FingerprintMap};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
 pub use partition::SSetPartition;
 pub use simulation::{ParallelReport, ParallelSimulation};

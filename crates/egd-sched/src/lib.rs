@@ -2,8 +2,8 @@
 //!
 //! An adaptive work-stealing scheduler with **deterministic index-ordered
 //! reduction** — the execution backend behind the workspace's data-parallel
-//! layers (the vendored rayon's `par_iter` entry points, `egd-parallel`'s
-//! generation engine, and `egd-cluster`'s scheduled executor).
+//! layers: `egd-parallel`'s generation engine and `egd-cluster`'s scheduled
+//! executor, each of which keeps one [`Crew`] for a whole run.
 //!
 //! ## Why it exists
 //!
@@ -15,15 +15,14 @@
 //! load-imbalance collapse the source paper's Table VI reports when SSets per
 //! processor drops below one).
 //!
-//! ## Execution model (rayon-adaptive style)
+//! ## Execution model (adaptive work stealing)
 //!
 //! * Work is a logical index range `0..n` over items. It is pre-split into
 //!   one contiguous **segment per worker** held in a per-worker slot —
 //!   uniform item blocks by default, or segments bounded at the **cost
-//!   quantiles** of predicted per-item weights when the cost-guided
-//!   partition is active ([`map_indexed_weighted`] / [`WeightedSource`]),
-//!   so stealing only has to correct the prediction error rather than the
-//!   whole skew.
+//!   quantiles** of predicted per-item weights for a [`WeightedSource`]
+//!   (the scheduled executor's rank tasks), so stealing only has to correct
+//!   the prediction error rather than the whole skew.
 //! * Each worker repeatedly claims an **adaptive block** from the *front* of
 //!   its own segment (block size starts small and doubles up to a cap, so
 //!   sequential throughput is amortised while steal granularity stays fine),
@@ -38,8 +37,8 @@
 //! * The workers are a [`Crew`] ([`with_crew`]): the caller plus helpers
 //!   spawned once and kept for a whole run, which execute one parallel
 //!   section — a **round** — per generation, and poll, then park, in
-//!   between. The one-call entry points ([`map_indexed`] and friends) are
-//!   crews of one round.
+//!   between. The one-call entry point, [`map_indexed`], is a crew of one
+//!   round.
 //!
 //! ## Determinism contract
 //!
@@ -54,8 +53,9 @@
 //!
 //! ## Instrumentation
 //!
-//! Every run records [`SchedStats`]: steal counts, per-worker processed
-//! items, and per-worker busy time (exact per-block wall spans).
+//! Every round returns its [`SchedStats`] beside its results
+//! ([`Crew::round`]): steal counts, per-worker processed items, and
+//! per-worker busy time (exact per-block wall spans).
 //! [`SchedStats::critical_path_ns`] — the busiest worker's busy time — is
 //! the wall-clock an unloaded machine with `workers` cores would see. On a
 //! host with fewer cores than workers, wall spans conflate time-sharing, so
@@ -73,14 +73,12 @@ pub mod stats;
 pub mod stress;
 pub mod weighted;
 
-pub use scheduler::{
-    live_helpers, map_collect, map_indexed, map_indexed_weighted, with_crew, Crew, SPIN_WINDOW,
-};
+pub use scheduler::{live_helpers, map_indexed, with_crew, Crew, SPIN_WINDOW};
 pub use simulate::{
     simulate_schedule, simulate_schedule_guided, simulate_schedule_guided_recorded,
     simulate_schedule_recorded, SimOutcome,
 };
-pub use stats::{last_run_stats, max_over_mean, take_last_run_stats, SchedStats, WorkerStats};
+pub use stats::{max_over_mean, SchedStats, WorkerStats};
 pub use stress::{delay_helpers, force_steals, DelayGuard, StressGuard};
 pub use weighted::{weighted_ranges, WeightedSource};
 

@@ -17,8 +17,7 @@
 //! The job is fixed for the crew's life because the workspace forbids unsafe
 //! code: a helper cannot run a closure that borrows one round's data, so a
 //! round's input lives in state the job reads (a lock the caller writes
-//! between rounds). [`map_indexed`], [`map_indexed_weighted`] and
-//! [`map_collect`] are crews of one round.
+//! between rounds). [`map_indexed`] is a crew of one round.
 //!
 //! A helper joins a round only while it is open. Once every item is claimed
 //! the caller closes the round and waits for the helpers inside it alone, so
@@ -48,9 +47,8 @@
 //! by sorting on `logical_start` — the fixed-shape, index-keyed reduction
 //! that makes output independent of the steal schedule.
 
-use crate::source::{RangeSource, VecSource, WorkSource};
-use crate::stats::{clear_last_run, record_last_run, SchedStats, WorkerStats};
-use crate::weighted::WeightedSource;
+use crate::source::{RangeSource, WorkSource};
+use crate::stats::{SchedStats, WorkerStats};
 use crate::{stress, Policy};
 use egd_obs::{SpanKind, SpanTimer};
 use std::any::Any;
@@ -615,66 +613,34 @@ fn assemble<R>(mut blocks: Vec<(usize, Vec<R>)>, n: usize) -> Vec<R> {
     })
 }
 
-/// A crew of one round over `source`, with at most one worker per item;
-/// its statistics become this thread's last run.
-fn one_round<S, R>(workers: usize, source: S, f: impl Fn(S::Item) -> R + Sync) -> Vec<R>
-where
-    S: WorkSource,
-    R: Send,
-{
-    // A panic unwinding through the round must not leave the previous
-    // run's snapshot in the caller's thread-local slot.
-    clear_last_run();
-    let workers = workers.max(1).min(source.len().max(1));
-    let (results, stats) = with_crew(workers, f, |crew| crew.round(source));
-    record_last_run(stats);
-    results
-}
-
 /// Maps `f` over `0..n` on up to `workers` threads with work stealing,
-/// returning results in index order. Statistics of the run are retrievable
-/// afterwards via [`crate::take_last_run_stats`] on the calling thread.
+/// returning results in index order: a crew of one round, with at most one
+/// worker per item.
 pub fn map_indexed<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    one_round(workers, RangeSource::new(n), f)
-}
-
-/// Maps `f` over `0..weights.len()` on up to `workers` threads, seeding the
-/// initial per-worker segments at the **cost quantiles** of `weights` (the
-/// predicted per-item costs) and splitting steals at the victim's cost
-/// midpoint. Results are returned in index order — identical to
-/// [`map_indexed`], only the schedule differs. Statistics of the run are
-/// retrievable afterwards via [`crate::take_last_run_stats`] on the calling
-/// thread.
-pub fn map_indexed_weighted<R, F>(workers: usize, weights: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    one_round(workers, WeightedSource::new(weights), f)
-}
-
-/// Maps `f` over owned `items` on up to `workers` threads with work
-/// stealing, returning results in input order. Statistics of the run are
-/// retrievable afterwards via [`crate::take_last_run_stats`] on the calling
-/// thread.
-pub fn map_collect<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    one_round(workers, VecSource::new(items), f)
+    let workers = workers.max(1).min(n.max(1));
+    with_crew(workers, f, |crew| crew.round(RangeSource::new(n))).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{delay_helpers, force_steals, take_last_run_stats, with_policy};
+    use crate::{delay_helpers, force_steals, with_policy, WeightedSource};
     use std::sync::mpsc::{channel, RecvTimeoutError};
+
+    /// One round over `source` on a crew of up to `workers` workers (at
+    /// most one per item): its results and its statistics.
+    fn one_round<S: WorkSource, R: Send>(
+        workers: usize,
+        source: S,
+        f: impl Fn(S::Item) -> R + Sync,
+    ) -> (Vec<R>, SchedStats) {
+        let workers = workers.max(1).min(source.len().max(1));
+        with_crew(workers, f, |crew| crew.round(source))
+    }
 
     #[test]
     fn map_indexed_matches_sequential_for_any_worker_count() {
@@ -686,29 +652,19 @@ mod tests {
     }
 
     #[test]
-    fn map_collect_preserves_input_order() {
-        let items: Vec<String> = (0..257).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<String> = items.iter().map(|s| s.to_uppercase()).collect();
-        for workers in [1, 2, 4, 5] {
-            let got = map_collect(workers, items.clone(), |s| s.to_uppercase());
-            assert_eq!(got, expected, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_inputs() {
         let empty: Vec<u32> = map_indexed(4, 0, |i| i as u32);
         assert!(empty.is_empty());
         assert_eq!(map_indexed(4, 1, |i| i), vec![0]);
-        assert_eq!(map_collect(8, vec![42], |x: i32| x * 2), vec![84]);
     }
 
     #[test]
     fn static_policy_never_steals_and_matches() {
         let expected: Vec<usize> = (0..500).map(|i| i * i).collect();
-        let got = with_policy(Policy::Static, || map_indexed(4, 500, |i| i * i));
+        let (got, stats) = with_policy(Policy::Static, || {
+            one_round(4, RangeSource::new(500), |i| i * i)
+        });
         assert_eq!(got, expected);
-        let stats = take_last_run_stats().unwrap();
         assert_eq!(stats.policy, Policy::Static);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.items, 500);
@@ -727,9 +683,8 @@ mod tests {
             acc
         };
         let expected: Vec<u64> = (0..256).map(work).collect();
-        let got = map_indexed(4, 256, work);
+        let (got, stats) = one_round(4, RangeSource::new(256), work);
         assert_eq!(got, expected);
-        let stats = take_last_run_stats().unwrap();
         assert_eq!(stats.items, 256);
         assert!(
             stats.steals > 0,
@@ -745,12 +700,11 @@ mod tests {
         let relaxed = map_indexed(4, 200, work);
         assert_eq!(relaxed, reference);
 
-        let stressed = {
+        let (stressed, stats) = {
             let _guard = force_steals();
-            map_indexed(4, 200, work)
+            one_round(4, RangeSource::new(200), work)
         };
         assert_eq!(stressed, reference);
-        let stats = take_last_run_stats().unwrap();
         assert!(
             stats.steals > 0,
             "stress mode must force steals, stats: {stats:?}"
@@ -759,8 +713,7 @@ mod tests {
 
     #[test]
     fn stats_account_for_every_item() {
-        map_indexed(4, 1024, |i| i);
-        let stats = take_last_run_stats().unwrap();
+        let (_, stats) = one_round(4, RangeSource::new(1024), |i| i);
         assert_eq!(stats.items, 1024);
         let processed: u64 = stats.workers.iter().map(|w| w.items).sum();
         assert_eq!(processed, 1024);
@@ -770,9 +723,8 @@ mod tests {
 
     #[test]
     fn more_workers_than_items_is_safe() {
-        let got = map_indexed(64, 5, |i| i + 1);
+        let (got, stats) = one_round(64, RangeSource::new(5), |i| i + 1);
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
-        let stats = take_last_run_stats().unwrap();
         assert!(stats.num_workers() <= 5);
     }
 
@@ -783,24 +735,25 @@ mod tests {
             .collect();
         let expected: Vec<u64> = (0..300).map(|i| (i as u64).wrapping_mul(31)).collect();
         for workers in [1, 2, 4, 8, 13] {
-            let got = map_indexed_weighted(workers, &weights, |i| (i as u64).wrapping_mul(31));
+            let (got, stats) = one_round(workers, WeightedSource::new(&weights), |i| {
+                (i as u64).wrapping_mul(31)
+            });
             assert_eq!(got, expected, "workers = {workers}");
-            let stats = take_last_run_stats().unwrap();
             assert_eq!(stats.items, 300, "workers = {workers}");
         }
     }
 
     #[test]
     fn weighted_map_edge_cases() {
-        let empty: Vec<u32> = map_indexed_weighted(4, &[], |i| i as u32);
+        let (empty, _) = one_round(4, WeightedSource::new(&[]), |i| i as u32);
         assert!(empty.is_empty());
-        assert_eq!(map_indexed_weighted(8, &[42], |i| i), vec![0]);
+        assert_eq!(one_round(8, WeightedSource::new(&[42]), |i| i).0, vec![0]);
         // More workers than items, pathological weights.
         assert_eq!(
-            map_indexed_weighted(16, &[0, 1_000_000, 0], |i| i * 2),
+            one_round(16, WeightedSource::new(&[0, 1_000_000, 0]), |i| i * 2).0,
             vec![0, 2, 4]
         );
-        let all_zero = map_indexed_weighted(4, &[0; 9], |i| i);
+        let (all_zero, _) = one_round(4, WeightedSource::new(&[0; 9]), |i| i);
         assert_eq!(all_zero, (0..9).collect::<Vec<_>>());
     }
 
@@ -812,33 +765,11 @@ mod tests {
         let reference: Vec<u64> = (0..160).map(|i| (i as u64) * 13 + 5).collect();
         let _guard = force_steals();
         for round in 0..20 {
-            let stressed = map_indexed_weighted(4, &weights, |i| (i as u64) * 13 + 5);
+            let (stressed, stats) =
+                one_round(4, WeightedSource::new(&weights), |i| (i as u64) * 13 + 5);
             assert_eq!(stressed, reference, "round {round}");
-            let stats = take_last_run_stats().unwrap();
             assert!(stats.steals > 0, "round {round} did not steal: {stats:?}");
         }
-    }
-
-    #[test]
-    fn panic_clears_stale_last_run_stats() {
-        // A successful run banks its stats in the thread-local slot…
-        map_indexed(2, 64, |i| i);
-        assert!(crate::last_run_stats().is_some());
-        // …but a panic unwinding through the next parallel section must not
-        // leave that stale snapshot behind for a later reader.
-        let unwound = std::panic::catch_unwind(|| {
-            map_indexed(2, 64, |i| {
-                if i == 33 {
-                    panic!("parallel section panicked");
-                }
-                i
-            })
-        });
-        assert!(unwound.is_err());
-        assert!(
-            take_last_run_stats().is_none(),
-            "stale stats survived a panicking parallel section"
-        );
     }
 
     #[test]
@@ -846,11 +777,10 @@ mod tests {
         let _session = egd_obs::session_guard();
         egd_obs::enable_tracing();
         let _guard = force_steals();
-        let got = map_indexed(4, 200, |i| i as u64 + 1);
+        let (got, stats) = one_round(4, RangeSource::new(200), |i| i as u64 + 1);
         egd_obs::disable_tracing();
         let log = egd_obs::collect();
         assert_eq!(got.len(), 200);
-        let stats = take_last_run_stats().unwrap();
         let blocks: Vec<_> = log
             .events
             .iter()
@@ -885,10 +815,9 @@ mod tests {
                 let plain = map_indexed(4, n, |i| i as u64 ^ round);
                 assert_eq!(plain, expected, "plain n = {n} round {round}");
                 let weights = vec![1u64; n];
-                let weighted = map_indexed_weighted(4, &weights, |i| i as u64 ^ round);
+                let (weighted, _) =
+                    one_round(4, WeightedSource::new(&weights), |i| i as u64 ^ round);
                 assert_eq!(weighted, expected, "weighted n = {n} round {round}");
-                let collected = map_collect(4, expected.clone(), |x| x);
-                assert_eq!(collected, expected, "collect n = {n} round {round}");
             }
         }
     }
@@ -1080,12 +1009,11 @@ mod tests {
         );
         with_crew(
             3,
-            |s: String| s.len(),
+            |i: usize| i + 7,
             |crew| {
                 for n in 0..30 {
-                    let items: Vec<String> = (0..n).map(|i| "x".repeat(i)).collect();
-                    let (got, _) = crew.round(VecSource::new(items));
-                    assert_eq!(got, (0..n).collect::<Vec<_>>());
+                    let (got, _) = crew.round(RangeSource::new(n));
+                    assert_eq!(got, (7..n + 7).collect::<Vec<_>>());
                 }
             },
         );

@@ -117,10 +117,10 @@ pub fn simulate_schedule_guided_recorded(
 /// Replays the scheduler with the **cost-guided partition** active: initial
 /// per-worker segments sit at the cost quantiles of `weights` (the predicted
 /// per-item costs) and steals split at the victim's predicted cost midpoint
-/// — exactly the rules [`crate::map_indexed_weighted`] runs live. `costs`
-/// are the *actual* per-item costs charged to the virtual clocks, so passing
-/// imperfect predictions measures how much stealing must correct the
-/// prediction error.
+/// — exactly the rules a crew round over a [`crate::WeightedSource`] runs
+/// live. `costs` are the *actual* per-item costs charged to the virtual
+/// clocks, so passing imperfect predictions measures how much stealing must
+/// correct the prediction error.
 pub fn simulate_schedule_guided(
     workers: usize,
     costs: &[u64],

@@ -10,12 +10,12 @@
 //! * `split_back_half` — give away the back half to a thief.
 //!
 //! Two implementations cover the workspace's needs: [`RangeSource`] for
-//! index-only workloads (no materialised items) and [`VecSource`] for owned
-//! item sequences (the vendored rayon's materialised pipelines). Both track
-//! the **logical start index** of their remaining items, which is what keys
-//! the deterministic reduction.
+//! index-only workloads (the parallel engine's chunks of a generation's
+//! games) and [`crate::WeightedSource`], the same range carrying predicted
+//! per-item costs (the scheduled executor's rank tasks). Both track the
+//! **logical start index** of their remaining items, which is what keys the
+//! deterministic reduction.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A splittable, contiguous source of logically-indexed work items.
@@ -125,73 +125,6 @@ impl WorkSource for RangeSource {
     }
 }
 
-/// A source over owned items, tracking the logical index of its front.
-#[derive(Debug)]
-pub struct VecSource<T> {
-    start: usize,
-    items: VecDeque<T>,
-}
-
-impl<T> VecSource<T> {
-    /// Source over `items`, logically indexed from zero.
-    pub fn new(items: Vec<T>) -> Self {
-        VecSource {
-            start: 0,
-            items: items.into(),
-        }
-    }
-}
-
-impl<T: Send> WorkSource for VecSource<T> {
-    type Item = T;
-    type Block = (usize, VecDeque<T>);
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn take_front(&mut self, count: usize) -> Self {
-        let count = count.min(self.items.len());
-        let tail = self.items.split_off(count);
-        let front = std::mem::replace(&mut self.items, tail);
-        let source = VecSource {
-            start: self.start,
-            items: front,
-        };
-        self.start += count;
-        source
-    }
-
-    fn split_back_half(&mut self) -> Self {
-        let keep = self.items.len() - self.items.len() / 2;
-        let tail = self.items.split_off(keep);
-        VecSource {
-            start: self.start + keep,
-            items: tail,
-        }
-    }
-
-    fn pop_block(&mut self, max: usize) -> (usize, VecDeque<T>) {
-        let taken = self.take_front(max);
-        (taken.start, taken.items)
-    }
-
-    fn block_start(block: &(usize, VecDeque<T>)) -> usize {
-        block.0
-    }
-
-    fn block_len(block: &(usize, VecDeque<T>)) -> usize {
-        block.1.len()
-    }
-
-    fn for_each_in<F: FnMut(usize, T)>(block: (usize, VecDeque<T>), mut f: F) {
-        let (start, items) = block;
-        for (offset, item) in items.into_iter().enumerate() {
-            f(start + offset, item);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,50 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_source_preserves_logical_indices() {
-        let mut source = VecSource::new(vec!['a', 'b', 'c', 'd', 'e']);
-        let stolen = source.split_back_half();
-        assert_eq!(source.len(), 3);
-        assert_eq!(stolen.len(), 2);
-
-        let mut seen = Vec::new();
-        let block = {
-            let mut s = stolen;
-            s.pop_block(10)
-        };
-        VecSource::for_each_in(block, |i, item| seen.push((i, item)));
-        assert_eq!(seen, vec![(3, 'd'), (4, 'e')]);
-    }
-
-    #[test]
-    fn vec_take_front_keeps_order() {
-        let mut source = VecSource::new((0..8).collect());
-        let first = source.take_front(5);
-        let (start, items) = {
-            let mut f = first;
-            f.pop_block(usize::MAX)
-        };
-        assert_eq!(start, 0);
-        assert_eq!(items.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
-        let (start, items) = source.pop_block(usize::MAX);
-        assert_eq!(start, 5);
-        assert_eq!(items.into_iter().collect::<Vec<_>>(), vec![5, 6, 7]);
-    }
-
-    #[test]
     fn zero_length_sources_are_inert() {
         let mut range = RangeSource::new(0);
         assert!(range.is_empty());
         assert!(range.take_front(3).is_empty());
         let block = range.pop_block(8);
         assert_eq!(RangeSource::block_len(&block), 0);
-
-        let mut vec: VecSource<u8> = VecSource::new(vec![]);
-        assert!(vec.is_empty());
-        assert!(vec.take_front(1).is_empty());
-        let (start, items) = vec.pop_block(4);
-        assert_eq!(start, 0);
-        assert!(items.is_empty());
     }
 
     #[test]
@@ -272,17 +167,13 @@ mod tests {
         assert_eq!(block, 0..1);
         assert!(range.is_empty());
 
-        let mut vec = VecSource::new(vec!['x']);
-        let front = vec.take_front(5);
+        let mut range = RangeSource::new(1);
+        let front = range.take_front(5);
         assert_eq!(front.len(), 1);
-        assert!(vec.is_empty());
+        assert!(range.is_empty());
         let mut seen = Vec::new();
-        let block = {
-            let mut f = front;
-            f.pop_block(usize::MAX)
-        };
-        VecSource::for_each_in(block, |i, item| seen.push((i, item)));
-        assert_eq!(seen, vec![(0, 'x')]);
+        RangeSource::for_each_in(front.range, |i, item| seen.push((i, item)));
+        assert_eq!(seen, vec![(0, 0)]);
     }
 
     #[test]

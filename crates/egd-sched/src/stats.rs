@@ -1,10 +1,9 @@
 //! Scheduler instrumentation.
 //!
-//! Every parallel run produces a [`SchedStats`]: per-worker busy time,
-//! items processed, and steal counts. The caller-thread-local "last run"
-//! slot lets layers that cannot thread a return value through (the vendored
-//! rayon's `ParallelIterator` pipeline) still surface the numbers: the
-//! engine reads [`take_last_run_stats`] right after the parallel section.
+//! Every round of a crew returns a [`SchedStats`] beside its results
+//! ([`crate::Crew::round`]): per-worker busy time, items processed, and
+//! steal counts. The engines bank them per generation and merge them over a
+//! run ([`SchedStats::merge`]).
 //!
 //! `busy_ns` sums exact per-block wall spans, so it equals the worker's
 //! consumed CPU time whenever workers do not exceed physical cores. On an
@@ -17,7 +16,6 @@
 
 use crate::Policy;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 
 /// Busiest-over-mean of a set of per-worker totals (1.0 = perfectly
 /// balanced; an empty or all-zero set reads as balanced). This is the
@@ -139,33 +137,6 @@ impl SchedStats {
     }
 }
 
-thread_local! {
-    /// Statistics of the most recent top-level run started from this thread.
-    static LAST_RUN: RefCell<Option<SchedStats>> = const { RefCell::new(None) };
-}
-
-/// Records `stats` as this thread's most recent run.
-pub(crate) fn record_last_run(stats: SchedStats) {
-    LAST_RUN.with(|slot| *slot.borrow_mut() = Some(stats));
-}
-
-/// Clears the slot. Called on *entry* to every parallel section so that a
-/// panic unwinding through the section cannot leave the previous run's
-/// snapshot behind for a later [`take_last_run_stats`] reader.
-pub(crate) fn clear_last_run() {
-    LAST_RUN.with(|slot| *slot.borrow_mut() = None);
-}
-
-/// Statistics of the most recent parallel run started from this thread.
-pub fn last_run_stats() -> Option<SchedStats> {
-    LAST_RUN.with(|slot| slot.borrow().clone())
-}
-
-/// Takes (and clears) the most recent run's statistics.
-pub fn take_last_run_stats() -> Option<SchedStats> {
-    LAST_RUN.with(|slot| slot.borrow_mut().take())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,16 +208,5 @@ mod tests {
         assert_eq!(stats.critical_path_ns(), 0);
         assert_eq!(stats.imbalance(), 1.0);
         assert_eq!(stats.mean_worker_ns(), 0.0);
-    }
-
-    #[test]
-    fn last_run_slot_takes_and_clears() {
-        record_last_run(SchedStats {
-            items: 7,
-            ..Default::default()
-        });
-        assert_eq!(last_run_stats().unwrap().items, 7);
-        assert_eq!(take_last_run_stats().unwrap().items, 7);
-        assert!(take_last_run_stats().is_none());
     }
 }

@@ -14,7 +14,7 @@ use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
 use egd_cluster::machine::MachineSpec;
 use egd_cluster::mpi::{PendingOp, SimWorld};
 use egd_cluster::perf::{ScalingHarness, Workload};
-use egd_cluster::scheduled::{run_rank_tasks, ScheduledConfig, ScheduledExecutor};
+use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
 use egd_cluster::topology::ClusterTopology;
 use egd_core::prelude::*;
 
@@ -121,38 +121,6 @@ fn task_world_detects_protocol_deadlock_instead_of_hanging() {
     let message = err.to_string();
     assert!(message.contains("deadlock"), "{message}");
     assert!(message.contains('3'), "{message}");
-}
-
-#[test]
-fn scheduled_rank_tasks_edge_paths() {
-    // Zero ranks: a valid empty workload.
-    let empty: Vec<_> = run_rank_tasks(4, 0, Ok::<usize, _>);
-    assert!(empty.is_empty());
-
-    // Fewer ranks than workers: rank-ordered results, idle workers unused.
-    let few: Vec<usize> = run_rank_tasks(16, 3, |rank| Ok(rank + 1))
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    assert_eq!(few, vec![1, 2, 3]);
-
-    // A panicking rank body surfaces as a rank-named error without taking
-    // down its siblings or poisoning the pool.
-    let mixed = run_rank_tasks(4, 6, |rank| {
-        if rank == 2 {
-            panic!("bad block");
-        }
-        Ok(rank)
-    });
-    let message = mixed[2].as_ref().unwrap_err().to_string();
-    assert!(message.contains("rank 2"), "{message}");
-    assert!(message.contains("bad block"), "{message}");
-    assert!(mixed.iter().enumerate().all(|(i, r)| i == 2 || r.is_ok()));
-    let again: Vec<usize> = run_rank_tasks(4, 6, Ok)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    assert_eq!(again, (0..6).collect::<Vec<_>>());
 }
 
 #[test]
