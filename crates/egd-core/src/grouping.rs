@@ -27,6 +27,33 @@
 //! the population is kept by a block in proportion to how many of its members
 //! the block holds, and a keeper moves only when the keeper itself leaves the
 //! group or a member with a smaller weight joins it.
+//!
+//! # A grouping kept between generations
+//!
+//! The Nature Agent changes at most two SSets a generation, so the payoff
+//! table ([`crate::payoff_table::PayoffTable`]) does not group the population
+//! afresh: it keeps the last generation's grouping in a [`KeptGrouping`] and
+//! hands it the SSets whose strategy changed ([`KeptGrouping::update`]). Each
+//! of them leaves its old group and joins the group of its new fingerprint
+//! (found in a map from fingerprint to group, or started at the end). A
+//! joining SSet with a smaller index than the group's representative becomes
+//! the representative, and — where keepers are kept — one with a smaller
+//! [`keeper_weight`] than the keeper becomes the keeper: two hashes, no scan.
+//! A representative or keeper that *leaves* is replaced by one pass over the
+//! SSets that reads their group indices and hashes only the members of the
+//! groups that lost one. A group that empties is dropped — unless its only
+//! member left for a strategy that has no group: then the index passes to
+//! that strategy, which takes the member's place in the order, so a mutant
+//! moves no group. Last, the groups are put back in first-occurrence order
+//! — sorted by representative — and the SSets' group indices renumbered:
+//! an integer pass, skipped when no group moved. The result is, field for
+//! field, what
+//! [`StrategyGrouping::from_fingerprints`] and [`StrategyGrouping::keepers`]
+//! make of the same population; they stay the oracle the update is tested
+//! against. Keepers are computed the first time a caller asks for them
+//! ([`KeptGrouping::keep_keepers`]: a rank asking for its block) and kept
+//! from then on; a caller that only asks for the whole population never
+//! hashes one.
 
 use crate::rng::splitmix64;
 use crate::strategy::StrategyKind;
@@ -35,7 +62,7 @@ use std::collections::HashMap;
 
 /// A population's strategies collapsed to distinct groups, in first
 /// occurrence order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StrategyGrouping {
     /// `group_of[sset]` is the group index of that SSet's strategy.
     pub group_of: Vec<usize>,
@@ -58,16 +85,15 @@ impl StrategyGrouping {
     }
 
     /// Groups SSets by their strategies' fingerprints (`sset_fingerprints[i]`
-    /// is SSet `i`'s), in first-occurrence order: the one grouping routine.
-    /// A caller that keeps the fingerprint lane between generations
-    /// ([`crate::payoff_table::PayoffTable`]) re-hashes only the strategies
-    /// that changed.
+    /// is SSet `i`'s), in first-occurrence order: the from-scratch grouping,
+    /// and the oracle a [`KeptGrouping`] is checked against.
     pub fn from_fingerprints(sset_fingerprints: &[u64]) -> Self {
         let mut group_of = Vec::with_capacity(sset_fingerprints.len());
         let mut group_rep = Vec::new();
         let mut group_count: Vec<f64> = Vec::new();
         let mut fingerprints = Vec::new();
-        let mut by_fingerprint: HashMap<u64, usize> = HashMap::new();
+        let mut by_fingerprint: HashMap<u64, usize> =
+            HashMap::with_capacity(sset_fingerprints.len());
         for (i, &fp) in sset_fingerprints.iter().enumerate() {
             let g = *by_fingerprint.entry(fp).or_insert_with(|| {
                 group_rep.push(i);
@@ -113,6 +139,205 @@ impl StrategyGrouping {
         }
         Cow::Owned(keepers)
     }
+}
+
+/// Marks an SSet that is in no group yet (a [`KeptGrouping`] before its
+/// first update) and, in [`Regrouping::moved`], a group that did not exist
+/// before the update.
+pub const NO_GROUP: usize = usize::MAX;
+
+/// A [`StrategyGrouping`] kept from one generation to the next and moved by
+/// the SSets whose strategy changed (see "A grouping kept between
+/// generations" in the module docs), with the keepers once they are asked
+/// for.
+#[derive(Debug, Clone, Default)]
+pub struct KeptGrouping {
+    grouping: StrategyGrouping,
+    /// The group of each fingerprint.
+    group_by_fingerprint: HashMap<u64, usize>,
+    /// Each group's keeper, from the first [`KeptGrouping::keep_keepers`] on.
+    keepers: Option<Vec<usize>>,
+}
+
+impl KeptGrouping {
+    /// `num_ssets` SSets in no group: the first [`KeptGrouping::update`]
+    /// moves every one of them.
+    pub fn new(num_ssets: usize) -> Self {
+        KeptGrouping {
+            grouping: StrategyGrouping {
+                group_of: vec![NO_GROUP; num_ssets],
+                ..StrategyGrouping::default()
+            },
+            ..KeptGrouping::default()
+        }
+    }
+
+    /// The grouping as of the last update.
+    pub fn grouping(&self) -> &StrategyGrouping {
+        &self.grouping
+    }
+
+    /// Each group's keeper, if they are kept.
+    pub fn keepers(&self) -> Option<&[usize]> {
+        self.keepers.as_deref()
+    }
+
+    /// Each group's keeper, computed now if they were not kept yet and kept
+    /// from now on.
+    pub fn keep_keepers(&mut self) -> &[usize] {
+        let grouping = &self.grouping;
+        self.keepers
+            .get_or_insert_with(|| grouping.keepers().into_owned())
+    }
+
+    /// Moves every SSet of `moves` — `(sset, fingerprint of its strategy
+    /// now)`, each SSet once — to the group of its new fingerprint, and
+    /// restores first-occurrence order (see the module docs).
+    pub fn update(&mut self, moves: &[(usize, u64)]) -> Regrouping {
+        let StrategyGrouping {
+            group_of,
+            group_rep,
+            group_count,
+            fingerprints,
+        } = &mut self.grouping;
+        let mut entered = Vec::new();
+        // Groups that lost their representative or their keeper.
+        let mut lost = Vec::new();
+        for &(sset, fingerprint) in moves {
+            let left = group_of[sset];
+            if left != NO_GROUP {
+                if fingerprints[left] == fingerprint {
+                    continue;
+                }
+                group_count[left] -= 1.0;
+                if group_count[left] == 0.0 && !self.group_by_fingerprint.contains_key(&fingerprint)
+                {
+                    // The SSet was its group's only member, and its new
+                    // strategy has no group: the index passes to the new
+                    // strategy with its one member, and no group moves.
+                    self.group_by_fingerprint.remove(&fingerprints[left]);
+                    self.group_by_fingerprint.insert(fingerprint, left);
+                    fingerprints[left] = fingerprint;
+                    group_count[left] = 1.0;
+                    group_rep[left] = sset;
+                    if let Some(keepers) = &mut self.keepers {
+                        keepers[left] = sset;
+                    }
+                    entered.push(left);
+                    continue;
+                }
+                let keeper_left = self.keepers.as_ref().is_some_and(|k| k[left] == sset);
+                if group_rep[left] == sset || keeper_left {
+                    lost.push(left);
+                }
+            }
+            let joined = *self
+                .group_by_fingerprint
+                .entry(fingerprint)
+                .or_insert_with(|| {
+                    entered.push(group_rep.len());
+                    group_rep.push(sset);
+                    group_count.push(0.0);
+                    fingerprints.push(fingerprint);
+                    if let Some(keepers) = &mut self.keepers {
+                        keepers.push(sset);
+                    }
+                    group_rep.len() - 1
+                });
+            group_count[joined] += 1.0;
+            group_rep[joined] = group_rep[joined].min(sset);
+            if let Some(keepers) = &mut self.keepers {
+                let keeper = &mut keepers[joined];
+                if keeper_weight(fingerprint, sset) < keeper_weight(fingerprint, *keeper) {
+                    *keeper = sset;
+                }
+            }
+            group_of[sset] = joined;
+        }
+
+        // A lost representative or keeper: one pass over the SSets finds the
+        // first member and the least-weight member of each such group.
+        lost.retain(|&g| group_count[g] > 0.0);
+        if !lost.is_empty() {
+            let mut least_weight = vec![None; group_rep.len()];
+            for &g in &lost {
+                least_weight[g] = Some(u64::MAX);
+            }
+            let mut found = vec![false; group_rep.len()];
+            for (sset, &g) in group_of.iter().enumerate() {
+                let Some(least) = &mut least_weight[g] else {
+                    continue;
+                };
+                if !found[g] {
+                    found[g] = true;
+                    group_rep[g] = sset;
+                }
+                if let Some(keepers) = &mut self.keepers {
+                    let weight = keeper_weight(fingerprints[g], sset);
+                    if weight < *least {
+                        *least = weight;
+                        keepers[g] = sset;
+                    }
+                }
+            }
+        }
+
+        // First-occurrence order: by representative, without the groups that
+        // emptied. Most updates move no group and skip the renumbering.
+        let alive = |g: &usize| group_count[*g] > 0.0;
+        if (0..group_rep.len()).all(|g| alive(&g)) && group_rep.is_sorted() {
+            return Regrouping {
+                moved: None,
+                entered,
+            };
+        }
+        for g in (0..group_rep.len()).filter(|g| !alive(g)) {
+            self.group_by_fingerprint.remove(&fingerprints[g]);
+        }
+        let mut order: Vec<usize> = (0..group_rep.len()).filter(alive).collect();
+        order.sort_unstable_by_key(|&g| group_rep[g]);
+        let mut renumbered = vec![NO_GROUP; group_rep.len()];
+        for (new, &old) in order.iter().enumerate() {
+            renumbered[old] = new;
+        }
+        for g in group_of
+            .iter_mut()
+            .chain(self.group_by_fingerprint.values_mut())
+        {
+            *g = renumbered[*g];
+        }
+        *group_rep = order.iter().map(|&g| group_rep[g]).collect();
+        *group_count = order.iter().map(|&g| group_count[g]).collect();
+        *fingerprints = order.iter().map(|&g| fingerprints[g]).collect();
+        if let Some(keepers) = &mut self.keepers {
+            *keepers = order.iter().map(|&g| keepers[g]).collect();
+        }
+        let mut came_from = order;
+        for &g in &entered {
+            came_from[renumbered[g]] = NO_GROUP;
+        }
+        for g in &mut entered {
+            *g = renumbered[*g];
+        }
+        Regrouping {
+            moved: Some(came_from),
+            entered,
+        }
+    }
+}
+
+/// What a [`KeptGrouping::update`] did to the group indices, for a caller
+/// that keeps something per group.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Regrouping {
+    /// `None` when no group moved: each group has the index it had, and
+    /// the indices past the old count are new. Otherwise `from[g]` is the
+    /// index group `g` had before the update, or [`NO_GROUP`] for a group
+    /// that entered.
+    pub moved: Option<Vec<usize>>,
+    /// The groups whose strategy had no group before the update (indices
+    /// after it) — among them indices that a group which emptied passed on.
+    pub entered: Vec<usize>,
 }
 
 /// The weight of SSet `sset` as a candidate keeper of the strategy with

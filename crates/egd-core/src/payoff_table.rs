@@ -11,12 +11,13 @@
 //!
 //! 0. **diffs** the population against the last generation it computed, and
 //!    returns that generation's fitness vector if nothing differs (see "A
-//!    generation that changed nothing" below); otherwise it re-hashes only
-//!    the SSets whose strategy differs, regroups, and
-//! 1. **syncs**: maps the population's strategy groups to slots by
-//!    fingerprint, giving every strategy that entered the population a slot
-//!    (a free one, or — only when the table is full — the slot of the
-//!    strategy that has been extinct the longest);
+//!    generation that changed nothing" below); otherwise it hashes only the
+//!    SSets whose strategy differs and moves them in the grouping it kept
+//!    from that generation ([`KeptGrouping::update`]), and
+//! 1. **syncs**: carries each surviving group's slot over, and maps the
+//!    groups that entered to slots by fingerprint, giving every strategy
+//!    new to the table a slot (a free one, or — only when the table is
+//!    full — the slot of the strategy that has been extinct the longest);
 //! 2. **fills**: lists the games that have to be played — for every newcomer
 //!    its column in every filled row, for every requested row that is not
 //!    filled yet the whole row, plus the stochastic cells of the requested
@@ -24,7 +25,8 @@
 //!    caller's executor, and stores the cacheable results;
 //! 3. **reduces**: sums each requested group's row in first-occurrence group
 //!    order, so every `f64` addition is the one the per-generation matrix
-//!    rebuild made.
+//!    rebuild made — four cacheable rows side by side, each with its own
+//!    accumulator, so that four chains of additions advance at once.
 //!
 //! The three steps after the diff are three calls, so that the games can be
 //! played where the table is not: [`PayoffTable::plan`] diffs, syncs and
@@ -86,19 +88,24 @@
 //!
 //! # A generation that changed nothing
 //!
-//! At the paper's rates most generations change no SSet at all. Beside the
-//! matrix the table therefore retains the last generation it computed
-//! (`RetainedGeneration`): per SSet the slot that holds its strategy and the
-//! strategy's fingerprint, the request (block, `swap_exact`, whether the
-//! opponent policy includes the self-pairing), and the answer
-//! ([`KeptFitness`]). [`PayoffTable::generation_fitness`] begins by comparing
-//! every SSet's strategy with the one in the slot it held (`==` on the
-//! strategies — the table's own clone, so no second copy of the genomes is
-//! kept; an uncacheable SSet has no slot and always counts as changed).
+//! At the paper's rates most generations change no SSet at all, and the
+//! others change one or two. Beside the matrix the table therefore retains
+//! the last generation it computed (`RetainedGeneration`): its grouping
+//! ([`KeptGrouping`]: each SSet's group; each group's representative, count
+//! and fingerprint; the map from fingerprint to group; the keepers, once a
+//! proper sub-block was asked for), each group's slot (none: uncacheable),
+//! the request (block, `swap_exact`, whether the opponent policy
+//! includes the self-pairing), and the answer ([`KeptFitness`]).
+//! [`PayoffTable::generation_fitness`] begins by comparing every SSet's
+//! strategy with the one in its group's slot (`==` on the strategies — the
+//! table's own clone, so no second copy of the genomes is kept). An
+//! uncacheable SSet has no slot; its fingerprint is compared with its
+//! group's, which is cheap at the memory depths that make strategies
+//! stochastic. The SSets that differ are the **moves** of the generation.
 //!
-//! * **Nothing differs and the request is the same.** Every SSet holds a
-//!   slot, so no cell is stochastic; every requested row is filled and no
-//!   strategy entered, so the generation would plan no game, read the same
+//! * **No move, no uncacheable group, and the request is the same.**
+//!   Every SSet holds a slot, so no cell is stochastic; every requested row
+//!   is filled and no strategy entered, so the generation would plan no game, read the same
 //!   cells and add them in the same order — and derive the same keepers. The
 //!   retained answer *is* that sum: it is returned verbatim, **the executor
 //!   is not called**, no keeper is computed, and the
@@ -110,12 +117,18 @@
 //!   left or entered the population in a reused generation, and the slots
 //!   of the present strategies — all stamped with the retained generation's
 //!   tick — are stamped again by the next sync before it looks for a victim.
-//! * **Otherwise** only the SSets that differ are hashed again, the
-//!   [`StrategyGrouping`] is rebuilt from the fingerprint lane
-//!   ([`StrategyGrouping::from_fingerprints`], the one grouping routine), and
-//!   sync → fill → reduce run in full. There is one reduce; a changed
-//!   generation re-sums every requested row, so bit-identity with the
-//!   per-generation rebuild holds by construction.
+//! * **Otherwise** only the moves are hashed, and each leaves its group and
+//!   joins the group of its new fingerprint ([`crate::grouping`] says how
+//!   representatives, keepers and the first-occurrence order are kept). A
+//!   group that survives keeps its slot; only a group that entered is asked
+//!   whether it is cacheable and looked up by fingerprint. The grouping is the one [`StrategyGrouping::from_fingerprints`]
+//!   would build from the population, field for field (the differential
+//!   suite checks it every generation), so group order — and with it every
+//!   sum — is the rebuild's. The first generation, a population of another
+//!   size and a table that has started over move every SSet: the full
+//!   rebuild, on the same path. Sync → fill → reduce then run in full. There
+//!   is one reduce; a changed generation re-sums every requested row, so
+//!   bit-identity with the per-generation rebuild holds by construction.
 //!
 //! The key is the strategies themselves, not [`Population::version`]: two
 //! unrelated populations can carry equal versions, and the table trusts
@@ -127,15 +140,18 @@
 //!
 //! Memory follows occupancy, not capacity: the cell matrix is allocated when
 //! the first cacheable strategy arrives and grows with the number of
-//! occupied slots, up to `capacity²` cells. The retained generation adds two
-//! words per SSet and one `f64` (a proper sub-block: and one index) per
+//! occupied slots, up to `capacity²` cells. The retained generation adds one
+//! word per SSet (its group), six or seven words per group (representative,
+//! count, fingerprint, slot, a map entry of two words, and a keeper where
+//! keepers are kept), and one `f64` (a proper sub-block: and one index) per
 //! answered SSet.
 
 use crate::error::EgdResult;
-use crate::grouping::StrategyGrouping;
+use crate::grouping::{KeptGrouping, StrategyGrouping};
 use crate::population::Population;
 use crate::sset::OpponentPolicy;
 use crate::strategy::StrategyKind;
+use egd_obs::{SpanKind, SpanTimer};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -231,7 +247,6 @@ struct FreshGame {
 /// kept for here, and its share of the rows filled now.
 #[derive(Debug, Clone)]
 struct Plan {
-    grouping: StrategyGrouping,
     /// Copies of the group representatives' strategies when a stochastic
     /// cell reads them, empty otherwise: the population is the caller's,
     /// and a cacheable strategy's own copy is its slot's.
@@ -257,24 +272,30 @@ struct Plan {
     /// one's row (one more entry than rows: the total).
     rows: Vec<usize>,
     row_offsets: Vec<usize>,
-    cacheable: Vec<bool>,
     /// The uncacheable groups, ascending: the stochastic columns of a
     /// cacheable row (an uncacheable row is stochastic in every column).
     uncacheable: Vec<usize>,
-    /// Each group's slot (`NO_SLOT`: uncacheable).
-    group_slot: Vec<usize>,
-    /// Each group's keeper, for a request of a proper sub-block.
-    keepers: Option<Vec<usize>>,
     block: Range<usize>,
     include_self: bool,
     /// The cacheable cells of the requested rows.
     requested_cells: u64,
-    /// The retained generation, taken out of the table until the plan is
-    /// finished: a plan that is never finished drops it.
+    /// The retained generation, updated to this one's grouping and slots
+    /// and taken out of the table until the plan is finished: a plan that
+    /// is never finished drops it.
     retained: RetainedGeneration,
 }
 
 impl Plan {
+    fn grouping(&self) -> &StrategyGrouping {
+        self.retained.groups.grouping()
+    }
+
+    /// Whether the request is a proper sub-block, which keeps only the rows
+    /// whose keeper lies in it.
+    fn sub_block(&self) -> bool {
+        self.block.len() < self.grouping().group_of.len()
+    }
+
     /// Number of games to play.
     fn len(&self) -> usize {
         self.fresh_len() + self.stochastic_len()
@@ -413,7 +434,7 @@ pub struct PlannedCells<'a> {
 impl<'a> PlannedCells<'a> {
     /// The generation's strategy grouping.
     pub fn grouping(&self) -> &'a StrategyGrouping {
-        &self.plan.grouping
+        self.plan.grouping()
     }
 
     /// Number of games to play.
@@ -456,10 +477,11 @@ impl<'a> PlannedCells<'a> {
             .enumerate()
             .flat_map(move |(i, &g)| {
                 let from = if i == 0 { skip } else { 0 };
-                let (listed, all) = if plan.cacheable[g] {
+                let group_slot = &plan.retained.group_slot;
+                let (listed, all) = if group_slot[g] != NO_SLOT {
                     (&plan.uncacheable[from..], 0..0)
                 } else {
-                    (&[][..], from..plan.cacheable.len())
+                    (&[][..], from..group_slot.len())
                 };
                 listed
                     .iter()
@@ -489,7 +511,7 @@ impl<'a> PlannedCells<'a> {
 
     /// The stochastic cell of groups `(g, h)`.
     fn stochastic_cell(&self, g: usize, h: usize) -> PlannedCell<'a> {
-        let grouping = &self.plan.grouping;
+        let grouping = self.plan.grouping();
         PlannedCell {
             a: &self.plan.reps[g],
             b: &self.plan.reps[h],
@@ -550,23 +572,28 @@ struct Slot {
     row_filled: bool,
 }
 
-/// Marks an uncacheable group in the per-generation group → slot map (and an
-/// uncacheable SSet in [`RetainedGeneration::sset_slot`]).
+/// Marks an uncacheable group in the group → slot map
+/// ([`RetainedGeneration::group_slot`]).
 const NO_SLOT: usize = usize::MAX;
+
+/// Marks a cacheable group whose slot is to be looked up by fingerprint (it
+/// entered this generation, or the table started over), until
+/// [`PayoffTable::sync`] has done so.
+const UNSYNCED: usize = usize::MAX - 1;
 
 /// The last generation the table computed: what the diff step compares the
 /// next one with, and what it answers with when nothing differs (see
 /// "A generation that changed nothing" in the module docs).
 #[derive(Debug, Clone, Default)]
 struct RetainedGeneration {
-    /// Per SSet, the slot that holds its strategy — the table's own clone
-    /// ([`Slot::strategy`]) is what the next generation's strategy is
-    /// compared with, so no second copy of the genomes is kept. `NO_SLOT`
-    /// for an uncacheable SSet, which therefore always counts as changed.
-    sset_slot: Vec<usize>,
-    /// Per SSet, its strategy's fingerprint: the lane the grouping is
-    /// rebuilt from after re-hashing only the SSets that changed.
-    sset_fingerprints: Vec<u64>,
+    /// The generation's grouping (and, once a sub-block was asked for, its
+    /// keepers), moved by the SSets that changed ([`KeptGrouping::update`]).
+    groups: KeptGrouping,
+    /// Each group's slot (`NO_SLOT`: uncacheable). The slot's strategy — the
+    /// table's own clone ([`Slot::strategy`]) — is what the next
+    /// generation's strategy of each member SSet is compared with, so no
+    /// second copy of the genomes is kept.
+    group_slot: Vec<usize>,
     /// What was asked for: the block, `swap_exact`, and whether the opponent
     /// policy includes the self-pairing.
     request: (Range<usize>, bool, bool),
@@ -614,6 +641,14 @@ impl PayoffTable {
         }
     }
 
+    /// The grouping of the last generation the table computed — and its
+    /// keepers, once a proper sub-block was asked for: what the next
+    /// generation's grouping is updated from (empty before the first, and
+    /// while a plan is pending).
+    pub fn grouping(&self) -> &KeptGrouping {
+        &self.retained.groups
+    }
+
     /// Number of valid cells (filled rows × occupied slots).
     pub fn valid_cells(&self) -> usize {
         self.slots.iter().filter(|s| s.row_filled).count() * self.slots.len()
@@ -647,34 +682,45 @@ impl PayoffTable {
         self.stride = stride;
     }
 
-    /// Maps every cacheable group to its slot, assigning slots to the
-    /// strategies that have none. Returns the group → slot map and the slots
-    /// assigned in this call.
+    /// Brings the group → slot map up to date: stamps the slots of the
+    /// cacheable groups that have one, looks up the `UNSYNCED` ones (the
+    /// groups that entered this generation, or every cacheable group once
+    /// the table grew and started over) by fingerprint, and assigns slots to
+    /// the strategies the table does not hold. Returns the slots assigned in
+    /// this call.
     fn sync(
         &mut self,
         strategies: &[StrategyKind],
         grouping: &StrategyGrouping,
-        cacheable: &[bool],
-    ) -> (Vec<usize>, Vec<usize>) {
+        group_slot: &mut [usize],
+    ) -> Vec<usize> {
         self.tick += 1;
         let tick = self.tick;
         // Grows the capacity first if the population outgrew it (which
         // empties the table, so it has to precede the lookups).
-        self.reserve(cacheable.iter().filter(|&&c| c).count());
-        let mut group_slot = vec![NO_SLOT; cacheable.len()];
+        let needed = group_slot.iter().filter(|&&s| s != NO_SLOT).count();
+        if needed > self.capacity {
+            for s in group_slot.iter_mut().filter(|s| **s != NO_SLOT) {
+                *s = UNSYNCED;
+            }
+        }
+        self.reserve(needed);
         let mut newcomers = Vec::new();
         for (g, &fp) in grouping.fingerprints.iter().enumerate() {
-            if !cacheable[g] {
-                continue;
-            }
-            match self.slot_of.get(&fp) {
-                Some(&s) => {
-                    self.slots[s].last_seen = tick;
-                    self.slots[s].rep = grouping.group_rep[g];
-                    group_slot[g] = s;
-                }
-                None => newcomers.push(g),
-            }
+            let s = match group_slot[g] {
+                NO_SLOT => continue,
+                UNSYNCED => match self.slot_of.get(&fp) {
+                    Some(&s) => s,
+                    None => {
+                        newcomers.push(g);
+                        continue;
+                    }
+                },
+                s => s,
+            };
+            self.slots[s].last_seen = tick;
+            self.slots[s].rep = grouping.group_rep[g];
+            group_slot[g] = s;
         }
         let free = self.capacity - self.slots.len();
         self.reserve(self.slots.len() + newcomers.len().min(free));
@@ -711,7 +757,7 @@ impl PayoffTable {
             group_slot[g] = s;
             new_slots.push(s);
         }
-        (group_slot, new_slots)
+        new_slots
     }
 
     /// Computes one generation's fitness of the SSets whose strategy's
@@ -769,12 +815,13 @@ impl PayoffTable {
         &mut self,
         population: &Population,
         block: Range<usize>,
-        cacheable: impl Fn(&StrategyKind) -> bool,
+        is_cacheable: impl Fn(&StrategyKind) -> bool,
         swap_exact: bool,
     ) -> Option<KeptFitness> {
         if self.plan.take().is_some() {
             self.clear();
         }
+        let span = SpanTimer::start(SpanKind::Plan);
         let strategies = population.strategies();
         let include_self = matches!(
             population.opponent_policy(),
@@ -782,28 +829,44 @@ impl PayoffTable {
         );
         let request = (block.clone(), swap_exact, include_self);
 
-        // Diff: an SSet is unchanged when its strategy equals the one in the
-        // slot it held last generation; only the others are hashed again.
-        // Taken out of the table until the plan is finished, so that every
-        // error path drops it.
+        // Diff: an SSet is unchanged when its strategy equals the one in its
+        // group's slot — or, uncacheable, when its fingerprint is its
+        // group's. Taken out of the table until the plan is finished, so
+        // that every error path drops it; a population of another size
+        // starts with every SSet in no group, which makes every SSet a move.
         let mut retained = std::mem::take(&mut self.retained);
-        if retained.sset_slot.len() != strategies.len() {
-            retained.sset_slot = vec![NO_SLOT; strategies.len()];
-            retained.sset_fingerprints = vec![0; strategies.len()];
+        if retained.groups.grouping().group_of.len() != strategies.len() {
+            retained = RetainedGeneration {
+                groups: KeptGrouping::new(strategies.len()),
+                ..RetainedGeneration::default()
+            };
         }
-        let mut changed = false;
-        let lanes = retained
-            .sset_slot
-            .iter()
-            .zip(&mut retained.sset_fingerprints);
-        for (strategy, (&slot, fingerprint)) in strategies.iter().zip(lanes) {
-            let held = self.slots.get(slot);
-            if held.is_none_or(|held| held.strategy != *strategy) {
-                *fingerprint = strategy.fingerprint();
-                changed = true;
-            }
+        let mut moves = Vec::new();
+        let mut stochastic = false;
+        let grouping = retained.groups.grouping();
+        for (sset, (strategy, &g)) in strategies.iter().zip(&grouping.group_of).enumerate() {
+            let fingerprint = match retained.group_slot.get(g) {
+                Some(&NO_SLOT) => {
+                    stochastic = true;
+                    let fingerprint = strategy.fingerprint();
+                    if fingerprint == grouping.fingerprints[g] {
+                        continue;
+                    }
+                    fingerprint
+                }
+                Some(&slot)
+                    if self
+                        .slots
+                        .get(slot)
+                        .is_some_and(|held| held.strategy == *strategy) =>
+                {
+                    continue;
+                }
+                _ => strategy.fingerprint(),
+            };
+            moves.push((sset, fingerprint));
         }
-        if !changed && retained.request == request {
+        if moves.is_empty() && !stochastic && retained.request == request {
             // Every SSet holds a slot (so no cell is stochastic), every
             // requested row is filled and nothing entered: the generation
             // would play no game and sum the same cells in the same order.
@@ -814,27 +877,43 @@ impl PayoffTable {
             return Some(fitness);
         }
 
-        let grouping = StrategyGrouping::from_fingerprints(&retained.sset_fingerprints);
-        let num_groups = grouping.num_groups();
-        let cacheable: Vec<bool> = grouping
-            .group_rep
-            .iter()
-            .map(|&i| cacheable(&strategies[i]))
+        // Regroup: the moves only, then each group's slot carried over from
+        // the index it had. A group that entered is asked whether it is
+        // cacheable, and looked up by the sync if it is.
+        let regrouped = retained.groups.update(&moves);
+        if let Some(came_from) = &regrouped.moved {
+            let old = &retained.group_slot;
+            retained.group_slot = came_from
+                .iter()
+                .map(|&from| old.get(from).copied().unwrap_or(UNSYNCED))
+                .collect();
+        }
+        let reps = &retained.groups.grouping().group_rep;
+        retained.group_slot.resize(reps.len(), UNSYNCED);
+        for &g in &regrouped.entered {
+            let cacheable = is_cacheable(&strategies[reps[g]]);
+            retained.group_slot[g] = if cacheable { UNSYNCED } else { NO_SLOT };
+        }
+        let num_groups = reps.len();
+        let uncacheable: Vec<usize> = (0..num_groups)
+            .filter(|&g| retained.group_slot[g] == NO_SLOT)
             .collect();
-        let uncacheable: Vec<usize> = (0..num_groups).filter(|&g| !cacheable[g]).collect();
         let present = (num_groups - uncacheable.len()) as u64;
 
         // The rows asked for, in group order: of the groups whose keeper
         // lies in the block — every group when the block is the population.
-        let keepers = (block.len() < strategies.len()).then(|| grouping.keepers().into_owned());
-        let rows: Vec<usize> = match &keepers {
-            None => (0..num_groups).collect(),
-            Some(keepers) => (0..num_groups)
+        let rows: Vec<usize> = if block.len() < strategies.len() {
+            let keepers = retained.groups.keep_keepers();
+            (0..num_groups)
                 .filter(|&g| block.contains(&keepers[g]))
-                .collect(),
+                .collect()
+        } else {
+            (0..num_groups).collect()
         };
 
-        let (group_slot, new_slots) = self.sync(strategies, &grouping, &cacheable);
+        let grouping = retained.groups.grouping();
+        let new_slots = self.sync(strategies, grouping, &mut retained.group_slot);
+        let group_slot = &retained.group_slot;
 
         // Fresh cells: the newcomers' columns in every filled row, then the
         // whole row of every requested strategy whose row is not filled yet.
@@ -847,7 +926,7 @@ impl PayoffTable {
         let mut misses = 0u64;
         for &g in &rows {
             row_offsets.push(stochastic_cells);
-            if cacheable[g] {
+            if group_slot[g] != NO_SLOT {
                 stochastic_cells += uncacheable.len();
                 cacheable_rows += 1;
                 if !self.slots[group_slot[g]].row_filled {
@@ -869,7 +948,7 @@ impl PayoffTable {
         if !(new_slots.is_empty() && new_rows.is_empty()) {
             let mut slot_requested = vec![false; self.slots.len()];
             for &g in &rows {
-                if cacheable[g] {
+                if group_slot[g] != NO_SLOT {
                     slot_requested[group_slot[g]] = true;
                 }
             }
@@ -906,7 +985,6 @@ impl PayoffTable {
             Vec::new()
         };
         let mut plan = Plan {
-            grouping,
             reps,
             swap_exact,
             filled_rows,
@@ -918,10 +996,7 @@ impl PayoffTable {
             unkept_slots,
             rows,
             row_offsets,
-            cacheable,
             uncacheable,
-            group_slot,
-            keepers,
             block,
             include_self,
             requested_cells: cacheable_rows * present,
@@ -937,6 +1012,9 @@ impl PayoffTable {
         self.stats.cells_played += plan.fresh_cells(self.slots.len()) as u64;
         self.stats.games_played += plan.fresh_len() as u64;
         self.plan = Some(plan);
+        if let Some(span) = span {
+            span.finish(moves.len() as u64);
+        }
         None
     }
 
@@ -987,9 +1065,18 @@ impl PayoffTable {
 
         // Reduce: one total per requested group, scattered to its SSets —
         // all of them, wherever they sit.
+        let span = SpanTimer::start(SpanKind::PayoffSum);
         let group_fitness = self.reduce(&plan, &values[plan.fresh_len()..]);
-        let group_of = &plan.grouping.group_of;
-        let ssets: Option<Vec<usize>> = plan.keepers.as_ref().map(|keepers| {
+        if let Some(span) = span {
+            span.finish((plan.rows.len() * group_fitness.len()) as u64);
+        }
+        let group_of = &plan.grouping().group_of;
+        let ssets: Option<Vec<usize>> = plan.sub_block().then(|| {
+            let keepers = plan
+                .retained
+                .groups
+                .keepers()
+                .expect("a sub-block request keeps the keepers");
             // Sized for the common case: an all-distinct population answers
             // exactly its block.
             let mut ssets = Vec::with_capacity(plan.block.len());
@@ -1005,9 +1092,6 @@ impl PayoffTable {
         let fitness = KeptFitness { ssets, values };
 
         let mut retained = std::mem::take(&mut plan.retained);
-        for (slot, &g) in retained.sset_slot.iter_mut().zip(group_of) {
-            *slot = plan.group_slot[g];
-        }
         retained.request = (plan.block, plan.swap_exact, plan.include_self);
         retained.cells = plan.requested_cells;
         retained.fitness.ssets.clone_from(&fitness.ssets);
@@ -1023,50 +1107,93 @@ impl PayoffTable {
     /// otherwise; minus the self-pairing unless the population's policy
     /// includes it.
     ///
-    /// A steady generation is nothing but this loop — one dependent `f64`
-    /// addition per cell — so the cacheable row's inner loop carries nothing
-    /// else: no self-pairing test (the self-pairing is read afterwards) and
-    /// no bounds check but the slot's. Kept out of line: inlined into
-    /// [`PayoffTable::finish`] it runs out of registers and reloads a slice
-    /// pointer from the stack on every cell (≈ 5 % of a `churn` generation
-    /// on the sequential engine).
+    /// A steady generation is little but this sum, and one row's sum is a
+    /// chain of dependent `f64` additions. So the cacheable rows are summed
+    /// four at a time ([`PayoffTable::sum_cacheable_rows`]): four chains
+    /// advance per column and share its count and slot (`NO_SLOT`: a
+    /// stochastic column), while each row still adds its own cells in group
+    /// order. The last
+    /// fewer-than-four cacheable rows take the same loop one at a time.
+    /// Kept out of line: inlined into [`PayoffTable::finish`] it runs out of
+    /// registers and reloads a slice pointer from the stack on every cell.
     #[inline(never)]
     fn reduce(&self, plan: &Plan, stochastic: &[(f64, f64)]) -> Vec<f64> {
-        let (cacheable, group_slot) = (&plan.cacheable[..], &plan.group_slot[..]);
-        let counts = &plan.grouping.group_count;
-        let mut stochastic = stochastic.iter().map(|&(to_a, _)| to_a);
-        let mut next_stochastic = move || {
-            stochastic
-                .next()
-                .expect("one value per stochastic cell, checked by the caller")
-        };
+        let counts = &plan.grouping().group_count;
+        let group_slot = &plan.retained.group_slot;
         let mut group_fitness = vec![0.0f64; counts.len()];
-        for &g in &plan.rows {
+        // Positions in `plan.rows` of the cacheable rows.
+        let mut cacheable_rows = Vec::with_capacity(plan.rows.len());
+        for (i, &g) in plan.rows.iter().enumerate() {
+            if group_slot[g] != NO_SLOT {
+                cacheable_rows.push(i);
+                continue;
+            }
+            let pays = &stochastic[plan.row_offsets[i]..plan.row_offsets[i + 1]];
             let mut total = 0.0;
-            let mut self_pay = 0.0;
-            if cacheable[g] {
-                let row = &self.cells[group_slot[g] * self.stride..][..self.stride];
-                for ((&count, &kept), &slot) in counts.iter().zip(cacheable).zip(group_slot) {
-                    let pay = if kept { row[slot] } else { next_stochastic() };
-                    total += count * pay;
-                }
-                self_pay = row[group_slot[g]];
-            } else {
-                for (h, &count) in counts.iter().enumerate() {
-                    let pay = next_stochastic();
-                    total += count * pay;
-                    if h == g {
-                        self_pay = pay;
-                    }
-                }
+            for (&count, &(pay, _)) in counts.iter().zip(pays) {
+                total += count * pay;
             }
             if !plan.include_self {
                 // Remove the self-pairing counted in the group sums.
-                total -= self_pay;
+                total -= pays[g].0;
             }
             group_fitness[g] = total;
         }
+        // Each column's count and slot side by side: one stream to read.
+        let columns: Vec<(f64, usize)> = counts
+            .iter()
+            .copied()
+            .zip(group_slot.iter().copied())
+            .collect();
+        let (quads, rest) = cacheable_rows.as_chunks::<4>();
+        for quad in quads {
+            self.sum_cacheable_rows(plan, &columns, quad, stochastic, &mut group_fitness);
+        }
+        for one in rest {
+            self.sum_cacheable_rows(plan, &columns, &[*one], stochastic, &mut group_fitness);
+        }
         group_fitness
+    }
+
+    /// The totals of `L` cacheable rows (positions in `plan.rows`) into
+    /// `group_fitness`: one accumulator per row, each adding its own cells in
+    /// group order — so each total is the one row-by-row summing makes, bit
+    /// for bit. The rows share every column's count and slot; their
+    /// stochastic cells are the same columns, each row's at its own offset.
+    #[inline(always)]
+    fn sum_cacheable_rows<const L: usize>(
+        &self,
+        plan: &Plan,
+        columns: &[(f64, usize)],
+        at: &[usize; L],
+        stochastic: &[(f64, f64)],
+        group_fitness: &mut [f64],
+    ) {
+        let group_slot = &plan.retained.group_slot;
+        let groups = at.map(|i| plan.rows[i]);
+        let rows = groups.map(|g| &self.cells[group_slot[g] * self.stride..][..self.stride]);
+        let pays = at.map(|i| &stochastic[plan.row_offsets[i]..plan.row_offsets[i + 1]]);
+        let mut totals = [0.0f64; L];
+        let mut next_stochastic = 0;
+        for &(count, slot) in columns {
+            if slot != NO_SLOT {
+                for (total, row) in totals.iter_mut().zip(&rows) {
+                    *total += count * row[slot];
+                }
+            } else {
+                for (total, pays) in totals.iter_mut().zip(&pays) {
+                    *total += count * pays[next_stochastic].0;
+                }
+                next_stochastic += 1;
+            }
+        }
+        for ((&g, row), mut total) in groups.iter().zip(&rows).zip(totals) {
+            if !plan.include_self {
+                // Remove the self-pairing counted in the group sums.
+                total -= row[group_slot[g]];
+            }
+            group_fitness[g] = total;
+        }
     }
 }
 
@@ -1130,6 +1257,27 @@ mod tests {
 
     #[test]
     fn reduction_matches_per_sset_reference() {
+        // The totals of one SSet at a time, summed cell by cell in group
+        // order: what the table must reproduce bit for bit.
+        let reference = |strategies: &[StrategyKind], policy: OpponentPolicy| -> Vec<u64> {
+            let grouping = StrategyGrouping::of(strategies);
+            let fp = &grouping.fingerprints;
+            let row_total = |g: usize| {
+                let mut total = 0.0;
+                for h in 0..grouping.num_groups() {
+                    total += grouping.group_count[h] * pay((fp[g], fp[h]));
+                }
+                if policy == OpponentPolicy::AllOthers {
+                    total -= pay((fp[g], fp[g]));
+                }
+                total.to_bits()
+            };
+            grouping.group_of.iter().map(|&g| row_total(g)).collect()
+        };
+        let bits = |fitness: KeptFitness| -> Vec<u64> {
+            fitness.into_values().iter().map(|v| v.to_bits()).collect()
+        };
+
         // Pure (kept) and mixed (replayed) strategies side by side, with
         // duplicates; both opponent policies; with and without mirroring;
         // twice, so the second pass is served from the table.
@@ -1137,7 +1285,7 @@ mod tests {
         let strategies = vec![
             pure("0110"),
             pure("1111"),
-            mixed,
+            mixed.clone(),
             pure("0110"),
             pure("0000"),
             pure("1111"),
@@ -1148,36 +1296,40 @@ mod tests {
             (OpponentPolicy::AllOthers, false),
         ] {
             let population = population(strategies.clone()).with_opponent_policy(policy);
-            let grouping = StrategyGrouping::of(&strategies);
-            let num_groups = grouping.num_groups();
-            let fp = &grouping.fingerprints;
             // 3 × 3 cacheable cells: six games when a game fills its mirror.
             let cold_games = if swap_exact { 6 } else { 9 };
             let mut table = PayoffTable::new(6);
             for pass in 0..2 {
                 let (fitness, played) = generation(&mut table, &population, 0..6, swap_exact);
-                let fitness = fitness.into_values();
                 // The cacheable games once, 7 stochastic cells every pass.
                 assert_eq!(played.len(), if pass == 0 { cold_games + 7 } else { 7 });
-                for (i, &g) in grouping.group_of.iter().enumerate() {
-                    let mut total = 0.0;
-                    for h in 0..num_groups {
-                        total += grouping.group_count[h] * pay((fp[g], fp[h]));
-                    }
-                    if policy == OpponentPolicy::AllOthers {
-                        total -= pay((fp[g], fp[g]));
-                    }
-                    assert_eq!(
-                        total.to_bits(),
-                        fitness[i].to_bits(),
-                        "pass {pass} sset {i}"
-                    );
-                }
+                assert_eq!(bits(fitness), reference(&strategies, policy), "pass {pass}");
             }
             let stats = table.stats();
             assert_eq!((stats.misses, stats.hits, stats.cells_played), (9, 9, 9));
             assert_eq!(stats.games_played, cold_games as u64);
             assert_eq!(table.valid_cells(), 9);
+        }
+
+        // Eleven cacheable groups — two rows of four summed side by side and
+        // three one at a time — with a stochastic column among them, and
+        // duplicates: every quad reads its own row, its own stochastic
+        // cells and its own self-pairing.
+        let mut wide: Vec<StrategyKind> =
+            (0..11).map(|k| pure(&format!("{:04b}", k + 2))).collect();
+        wide.insert(5, mixed);
+        wide.extend([pure("0010"), pure("1000"), pure("0010")]);
+        for policy in [OpponentPolicy::AllOthers, OpponentPolicy::AllIncludingSelf] {
+            let population = population(wide.clone()).with_opponent_policy(policy);
+            let mut table = PayoffTable::new(wide.len());
+            for pass in 0..2 {
+                let (fitness, _) = generation(&mut table, &population, 0..wide.len(), true);
+                assert_eq!(
+                    bits(fitness),
+                    reference(&wide, policy),
+                    "{policy:?} pass {pass}"
+                );
+            }
         }
     }
 

@@ -71,6 +71,12 @@ pub enum SpanKind {
     /// admission to completion/suspension (payload: session id). Recorded on
     /// the session's own track so a serve timeline shows one lane per tenant.
     Session,
+    /// The payoff table working out one generation that it does not answer
+    /// from the retained one: diff, regroup, slots and the list of games
+    /// (payload: SSets whose strategy changed).
+    Plan,
+    /// The payoff table summing the requested rows (payload: cells summed).
+    PayoffSum,
 }
 
 impl SpanKind {
@@ -94,6 +100,8 @@ impl SpanKind {
             SpanKind::Checkpoint => "checkpoint",
             SpanKind::Recovery => "recovery",
             SpanKind::Session => "session",
+            SpanKind::Plan => "plan",
+            SpanKind::PayoffSum => "payoff_sum",
         }
     }
 }

@@ -7,6 +7,7 @@ use crate::engine::{self, EngineInstance};
 use crate::session::{SessionEvent, SessionHandle, SessionId, SessionShared, SessionStatus};
 use egd_cluster::taskexec::{self, TaskFuture};
 use egd_core::error::{EgdError, EgdResult};
+use egd_core::grouping::StrategyGrouping;
 use egd_core::simulation::SimulationState;
 use egd_cost::CostModel;
 use egd_fault::{crash_fault, injection_armed, CheckpointStore, MemoryStore};
@@ -598,15 +599,16 @@ async fn run_generations(
                             changed,
                             ..previous
                         },
-                        // One census: its first entry is the dominant
-                        // strategy.
+                        // One grouping: its groups are the census's
+                        // entries, and its largest count the dominant
+                        // strategy's — without a copy of any genome.
                         _ => {
-                            let census = population.census();
+                            let grouping = StrategyGrouping::of(population.strategies());
+                            let dominant = grouping.group_count.iter().copied().fold(0.0, f64::max);
                             SessionEvent {
                                 generation,
-                                distinct_strategies: census.len(),
-                                dominant_fraction: census[0].count as f64
-                                    / population.num_ssets() as f64,
+                                distinct_strategies: grouping.num_groups(),
+                                dominant_fraction: dominant / population.num_ssets() as f64,
                                 cooperation: population.mean_cooperation_propensity(),
                                 changed,
                             }

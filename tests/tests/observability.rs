@@ -196,3 +196,43 @@ fn metrics_snapshot_unifies_at_ten_thousand_ranks() {
     let snapshot = unified_snapshot(10_000, 2);
     assert_snapshot_is_unified(&snapshot, 10_000, 2);
 }
+
+/// The payoff table's own spans on a traced sequential run: a generation
+/// it computes records one `Plan` span (payload: SSets whose strategy
+/// changed — every SSet in the cold one) and one `PayoffSum` span (payload:
+/// cells summed); a generation it answers from the retained one records
+/// neither.
+#[test]
+fn a_traced_sequential_run_records_one_plan_per_computed_generation() {
+    let generations = 80;
+    let config = SimulationConfig::builder()
+        .memory(MemoryDepth::ONE)
+        .num_ssets(24)
+        .agents_per_sset(2)
+        .rounds_per_game(40)
+        .pc_rate(0.2)
+        .mutation_rate(0.1)
+        .generations(generations)
+        .seed(7)
+        .build()
+        .expect("plan span config");
+    let _session = egd_obs::session_guard();
+    egd_obs::enable_tracing();
+    let mut sim = Simulation::new(config).expect("sequential simulation");
+    sim.run_for(generations).expect("sequential run");
+    egd_obs::disable_tracing();
+    let log = egd_obs::collect();
+
+    let reused = sim.evaluator().table_stats().generations_reused;
+    assert!(reused > 0 && reused < generations, "{reused} reused");
+    let spans = |kind: SpanKind| -> Vec<u64> {
+        let mut events: Vec<_> = log.events.iter().filter(|e| e.kind == kind).collect();
+        events.sort_by_key(|e| e.seq);
+        events.iter().map(|e| e.payload).collect()
+    };
+    let (plans, sums) = (spans(SpanKind::Plan), spans(SpanKind::PayoffSum));
+    assert_eq!(plans.len() as u64, generations - reused);
+    assert_eq!(sums.len(), plans.len());
+    assert_eq!(plans[0], 24, "the cold generation moves every SSet");
+    assert!(sums.iter().all(|&cells| cells > 0));
+}

@@ -37,6 +37,13 @@
 //! `PayoffTableStats` of three trajectories are pinned to what the commit
 //! before the reuse recorded.
 //!
+//! The table keeps its strategy grouping between generations, too, and moves
+//! only the SSets whose strategy changed (`egd_core::grouping::KeptGrouping`).
+//! `the_kept_grouping_is_a_rebuild_every_generation` checks the kept grouping
+//! and keepers against `StrategyGrouping::from_fingerprints` and `keepers()`
+//! after every generation of trajectories aimed at what an update gets wrong,
+//! and each answer against a cold table's.
+//!
 //! The table fills a cell and its mirror from one game where the kernel is
 //! swap-exact (`FitnessMode::swap_exact`). The brute-force side never does —
 //! it plays every ordered pair and keeps `to_a` — so a `to_b` stored in the
@@ -1042,5 +1049,170 @@ fn counters_are_the_ones_recorded_before_generations_were_reused() {
             },
             "{name}"
         );
+    }
+}
+
+/// Strategy number `k` of a pool: memory-two pure — or, every fifth number,
+/// mixed, which the table gives no slot (distinct numbers are distinct
+/// strategies).
+fn pooled(k: usize) -> StrategyKind {
+    if k % 5 == 4 {
+        StrategyKind::Mixed(
+            MixedStrategy::uniform(MemoryDepth::TWO, (k + 1) as f64 / 1024.0).unwrap(),
+        )
+    } else {
+        let bits = format!("{:016b}", k * 77 + 1);
+        StrategyKind::Pure(PureStrategy::from_bitstring(MemoryDepth::TWO, &bits).unwrap())
+    }
+}
+
+/// SSet `i` holds `pooled(assignment[i])`.
+fn pooled_population(assignment: &[usize], policy: OpponentPolicy) -> Population {
+    let strategies = assignment.iter().map(|&k| pooled(k)).collect();
+    Population::from_strategies(StrategySpace::mixed(MemoryDepth::TWO), 2, strategies)
+        .unwrap()
+        .with_opponent_policy(policy)
+}
+
+/// One generation on `table` under a made-up game whose payoffs depend on
+/// the two fingerprints only — so every table, cold or kept, plays the same
+/// numbers, and two answers differ only where the grouping does.
+fn made_up_generation(
+    table: &mut PayoffTable,
+    population: &Population,
+    block: std::ops::Range<usize>,
+) -> Vec<(usize, u64)> {
+    let pay = |(a, b): (u64, u64)| (a % 97) as f64 * 0.37 + (b % 89) as f64 * 1.3;
+    let answer = table
+        .generation_fitness(
+            population,
+            block,
+            |strategy| matches!(strategy, StrategyKind::Pure(_)),
+            true,
+            |games| {
+                Ok(games
+                    .iter()
+                    .map(|game| {
+                        let (a, b) = game.fingerprints;
+                        (pay((a, b)), pay((b, a)))
+                    })
+                    .collect())
+            },
+        )
+        .unwrap();
+    answer_bits(&answer)
+}
+
+/// The kept grouping of `table` is, field for field, the from-scratch one of
+/// `population`; so are its keepers, where it keeps them — as it must after
+/// a proper sub-block request.
+fn assert_grouping_is_rebuilt(
+    table: &PayoffTable,
+    population: &Population,
+    sub_block: bool,
+    at: &str,
+) {
+    let fingerprints: Vec<u64> = population
+        .strategies()
+        .iter()
+        .map(StrategyKind::fingerprint)
+        .collect();
+    let rebuilt = StrategyGrouping::from_fingerprints(&fingerprints);
+    prop_assert_eq!(table.grouping().grouping(), &rebuilt, "grouping {}", at);
+    prop_assert!(
+        !sub_block || table.grouping().keepers().is_some(),
+        "keepers {}",
+        at
+    );
+    if let Some(keepers) = table.grouping().keepers() {
+        prop_assert_eq!(keepers, &*rebuilt.keepers(), "keepers {}", at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The payoff table keeps its grouping between generations and moves
+    /// only the SSets that changed. After every generation the kept grouping
+    /// and keepers must be what `StrategyGrouping::from_fingerprints` and
+    /// `keepers()` make of the population, and the answer must be a cold
+    /// table's, bit for bit. The changes are aimed at what an update gets
+    /// wrong: a representative or keeper adopting another strategy, an SSet
+    /// becoming the first occurrence of the strategy it adopts, groups that
+    /// empty, extinct strategies re-entering, adoption and mutation on one
+    /// SSet, stochastic (mixed) groups beside cached ones, an unrelated
+    /// population — sometimes larger than the table — for one generation,
+    /// and a rank-like caller whose block changes.
+    #[test]
+    fn the_kept_grouping_is_a_rebuild_every_generation(
+        num_ssets in 2usize..=20,
+        pool in 2usize..=14,
+        seed in any::<u64>(),
+        include_self in any::<bool>(),
+    ) {
+        use rand::Rng;
+        let mut rng = stream(seed, StreamKind::Auxiliary, 34);
+        let policy = if include_self {
+            OpponentPolicy::AllIncludingSelf
+        } else {
+            OpponentPolicy::AllOthers
+        };
+        let mut assignment: Vec<usize> = (0..num_ssets).map(|_| rng.gen_range(0..pool)).collect();
+        let mut whole = PayoffTable::new(num_ssets);
+        let mut rank = PayoffTable::new(num_ssets);
+        for generation in 0..40 {
+            for _ in 0..rng.gen_range(0..4) {
+                let i = rng.gen_range(0..num_ssets);
+                let j = rng.gen_range(0..num_ssets);
+                let strategies: Vec<StrategyKind> = assignment.iter().map(|&k| pooled(k)).collect();
+                match rng.gen_range(0..6) {
+                    // The representative of SSet i's group adopts SSet j's
+                    // strategy.
+                    0 => {
+                        let rep = assignment.iter().position(|&k| k == assignment[i]).unwrap();
+                        assignment[rep] = assignment[j];
+                    }
+                    // The keeper of SSet i's group adopts SSet j's strategy.
+                    1 => assignment[keeper_of(&strategies, i)] = assignment[j],
+                    // An SSet adopts the strategy of one after it: it becomes
+                    // that group's first occurrence.
+                    2 => assignment[i.min(j)] = assignment[i.max(j)],
+                    // A mutant: a present strategy, a new one, or an extinct
+                    // one re-entering.
+                    3 => assignment[i] = rng.gen_range(0..pool + 3),
+                    // Adoption and mutation land on one SSet.
+                    4 => {
+                        assignment[i] = assignment[j];
+                        assignment[i] = rng.gen_range(0..pool + 3);
+                    }
+                    _ => assignment[i] = assignment[j],
+                }
+            }
+            let population = pooled_population(&assignment, policy);
+            let lo = rng.gen_range(0..num_ssets);
+            let block = lo..rng.gen_range(lo + 1..=num_ssets);
+
+            if rng.gen_range(0..10) == 0 {
+                let size = num_ssets + rng.gen_range(0..3usize);
+                let unrelated: Vec<usize> = (0..size).map(|_| rng.gen_range(100..100 + size)).collect();
+                let stranger = pooled_population(&unrelated, policy);
+                for (table, block) in [(&mut whole, 0..size), (&mut rank, block.start..size)] {
+                    let sub_block = block.len() < size;
+                    let got = made_up_generation(table, &stranger, block.clone());
+                    let cold = made_up_generation(&mut PayoffTable::new(size), &stranger, block);
+                    prop_assert_eq!(got, cold, "stranger before generation {}", generation);
+                    assert_grouping_is_rebuilt(table, &stranger, sub_block, "of the stranger");
+                }
+            }
+
+            for (table, block) in [(&mut whole, 0..num_ssets), (&mut rank, block)] {
+                let at = format!("generation {generation}, block {block:?}");
+                let sub_block = block.len() < num_ssets;
+                let got = made_up_generation(table, &population, block.clone());
+                let cold = made_up_generation(&mut PayoffTable::new(num_ssets), &population, block);
+                prop_assert_eq!(got, cold, "answer in {}", at);
+                assert_grouping_is_rebuilt(table, &population, sub_block, &at);
+            }
+        }
     }
 }
