@@ -1,7 +1,7 @@
 //! Fig. 2 — validation run: WSLS takes over a memory-one population.
 //!
 //! The paper's full run uses 5,000 SSets (20,000 agents) for 10^7 generations
-//! and reports that 85% of SSets adopt [0101] = WSLS. This harness runs the
+//! and reports that 85% of SSets adopt `[0101]` = WSLS. This harness runs the
 //! same dynamics at a configurable scale (default 4% population with the
 //! preset's proportionally scaled generations) and prints the initial
 //! census, the final census, the k-means cluster summary (the Fig. 2a/2b

@@ -63,7 +63,7 @@ impl ScaleWorkload {
     ///   reference shape), 10⁴ ranks on 64 workers to show the static split
     ///   degrading as the pool grows while stealing holds, and 10⁵ ranks on
     ///   64 workers (the ceiling the tree collectives lifted);
-    /// * **weak scaling** — fixed per-rank work ([`WEAK_OPPONENTS`]) with
+    /// * **weak scaling** — fixed per-rank work (`WEAK_OPPONENTS`) with
     ///   ranks and workers growing in proportion (250 ranks per worker), so
     ///   the critical path should stay flat from 10³ to 10⁵ ranks.
     pub fn canonical() -> [ScaleWorkload; 7] {

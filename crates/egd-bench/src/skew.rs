@@ -28,13 +28,10 @@
 use egd_core::config::SimulationConfig;
 use egd_core::population::Population;
 use egd_core::rng::{stream, StreamKind};
-use egd_core::simulation::FitnessMode;
+use egd_core::simulation::{FitnessMode, PairEvaluator};
 use egd_core::state::MemoryDepth;
 use egd_core::strategy::{MixedStrategy, PureStrategy, StrategyKind, StrategySpace};
-use egd_parallel::{
-    ConcurrentPairEvaluator, ParallelEngine, SchedPolicy, SchedStats, StrategyGrouping,
-    ThreadConfig,
-};
+use egd_parallel::{ParallelEngine, SchedPolicy, SchedStats, StrategyGrouping, ThreadConfig};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -117,13 +114,13 @@ pub fn predicted_cell_weights(workload: &Workload) -> Vec<u64> {
 }
 
 /// Measures the per-cell cost (ns) of the workload's distinct-pair payoff
-/// matrix sequentially — one [`ConcurrentPairEvaluator::pair_payoff`] per
+/// matrix sequentially — one [`PairEvaluator::pair_payoff`] per
 /// cell between the groups' representatives — averaged over `reps`
 /// generations after a cache warm-up. Cells are ordered like
 /// [`predicted_cell_weights`]: `cell = g * num_groups + h`.
 pub fn measure_cell_costs(workload: &Workload, reps: u32) -> Vec<u64> {
-    let evaluator = ConcurrentPairEvaluator::new(&workload.config, FitnessMode::Simulated)
-        .expect("evaluator builds");
+    let evaluator =
+        PairEvaluator::new(&workload.config, FitnessMode::Simulated).expect("evaluator builds");
     let strategies = workload.population.strategies();
     let grouping = StrategyGrouping::of(strategies);
     let group_rep = &grouping.group_rep;

@@ -146,7 +146,7 @@ impl DistributedRunSummary {
         snap.traffic = self.traffic.metrics();
         snap.add_counter("pair_cache_hits", self.payoff.hits);
         snap.add_counter("pair_cache_misses", self.payoff.misses);
-        egd_parallel::cache::record_table_counters(&mut snap, &self.payoff);
+        self.payoff.record_counters(&mut snap);
         for generation in &self.trace.generations {
             snap.record_generation(egd_obs::GenerationMetrics {
                 generation: generation.generation,

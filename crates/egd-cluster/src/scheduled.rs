@@ -4,14 +4,14 @@
 //! distributed layer: every generation, each rank's game-play phase (the
 //! games of the strategies its contiguous SSet block represents) becomes
 //! one task on the `egd-sched` work-stealing scheduler, executed by a small
-//! fixed crew of workers opened once per run — one round of rank tasks per
-//! generation. Thousands of ranks then cost no OS threads — only
-//! tasks — and skewed per-rank work (small `R` = SSets per rank,
-//! heterogeneous blocks) is handled in two levels: the initial per-worker
-//! segments of the rank space are **sized by predicted rank cost** (the
-//! shared `egd-cost` model prices the games each rank has to play this
-//! generation), and adaptive stealing corrects whatever the prediction got
-//! wrong instead of serialising on the slowest rank. (The
+//! fixed crew of workers (never more than there are ranks) opened once per
+//! run — one round of rank tasks per generation. Thousands of ranks then
+//! cost no OS threads — only tasks — and skewed per-rank work (small `R` =
+//! SSets per rank, heterogeneous blocks) is handled in two levels: the
+//! initial per-worker segments of the rank space are **sized by predicted
+//! rank cost** (the shared `egd-cost` model prices the games each rank has
+//! to play this generation), and adaptive stealing corrects whatever the
+//! prediction got wrong instead of serialising on the slowest rank. (The
 //! protocol-level [`crate::executor::DistributedExecutor`] runs the same
 //! science with explicit message passing; since the retirement of the
 //! thread-per-rank transport its ranks are cooperative tasks too.)
@@ -22,8 +22,9 @@
 //!
 //! Semantics are unchanged from the thread-per-rank executor:
 //!
-//! * the ranks share one retained payoff matrix
-//!   ([`ConcurrentPairEvaluator::generation_fitness`]): a rank plays the
+//! * the ranks share one [`PairEvaluator`] — the evaluator every engine
+//!   drives — and its retained payoff matrix
+//!   ([`PairEvaluator::generation_fitness`]): a rank plays the
 //!   matrix rows of the strategies whose representative SSet it owns — only
 //!   the cells of strategies that entered the population, plus the
 //!   stochastic ones — with the same strategy-grouping scheme and the same
@@ -46,9 +47,8 @@ use egd_core::error::{EgdError, EgdResult};
 use egd_core::game::IpdGame;
 use egd_core::payoff_table::PlannedCells;
 use egd_core::population::Population;
-use egd_core::simulation::FitnessMode;
+use egd_core::simulation::{FitnessMode, PairEvaluator};
 use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer};
-use egd_parallel::cache::ConcurrentPairEvaluator;
 use egd_parallel::partition::SSetPartition;
 use egd_parallel::thread_pool::ThreadConfig;
 use egd_sched::{SchedStats, WeightedSource};
@@ -113,7 +113,8 @@ pub struct ScheduledRunSummary {
     pub generations_with_change: u64,
     /// Number of simulated ranks.
     pub ranks: usize,
-    /// Number of scheduler workers that executed the rank tasks.
+    /// Number of scheduler workers that executed the rank tasks: the
+    /// configured count, capped at one per rank.
     pub threads: usize,
     /// Accumulated scheduler statistics over all generations.
     pub sched: Option<SchedStats>,
@@ -174,9 +175,8 @@ impl ScheduledExecutor {
     /// scheduled task.
     pub fn run(&self) -> EgdResult<ScheduledRunSummary> {
         let config = &self.sim_config;
-        let threads = ThreadConfig::with_threads(self.sched_config.threads).effective_threads();
         let partition = SSetPartition::new(config.num_ssets, self.sched_config.ranks)?;
-        let evaluator = ConcurrentPairEvaluator::new(config, self.sched_config.fitness_mode)?;
+        let evaluator = PairEvaluator::new(config, self.sched_config.fitness_mode)?;
         let nature = config.nature_agent()?;
         let mut population = config.initial_population()?;
         // The runs of the planned list each rank plays this generation:
@@ -190,7 +190,11 @@ impl ScheduledExecutor {
             }
             Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
         };
-        let workers = threads.max(1).min(self.sched_config.ranks);
+        // The crew, and what the run reports: no more workers than ranks.
+        let workers = ThreadConfig::with_threads(self.sched_config.threads)
+            .effective_threads()
+            .max(1)
+            .min(self.sched_config.ranks);
         egd_sched::with_crew(workers, contained(&rank_body), |crew| {
             let mut changes = 0u64;
             let mut trace = RunTrace::default();
@@ -264,7 +268,7 @@ impl ScheduledExecutor {
 
             trace.load_balance = sched_total.as_ref().map(LoadBalance::from);
             metrics.run.ranks = self.sched_config.ranks as u64;
-            metrics.run.workers = threads as u64;
+            metrics.run.workers = workers as u64;
             metrics.run.generations = config.generations;
             if let Some(total) = sched_total.as_ref() {
                 for worker in total.worker_metrics() {
@@ -277,7 +281,7 @@ impl ScheduledExecutor {
                 generations: config.generations,
                 generations_with_change: changes,
                 ranks: self.sched_config.ranks,
-                threads,
+                threads: workers,
                 sched: sched_total,
                 trace,
                 metrics,
@@ -496,7 +500,7 @@ mod tests {
 
         let partition = SSetPartition::new(12, 4).unwrap();
         let cfg = sim_config(40, 12, 1);
-        let evaluator = ConcurrentPairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
         let model = egd_cost::CostModel::blue_gene_like();
         let mut work = None;
         evaluator
@@ -560,6 +564,9 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(oversubscribed.population, reference.population);
+        // ... and reports the workers that ran, not the ones configured.
+        assert_eq!(oversubscribed.threads, 3);
+        assert_eq!(oversubscribed.metrics.run.workers, 3);
     }
 
     #[test]

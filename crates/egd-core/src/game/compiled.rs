@@ -1,6 +1,6 @@
 //! Compiled strategy tables: the stochastic rung of the Fig. 3 kernel ladder.
 //!
-//! The paper-literal stochastic engine ([`IpdGame::play`]) pays, every round,
+//! The paper-literal stochastic engine ([`IpdGame::play`](crate::game::IpdGame::play)) pays, every round,
 //! for dynamic [`StrategyKind`] dispatch, a bounds-checked probability
 //! lookup, a float multiply-and-compare inside `gen_bool`, and *two*
 //! `StateSpace::advance` calls (one per player's view). None of that is

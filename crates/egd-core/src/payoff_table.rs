@@ -151,7 +151,7 @@ use crate::grouping::{KeptGrouping, StrategyGrouping};
 use crate::population::Population;
 use crate::sset::OpponentPolicy;
 use crate::strategy::StrategyKind;
-use egd_obs::{SpanKind, SpanTimer};
+use egd_obs::{MetricsSnapshot, SpanKind, SpanTimer};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -557,6 +557,18 @@ impl PayoffTableStats {
         self.slots_reclaimed += other.slots_reclaimed;
         self.generations_reused += other.generations_reused;
         self.slots_occupied += other.slots_occupied;
+    }
+
+    /// Adds the occupancy, reclaim, games-played and generations-reused
+    /// counters to a metrics snapshot (`pair_cache_hits` /
+    /// `pair_cache_misses` are the caller's: an evaluator adds its
+    /// single-pair memo to the table's).
+    pub fn record_counters(&self, snap: &mut MetricsSnapshot) {
+        snap.add_counter("payoff_slots_occupied", self.slots_occupied);
+        snap.add_counter("payoff_slots_reclaimed", self.slots_reclaimed);
+        snap.add_counter("payoff_cells_played", self.cells_played);
+        snap.add_counter("payoff_games_played", self.games_played);
+        snap.add_counter("payoff_generations_reused", self.generations_reused);
     }
 }
 

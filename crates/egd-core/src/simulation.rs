@@ -10,7 +10,9 @@
 //! semantic reference: the shared-memory engine (`egd-parallel`, a backend
 //! of this loop) and the simulated-cluster executors (`egd-cluster`) must
 //! produce bit-identical populations for the same [`SimulationConfig`],
-//! which the integration tests verify.
+//! which the integration tests verify. They all compute fitness through the
+//! same [`PairEvaluator`]: the sequential loop and each message-passing rank
+//! own one, the shared-memory engines share one between their workers.
 //!
 //! Two performance devices keep even large sequential runs tractable without
 //! changing the dynamics:
@@ -30,27 +32,30 @@
 //!
 //! What a generation does have to play — the games of strategies that
 //! entered, and every stochastic game — every engine plays the same way, a
-//! chunk of the planned list at a time through [`PairKernel::play_games`],
-//! and a chunk's games of a kind as one block: its stochastic games are the
-//! lanes of one [`IpdGame::play_block`] call (two lanes to a round loop, on
-//! strategies compiled once per group per generation), its fresh
-//! deterministic games one [`IpdGame::play_pure_block`] call (each walked in
-//! one player's view against the other's perspective mirror, a mirror per
-//! run of games that share a side). The engines differ only in who calls it
-//! for which chunks.
+//! chunk of the planned list at a time through the evaluator's
+//! [`PairKernel`], and a chunk's games of a kind as one block: its
+//! stochastic games are the lanes of one [`IpdGame::play_block`] call (two
+//! lanes to a round loop, on strategies compiled once per group per
+//! generation), its fresh deterministic games one
+//! [`IpdGame::play_pure_block`] call (each walked in one player's view
+//! against the other's perspective mirror, a mirror per run of games that
+//! share a side). The engines differ only in who plays which chunks.
 
 use crate::config::SimulationConfig;
 use crate::dynamics::{GenerationDecision, NatureAgent};
 use crate::error::{EgdError, EgdResult};
 use crate::game::{CompiledPair, CompiledStrategy, IpdGame, MarkovGame};
 use crate::metrics::{FitnessStats, GenerationRecord, GenerationTiming};
-use crate::payoff_table::{KeptFitness, PayoffTable, PayoffTableStats, PlannedCell};
+use crate::payoff_table::{KeptFitness, PayoffTable, PayoffTableStats, PlannedCell, PlannedCells};
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
 use crate::strategy::{Strategy, StrategyKind};
+use egd_obs::{obs_span, MetricsSnapshot, SpanKind};
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// How per-pair payoffs are obtained.
@@ -100,7 +105,7 @@ impl FitnessMode {
     }
 }
 
-/// What plays a game for both pair evaluators: the game, its Markov
+/// What plays a game for the [`PairEvaluator`]: the game, its Markov
 /// analyser, the fitness mode and the seed the random streams derive from.
 #[derive(Debug, Clone)]
 pub struct PairKernel {
@@ -112,7 +117,7 @@ pub struct PairKernel {
 
 impl PairKernel {
     /// The kernel of a configuration.
-    pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
+    pub(crate) fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
         Ok(PairKernel {
             game: config.game()?,
             markov: config.markov_game()?,
@@ -122,17 +127,17 @@ impl PairKernel {
     }
 
     /// The game played.
-    pub fn game(&self) -> &IpdGame {
+    pub(crate) fn game(&self) -> &IpdGame {
         &self.game
     }
 
     /// The fitness mode in use.
-    pub fn mode(&self) -> FitnessMode {
+    pub(crate) fn mode(&self) -> FitnessMode {
         self.mode
     }
 
     /// [`FitnessMode::caches`] under this kernel's game.
-    pub fn caches(&self, strategy: &StrategyKind) -> bool {
+    pub(crate) fn caches(&self, strategy: &StrategyKind) -> bool {
         self.mode.caches(self.game.noise(), strategy)
     }
 
@@ -145,7 +150,7 @@ impl PairKernel {
     /// mode is [`FitnessMode::swap_exact`].
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn play(
+    pub(crate) fn play(
         &self,
         cacheable: bool,
         a_index: usize,
@@ -174,12 +179,12 @@ impl PairKernel {
         Ok((outcome.fitness_a, outcome.fitness_b))
     }
 
-    /// Games per chunk: how many planned games
-    /// [`PairKernel::play_games`] plays at a time, and so the most lanes one
-    /// [`IpdGame::play_block`] call receives. A chunk is also the parallel
-    /// engines' work item: long enough to amortise its dispatch and its
-    /// span over ~20 µs of play, short enough that a generation of a few
-    /// hundred stochastic games still splits over the workers.
+    /// Games per chunk: how many planned games the kernel plays at a time,
+    /// and so the most lanes one [`IpdGame::play_block`] call receives. A
+    /// chunk is also the parallel engines' work item: long enough to
+    /// amortise its dispatch and its span over ~20 µs of play, short enough
+    /// that a generation of a few hundred stochastic games still splits over
+    /// the workers.
     pub const CHUNK_GAMES: usize = 32;
 
     /// Plays games of a [`PayoffTable`]'s planned list — all of the walk
@@ -196,7 +201,7 @@ impl PairKernel {
     /// a lane reports `(to_a, 0.0)` — a stochastic game's `to_b` has no
     /// mirror cell to fill, and the block kernel does not sum it. An
     /// expected-value cell is computed by [`PairKernel::play`] on the spot.
-    pub fn play_games<'c>(
+    pub(crate) fn play_games<'c>(
         &self,
         games: impl Iterator<Item = PlannedCell<'c>>,
         compiled: impl Fn(usize) -> &'c CompiledStrategy,
@@ -285,32 +290,140 @@ fn pair_id(a_index: usize, b_index: usize) -> u64 {
     (a_index as u64) << 32 | b_index as u64
 }
 
-/// Pairwise payoff evaluator of the sequential engine and of each rank of
-/// the message-passing executor.
-#[derive(Debug, Clone)]
+/// The pairwise payoff evaluator every engine shares: the sequential
+/// reference and each rank of the message-passing executor drive it through
+/// `&mut self` ([`PairEvaluator::block_fitness`]), which takes no lock; the
+/// shared-memory engines share one between their workers through `&self`
+/// ([`PairEvaluator::generation_fitness`], [`PairEvaluator::play_range`]).
+///
+/// A generation's fitness goes through the retained [`PayoffTable`]: only
+/// the rows and columns of strategies that entered the population, and the
+/// stochastic games, are played. Through `&self` the generation is planned
+/// under the table's write lock; the caller's executor then plays the
+/// planned list on whatever workers it has, any run of it from any thread,
+/// under the read lock; the results are stored and summed under the write
+/// lock again. Because the plan lives beside the table rather than in the
+/// caller's stack frame, workers kept for a whole run can play every
+/// generation's list. Either way a generation's stochastic games are played
+/// on strategies compiled once per group per generation, into the planned
+/// matrix.
+///
+/// Callers that ask for single pairs ([`PairEvaluator::pair_payoff`]: tests,
+/// references and the benchmarks' cost probes) get a bounded memo behind a
+/// mutex. No engine probes it.
+#[derive(Debug)]
 pub struct PairEvaluator {
     kernel: PairKernel,
     /// Memo of [`PairEvaluator::pair_payoff`] (single-pair callers only).
-    cache: HashMap<(u64, u64), (f64, f64)>,
-    cache_hits: u64,
-    cache_misses: u64,
-    /// The payoff matrix [`PairEvaluator::block_fitness`] keeps between
-    /// generations.
+    /// Payoffs are a pure function of the key, so two threads that miss the
+    /// same pair insert the same value.
+    cache: Mutex<HashMap<(u64, u64), (f64, f64)>>,
+    /// The payoff matrix kept between generations, with the generation
+    /// planned in it: written by the caller between rounds of play, read by
+    /// the players.
+    matrix: RwLock<Matrix>,
+    /// Held for a whole [`PairEvaluator::generation_fitness`] call, so that
+    /// overlapping callers take turns and none re-plans the matrix while
+    /// another's players read its plan. Players never take it.
+    generation_guard: Mutex<()>,
+    /// Strategy compilations performed so far.
+    compiles: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The retained payoff matrix and what the planned generation's players
+/// read beside it.
+#[derive(Debug, Default)]
+struct Matrix {
     table: PayoffTable,
+    /// Compiled strategy per group of the last generation that had a
+    /// stochastic game to play; kept, unread, through generations that
+    /// compile nothing.
+    compiled: Vec<CompiledStrategy>,
+    generation: u64,
+}
+
+impl Matrix {
+    /// Plans `generation` of `population` for `block` (see
+    /// [`PayoffTable::plan`]) and, when it has a stochastic game, compiles
+    /// each group's strategy once. `Some` is the retained generation's
+    /// answer: nothing is to be played.
+    fn plan(
+        &mut self,
+        kernel: &PairKernel,
+        compiles: &AtomicU64,
+        population: &Population,
+        block: Range<usize>,
+        generation: u64,
+    ) -> Option<KeptFitness> {
+        let answer = self.table.plan(
+            population,
+            block,
+            |strategy| kernel.caches(strategy),
+            kernel.mode().swap_exact(),
+        );
+        if answer.is_some() {
+            return answer;
+        }
+        let cells = self.table.planned().expect("a generation was just planned");
+        if cells.stochastic_len() > 0 {
+            let strategies = population.strategies();
+            self.compiled = cells
+                .grouping()
+                .group_rep
+                .iter()
+                .map(|&i| compile(compiles, &strategies[i]))
+                .collect();
+        }
+        self.generation = generation;
+        None
+    }
+
+    /// Plays the games `range` of the planned list, clamped to the list.
+    fn play(
+        &self,
+        kernel: &PairKernel,
+        range: Range<usize>,
+        out: &mut Vec<(f64, f64)>,
+    ) -> EgdResult<()> {
+        let cells = self.table.planned().expect("a generation is being played");
+        let group_of = &cells.grouping().group_of;
+        kernel.play_games(
+            cells.iter_from(range.start).take(range.len()),
+            |i| &self.compiled[group_of[i]],
+            self.generation,
+            out,
+        )
+    }
+}
+
+/// Compiles one strategy, counted in `compiles`, under a `Compile` span
+/// (payload: fingerprint).
+fn compile(compiles: &AtomicU64, strategy: &StrategyKind) -> CompiledStrategy {
+    compiles.fetch_add(1, Ordering::Relaxed);
+    obs_span!(SpanKind::Compile, strategy.fingerprint(), {
+        CompiledStrategy::compile(strategy)
+    })
 }
 
 impl PairEvaluator {
-    /// Maximum number of cached strategy pairs before the cache is reset.
+    /// Maximum number of memoised strategy pairs before the memo is reset.
     const MAX_CACHE_ENTRIES: usize = 1 << 20;
 
     /// Creates an evaluator for a configuration.
     pub fn new(config: &SimulationConfig, mode: FitnessMode) -> EgdResult<Self> {
         Ok(PairEvaluator {
             kernel: PairKernel::new(config, mode)?,
-            cache: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            table: PayoffTable::new(config.num_ssets),
+            cache: Mutex::new(HashMap::new()),
+            matrix: RwLock::new(Matrix {
+                table: PayoffTable::new(config.num_ssets),
+                ..Matrix::default()
+            }),
+            generation_guard: Mutex::new(()),
+            compiles: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         })
     }
 
@@ -319,29 +432,62 @@ impl PairEvaluator {
         self.kernel.mode()
     }
 
+    /// The game the evaluator plays.
+    pub fn game(&self) -> &IpdGame {
+        self.kernel.game()
+    }
+
     /// Cacheable cells served without playing a game so far (by the payoff
     /// table and by the `pair_payoff` memo).
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits + self.table.stats().hits
+        self.hits.load(Ordering::Relaxed) + self.table_stats().hits
     }
 
     /// Cacheable cells that a game had to fill so far.
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses + self.table.stats().misses
+        self.misses.load(Ordering::Relaxed) + self.table_stats().misses
+    }
+
+    /// Total number of cached pairs (memo entries plus valid table cells).
+    pub fn cached_pairs(&self) -> usize {
+        self.cache.lock().len() + self.matrix.read().table.valid_cells()
     }
 
     /// Counters of the retained payoff matrix.
     pub fn table_stats(&self) -> PayoffTableStats {
-        self.table.stats()
+        self.matrix.read().table.stats()
+    }
+
+    /// Adds the evaluator's cache, payoff-table and compile counters to a
+    /// metrics snapshot.
+    pub fn record_counters(&self, snap: &mut MetricsSnapshot) {
+        snap.add_counter("pair_cache_hits", self.cache_hits());
+        snap.add_counter("pair_cache_misses", self.cache_misses());
+        snap.add_counter("pair_cache_entries", self.cached_pairs() as u64);
+        self.table_stats().record_counters(snap);
+        snap.add_counter("interned_strategies", self.interned_strategies() as u64);
+        snap.add_counter("strategy_compiles", self.strategy_compiles());
+    }
+
+    /// Strategies compiled for the last generation that compiled any: its
+    /// group count.
+    pub fn interned_strategies(&self) -> usize {
+        self.matrix.read().compiled.len()
+    }
+
+    /// Strategy compilations performed so far (each one is a `Compile` span
+    /// while tracing is enabled).
+    pub fn strategy_compiles(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
     }
 
     /// Payoffs `(to_a, to_b)` of one game between two strategies in a given
     /// generation. Deterministic pairs (and all pairs in expected-value mode)
-    /// are cached across generations; stochastic pairs draw from a stream
+    /// are memoised across generations; stochastic pairs draw from a stream
     /// keyed by `(pair, generation)` so results do not depend on evaluation
-    /// order.
+    /// order. Callable from many threads at once.
     pub fn pair_payoff(
-        &mut self,
+        &self,
         a_index: usize,
         a: &StrategyKind,
         b_index: usize,
@@ -351,25 +497,26 @@ impl PairEvaluator {
         let cacheable = self.kernel.caches(a) && self.kernel.caches(b);
         let key = (a.fingerprint(), b.fingerprint());
         if cacheable {
-            if let Some(&hit) = self.cache.get(&key) {
-                self.cache_hits += 1;
+            if let Some(&hit) = self.cache.lock().get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
         }
-        // Compiled per call: single stochastic pairs are asked for by tests
-        // and references, never by an engine.
+        // The game is played outside the memo's lock. Compiled per call: no
+        // engine asks for single pairs.
         let compiled =
-            (!cacheable).then(|| (CompiledStrategy::compile(a), CompiledStrategy::compile(b)));
+            (!cacheable).then(|| (compile(&self.compiles, a), compile(&self.compiles, b)));
         let compiled = compiled.as_ref().map(|(ca, cb)| (ca, cb));
         let result = self
             .kernel
             .play(cacheable, a_index, a, b_index, b, compiled, generation)?;
         if cacheable {
-            if self.cache.len() >= Self::MAX_CACHE_ENTRIES {
-                self.cache.clear();
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let mut cache = self.cache.lock();
+            if cache.len() >= Self::MAX_CACHE_ENTRIES {
+                cache.clear();
             }
-            self.cache_misses += 1;
-            self.cache.insert(key, result);
+            cache.insert(key, result);
         }
         Ok(result)
     }
@@ -380,55 +527,93 @@ impl PairEvaluator {
     /// [`PayoffTable::generation_fitness`]). A rank of the message-passing
     /// executor passes its own block and so plays the rows it keeps, each
     /// strategy's row on one rank; everything else passes the whole
-    /// population.
+    /// population. Takes no lock.
     pub fn block_fitness(
         &mut self,
         population: &Population,
         block: Range<usize>,
         generation: u64,
     ) -> EgdResult<KeptFitness> {
-        let mut table = std::mem::take(&mut self.table);
-        let (mode, noise) = (self.kernel.mode(), self.kernel.game().noise());
-        let fitness = table.generation_fitness(
-            population,
-            block,
-            |strategy| mode.caches(noise, strategy),
-            mode.swap_exact(),
-            |games| {
-                // Compiled once per group per generation, and only when a
-                // game needs it.
-                let grouping = games.grouping();
-                let compiled: Vec<CompiledStrategy> = if games.stochastic_len() > 0 {
-                    let strategies = population.strategies();
-                    grouping
-                        .group_rep
-                        .iter()
-                        .map(|&i| CompiledStrategy::compile(&strategies[i]))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                // Sized up front: a `Result` collect grows by doubling.
-                let mut payoffs = Vec::with_capacity(games.len());
-                self.kernel.play_games(
-                    games.iter(),
-                    |i| &compiled[grouping.group_of[i]],
-                    generation,
-                    &mut payoffs,
-                )?;
-                Ok(payoffs)
-            },
-        );
-        self.table = table;
-        fitness
+        let matrix = self.matrix.get_mut();
+        let planned = matrix.plan(&self.kernel, &self.compiles, population, block, generation);
+        if let Some(answer) = planned {
+            return Ok(answer);
+        }
+        let games = matrix
+            .table
+            .planned()
+            .expect("a generation was just planned");
+        // Sized up front: a `Result` collect grows by doubling.
+        let mut payoffs = Vec::with_capacity(games.len());
+        let played = matrix.play(&self.kernel, 0..games.len(), &mut payoffs);
+        matrix.table.finish(played.map(|()| payoffs))
+    }
+
+    /// Computes the fitness of every SSet for one generation through the
+    /// retained payoff matrix, as [`PairEvaluator::block_fitness`] does for
+    /// the whole population, with the games played by the caller: `execute`
+    /// receives the number of games the generation plays — its fresh and
+    /// stochastic games — and returns their `(to_a, to_b)` in list order,
+    /// running [`PairEvaluator::play_range`] on whatever workers it has. It
+    /// is not called when the retained generation answers. Calls that
+    /// overlap on a shared evaluator run one after the other.
+    pub fn generation_fitness(
+        &self,
+        population: &Population,
+        generation: u64,
+        execute: impl FnOnce(usize) -> EgdResult<Vec<(f64, f64)>>,
+    ) -> EgdResult<Vec<f64>> {
+        let _turn = self.generation_guard.lock();
+        let games = {
+            let mut matrix = self.matrix.write();
+            let block = 0..population.num_ssets();
+            let planned = matrix.plan(&self.kernel, &self.compiles, population, block, generation);
+            if let Some(answer) = planned {
+                return Ok(answer.into_values());
+            }
+            matrix
+                .table
+                .planned()
+                .expect("a generation was just planned")
+                .len()
+        };
+        let values = execute(games);
+        let fitness = self.matrix.write().table.finish(values)?;
+        Ok(fitness.into_values())
+    }
+
+    /// Plays the games `range` of the planned generation's list — clamped
+    /// to the list — and appends their `(to_a, to_b)` to `out` (see
+    /// [`PairKernel`]). Callable from any thread while the generation is
+    /// being played.
+    ///
+    /// # Panics
+    ///
+    /// Outside the `execute` call of [`PairEvaluator::generation_fitness`].
+    pub fn play_range(&self, range: Range<usize>, out: &mut Vec<(f64, f64)>) -> EgdResult<()> {
+        self.matrix.read().play(&self.kernel, range, out)
+    }
+
+    /// Runs `read` on the planned generation's list of games.
+    ///
+    /// # Panics
+    ///
+    /// Outside the `execute` call of [`PairEvaluator::generation_fitness`].
+    pub fn with_planned<T>(&self, read: impl FnOnce(&PlannedCells<'_>) -> T) -> T {
+        let matrix = self.matrix.read();
+        read(
+            &matrix
+                .table
+                .planned()
+                .expect("a generation is being played"),
+        )
     }
 }
 
 /// Computes the fitness of every SSet for one generation, exploiting
 /// strategy grouping and the evaluator's retained payoff matrix. The
-/// parallel and distributed engines run the same
-/// [`PayoffTable::generation_fitness`] routine, so all execution modes agree
-/// exactly.
+/// parallel and distributed engines compute through the same
+/// [`PairEvaluator`], so all execution modes agree exactly.
 pub fn compute_generation_fitness(
     population: &Population,
     evaluator: &mut PairEvaluator,
@@ -974,7 +1159,7 @@ mod tests {
         let grouped = compute_generation_fitness(&population, &mut evaluator, 0).unwrap();
 
         // Brute force: explicit double loop over SSet pairs.
-        let mut evaluator2 = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+        let evaluator2 = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
         let strategies = population.strategies();
         let n = population.num_ssets();
         let mut brute = vec![0.0; n];
@@ -1168,5 +1353,236 @@ mod tests {
             alld_fraction > 0.5,
             "ALLD should have spread, but holds only {alld_fraction}"
         );
+    }
+
+    fn shared_config(noise: f64) -> SimulationConfig {
+        SimulationConfig::builder()
+            .memory(MemoryDepth::ONE)
+            .num_ssets(8)
+            .rounds_per_game(30)
+            .noise(noise)
+            .seed(5)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn concurrent_access_is_consistent() {
+        let cfg = shared_config(0.0);
+        let population = cfg.initial_population().unwrap();
+        let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let strategies = population.strategies();
+        let pairs: Vec<(usize, usize)> = (0..8).flat_map(|i| (0..8).map(move |j| (i, j))).collect();
+        let payoff = |&(i, j): &(usize, usize)| {
+            evaluator
+                .pair_payoff(i, &strategies[i], j, &strategies[j], 0)
+                .unwrap()
+        };
+        // Four threads race on the memo, each over a quarter of the pairs.
+        let results: Vec<(f64, f64)> = std::thread::scope(|scope| {
+            let quarters: Vec<_> = pairs
+                .chunks(pairs.len() / 4)
+                .map(|quarter| scope.spawn(move || quarter.iter().map(payoff).collect::<Vec<_>>()))
+                .collect();
+            quarters
+                .into_iter()
+                .flat_map(|quarter| quarter.join().unwrap())
+                .collect()
+        });
+        // Re-evaluate on one thread and compare.
+        for (k, pair) in pairs.iter().enumerate() {
+            assert_eq!(results[k], payoff(pair));
+        }
+    }
+
+    #[test]
+    fn overlapping_generation_calls_take_turns() {
+        // Two callers share one evaluator, each with its own population; a
+        // pause between the halves of a generation's play gives the other
+        // caller time to try to plan over it.
+        let cfg = shared_config(0.05);
+        let reseeded = SimulationConfig {
+            seed: 6,
+            ..cfg.clone()
+        };
+        let populations = [
+            cfg.initial_population().unwrap(),
+            reseeded.initial_population().unwrap(),
+        ];
+        let evaluator = &PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let play = |games: usize| {
+            let mut payoffs = Vec::with_capacity(games);
+            evaluator.play_range(0..games / 2, &mut payoffs)?;
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            evaluator.play_range(games / 2..games, &mut payoffs)?;
+            Ok(payoffs)
+        };
+        let got: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = populations
+                .iter()
+                .map(|population| {
+                    scope.spawn(move || {
+                        (0..6u64)
+                            .map(|generation| {
+                                evaluator
+                                    .generation_fitness(population, generation, play)
+                                    .unwrap()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (population, got) in populations.iter().zip(got) {
+            let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+            for (generation, fitness) in got.into_iter().enumerate() {
+                let expected =
+                    compute_generation_fitness(population, &mut sequential, generation as u64)
+                        .unwrap();
+                assert_eq!(fitness, expected, "generation {generation}");
+            }
+        }
+    }
+
+    /// Plays one generation through `evaluator`'s shared path in chunks of
+    /// [`PairKernel::CHUNK_GAMES`] games, as the parallel engine does,
+    /// checks it against `sequential`'s `&mut` path, and returns its fitness
+    /// and the number of strategies it compiled.
+    fn generation_with_compiles(
+        evaluator: &PairEvaluator,
+        sequential: &mut PairEvaluator,
+        population: &Population,
+        generation: u64,
+    ) -> (Vec<f64>, u64) {
+        let before = evaluator.strategy_compiles();
+        let fitness = evaluator
+            .generation_fitness(population, generation, |games| {
+                let mut payoffs = Vec::with_capacity(games);
+                for start in (0..games).step_by(PairKernel::CHUNK_GAMES) {
+                    evaluator.play_range(start..start + PairKernel::CHUNK_GAMES, &mut payoffs)?;
+                }
+                Ok(payoffs)
+            })
+            .unwrap();
+        let expected = compute_generation_fitness(population, sequential, generation).unwrap();
+        assert_eq!(fitness, expected, "generation {generation}");
+        (fitness, evaluator.strategy_compiles() - before)
+    }
+
+    #[test]
+    fn a_generation_with_a_stochastic_game_compiles_each_group_once() {
+        use crate::grouping::StrategyGrouping;
+        use crate::rng::stream;
+        use crate::strategy::MixedStrategy;
+        let configure = |noise: f64| {
+            SimulationConfig::builder()
+                .memory(MemoryDepth::ONE)
+                .num_ssets(24)
+                .rounds_per_game(30)
+                .noise(noise)
+                .mutation_rate(0.2)
+                .seed(11)
+                .build()
+                .unwrap()
+        };
+        let groups = |population: &Population| {
+            let g = StrategyGrouping::of(population.strategies()).num_groups();
+            assert!(g * g > 2 * PairKernel::CHUNK_GAMES, "several chunks");
+            g as u64
+        };
+
+        // Noisy: every cell is stochastic, so no generation is reused and
+        // each compiles every group once, however many chunks play it. The
+        // `&mut` path compiles as often.
+        let cfg = configure(0.05);
+        let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let nature = cfg.nature_agent().unwrap();
+        let mut population = cfg.initial_population().unwrap();
+        for generation in 0..6 {
+            let g = groups(&population);
+            let (fitness, compiled) =
+                generation_with_compiles(&evaluator, &mut sequential, &population, generation);
+            assert_eq!(compiled, g, "generation {generation}");
+            assert_eq!(evaluator.interned_strategies() as u64, g);
+            assert_eq!(sequential.interned_strategies() as u64, g);
+            nature
+                .evolve(generation, &fitness, &mut population)
+                .unwrap();
+        }
+        assert_eq!(
+            sequential.strategy_compiles(),
+            evaluator.strategy_compiles()
+        );
+
+        // Noise-free: pure generations compile nothing, planned or reused,
+        // and keep the count of the last generation that compiled.
+        let cfg = configure(0.0);
+        let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let mut sequential = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
+        let pure = cfg.initial_population().unwrap();
+        let mut rng = stream(11, StreamKind::InitialStrategy, 1);
+        let mut strategies = pure.strategies().to_vec();
+        for strategy in strategies.iter_mut().step_by(3) {
+            *strategy = StrategyKind::Mixed(MixedStrategy::random(MemoryDepth::ONE, &mut rng));
+        }
+        let mixed = Population::from_strategies(
+            StrategySpace::mixed(MemoryDepth::ONE),
+            cfg.agents_per_sset,
+            strategies,
+        )
+        .unwrap();
+        let mixed_groups = groups(&mixed);
+        // (population, compiles, interned, reused)
+        let steps = [
+            (&pure, 0, 0, false),
+            (&pure, 0, 0, true),
+            (&mixed, mixed_groups, mixed_groups, false),
+            (&pure, 0, mixed_groups, false),
+            (&pure, 0, mixed_groups, true),
+        ];
+        for (generation, (population, compiles, interned, reused)) in steps.into_iter().enumerate()
+        {
+            let generation = generation as u64;
+            let reused_before = evaluator.table_stats().generations_reused;
+            let (_, compiled) =
+                generation_with_compiles(&evaluator, &mut sequential, population, generation);
+            assert_eq!(compiled, compiles, "generation {generation}");
+            assert_eq!(
+                evaluator.interned_strategies() as u64,
+                interned,
+                "generation {generation}"
+            );
+            assert_eq!(
+                evaluator.table_stats().generations_reused - reused_before,
+                u64::from(reused),
+                "generation {generation}"
+            );
+        }
+        assert_eq!(
+            evaluator.strategy_compiles(),
+            mixed_groups,
+            "only the mixed generation compiled"
+        );
+    }
+
+    #[test]
+    fn expected_value_mode_caches_noisy_pairs() {
+        let cfg = shared_config(0.05);
+        let population = cfg.initial_population().unwrap();
+        let evaluator = PairEvaluator::new(&cfg, FitnessMode::ExpectedValue).unwrap();
+        let strategies = population.strategies();
+        let first = evaluator
+            .pair_payoff(0, &strategies[0], 1, &strategies[1], 0)
+            .unwrap();
+        let second = evaluator
+            .pair_payoff(0, &strategies[0], 1, &strategies[1], 5)
+            .unwrap();
+        // Expected-value payoffs are generation-independent and memoised.
+        assert_eq!(first, second);
+        assert_eq!(evaluator.cache_hits(), 1);
+        assert_eq!(evaluator.cached_pairs(), 1);
+        assert_eq!(evaluator.mode(), FitnessMode::ExpectedValue);
     }
 }

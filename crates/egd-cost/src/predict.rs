@@ -1,6 +1,6 @@
 //! Workload cost prediction: pricing real game work items.
 //!
-//! The bridge between the abstract [`CostModel`](crate::CostModel) and the
+//! The bridge between the abstract [`CostModel`] and the
 //! engines' actual work items. The matrix predictors ([`pair_weight_ns`] and
 //! what is built on it) are **steady-state**: a deterministic pair is priced
 //! as a read of the engines' retained payoff matrix

@@ -12,20 +12,20 @@
 //! As a backend the engine opens one crew per run
 //! ([`FitnessBackend::run_generations`]) and hands it one round per
 //! generation that plays anything: its work items are chunks of the
-//! generation's planned list, which the crew's fixed job reads from the
-//! evaluator ([`ConcurrentPairEvaluator::play_range`]). Every planned game
-//! is priced as one game, so every chunk but the shorter last one weighs
-//! the same: a round's source is a plain range of chunks, whose uniform
-//! initial split is already the cost-proportional one. A lone
+//! generation's planned list, which the crew's fixed job plays through the
+//! engine's one [`PairEvaluator`] ([`PairEvaluator::play_range`]), the
+//! evaluator every other engine drives too. Every planned game is priced as
+//! one game, so every chunk but the shorter last one weighs the same: a
+//! round's source is a plain range of chunks, whose uniform initial split is
+//! already the cost-proportional one. A lone
 //! [`ParallelEngine::compute_fitness`] call is a crew of one round.
 
-use crate::cache::ConcurrentPairEvaluator;
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
-use egd_core::simulation::{FitnessBackend, FitnessMode, PairKernel, RunFitness};
+use egd_core::simulation::{FitnessBackend, FitnessMode, PairEvaluator, PairKernel, RunFitness};
 use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
 use egd_sched::source::RangeSource;
 use egd_sched::SchedStats;
@@ -38,7 +38,7 @@ type Round<'r> = dyn FnMut(usize) -> (Vec<EgdResult<Vec<(f64, f64)>>>, SchedStat
 /// The parallel fitness engine.
 #[derive(Debug)]
 pub struct ParallelEngine {
-    evaluator: ConcurrentPairEvaluator,
+    evaluator: PairEvaluator,
     threads: ThreadConfig,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
@@ -60,7 +60,7 @@ impl ParallelEngine {
         threads: ThreadConfig,
     ) -> EgdResult<Self> {
         Ok(ParallelEngine {
-            evaluator: ConcurrentPairEvaluator::new(config, mode)?,
+            evaluator: PairEvaluator::new(config, mode)?,
             threads,
             last_sched: Mutex::new(None),
             run_sched: None,
@@ -74,7 +74,7 @@ impl ParallelEngine {
     }
 
     /// The underlying pair evaluator (cache statistics).
-    pub fn evaluator(&self) -> &ConcurrentPairEvaluator {
+    pub fn evaluator(&self) -> &PairEvaluator {
         &self.evaluator
     }
 
@@ -246,7 +246,7 @@ fn bank(slot: &mut Option<SchedStats>, stats: &SchedStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egd_core::simulation::{compute_generation_fitness, PairEvaluator};
+    use egd_core::simulation::compute_generation_fitness;
     use egd_core::state::MemoryDepth;
     use std::time::Duration;
 

@@ -245,8 +245,8 @@ impl GameKernel {
     /// `(to_a, to_b)` per pairing in input order. Standalone batch entry
     /// point for harnesses that drive the kernels directly (the
     /// `game_kernel` criterion bench, ablation studies); the generation
-    /// engine's production path instead goes through
-    /// [`crate::cache::ConcurrentPairEvaluator`]. A work item is one
+    /// engines' production path instead goes through
+    /// [`egd_core::simulation::PairEvaluator`]. A work item is one
     /// [`GameKernel::play_block`] of [`PairKernel::CHUNK_GAMES`] pairings,
     /// the engines' chunk. Game lengths differ wildly across the
     /// optimisation ladder and memory depths, and the scheduler absorbs that

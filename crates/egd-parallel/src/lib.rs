@@ -12,7 +12,11 @@
 //!
 //! There is one execution path. [`ParallelEngine`] is a fitness backend of
 //! the generation loop in `egd-core` (`Simulation<B>`), and
-//! [`ParallelSimulation`] is that loop over it. The engine produces
+//! [`ParallelSimulation`] is that loop over it. Its workers share one
+//! [`egd_core::simulation::PairEvaluator`] — the evaluator the sequential
+//! reference and every cluster rank drive as well — through its `&self`
+//! methods: the generation is planned once, and each worker plays chunks of
+//! the planned list. The engine produces
 //! *bit-identical* populations to the sequential reference for any thread
 //! count: all randomness is drawn from per-`(pair, generation)` streams and
 //! payoffs are scattered into the fitness table in a fixed order.
@@ -32,15 +36,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod kernel;
 pub mod partition;
 pub mod simulation;
 pub mod thread_pool;
 
-pub use cache::ConcurrentPairEvaluator;
 pub use egd_core::grouping::{self, StrategyGrouping};
+/// The name the shared-memory engines' evaluator had before it became
+/// [`egd_core::simulation::PairEvaluator`], the one evaluator every engine
+/// shares; kept only for the benchmark package, which imports it.
+pub use egd_core::simulation::PairEvaluator as ConcurrentPairEvaluator;
 pub use engine::{GenerationTiming, ParallelEngine};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
 pub use partition::SSetPartition;

@@ -16,7 +16,7 @@
 //! still played by one rank. Level 2 needs no partition of its own: SSets
 //! holding the same strategy share their games, so the engines spread the
 //! games of a generation's distinct strategy pairs
-//! ([`crate::cache::ConcurrentPairEvaluator::play_range`]) over the threads.
+//! ([`egd_core::simulation::PairEvaluator::play_range`]) over the threads.
 
 use egd_core::agent::block_for_slot;
 use egd_core::error::{EgdError, EgdResult};

@@ -140,7 +140,7 @@ proptest! {
             .build()
             .unwrap();
         let game = config.game().unwrap();
-        let mut evaluator = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+        let evaluator = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
         for generation in 0..2u64 {
             let (to_a, to_b) = evaluator.pair_payoff(0, &a, 1, &b, generation).unwrap();
             // Pair id of (a_index = 0, b_index = 1), as the evaluator keys it.

@@ -205,7 +205,7 @@ fn brute_force(
     population: &Population,
     generation: u64,
 ) -> Vec<f64> {
-    let mut fresh = PairEvaluator::new(config, mode).unwrap();
+    let fresh = PairEvaluator::new(config, mode).unwrap();
     let strategies = population.strategies();
     let grouping = StrategyGrouping::of(strategies);
     let num_groups = grouping.num_groups();
@@ -300,18 +300,42 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// One evaluator kept for the whole trajectory, asked for every SSet; a
-    /// second one asked, like a distributed rank, for one block only. Both
-    /// must reproduce the brute-force vector in every generation, through
-    /// mutation, adoption, extinction, re-entry, slot reclaim and one
-    /// unrelated population.
+    /// second one asked, like a distributed rank, for one block only; a
+    /// third one driven, like the shared-memory engines, through
+    /// `generation_fitness` with the list played by `play_range` in runs cut
+    /// at generated points, the last run reaching `overrun` games past the
+    /// list's end (which `play_range` clamps). All three must reproduce the
+    /// brute-force vector in every generation, through mutation, adoption,
+    /// extinction, re-entry, slot reclaim and one unrelated population.
     #[test]
-    fn retained_matrix_equals_brute_force_every_generation(scenario in arb_scenario()) {
+    fn retained_matrix_equals_brute_force_every_generation(
+        scenario in arb_scenario(),
+        (cuts, overrun) in (proptest::collection::vec(0.0f64..1.0, 0usize..5), 1usize..40),
+    ) {
         let config = scenario.config();
         let nature = config.nature_agent().unwrap();
         let mut population = scenario.initial_population(&config);
         let mut whole = PairEvaluator::new(&config, scenario.mode).unwrap();
         let mut rank = PairEvaluator::new(&config, scenario.mode).unwrap();
+        let shared = PairEvaluator::new(&config, scenario.mode).unwrap();
         let block = scenario.block();
+        let drive_shared = |population: &Population, generation: u64| {
+            shared
+                .generation_fitness(population, generation, |games| {
+                    let mut ends: Vec<usize> =
+                        cuts.iter().map(|cut| (cut * games as f64) as usize).collect();
+                    ends.sort_unstable();
+                    ends.push(games + overrun);
+                    let mut payoffs = Vec::with_capacity(games);
+                    let mut start = 0;
+                    for end in ends {
+                        shared.play_range(start..end, &mut payoffs)?;
+                        start = end;
+                    }
+                    Ok(payoffs)
+                })
+                .unwrap()
+        };
 
         // A cold table plays every cell asked for — a pair with both of its
         // cells asked for once, so the whole population's n² cells take
@@ -341,11 +365,15 @@ proptest! {
                 let expected = brute_force(&config, scenario.mode, &stranger, generation);
                 let got = compute_generation_fitness(&stranger, &mut whole, generation).unwrap();
                 prop_assert_eq!(bits(&got), bits(&expected), "stranger at {}", generation);
+                let got = drive_shared(&stranger, generation);
+                prop_assert_eq!(bits(&got), bits(&expected), "shared, stranger at {}", generation);
             }
 
             let expected = brute_force(&config, scenario.mode, &population, generation);
             let fitness = compute_generation_fitness(&population, &mut whole, generation).unwrap();
             prop_assert_eq!(bits(&fitness), bits(&expected), "generation {}", generation);
+            let got = drive_shared(&population, generation);
+            prop_assert_eq!(bits(&got), bits(&expected), "shared, generation {}", generation);
             let owned = rank.block_fitness(&population, block.clone(), generation).unwrap();
             prop_assert_eq!(
                 answer_bits(&owned),
@@ -363,6 +391,8 @@ proptest! {
         prop_assert_eq!(stats.hits + stats.misses, whole.cache_hits() + whole.cache_misses());
         prop_assert!(stats.cells_played >= stats.misses);
         prop_assert!(stats.slots_occupied as usize <= scenario.num_ssets);
+        // The shared path plans and plays exactly what the `&mut` one does.
+        prop_assert_eq!(shared.table_stats(), stats);
         // A game fills one cell or two; in expected-value mode always one.
         for stats in [stats, rank.table_stats()] {
             prop_assert!(stats.games_played <= stats.cells_played);
@@ -457,7 +487,7 @@ proptest! {
         let (mut cells, mut stochastic_rows) = (0, 0);
         for (worker, block) in partition.blocks() {
             let mut table = PayoffTable::new(num_ssets);
-            let mut player = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
+            let player = PairEvaluator::new(&config, FitnessMode::Simulated).unwrap();
             let answer = table
                 .generation_fitness(
                     &population,
