@@ -50,7 +50,6 @@ use egd_core::simulation::{FitnessMode, PairEvaluator, SimulationState};
 use egd_obs::{SpanKind, SpanTimer};
 use egd_parallel::partition::SSetPartition;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,7 +154,7 @@ impl DistributedRunSummary {
                 busy_ns: (generation.critical_path_us() * 1e3) as u64,
                 compute_us: generation.mean_compute_us(),
                 comm_us: generation.mean_comm_us(),
-                changed: false,
+                changed: generation.changed,
             });
         }
         snap
@@ -167,7 +166,9 @@ impl DistributedRunSummary {
 pub(crate) struct RankResult {
     pub(crate) population: Population,
     pub(crate) changes: u64,
-    pub(crate) timings: Vec<(u64, RankTiming)>,
+    /// Sampled generations: index, this rank's timing, and whether the
+    /// population changed.
+    pub(crate) timings: Vec<(u64, RankTiming, bool)>,
     pub(crate) payoff: PayoffTableStats,
 }
 
@@ -225,19 +226,7 @@ impl DistributedExecutor {
     /// Creates an executor, validating the configurations.
     pub fn new(sim_config: SimulationConfig, dist_config: DistributedConfig) -> EgdResult<Self> {
         sim_config.validate()?;
-        if dist_config.workers == 0 {
-            return Err(EgdError::InvalidTopology {
-                reason: "the distributed executor needs at least one worker rank".to_string(),
-            });
-        }
-        if dist_config.workers > sim_config.num_ssets {
-            return Err(EgdError::InvalidTopology {
-                reason: format!(
-                    "{} workers cannot own {} SSets (at most one worker per SSet)",
-                    dist_config.workers, sim_config.num_ssets
-                ),
-            });
-        }
+        SSetPartition::of_ranks(sim_config.num_ssets, dist_config.workers)?;
         Ok(DistributedExecutor {
             sim_config,
             dist_config,
@@ -295,22 +284,19 @@ pub(crate) fn assemble_summary(
     }
     let nature_result = results.remove(0);
     let mut trace = RunTrace::default();
-    // Assemble per-generation traces across ranks (nature first).
-    let mut by_generation: HashMap<u64, Vec<RankTiming>> = HashMap::new();
-    for (generation, timing) in &nature_result.timings {
-        by_generation.entry(*generation).or_default().push(*timing);
-    }
-    for result in &results {
-        for (generation, timing) in &result.timings {
-            by_generation.entry(*generation).or_default().push(*timing);
-        }
-    }
-    let mut sampled: Vec<u64> = by_generation.keys().copied().collect();
-    sampled.sort_unstable();
-    for generation in sampled {
+    // Every rank samples the same generations; rank 0 — the Nature Agent,
+    // which decides — leads each sample.
+    for (k, &(generation, timing, changed)) in nature_result.timings.iter().enumerate() {
+        let mut ranks = vec![timing];
+        ranks.extend(
+            results
+                .iter()
+                .filter_map(|rank| rank.timings.get(k).map(|t| t.1)),
+        );
         trace.push(GenerationTrace {
             generation,
-            ranks: by_generation.remove(&generation).unwrap_or_default(),
+            ranks,
+            changed,
         });
     }
 
@@ -490,7 +476,11 @@ pub(crate) async fn run_rank_from(
         comm_us += comm_start.elapsed().as_secs_f64() * 1e6;
 
         if dist.trace_interval > 0 && generation % dist.trace_interval == 0 {
-            timings.push((generation, RankTiming::new(compute_us, comm_us)));
+            timings.push((
+                generation,
+                RankTiming::new(compute_us, comm_us),
+                decision.changes_population(),
+            ));
         }
     }
 
@@ -666,6 +656,31 @@ mod tests {
         assert_eq!(metrics.generations.len(), 4);
         assert!(metrics.generations.iter().all(|g| g.items == 4));
         assert!(metrics.generations.iter().all(|g| g.compute_us > 0.0));
+    }
+
+    #[test]
+    fn a_generation_row_is_changed_when_the_population_changed() {
+        let cfg = SimulationConfig::builder()
+            .memory(MemoryDepth::ONE)
+            .num_ssets(12)
+            .agents_per_sset(2)
+            .rounds_per_game(20)
+            .pc_rate(0.5)
+            .mutation_rate(0.1)
+            .generations(40)
+            .seed(7)
+            .build()
+            .unwrap();
+        let summary =
+            DistributedExecutor::new(cfg, DistributedConfig::with_workers(3).trace_interval(1))
+                .unwrap()
+                .run()
+                .unwrap();
+        let metrics = summary.metrics();
+        assert_eq!(metrics.generations.len(), 40);
+        let changed = metrics.generations.iter().filter(|g| g.changed).count() as u64;
+        assert!(changed > 0);
+        assert_eq!(changed, summary.generations_with_change);
     }
 
     #[test]

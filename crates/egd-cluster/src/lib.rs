@@ -22,9 +22,10 @@
 //!   keep a consistent population view. Produces populations identical to the
 //!   sequential reference.
 //! * [`scheduled`] — the canonical distributed backend: ranks as *tasks* on
-//!   the `egd-sched` work-stealing scheduler, with rank-named panic
-//!   containment and measured load balance reported through
-//!   [`trace::LoadBalance`].
+//!   the `egd-sched` work-stealing scheduler — the one generation loop over
+//!   the shared-memory engine cut by rank — with rank-named panic
+//!   containment and the scheduler statistics that
+//!   [`trace::LoadBalance`] summarises.
 //! * [`fault`] — fault tolerance over all of the above: worlds run under an
 //!   `egd-fault` injection plan (rank crashes, message drops/delays, slow
 //!   ranks), every rank checkpoints its replicated state at a configurable

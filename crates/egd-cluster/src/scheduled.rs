@@ -1,61 +1,31 @@
 //! The distributed algorithm with ranks as *scheduled tasks*.
 //!
-//! [`ScheduledExecutor`] is the canonical execution backend for the
-//! distributed layer: every generation, each rank's game-play phase (the
-//! games of the strategies its contiguous SSet block represents) becomes
-//! one task on the `egd-sched` work-stealing scheduler, executed by a small
-//! fixed crew of workers (never more than there are ranks) opened once per
-//! run — one round of rank tasks per generation. Thousands of ranks then
-//! cost no OS threads — only tasks — and skewed per-rank work (small `R` =
-//! SSets per rank, heterogeneous blocks) is handled in two levels: the
-//! initial per-worker segments of the rank space are **sized by predicted
-//! rank cost** (the shared `egd-cost` model prices the games each rank has
-//! to play this generation), and adaptive stealing corrects whatever the
-//! prediction got wrong instead of serialising on the slowest rank. (The
+//! [`ScheduledExecutor`] runs the paper's rank level on shared memory: the
+//! SSets are split over `ranks` simulated ranks, and every generation each
+//! rank's game-play phase is one task of a round on a small crew of
+//! `egd-sched` workers (never more than there are ranks). Thousands of ranks
+//! then cost no OS threads, only tasks; rounds are split by predicted rank
+//! cost, and stealing corrects what the prediction got wrong. (The
 //! protocol-level [`crate::executor::DistributedExecutor`] runs the same
-//! science with explicit message passing; since the retirement of the
-//! thread-per-rank transport its ranks are cooperative tasks too.)
+//! science with explicit message passing.)
 //!
-//! Rank-task failure is contained: a panicking rank body is caught inside
-//! its own task and surfaces as an error naming the rank and the panic
-//! payload — it does not poison the crew.
-//!
-//! Semantics are unchanged from the thread-per-rank executor:
-//!
-//! * the ranks share one [`PairEvaluator`] — the evaluator every engine
-//!   drives — and its retained payoff matrix
-//!   ([`PairEvaluator::generation_fitness`]): a rank plays the
-//!   matrix rows of the strategies whose representative SSet it owns — only
-//!   the cells of strategies that entered the population, plus the
-//!   stochastic ones — with the same strategy-grouping scheme and the same
-//!   per-`(pair, generation)` random streams as the sequential reference,
-//!   so fitness values are bit-identical;
-//! * the per-rank results are scattered into the matrix after the join and
-//!   reduced by the routine every engine shares, so the Nature Agent sees
-//!   the exact fitness view the sequential engine produces;
-//! * the Nature Agent's decision is applied once to the shared strategy
-//!   view — the logical equivalent of the broadcast that keeps all rank
-//!   views consistent.
-//!
-//! The run's [`LoadBalance`] (steal counts, per-worker busy time) is
-//! reported through [`crate::trace::RunTrace`], feeding the Fig. 4
-//! strong-scaling load-balance reporting.
+//! The executor is the one generation loop,
+//! [`egd_core::simulation::Simulation`], over the [`ParallelEngine`] cut by
+//! rank ([`ParallelEngine::with_ranks`]), so its population is bit-identical
+//! to the sequential reference's. What it adds is the run's summary: the
+//! scheduler statistics, from which Fig. 4's [`crate::trace::LoadBalance`]
+//! derives, and a [`MetricsSnapshot`] with one row per generation.
 
-use crate::trace::{GenerationTrace, LoadBalance, RankTiming, RunTrace};
 use egd_core::config::SimulationConfig;
-use egd_core::error::{EgdError, EgdResult};
-use egd_core::game::IpdGame;
-use egd_core::payoff_table::PlannedCells;
+use egd_core::error::EgdResult;
 use egd_core::population::Population;
-use egd_core::simulation::{FitnessMode, PairEvaluator};
-use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer};
+use egd_core::simulation::{FitnessMode, Simulation};
+use egd_obs::{GenerationMetrics, MetricsSnapshot};
 use egd_parallel::partition::SSetPartition;
 use egd_parallel::thread_pool::ThreadConfig;
-use egd_sched::{SchedStats, WeightedSource};
+use egd_parallel::ParallelEngine;
+use egd_sched::SchedStats;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
-use std::sync::RwLock;
-use std::time::Instant;
 
 /// Configuration of a scheduled distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,9 +36,6 @@ pub struct ScheduledConfig {
     pub threads: usize,
     /// How pair payoffs are obtained.
     pub fitness_mode: FitnessMode,
-    /// Record a timing trace every `trace_interval` generations
-    /// (0 disables tracing).
-    pub trace_interval: u64,
 }
 
 impl ScheduledConfig {
@@ -79,7 +46,6 @@ impl ScheduledConfig {
             ranks,
             threads: 0,
             fitness_mode: FitnessMode::Simulated,
-            trace_interval: 0,
         }
     }
 
@@ -92,12 +58,6 @@ impl ScheduledConfig {
     /// Sets the fitness mode.
     pub fn fitness_mode(mut self, mode: FitnessMode) -> Self {
         self.fitness_mode = mode;
-        self
-    }
-
-    /// Sets the trace interval.
-    pub fn trace_interval(mut self, interval: u64) -> Self {
-        self.trace_interval = interval;
         self
     }
 }
@@ -118,9 +78,6 @@ pub struct ScheduledRunSummary {
     pub threads: usize,
     /// Accumulated scheduler statistics over all generations.
     pub sched: Option<SchedStats>,
-    /// Timing traces (sampled at the configured interval) plus the run's
-    /// load-balance summary.
-    pub trace: RunTrace,
     /// The unified metrics record of the run: worker table, per-generation
     /// counters, and engine cache/compile counters in one mergeable,
     /// deterministically ordered snapshot.
@@ -132,32 +89,16 @@ pub struct ScheduledRunSummary {
 pub struct ScheduledExecutor {
     sim_config: SimulationConfig,
     sched_config: ScheduledConfig,
-    /// Prices rank tasks for the cost-guided initial partition (fixed
-    /// Blue Gene-like constants: deterministic, machine-independent).
-    cost_model: egd_cost::CostModel,
 }
 
 impl ScheduledExecutor {
     /// Creates an executor, validating the configurations.
     pub fn new(sim_config: SimulationConfig, sched_config: ScheduledConfig) -> EgdResult<Self> {
         sim_config.validate()?;
-        if sched_config.ranks == 0 {
-            return Err(EgdError::InvalidTopology {
-                reason: "the scheduled executor needs at least one rank".to_string(),
-            });
-        }
-        if sched_config.ranks > sim_config.num_ssets {
-            return Err(EgdError::InvalidTopology {
-                reason: format!(
-                    "{} ranks cannot own {} SSets (at most one rank per SSet)",
-                    sched_config.ranks, sim_config.num_ssets
-                ),
-            });
-        }
+        SSetPartition::of_ranks(sim_config.num_ssets, sched_config.ranks)?;
         Ok(ScheduledExecutor {
             sim_config,
             sched_config,
-            cost_model: egd_cost::CostModel::blue_gene_like(),
         })
     }
 
@@ -175,172 +116,44 @@ impl ScheduledExecutor {
     /// scheduled task.
     pub fn run(&self) -> EgdResult<ScheduledRunSummary> {
         let config = &self.sim_config;
-        let partition = SSetPartition::new(config.num_ssets, self.sched_config.ranks)?;
-        let evaluator = PairEvaluator::new(config, self.sched_config.fitness_mode)?;
-        let nature = config.nature_agent()?;
-        let mut population = config.initial_population()?;
-        // The runs of the planned list each rank plays this generation:
-        // written before a round, read by its rank tasks.
-        let rank_cells: RwLock<Vec<Vec<Range<usize>>>> = RwLock::new(Vec::new());
-        let rank_body = |rank: usize| {
-            let start = Instant::now();
-            let mut payoffs = Vec::new();
-            for run in &rank_cells.read().expect("rank work poisoned")[rank] {
-                evaluator.play_range(run.clone(), &mut payoffs)?;
-            }
-            Ok((payoffs, start.elapsed().as_secs_f64() * 1e6))
-        };
-        // The crew, and what the run reports: no more workers than ranks.
-        let workers = ThreadConfig::with_threads(self.sched_config.threads)
-            .effective_threads()
-            .max(1)
-            .min(self.sched_config.ranks);
-        egd_sched::with_crew(workers, contained(&rank_body), |crew| {
-            let mut changes = 0u64;
-            let mut trace = RunTrace::default();
-            let mut sched_total: Option<SchedStats> = None;
-            let mut metrics = MetricsSnapshot::labelled("scheduled");
-
-            for generation in 0..config.generations {
-                let generation_span = SpanTimer::start(SpanKind::Generation);
-                let mut generation_row = GenerationMetrics {
-                    generation,
-                    ..GenerationMetrics::default()
-                };
-                let mut rank_timings = Vec::with_capacity(self.sched_config.ranks);
-
-                // Every rank's game-play phase is one scheduled task; the
-                // initial per-worker segments of the rank space are sized by
-                // predicted rank cost, so a heavy contiguous prefix
-                // (deep-memory or mixed-strategy blocks) no longer piles
-                // onto the first workers. Results come back in rank order
-                // (deterministic index-keyed reduction) and are scattered
-                // into list order.
-                let fitness = evaluator.generation_fitness(&population, generation, |games| {
-                    let (cells, rank_weights) = evaluator.with_planned(|planned| {
-                        rank_work(&self.cost_model, evaluator.game(), planned, &partition)
-                    });
-                    *rank_cells.write().expect("rank work poisoned") = cells;
-                    let (per_rank, stats) = crew.round(WeightedSource::new(&rank_weights));
-                    generation_row.items = stats.items;
-                    generation_row.steals = stats.steals;
-                    generation_row.busy_ns = stats.critical_path_ns();
-                    match sched_total.as_mut() {
-                        Some(total) => total.merge(&stats),
-                        None => sched_total = Some(stats),
-                    }
-                    let mut payoffs = vec![(0.0, 0.0); games];
-                    let rank_cells = rank_cells.read().expect("rank work poisoned");
-                    for (result, owned) in per_rank.into_iter().zip(rank_cells.iter()) {
-                        let (played, compute_us) = result?;
-                        for (k, payoff) in owned.iter().cloned().flatten().zip(played) {
-                            payoffs[k] = payoff;
-                        }
-                        rank_timings.push(RankTiming::new(compute_us, 0.0));
-                    }
-                    Ok(payoffs)
-                })?;
-                if !rank_timings.is_empty() {
-                    generation_row.compute_us =
-                        rank_timings.iter().map(|t| t.compute_us).sum::<f64>()
-                            / rank_timings.len() as f64;
-                }
-
-                let decision = nature.evolve(generation, &fitness, &mut population)?;
-                if decision.changes_population() {
-                    changes += 1;
-                    generation_row.changed = true;
-                }
-                metrics.record_generation(generation_row);
-                if let Some(span) = generation_span {
-                    span.finish(generation);
-                }
-
-                if self.sched_config.trace_interval > 0
-                    && generation % self.sched_config.trace_interval == 0
-                {
-                    trace.push(GenerationTrace {
-                        generation,
-                        ranks: rank_timings,
-                    });
-                }
-            }
-
-            trace.load_balance = sched_total.as_ref().map(LoadBalance::from);
-            metrics.run.ranks = self.sched_config.ranks as u64;
-            metrics.run.workers = workers as u64;
-            metrics.run.generations = config.generations;
-            if let Some(total) = sched_total.as_ref() {
-                for worker in total.worker_metrics() {
-                    metrics.record_worker(worker);
-                }
-            }
-            evaluator.record_counters(&mut metrics);
-            Ok(ScheduledRunSummary {
-                population,
-                generations: config.generations,
-                generations_with_change: changes,
-                ranks: self.sched_config.ranks,
-                threads: workers,
-                sched: sched_total,
-                trace,
-                metrics,
+        let ScheduledConfig {
+            ranks,
+            threads,
+            fitness_mode,
+        } = self.sched_config;
+        let engine = ParallelEngine::with_ranks(
+            config,
+            fitness_mode,
+            ThreadConfig::with_threads(threads),
+            ranks,
+        )?;
+        let mut metrics = MetricsSnapshot::labelled("scheduled");
+        let mut simulation = Simulation::with_backend(config.clone(), None, &engine)?;
+        simulation.run_for_with(config.generations, &mut |_, decision| {
+            metrics.record_generation(GenerationMetrics {
+                changed: decision.changes_population(),
+                ..engine.last_generation_metrics()
             })
+        })?;
+
+        let sched = engine.run_sched_stats();
+        metrics.run.ranks = ranks as u64;
+        metrics.run.workers = engine.workers() as u64;
+        metrics.run.generations = config.generations;
+        for worker in sched.iter().flat_map(SchedStats::worker_metrics) {
+            metrics.record_worker(worker);
+        }
+        engine.evaluator().record_counters(&mut metrics);
+        Ok(ScheduledRunSummary {
+            population: simulation.population().clone(),
+            generations: config.generations,
+            generations_with_change: simulation.generations_with_change(),
+            ranks,
+            threads: engine.workers(),
+            sched,
+            metrics,
         })
     }
-}
-
-/// Wraps a rank body so a panic is caught *inside its own task* and surfaces
-/// as an error naming the rank.
-fn contained<T, F>(body: &F) -> impl Fn(usize) -> EgdResult<T> + Sync + '_
-where
-    T: Send,
-    F: Fn(usize) -> EgdResult<T> + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    move |rank| match catch_unwind(AssertUnwindSafe(|| body(rank))) {
-        Ok(result) => result,
-        Err(payload) => Err(EgdError::Communication {
-            reason: format!(
-                "rank {rank} panicked: {}",
-                crate::taskexec::panic_message(&*payload)
-            ),
-        }),
-    }
-}
-
-/// Splits one generation's games over the ranks: a game belongs to the rank
-/// that owns its `a` side's representative SSet (`a_index`), so every game
-/// is played by exactly one rank (the table orients a pair played once for
-/// both of its cells so that each row keeps about half of its pairs).
-/// Returns, per rank, the games it plays as runs of consecutive list
-/// positions — a rank's rows are neighbours in the list, so its stochastic
-/// games are one run, which it plays in chunks — and their predicted cost
-/// (ns) under the shared cost model — every planned game is a full game, a
-/// fresh deterministic one included — so blocks that play more weigh more.
-fn rank_work(
-    model: &egd_cost::CostModel,
-    game: &IpdGame,
-    cells: &PlannedCells<'_>,
-    partition: &SSetPartition,
-) -> (Vec<Vec<Range<usize>>>, Vec<u64>) {
-    let ranks = partition.num_workers();
-    let mut rank_cells: Vec<Vec<Range<usize>>> = vec![Vec::new(); ranks];
-    // Per-SSet accumulation overhead keeps ranks without games from
-    // weighing zero.
-    let mut weights: Vec<u64> = (0..ranks)
-        .map(|rank| partition.block(rank).len() as u64)
-        .collect();
-    let game_ns = egd_cost::predict::game_weight_ns(model, game);
-    for (k, cell) in cells.iter().enumerate() {
-        let rank = partition.owner_of(cell.a_index);
-        match rank_cells[rank].last_mut() {
-            Some(run) if run.end == k => run.end += 1,
-            _ => rank_cells[rank].push(k..k + 1),
-        }
-        weights[rank] = weights[rank].saturating_add(game_ns);
-    }
-    (rank_cells, weights)
 }
 
 #[cfg(test)]
@@ -381,19 +194,16 @@ mod tests {
         let mut sequential = Simulation::new(cfg.clone()).unwrap();
         sequential.run();
 
-        let summary = ScheduledExecutor::new(
-            cfg,
-            ScheduledConfig::with_ranks(4).threads(2).trace_interval(10),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let summary = ScheduledExecutor::new(cfg, ScheduledConfig::with_ranks(4).threads(2))
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(&summary.population, sequential.population());
         assert_eq!(summary.ranks, 4);
         assert_eq!(summary.generations, 40);
-        assert_eq!(summary.trace.generations.len(), 4);
-        assert!(summary.trace.load_balance.is_some());
-        assert!(summary.sched.unwrap().items > 0);
+        let sched = summary.sched.unwrap();
+        assert!(sched.items > 0);
+        assert_eq!(crate::trace::LoadBalance::from(&sched).workers, 2);
     }
 
     #[test]
@@ -437,118 +247,29 @@ mod tests {
         }
     }
 
-    /// Weighted rounds of rank tasks on one crew of `threads` workers, as
-    /// the executor runs them (one round per entry of `rounds`, a weight per
-    /// rank): each round's results and statistics.
-    fn weighted_rank_rounds<T: Send>(
+    /// One weighted round of a rank job on a crew of `threads` workers: its
+    /// results and statistics.
+    fn weighted_rank_round<T: Send>(
         threads: usize,
-        rounds: &[&[u64]],
-        body: impl Fn(usize) -> EgdResult<T> + Sync,
-    ) -> Vec<(Vec<EgdResult<T>>, SchedStats)> {
-        egd_sched::with_crew(threads, contained(&body), |crew| {
-            rounds
-                .iter()
-                .map(|weights| crew.round(WeightedSource::new(weights)))
-                .collect()
+        weights: &[u64],
+        job: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, SchedStats) {
+        egd_sched::with_crew(threads, job, |crew| {
+            crew.round(egd_sched::WeightedSource::new(weights))
         })
     }
 
     #[test]
     fn zero_ranks_is_an_empty_workload() {
-        let rounds = weighted_rank_rounds(4, &[&[]], Ok::<usize, _>);
-        assert!(rounds[0].0.is_empty());
-    }
-
-    #[test]
-    fn weighted_rank_tasks_keep_rank_order_and_contain_panics() {
-        let weights: Vec<u64> = (0..12).map(|r| if r < 3 { 10_000 } else { 10 }).collect();
-        let (results, _) = weighted_rank_rounds(4, &[&weights], |rank| {
-            if rank == 7 {
-                panic!("weighted failure");
-            }
-            Ok(rank * 3)
-        })
-        .remove(0);
-        assert_eq!(results.len(), 12);
-        for (rank, result) in results.iter().enumerate() {
-            if rank == 7 {
-                let message = result.as_ref().unwrap_err().to_string();
-                assert!(message.contains("rank 7"), "{message}");
-                assert!(message.contains("weighted failure"), "{message}");
-            } else {
-                assert_eq!(*result.as_ref().unwrap(), rank * 3);
-            }
-        }
-    }
-
-    #[test]
-    fn predicted_rank_weights_reflect_block_skew() {
-        use egd_core::strategy::{MixedStrategy, PureStrategy, StrategyKind, StrategySpace};
-
-        // 4 ranks x 3 SSets; the first block holds distinct mixed strategies
-        // (full games every generation), the rest share one pure strategy
-        // whose representative SSet is rank 1's.
-        let memory = egd_core::state::MemoryDepth::ONE;
-        let mut rng = egd_core::rng::stream(3, egd_core::rng::StreamKind::InitialStrategy, 9);
-        let mut strategies: Vec<StrategyKind> = (0..3)
-            .map(|_| StrategyKind::Mixed(MixedStrategy::random(memory, &mut rng)))
-            .collect();
-        let shared = StrategyKind::Pure(PureStrategy::random(memory, &mut rng));
-        strategies.extend((0..9).map(|_| shared.clone()));
-        let population =
-            Population::from_strategies(StrategySpace::mixed(memory), 2, strategies).unwrap();
-
-        let partition = SSetPartition::new(12, 4).unwrap();
-        let cfg = sim_config(40, 12, 1);
-        let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
-        let model = egd_cost::CostModel::blue_gene_like();
-        let mut work = None;
-        evaluator
-            .generation_fitness(&population, 0, |games| {
-                work =
-                    Some(evaluator.with_planned(|cells| {
-                        rank_work(&model, evaluator.game(), cells, &partition)
-                    }));
-                let mut payoffs = Vec::new();
-                evaluator.play_range(0..games, &mut payoffs)?;
-                Ok(payoffs)
-            })
-            .unwrap();
-        let (rank_cells, weights) = work.unwrap();
-        assert_eq!(weights.len(), 4);
-        // Every matrix row is played by exactly one rank: the mixed block
-        // plays three full rows of four games, rank 1 the pure row (three
-        // games against the mixed groups and its one cacheable cell), and
-        // the ranks that only hold copies of the pure strategy play nothing.
-        let played: Vec<usize> = rank_cells
-            .iter()
-            .map(|runs| runs.iter().map(Range::len).sum())
-            .collect();
-        assert_eq!(played, vec![12, 4, 0, 0]);
-        // The list is the fresh game, then the stochastic rows in SSet
-        // order: a rank's stochastic games are one run.
-        assert_eq!(rank_cells[0], vec![1..13]);
-        assert_eq!(rank_cells[1], vec![0..1, 13..16]);
-        // Every planned game is priced as a game, the pure row's one fresh
-        // cacheable game too.
-        assert!(
-            weights[0] > 2 * weights[1],
-            "mixed block {} should outweigh the pure row {} three to one",
-            weights[0],
-            weights[1]
-        );
-        assert!(weights[1] > 100 * weights[2]);
-        // Ranks without games still weigh their per-SSet accumulation.
-        assert_eq!(weights[2], weights[3]);
-        assert!(weights[3] > 0);
+        let (results, _) = weighted_rank_round(4, &[], |rank| rank);
+        assert!(results.is_empty());
     }
 
     #[test]
     fn fewer_ranks_than_workers_leaves_workers_idle() {
         // 3 ranks on an 8-worker crew: results stay rank-ordered and the
         // round clamps its workers to the rank count.
-        let (results, stats) = weighted_rank_rounds(8, &[&[1; 3]], |rank| Ok(rank * 10)).remove(0);
-        let results: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
+        let (results, stats) = weighted_rank_round(8, &[1; 3], |rank| rank * 10);
         assert_eq!(results, vec![0, 10, 20]);
         assert!(stats.num_workers() <= 3);
 
@@ -567,38 +288,6 @@ mod tests {
         // ... and reports the workers that ran, not the ones configured.
         assert_eq!(oversubscribed.threads, 3);
         assert_eq!(oversubscribed.metrics.run.workers, 3);
-    }
-
-    #[test]
-    fn rank_panic_names_rank_and_spares_the_pool() {
-        // Two rounds on one crew: eight ranks, then five.
-        let mut rounds = weighted_rank_rounds(4, &[&[1; 8], &[1; 5]], |rank| {
-            if rank == 5 {
-                panic!("injected failure");
-            }
-            Ok(rank)
-        })
-        .into_iter()
-        .map(|(results, _)| results);
-        let results = rounds.next().unwrap();
-        assert_eq!(results.len(), 8);
-        for (rank, result) in results.iter().enumerate() {
-            if rank == 5 {
-                let message = result.as_ref().unwrap_err().to_string();
-                assert!(message.contains("rank 5"), "{message}");
-                assert!(message.contains("injected failure"), "{message}");
-            } else {
-                assert_eq!(*result.as_ref().unwrap(), rank);
-            }
-        }
-        // The crew is not poisoned: its next round succeeds.
-        let again: Vec<usize> = rounds
-            .next()
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(again, (0..5).collect::<Vec<_>>());
     }
 
     /// Checks the rank-task accounting of a run's metrics: a generation

@@ -29,6 +29,7 @@
 //!   condition is stable and detected exactly; the blocked task indices are
 //!   reported.
 
+pub use egd_sched::panic_message;
 use egd_sched::source::RangeSource;
 use std::collections::VecDeque;
 use std::future::Future;
@@ -59,17 +60,6 @@ pub enum ExecError {
         /// Indices of the tasks that never completed.
         waiting: Vec<usize>,
     },
-}
-
-/// Extracts a printable message from a panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Per-task poll states (stored in an `AtomicU8`).

@@ -5,7 +5,7 @@
 //! rank, [`GenerationTrace`] for all ranks of one generation, and
 //! [`RunTrace`] aggregates an entire run so harnesses can print the same
 //! series the paper plots. [`LoadBalance`] summarises the work-stealing
-//! scheduler's view of the same run — steal counts and per-worker busy
+//! scheduler's statistics of a run — steal counts and per-worker busy
 //! time — so the Fig. 4 strong-scaling harnesses can report measured load
 //! balance next to the modelled efficiency curves.
 
@@ -50,6 +50,8 @@ pub struct GenerationTrace {
     pub generation: u64,
     /// One entry per rank (the Nature Agent is rank 0).
     pub ranks: Vec<RankTiming>,
+    /// Whether the population changed in the generation.
+    pub changed: bool,
 }
 
 impl GenerationTrace {
@@ -123,9 +125,6 @@ impl From<&SchedStats> for LoadBalance {
 pub struct RunTrace {
     /// Per-generation traces (possibly sub-sampled).
     pub generations: Vec<GenerationTrace>,
-    /// Scheduler load-balance summary of the run's parallel sections, when
-    /// the run executed on the work-stealing scheduler.
-    pub load_balance: Option<LoadBalance>,
 }
 
 impl RunTrace {
@@ -191,6 +190,7 @@ mod tests {
                 RankTiming::new(20.0, 1.0),
                 RankTiming::new(30.0, 4.0),
             ],
+            changed: false,
         };
         assert_eq!(trace.critical_path_us(), 34.0);
         assert_eq!(trace.mean_compute_us(), 20.0);
@@ -212,10 +212,12 @@ mod tests {
         run.push(GenerationTrace {
             generation: 0,
             ranks: vec![RankTiming::new(10.0, 2.0)],
+            changed: false,
         });
         run.push(GenerationTrace {
             generation: 1,
             ranks: vec![RankTiming::new(8.0, 4.0)],
+            changed: false,
         });
         assert_eq!(run.total_critical_path_us(), 24.0);
         assert_eq!(run.total_compute_us(), 18.0);
@@ -228,7 +230,6 @@ mod tests {
         let run = RunTrace::default();
         assert_eq!(run.comm_fraction(), 0.0);
         assert_eq!(run.total_critical_path_us(), 0.0);
-        assert!(run.load_balance.is_none());
     }
 
     #[test]

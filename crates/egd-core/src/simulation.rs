@@ -50,7 +50,7 @@ use crate::payoff_table::{KeptFitness, PayoffTable, PayoffTableStats, PlannedCel
 use crate::population::Population;
 use crate::rng::{substream, substream_state, StreamKind};
 use crate::strategy::{Strategy, StrategyKind};
-use egd_obs::{obs_span, MetricsSnapshot, SpanKind};
+use egd_obs::{obs_span, MetricsSnapshot, SpanKind, SpanTimer};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -814,8 +814,8 @@ impl<B: FitnessBackend + ?Sized> FitnessBackend for Box<B> {
 
 /// The generation loop: game dynamics through a [`FitnessBackend`], then the
 /// Nature Agent's population dynamics. With the default backend it is the
-/// sequential reference; `egd-parallel` and `egd-serve` run the same loop
-/// over theirs.
+/// sequential reference; `egd-parallel`, `egd-cluster`'s scheduled executor
+/// and `egd-serve` run the same loop over theirs.
 #[derive(Debug, Clone)]
 pub struct Simulation<B = PairEvaluator> {
     config: SimulationConfig,
@@ -1060,12 +1060,29 @@ impl<B: FitnessBackend> Simulation<B> {
     /// [`FitnessBackend::run_generations`] call, so a backend keeps its
     /// workers for the whole call.
     pub fn run_for(&mut self, generations: u64) -> EgdResult<SimulationReport> {
+        self.run_for_with(generations, &mut |_, _| {})
+    }
+
+    /// [`Simulation::run_for`], telling `on_generation` what the Nature
+    /// Agent decided in each generation, with the generation's index. While
+    /// tracing, each generation is one `Generation` span.
+    pub fn run_for_with(
+        &mut self,
+        generations: u64,
+        on_generation: &mut dyn FnMut(u64, &GenerationDecision),
+    ) -> EgdResult<SimulationReport> {
         let mut history = Vec::new();
         let changes_before = self.course.generations_with_change;
         let (course, interval) = (&mut self.course, self.record_interval);
         self.backend.run_generations(&mut |fitness| {
             for _ in 0..generations {
+                let generation = course.generation;
+                let span = SpanTimer::start(SpanKind::Generation);
                 let decision = course.step(fitness)?;
+                if let Some(span) = span {
+                    span.finish(generation);
+                }
+                on_generation(generation, &decision);
                 if interval > 0 && course.generation.is_multiple_of(interval) {
                     history.push(course.snapshot(decision.changes_population()));
                 }

@@ -11,49 +11,91 @@
 //!
 //! As a backend the engine opens one crew per run
 //! ([`FitnessBackend::run_generations`]) and hands it one round per
-//! generation that plays anything: its work items are chunks of the
-//! generation's planned list, which the crew's fixed job plays through the
-//! engine's one [`PairEvaluator`] ([`PairEvaluator::play_range`]), the
-//! evaluator every other engine drives too. Every planned game is priced as
-//! one game, so every chunk but the shorter last one weighs the same: a
-//! round's source is a plain range of chunks, whose uniform initial split is
-//! already the cost-proportional one. A lone
-//! [`ParallelEngine::compute_fitness`] call is a crew of one round.
+//! generation that plays anything. The crew's one job plays a work item's
+//! runs of the generation's planned list through the engine's one
+//! [`PairEvaluator`] ([`PairEvaluator::play_range`]), the evaluator every
+//! other engine drives too, and the payoffs are scattered back by list
+//! position; how the list is cut into items decides only who plays what:
+//!
+//! * into chunks of [`PairKernel::CHUNK_GAMES`] games
+//!   ([`ParallelEngine::new`]). Every planned game is priced as one game, so
+//!   a round's source is a plain range of chunks, whose uniform initial split
+//!   is already the cost-proportional one;
+//! * by rank ([`ParallelEngine::with_ranks`]): an item is the games of the
+//!   strategies whose representative SSet a rank owns — the paper's rank
+//!   level, run as tasks on a crew of no more workers than ranks. A round's
+//!   source carries each rank's predicted cost, so its initial split places
+//!   the boundaries at cost quantiles.
+//!
+//! A lone [`ParallelEngine::compute_fitness`] call is a crew of one round.
 
+use crate::partition::{rank_work, SSetPartition};
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
-use egd_core::error::EgdResult;
+use egd_core::error::{EgdError, EgdResult};
 pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessBackend, FitnessMode, PairEvaluator, PairKernel, RunFitness};
-use egd_obs::{MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
-use egd_sched::source::RangeSource;
-use egd_sched::SchedStats;
-use parking_lot::Mutex;
+use egd_cost::CostModel;
+use egd_obs::{GenerationMetrics, MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
+use egd_sched::source::{RangeSource, WorkSource};
+use egd_sched::{SchedStats, WeightedSource};
+use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
-/// A round of play: the number of chunks in, each chunk's payoffs (in chunk
+/// What a work item returns: its payoffs, in the order of its runs of the
+/// planned list, and its wall time (ns).
+type Played = (Vec<(f64, f64)>, u64);
+
+/// A round of play: the number of games in, each item's result (in item
 /// order) and the round's statistics out.
-type Round<'r> = dyn FnMut(usize) -> (Vec<EgdResult<Vec<(f64, f64)>>>, SchedStats) + 'r;
+type Round<'r> = dyn FnMut(usize) -> (Vec<EgdResult<Played>>, SchedStats) + 'r;
 
 /// The parallel fitness engine.
 #[derive(Debug)]
 pub struct ParallelEngine {
     evaluator: PairEvaluator,
     threads: ThreadConfig,
+    /// The rank cut; without one the engine cuts into chunks.
+    ranks: Option<RankSplit>,
     /// Scheduler statistics of the most recent fitness computation.
     last_sched: Mutex<Option<SchedStats>>,
-    /// Scheduler statistics merged over every generation the engine
-    /// computed as a [`FitnessBackend`].
-    run_sched: Option<SchedStats>,
+    /// Scheduler statistics merged over every fitness computation.
+    run_sched: Mutex<Option<SchedStats>>,
+    /// The row of the most recent fitness computation.
+    last_generation: Mutex<GenerationMetrics>,
     /// Measured per-cell wall time keyed by fingerprint pair, accumulated
     /// while tracing is enabled (the feedback table the cost layer can
     /// calibrate against).
     measured: Mutex<MeasuredCosts>,
 }
 
+/// Who owns which SSets, and the runs of the planned list each rank plays
+/// this generation (written before a round, read by its items).
+#[derive(Debug)]
+struct RankSplit {
+    partition: SSetPartition,
+    runs: RwLock<Vec<Vec<Range<usize>>>>,
+}
+
+impl RankSplit {
+    /// Cuts the planned generation by rank: keeps each rank's runs and
+    /// returns the round's source, weighted by predicted rank cost.
+    fn source(&self, evaluator: &PairEvaluator) -> WeightedSource {
+        let model = CostModel::blue_gene_like();
+        let (runs, weights) = evaluator
+            .with_planned(|planned| rank_work(&model, evaluator.game(), planned, &self.partition));
+        *self.runs.write() = runs;
+        WeightedSource::new(&weights)
+    }
+}
+
 impl ParallelEngine {
-    /// Creates an engine for a configuration. No thread is started: the
-    /// workers live only while a generation, or a run, is computed.
+    /// Creates an engine that cuts each generation into chunks. No thread is
+    /// started: the workers live only while a generation, or a run, is
+    /// computed.
     pub fn new(
         config: &SimulationConfig,
         mode: FitnessMode,
@@ -62,15 +104,40 @@ impl ParallelEngine {
         Ok(ParallelEngine {
             evaluator: PairEvaluator::new(config, mode)?,
             threads,
+            ranks: None,
             last_sched: Mutex::new(None),
-            run_sched: None,
+            run_sched: Mutex::new(None),
+            last_generation: Mutex::default(),
             measured: Mutex::new(MeasuredCosts::default()),
         })
     }
 
-    /// The thread configuration in use.
-    pub fn thread_config(&self) -> ThreadConfig {
-        self.threads
+    /// Creates an engine that cuts each generation by rank: `ranks` ranks
+    /// own contiguous blocks of SSets ([`SSetPartition::of_ranks`]), and a
+    /// round plays one item per rank.
+    pub fn with_ranks(
+        config: &SimulationConfig,
+        mode: FitnessMode,
+        threads: ThreadConfig,
+        ranks: usize,
+    ) -> EgdResult<Self> {
+        let partition = SSetPartition::of_ranks(config.num_ssets, ranks)?;
+        Ok(ParallelEngine {
+            ranks: Some(RankSplit {
+                partition,
+                runs: RwLock::default(),
+            }),
+            ..Self::new(config, mode, threads)?
+        })
+    }
+
+    /// The workers of the crew a run opens: the thread count, capped at one
+    /// per rank when the engine cuts by rank.
+    pub fn workers(&self) -> usize {
+        let threads = self.threads.effective_threads();
+        self.ranks
+            .as_ref()
+            .map_or(threads, |split| threads.min(split.partition.num_workers()))
     }
 
     /// The underlying pair evaluator (cache statistics).
@@ -84,11 +151,17 @@ impl ParallelEngine {
         self.last_sched.lock().clone()
     }
 
-    /// Scheduler statistics accumulated over the generations the engine
-    /// computed as a [`FitnessBackend`]; `None` before any parallel section
-    /// ran.
-    pub fn run_sched_stats(&self) -> Option<&SchedStats> {
-        self.run_sched.as_ref()
+    /// Scheduler statistics accumulated over every fitness computation;
+    /// `None` before any parallel section ran.
+    pub fn run_sched_stats(&self) -> Option<SchedStats> {
+        self.run_sched.lock().clone()
+    }
+
+    /// The row of the most recent fitness computation: its generation, the
+    /// round's items, steals and critical-path busy time, and the mean wall
+    /// time of an item (µs); all zero for a generation that played nothing.
+    pub fn last_generation_metrics(&self) -> GenerationMetrics {
+        *self.last_generation.lock()
     }
 
     /// Measured per-cell wall time keyed by `(fingerprint_a, fingerprint_b)`,
@@ -104,13 +177,13 @@ impl ParallelEngine {
         std::mem::take(&mut *self.measured.lock())
     }
 
-    /// The engine's unified metrics snapshot: the scheduler worker table of
-    /// the most recent fitness computation plus pair-cache and compile
-    /// counters.
+    /// The engine's unified metrics snapshot: the workers that ran the most
+    /// recent fitness computation and their table, plus pair-cache and
+    /// compile counters.
     pub fn metrics(&self, label: &str) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::labelled(label);
-        snap.run.workers = self.threads.effective_threads() as u64;
         if let Some(stats) = self.last_sched_stats() {
+            snap.run.workers = stats.num_workers() as u64;
             for row in stats.worker_metrics() {
                 snap.record_worker(row);
             }
@@ -129,18 +202,37 @@ impl ParallelEngine {
     /// played — in parallel, on a crew opened for this call — and scattered
     /// into the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
-        self.fitness_on(population, generation, &mut |chunks| {
-            let workers = self.threads.effective_threads().min(chunks);
-            egd_sched::with_crew(
-                workers,
-                |c: usize| self.play_chunk(c),
-                |crew| crew.round(RangeSource::new(chunks)),
-            )
+        self.fitness_on(population, generation, &mut |games| match &self.ranks {
+            None => self.lone_round(RangeSource::new(games.div_ceil(PairKernel::CHUNK_GAMES))),
+            Some(split) => self.lone_round(split.source(&self.evaluator)),
+        })
+    }
+
+    /// A round on a crew opened for it alone, of no more workers than items.
+    fn lone_round<S: WorkSource<Item = usize>>(
+        &self,
+        source: S,
+    ) -> (Vec<EgdResult<Played>>, SchedStats) {
+        let workers = self.workers().min(source.len());
+        egd_sched::with_crew(workers, self.job(), |crew| crew.round(source))
+    }
+
+    /// Runs `generations` on one crew: each generation that plays anything
+    /// is one round, of the source `cut` makes from its number of games.
+    fn run_on<S: WorkSource<Item = usize>>(
+        &self,
+        cut: impl Fn(usize) -> S,
+        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
+    ) -> EgdResult<()> {
+        egd_sched::with_crew(self.workers(), self.job(), |crew| {
+            generations(&mut |population, generation| {
+                self.fitness_on(population, generation, &mut |games| crew.round(cut(games)))
+            })
         })
     }
 
     /// One generation's fitness, its games played by `round` (nothing is
-    /// dispatched when the generation plays no game).
+    /// dispatched when the generation plays no game), and its row.
     fn fitness_on(
         &self,
         population: &Population,
@@ -148,60 +240,115 @@ impl ParallelEngine {
         round: &mut Round<'_>,
     ) -> EgdResult<Vec<f64>> {
         *self.last_sched.lock() = None;
-        self.evaluator
+        let mut row = GenerationMetrics {
+            generation,
+            ..GenerationMetrics::default()
+        };
+        let fitness = self
+            .evaluator
             .generation_fitness(population, generation, |games| {
                 if games == 0 {
                     // Nothing entered the population: no round.
                     return Ok(Vec::new());
                 }
-                let chunks = games.div_ceil(PairKernel::CHUNK_GAMES);
                 let (played, stats) = egd_obs::obs_span!(SpanKind::CellMatrix, games as u64, {
-                    egd_sched::with_policy(self.threads.policy, || round(chunks))
+                    egd_sched::with_policy(self.threads.policy, || round(games))
                 });
+                row.items = stats.items;
+                row.steals = stats.steals;
+                row.busy_ns = stats.critical_path_ns();
+                bank(&mut self.run_sched.lock(), &stats);
                 *self.last_sched.lock() = Some(stats);
-                let mut payoffs = Vec::with_capacity(games);
-                for chunk in played {
-                    payoffs.extend(chunk?);
+                let mut payoffs = vec![(0.0, 0.0); games];
+                let mut item_ns = 0;
+                for (item, result) in played.into_iter().enumerate() {
+                    let (played, ns) = result?;
+                    item_ns += ns;
+                    self.with_runs(item, |runs| {
+                        for (k, payoff) in runs.iter().cloned().flatten().zip(played) {
+                            payoffs[k] = payoff;
+                        }
+                    });
                 }
+                row.compute_us = item_ns as f64 / 1e3 / row.items as f64;
                 Ok(payoffs)
-            })
+            })?;
+        *self.last_generation.lock() = row;
+        Ok(fitness)
     }
 
-    /// Plays work item `c` of the planned generation. While tracing, the
-    /// chunk is one `Cell` span carrying its game count, and each of its
-    /// games is booked an equal share of the chunk's wall time in the
-    /// measured-cost table.
-    fn play_chunk(&self, c: usize) -> EgdResult<Vec<(f64, f64)>> {
-        let start = c * PairKernel::CHUNK_GAMES;
-        let mut payoffs = Vec::with_capacity(PairKernel::CHUNK_GAMES);
-        let span = SpanTimer::start(SpanKind::Cell);
-        // The last chunk is shorter: the list ends inside the range.
-        self.evaluator
-            .play_range(start..start + PairKernel::CHUNK_GAMES, &mut payoffs)?;
-        if let Some(span) = span {
-            let games = payoffs.len();
-            let elapsed = egd_obs::now_ns().saturating_sub(span.start_ns());
-            let mut measured = self.measured.lock();
-            self.evaluator.with_planned(|cells| {
-                for game in cells.iter_from(start).take(games) {
-                    let (a, b) = game.fingerprints;
-                    measured.record(a, b, elapsed / games as u64);
-                }
-            });
-            drop(measured);
-            span.finish(games as u64);
+    /// The crew's job: plays an item, with a panic in it contained.
+    fn job(&self) -> impl Fn(usize) -> EgdResult<Played> + Sync + '_ {
+        let item = self.ranks.as_ref().map_or("chunk", |_| "rank");
+        contained(item, |i| self.play_item(i))
+    }
+
+    /// Calls `f` with the runs of the planned list that work item `item`
+    /// plays.
+    fn with_runs<T>(&self, item: usize, f: impl FnOnce(&[Range<usize>]) -> T) -> T {
+        match &self.ranks {
+            Some(split) => f(&split.runs.read()[item]),
+            None => {
+                // The last chunk is shorter: the list ends inside the range.
+                let start = item * PairKernel::CHUNK_GAMES;
+                f(std::slice::from_ref(
+                    &(start..start + PairKernel::CHUNK_GAMES),
+                ))
+            }
         }
-        Ok(payoffs)
+    }
+
+    /// Plays work item `item` of the planned generation and times it. While
+    /// tracing, the item is one `Cell` span carrying its game count, and each
+    /// of its games is booked an equal share of the item's wall time in the
+    /// measured-cost table.
+    fn play_item(&self, item: usize) -> EgdResult<Played> {
+        self.with_runs(item, |runs| {
+            let span = SpanTimer::start(SpanKind::Cell);
+            let start = Instant::now();
+            let mut payoffs = Vec::with_capacity(runs.iter().map(Range::len).sum());
+            for run in runs {
+                self.evaluator.play_range(run.clone(), &mut payoffs)?;
+            }
+            let elapsed = start.elapsed().as_nanos() as u64;
+            if let Some(span) = span {
+                let games = payoffs.len();
+                let mut measured = self.measured.lock();
+                self.evaluator.with_planned(|cells| {
+                    for run in runs {
+                        for game in cells.iter_from(run.start).take(run.len()) {
+                            let (a, b) = game.fingerprints;
+                            measured.record(a, b, elapsed / games as u64);
+                        }
+                    }
+                });
+                drop(measured);
+                span.finish(games as u64);
+            }
+            Ok((payoffs, elapsed))
+        })
     }
 }
 
 impl FitnessBackend for ParallelEngine {
     fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
-        let fitness = self.compute_fitness(population, generation)?;
-        if let Some(stats) = self.last_sched.get_mut() {
-            bank(&mut self.run_sched, stats);
-        }
-        Ok(fitness)
+        self.compute_fitness(population, generation)
+    }
+
+    fn run_generations(
+        &mut self,
+        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
+    ) -> EgdResult<()> {
+        FitnessBackend::run_generations(&mut &*self, generations)
+    }
+}
+
+/// The engine computes through `&self`, so a shared reference is a backend
+/// too: its caller can read the engine — the last generation's row — while
+/// the loop runs over it.
+impl FitnessBackend for &ParallelEngine {
+    fn fitness(&mut self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
+        self.compute_fitness(population, generation)
     }
 
     /// Opens one crew for the run: the generations' rounds go to the same
@@ -211,27 +358,28 @@ impl FitnessBackend for ParallelEngine {
         &mut self,
         generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
     ) -> EgdResult<()> {
-        let engine = &*self;
-        let mut banked = None;
-        let result = egd_sched::with_crew(
-            engine.threads.effective_threads(),
-            |c: usize| engine.play_chunk(c),
-            |crew| {
-                generations(&mut |population, generation| {
-                    let fitness = engine.fitness_on(population, generation, &mut |chunks| {
-                        crew.round(RangeSource::new(chunks))
-                    })?;
-                    if let Some(stats) = engine.last_sched.lock().as_ref() {
-                        bank(&mut banked, stats);
-                    }
-                    Ok(fitness)
-                })
-            },
-        );
-        if let Some(stats) = &banked {
-            bank(&mut self.run_sched, stats);
+        match &self.ranks {
+            None => self.run_on(
+                |games| RangeSource::new(games.div_ceil(PairKernel::CHUNK_GAMES)),
+                generations,
+            ),
+            Some(split) => self.run_on(|_| split.source(&self.evaluator), generations),
         }
-        result
+    }
+}
+
+/// Wraps a job so that a panic is caught inside its own item and surfaces
+/// as an error naming the item; the crew takes further rounds.
+fn contained<T>(
+    name: &'static str,
+    job: impl Fn(usize) -> EgdResult<T> + Sync,
+) -> impl Fn(usize) -> EgdResult<T> + Sync {
+    move |i| {
+        catch_unwind(AssertUnwindSafe(|| job(i))).unwrap_or_else(|payload| {
+            let message = egd_sched::panic_message(&*payload);
+            let reason = format!("{name} {i} panicked: {message}");
+            Err(EgdError::Communication { reason })
+        })
     }
 }
 
@@ -248,6 +396,7 @@ mod tests {
     use super::*;
     use egd_core::simulation::compute_generation_fitness;
     use egd_core::state::MemoryDepth;
+    use egd_core::strategy::{NamedStrategy, StrategyKind, StrategySpace};
     use std::time::Duration;
 
     fn config(noise: f64, seed: u64) -> SimulationConfig {
@@ -405,6 +554,9 @@ mod tests {
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(2))
                 .unwrap();
         engine.compute_fitness(&population, 0).unwrap();
+        let row = engine.last_generation_metrics();
+        assert_eq!(row.generation, 0);
+        assert!(row.items > 0 && row.busy_ns > 0 && row.compute_us > 0.0);
         let snap = engine.metrics("parallel");
         assert_eq!(snap.run.label, "parallel");
         assert_eq!(snap.run.workers, 2);
@@ -426,6 +578,14 @@ mod tests {
         assert!(engine.last_sched_stats().is_none());
         let snap = engine.metrics("parallel");
         assert!(snap.workers.is_empty());
+        // The row of a generation that played nothing is all zero.
+        assert_eq!(
+            engine.last_generation_metrics(),
+            GenerationMetrics {
+                generation: 1,
+                ..GenerationMetrics::default()
+            }
+        );
         assert_eq!(snap.counter("payoff_cells_played"), played);
         assert_eq!(snap.counter("payoff_games_played"), games);
         assert_eq!(snap.counter("pair_cache_hits"), played);
@@ -434,6 +594,20 @@ mod tests {
             engine.evaluator().cache_hits()
         );
         assert!(snap.counter("pair_cache_entries") > 0);
+
+        // A lone call opens no more workers than chunks: 24 SSets holding
+        // one strategy play one game, on one of four threads.
+        let wsls = StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure());
+        let uniform =
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 3, vec![wsls; 24])
+                .unwrap();
+        let engine =
+            ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
+                .unwrap();
+        engine.compute_fitness(&uniform, 0).unwrap();
+        assert_eq!(engine.last_sched_stats().unwrap().num_workers(), 1);
+        let snap = engine.metrics("parallel");
+        assert_eq!((snap.run.workers, snap.workers.len()), (1, 1));
     }
 
     #[test]
@@ -480,6 +654,76 @@ mod tests {
             .expect("the run ended within the watchdog's limit");
     }
 
+    /// Weighted rounds of a contained rank job on one crew of `threads`
+    /// workers (one round per entry of `rounds`, a weight per rank): each
+    /// round's results and statistics.
+    fn weighted_rank_rounds<T: Send>(
+        threads: usize,
+        rounds: &[&[u64]],
+        body: impl Fn(usize) -> EgdResult<T> + Sync,
+    ) -> Vec<(Vec<EgdResult<T>>, SchedStats)> {
+        egd_sched::with_crew(threads, contained("rank", body), |crew| {
+            rounds
+                .iter()
+                .map(|weights| crew.round(WeightedSource::new(weights)))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn weighted_rank_tasks_keep_rank_order_and_contain_panics() {
+        let weights: Vec<u64> = (0..12).map(|r| if r < 3 { 10_000 } else { 10 }).collect();
+        let (results, _) = weighted_rank_rounds(4, &[&weights], |rank| {
+            if rank == 7 {
+                panic!("weighted failure");
+            }
+            Ok(rank * 3)
+        })
+        .remove(0);
+        assert_eq!(results.len(), 12);
+        for (rank, result) in results.iter().enumerate() {
+            if rank == 7 {
+                let message = result.as_ref().unwrap_err().to_string();
+                assert!(message.contains("rank 7"), "{message}");
+                assert!(message.contains("weighted failure"), "{message}");
+            } else {
+                assert_eq!(*result.as_ref().unwrap(), rank * 3);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_panic_names_rank_and_spares_the_pool() {
+        // Two rounds on one crew: eight ranks, then five.
+        let mut rounds = weighted_rank_rounds(4, &[&[1; 8], &[1; 5]], |rank| {
+            if rank == 5 {
+                panic!("injected failure");
+            }
+            Ok(rank)
+        })
+        .into_iter()
+        .map(|(results, _)| results);
+        let results = rounds.next().unwrap();
+        assert_eq!(results.len(), 8);
+        for (rank, result) in results.iter().enumerate() {
+            if rank == 5 {
+                let message = result.as_ref().unwrap_err().to_string();
+                assert!(message.contains("rank 5"), "{message}");
+                assert!(message.contains("injected failure"), "{message}");
+            } else {
+                assert_eq!(*result.as_ref().unwrap(), rank);
+            }
+        }
+        // The crew is not poisoned: its next round succeeds.
+        let again: Vec<usize> = rounds
+            .next()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(again, (0..5).collect::<Vec<_>>());
+    }
+
     #[test]
     fn engine_exposes_cache_stats() {
         let cfg = config(0.0, 17);
@@ -490,6 +734,6 @@ mod tests {
         engine.compute_fitness(&population, 0).unwrap();
         engine.compute_fitness(&population, 1).unwrap();
         assert!(engine.evaluator().cache_hits() > 0);
-        assert_eq!(engine.thread_config().effective_threads(), 2);
+        assert_eq!(engine.workers(), 2);
     }
 }

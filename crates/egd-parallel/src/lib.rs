@@ -3,19 +3,21 @@
 //! Shared-memory parallel execution engine for evolutionary game dynamics,
 //! implementing the paper's *multi-level decomposition* (§IV–V):
 //!
-//! * the population's SSets are divided into chunks of work (the role MPI
-//!   ranks play on Blue Gene — here they map onto worker threads), and
-//! * the games of a generation are played concurrently by the workers of an
-//!   `egd-sched` crew, mirroring the paper's OpenMP level — once per distinct
-//!   strategy pair, since SSets holding the same strategy share their games.
-//!   A run opens its crew once; each generation is one round of it.
+//! * a generation's games are cut into work items — chunks of the planned
+//!   list, or the games of each rank's block of SSets, the paper's MPI level
+//!   ([`ParallelEngine::with_ranks`], which `egd-cluster`'s scheduled
+//!   executor runs) — and
+//! * the items are played concurrently by the workers of an `egd-sched`
+//!   crew, mirroring the paper's OpenMP level — once per distinct strategy
+//!   pair, since SSets holding the same strategy share their games. A run
+//!   opens its crew once; each generation is one round of it.
 //!
-//! There is one execution path. [`ParallelEngine`] is a fitness backend of
-//! the generation loop in `egd-core` (`Simulation<B>`), and
-//! [`ParallelSimulation`] is that loop over it. Its workers share one
+//! There is one engine and one execution path. [`ParallelEngine`] is a
+//! fitness backend of the generation loop in `egd-core` (`Simulation<B>`),
+//! and [`ParallelSimulation`] is that loop over it. Its workers share one
 //! [`egd_core::simulation::PairEvaluator`] — the evaluator the sequential
 //! reference and every cluster rank drive as well — through its `&self`
-//! methods: the generation is planned once, and each worker plays chunks of
+//! methods: the generation is planned once, and each worker plays items of
 //! the planned list. The engine produces
 //! *bit-identical* populations to the sequential reference for any thread
 //! count: all randomness is drawn from per-`(pair, generation)` streams and

@@ -89,18 +89,13 @@ impl ParallelSimulation {
         self.0.backend()
     }
 
-    /// Scheduler statistics accumulated since the simulation started.
-    pub fn sched_stats(&self) -> Option<&SchedStats> {
-        self.engine().run_sched_stats()
-    }
-
     /// Runs `generations` additional generations.
     pub fn run_for(&mut self, generations: u64) -> EgdResult<ParallelReport> {
         Ok(ParallelReport {
             run: self.0.run_for(generations)?,
             timing: self.timing(),
-            threads: self.engine().thread_config().effective_threads(),
-            sched: self.sched_stats().cloned(),
+            threads: self.engine().workers(),
+            sched: self.engine().run_sched_stats(),
         })
     }
 

@@ -73,7 +73,7 @@ pub mod stats;
 pub mod stress;
 pub mod weighted;
 
-pub use scheduler::{live_helpers, map_indexed, with_crew, Crew, SPIN_WINDOW};
+pub use scheduler::{live_helpers, map_indexed, panic_message, with_crew, Crew, SPIN_WINDOW};
 pub use simulate::{
     simulate_schedule, simulate_schedule_guided, simulate_schedule_guided_recorded,
     simulate_schedule_recorded, SimOutcome,

@@ -94,6 +94,16 @@ pub fn live_helpers() -> usize {
     LIVE_HELPERS.load(Ordering::SeqCst)
 }
 
+/// The message of a panic payload: the text a `panic!` carried, or a
+/// placeholder for a payload of another type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// What a round's workers read once they are inside it.
 #[derive(Debug, Clone, Copy)]
 struct RoundParams {
@@ -822,15 +832,6 @@ mod tests {
         }
     }
 
-    /// A panic payload as text.
-    fn panic_text(payload: &(dyn Any + Send)) -> &str {
-        payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("non-string payload")
-    }
-
     /// Runs `f` on a thread of its own and fails the test if it has not
     /// returned within `limit`, so that a hung crew fails the suite instead
     /// of stalling it. (A hung thread is left behind: joining it would hang
@@ -858,7 +859,7 @@ mod tests {
             })
         })
         .unwrap_err();
-        assert_eq!(panic_text(&*payload), "boom at item 33");
+        assert_eq!(panic_message(&*payload), "boom at item 33");
     }
 
     /// SplitMix64's finaliser.
@@ -931,7 +932,7 @@ mod tests {
                         crew.round(RangeSource::new(64))
                     }))
                     .unwrap_err();
-                    assert_eq!(panic_text(&*payload), "round panic at 17");
+                    assert_eq!(panic_message(&*payload), "round panic at 17");
                     let (got, _) = crew.round(RangeSource::new(17));
                     assert_eq!(got, (0..17).map(|i| i * 2).collect::<Vec<_>>());
                 }
@@ -969,7 +970,7 @@ mod tests {
                 )
             })
             .unwrap_err();
-            assert_eq!(panic_text(&*payload), "a caller panic between rounds");
+            assert_eq!(panic_message(&*payload), "a caller panic between rounds");
         });
     }
 

@@ -12,6 +12,7 @@ use egd_core::simulation::{PairKernel, SimulationState};
 use egd_fault::{arm, FaultEvent, FaultPlan};
 use egd_parallel::simulation::ParallelSimulation;
 use egd_parallel::thread_pool::ThreadConfig;
+use egd_parallel::ParallelEngine;
 use egd_serve::{EngineKind, ServeConfig, SessionConfig, SessionManager, SessionStatus};
 
 fn config(memory: MemoryDepth, noise: f64, seed: u64, generations: u64) -> SimulationConfig {
@@ -350,13 +351,26 @@ fn population_size_is_conserved_across_a_long_run() {
 #[test]
 fn checkpoints_are_byte_identical_across_backends_before_and_after_a_restore() {
     let cfg = config(MemoryDepth::ONE, 0.0, 505, 150);
+    // The engine cut by rank, as the scheduled executor runs it.
+    let by_rank = |threads: usize, ranks: usize| {
+        ParallelEngine::with_ranks(
+            &cfg,
+            FitnessMode::Simulated,
+            ThreadConfig::with_threads(threads),
+            ranks,
+        )
+        .unwrap()
+    };
     let mut sequential = Simulation::new(cfg.clone()).unwrap();
     let mut parallel = ParallelSimulation::new(cfg.clone(), ThreadConfig::with_threads(3)).unwrap();
+    let mut scheduled = Simulation::with_backend(cfg.clone(), None, by_rank(3, 6)).unwrap();
     sequential.run_for(90).unwrap();
     parallel.run_for(90).unwrap();
+    scheduled.run_for(90).unwrap();
     assert!(sequential.generations_with_change() > 0);
     let bytes = sequential.checkpoint().to_bytes().unwrap();
     assert_eq!(parallel.checkpoint().to_bytes().unwrap(), bytes);
+    assert_eq!(scheduled.checkpoint().to_bytes().unwrap(), bytes);
 
     let state = SimulationState::from_bytes(&bytes).unwrap();
     let mut sequential = Simulation::restore(cfg.clone(), &state, FitnessMode::Simulated).unwrap();
@@ -367,13 +381,18 @@ fn checkpoints_are_byte_identical_across_backends_before_and_after_a_restore() {
         FitnessMode::Simulated,
     )
     .unwrap();
+    // Resumed at another rank count and thread count.
+    let mut scheduled =
+        Simulation::restore_with_backend(cfg.clone(), &state, by_rank(2, 4)).unwrap();
     sequential.run_for(60).unwrap();
     parallel.run_for(60).unwrap();
+    scheduled.run_for(60).unwrap();
     let mut straight = Simulation::new(cfg).unwrap();
     straight.run_for(150).unwrap();
     let bytes = straight.checkpoint().to_bytes().unwrap();
     assert_eq!(sequential.checkpoint().to_bytes().unwrap(), bytes);
     assert_eq!(parallel.checkpoint().to_bytes().unwrap(), bytes);
+    assert_eq!(scheduled.checkpoint().to_bytes().unwrap(), bytes);
 }
 
 /// The checkpoint bytes of `state` with the strategy view replaced by

@@ -15,6 +15,7 @@
 use egd_cluster::{ScheduledConfig, ScheduledExecutor, SimWorld};
 use egd_core::prelude::*;
 use egd_obs::{chrome_trace_json, validate_trace_json, ExportOptions, SpanKind, TraceProcess};
+use egd_parallel::{ParallelSimulation, ThreadConfig};
 use egd_sched::{simulate_schedule_guided_recorded, simulate_schedule_recorded, Policy};
 
 fn scheduled_config(num_ssets: usize, generations: u64) -> SimulationConfig {
@@ -195,6 +196,33 @@ fn metrics_snapshot_unifies_workers_traffic_and_generations() {
 fn metrics_snapshot_unifies_at_ten_thousand_ranks() {
     let snapshot = unified_snapshot(10_000, 2);
     assert_snapshot_is_unified(&snapshot, 10_000, 2);
+}
+
+/// The generation loop spans each generation it runs, whatever the backend:
+/// a traced parallel run records exactly one `Generation` span per
+/// generation, carrying its index.
+#[test]
+fn a_traced_parallel_run_records_one_generation_span_per_generation() {
+    let generations = 30;
+    let _session = egd_obs::session_guard();
+    egd_obs::enable_tracing();
+    let mut sim = ParallelSimulation::new(
+        scheduled_config(24, generations),
+        ThreadConfig::with_threads(2),
+    )
+    .expect("parallel simulation");
+    sim.run_for(generations).expect("parallel run");
+    egd_obs::disable_tracing();
+    let log = egd_obs::collect();
+
+    let mut spanned: Vec<u64> = log
+        .events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Generation)
+        .map(|e| e.payload)
+        .collect();
+    spanned.sort_unstable();
+    assert_eq!(spanned, (0..generations).collect::<Vec<_>>());
 }
 
 /// The payoff table's own spans on a traced sequential run: a generation
