@@ -85,7 +85,6 @@ use egd_bench::{arg_or, fmt, has_flag, print_table};
 use egd_obs::{
     chrome_trace_json, summary_table_md, validate_trace_json, ExportOptions, TraceProcess,
 };
-use egd_parallel::SchedPolicy;
 use egd_sched::{
     simulate_schedule, simulate_schedule_guided, simulate_schedule_guided_recorded,
     simulate_schedule_recorded, Policy, SimOutcome,
@@ -116,8 +115,8 @@ fn assess(workload: &Workload, cost_reps: u32, wall_reps: u32) -> Assessment {
     let fixed = simulate_schedule(THREADS, &costs, Policy::Static);
     let adaptive = simulate_schedule(THREADS, &costs, Policy::Adaptive);
     let guided = simulate_schedule_guided(THREADS, &costs, &predicted, Policy::Adaptive);
-    let sequential = measure_engine(workload, 1, SchedPolicy::Adaptive, wall_reps);
-    let live = measure_engine(workload, THREADS, SchedPolicy::Adaptive, wall_reps);
+    let sequential = measure_engine(workload, 1, wall_reps);
+    let live = measure_engine(workload, THREADS, wall_reps);
     Assessment {
         label: workload.label,
         fixed,
@@ -271,7 +270,7 @@ fn observability_timeline(quick: bool) -> (String, egd_obs::MetricsSnapshot) {
             pid: 1,
             name: format!(
                 "measured scheduled run ({} ranks, {} workers)",
-                summary.ranks, summary.threads
+                summary.metrics.run.ranks, summary.metrics.run.workers
             ),
             track_label: "worker".to_string(),
             events: &measured.events,

@@ -21,9 +21,7 @@ use egd_bench::skew::{
 };
 use egd_bench::{fmt, print_table};
 use egd_cluster::perf::{ScalingHarness, Workload};
-use egd_cluster::trace::LoadBalance;
 use egd_core::prelude::*;
-use egd_parallel::SchedPolicy;
 use egd_sched::{simulate_schedule, simulate_schedule_guided, Policy};
 
 fn main() {
@@ -86,8 +84,7 @@ fn measured_load_balance() {
     let fixed = simulate_schedule(WORKERS, &costs, Policy::Static);
     let adaptive = simulate_schedule(WORKERS, &costs, Policy::Adaptive);
     let guided = simulate_schedule_guided(WORKERS, &costs, &predicted, Policy::Adaptive);
-    let live = measure_engine(&workload, WORKERS, SchedPolicy::Adaptive, 20);
-    let live_balance = LoadBalance::from(&live.sched);
+    let live = measure_engine(&workload, WORKERS, 20);
 
     let mut table = CsvTable::new(&[
         "policy",
@@ -126,6 +123,6 @@ fn measured_load_balance() {
     println!(
         "{:.1} steals/generation across {} workers (byte-identical results either way).",
         live.steals_per_gen(),
-        live_balance.workers
+        live.sched.num_workers()
     );
 }

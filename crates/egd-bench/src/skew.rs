@@ -16,14 +16,14 @@
 //! * [`measure_cell_costs`] times every cell of the distinct-pair payoff
 //!   matrix **sequentially**, which is exact on any machine, and
 //! * [`egd_sched::simulate_schedule`] replays the real scheduling algorithm
-//!   over those measured costs in virtual time, yielding the per-policy
-//!   critical path a machine with one core per worker would observe. This
+//!   (and the static split it is compared with) over those measured costs in
+//!   virtual time, yielding the per-policy critical path a machine with one core per worker would observe. This
 //!   stays truthful on hosts with fewer cores than workers, where direct
 //!   wall-clock A/B runs only measure time-sharing artefacts.
 //!
 //! [`measure_engine`] additionally executes the real engine and reports the
 //! live scheduler statistics (steals actually happen; results stay
-//! byte-identical across policies — the determinism suite enforces that).
+//! byte-identical across schedules — the determinism suite enforces that).
 
 use egd_core::config::SimulationConfig;
 use egd_core::population::Population;
@@ -31,7 +31,7 @@ use egd_core::rng::{stream, StreamKind};
 use egd_core::simulation::{FitnessMode, PairEvaluator};
 use egd_core::state::MemoryDepth;
 use egd_core::strategy::{MixedStrategy, PureStrategy, StrategyKind, StrategySpace};
-use egd_parallel::{ParallelEngine, SchedPolicy, SchedStats, StrategyGrouping, ThreadConfig};
+use egd_parallel::{ParallelEngine, SchedStats, StrategyGrouping, ThreadConfig};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -151,8 +151,6 @@ pub fn measure_cell_costs(workload: &Workload, reps: u32) -> Vec<u64> {
 /// Result of a real-execution measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// The policy measured.
-    pub policy: SchedPolicy,
     /// Worker threads used.
     pub threads: usize,
     /// Generations evaluated (after warm-up).
@@ -176,17 +174,12 @@ impl Measurement {
 }
 
 /// Measures repeated generation-fitness evaluations of `workload` with an
-/// engine configured for `threads` workers under `policy` (real execution).
-pub fn measure_engine(
-    workload: &Workload,
-    threads: usize,
-    policy: SchedPolicy,
-    reps: u32,
-) -> Measurement {
+/// engine configured for `threads` workers (real execution).
+pub fn measure_engine(workload: &Workload, threads: usize, reps: u32) -> Measurement {
     let engine = ParallelEngine::new(
         &workload.config,
         FitnessMode::Simulated,
-        ThreadConfig::with_threads(threads).with_policy(policy),
+        ThreadConfig::with_threads(threads),
     )
     .expect("engine builds");
 
@@ -209,7 +202,6 @@ pub fn measure_engine(
         }
     }
     Measurement {
-        policy,
         threads,
         reps,
         wall_ns: started.elapsed().as_nanos() as u64,
@@ -243,33 +235,6 @@ mod tests {
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), 16);
-    }
-
-    #[test]
-    fn measurements_agree_across_policies() {
-        let workload = skewed_mixed_workload(12, 9, 20, 11);
-        let engine_a = ParallelEngine::new(
-            &workload.config,
-            FitnessMode::Simulated,
-            ThreadConfig::with_threads(4),
-        )
-        .unwrap();
-        let engine_s = ParallelEngine::new(
-            &workload.config,
-            FitnessMode::Simulated,
-            ThreadConfig::with_threads(4).with_policy(SchedPolicy::Static),
-        )
-        .unwrap();
-        for generation in 0..3 {
-            assert_eq!(
-                engine_a
-                    .compute_fitness(&workload.population, generation)
-                    .unwrap(),
-                engine_s
-                    .compute_fitness(&workload.population, generation)
-                    .unwrap()
-            );
-        }
     }
 
     /// The workload's predicted cell weights off by up to ±30 % per cell,
@@ -369,7 +334,7 @@ mod tests {
     #[test]
     fn measure_engine_produces_stats() {
         let workload = skewed_mixed_workload(12, 9, 20, 13);
-        let m = measure_engine(&workload, 2, SchedPolicy::Adaptive, 3);
+        let m = measure_engine(&workload, 2, 3);
         assert_eq!(m.reps, 3);
         assert!(m.sched.items > 0);
         assert!(m.wall_ns_per_gen() > 0.0);

@@ -34,12 +34,14 @@
 //!    strategy view so all views stay consistent.
 //!
 //! The executor produces populations identical to the sequential reference —
-//! verified by tests — and reports the traffic statistics that feed the
-//! Fig. 3 communication-optimisation comparison.
+//! verified by tests — and reports its run in one [`MetricsSnapshot`]: the
+//! traffic statistics that feed the Fig. 3 communication-optimisation
+//! comparison, the ranks' payoff-table counters and, every
+//! `trace_interval` generations, a row with Fig. 5's compute/communication
+//! split.
 
 use crate::cost::CommMode;
-use crate::mpi::{Communicator, SimWorld, TrafficSnapshot};
-use crate::trace::{GenerationTrace, RankTiming, RunTrace};
+use crate::mpi::{Communicator, SimWorld};
 use egd_core::config::SimulationConfig;
 use egd_core::dynamics::GenerationDecision;
 use egd_core::error::{EgdError, EgdResult};
@@ -47,7 +49,7 @@ use egd_core::grouping::keeper_of;
 use egd_core::payoff_table::{KeptFitness, PayoffTableStats};
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairEvaluator, SimulationState};
-use egd_obs::{SpanKind, SpanTimer};
+use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer, TrafficMetrics};
 use egd_parallel::partition::SSetPartition;
 use serde::{Deserialize, Serialize};
 use std::future::Future;
@@ -66,8 +68,9 @@ pub struct DistributedConfig {
     pub comm_mode: CommMode,
     /// How pair payoffs are obtained.
     pub fitness_mode: FitnessMode,
-    /// Record a timing trace every `trace_interval` generations
-    /// (0 disables tracing).
+    /// Record a generation row of the run's metrics every `trace_interval`
+    /// generations (0 records none): the rows grow with ranks ×
+    /// generations.
     pub trace_interval: u64,
     /// Size of the pool multiplexing the rank tasks
     /// (`0` = available parallelism). Independent of `workers`: thousands of
@@ -105,7 +108,7 @@ impl DistributedConfig {
         self
     }
 
-    /// Sets the trace interval.
+    /// Sets the interval of the generation rows.
     pub fn trace_interval(mut self, interval: u64) -> Self {
         self.trace_interval = interval;
         self
@@ -121,44 +124,14 @@ pub struct DistributedRunSummary {
     pub generations: u64,
     /// Number of generations in which the population changed.
     pub generations_with_change: u64,
-    /// Traffic counters of the whole world (see [`TrafficSnapshot`]).
-    pub traffic: TrafficSnapshot,
-    /// Per-generation timing traces (sampled at the configured interval).
-    pub trace: RunTrace,
-    /// Number of ranks (workers + Nature Agent).
-    pub ranks: usize,
-    /// Payoff-table counters summed over the worker ranks (each rank keeps
-    /// the rows of the strategies whose keeper SSet is in its block).
-    pub payoff: PayoffTableStats,
-}
-
-impl DistributedRunSummary {
-    /// The unified metrics view of the run: the world's collective traffic,
-    /// the ranks' payoff-table counters, plus one per-generation row per
-    /// sampled timing trace. Mergeable with a scheduled run's
-    /// [`egd_obs::MetricsSnapshot`] — the two backends then appear on one
-    /// record.
-    pub fn metrics(&self) -> egd_obs::MetricsSnapshot {
-        let mut snap = egd_obs::MetricsSnapshot::labelled("distributed");
-        snap.run.ranks = self.ranks as u64;
-        snap.run.generations = self.generations;
-        snap.traffic = self.traffic.metrics();
-        snap.add_counter("pair_cache_hits", self.payoff.hits);
-        snap.add_counter("pair_cache_misses", self.payoff.misses);
-        self.payoff.record_counters(&mut snap);
-        for generation in &self.trace.generations {
-            snap.record_generation(egd_obs::GenerationMetrics {
-                generation: generation.generation,
-                items: generation.ranks.len() as u64,
-                steals: 0,
-                busy_ns: (generation.critical_path_us() * 1e3) as u64,
-                compute_us: generation.mean_compute_us(),
-                comm_us: generation.mean_comm_us(),
-                changed: generation.changed,
-            });
-        }
-        snap
-    }
+    /// Traffic counters of the whole world (also `metrics.traffic`).
+    pub traffic: TrafficMetrics,
+    /// The run's record: ranks (workers + Nature Agent) and generations, the
+    /// world's traffic, the payoff-table counters summed over the worker
+    /// ranks (each keeps the rows of the strategies whose keeper SSet is in
+    /// its block) and one row per sampled generation. Mergeable with a
+    /// scheduled run's — the two backends then appear on one record.
+    pub metrics: MetricsSnapshot,
 }
 
 /// Per-rank result returned from inside the simulated world.
@@ -166,9 +139,10 @@ impl DistributedRunSummary {
 pub(crate) struct RankResult {
     pub(crate) population: Population,
     pub(crate) changes: u64,
-    /// Sampled generations: index, this rank's timing, and whether the
-    /// population changed.
-    pub(crate) timings: Vec<(u64, RankTiming, bool)>,
+    /// One row per sampled generation: this rank's compute and
+    /// communication time and their sum, and whether the population
+    /// changed.
+    pub(crate) rows: Vec<GenerationMetrics>,
     pub(crate) payoff: PayoffTableStats,
 }
 
@@ -191,7 +165,9 @@ pub(crate) struct FaultContext {
     /// Checkpoint every `interval` generations (0 disables checkpointing).
     pub(crate) interval: u64,
     /// Last generation rank 0 started, updated as the run advances.
-    pub(crate) progress: Arc<AtomicU64>,
+    pub(crate) progress: AtomicU64,
+    /// Checkpoints the ranks saved.
+    pub(crate) saved: AtomicU64,
 }
 
 /// A future that yields to the worker pool `remaining` times before
@@ -263,11 +239,10 @@ impl DistributedExecutor {
 /// between the plain executor and the fault supervisor (which assembles the
 /// summary of its final, successful attempt).
 pub(crate) fn assemble_summary(
-    mut results: Vec<RankResult>,
-    traffic: TrafficSnapshot,
+    results: Vec<RankResult>,
+    traffic: TrafficMetrics,
     generations: u64,
 ) -> EgdResult<DistributedRunSummary> {
-    let ranks = results.len();
     // Every rank must hold the same final population.
     let reference = results[0].population.clone();
     for (rank, result) in results.iter().enumerate() {
@@ -278,36 +253,41 @@ pub(crate) fn assemble_summary(
         }
     }
 
+    let mut metrics = MetricsSnapshot::labelled("distributed");
+    metrics.run.ranks = results.len() as u64;
+    metrics.run.generations = generations;
+    metrics.traffic = traffic;
     let mut payoff = PayoffTableStats::default();
     for result in &results {
         payoff.merge(&result.payoff);
     }
-    let nature_result = results.remove(0);
-    let mut trace = RunTrace::default();
+    metrics.add_counter("pair_cache_hits", payoff.hits);
+    metrics.add_counter("pair_cache_misses", payoff.misses);
+    payoff.record_counters(&mut metrics);
     // Every rank samples the same generations; rank 0 — the Nature Agent,
-    // which decides — leads each sample.
-    for (k, &(generation, timing, changed)) in nature_result.timings.iter().enumerate() {
-        let mut ranks = vec![timing];
-        ranks.extend(
-            results
-                .iter()
-                .filter_map(|rank| rank.timings.get(k).map(|t| t.1)),
-        );
-        trace.push(GenerationTrace {
-            generation,
-            ranks,
-            changed,
+    // which decides — leads each sample. A generation's row holds the
+    // ranks' mean compute and communication times and, as its busy time,
+    // the slowest rank's.
+    for (k, lead) in results[0].rows.iter().enumerate() {
+        let rows: Vec<&GenerationMetrics> = results.iter().filter_map(|r| r.rows.get(k)).collect();
+        let mean = |time: fn(&GenerationMetrics) -> f64| {
+            rows.iter().map(|row| time(row)).sum::<f64>() / rows.len() as f64
+        };
+        metrics.record_generation(GenerationMetrics {
+            items: rows.len() as u64,
+            busy_ns: rows.iter().map(|row| row.busy_ns).max().unwrap_or(0),
+            compute_us: mean(|row| row.compute_us),
+            comm_us: mean(|row| row.comm_us),
+            ..*lead
         });
     }
 
     Ok(DistributedRunSummary {
         population: reference,
         generations,
-        generations_with_change: nature_result.changes,
+        generations_with_change: results[0].changes,
         traffic,
-        trace,
-        ranks,
-        payoff,
+        metrics,
     })
 }
 
@@ -351,7 +331,7 @@ pub(crate) async fn run_rank_from(
     let partition = SSetPartition::new(config.num_ssets, num_workers)?;
     let mut evaluator = PairEvaluator::new(&config, dist.fitness_mode)?;
     let mut changes = start.changes;
-    let mut timings = Vec::new();
+    let mut rows = Vec::new();
 
     for generation in start.generation..config.generations {
         if egd_fault::injection_armed() {
@@ -378,6 +358,7 @@ pub(crate) async fn run_rank_from(
                 let state = SimulationState::capture(config.seed, generation, changes, &population);
                 let span = SpanTimer::start_on(rank as u32, SpanKind::Checkpoint);
                 ctx.store.save(rank, generation, &state.to_bytes()?)?;
+                ctx.saved.fetch_add(1, Ordering::Relaxed);
                 if let Some(span) = span {
                     span.finish(generation);
                 }
@@ -476,18 +457,21 @@ pub(crate) async fn run_rank_from(
         comm_us += comm_start.elapsed().as_secs_f64() * 1e6;
 
         if dist.trace_interval > 0 && generation % dist.trace_interval == 0 {
-            timings.push((
+            rows.push(GenerationMetrics {
                 generation,
-                RankTiming::new(compute_us, comm_us),
-                decision.changes_population(),
-            ));
+                busy_ns: ((compute_us + comm_us) * 1e3) as u64,
+                compute_us,
+                comm_us,
+                changed: decision.changes_population(),
+                ..GenerationMetrics::default()
+            });
         }
     }
 
     Ok(RankResult {
         population,
         changes,
-        timings,
+        rows,
         payoff: evaluator.table_stats(),
     })
 }
@@ -556,7 +540,7 @@ mod tests {
         let executor = DistributedExecutor::new(cfg, DistributedConfig::with_workers(4)).unwrap();
         let summary = executor.run().unwrap();
         assert_eq!(&summary.population, sequential.population());
-        assert_eq!(summary.ranks, 5);
+        assert_eq!(summary.metrics.run.ranks, 5);
         assert_eq!(summary.generations, 40);
     }
 
@@ -631,11 +615,15 @@ mod tests {
                 .run()
                 .unwrap();
         // Generations 0, 5, 10, 15 are traced, each with 4 rank samples.
-        assert_eq!(summary.trace.generations.len(), 4);
-        for generation_trace in &summary.trace.generations {
-            assert_eq!(generation_trace.ranks.len(), 4);
+        let rows = &summary.metrics.generations;
+        let traced: Vec<u64> = rows.iter().map(|g| g.generation).collect();
+        assert_eq!(traced, [0, 5, 10, 15]);
+        assert!(rows.iter().all(|g| g.items == 4));
+        assert!(rows.iter().map(|g| g.busy_ns).sum::<u64>() > 0);
+        // A row's busy time is its slowest rank's compute + communication.
+        for row in rows {
+            assert!(row.busy_ns as f64 >= (row.compute_us + row.comm_us) * 1e3 - 1.0);
         }
-        assert!(summary.trace.total_critical_path_us() > 0.0);
     }
 
     #[test]
@@ -646,7 +634,7 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap();
-        let metrics = summary.metrics();
+        let metrics = &summary.metrics;
         assert_eq!(metrics.run.label, "distributed");
         assert_eq!(metrics.run.ranks, 4);
         assert_eq!(metrics.run.generations, 20);
@@ -676,7 +664,7 @@ mod tests {
                 .unwrap()
                 .run()
                 .unwrap();
-        let metrics = summary.metrics();
+        let metrics = &summary.metrics;
         assert_eq!(metrics.generations.len(), 40);
         let changed = metrics.generations.iter().filter(|g| g.changed).count() as u64;
         assert!(changed > 0);
@@ -705,19 +693,14 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let metrics = summary.metrics();
+        let metrics = &summary.metrics;
         assert!(metrics.counter("pair_cache_hits") > 0);
         assert!(metrics.counter("pair_cache_misses") > 0);
         assert!(metrics.counter("payoff_cells_played") >= metrics.counter("pair_cache_misses"));
         // Merged across the ranks like the others; a rank mirrors among the
         // rows it keeps only.
-        assert_eq!(
-            summary.payoff.games_played,
-            metrics.counter("payoff_games_played")
-        );
-        assert!(summary.payoff.games_played < summary.payoff.cells_played);
+        assert!(metrics.counter("payoff_games_played") < metrics.counter("payoff_cells_played"));
         assert!(metrics.counter("payoff_slots_occupied") > 0);
-        assert_eq!(summary.payoff.hits, metrics.counter("pair_cache_hits"));
     }
 
     #[test]

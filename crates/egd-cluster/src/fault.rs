@@ -131,38 +131,35 @@ pub struct FaultRecoveryStats {
 /// [`DistributedRunSummary`] plus the recovery account.
 #[derive(Debug, Clone)]
 pub struct SupervisedRunSummary {
-    /// The successful attempt's summary. Traffic and timing traces cover the
-    /// final attempt only (earlier attempts' worlds died with their stats, so
-    /// nothing pre-crash is double-counted).
+    /// The successful attempt's summary. Traffic and generation rows cover
+    /// the final attempt only (earlier attempts' worlds died with their
+    /// stats, so nothing pre-crash is double-counted); its metrics carry
+    /// every recovery counter under `fault_*` keys as well.
     pub summary: DistributedRunSummary,
     /// What it took to get there.
     pub recovery: FaultRecoveryStats,
 }
 
-impl SupervisedRunSummary {
-    /// The unified metrics view: the final attempt's traffic and generation
-    /// rows, plus every recovery counter under `fault_*` keys.
-    pub fn metrics(&self) -> egd_obs::MetricsSnapshot {
-        let mut snap = self.summary.metrics();
-        let r = &self.recovery;
-        snap.add_counter("fault_attempts", u64::from(r.attempts));
-        snap.add_counter("fault_retries", r.retries);
-        snap.add_counter("fault_respawns", r.respawns);
-        snap.add_counter("fault_generations_replayed", r.generations_replayed);
-        snap.add_counter("fault_checkpoints_saved", r.checkpoints_saved);
-        snap.add_counter("fault_checkpoint_resumes", r.checkpoint_resumes);
-        snap.add_counter("fault_repricings", r.repricings);
+impl FaultRecoveryStats {
+    /// Adds every counter to `snap` under a `fault_*` key.
+    fn record_counters(&self, snap: &mut egd_obs::MetricsSnapshot) {
+        snap.add_counter("fault_attempts", u64::from(self.attempts));
+        snap.add_counter("fault_retries", self.retries);
+        snap.add_counter("fault_respawns", self.respawns);
+        snap.add_counter("fault_generations_replayed", self.generations_replayed);
+        snap.add_counter("fault_checkpoints_saved", self.checkpoints_saved);
+        snap.add_counter("fault_checkpoint_resumes", self.checkpoint_resumes);
+        snap.add_counter("fault_repricings", self.repricings);
         snap.add_counter(
             "fault_repriced_max_block_weight",
-            r.repriced_max_block_weight,
+            self.repriced_max_block_weight,
         );
-        snap.add_counter("fault_injected", r.faults_injected);
-        snap.add_counter("fault_crashes", r.crashes_injected);
-        snap.add_counter("fault_drops", r.drops_injected);
-        snap.add_counter("fault_delays", r.delays_injected);
-        snap.add_counter("fault_slow_ranks", r.slow_ranks_injected);
-        snap.add_counter("fault_stale_rejected", r.stale_rejected);
-        snap
+        snap.add_counter("fault_injected", self.faults_injected);
+        snap.add_counter("fault_crashes", self.crashes_injected);
+        snap.add_counter("fault_drops", self.drops_injected);
+        snap.add_counter("fault_delays", self.delays_injected);
+        snap.add_counter("fault_slow_ranks", self.slow_ranks_injected);
+        snap.add_counter("fault_stale_rejected", self.stale_rejected);
     }
 }
 
@@ -233,11 +230,11 @@ impl SupervisedExecutor {
         for attempt in 0..max_attempts {
             stats.attempts = attempt + 1;
             let resume_generation = resume.as_ref().map_or(0, |s| s.generation);
-            let progress = Arc::new(AtomicU64::new(resume_generation));
             let ctx = Arc::new(FaultContext {
                 store: Arc::clone(&self.store),
                 interval: self.supervisor.checkpoint_interval,
-                progress: Arc::clone(&progress),
+                progress: AtomicU64::new(resume_generation),
+                saved: AtomicU64::new(0),
             });
             let start = RankStart {
                 generation: resume_generation,
@@ -251,20 +248,19 @@ impl SupervisedExecutor {
             let fired_mark = egd_fault::fired_count(self.supervisor.fault_domain);
 
             let body_config = Arc::clone(&sim_config);
+            let body_ctx = Arc::clone(&ctx);
             let outcome = world.run_detailed(move |comm| {
                 let config = Arc::clone(&body_config);
-                let ctx = Arc::clone(&ctx);
+                let ctx = Arc::clone(&body_ctx);
                 let start = start.clone();
                 async move { run_rank_from(comm, config, dist, start, Some(ctx)).await }
             });
+            stats.checkpoints_saved += ctx.saved.load(Ordering::Relaxed);
 
             match outcome {
                 Ok((results, world_stats)) => {
-                    let summary =
+                    let mut summary =
                         assemble_summary(results, world_stats.snapshot(), sim_config.generations)?;
-                    for rank in 0..ranks {
-                        stats.checkpoints_saved += self.store.generations(rank)?.len() as u64;
-                    }
                     let report = egd_fault::injection_report(self.supervisor.fault_domain);
                     stats.faults_injected = report.fired.len() as u64;
                     stats.crashes_injected = report.crashes;
@@ -272,6 +268,7 @@ impl SupervisedExecutor {
                     stats.delays_injected = report.delays;
                     stats.slow_ranks_injected = report.stalls;
                     stats.stale_rejected = report.stale_rejected;
+                    stats.record_counters(&mut summary.metrics);
                     return Ok(SupervisedRunSummary {
                         summary,
                         recovery: stats,
@@ -304,7 +301,7 @@ impl SupervisedExecutor {
                         backoff_ms = (backoff_ms * 2).min(self.supervisor.backoff_cap_ms.max(1));
                     }
 
-                    let progressed = progress.load(Ordering::Relaxed);
+                    let progressed = ctx.progress.load(Ordering::Relaxed);
                     resume = self.latest_common_checkpoint(ranks, &sim_config)?;
                     let resumed_from = resume.as_ref().map_or(0, |s| s.generation);
                     stats.generations_replayed += progressed.saturating_sub(resumed_from);

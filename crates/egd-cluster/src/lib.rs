@@ -24,8 +24,7 @@
 //! * [`scheduled`] — the canonical distributed backend: ranks as *tasks* on
 //!   the `egd-sched` work-stealing scheduler — the one generation loop over
 //!   the shared-memory engine cut by rank — with rank-named panic
-//!   containment and the scheduler statistics that
-//!   [`trace::LoadBalance`] summarises.
+//!   containment and the scheduler statistics of Fig. 4's load balance.
 //! * [`fault`] — fault tolerance over all of the above: worlds run under an
 //!   `egd-fault` injection plan (rank crashes, message drops/delays, slow
 //!   ranks), every rank checkpoints its replicated state at a configurable
@@ -38,6 +37,11 @@
 //!   beyond what can be spawned as real threads. Combined with
 //!   `egd_sched::simulate` virtual-time replay it also drives the
 //!   10³–10⁴-rank scale gate in `egd-bench`'s `bench_diff`.
+//!
+//! Every executor reports its run through one `egd_obs::MetricsSnapshot`
+//! (`metrics` on [`DistributedRunSummary`] and [`ScheduledRunSummary`]; a
+//! supervised run's adds its `fault_*` counters): ranks, workers, traffic,
+//! per-generation rows and counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,15 +57,13 @@ pub mod perf;
 pub mod scheduled;
 pub mod taskexec;
 pub mod topology;
-pub mod trace;
 
 pub use cost::{CommMode, ComputeOptimization, CostModel, OptimizationLevel, TopologyCost};
 pub use executor::{DistributedConfig, DistributedExecutor, DistributedRunSummary};
 pub use fault::{FaultRecoveryStats, SupervisedExecutor, SupervisedRunSummary, SupervisorConfig};
 pub use machine::MachineSpec;
-pub use mpi::{Communicator, PendingOp, SimWorld, TrafficSnapshot, TrafficStats, WorldFailure};
+pub use mpi::{Communicator, PendingOp, SimWorld, TrafficStats, WorldFailure};
 pub use network::{CollectiveNetwork, TorusNetwork};
 pub use perf::{ScalingHarness, ScalingPoint, Workload};
 pub use scheduled::{ScheduledConfig, ScheduledExecutor, ScheduledRunSummary};
 pub use topology::ClusterTopology;
-pub use trace::{GenerationTrace, RankTiming, RunTrace};

@@ -52,7 +52,7 @@
 use crate::collective;
 use crate::taskexec::{self, ExecError};
 use egd_core::error::{EgdError, EgdResult};
-use egd_obs::{SpanKind, SpanTimer};
+use egd_obs::{SpanKind, SpanTimer, TrafficMetrics};
 use egd_parallel::thread_pool::ThreadConfig;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -120,49 +120,11 @@ pub struct TrafficStats {
     pub max_root_fanout: AtomicU64,
 }
 
-/// A point-in-time copy of [`TrafficStats`], with plain-number fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficSnapshot {
-    /// Point-to-point messages sent.
-    pub p2p_messages: u64,
-    /// Point-to-point payload bytes.
-    pub p2p_bytes: u64,
-    /// Broadcast operations (once per root call).
-    pub broadcasts: u64,
-    /// Broadcast payload bytes (per operation, not per recipient).
-    pub broadcast_bytes: u64,
-    /// Gather operations (once per root call).
-    pub gathers: u64,
-    /// Bytes of merged tree messages received by gather roots.
-    pub gather_bytes: u64,
-    /// Barrier operations.
-    pub barriers: u64,
-    /// Largest per-collective root fan-out observed (tree messages at the
-    /// root of a single operation).
-    pub max_root_fanout: u64,
-}
-
-impl TrafficSnapshot {
-    /// This snapshot as the metrics-registry mirror struct, ready to merge
-    /// into an [`egd_obs::MetricsSnapshot`].
-    pub fn metrics(&self) -> egd_obs::TrafficMetrics {
-        egd_obs::TrafficMetrics {
-            p2p_messages: self.p2p_messages,
-            p2p_bytes: self.p2p_bytes,
-            broadcasts: self.broadcasts,
-            broadcast_bytes: self.broadcast_bytes,
-            gathers: self.gathers,
-            gather_bytes: self.gather_bytes,
-            barriers: self.barriers,
-            max_root_fanout: self.max_root_fanout,
-        }
-    }
-}
-
 impl TrafficStats {
-    /// Snapshot of the counters as a plain-number [`TrafficSnapshot`].
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
+    /// A point-in-time copy of the counters, as the traffic section of an
+    /// [`egd_obs::MetricsSnapshot`].
+    pub fn snapshot(&self) -> TrafficMetrics {
+        TrafficMetrics {
             p2p_messages: self.p2p_messages.load(Ordering::Relaxed),
             p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
             broadcasts: self.broadcasts.load(Ordering::Relaxed),

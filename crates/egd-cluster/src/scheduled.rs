@@ -13,8 +13,9 @@
 //! [`egd_core::simulation::Simulation`], over the [`ParallelEngine`] cut by
 //! rank ([`ParallelEngine::with_ranks`]), so its population is bit-identical
 //! to the sequential reference's. What it adds is the run's summary: the
-//! scheduler statistics, from which Fig. 4's [`crate::trace::LoadBalance`]
-//! derives, and a [`MetricsSnapshot`] with one row per generation.
+//! scheduler statistics (Fig. 4's load balance: [`SchedStats::imbalance`],
+//! steal counts, per-worker busy time) and a [`MetricsSnapshot`] with the
+//! ranks and workers, the worker table and one row per generation.
 
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
@@ -71,16 +72,13 @@ pub struct ScheduledRunSummary {
     pub generations: u64,
     /// Number of generations in which the population changed.
     pub generations_with_change: u64,
-    /// Number of simulated ranks.
-    pub ranks: usize,
-    /// Number of scheduler workers that executed the rank tasks: the
-    /// configured count, capped at one per rank.
-    pub threads: usize,
     /// Accumulated scheduler statistics over all generations.
     pub sched: Option<SchedStats>,
-    /// The unified metrics record of the run: worker table, per-generation
-    /// counters, and engine cache/compile counters in one mergeable,
-    /// deterministically ordered snapshot.
+    /// The run's record: its simulated ranks and the scheduler workers that
+    /// executed the rank tasks (the configured count, capped at one per
+    /// rank), the worker table, per-generation rows, and engine
+    /// cache/compile counters in one mergeable, deterministically ordered
+    /// snapshot.
     pub metrics: MetricsSnapshot,
 }
 
@@ -148,8 +146,6 @@ impl ScheduledExecutor {
             population: simulation.population().clone(),
             generations: config.generations,
             generations_with_change: simulation.generations_with_change(),
-            ranks,
-            threads: engine.workers(),
             sched,
             metrics,
         })
@@ -199,11 +195,11 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(&summary.population, sequential.population());
-        assert_eq!(summary.ranks, 4);
+        assert_eq!(summary.metrics.run.ranks, 4);
         assert_eq!(summary.generations, 40);
         let sched = summary.sched.unwrap();
         assert!(sched.items > 0);
-        assert_eq!(crate::trace::LoadBalance::from(&sched).workers, 2);
+        assert_eq!(sched.num_workers(), 2);
     }
 
     #[test]
@@ -286,7 +282,6 @@ mod tests {
             .unwrap();
         assert_eq!(oversubscribed.population, reference.population);
         // ... and reports the workers that ran, not the ones configured.
-        assert_eq!(oversubscribed.threads, 3);
         assert_eq!(oversubscribed.metrics.run.workers, 3);
     }
 
@@ -317,8 +312,8 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(&summary.population, sequential.population());
-        assert_eq!(summary.ranks, 256);
-        assert_eq!(summary.threads, 4);
+        assert_eq!(summary.metrics.run.ranks, 256);
+        assert_eq!(summary.metrics.run.workers, 4);
         let sched = summary.sched.unwrap();
         // 256 tasks in every generation that was computed (the cold one at
         // least; one the payoff table answered from the retained generation

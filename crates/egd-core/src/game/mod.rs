@@ -19,12 +19,10 @@ pub mod compiled;
 pub mod ipd;
 pub mod markov;
 pub mod naive;
-pub mod tournament;
 
 pub use compiled::{BatchedDraws, CompiledPair, CompiledStrategy};
 pub use ipd::{GameOutcome, IpdGame};
 pub use markov::MarkovGame;
-pub use tournament::{MatchMode, Tournament, TournamentResult};
 
 use serde::{Deserialize, Serialize};
 

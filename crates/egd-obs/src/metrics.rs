@@ -1,16 +1,18 @@
 //! The unified metrics registry.
 //!
-//! Before this crate each layer spoke its own dialect: `egd_sched::SchedStats`
-//! (per-worker busy/steal counters), `egd_cluster`'s `TrafficStats` and
-//! `RankTiming`, and per-generation engine counters. [`MetricsSnapshot`]
-//! unifies them: one serde-serialisable value with deterministic field order
-//! (fixed struct layout, `BTreeMap` for the free-form counters) that merges
-//! associatively, so a scheduled run's worker table, a world's collective
-//! traffic and the engine's cache counters can be combined into one record.
+//! [`MetricsSnapshot`] is the one record of a run: every executor's summary
+//! holds one. It is a serde-serialisable value with deterministic field
+//! order (fixed struct layout, `BTreeMap` for the free-form counters) that
+//! merges associatively, so a scheduled run's worker table, a world's
+//! collective traffic, a distributed run's rank timings and the engines'
+//! cache counters combine into one record.
 //!
-//! Producer crates convert their native statistics into the mirror structs
-//! here; this crate stays at the bottom of the dependency graph and knows
-//! none of them.
+//! Producer crates fill the types here directly: `egd_cluster`'s
+//! `TrafficStats::snapshot` returns a [`TrafficMetrics`], a distributed
+//! rank's timing is a [`GenerationMetrics`] row, and
+//! `egd_sched::SchedStats::worker_metrics` gives [`WorkerMetrics`] rows.
+//! This crate stays at the bottom of the dependency graph and knows none of
+//! them.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -28,9 +30,8 @@ pub struct RunInfo {
     pub generations: u64,
 }
 
-/// One scheduler worker's counters — the [`MetricsSnapshot`] mirror of
-/// `egd_sched::WorkerStats`, keyed explicitly so merges can align workers
-/// across runs.
+/// One scheduler worker's counters (`egd_sched::WorkerStats` with its
+/// worker id), keyed explicitly so merges can align workers across runs.
 #[derive(Serialize, Deserialize, Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
     /// Worker id.
@@ -45,25 +46,26 @@ pub struct WorkerMetrics {
     pub steals: u64,
 }
 
-/// Collective-traffic counters — the mirror of `egd_cluster`'s
-/// `TrafficSnapshot`.
+/// Collective-traffic counters of a simulated world: a point-in-time copy
+/// of `egd_cluster`'s `TrafficStats`.
 #[derive(Serialize, Deserialize, Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficMetrics {
     /// Point-to-point messages sent.
     pub p2p_messages: u64,
     /// Point-to-point payload bytes.
     pub p2p_bytes: u64,
-    /// Broadcast operations.
+    /// Broadcast operations (once per root call).
     pub broadcasts: u64,
-    /// Broadcast payload bytes.
+    /// Broadcast payload bytes (per operation, not per recipient).
     pub broadcast_bytes: u64,
-    /// Gather operations.
+    /// Gather operations (once per root call).
     pub gathers: u64,
     /// Bytes of merged tree messages received by gather roots.
     pub gather_bytes: u64,
     /// Barrier operations.
     pub barriers: u64,
-    /// Largest per-collective root fan-out observed.
+    /// Largest per-collective root fan-out observed (tree messages at the
+    /// root of a single operation).
     pub max_root_fanout: u64,
 }
 
@@ -88,7 +90,7 @@ impl TrafficMetrics {
 }
 
 /// One generation's counters: the scheduler's view (items/steals/busy) and
-/// the rank-timing view (compute/comm µs, mirroring `RankTiming`) side by
+/// the rank-timing view (Fig. 5's compute/communication split, µs) side by
 /// side.
 #[derive(Serialize, Deserialize, Clone, Copy, Debug, Default, PartialEq)]
 pub struct GenerationMetrics {

@@ -251,9 +251,8 @@ impl ParallelEngine {
                     // Nothing entered the population: no round.
                     return Ok(Vec::new());
                 }
-                let (played, stats) = egd_obs::obs_span!(SpanKind::CellMatrix, games as u64, {
-                    egd_sched::with_policy(self.threads.policy, || round(games))
-                });
+                let (played, stats) =
+                    egd_obs::obs_span!(SpanKind::CellMatrix, games as u64, { round(games) });
                 row.items = stats.items;
                 row.steals = stats.steals;
                 row.busy_ns = stats.critical_path_ns();
@@ -462,30 +461,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_banks_scheduler_stats_and_policies_agree() {
-        use crate::thread_pool::SchedPolicy;
+    fn engine_banks_scheduler_stats() {
         let cfg = config(0.05, 19);
         let population = cfg.initial_population().unwrap();
-        let adaptive =
+        let engine =
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
                 .unwrap();
-        let fixed = ParallelEngine::new(
-            &cfg,
-            FitnessMode::Simulated,
-            ThreadConfig::with_threads(4).with_policy(SchedPolicy::Static),
-        )
-        .unwrap();
-        assert!(adaptive.last_sched_stats().is_none());
-        let a = adaptive.compute_fitness(&population, 0).unwrap();
-        let b = fixed.compute_fitness(&population, 0).unwrap();
-        assert_eq!(a, b, "static and adaptive schedules must agree");
-        let stats = adaptive.last_sched_stats().expect("stats banked");
+        assert!(engine.last_sched_stats().is_none());
+        engine.compute_fitness(&population, 0).unwrap();
+        let stats = engine.last_sched_stats().expect("stats banked");
         assert!(stats.items > 0);
-        assert_eq!(fixed.last_sched_stats().unwrap().steals, 0);
-        assert_eq!(
-            fixed.last_sched_stats().unwrap().policy,
-            SchedPolicy::Static
-        );
+        assert_eq!(engine.run_sched_stats(), Some(stats));
     }
 
     #[test]

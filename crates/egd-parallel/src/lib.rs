@@ -29,11 +29,9 @@
 //!
 //! Parallel sections execute on the `egd-sched` adaptive work-stealing
 //! scheduler (see that crate's docs for the determinism contract);
-//! [`ThreadConfig::with_policy`](thread_pool::ThreadConfig::with_policy)
-//! switches back to the legacy static split for load-balance A/B studies,
-//! and [`ParallelEngine::last_sched_stats`] /
-//! [`simulation::ParallelReport::sched`] surface steal counts and per-worker
-//! busy time.
+//! [`ParallelEngine::last_sched_stats`] and
+//! [`ParallelEngine::run_sched_stats`] surface steal counts and per-worker
+//! busy time of a generation and of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +50,7 @@ pub use egd_core::simulation::PairEvaluator as ConcurrentPairEvaluator;
 pub use engine::{GenerationTiming, ParallelEngine};
 pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
 pub use partition::SSetPartition;
-pub use simulation::{ParallelReport, ParallelSimulation};
-pub use thread_pool::{SchedPolicy, ThreadConfig};
+pub use simulation::ParallelSimulation;
+pub use thread_pool::ThreadConfig;
 
 pub use egd_sched::{SchedStats, WorkerStats};

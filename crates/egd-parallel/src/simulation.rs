@@ -4,44 +4,19 @@
 //! generation loop — over a [`ParallelEngine`]: the fitness phase runs on a
 //! thread pool, and for any thread count the run follows the exact same
 //! trajectory as the sequential reference. What this module adds is the
-//! constructors and a report that carries the engine's numbers.
+//! constructors; running, the report, the timing and the engine (its
+//! workers and scheduler statistics: `backend()`) are the loop's.
 
-use crate::engine::{GenerationTiming, ParallelEngine};
+use crate::engine::ParallelEngine;
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
 use egd_core::population::Population;
-use egd_core::simulation::{FitnessMode, Simulation, SimulationReport, SimulationState};
-use egd_sched::SchedStats;
-use serde::{Deserialize, Serialize};
+use egd_core::simulation::{FitnessMode, Simulation, SimulationState};
 use std::ops::{Deref, DerefMut};
 
-/// Report of a completed parallel run: the shared [`SimulationReport`]
-/// (whose fields read through it) plus the engine's timing, thread count and
-/// scheduler statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParallelReport {
-    /// What every backend reports.
-    pub run: SimulationReport,
-    /// Wall-clock breakdown accumulated since the simulation started.
-    pub timing: GenerationTiming,
-    /// Number of worker threads used.
-    pub threads: usize,
-    /// Scheduler statistics accumulated since the simulation started (steal
-    /// counts, per-worker busy/CPU time); `None` if no parallel section ran.
-    pub sched: Option<SchedStats>,
-}
-
-impl Deref for ParallelReport {
-    type Target = SimulationReport;
-
-    fn deref(&self) -> &SimulationReport {
-        &self.run
-    }
-}
-
-/// The shared-memory parallel simulation. Everything but construction and
-/// the report is the generic loop's, reached through `Deref`.
+/// The shared-memory parallel simulation. Everything but construction is
+/// the generic loop's, reached through `Deref`.
 #[derive(Debug)]
 pub struct ParallelSimulation(Simulation<ParallelEngine>);
 
@@ -87,22 +62,6 @@ impl ParallelSimulation {
     /// The engine (for cache statistics).
     pub fn engine(&self) -> &ParallelEngine {
         self.0.backend()
-    }
-
-    /// Runs `generations` additional generations.
-    pub fn run_for(&mut self, generations: u64) -> EgdResult<ParallelReport> {
-        Ok(ParallelReport {
-            run: self.0.run_for(generations)?,
-            timing: self.timing(),
-            threads: self.engine().workers(),
-            sched: self.engine().run_sched_stats(),
-        })
-    }
-
-    /// Runs the number of generations specified in the configuration.
-    pub fn run(&mut self) -> ParallelReport {
-        self.run_for(self.config().generations)
-            .expect("a validated configuration cannot fail mid-run")
     }
 }
 
@@ -169,10 +128,13 @@ mod tests {
         let report = sim.run_for(60).unwrap();
         assert_eq!(report.generations_run, 60);
         assert_eq!(report.history.len(), 3);
-        assert_eq!(report.threads, 2);
-        assert!(report.timing.total().as_nanos() > 0);
+        assert_eq!(sim.engine().workers(), 2);
+        assert!(sim.timing().total().as_nanos() > 0);
         assert!(report.final_fitness.is_some());
-        let sched = report.sched.expect("scheduler stats accumulate");
+        let sched = sim
+            .engine()
+            .run_sched_stats()
+            .expect("scheduler stats accumulate");
         assert!(sched.items > 0);
         assert!(sched.num_workers() >= 1);
     }

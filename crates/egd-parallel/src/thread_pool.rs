@@ -3,12 +3,10 @@
 //! The paper runs a hybrid MPI + OpenMP code and reports that on Blue Gene/Q
 //! the best configuration was 32 tasks × 2 threads per node (§VI-C). Here the
 //! OpenMP level maps onto an `egd-sched` crew whose size is chosen per
-//! engine, so scaling studies can sweep the thread count explicitly;
-//! [`ThreadConfig::policy`] selects between adaptive stealing (default) and
-//! the legacy static one-chunk-per-worker split (for load-balance A/B
-//! studies). Either way results are byte-identical.
+//! engine, so scaling studies can sweep the thread count explicitly. The
+//! crew's rounds always steal adaptively, and results are byte-identical for
+//! any thread count.
 
-pub use egd_sched::Policy as SchedPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an engine's worker crew.
@@ -16,37 +14,20 @@ use serde::{Deserialize, Serialize};
 pub struct ThreadConfig {
     /// Number of worker threads; `0` means "use all available parallelism".
     pub num_threads: usize,
-    /// Work-distribution policy of the crew's rounds.
-    pub policy: SchedPolicy,
 }
 
 impl ThreadConfig {
     /// Use every core the runtime reports.
-    pub const AUTO: ThreadConfig = ThreadConfig {
-        num_threads: 0,
-        policy: SchedPolicy::Adaptive,
-    };
+    pub const AUTO: ThreadConfig = ThreadConfig { num_threads: 0 };
 
     /// Creates a configuration with an explicit thread count.
     pub const fn with_threads(num_threads: usize) -> Self {
-        ThreadConfig {
-            num_threads,
-            policy: SchedPolicy::Adaptive,
-        }
+        ThreadConfig { num_threads }
     }
 
     /// Single-threaded execution (useful for determinism A/B tests).
     pub const fn sequential() -> Self {
-        ThreadConfig {
-            num_threads: 1,
-            policy: SchedPolicy::Adaptive,
-        }
-    }
-
-    /// Returns the same configuration with a different scheduling policy.
-    pub const fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
-        self
+        ThreadConfig { num_threads: 1 }
     }
 
     /// The number of threads this configuration will actually use.
@@ -85,13 +66,5 @@ mod tests {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         );
         assert_eq!(ThreadConfig::default(), ThreadConfig::AUTO);
-    }
-
-    #[test]
-    fn policy_defaults_to_adaptive_and_is_overridable() {
-        assert_eq!(ThreadConfig::AUTO.policy, SchedPolicy::Adaptive);
-        let fixed = ThreadConfig::with_threads(4).with_policy(SchedPolicy::Static);
-        assert_eq!(fixed.policy, SchedPolicy::Static);
-        assert_eq!(fixed.num_threads, 4);
     }
 }

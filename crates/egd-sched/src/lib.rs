@@ -31,9 +31,9 @@
 //! * An idle worker becomes a **thief**: it scans the other workers' slots
 //!   and splits the *back half* of the largest-remaining segment into its own
 //!   slot. Victims keep working undisturbed on their front halves.
-//! * [`Policy::Static`] disables stealing and claims each segment as a single
-//!   block — byte-for-byte the old one-chunk-per-worker backend, kept for
-//!   A/B load-balance measurements.
+//! * A live round always steals. [`Policy::Static`] — one contiguous chunk
+//!   per worker, no stealing — exists only in the virtual-time replay
+//!   ([`simulate`]), as the baseline stealing is measured against.
 //! * The workers are a [`Crew`] ([`with_crew`]): the caller plus helpers
 //!   spawned once and kept for a whole run, which execute one parallel
 //!   section — a **round** — per generation, and poll, then park, in
@@ -83,43 +83,18 @@ pub use stress::{delay_helpers, force_steals, DelayGuard, StressGuard};
 pub use weighted::{weighted_ranges, WeightedSource};
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 
-/// How a parallel run distributes work across its workers.
+/// How a [`simulate`] replay distributes work across its workers. A live
+/// [`Crew`] round always runs the adaptive policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Policy {
-    /// One contiguous chunk per worker, no stealing — the legacy backend,
-    /// kept for load-balance A/B measurements.
+    /// One contiguous chunk per worker, no stealing — the legacy split, the
+    /// baseline of load-balance comparisons.
     Static,
     /// Adaptive work stealing: per-worker segments, adaptive block growth,
     /// idle workers split the back half of busy workers' remaining ranges.
     #[default]
     Adaptive,
-}
-
-thread_local! {
-    /// Policy override installed by [`with_policy`] on this thread.
-    static CURRENT_POLICY: Cell<Option<Policy>> = const { Cell::new(None) };
-}
-
-/// The policy parallel runs started from this thread will use.
-pub fn current_policy() -> Policy {
-    CURRENT_POLICY.with(|c| c.get()).unwrap_or_default()
-}
-
-/// Runs `op` with `policy` active for parallel runs started from this thread,
-/// restoring the previous policy afterwards (also on panic).
-pub fn with_policy<R>(policy: Policy, op: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Policy>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT_POLICY.with(|c| c.set(self.0));
-        }
-    }
-    let previous = CURRENT_POLICY.with(|c| c.get());
-    let _restore = Restore(previous);
-    CURRENT_POLICY.with(|c| c.set(Some(policy)));
-    op()
 }
 
 #[cfg(test)]
@@ -128,20 +103,6 @@ mod tests {
 
     #[test]
     fn default_policy_is_adaptive() {
-        assert_eq!(current_policy(), Policy::Adaptive);
         assert_eq!(Policy::default(), Policy::Adaptive);
-    }
-
-    #[test]
-    fn with_policy_scopes_and_restores() {
-        assert_eq!(current_policy(), Policy::Adaptive);
-        with_policy(Policy::Static, || {
-            assert_eq!(current_policy(), Policy::Static);
-            with_policy(Policy::Adaptive, || {
-                assert_eq!(current_policy(), Policy::Adaptive);
-            });
-            assert_eq!(current_policy(), Policy::Static);
-        });
-        assert_eq!(current_policy(), Policy::Adaptive);
     }
 }

@@ -49,7 +49,7 @@
 
 use crate::source::{RangeSource, WorkSource};
 use crate::stats::{SchedStats, WorkerStats};
-use crate::{stress, Policy};
+use crate::stress;
 use egd_obs::{SpanKind, SpanTimer};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -108,9 +108,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[derive(Debug, Clone, Copy)]
 struct RoundParams {
     number: u32,
-    /// Workers taking part: the others enter and leave at once.
+    /// Workers taking part: the others enter and leave at once. A round of
+    /// one is the caller alone, claiming its whole source as one block.
     effective: usize,
-    policy: Policy,
     max_block: usize,
     stressed: bool,
     /// Seed of the helper delays, while [`crate::delay_helpers`] is active.
@@ -145,7 +145,6 @@ impl<S: WorkSource, R: Send> Deck<S, R> {
             params: Mutex::new(RoundParams {
                 number: 0,
                 effective: 1,
-                policy: Policy::Static,
                 max_block: usize::MAX,
                 stressed: false,
                 delays: None,
@@ -380,13 +379,12 @@ where
     /// takes further rounds afterwards.
     pub fn round(&mut self, source: S) -> (Vec<R>, SchedStats) {
         let n = source.len();
-        let policy = crate::current_policy();
         let started = Instant::now();
         let effective = self.workers.min(n.max(1));
         let per_worker = if effective <= 1 {
             vec![self.inline(source)]
         } else {
-            self.spread(source, effective, policy)
+            self.spread(source, effective)
         };
 
         let mut blocks = Vec::new();
@@ -398,7 +396,6 @@ where
             workers.push(stats);
         }
         let stats = SchedStats {
-            policy,
             workers,
             items: n as u64,
             steals,
@@ -417,7 +414,6 @@ where
         let round = RoundParams {
             number: self.rounds,
             effective: 1,
-            policy: Policy::Static,
             max_block: usize::MAX,
             stressed: false,
             delays: None,
@@ -428,21 +424,18 @@ where
     /// A round of `effective` workers: fills the slots, opens the round,
     /// works as worker 0, closes the round and collects every worker's
     /// output.
-    fn spread(&mut self, source: S, effective: usize, policy: Policy) -> Vec<WorkerOutput<R>> {
+    fn spread(&mut self, source: S, effective: usize) -> Vec<WorkerOutput<R>> {
         let deck = self.deck;
         let n = source.len();
         let stressed = stress::stress_active();
-        // Under forced steals the caller starts with an empty slot, so its
-        // first claim is a steal from a helper's segment.
-        let caller_steals = stressed && policy == Policy::Adaptive;
-        // Initial contiguous segmentation: uniform blocks for plain sources
-        // (identical to the legacy static chunking, so `Policy::Static`
-        // reproduces the old backend exactly), cost quantiles for weighted
-        // ones.
-        let owners = effective - usize::from(caller_steals);
+        // Initial contiguous segmentation: uniform blocks for plain sources,
+        // cost quantiles for weighted ones. Under forced steals the caller
+        // starts with an empty slot, so its first claim is a steal from a
+        // helper's segment.
+        let owners = effective - usize::from(stressed);
         let mut segments = source.split_initial(owners).into_iter();
         for (id, slot) in deck.slots.iter().enumerate() {
-            let segment = if caller_steals && id == 0 {
+            let segment = if stressed && id == 0 {
                 None
             } else {
                 segments.next()
@@ -455,7 +448,6 @@ where
         let round = RoundParams {
             number: self.rounds,
             effective,
-            policy,
             max_block: if stressed {
                 stress::STRESS_MAX_BLOCK
             } else {
@@ -513,10 +505,8 @@ where
 {
     let mut out = Vec::new();
     let mut stats = WorkerStats::default();
-    let mut size = match round.policy {
-        Policy::Static => usize::MAX,
-        Policy::Adaptive => INITIAL_BLOCK,
-    };
+    let alone = round.effective == 1;
+    let mut size = if alone { usize::MAX } else { INITIAL_BLOCK };
     let mut claims = 0u64;
 
     while !deck.abort.load(Ordering::SeqCst) {
@@ -556,12 +546,10 @@ where
                 stats.items += len as u64;
                 stats.blocks += 1;
                 out.push((start, results));
-                if round.policy == Policy::Adaptive {
-                    size = size.saturating_mul(2).min(round.max_block);
-                }
+                size = size.saturating_mul(2).min(round.max_block);
             }
             None => {
-                if round.policy == Policy::Static {
+                if alone {
                     break;
                 }
                 size = INITIAL_BLOCK;
@@ -638,7 +626,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{delay_helpers, force_steals, with_policy, WeightedSource};
+    use crate::{delay_helpers, force_steals, WeightedSource};
     use std::sync::mpsc::{channel, RecvTimeoutError};
 
     /// One round over `source` on a crew of up to `workers` workers (at
@@ -666,18 +654,6 @@ mod tests {
         let empty: Vec<u32> = map_indexed(4, 0, |i| i as u32);
         assert!(empty.is_empty());
         assert_eq!(map_indexed(4, 1, |i| i), vec![0]);
-    }
-
-    #[test]
-    fn static_policy_never_steals_and_matches() {
-        let expected: Vec<usize> = (0..500).map(|i| i * i).collect();
-        let (got, stats) = with_policy(Policy::Static, || {
-            one_round(4, RangeSource::new(500), |i| i * i)
-        });
-        assert_eq!(got, expected);
-        assert_eq!(stats.policy, Policy::Static);
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.items, 500);
     }
 
     #[test]
@@ -871,7 +847,7 @@ mod tests {
 
     /// `rounds` rounds on one crew of `workers` while helpers sleep seeded
     /// delays before they claim and before they park: round sizes 0–40,
-    /// both policies, and now and then a caller that outwaits the spin
+    /// and now and then a caller that outwaits the spin
     /// window, so that helpers park and are woken. Every round's results
     /// must be index-ordered and complete.
     fn delayed_rounds(workers: usize, rounds: u64, seed: u64) {
@@ -881,12 +857,7 @@ mod tests {
             for round in 0..rounds {
                 let x = mix(seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let n = (x % 41) as usize;
-                let policy = if x & 64 == 0 {
-                    Policy::Adaptive
-                } else {
-                    Policy::Static
-                };
-                let (got, stats) = with_policy(policy, || crew.round(RangeSource::new(n)));
+                let (got, stats) = crew.round(RangeSource::new(n));
                 let expected: Vec<u64> = (0..n).map(job).collect();
                 assert_eq!(got, expected, "{workers} workers, round {round}, {n} items");
                 let processed: u64 = stats.workers.iter().map(|w| w.items).sum();

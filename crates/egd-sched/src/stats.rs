@@ -8,13 +8,12 @@
 //! `busy_ns` sums exact per-block wall spans, so it equals the worker's
 //! consumed CPU time whenever workers do not exceed physical cores. On an
 //! oversubscribed host (more workers than cores) spans additionally count
-//! time-sharing delays, so cross-policy *wall* comparisons there are not
+//! time-sharing delays, so *wall* comparisons between schedules there are not
 //! meaningful — use [`crate::simulate`] to replay the schedule in virtual
 //! time from measured per-item costs instead (per-thread OS CPU clocks are
 //! no alternative: `/proc/thread-self/schedstat` only updates on scheduler
 //! events and loses the un-preempted tail of millisecond-lived workers).
 
-use crate::Policy;
 use serde::{Deserialize, Serialize};
 
 /// Busiest-over-mean of a set of per-worker totals (1.0 = perfectly
@@ -63,8 +62,6 @@ impl WorkerStats {
 /// Aggregated statistics of one or more parallel runs.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SchedStats {
-    /// The policy the run executed under.
-    pub policy: Policy,
     /// Per-worker counters, indexed by worker id. Merging runs with
     /// different worker counts extends the table.
     pub workers: Vec<WorkerStats>,
@@ -133,7 +130,6 @@ impl SchedStats {
         self.items += other.items;
         self.steals += other.steals;
         self.elapsed_ns += other.elapsed_ns;
-        self.policy = other.policy;
     }
 }
 
@@ -172,7 +168,6 @@ mod tests {
             items: 5,
             steals: 1,
             elapsed_ns: 100,
-            ..Default::default()
         };
         let b = SchedStats {
             workers: vec![
@@ -190,7 +185,6 @@ mod tests {
             items: 5,
             steals: 2,
             elapsed_ns: 50,
-            ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.num_workers(), 2);

@@ -8,7 +8,7 @@
 //!   opportunities),
 //! * injects an artificial per-block delay whose length is a hash of the
 //!   block's logical start index (strongly skewed load), and
-//! * under the adaptive policy, splits the items among the helpers alone:
+//! * splits the items among the helpers alone:
 //!   the caller starts with an empty slot, so its first claim is a steal
 //!   from a segment a helper has barely begun (the per-block delays keep
 //!   the helpers from draining their segments first).

@@ -40,6 +40,16 @@ fn main() {
             traffic.broadcast_bytes,
             summary.population.dominant_strategy().1 * 100.0
         );
+        // Fig. 5's split: the generation rows sampled every 50 generations
+        // hold the ranks' mean compute and communication times.
+        let rows = &summary.metrics.generations;
+        let compute_us: f64 = rows.iter().map(|g| g.compute_us).sum();
+        let comm_us: f64 = rows.iter().map(|g| g.comm_us).sum();
+        println!(
+            "              {} sampled generations: {compute_us:.0} us compute, {comm_us:.0} us communication ({:.0}% communicating)",
+            rows.len(),
+            100.0 * comm_us / (compute_us + comm_us)
+        );
     }
 
     // --- Part 2: analytic scaling to Blue Gene scale. ---

@@ -48,11 +48,13 @@ fn main() {
 
     println!(
         "\nRan {} generations on {} threads",
-        report.generations_run, report.threads
+        report.generations_run,
+        sim.backend().workers()
     );
+    let timing = sim.timing();
     println!(
         "Game play {:.2?}, population dynamics {:.2?}",
-        report.timing.game_play, report.timing.dynamics
+        timing.game_play, timing.dynamics
     );
 
     // What does the population look like now?

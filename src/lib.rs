@@ -77,7 +77,7 @@ pub mod prelude {
         engine::ParallelEngine,
         kernel::{GameKernel, KernelVariant},
         simulation::ParallelSimulation,
-        thread_pool::{SchedPolicy, ThreadConfig},
+        thread_pool::ThreadConfig,
     };
     pub use egd_sched::{SchedStats, StressGuard};
     pub use egd_serve::{EngineKind, ServeConfig, SessionConfig, SessionManager, SessionStatus};

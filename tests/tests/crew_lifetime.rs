@@ -47,10 +47,11 @@ fn no_helper_outlives_its_run() {
 
     let mut parallel =
         ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(4)).unwrap();
-    let (report, most) = most_helpers_during(|| parallel.run_for(60).unwrap());
+    let (_, most) = most_helpers_during(|| parallel.run_for(60).unwrap());
     assert_eq!(most, 3, "one crew of three helpers for the run");
     assert_eq!(live_helpers(), 0);
-    assert!(report.sched.expect("rounds ran").items > 0);
+    let sched = parallel.engine().run_sched_stats();
+    assert!(sched.expect("rounds ran").items > 0);
 
     let engine = ParallelEngine::new(
         &config,

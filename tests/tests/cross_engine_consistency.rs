@@ -274,8 +274,9 @@ fn few_strategies_on_many_ssets_agree_whichever_rank_keeps_a_row() {
                     .unwrap()
                     .run()
                     .unwrap();
-            assert_eq!(summary.payoff.cells_played, cells, "{workers} workers");
-            assert_eq!(summary.payoff.misses, cells, "{workers} workers");
+            let counter = |name| summary.metrics.counter(name);
+            assert_eq!(counter("payoff_cells_played"), cells, "{workers} workers");
+            assert_eq!(counter("pair_cache_misses"), cells, "{workers} workers");
         }
     }
 }

@@ -122,7 +122,7 @@ fn forced_steal_schedules_are_byte_identical_across_thread_counts() {
     for threads in [1usize, 2, 4, 8] {
         let mut parallel =
             ParallelSimulation::new(config.clone(), ThreadConfig::with_threads(threads)).unwrap();
-        let report = parallel.run();
+        parallel.run();
         assert_eq!(
             population_bytes(parallel.population()),
             reference_bytes,
@@ -130,7 +130,8 @@ fn forced_steal_schedules_are_byte_identical_across_thread_counts() {
         );
         // The stress mode must actually change the schedule: steals happen
         // wherever there is someone to steal from.
-        let sched = report.sched.expect("scheduler stats recorded");
+        let sched = parallel.engine().run_sched_stats();
+        let sched = sched.expect("scheduler stats recorded");
         assert_eq!(
             sched.steals > 0,
             threads > 1,
@@ -182,14 +183,15 @@ fn cost_guided_partitions_stay_byte_identical_on_mixed_populations() {
 
         let _stress = egd_sched::force_steals();
         let mut stressed = ParallelSimulation::new(config, ThreadConfig::with_threads(4)).unwrap();
-        let report = stressed.run();
+        stressed.run();
         assert_eq!(
             population_bytes(stressed.population()),
             reference_bytes,
             "forced-steal cost-guided mixed run of {num_ssets} SSets diverged"
         );
+        let sched = stressed.engine().run_sched_stats();
         assert!(
-            report.sched.expect("scheduler stats recorded").steals > 0,
+            sched.expect("scheduler stats recorded").steals > 0,
             "forced steals must occur on the guided partition too"
         );
     }
@@ -242,14 +244,15 @@ fn retained_matrix_is_byte_identical_on_a_deep_memory_mutation_heavy_run() {
 
     let _stress = egd_sched::force_steals();
     let mut stressed = ParallelSimulation::new(config, ThreadConfig::with_threads(4)).unwrap();
-    let report = stressed.run();
+    stressed.run();
     assert_eq!(
         population_bytes(stressed.population()),
         reference_bytes,
         "forced-steal deep-memory run diverged"
     );
+    let sched = stressed.engine().run_sched_stats();
     assert!(
-        report.sched.expect("scheduler stats recorded").steals > 0,
+        sched.expect("scheduler stats recorded").steals > 0,
         "forced steals must occur while entering strategies are played"
     );
 }

@@ -16,7 +16,6 @@ use egd_cluster::mpi::{PendingOp, SimWorld};
 use egd_cluster::perf::{ScalingHarness, Workload};
 use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
 use egd_cluster::topology::ClusterTopology;
-use egd_cluster::trace::LoadBalance;
 use egd_core::prelude::*;
 
 fn base_config(seed: u64, generations: u64) -> SimulationConfig {
@@ -137,7 +136,7 @@ fn every_rank_ends_with_the_same_strategy_view() {
         // run() itself errors if any rank diverges; double-check the summary
         // is a valid population of the right shape.
         assert_eq!(summary.population.num_ssets(), 16);
-        assert_eq!(summary.ranks, workers + 1);
+        assert_eq!(summary.metrics.run.ranks, workers as u64 + 1);
     }
 }
 
@@ -210,11 +209,11 @@ fn distributed_traces_reflect_actual_rank_count() {
             .unwrap()
             .run()
             .unwrap();
-    assert_eq!(summary.trace.generations.len(), 3);
-    for trace in &summary.trace.generations {
-        assert_eq!(trace.ranks.len(), 7);
+    assert_eq!(summary.metrics.generations.len(), 3);
+    for row in &summary.metrics.generations {
+        assert_eq!(row.items, 7);
         // Worker compute time exists, Nature Agent (rank 0) does no game play.
-        assert!(trace.mean_compute_us() >= 0.0);
+        assert!(row.compute_us >= 0.0);
     }
 }
 
@@ -513,7 +512,7 @@ fn scale_thousand_rank_distributed_protocol_matches_sequential() {
             .run()
             .unwrap();
     assert_eq!(&summary.population, sequential.population());
-    assert_eq!(summary.ranks, 1001);
+    assert_eq!(summary.metrics.run.ranks, 1001);
 }
 
 #[test]
@@ -551,7 +550,7 @@ fn scale_converged_population_matches_sequential_at_1000_ranks() {
             .run()
             .unwrap();
         assert_eq!(&summary.population, sequential.population(), "{mode:?}");
-        assert_eq!(summary.ranks, 1001);
+        assert_eq!(summary.metrics.run.ranks, 1001);
     }
 }
 
@@ -568,7 +567,7 @@ fn scale_thousand_rank_scheduled_executor_matches_sequential() {
         .run()
         .unwrap();
     assert_eq!(&summary.population, sequential.population());
-    assert_eq!(summary.ranks, 1000);
+    assert_eq!(summary.metrics.run.ranks, 1000);
     let sched = summary.sched.unwrap();
     // A generation that changed no SSet is answered from the retained
     // fitness vector and dispatches no rank task.
@@ -576,5 +575,5 @@ fn scale_thousand_rank_scheduled_executor_matches_sequential() {
     assert!(reused < 3, "the cold generation is dispatched");
     assert_eq!(sched.items, 1000 * (3 - reused));
     assert!(sched.num_workers() <= 4);
-    assert!(LoadBalance::from(&sched).imbalance >= 1.0);
+    assert!(sched.imbalance() >= 1.0);
 }

@@ -65,9 +65,38 @@ fn supervised_run_without_faults_matches_plain_run() {
     assert_eq!(run.recovery.faults_injected, 0);
     // Generations 0, 3, 6, 9 were checkpointed on each of the 5 ranks.
     assert_eq!(run.recovery.checkpoints_saved, 4 * 5);
-    let metrics = run.metrics();
+    let metrics = &run.summary.metrics;
     assert_eq!(metrics.counters.get("fault_attempts"), Some(&1));
     assert_eq!(metrics.counters.get("fault_checkpoints_saved"), Some(&20));
+}
+
+#[test]
+fn checkpoints_saved_counts_this_runs_saves_not_the_stores_files() {
+    // Two runs over one on-disk store: the second, checkpointing every four
+    // generations, saves generations 0, 4 and 8 on each of its 5 ranks. The
+    // store also holds the first run's generations 3, 6 and 9, which the
+    // second run did not write.
+    let cfg = config(309, 12, 10, 15);
+    let store: Arc<dyn CheckpointStore> = Arc::new(DirStore::tempdir().unwrap());
+    let run = |interval| {
+        SupervisedExecutor::with_store(
+            cfg.clone(),
+            DistributedConfig::with_workers(4),
+            SupervisorConfig::default().checkpoint_interval(interval),
+            Arc::clone(&store),
+        )
+        .unwrap()
+        .run()
+        .unwrap()
+    };
+    assert_eq!(run(3).recovery.checkpoints_saved, 4 * 5);
+    let second = run(4);
+    assert_eq!(second.recovery.checkpoints_saved, 3 * 5);
+    assert_eq!(
+        second.summary.metrics.counter("fault_checkpoints_saved"),
+        3 * 5
+    );
+    assert_eq!(store.generations(0).unwrap(), vec![0, 3, 4, 6, 8, 9]);
 }
 
 #[test]
@@ -279,7 +308,7 @@ fn post_recovery_summary_does_not_double_count_pre_crash_traffic() {
     assert_eq!(run.recovery.respawns, 1);
     assert_eq!(run.recovery.checkpoint_resumes, 0);
     assert_eq!(run.summary.traffic, reference.traffic);
-    let metrics = run.metrics();
+    let metrics = &run.summary.metrics;
     assert_eq!(metrics.traffic.broadcasts, reference.traffic.broadcasts);
     assert_eq!(metrics.counters.get("fault_respawns"), Some(&1));
 }

@@ -10,9 +10,13 @@
 //! 3. **Unified snapshot** — one [`egd_obs::MetricsSnapshot`] merged from a
 //!    scheduled run and a `SimWorld` collective round carries worker,
 //!    traffic, and per-generation counters together (the `scale_1e4`
-//!    variant of that claim runs under `--ignored`).
+//!    variant of that claim runs under `--ignored`), and the scheduled,
+//!    distributed and supervised executors report one run in the same rows.
 
-use egd_cluster::{ScheduledConfig, ScheduledExecutor, SimWorld};
+use egd_cluster::{
+    DistributedConfig, DistributedExecutor, ScheduledConfig, ScheduledExecutor, SimWorld,
+    SupervisedExecutor, SupervisorConfig,
+};
 use egd_core::prelude::*;
 use egd_obs::{chrome_trace_json, validate_trace_json, ExportOptions, SpanKind, TraceProcess};
 use egd_parallel::{ParallelSimulation, ThreadConfig};
@@ -149,7 +153,7 @@ fn unified_snapshot(ranks: usize, generations: u64) -> egd_obs::MetricsSnapshot 
             Ok(sums.len())
         })
         .expect("collective round");
-    snapshot.traffic.merge(&traffic.snapshot().metrics());
+    snapshot.traffic.merge(&traffic.snapshot());
     snapshot
 }
 
@@ -187,6 +191,81 @@ fn assert_snapshot_is_unified(snapshot: &egd_obs::MetricsSnapshot, ranks: u64, g
 fn metrics_snapshot_unifies_workers_traffic_and_generations() {
     let snapshot = unified_snapshot(256, 3);
     assert_snapshot_is_unified(&snapshot, 256, 3);
+}
+
+/// One configuration run three ways — scheduled, distributed with a row
+/// every generation, supervised — is one record three times: the same
+/// `(generation, changed)` rows, as many changed rows as the run counted
+/// changed generations, and its ranks and generations filled in.
+#[test]
+fn every_executor_reports_the_same_generation_rows() {
+    let config = SimulationConfig::builder()
+        .memory(MemoryDepth::ONE)
+        .num_ssets(12)
+        .agents_per_sset(2)
+        .rounds_per_game(20)
+        .pc_rate(0.5)
+        .mutation_rate(0.1)
+        .generations(40)
+        .seed(7)
+        .build()
+        .expect("three-executor config");
+    let dist = DistributedConfig::with_workers(3).trace_interval(1);
+    let scheduled =
+        ScheduledExecutor::new(config.clone(), ScheduledConfig::with_ranks(3).threads(2))
+            .expect("scheduled executor")
+            .run()
+            .expect("scheduled run");
+    let distributed = DistributedExecutor::new(config.clone(), dist)
+        .expect("distributed executor")
+        .run()
+        .expect("distributed run");
+    let supervised = SupervisedExecutor::new(config, dist, SupervisorConfig::default())
+        .expect("supervised executor")
+        .run()
+        .expect("supervised run")
+        .summary;
+
+    let rows = |metrics: &egd_obs::MetricsSnapshot| -> Vec<(u64, bool)> {
+        metrics
+            .generations
+            .iter()
+            .map(|g| (g.generation, g.changed))
+            .collect()
+    };
+    let reference = rows(&scheduled.metrics);
+    assert_eq!(reference.len(), 40);
+    assert_eq!(
+        reference.iter().map(|&(g, _)| g).collect::<Vec<_>>(),
+        (0..40).collect::<Vec<_>>()
+    );
+    let changed = reference.iter().filter(|&&(_, c)| c).count() as u64;
+    assert!(changed > 0);
+    for (name, metrics, with_change, ranks) in [
+        (
+            "scheduled",
+            &scheduled.metrics,
+            scheduled.generations_with_change,
+            3,
+        ),
+        (
+            "distributed",
+            &distributed.metrics,
+            distributed.generations_with_change,
+            4,
+        ),
+        (
+            "supervised",
+            &supervised.metrics,
+            supervised.generations_with_change,
+            4,
+        ),
+    ] {
+        assert_eq!(rows(metrics), reference, "{name}");
+        assert_eq!(changed, with_change, "{name}");
+        assert_eq!(metrics.run.ranks, ranks, "{name}");
+        assert_eq!(metrics.run.generations, 40, "{name}");
+    }
 }
 
 /// The acceptance-criterion variant at 10^4 ranks. Minutes of compute, so it

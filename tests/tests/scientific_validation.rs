@@ -275,7 +275,7 @@ fn dominance_grows_over_time() {
     .unwrap();
     sim.set_record_interval(1_000);
     let report = sim.run();
-    let series = egd_analysis::timeseries::TimeSeries::from_records(report.run.history);
+    let series = egd_analysis::timeseries::TimeSeries::from_records(report.history);
     let dominance = series.dominant_fraction_series();
     assert_eq!(dominance.len(), 6);
     let early = dominance[0].1;
