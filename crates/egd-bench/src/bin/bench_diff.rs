@@ -85,10 +85,7 @@ use egd_bench::{arg_or, fmt, has_flag, print_table};
 use egd_obs::{
     chrome_trace_json, summary_table_md, validate_trace_json, ExportOptions, TraceProcess,
 };
-use egd_sched::{
-    simulate_schedule, simulate_schedule_guided, simulate_schedule_guided_recorded,
-    simulate_schedule_recorded, Policy, SimOutcome,
-};
+use egd_sched::{simulate_schedule, simulate_schedule_recorded, Policy, SimOutcome};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -112,9 +109,9 @@ struct Assessment {
 fn assess(workload: &Workload, cost_reps: u32, wall_reps: u32) -> Assessment {
     let costs = measure_cell_costs(workload, cost_reps);
     let predicted = predicted_cell_weights(workload);
-    let fixed = simulate_schedule(THREADS, &costs, Policy::Static);
-    let adaptive = simulate_schedule(THREADS, &costs, Policy::Adaptive);
-    let guided = simulate_schedule_guided(THREADS, &costs, &predicted, Policy::Adaptive);
+    let fixed = simulate_schedule(THREADS, &costs, None, Policy::Static);
+    let adaptive = simulate_schedule(THREADS, &costs, None, Policy::Adaptive);
+    let guided = simulate_schedule(THREADS, &costs, Some(&predicted), Policy::Adaptive);
     let sequential = measure_engine(workload, 1, wall_reps);
     let live = measure_engine(workload, THREADS, wall_reps);
     Assessment {
@@ -261,9 +258,10 @@ fn observability_timeline(quick: bool) -> (String, egd_obs::MetricsSnapshot) {
     let ten_k = ScaleWorkload::canonical()[1];
     assert_eq!(ten_k.label, "scale_1e4");
     let costs = ten_k.rank_costs_ns(&egd_cluster::cost::CostModel::blue_gene_like());
-    let (_, adaptive_events) = simulate_schedule_recorded(ten_k.workers, &costs, Policy::Adaptive);
+    let (_, adaptive_events) =
+        simulate_schedule_recorded(ten_k.workers, &costs, None, Policy::Adaptive);
     let (_, guided_events) =
-        simulate_schedule_guided_recorded(ten_k.workers, &costs, &costs, Policy::Adaptive);
+        simulate_schedule_recorded(ten_k.workers, &costs, Some(&costs), Policy::Adaptive);
 
     let processes = [
         TraceProcess {

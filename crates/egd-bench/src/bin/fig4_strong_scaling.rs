@@ -22,7 +22,7 @@ use egd_bench::skew::{
 use egd_bench::{fmt, print_table};
 use egd_cluster::perf::{ScalingHarness, Workload};
 use egd_core::prelude::*;
-use egd_sched::{simulate_schedule, simulate_schedule_guided, Policy};
+use egd_sched::{simulate_schedule, Policy};
 
 fn main() {
     let processor_counts = [128usize, 256, 512, 1024, 2048];
@@ -81,9 +81,9 @@ fn measured_load_balance() {
     let workload = skewed_mixed_workload(32, 24, 200, 20_130_521);
     let costs = measure_cell_costs(&workload, 20);
     let predicted = predicted_cell_weights(&workload);
-    let fixed = simulate_schedule(WORKERS, &costs, Policy::Static);
-    let adaptive = simulate_schedule(WORKERS, &costs, Policy::Adaptive);
-    let guided = simulate_schedule_guided(WORKERS, &costs, &predicted, Policy::Adaptive);
+    let fixed = simulate_schedule(WORKERS, &costs, None, Policy::Static);
+    let adaptive = simulate_schedule(WORKERS, &costs, None, Policy::Adaptive);
+    let guided = simulate_schedule(WORKERS, &costs, Some(&predicted), Policy::Adaptive);
     let live = measure_engine(&workload, WORKERS, 20);
 
     let mut table = CsvTable::new(&[

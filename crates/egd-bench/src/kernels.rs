@@ -249,10 +249,10 @@ impl BatchKernelStudy {
 /// Sweeps the lane-parallel batched kernel
 /// ([`egd_core::game::IpdGame::play_batched_width`]) across
 /// [`BATCH_WIDTHS`] on the stochastic cells of the workload's distinct-pair
-/// matrix, against the single-game compiled kernel as reference. Both sides
-/// re-compile per generation (the engines' amortisation unit) and
-/// play the engine's exact per-pair substreams; every width's outcomes are
-/// asserted bit-identical to the reference while being timed.
+/// matrix, against the single-game compiled kernel as the rung to beat.
+/// Both sides play the engine's exact per-pair substreams; every width's
+/// outcomes and final stream positions are asserted bit-identical to the
+/// paper-literal `IpdGame::play`, played once outside the timed regions.
 pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy {
     let game = workload.config.game().expect("workload game builds");
     let seed = workload.config.seed;
@@ -291,6 +291,21 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
         compiled[g].as_ref().expect("stochastic rep compiled")
     };
 
+    // What every width is checked against: the paper-literal loop on the
+    // first generation's streams — each game's outcome and the stream
+    // position it ends at.
+    let reference: Vec<_> = stochastic
+        .iter()
+        .map(|&(i, j)| {
+            let pair_id = (i as u64) << 32 | j as u64;
+            let mut rng = substream(seed, StreamKind::GamePlay, pair_id, 0);
+            let outcome = game
+                .play(&strategies[i], &strategies[j], &mut rng)
+                .expect("paper kernel plays");
+            (outcome, rng.raw_state())
+        })
+        .collect();
+
     // Each rung/rep is timed as its own ~half-millisecond block and the
     // study keeps the per-rep minimum: on shared hosts the mean folds
     // scheduler and neighbour noise into every rung, while the minimum
@@ -300,7 +315,6 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
     // every rung rather than every rep of whichever rung it landed on —
     // the latter would sink that rung's minimum outright.
     let per_rep = stochastic.len() as f64;
-    let mut reference = Vec::with_capacity(stochastic.len());
     let mut single_ns = f64::INFINITY;
     let mut width_ns = [f64::INFINITY; BATCH_WIDTHS.len()];
     // The batch fill (stream derivation + one lane of borrowed tables per
@@ -316,9 +330,7 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
             let outcome = game
                 .play_compiled(compiled_of(i), compiled_of(j), &mut rng)
                 .expect("compiled kernel plays");
-            if rep == 0 {
-                reference.push(outcome);
-            }
+            std::hint::black_box(outcome);
         }
         single_ns = single_ns.min(start.elapsed().as_nanos() as f64 / per_rep);
 
@@ -336,15 +348,20 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
                 .expect("batched kernel plays");
             width_ns[wi] = width_ns[wi].min(start.elapsed().as_nanos() as f64 / per_rep);
             if rep == 0 {
-                for (k, slow) in reference.iter().enumerate() {
+                for (k, (slow, end)) in reference.iter().enumerate() {
                     assert_eq!(
                         slow.fitness_a.to_bits(),
                         batch.fitness_a[k].to_bits(),
-                        "batched kernel (width {width}) diverged from the compiled kernel"
+                        "batched kernel (width {width}) diverged from the paper-literal loop"
                     );
                     assert_eq!(slow.fitness_b.to_bits(), batch.fitness_b[k].to_bits());
                     assert_eq!(slow.cooperations_a, batch.cooperations_a[k]);
                     assert_eq!(slow.cooperations_b, batch.cooperations_b[k]);
+                    assert_eq!(
+                        *end,
+                        batch.final_rng_state(k),
+                        "stream position, width {width}"
+                    );
                 }
             }
         }

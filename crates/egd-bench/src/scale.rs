@@ -27,7 +27,7 @@
 use egd_cluster::cost::{CommMode, ComputeOptimization, CostModel, TopologyCost};
 use egd_cluster::topology::ClusterTopology;
 use egd_core::state::MemoryDepth;
-use egd_sched::{simulate_schedule, simulate_schedule_guided, Policy, SimOutcome};
+use egd_sched::{simulate_schedule, Policy, SimOutcome};
 
 /// A synthetic rank-level workload for the scale studies.
 #[derive(Debug, Clone, Copy)]
@@ -230,12 +230,12 @@ pub fn assess_scale(workload: &ScaleWorkload) -> ScaleAssessment {
     let costs = workload.rank_costs_ns(&model);
     ScaleAssessment {
         workload: *workload,
-        fixed: simulate_schedule(workload.workers, &costs, Policy::Static),
-        adaptive: simulate_schedule(workload.workers, &costs, Policy::Adaptive),
+        fixed: simulate_schedule(workload.workers, &costs, None, Policy::Static),
+        adaptive: simulate_schedule(workload.workers, &costs, None, Policy::Adaptive),
         // The predictions fed to the partition are the same cost-model
         // prices the replay charges, mirroring the live executor (which
         // predicts with the very model that defines this workload's costs).
-        guided: simulate_schedule_guided(workload.workers, &costs, &costs, Policy::Adaptive),
+        guided: simulate_schedule(workload.workers, &costs, Some(&costs), Policy::Adaptive),
         comm_us: workload.modeled_comm_us(),
     }
 }

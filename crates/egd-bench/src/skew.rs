@@ -283,8 +283,8 @@ mod tests {
     fn replayed_schedule_prefers_adaptive_on_skew() {
         let workload = skewed_mixed_workload(16, 12, 40, 17);
         let costs = seeded_cell_costs(&workload, 17);
-        let fixed = simulate_schedule(4, &costs, Policy::Static);
-        let adaptive = simulate_schedule(4, &costs, Policy::Adaptive);
+        let fixed = simulate_schedule(4, &costs, None, Policy::Static);
+        let adaptive = simulate_schedule(4, &costs, None, Policy::Adaptive);
         assert!(adaptive.steals > 0);
         assert!(
             adaptive.critical_path_ns() < fixed.critical_path_ns(),
@@ -320,9 +320,8 @@ mod tests {
         // The replay is in virtual time, over costs the prediction only
         // approximates.
         let measured = seeded_cell_costs(&workload, 13);
-        let guided =
-            egd_sched::simulate_schedule_guided(4, &measured, &predicted, Policy::Adaptive);
-        let uniform = simulate_schedule(4, &measured, Policy::Adaptive);
+        let guided = simulate_schedule(4, &measured, Some(&predicted), Policy::Adaptive);
+        let uniform = simulate_schedule(4, &measured, None, Policy::Adaptive);
         assert!(
             guided.critical_path_ns() <= uniform.critical_path_ns() * 11 / 10,
             "guided {} vs uniform {}",

@@ -384,8 +384,9 @@ impl SupervisedExecutor {
 
 /// Prices the worker blocks of the partition a recovered run re-enters,
 /// using the shared cost model: returns the heaviest predicted block weight
-/// (ns). Pure accounting — the partition itself is deterministic and
-/// unchanged by recovery.
+/// (ns). Each strategy's row is charged once, to the block holding its
+/// keeper SSet — the one rank that plays it. Pure accounting — the
+/// partition itself is deterministic and unchanged by recovery.
 fn reprice_partition(
     config: &SimulationConfig,
     population: &Population,
@@ -397,15 +398,11 @@ fn reprice_partition(
     let grouping = StrategyGrouping::of(strategies);
     let rows = egd_cost::predict::row_weights(&model, &game, strategies, &grouping.group_rep);
     let partition = SSetPartition::new(config.num_ssets, workers)?;
-    let mut heaviest = 0u64;
-    for worker in 0..workers {
-        let total: u64 = partition
-            .block(worker)
-            .map(|sset| rows[grouping.group_of[sset]])
-            .sum();
-        heaviest = heaviest.max(total);
+    let mut blocks = vec![0u64; workers];
+    for (row, &keeper) in rows.iter().zip(grouping.keepers().iter()) {
+        blocks[partition.owner_of(keeper)] += row;
     }
-    Ok(heaviest)
+    Ok(blocks.into_iter().max().unwrap_or(0))
 }
 
 /// Renders the supervisor's terminal failure report: the last attempt's
@@ -550,5 +547,25 @@ mod tests {
         assert!(report.contains("failed after 2 attempt(s)"), "{report}");
         assert!(report.contains("0: "), "{report}");
         assert!(report.contains("… and 4 more"), "{report}");
+    }
+
+    /// One strategy on every SSet is one row, played by the rank holding its
+    /// keeper: the heaviest block weighs that row, not a row per SSet.
+    #[test]
+    fn repricing_charges_each_strategy_row_once() {
+        use egd_core::strategy::{NamedStrategy, StrategyKind};
+        let config = SimulationConfig::builder().num_ssets(16).build().unwrap();
+        let tft = StrategyKind::Pure(NamedStrategy::TitForTat.to_pure());
+        let population =
+            Population::from_strategies(config.strategy_space(), 1, vec![tft; 16]).unwrap();
+        let game = config.game().unwrap();
+        let row = egd_cost::predict::row_weights(
+            &egd_cost::CostModel::blue_gene_like(),
+            &game,
+            population.strategies(),
+            &[0],
+        )[0];
+        assert!(row > 0);
+        assert_eq!(reprice_partition(&config, &population, 4).unwrap(), row);
     }
 }

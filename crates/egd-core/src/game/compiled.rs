@@ -36,14 +36,16 @@
 //!
 //! # Who runs the tables
 //!
-//! A [`CompiledPair`] borrows the two tables of a pairing. The engines play
-//! a generation's stochastic games as blocks of `(CompiledPair, stream start
-//! state)` lanes through [`IpdGame::play_block`](crate::game::IpdGame::play_block),
-//! two lanes to a round loop; [`BatchedDraws`] is the harness form of the
-//! same loop, which keeps full outcomes and sweeps the lane width; and
-//! [`IpdGame::play_pair`](crate::game::IpdGame::play_pair) is the
-//! one-game-at-a-time, `R: Rng`-generic reference both are tested against.
-//! None of them copies a table.
+//! A [`CompiledPair`] borrows the two tables of a pairing. One round loop
+//! runs them, over lanes of `(CompiledPair, stream start state)`: the
+//! engines play a generation's stochastic games as blocks through
+//! [`IpdGame::play_block`](crate::game::IpdGame::play_block), two lanes to a
+//! round loop; [`BatchedDraws`] is the harness form of the same loop, which
+//! keeps full outcomes and sweeps the lane width; and
+//! [`IpdGame::play_compiled`](crate::game::IpdGame::play_compiled) plays one
+//! game as a block of one lane. None of them copies a table, and all of them
+//! are tested against the paper-literal
+//! [`IpdGame::play`](crate::game::IpdGame::play).
 
 use crate::state::{MemoryDepth, StateIndex, StateSpace};
 use crate::strategy::{Strategy, StrategyKind};
@@ -107,9 +109,6 @@ pub struct CompiledStrategy {
     /// `thr_swapped[s]` decides the move when the *opponent's* view is `s`
     /// (i.e. `thr_swapped[s] = thr[swap_perspective(s)]`).
     thr_swapped: Vec<u64>,
-    /// Whether every state is a sentinel (cached at compile time so the
-    /// game loop can specialise to a draw-free decision).
-    deterministic: bool,
 }
 
 impl CompiledStrategy {
@@ -124,12 +123,10 @@ impl CompiledStrategy {
         let thr_swapped: Vec<u64> = (0..num_states)
             .map(|s| thr[space.swap_perspective(StateIndex(s as u32)).index()])
             .collect();
-        let deterministic = thr.iter().all(|&t| t == THR_ALWAYS || t == THR_NEVER);
         CompiledStrategy {
             memory,
             thr,
             thr_swapped,
-            deterministic,
         }
     }
 
@@ -150,29 +147,17 @@ impl CompiledStrategy {
     pub fn swapped_thresholds(&self) -> &[u64] {
         &self.thr_swapped
     }
-
-    /// Whether the compiled strategy never consumes a draw (every state is a
-    /// sentinel) — true exactly when the source strategy is deterministic.
-    #[inline]
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
-    }
 }
 
-/// A borrowed pairing of two compiled strategies, with the loop
-/// specialisation (who can ever draw) decided once up front. Building one is
-/// free — no per-pair tables are allocated; A plays from its own-view table
-/// and B from its perspective-swapped table, both indexed by A's view.
+/// A borrowed pairing of two compiled strategies. Building one is free — no
+/// per-pair tables are allocated; A plays from its own-view table and B from
+/// its perspective-swapped table, both indexed by A's view.
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledPair<'a> {
     /// A's thresholds, indexed by A's view.
     pub a_thr: &'a [u64],
     /// B's perspective-swapped thresholds, indexed by A's view.
     pub b_thr: &'a [u64],
-    /// Whether A never draws (every A state is a sentinel).
-    pub a_deterministic: bool,
-    /// Whether B never draws.
-    pub b_deterministic: bool,
 }
 
 impl<'a> CompiledPair<'a> {
@@ -182,8 +167,6 @@ impl<'a> CompiledPair<'a> {
         CompiledPair {
             a_thr: a.thresholds(),
             b_thr: b.swapped_thresholds(),
-            a_deterministic: a.is_deterministic(),
-            b_deterministic: b.is_deterministic(),
         }
     }
 }
@@ -204,12 +187,12 @@ impl<'a> CompiledPair<'a> {
 /// also the faster of the two at memory two. Lanes are fully independent: the
 /// loop interleaves their serial 128-bit-multiply RNG chains for
 /// instruction-level parallelism, but every lane consumes *exactly* the draw
-/// sequence the one-game-at-a-time compiled kernel would (sentinel states
-/// draw nothing, interior states draw once, noise draws are unconditional)
-/// and accumulates payoffs in the same per-round order, so outcomes and
-/// final stream positions are bit-identical per game. The `ceil(p·2^53)`
-/// equivalence proof in the module docs is per-draw and therefore extends
-/// unchanged to batched draws.
+/// sequence the paper-literal loop would (sentinel states draw nothing,
+/// interior states draw once, noise draws are unconditional) and accumulates
+/// payoffs in the same per-round order, so outcomes and final stream
+/// positions are bit-identical per game. The `ceil(p·2^53)` equivalence
+/// proof in the module docs is per-draw and therefore extends unchanged to
+/// batched draws.
 #[derive(Debug, Clone, Default)]
 pub struct BatchedDraws<'a> {
     num_states: usize,
@@ -344,7 +327,6 @@ mod tests {
     fn pure_strategies_compile_to_sentinel_tables() {
         let tft = StrategyKind::Pure(NamedStrategy::TitForTat.to_pure());
         let compiled = CompiledStrategy::compile(&tft);
-        assert!(compiled.is_deterministic());
         // TFT: cooperate after opponent C (states 0, 2), defect after D (1, 3).
         assert_eq!(
             compiled.thresholds(),
@@ -361,7 +343,6 @@ mod tests {
     fn mixed_strategies_compile_per_state() {
         let gtft = StrategyKind::Mixed(MixedStrategy::generous_tit_for_tat(0.3).unwrap());
         let compiled = CompiledStrategy::compile(&gtft);
-        assert!(!compiled.is_deterministic());
         assert_eq!(compiled.thresholds()[0], THR_ALWAYS);
         assert_eq!(compiled.thresholds()[1], cooperation_threshold(0.3));
     }

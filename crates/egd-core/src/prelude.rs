@@ -14,7 +14,7 @@ pub use crate::dynamics::{
     PairwiseComparison, PcEvent, SelectionIntensity,
 };
 pub use crate::error::{EgdError, EgdResult};
-pub use crate::game::{CompiledStrategy, GameOutcome, GameStats, IpdGame, MarkovGame};
+pub use crate::game::{CompiledStrategy, GameOutcome, IpdGame, MarkovGame};
 pub use crate::metrics::{FitnessStats, GenerationRecord};
 pub use crate::payoff::PayoffMatrix;
 pub use crate::population::{CensusEntry, Population};

@@ -12,7 +12,7 @@
 //! ([`game_weight_ns`]). The outputs are the weight vectors the scheduler's
 //! cost-guided partition (crew rounds over an [`egd_sched::WeightedSource`]:
 //! the scheduled executor's rank tasks) and the virtual-time replay
-//! ([`egd_sched::simulate_schedule_guided`]) consume.
+//! ([`egd_sched::simulate_schedule`] with weights) consume.
 //!
 //! Predictions steer only the *schedule*; results flow through the
 //! deterministic index-ordered reduction and cannot depend on them.

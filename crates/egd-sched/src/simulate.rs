@@ -77,8 +77,21 @@ struct SimWorker {
 /// Replays the scheduler over `costs` (per-item virtual cost, ns) with
 /// `workers` workers under `policy`, using the same segmentation, block
 /// growth and steal rules as the live run loop.
-pub fn simulate_schedule(workers: usize, costs: &[u64], policy: Policy) -> SimOutcome {
-    simulate(workers, costs, None, policy, None)
+///
+/// With `weights` (one predicted cost per item) the replay runs the
+/// **cost-guided partition**: initial per-worker segments sit at the cost
+/// quantiles of `weights` and steals split at the victim's predicted cost
+/// midpoint — exactly the rules a crew round over a
+/// [`crate::WeightedSource`] runs live. `costs` stay the *actual* per-item
+/// costs charged to the virtual clocks, so passing imperfect predictions
+/// measures how much stealing must correct the prediction error.
+pub fn simulate_schedule(
+    workers: usize,
+    costs: &[u64],
+    weights: Option<&[u64]>,
+    policy: Policy,
+) -> SimOutcome {
+    simulate(workers, costs, weights, policy, None)
 }
 
 /// [`simulate_schedule`], additionally recording every virtual block claim
@@ -89,50 +102,12 @@ pub fn simulate_schedule(workers: usize, costs: &[u64], policy: Policy) -> SimOu
 pub fn simulate_schedule_recorded(
     workers: usize,
     costs: &[u64],
+    weights: Option<&[u64]>,
     policy: Policy,
 ) -> (SimOutcome, Vec<SpanEvent>) {
     let mut events = Vec::new();
-    let outcome = simulate(workers, costs, None, policy, Some(&mut events));
+    let outcome = simulate(workers, costs, weights, policy, Some(&mut events));
     (outcome, events)
-}
-
-/// [`simulate_schedule_guided`] with virtual-time span recording — see
-/// [`simulate_schedule_recorded`].
-pub fn simulate_schedule_guided_recorded(
-    workers: usize,
-    costs: &[u64],
-    weights: &[u64],
-    policy: Policy,
-) -> (SimOutcome, Vec<SpanEvent>) {
-    assert_eq!(
-        costs.len(),
-        weights.len(),
-        "one predicted weight per item is required"
-    );
-    let mut events = Vec::new();
-    let outcome = simulate(workers, costs, Some(weights), policy, Some(&mut events));
-    (outcome, events)
-}
-
-/// Replays the scheduler with the **cost-guided partition** active: initial
-/// per-worker segments sit at the cost quantiles of `weights` (the predicted
-/// per-item costs) and steals split at the victim's predicted cost midpoint
-/// — exactly the rules a crew round over a [`crate::WeightedSource`] runs
-/// live. `costs` are the *actual* per-item costs charged to the virtual
-/// clocks, so passing imperfect predictions measures how much stealing must
-/// correct the prediction error.
-pub fn simulate_schedule_guided(
-    workers: usize,
-    costs: &[u64],
-    weights: &[u64],
-    policy: Policy,
-) -> SimOutcome {
-    assert_eq!(
-        costs.len(),
-        weights.len(),
-        "one predicted weight per item is required"
-    );
-    simulate(workers, costs, Some(weights), policy, None)
 }
 
 /// Appends virtual-time span events when `record` is supplied; per-track
@@ -168,6 +143,13 @@ fn simulate(
     policy: Policy,
     record: Option<&mut Vec<SpanEvent>>,
 ) -> SimOutcome {
+    if let Some(weights) = weights {
+        assert_eq!(
+            costs.len(),
+            weights.len(),
+            "one predicted weight per item is required"
+        );
+    }
     let n = costs.len();
     let total_work_ns: u64 = costs.iter().sum();
     let effective = workers.max(1).min(n.max(1));
@@ -306,7 +288,7 @@ mod tests {
     fn uniform_costs_balance_under_both_policies() {
         let costs = vec![1_000u64; 256];
         for policy in [Policy::Static, Policy::Adaptive] {
-            let outcome = simulate_schedule(4, costs.as_slice(), policy);
+            let outcome = simulate_schedule(4, costs.as_slice(), None, policy);
             assert_eq!(outcome.total_work_ns, 256_000);
             assert!(
                 outcome.imbalance() < 1.1,
@@ -322,8 +304,8 @@ mod tests {
         let costs: Vec<u64> = (0..256)
             .map(|i| if i < 64 { 16_000 } else { 1_000 })
             .collect();
-        let fixed = simulate_schedule(4, &costs, Policy::Static);
-        let adaptive = simulate_schedule(4, &costs, Policy::Adaptive);
+        let fixed = simulate_schedule(4, &costs, None, Policy::Static);
+        let adaptive = simulate_schedule(4, &costs, None, Policy::Adaptive);
         assert_eq!(fixed.steals, 0);
         assert!(adaptive.steals > 0);
         // Static pins the whole expensive quarter on worker 0.
@@ -340,10 +322,10 @@ mod tests {
 
     #[test]
     fn sequential_and_empty_inputs() {
-        let outcome = simulate_schedule(1, &[5, 5, 5], Policy::Adaptive);
+        let outcome = simulate_schedule(1, &[5, 5, 5], None, Policy::Adaptive);
         assert_eq!(outcome.critical_path_ns(), 15);
         assert_eq!(outcome.steals, 0);
-        let empty = simulate_schedule(4, &[], Policy::Adaptive);
+        let empty = simulate_schedule(4, &[], None, Policy::Adaptive);
         assert_eq!(empty.critical_path_ns(), 0);
         assert_eq!(empty.imbalance(), 1.0);
     }
@@ -351,7 +333,7 @@ mod tests {
     #[test]
     fn every_item_is_charged_exactly_once() {
         let costs: Vec<u64> = (1..=100).collect();
-        let outcome = simulate_schedule(3, &costs, Policy::Adaptive);
+        let outcome = simulate_schedule(3, &costs, None, Policy::Adaptive);
         let charged: u64 =
             outcome.per_worker_ns.iter().sum::<u64>() - outcome.steals * super::STEAL_OVERHEAD_NS;
         assert_eq!(charged, costs.iter().sum::<u64>());
@@ -359,7 +341,7 @@ mod tests {
 
     #[test]
     fn ideal_is_total_over_workers() {
-        let outcome = simulate_schedule(4, &[4_000u64; 8], Policy::Static);
+        let outcome = simulate_schedule(4, &[4_000u64; 8], None, Policy::Static);
         assert_eq!(outcome.ideal_ns(), 8_000);
     }
 
@@ -368,8 +350,8 @@ mod tests {
         let costs: Vec<u64> = (0..256)
             .map(|i| if i < 64 { 16_000 } else { 1_000 })
             .collect();
-        let adaptive = simulate_schedule(4, &costs, Policy::Adaptive);
-        let guided = simulate_schedule_guided(4, &costs, &costs, Policy::Adaptive);
+        let adaptive = simulate_schedule(4, &costs, None, Policy::Adaptive);
+        let guided = simulate_schedule(4, &costs, Some(&costs), Policy::Adaptive);
         assert!(
             guided.steals < adaptive.steals,
             "guided {} vs uniform {} steals",
@@ -381,7 +363,7 @@ mod tests {
         assert_eq!(guided.total_work_ns, adaptive.total_work_ns);
         // With exact predictions, even the *static* policy is balanced: the
         // whole win comes from where the initial boundaries sit.
-        let guided_static = simulate_schedule_guided(4, &costs, &costs, Policy::Static);
+        let guided_static = simulate_schedule(4, &costs, Some(&costs), Policy::Static);
         assert_eq!(guided_static.steals, 0);
         assert!(
             guided_static.imbalance() < 1.1,
@@ -397,7 +379,7 @@ mod tests {
         // still recover a near-balanced schedule.
         let costs: Vec<u64> = (0..128).map(|i| if i < 32 { 8_000 } else { 500 }).collect();
         let uniform_prediction = vec![1u64; 128];
-        let guided = simulate_schedule_guided(4, &costs, &uniform_prediction, Policy::Adaptive);
+        let guided = simulate_schedule(4, &costs, Some(&uniform_prediction), Policy::Adaptive);
         assert!(guided.steals > 0);
         assert!(guided.imbalance() < 1.3, "{}", guided.imbalance());
         assert_eq!(guided.total_work_ns, costs.iter().sum::<u64>());
@@ -408,8 +390,8 @@ mod tests {
         let costs: Vec<u64> = (0..256)
             .map(|i| if i < 64 { 16_000 } else { 1_000 })
             .collect();
-        let plain = simulate_schedule(4, &costs, Policy::Adaptive);
-        let (recorded, events) = simulate_schedule_recorded(4, &costs, Policy::Adaptive);
+        let plain = simulate_schedule(4, &costs, None, Policy::Adaptive);
+        let (recorded, events) = simulate_schedule_recorded(4, &costs, None, Policy::Adaptive);
         assert_eq!(recorded, plain, "recording must not change the schedule");
         // Block spans partition the virtual timeline: their durations sum to
         // the total work, and steal spans match the steal count.
@@ -431,35 +413,35 @@ mod tests {
             }
         }
         // Deterministic: a second recording is identical.
-        let (_, again) = simulate_schedule_recorded(4, &costs, Policy::Adaptive);
+        let (_, again) = simulate_schedule_recorded(4, &costs, None, Policy::Adaptive);
         assert_eq!(again, events);
     }
 
     #[test]
     fn guided_recorded_replay_matches_guided() {
         let costs: Vec<u64> = (0..128).map(|i| if i < 32 { 8_000 } else { 500 }).collect();
-        let plain = simulate_schedule_guided(4, &costs, &costs, Policy::Adaptive);
+        let plain = simulate_schedule(4, &costs, Some(&costs), Policy::Adaptive);
         let (recorded, events) =
-            simulate_schedule_guided_recorded(4, &costs, &costs, Policy::Adaptive);
+            simulate_schedule_recorded(4, &costs, Some(&costs), Policy::Adaptive);
         assert_eq!(recorded, plain);
         assert!(!events.is_empty());
         // Sequential replays record one covering block span.
-        let (outcome, events) = simulate_schedule_recorded(1, &[5, 6, 7], Policy::Adaptive);
+        let (outcome, events) = simulate_schedule_recorded(1, &[5, 6, 7], None, Policy::Adaptive);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].end_ns, outcome.total_work_ns);
-        let (_, empty) = simulate_schedule_recorded(4, &[], Policy::Adaptive);
+        let (_, empty) = simulate_schedule_recorded(4, &[], None, Policy::Adaptive);
         assert!(empty.is_empty());
     }
 
     #[test]
     fn guided_replay_handles_degenerate_inputs() {
-        let empty = simulate_schedule_guided(4, &[], &[], Policy::Adaptive);
+        let empty = simulate_schedule(4, &[], Some(&[]), Policy::Adaptive);
         assert_eq!(empty.critical_path_ns(), 0);
-        let single = simulate_schedule_guided(8, &[123], &[7], Policy::Adaptive);
+        let single = simulate_schedule(8, &[123], Some(&[7]), Policy::Adaptive);
         assert_eq!(single.critical_path_ns(), 123);
         assert_eq!(single.steals, 0);
         // All-zero predictions fall back to the uniform split.
-        let zero = simulate_schedule_guided(4, &[100; 16], &[0; 16], Policy::Static);
+        let zero = simulate_schedule(4, &[100; 16], Some(&[0; 16]), Policy::Static);
         assert_eq!(zero.critical_path_ns(), 400);
     }
 }

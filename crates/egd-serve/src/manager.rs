@@ -363,28 +363,16 @@ impl Future for AdmitFuture {
     }
 }
 
-/// Loads the newest verified checkpoint of `id`, if any.
-fn latest_state(
-    store: &dyn CheckpointStore,
-    id: SessionId,
-    seed: u64,
-) -> EgdResult<Option<SimulationState>> {
+/// Loads the newest checkpoint of `id`, if any. Its seed is checked where
+/// the engine is restored from it (`Simulation::restore_with_backend`).
+fn latest_state(store: &dyn CheckpointStore, id: SessionId) -> EgdResult<Option<SimulationState>> {
     let Some(generation) = store.latest(id)? else {
         return Ok(None);
     };
     let Some(bytes) = store.load(id, generation)? else {
         return Ok(None);
     };
-    let state = SimulationState::from_bytes(&bytes)?;
-    if state.seed != seed {
-        return Err(EgdError::InvalidConfig {
-            reason: format!(
-                "checkpoint store rank {id} holds seed {} but the session runs seed {seed}",
-                state.seed
-            ),
-        });
-    }
-    Ok(Some(state))
+    SimulationState::from_bytes(&bytes).map(Some)
 }
 
 /// Saves the engine's boundary state; returns the serialised bytes.
@@ -437,11 +425,10 @@ async fn session_task(ctx: Arc<PoolCtx>, config: SessionConfig, shared: Arc<Sess
     shared.lock().status = SessionStatus::Running;
 
     let id = shared.id;
-    let seed = config.simulation.seed;
     let total = config.simulation.generations;
     let session_span = SpanTimer::start_on(id as u32, SpanKind::Session);
 
-    run_generations(&ctx, &config, &shared, seed, total).await;
+    run_generations(&ctx, &config, &shared, total).await;
 
     if let Some(span) = session_span {
         span.finish(id as u64);
@@ -466,13 +453,12 @@ async fn run_generations(
     ctx: &PoolCtx,
     config: &SessionConfig,
     shared: &Arc<SessionShared>,
-    seed: u64,
     total: u64,
 ) {
     let id = shared.id;
     // Fresh sessions start at generation 0; resumed or previously crashed
     // ones restore from their newest checkpoint.
-    let resume_state = match latest_state(&*ctx.store, id, seed) {
+    let resume_state = match latest_state(&*ctx.store, id) {
         Ok(state) => state,
         Err(e) => return fail(shared, e.to_string()),
     };
@@ -558,7 +544,7 @@ async fn run_generations(
                     return fail(shared, format!("{why} ({attempts} attempts, giving up)"));
                 }
                 let span = SpanTimer::start_on(id as u32, SpanKind::Recovery);
-                let resume = match latest_state(&*ctx.store, id, seed) {
+                let resume = match latest_state(&*ctx.store, id) {
                     Ok(state) => state,
                     Err(e) => return fail(shared, e.to_string()),
                 };

@@ -162,8 +162,8 @@ proptest! {
 }
 
 /// Plays every pair through the lane-parallel batch kernel at `width` and
-/// through the one-game-at-a-time compiled kernel on the same per-pair
-/// streams, asserting bit-identical outcomes *and* final stream positions.
+/// through the paper-literal `IpdGame::play` on the same per-pair streams,
+/// asserting bit-identical outcomes *and* final stream positions.
 fn assert_batched_matches_single(
     game: &IpdGame,
     pairs: &[(StrategyKind, StrategyKind)],
@@ -183,9 +183,9 @@ fn assert_batched_matches_single(
         );
     }
     game.play_batched_width(&mut batch, width).unwrap();
-    for (k, (ca, cb)) in compiled.iter().enumerate() {
+    for (k, (a, b)) in pairs.iter().enumerate() {
         let mut rng = Pcg64Mcg::new(substream_state(seed, StreamKind::GamePlay, k as u64, 0));
-        let reference = game.play_compiled(ca, cb, &mut rng).unwrap();
+        let reference = game.play(a, b, &mut rng).unwrap();
         assert_eq!(
             batch.fitness_a[k].to_bits(),
             reference.fitness_a.to_bits(),
@@ -244,8 +244,8 @@ fn arb_pair_block() -> impl PropStrategy<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batch kernel is bit-identical to the per-game compiled kernel —
-    /// same outcome bytes, same per-pair stream positions — over random
+    /// The batch kernel is bit-identical to the paper-literal loop — same
+    /// outcome bytes, same per-pair stream positions — over random
     /// block sizes (including empty and odd tails), every lane width the
     /// kernel monomorphises, both memory depths, and all noise regimes.
     #[test]
@@ -261,9 +261,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The engines' block entry is the per-game compiled kernel, lane by
-    /// lane: the payoff to `a` and the stream position each game ends at, bit
-    /// for bit — at the block lengths around everything the entry branches
+    /// The engines' block entry agrees with the paper-literal loop, lane by
+    /// lane: the payoff to `a` and the stream position each game ends at,
+    /// bit for bit — at the block lengths around everything the entry branches
     /// on (empty, the one-lane tail alone, one lane pair, a pair and a tail,
     /// and the engines' chunk length with its neighbours), every memory
     /// depth, with and without noise, and with pure and mixed sides mixed
@@ -283,14 +283,18 @@ proptest! {
         let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, noise).unwrap();
         let mut rng = stream(seed, StreamKind::InitialStrategy, 0);
         let side = |rng: &mut Pcg64Mcg| {
-            CompiledStrategy::compile(&if rng.gen_bool(0.5) {
+            if rng.gen_bool(0.5) {
                 StrategyKind::Pure(PureStrategy::random(memory, rng))
             } else {
                 StrategyKind::Mixed(MixedStrategy::random(memory, rng))
-            })
+            }
         };
-        let compiled: Vec<(CompiledStrategy, CompiledStrategy)> =
+        let pairs: Vec<(StrategyKind, StrategyKind)> =
             (0..length).map(|_| (side(&mut rng), side(&mut rng))).collect();
+        let compiled: Vec<(CompiledStrategy, CompiledStrategy)> = pairs
+            .iter()
+            .map(|(a, b)| (CompiledStrategy::compile(a), CompiledStrategy::compile(b)))
+            .collect();
         let start = |k: usize| substream_state(seed, StreamKind::GamePlay, k as u64, 1);
 
         let mut lanes: Vec<_> = compiled
@@ -301,9 +305,9 @@ proptest! {
         let mut to_a = vec![f64::NAN; length];
         game.play_block(&mut lanes, &mut to_a).unwrap();
 
-        for (k, (a, b)) in compiled.iter().enumerate() {
+        for (k, (a, b)) in pairs.iter().enumerate() {
             let mut rng = Pcg64Mcg::new(start(k));
-            let reference = game.play_compiled(a, b, &mut rng).unwrap();
+            let reference = game.play(a, b, &mut rng).unwrap();
             prop_assert_eq!(to_a[k].to_bits(), reference.fitness_a.to_bits(), "lane {}", k);
             prop_assert_eq!(lanes[k].1, rng.raw_state(), "lane {} stream position", k);
         }

@@ -20,7 +20,7 @@ use egd_cluster::{
 use egd_core::prelude::*;
 use egd_obs::{chrome_trace_json, validate_trace_json, ExportOptions, SpanKind, TraceProcess};
 use egd_parallel::{ParallelSimulation, ThreadConfig};
-use egd_sched::{simulate_schedule_guided_recorded, simulate_schedule_recorded, Policy};
+use egd_sched::{simulate_schedule_recorded, Policy};
 
 fn scheduled_config(num_ssets: usize, generations: u64) -> SimulationConfig {
     SimulationConfig::builder()
@@ -45,8 +45,8 @@ fn skewed_costs(items: usize) -> Vec<u64> {
 fn virtual_replay_exports_are_byte_identical() {
     let costs = skewed_costs(4_000);
     let export = || {
-        let (_, adaptive) = simulate_schedule_recorded(8, &costs, Policy::Adaptive);
-        let (_, guided) = simulate_schedule_guided_recorded(8, &costs, &costs, Policy::Adaptive);
+        let (_, adaptive) = simulate_schedule_recorded(8, &costs, None, Policy::Adaptive);
+        let (_, guided) = simulate_schedule_recorded(8, &costs, Some(&costs), Policy::Adaptive);
         let processes = [
             TraceProcess {
                 pid: 1,
@@ -124,7 +124,7 @@ fn single_worker_live_trace_structure_is_deterministic() {
 #[test]
 fn trace_log_round_trips_through_vendored_codec() {
     let costs = skewed_costs(512);
-    let (_, events) = simulate_schedule_recorded(4, &costs, Policy::Adaptive);
+    let (_, events) = simulate_schedule_recorded(4, &costs, None, Policy::Adaptive);
     assert!(!events.is_empty());
     let log = egd_obs::TraceLog { events, dropped: 3 };
     let bytes = serde_json::to_vec(&log).expect("trace log serialises");

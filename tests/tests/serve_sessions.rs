@@ -224,6 +224,40 @@ fn admission_rejects_over_capacity_and_drains_the_queue_fifo() {
     assert_eq!(report.group_loads, vec![0]);
 }
 
+/// A session whose id already holds another seed's checkpoint in the store
+/// does not resume from it: it fails, and the reason names both seeds.
+#[test]
+fn a_checkpoint_of_another_seed_fails_the_session_naming_both_seeds() {
+    let store: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
+    let mut manager = SessionManager::with_store(
+        ServeConfig {
+            pool_workers: 1,
+            ..ServeConfig::default()
+        },
+        Arc::clone(&store),
+    )
+    .unwrap();
+    let session = manager
+        .submit(SessionConfig::new("reused-id", config(961, 8, 6)))
+        .unwrap();
+    let mut foreign = Simulation::new(config(962, 8, 6)).unwrap();
+    for _ in 0..3 {
+        foreign.step().unwrap();
+    }
+    let bytes = foreign.checkpoint().to_bytes().unwrap();
+    store.save(session.id(), 3, &bytes).unwrap();
+    manager.run().unwrap();
+
+    match session.status() {
+        SessionStatus::Failed { reason } => {
+            assert!(reason.contains("962"), "{reason}");
+            assert!(reason.contains("961"), "{reason}");
+        }
+        other => panic!("a foreign checkpoint was resumed: {other:?}"),
+    }
+    assert_eq!(session.generations_done(), 0);
+}
+
 #[test]
 fn cancel_mid_run_leaves_the_pool_clean_for_other_tenants() {
     let keep_cfg = config(931, 10, 8);
