@@ -1,62 +1,9 @@
-//! Strategy censuses: what the population is made of.
+//! Named-strategy censuses: how much of the population plays a classic.
+//! The census of distinct strategies is `Population::census`.
 
 use egd_core::population::Population;
-use egd_core::strategy::{NamedStrategy, StrategyKind};
+use egd_core::strategy::NamedStrategy;
 use serde::{Deserialize, Serialize};
-
-/// A census of the distinct strategies in a population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StrategyCensus {
-    /// `(strategy, count)` pairs, sorted by descending count.
-    pub entries: Vec<(StrategyKind, usize)>,
-    /// Number of SSets in the population.
-    pub total: usize,
-}
-
-impl StrategyCensus {
-    /// Builds the census of a population.
-    pub fn of(population: &Population) -> Self {
-        let entries = population
-            .census()
-            .into_iter()
-            .map(|e| (e.representative, e.count))
-            .collect();
-        StrategyCensus {
-            entries,
-            total: population.num_ssets(),
-        }
-    }
-
-    /// Number of distinct strategies.
-    pub fn distinct(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The dominant strategy and its population share.
-    pub fn dominant(&self) -> Option<(&StrategyKind, f64)> {
-        self.entries
-            .first()
-            .map(|(s, count)| (s, *count as f64 / self.total.max(1) as f64))
-    }
-
-    /// Shannon diversity (in nats) of the strategy distribution: 0 for a
-    /// monomorphic population, `ln(total)` for all-distinct strategies.
-    pub fn shannon_diversity(&self) -> f64 {
-        let total = self.total.max(1) as f64;
-        -self
-            .entries
-            .iter()
-            .map(|(_, count)| {
-                let p = *count as f64 / total;
-                if p > 0.0 {
-                    p * p.ln()
-                } else {
-                    0.0
-                }
-            })
-            .sum::<f64>()
-    }
-}
 
 /// A census keyed by the classic named strategies.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -112,7 +59,7 @@ impl NamedCensus {
 mod tests {
     use super::*;
     use egd_core::state::MemoryDepth;
-    use egd_core::strategy::{PureStrategy, StrategySpace};
+    use egd_core::strategy::{PureStrategy, StrategyKind, StrategySpace};
 
     fn population_with(counts: &[(NamedStrategy, usize)]) -> Population {
         let mut strategies = Vec::new();
@@ -121,35 +68,7 @@ mod tests {
                 strategies.push(StrategyKind::Pure(named.to_pure()));
             }
         }
-        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 1, strategies).unwrap()
-    }
-
-    #[test]
-    fn strategy_census_counts() {
-        let p = population_with(&[
-            (NamedStrategy::WinStayLoseShift, 6),
-            (NamedStrategy::AlwaysDefect, 3),
-            (NamedStrategy::TitForTat, 1),
-        ]);
-        let census = StrategyCensus::of(&p);
-        assert_eq!(census.total, 10);
-        assert_eq!(census.distinct(), 3);
-        let (dominant, fraction) = census.dominant().unwrap();
-        assert_eq!(
-            dominant.as_pure().unwrap(),
-            &NamedStrategy::WinStayLoseShift.to_pure()
-        );
-        assert!((fraction - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shannon_diversity_limits() {
-        let mono = population_with(&[(NamedStrategy::AlwaysDefect, 8)]);
-        assert!(StrategyCensus::of(&mono).shannon_diversity() < 1e-12);
-
-        let diverse = Population::random(StrategySpace::pure(MemoryDepth::SIX), 16, 1, 3).unwrap();
-        let diversity = StrategyCensus::of(&diverse).shannon_diversity();
-        assert!((diversity - (16f64).ln()).abs() < 1e-9);
+        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap()
     }
 
     #[test]
@@ -178,8 +97,8 @@ mod tests {
             StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
             StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
         ];
-        let p = Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 1, strategies)
-            .unwrap();
+        let p =
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap();
         let census = NamedCensus::of(&p);
         assert!((census.other - 0.5).abs() < 1e-12);
         assert!((census.fraction_of(NamedStrategy::AlwaysDefect) - 0.5).abs() < 1e-12);

@@ -2,18 +2,10 @@
 //!
 //! The scientific question behind the paper is the *emergence of
 //! cooperation*: how much of the population plays cooperatively once
-//! selection and mutation have done their work. This module provides two
-//! measures:
-//!
-//! * a cheap structural index based on the strategies' cooperation
-//!   propensity, and
-//! * an exact behavioural index that evaluates the expected cooperation rate
-//!   of games between the population's strategies with the Markov analyser.
+//! selection and mutation have done their work. The structural index here
+//! measures it from the strategies' cooperation propensity.
 
-use egd_core::error::EgdResult;
-use egd_core::game::MarkovGame;
 use egd_core::population::Population;
-use egd_core::strategy::{Strategy, StrategyKind};
 
 /// Structural cooperation index: the mean per-state cooperation probability
 /// across the population's strategies (1.0 = everyone always cooperates).
@@ -21,61 +13,11 @@ pub fn population_cooperation_index(population: &Population) -> f64 {
     population.mean_cooperation_propensity()
 }
 
-/// Behavioural cooperation rate: the expected fraction of cooperative moves
-/// when the distinct strategies of the population play each other, weighted
-/// by their abundances. Exact (no sampling), using the Markov analyser.
-pub fn expected_cooperation_rate(population: &Population, game: &MarkovGame) -> EgdResult<f64> {
-    let census = population.census();
-    let total = population.num_ssets() as f64;
-    let mut weighted = 0.0;
-    let mut weight_sum = 0.0;
-    for a in &census {
-        for b in &census {
-            let weight = (a.count as f64 / total) * (b.count as f64 / total);
-            let payoffs = game.stationary(&a.representative, &b.representative)?;
-            weighted += weight * payoffs.cooperation_a;
-            weight_sum += weight;
-        }
-    }
-    Ok(if weight_sum > 0.0 {
-        weighted / weight_sum
-    } else {
-        0.0
-    })
-}
-
-/// Expected per-round payoff of a focal strategy against a population
-/// (used to reason about invasion: can a mutant outperform the residents?).
-pub fn invasion_payoff(
-    invader: &StrategyKind,
-    population: &Population,
-    game: &MarkovGame,
-) -> EgdResult<f64> {
-    let census = population.census();
-    let total = population.num_ssets() as f64;
-    let mut expected = 0.0;
-    for entry in &census {
-        let weight = entry.count as f64 / total;
-        let payoffs = game.stationary(invader, &entry.representative)?;
-        expected += weight * payoffs.payoff_a;
-    }
-    Ok(expected)
-}
-
-/// Cooperation propensity of a single strategy (mean over states).
-pub fn strategy_cooperation_propensity(strategy: &StrategyKind) -> f64 {
-    let states = strategy.memory().num_states();
-    (0..states as u32)
-        .map(|s| strategy.cooperation_probability(egd_core::state::StateIndex(s)))
-        .sum::<f64>()
-        / states as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use egd_core::state::MemoryDepth;
-    use egd_core::strategy::{NamedStrategy, StrategySpace};
+    use egd_core::strategy::{NamedStrategy, StrategyKind, StrategySpace};
 
     fn population_of(named: &[(NamedStrategy, usize)]) -> Population {
         let mut strategies = Vec::new();
@@ -84,7 +26,7 @@ mod tests {
                 strategies.push(StrategyKind::Pure(n.to_pure()));
             }
         }
-        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 1, strategies).unwrap()
+        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap()
     }
 
     #[test]
@@ -98,75 +40,5 @@ mod tests {
             (NamedStrategy::AlwaysDefect, 2),
         ]);
         assert!((population_cooperation_index(&mixed) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn behavioural_rate_of_wsls_population_is_high_under_noise() {
-        let game = MarkovGame::new(
-            MemoryDepth::ONE,
-            200,
-            egd_core::payoff::PayoffMatrix::PAPER,
-            0.01,
-        )
-        .unwrap();
-        let wsls = population_of(&[(NamedStrategy::WinStayLoseShift, 6)]);
-        let rate = expected_cooperation_rate(&wsls, &game).unwrap();
-        assert!(rate > 0.9, "WSLS population cooperation rate {rate}");
-
-        let alld = population_of(&[(NamedStrategy::AlwaysDefect, 6)]);
-        let rate = expected_cooperation_rate(&alld, &game).unwrap();
-        assert!(rate < 0.1, "ALLD population cooperation rate {rate}");
-    }
-
-    #[test]
-    fn alld_invades_allc_population() {
-        let game = MarkovGame::paper_defaults(MemoryDepth::ONE);
-        let residents = population_of(&[(NamedStrategy::AlwaysCooperate, 8)]);
-        let alld = StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure());
-        let allc = StrategyKind::Pure(NamedStrategy::AlwaysCooperate.to_pure());
-        let invader_payoff = invasion_payoff(&alld, &residents, &game).unwrap();
-        let resident_payoff = invasion_payoff(&allc, &residents, &game).unwrap();
-        assert!(
-            invader_payoff > resident_payoff,
-            "ALLD ({invader_payoff}) must out-earn ALLC ({resident_payoff}) in an ALLC population"
-        );
-    }
-
-    #[test]
-    fn wsls_resists_alld_invasion_under_noise() {
-        // Against a WSLS population with a little noise, ALLD earns less than
-        // a WSLS resident — the evolutionary-stability fact behind Fig. 2.
-        let game = MarkovGame::new(
-            MemoryDepth::ONE,
-            200,
-            egd_core::payoff::PayoffMatrix::PAPER,
-            0.01,
-        )
-        .unwrap();
-        let residents = population_of(&[(NamedStrategy::WinStayLoseShift, 8)]);
-        let alld = StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure());
-        let wsls = StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure());
-        let invader = invasion_payoff(&alld, &residents, &game).unwrap();
-        let resident = invasion_payoff(&wsls, &residents, &game).unwrap();
-        assert!(
-            resident > invader,
-            "WSLS residents ({resident}) must out-earn an ALLD invader ({invader})"
-        );
-    }
-
-    #[test]
-    fn strategy_propensity() {
-        assert_eq!(
-            strategy_cooperation_propensity(&StrategyKind::Pure(
-                NamedStrategy::AlwaysCooperate.to_pure()
-            )),
-            1.0
-        );
-        assert_eq!(
-            strategy_cooperation_propensity(&StrategyKind::Pure(
-                NamedStrategy::WinStayLoseShift.to_pure()
-            )),
-            0.5
-        );
     }
 }

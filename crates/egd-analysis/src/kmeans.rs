@@ -31,13 +31,6 @@ pub struct KMeansResult {
 }
 
 impl KMeansResult {
-    /// Indices of the clusters ordered by descending size.
-    pub fn clusters_by_size(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.sizes.len()).collect();
-        order.sort_by(|&a, &b| self.sizes[b].cmp(&self.sizes[a]));
-        order
-    }
-
     /// The fraction of points in the largest cluster.
     pub fn dominant_fraction(&self) -> f64 {
         let total: usize = self.sizes.iter().sum();
@@ -45,20 +38,6 @@ impl KMeansResult {
             return 0.0;
         }
         *self.sizes.iter().max().unwrap_or(&0) as f64 / total as f64
-    }
-
-    /// Rows of all points permuted so that members of the same cluster are
-    /// adjacent (largest cluster first) — the ordering used to draw Fig. 2b.
-    pub fn clustered_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.assignments.len());
-        for cluster in self.clusters_by_size() {
-            for (point, &assignment) in self.assignments.iter().enumerate() {
-                if assignment == cluster {
-                    order.push(point);
-                }
-            }
-        }
-        order
     }
 }
 
@@ -294,29 +273,22 @@ mod tests {
         let mut strategies = vec![wsls.clone(); 40];
         strategies.extend(vec![alld.clone(); 10]);
         let population =
-            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 1, strategies)
-                .unwrap();
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap();
         let result = KMeans::new(4, 50, 3)
             .unwrap()
             .cluster_population(&population)
             .unwrap();
         assert!((result.dominant_fraction() - 0.8).abs() < 1e-9);
-        // The clustered ordering puts all WSLS rows first.
-        let order = result.clustered_order();
-        assert_eq!(order.len(), 50);
-        let first_cluster = result.assignments[order[0]];
-        let first_block: Vec<usize> = order
-            .iter()
-            .take_while(|&&p| result.assignments[p] == first_cluster)
-            .copied()
-            .collect();
-        assert_eq!(first_block.len(), 40);
+        // Every WSLS row shares one cluster, which no ALLD row is in.
+        let wsls_cluster = result.assignments[0];
+        let in_wsls_cluster = |p: &usize| result.assignments[*p] == wsls_cluster;
+        assert!((0..40).all(|p| in_wsls_cluster(&p)));
+        assert!(!(40..50).any(|p| in_wsls_cluster(&p)));
     }
 
     #[test]
     fn random_memory_six_population_has_no_dominant_cluster() {
-        let population =
-            Population::random(StrategySpace::pure(MemoryDepth::SIX), 40, 1, 5).unwrap();
+        let population = Population::random(StrategySpace::pure(MemoryDepth::SIX), 40, 5).unwrap();
         let result = KMeans::new(5, 20, 9)
             .unwrap()
             .cluster_population(&population)

@@ -5,11 +5,9 @@
 //! * [`kmeans`] — Lloyd k-means clustering of strategy genomes, used to build
 //!   the paper's Fig. 2 population maps (clusters of similar strategies make
 //!   the dominant strategy visually obvious).
-//! * [`census`] — strategy censuses and named-strategy identification
-//!   (how much of the population is WSLS / TFT / ALLC / ALLD).
-//! * [`cooperation`] — cooperation metrics of populations and pairings.
-//! * [`efficiency`] — speedup / parallel-efficiency computations shared by
-//!   the scaling harnesses.
+//! * [`census`] — named-strategy identification (how much of the
+//!   population is WSLS / TFT / ALLC / ALLD).
+//! * [`cooperation`] — the structural cooperation index of a population.
 //! * [`timeseries`] — generation time series built from simulation history.
 //! * [`export`] — CSV export of experiment results.
 
@@ -18,14 +16,12 @@
 
 pub mod census;
 pub mod cooperation;
-pub mod efficiency;
 pub mod export;
 pub mod kmeans;
 pub mod timeseries;
 
-pub use census::{NamedCensus, StrategyCensus};
+pub use census::NamedCensus;
 pub use cooperation::population_cooperation_index;
-pub use efficiency::{parallel_efficiency, speedup, EfficiencyPoint};
 pub use export::{to_csv, CsvTable};
 pub use kmeans::{KMeans, KMeansResult};
 pub use timeseries::TimeSeries;

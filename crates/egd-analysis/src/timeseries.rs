@@ -39,40 +39,6 @@ impl TimeSeries {
             .map(|r| (r.generation, r.dominant_fraction))
             .collect()
     }
-
-    /// The `(generation, mean fitness)` series.
-    pub fn mean_fitness_series(&self) -> Vec<(u64, f64)> {
-        self.records
-            .iter()
-            .map(|r| (r.generation, r.fitness.mean))
-            .collect()
-    }
-
-    /// The `(generation, cooperation propensity)` series.
-    pub fn cooperation_series(&self) -> Vec<(u64, f64)> {
-        self.records
-            .iter()
-            .map(|r| (r.generation, r.cooperation_propensity))
-            .collect()
-    }
-
-    /// The first generation at which the dominant fraction reached the given
-    /// threshold, if any (e.g. "when did WSLS reach 2/3 of the population").
-    pub fn generation_reaching_dominance(&self, threshold: f64) -> Option<u64> {
-        self.records
-            .iter()
-            .find(|r| r.dominant_fraction >= threshold)
-            .map(|r| r.generation)
-    }
-
-    /// Fraction of recorded generations in which the population changed.
-    pub fn change_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.population_changed).count() as f64
-            / self.records.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -107,24 +73,9 @@ mod tests {
     }
 
     #[test]
-    fn series_extraction() {
-        let series = TimeSeries::from_records(vec![
-            record(0, 0.2, 1.5, false),
-            record(1, 0.6, 2.5, true),
-            record(2, 0.9, 3.0, true),
-        ]);
-        assert_eq!(series.mean_fitness_series()[2], (2, 3.0));
-        assert_eq!(series.cooperation_series()[1], (1, 0.3));
-        assert_eq!(series.generation_reaching_dominance(0.5), Some(1));
-        assert_eq!(series.generation_reaching_dominance(0.95), None);
-        assert!((series.change_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_series() {
         let series = TimeSeries::default();
         assert!(series.is_empty());
-        assert_eq!(series.change_rate(), 0.0);
-        assert_eq!(series.generation_reaching_dominance(0.5), None);
+        assert!(series.dominant_fraction_series().is_empty());
     }
 }

@@ -80,7 +80,7 @@ pub fn skewed_mixed_workload(
             strategies.push(candidate);
         }
     }
-    let population = Population::from_strategies(StrategySpace::mixed(memory), 2, strategies)
+    let population = Population::from_strategies(StrategySpace::mixed(memory), strategies)
         .expect("explicit strategies build a population");
     Workload {
         config,

@@ -330,8 +330,8 @@ impl SupervisedExecutor {
 
     /// The newest generation every rank has a checkpoint for, loaded and
     /// verified: all ranks' bytes must be identical (they snapshot the same
-    /// replicated global state) and the state must verify against this
-    /// executor's seed.
+    /// replicated global state) and the state must belong to this run
+    /// ([`SimulationState::check_config`]).
     fn latest_common_checkpoint(
         &self,
         ranks: usize,
@@ -370,14 +370,7 @@ impl SupervisedExecutor {
             }
         }
         let state = SimulationState::from_bytes(&reference)?;
-        if state.seed != config.seed {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "checkpoint seed {} does not match the run's seed {}",
-                    state.seed, config.seed
-                ),
-            });
-        }
+        state.check_config(config)?;
         Ok(Some(state))
     }
 }
@@ -557,7 +550,7 @@ mod tests {
         let config = SimulationConfig::builder().num_ssets(16).build().unwrap();
         let tft = StrategyKind::Pure(NamedStrategy::TitForTat.to_pure());
         let population =
-            Population::from_strategies(config.strategy_space(), 1, vec![tft; 16]).unwrap();
+            Population::from_strategies(config.strategy_space(), vec![tft; 16]).unwrap();
         let game = config.game().unwrap();
         let row = egd_cost::predict::row_weights(
             &egd_cost::CostModel::blue_gene_like(),

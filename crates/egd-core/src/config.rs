@@ -12,7 +12,6 @@ use crate::error::{EgdError, EgdResult};
 use crate::game::{IpdGame, MarkovGame};
 use crate::payoff::PayoffMatrix;
 use crate::population::Population;
-use crate::sset::OpponentPolicy;
 use crate::state::MemoryDepth;
 use crate::strategy::space::StrategyFamily;
 use crate::strategy::StrategySpace;
@@ -27,7 +26,10 @@ pub struct SimulationConfig {
     pub family: StrategyFamily,
     /// Number of Strategy Sets in the population.
     pub num_ssets: usize,
-    /// Number of agents per SSet.
+    /// Number of agents per SSet. Descriptive: it sizes the model the paper
+    /// reports (an SSet's agents split its opponent list between threads),
+    /// and it changes no payoff — an SSet's fitness is the sum over every
+    /// other SSet whatever its agent count.
     pub agents_per_sset: u32,
     /// Rounds per Iterated Prisoner's Dilemma game.
     pub rounds_per_game: u32,
@@ -45,8 +47,6 @@ pub struct SimulationConfig {
     pub payoffs: PayoffMatrix,
     /// Whether adoption requires the teacher to be strictly fitter.
     pub require_teacher_better: bool,
-    /// Which opponents each SSet plays per generation.
-    pub opponent_policy: OpponentPolicy,
     /// Global random seed.
     pub seed: u64,
 }
@@ -141,13 +141,14 @@ impl SimulationConfig {
     /// Builds the Nature Agent described by this configuration.
     ///
     /// The agent compares *relative* fitness: raw per-SSet sums are scaled
-    /// by `1 / (opponents × rounds_per_game)` so that the Fermi β acts on
+    /// by `1 / ((num_ssets − 1) × rounds_per_game)` — every SSet plays every
+    /// other SSet — so that the Fermi β acts on
     /// the per-round payoff scale of the paper's Eqn. 1 (see
     /// [`NatureAgent::with_fitness_scale`]).
     pub fn nature_agent(&self) -> EgdResult<NatureAgent> {
         let pc = PairwiseComparison::new(self.pc_rate, self.beta, self.require_teacher_better)?;
         let mutation = Mutation::new(self.mutation_rate)?;
-        let games = self.opponent_policy.num_opponents(self.num_ssets) as f64;
+        let games = self.num_ssets.saturating_sub(1) as f64;
         let scale = 1.0 / (games * f64::from(self.rounds_per_game)).max(1.0);
         Ok(
             NatureAgent::new(pc, mutation, self.strategy_space(), self.seed)
@@ -157,24 +158,12 @@ impl SimulationConfig {
 
     /// Builds the initial random population described by this configuration.
     pub fn initial_population(&self) -> EgdResult<Population> {
-        Ok(Population::random(
-            self.strategy_space(),
-            self.num_ssets,
-            self.agents_per_sset,
-            self.seed,
-        )?
-        .with_opponent_policy(self.opponent_policy))
+        Population::random(self.strategy_space(), self.num_ssets, self.seed)
     }
 
     /// Total number of agents.
     pub fn total_agents(&self) -> u128 {
         self.num_ssets as u128 * self.agents_per_sset as u128
-    }
-
-    /// Number of strategy-pair games per generation
-    /// (every SSet against each of its opponents).
-    pub fn games_per_generation(&self) -> u64 {
-        self.num_ssets as u64 * self.opponent_policy.num_opponents(self.num_ssets) as u64
     }
 }
 
@@ -208,7 +197,6 @@ impl Default for SimulationConfigBuilder {
                 noise: 0.0,
                 payoffs: PayoffMatrix::PAPER,
                 require_teacher_better: true,
-                opponent_policy: OpponentPolicy::AllOthers,
                 seed: 0,
             },
         }
@@ -285,12 +273,6 @@ impl SimulationConfigBuilder {
     /// Sets whether adoption requires a strictly fitter teacher.
     pub fn require_teacher_better(mut self, require: bool) -> Self {
         self.config.require_teacher_better = require;
-        self
-    }
-
-    /// Sets the opponent policy.
-    pub fn opponent_policy(mut self, policy: OpponentPolicy) -> Self {
-        self.config.opponent_policy = policy;
         self
     }
 
@@ -443,18 +425,6 @@ mod tests {
         let nature = config.nature_agent().unwrap();
         // 49 opponents x 200 rounds.
         assert!((nature.fitness_scale() - 1.0 / 9_800.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn games_per_generation_counts_pairs() {
-        let config = SimulationConfig::builder().num_ssets(10).build().unwrap();
-        assert_eq!(config.games_per_generation(), 10 * 9);
-        let with_self = SimulationConfig::builder()
-            .num_ssets(10)
-            .opponent_policy(OpponentPolicy::AllIncludingSelf)
-            .build()
-            .unwrap();
-        assert_eq!(with_self.games_per_generation(), 100);
     }
 
     #[test]

@@ -217,7 +217,7 @@ mod tests {
             StrategyKind::Pure(NamedStrategy::TitForTat.to_pure()),
             StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure()),
         ];
-        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 2, strategies).unwrap()
+        Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap()
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //!
 //! The model is built from three kinds of entities:
 //!
-//! * [`agent::Agent`]s play 200-round Iterated Prisoner's Dilemma ([`game::IpdGame`])
-//!   games using a *memory-n* strategy ([`strategy::PureStrategy`] /
+//! * Strategy Sets (SSets) hold a *memory-n* strategy ([`strategy::PureStrategy`] /
 //!   [`strategy::MixedStrategy`]): the next move is a function of the joint
 //!   cooperate/defect history of the last `n` rounds, encoded by [`state::StateSpace`].
-//! * [`sset::StrategySet`]s (SSets) group agents that all hold the same strategy.
-//!   The SSet is the unit of selection: its fitness is the sum of its agents'
-//!   fitnesses, and the opponent strategies are partitioned across its agents.
-//! * The [`dynamics::NatureAgent`] evolves the [`population::Population`] through
+//!   Every generation each SSet plays a 200-round Iterated Prisoner's Dilemma
+//!   ([`game::IpdGame`]) against every other SSet, and its fitness is the sum of
+//!   those games' payoffs. The SSet is the unit of selection; the paper's agents
+//!   only split an SSet's opponent list between threads, so the agent count
+//!   ([`SimulationConfig::agents_per_sset`]) changes no fitness.
+//! * The [`population::Population`] is the strategy view: one strategy per SSet.
+//! * The [`dynamics::NatureAgent`] evolves the population through
 //!   Fermi pairwise-comparison learning ([`dynamics::PairwiseComparison`]) and
 //!   random mutation ([`dynamics::Mutation`]).
 //!
@@ -45,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod action;
-pub mod agent;
 pub mod config;
 pub mod dynamics;
 pub mod error;
@@ -58,7 +59,6 @@ pub mod population;
 pub mod prelude;
 pub mod rng;
 pub mod simulation;
-pub mod sset;
 pub mod state;
 pub mod strategy;
 

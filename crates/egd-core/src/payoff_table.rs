@@ -94,8 +94,7 @@
 //! ([`KeptGrouping`]: each SSet's group; each group's representative, count
 //! and fingerprint; the map from fingerprint to group; the keepers, once a
 //! proper sub-block was asked for), each group's slot (none: uncacheable),
-//! the request (block, `swap_exact`, whether the opponent policy
-//! includes the self-pairing), and the answer ([`KeptFitness`]).
+//! the request (block, `swap_exact`), and the answer ([`KeptFitness`]).
 //! [`PayoffTable::generation_fitness`] begins by comparing every SSet's
 //! strategy with the one in its group's slot (`==` on the strategies — the
 //! table's own clone, so no second copy of the genomes is kept). An
@@ -130,9 +129,8 @@
 //!   is one reduce; a changed generation re-sums every requested row, so
 //!   bit-identity with the per-generation rebuild holds by construction.
 //!
-//! The key is the strategies themselves, not [`Population::version`]: two
-//! unrelated populations can carry equal versions, and the table trusts
-//! nothing the caller could get wrong. The predicate `cacheable` and the game
+//! The key is the strategies themselves: the table trusts nothing the
+//! caller could get wrong. The predicate `cacheable` and the game
 //! behind `execute` are the table's for life, as they are for the cells. An
 //! executor error drops the retained generation together with the slots.
 //! (`==` implies equal fingerprints: see
@@ -149,7 +147,6 @@
 use crate::error::EgdResult;
 use crate::grouping::{KeptGrouping, StrategyGrouping};
 use crate::population::Population;
-use crate::sset::OpponentPolicy;
 use crate::strategy::StrategyKind;
 use egd_obs::{MetricsSnapshot, SpanKind, SpanTimer};
 use std::collections::HashMap;
@@ -276,7 +273,6 @@ struct Plan {
     /// cacheable row (an uncacheable row is stochastic in every column).
     uncacheable: Vec<usize>,
     block: Range<usize>,
-    include_self: bool,
     /// The cacheable cells of the requested rows.
     requested_cells: u64,
     /// The retained generation, updated to this one's grouping and slots
@@ -606,9 +602,8 @@ struct RetainedGeneration {
     /// generation's strategy of each member SSet is compared with, so no
     /// second copy of the genomes is kept.
     group_slot: Vec<usize>,
-    /// What was asked for: the block, `swap_exact`, and whether the opponent
-    /// policy includes the self-pairing.
-    request: (Range<usize>, bool, bool),
+    /// What was asked for: the block and `swap_exact`.
+    request: (Range<usize>, bool),
     /// The cacheable cells of the requested rows: the hits the generation
     /// stands for when it is served again.
     cells: u64,
@@ -792,8 +787,7 @@ impl PayoffTable {
     ///
     /// The result is bit-identical to summing a freshly evaluated payoff
     /// matrix: `Σ_h count[h] · pay[g][h]` over the groups in first-occurrence
-    /// order, minus the self-pairing unless the population's opponent policy
-    /// includes it.
+    /// order, minus the self-pairing: every SSet plays every other SSet.
     ///
     /// This is [`PayoffTable::plan`], `execute` on [`PayoffTable::planned`]
     /// and [`PayoffTable::finish`] in one call, for callers that play the
@@ -835,11 +829,7 @@ impl PayoffTable {
         }
         let span = SpanTimer::start(SpanKind::Plan);
         let strategies = population.strategies();
-        let include_self = matches!(
-            population.opponent_policy(),
-            OpponentPolicy::AllIncludingSelf
-        );
-        let request = (block.clone(), swap_exact, include_self);
+        let request = (block.clone(), swap_exact);
 
         // Diff: an SSet is unchanged when its strategy equals the one in its
         // group's slot — or, uncacheable, when its fingerprint is its
@@ -1010,7 +1000,6 @@ impl PayoffTable {
             row_offsets,
             uncacheable,
             block,
-            include_self,
             requested_cells: cacheable_rows * present,
             retained,
         };
@@ -1104,7 +1093,7 @@ impl PayoffTable {
         let fitness = KeptFitness { ssets, values };
 
         let mut retained = std::mem::take(&mut plan.retained);
-        retained.request = (plan.block, plan.swap_exact, plan.include_self);
+        retained.request = (plan.block, plan.swap_exact);
         retained.cells = plan.requested_cells;
         retained.fitness.ssets.clone_from(&fitness.ssets);
         retained.fitness.values.clone_from(&fitness.values);
@@ -1116,8 +1105,7 @@ impl PayoffTable {
     /// others): `Σ_h count[h] · pay[g][h]` in group order, `pay` read from
     /// the table where both groups are cacheable and taken from `stochastic`
     /// (the results of the generation's stochastic games, in list order)
-    /// otherwise; minus the self-pairing unless the population's policy
-    /// includes it.
+    /// otherwise; minus the self-pairing.
     ///
     /// A steady generation is little but this sum, and one row's sum is a
     /// chain of dependent `f64` additions. So the cacheable rows are summed
@@ -1145,10 +1133,8 @@ impl PayoffTable {
             for (&count, &(pay, _)) in counts.iter().zip(pays) {
                 total += count * pay;
             }
-            if !plan.include_self {
-                // Remove the self-pairing counted in the group sums.
-                total -= pays[g].0;
-            }
+            // Remove the self-pairing counted in the group sums.
+            total -= pays[g].0;
             group_fitness[g] = total;
         }
         // Each column's count and slot side by side: one stream to read.
@@ -1199,12 +1185,9 @@ impl PayoffTable {
                 next_stochastic += 1;
             }
         }
-        for ((&g, row), mut total) in groups.iter().zip(&rows).zip(totals) {
-            if !plan.include_self {
-                // Remove the self-pairing counted in the group sums.
-                total -= row[group_slot[g]];
-            }
-            group_fitness[g] = total;
+        for ((&g, row), total) in groups.iter().zip(&rows).zip(totals) {
+            // Remove the self-pairing counted in the group sums.
+            group_fitness[g] = total - row[group_slot[g]];
         }
     }
 }
@@ -1221,7 +1204,7 @@ mod tests {
     }
 
     fn population(strategies: Vec<StrategyKind>) -> Population {
-        Population::from_strategies(StrategySpace::mixed(MemoryDepth::ONE), 1, strategies).unwrap()
+        Population::from_strategies(StrategySpace::mixed(MemoryDepth::ONE), strategies).unwrap()
     }
 
     /// A made-up payoff to the first of a pair of fingerprints, which
@@ -1271,7 +1254,7 @@ mod tests {
     fn reduction_matches_per_sset_reference() {
         // The totals of one SSet at a time, summed cell by cell in group
         // order: what the table must reproduce bit for bit.
-        let reference = |strategies: &[StrategyKind], policy: OpponentPolicy| -> Vec<u64> {
+        let reference = |strategies: &[StrategyKind]| -> Vec<u64> {
             let grouping = StrategyGrouping::of(strategies);
             let fp = &grouping.fingerprints;
             let row_total = |g: usize| {
@@ -1279,9 +1262,7 @@ mod tests {
                 for h in 0..grouping.num_groups() {
                     total += grouping.group_count[h] * pay((fp[g], fp[h]));
                 }
-                if policy == OpponentPolicy::AllOthers {
-                    total -= pay((fp[g], fp[g]));
-                }
+                total -= pay((fp[g], fp[g]));
                 total.to_bits()
             };
             grouping.group_of.iter().map(|&g| row_total(g)).collect()
@@ -1291,7 +1272,7 @@ mod tests {
         };
 
         // Pure (kept) and mixed (replayed) strategies side by side, with
-        // duplicates; both opponent policies; with and without mirroring;
+        // duplicates; with and without mirroring;
         // twice, so the second pass is served from the table.
         let mixed = StrategyKind::Mixed(MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap());
         let strategies = vec![
@@ -1302,12 +1283,8 @@ mod tests {
             pure("0000"),
             pure("1111"),
         ];
-        for (policy, swap_exact) in [
-            (OpponentPolicy::AllOthers, true),
-            (OpponentPolicy::AllIncludingSelf, true),
-            (OpponentPolicy::AllOthers, false),
-        ] {
-            let population = population(strategies.clone()).with_opponent_policy(policy);
+        for swap_exact in [true, false] {
+            let population = population(strategies.clone());
             // 3 × 3 cacheable cells: six games when a game fills its mirror.
             let cold_games = if swap_exact { 6 } else { 9 };
             let mut table = PayoffTable::new(6);
@@ -1315,7 +1292,7 @@ mod tests {
                 let (fitness, played) = generation(&mut table, &population, 0..6, swap_exact);
                 // The cacheable games once, 7 stochastic cells every pass.
                 assert_eq!(played.len(), if pass == 0 { cold_games + 7 } else { 7 });
-                assert_eq!(bits(fitness), reference(&strategies, policy), "pass {pass}");
+                assert_eq!(bits(fitness), reference(&strategies), "pass {pass}");
             }
             let stats = table.stats();
             assert_eq!((stats.misses, stats.hits, stats.cells_played), (9, 9, 9));
@@ -1331,17 +1308,11 @@ mod tests {
             (0..11).map(|k| pure(&format!("{:04b}", k + 2))).collect();
         wide.insert(5, mixed);
         wide.extend([pure("0010"), pure("1000"), pure("0010")]);
-        for policy in [OpponentPolicy::AllOthers, OpponentPolicy::AllIncludingSelf] {
-            let population = population(wide.clone()).with_opponent_policy(policy);
-            let mut table = PayoffTable::new(wide.len());
-            for pass in 0..2 {
-                let (fitness, _) = generation(&mut table, &population, 0..wide.len(), true);
-                assert_eq!(
-                    bits(fitness),
-                    reference(&wide, policy),
-                    "{policy:?} pass {pass}"
-                );
-            }
+        let population = population(wide.clone());
+        let mut table = PayoffTable::new(wide.len());
+        for pass in 0..2 {
+            let (fitness, _) = generation(&mut table, &population, 0..wide.len(), true);
+            assert_eq!(bits(fitness), reference(&wide), "pass {pass}");
         }
     }
 
@@ -1587,8 +1558,7 @@ mod tests {
             })
             .collect();
         let population =
-            Population::from_strategies(StrategySpace::pure(MemoryDepth::TWO), 1, strategies)
-                .unwrap();
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::TWO), strategies).unwrap();
         let mut table = PayoffTable::new(33);
         table
             .generation_fitness(

@@ -1,140 +1,72 @@
-//! The population: all SSets plus the global view of their strategies.
+//! The population: the global view of every SSet's strategy.
 //!
 //! The population's *strategy view* (`strategies[sset]`) is exactly the
 //! array the paper's Nature Agent broadcasts to every processor after each
 //! change (`SSet_strat` in the pseudo-code): every rank must hold a complete,
-//! current copy of it in order to play the right opponents. Fitness values
-//! are *not* stored here — they are recomputed every generation by the
-//! execution engines and passed around as a separate table.
+//! current copy of it in order to play the right opponents. An SSet is its
+//! index into that view; every SSet plays every other SSet each generation.
+//! Fitness values are *not* stored here — they are recomputed every
+//! generation by the execution engines and passed around as a separate
+//! table.
 
 use crate::error::{EgdError, EgdResult};
 use crate::rng::{stream, StreamKind};
-use crate::sset::{OpponentPolicy, SSetId, StrategySet};
 use crate::state::MemoryDepth;
 use crate::strategy::{PureStrategy, Strategy, StrategyKind, StrategySpace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// A population of SSets with a shared global strategy view.
+/// A population of SSets: the strategy space and one strategy per SSet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Population {
     space: StrategySpace,
-    agents_per_sset: u32,
-    ssets: Vec<StrategySet>,
     strategies: Vec<StrategyKind>,
-    opponent_policy: OpponentPolicy,
-    /// Monotonically increasing version of the strategy view; bumped on every
-    /// strategy change. Lets distributed executors assert view consistency.
-    version: u64,
 }
 
 impl Population {
     /// Creates a population whose SSets all start with strategies drawn
     /// uniformly at random from the strategy space (the paper's initial
     /// condition, Fig. 2a).
-    pub fn random(
-        space: StrategySpace,
-        num_ssets: usize,
-        agents_per_sset: u32,
-        seed: u64,
-    ) -> EgdResult<Self> {
-        if num_ssets < 2 {
-            return Err(EgdError::InvalidConfig {
-                reason: format!("a population needs at least 2 SSets, got {num_ssets}"),
-            });
-        }
-        if agents_per_sset == 0 {
-            return Err(EgdError::InvalidConfig {
-                reason: "agents_per_sset must be at least 1".to_string(),
-            });
-        }
+    pub fn random(space: StrategySpace, num_ssets: usize, seed: u64) -> EgdResult<Self> {
         let strategies = (0..num_ssets)
             .map(|i| {
                 let mut rng = stream(seed, StreamKind::InitialStrategy, i as u64);
                 space.random_strategy(&mut rng)
             })
             .collect();
-        Ok(Self::from_strategies_internal(
-            space,
-            agents_per_sset,
-            strategies,
-        ))
+        Self::from_strategies(space, strategies)
     }
 
     /// Creates a population with an explicit list of strategies (one per
     /// SSet). All strategies must have the space's memory depth.
-    pub fn from_strategies(
-        space: StrategySpace,
-        agents_per_sset: u32,
-        strategies: Vec<StrategyKind>,
-    ) -> EgdResult<Self> {
-        if strategies.len() < 2 {
-            return Err(EgdError::InvalidConfig {
-                reason: "a population needs at least 2 SSets".to_string(),
-            });
-        }
-        if agents_per_sset == 0 {
-            return Err(EgdError::InvalidConfig {
-                reason: "agents_per_sset must be at least 1".to_string(),
-            });
-        }
-        Self::check_strategies(&space, &strategies)?;
-        Ok(Self::from_strategies_internal(
-            space,
-            agents_per_sset,
-            strategies,
-        ))
+    pub fn from_strategies(space: StrategySpace, strategies: Vec<StrategyKind>) -> EgdResult<Self> {
+        let population = Population { space, strategies };
+        population.validate()?;
+        Ok(population)
     }
 
-    fn from_strategies_internal(
-        space: StrategySpace,
-        agents_per_sset: u32,
-        strategies: Vec<StrategyKind>,
-    ) -> Self {
-        let ssets = (0..strategies.len())
-            .map(|i| {
-                StrategySet::new(
-                    SSetId(i as u32),
-                    agents_per_sset,
-                    i as u64 * agents_per_sset as u64,
-                )
-            })
-            .collect();
-        Population {
-            space,
-            agents_per_sset,
-            ssets,
-            strategies,
-            opponent_policy: OpponentPolicy::default(),
-            version: 0,
-        }
-    }
-
-    /// Checks what deserialisation does not: that the strategy view holds one
-    /// strategy per SSet, each of the space's memory depth and with a table
-    /// of that depth's length. A population that came from bytes must pass
-    /// this before an engine indexes into it.
+    /// Checks what deserialisation does not: that the population has at
+    /// least two SSets and a supported memory depth, and that every strategy
+    /// has the space's memory depth and a table of that depth's length. A
+    /// population that came from bytes must pass this before an engine
+    /// indexes into it.
     pub fn validate(&self) -> EgdResult<()> {
-        if self.strategies.len() != self.ssets.len() {
+        if self.strategies.len() < 2 {
             return Err(EgdError::InvalidConfig {
                 reason: format!(
-                    "population has {} SSets but {} strategies",
-                    self.ssets.len(),
+                    "a population needs at least 2 SSets, got {}",
                     self.strategies.len()
                 ),
             });
         }
-        Self::check_strategies(&self.space, &self.strategies)
-    }
-
-    fn check_strategies(space: &StrategySpace, strategies: &[StrategyKind]) -> EgdResult<()> {
-        for (i, s) in strategies.iter().enumerate() {
-            if s.memory() != space.memory() {
+        MemoryDepth::new(self.memory().steps())?;
+        for (i, s) in self.strategies.iter().enumerate() {
+            if s.memory() != self.memory() {
                 return Err(EgdError::InvalidConfig {
                     reason: format!(
                         "strategy of SSet {i} has {} but the population is {}",
                         s.memory(),
-                        space.memory()
+                        self.memory()
                     ),
                 });
             }
@@ -150,13 +82,6 @@ impl Population {
         Ok(())
     }
 
-    /// Sets the opponent-selection policy (default: every SSet plays all
-    /// other SSets).
-    pub fn with_opponent_policy(mut self, policy: OpponentPolicy) -> Self {
-        self.opponent_policy = policy;
-        self
-    }
-
     /// The strategy space the population samples from.
     pub fn space(&self) -> StrategySpace {
         self.space
@@ -169,36 +94,7 @@ impl Population {
 
     /// Number of SSets.
     pub fn num_ssets(&self) -> usize {
-        self.ssets.len()
-    }
-
-    /// Number of agents per SSet.
-    pub fn agents_per_sset(&self) -> u32 {
-        self.agents_per_sset
-    }
-
-    /// Total number of agents in the population. The paper's production runs
-    /// reach `O(10^18)` agents, which is why this is a `u128`.
-    pub fn total_agents(&self) -> u128 {
-        self.num_ssets() as u128 * self.agents_per_sset as u128
-    }
-
-    /// The opponent-selection policy.
-    pub fn opponent_policy(&self) -> OpponentPolicy {
-        self.opponent_policy
-    }
-
-    /// The SSets.
-    pub fn ssets(&self) -> &[StrategySet] {
-        &self.ssets
-    }
-
-    /// One SSet by index.
-    pub fn sset(&self, index: usize) -> EgdResult<&StrategySet> {
-        self.ssets.get(index).ok_or(EgdError::SSetOutOfRange {
-            index,
-            num_ssets: self.num_ssets(),
-        })
+        self.strategies.len()
     }
 
     /// The global strategy view (`SSet_strat` in the paper's pseudo-code).
@@ -214,8 +110,7 @@ impl Population {
         })
     }
 
-    /// Replaces the strategy of an SSet (learning or mutation outcome) and
-    /// bumps the view version.
+    /// Replaces the strategy of an SSet (learning or mutation outcome).
     pub fn set_strategy(&mut self, sset: usize, strategy: StrategyKind) -> EgdResult<()> {
         if strategy.memory() != self.memory() {
             return Err(EgdError::InvalidConfig {
@@ -226,15 +121,15 @@ impl Population {
                 ),
             });
         }
+        let num_ssets = self.num_ssets();
         let slot = self
             .strategies
             .get_mut(sset)
             .ok_or(EgdError::SSetOutOfRange {
                 index: sset,
-                num_ssets: self.ssets.len(),
+                num_ssets,
             })?;
         *slot = strategy;
-        self.version += 1;
         Ok(())
     }
 
@@ -243,16 +138,6 @@ impl Population {
     pub fn adopt_strategy(&mut self, learner: usize, teacher: usize) -> EgdResult<()> {
         let teacher_strategy = self.strategy(teacher)?.clone();
         self.set_strategy(learner, teacher_strategy)
-    }
-
-    /// The strategy-view version (bumped on every change).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The opponents SSet `sset` plays in each generation.
-    pub fn opponents_of(&self, sset: usize) -> Vec<usize> {
-        self.opponent_policy.opponents_of(sset, self.num_ssets())
     }
 
     /// Census of the population: how many SSets currently hold each distinct
@@ -338,26 +223,23 @@ mod tests {
 
     #[test]
     fn random_population_is_reproducible() {
-        let a = Population::random(small_space(), 32, 4, 7).unwrap();
-        let b = Population::random(small_space(), 32, 4, 7).unwrap();
+        let a = Population::random(small_space(), 32, 7).unwrap();
+        let b = Population::random(small_space(), 32, 7).unwrap();
         assert_eq!(a, b);
-        let c = Population::random(small_space(), 32, 4, 8).unwrap();
+        let c = Population::random(small_space(), 32, 8).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn population_validation() {
-        assert!(Population::random(small_space(), 1, 4, 0).is_err());
-        assert!(Population::random(small_space(), 4, 0, 0).is_err());
-        assert!(Population::random(small_space(), 4, 1, 0).is_ok());
-    }
-
-    #[test]
-    fn total_agents() {
-        let p = Population::random(small_space(), 100, 20, 0).unwrap();
-        assert_eq!(p.total_agents(), 2000);
-        assert_eq!(p.num_ssets(), 100);
-        assert_eq!(p.agents_per_sset(), 20);
+        assert!(Population::random(small_space(), 1, 0).is_err());
+        assert!(Population::random(small_space(), 4, 0).is_ok());
+        assert_eq!(
+            Population::random(small_space(), 100, 0)
+                .unwrap()
+                .num_ssets(),
+            100
+        );
     }
 
     #[test]
@@ -366,25 +248,41 @@ mod tests {
             StrategyKind::Pure(NamedStrategy::TitForTat.to_pure()),
             StrategyKind::Pure(PureStrategy::all_defect(MemoryDepth::TWO)),
         ];
-        assert!(Population::from_strategies(small_space(), 1, strategies).is_err());
+        assert!(Population::from_strategies(small_space(), strategies).is_err());
+        let one = vec![StrategyKind::Pure(NamedStrategy::TitForTat.to_pure())];
+        assert!(Population::from_strategies(small_space(), one).is_err());
     }
 
     #[test]
-    fn set_strategy_bumps_version() {
-        let mut p = Population::random(small_space(), 8, 2, 3).unwrap();
-        assert_eq!(p.version(), 0);
+    fn set_strategy_replaces_one_sset() {
+        let mut p = Population::random(small_space(), 8, 3).unwrap();
         let wsls = StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure());
         p.set_strategy(3, wsls.clone()).unwrap();
-        assert_eq!(p.version(), 1);
         assert_eq!(p.strategy(3).unwrap(), &wsls);
         assert!(p.set_strategy(99, wsls).is_err());
     }
 
     #[test]
     fn set_strategy_rejects_wrong_memory() {
-        let mut p = Population::random(small_space(), 8, 2, 3).unwrap();
+        let mut p = Population::random(small_space(), 8, 3).unwrap();
         let deep = StrategyKind::Pure(PureStrategy::all_defect(MemoryDepth::TWO));
         assert!(p.set_strategy(0, deep).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_an_unsupported_memory_depth_without_panicking() {
+        // Bytes whose space and both strategies claim memory 40: consistent
+        // with each other, but no table of 4^40 states can be sized.
+        let p = Population::random(small_space(), 2, 0).unwrap();
+        let mut bytes = serde_json::to_vec(&p).unwrap();
+        // The space's memory byte, then each 21-byte strategy's after its
+        // 4-byte tag (the view starts after the space and its length).
+        for at in [0, 13 + 4, 13 + 21 + 4] {
+            assert_eq!(bytes[at], 1);
+            bytes[at] = 40;
+        }
+        let decoded: Population = serde_json::from_slice(&bytes).unwrap();
+        assert!(decoded.validate().is_err());
     }
 
     #[test]
@@ -394,10 +292,9 @@ mod tests {
             StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
             StrategyKind::Pure(NamedStrategy::TitForTat.to_pure()),
         ];
-        let mut p = Population::from_strategies(small_space(), 1, strategies).unwrap();
+        let mut p = Population::from_strategies(small_space(), strategies).unwrap();
         p.adopt_strategy(0, 2).unwrap();
         assert_eq!(p.strategy(0).unwrap(), p.strategy(2).unwrap());
-        assert_eq!(p.version(), 1);
     }
 
     #[test]
@@ -405,7 +302,7 @@ mod tests {
         let wsls = StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure());
         let alld = StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure());
         let strategies = vec![wsls.clone(), alld.clone(), wsls.clone(), wsls.clone()];
-        let p = Population::from_strategies(small_space(), 2, strategies).unwrap();
+        let p = Population::from_strategies(small_space(), strategies).unwrap();
         let census = p.census();
         assert_eq!(census.len(), 2);
         assert_eq!(census[0].count, 3);
@@ -427,24 +324,8 @@ mod tests {
             StrategyKind::Pure(NamedStrategy::AlwaysCooperate.to_pure()),
             StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
         ];
-        let p = Population::from_strategies(small_space(), 1, strategies).unwrap();
+        let p = Population::from_strategies(small_space(), strategies).unwrap();
         assert!((p.mean_cooperation_propensity() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn opponents_respect_policy() {
-        let p = Population::random(small_space(), 4, 1, 0).unwrap();
-        assert_eq!(p.opponents_of(2), vec![0, 1, 3]);
-        let p = p.with_opponent_policy(OpponentPolicy::AllIncludingSelf);
-        assert_eq!(p.opponents_of(2), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn sset_lookup() {
-        let p = Population::random(small_space(), 4, 2, 0).unwrap();
-        assert!(p.sset(3).is_ok());
-        assert!(p.sset(4).is_err());
-        assert_eq!(p.sset(1).unwrap().num_agents(), 2);
     }
 
     #[test]
@@ -452,7 +333,7 @@ mod tests {
         // With 2^4096 possible strategies, 64 random SSets virtually always
         // receive 64 distinct strategies.
         let space = StrategySpace::pure(MemoryDepth::SIX);
-        let p = Population::random(space, 64, 1, 123).unwrap();
+        let p = Population::random(space, 64, 123).unwrap();
         assert_eq!(p.census().len(), 64);
     }
 }

@@ -7,7 +7,6 @@
 //! ```
 
 pub use crate::action::Move;
-pub use crate::agent::{Agent, AgentId};
 pub use crate::config::{SimulationConfig, SimulationConfigBuilder};
 pub use crate::dynamics::{
     fermi_probability, GenerationDecision, Mutation, MutationEvent, NatureAgent,
@@ -21,7 +20,6 @@ pub use crate::population::{CensusEntry, Population};
 pub use crate::simulation::{
     compute_generation_fitness, FitnessMode, PairEvaluator, Simulation, SimulationReport,
 };
-pub use crate::sset::{OpponentPolicy, SSetId, StrategySet};
 pub use crate::state::{MemoryDepth, RememberedRound, StateIndex, StateSpace};
 pub use crate::strategy::{
     space::StrategyFamily, MixedStrategy, NamedStrategy, PureStrategy, Strategy, StrategyKind,

@@ -730,6 +730,30 @@ impl SimulationState {
         Ok(())
     }
 
+    /// Checks that the snapshot belongs to a run of `config`: the same seed,
+    /// SSet count and memory depth. A checkpoint store can hold another
+    /// run's snapshots; resuming one would play a population the run's
+    /// partitions and game were not built for.
+    pub fn check_config(&self, config: &SimulationConfig) -> EgdResult<()> {
+        let mismatch = if self.seed != config.seed {
+            Some(format!(
+                "seed {}, but the run's seed is {}",
+                self.seed, config.seed
+            ))
+        } else {
+            shape_mismatch(&self.population, config)
+        };
+        match mismatch {
+            None => Ok(()),
+            Some(mismatch) => Err(EgdError::InvalidConfig {
+                reason: format!(
+                    "checkpoint of generation {} has {mismatch}",
+                    self.generation
+                ),
+            }),
+        }
+    }
+
     /// Serialises the snapshot through the vendored serde codec.
     pub fn to_bytes(&self) -> EgdResult<Vec<u8>> {
         serde_json::to_vec(self).map_err(|e| EgdError::InvalidConfig {
@@ -747,6 +771,26 @@ impl SimulationState {
         state.verify_streams()?;
         state.population.validate()?;
         Ok(state)
+    }
+}
+
+/// How `population` differs from the shape `config` runs — its SSet count
+/// or its memory depth — if it does.
+fn shape_mismatch(population: &Population, config: &SimulationConfig) -> Option<String> {
+    if population.num_ssets() != config.num_ssets {
+        Some(format!(
+            "{} SSets, but the run has {}",
+            population.num_ssets(),
+            config.num_ssets
+        ))
+    } else if population.memory() != config.memory {
+        Some(format!(
+            "{}, but the run is {}",
+            population.memory(),
+            config.memory
+        ))
+    } else {
+        None
     }
 }
 
@@ -931,19 +975,9 @@ impl<B: FitnessBackend> Simulation<B> {
             None => config.initial_population()?,
             Some(population) => {
                 population.validate()?;
-                if population.num_ssets() != config.num_ssets {
+                if let Some(mismatch) = shape_mismatch(&population, &config) {
                     return Err(EgdError::InvalidConfig {
-                        reason: format!(
-                            "population has {} SSets but the configuration expects {}",
-                            population.num_ssets(),
-                            config.num_ssets
-                        ),
-                    });
-                }
-                if population.memory() != config.memory {
-                    return Err(EgdError::InvalidConfig {
-                        reason: "population memory depth does not match the configuration"
-                            .to_string(),
+                        reason: format!("population has {mismatch}"),
                     });
                 }
                 population
@@ -966,7 +1000,7 @@ impl<B: FitnessBackend> Simulation<B> {
     }
 
     /// Rebuilds a simulation from a checkpointed state, verifying that the
-    /// snapshot matches `config` (seed, population shape) and that its RNG
+    /// snapshot matches `config` ([`SimulationState::check_config`]) and that its RNG
     /// stream positions re-derive exactly. Because every random decision of
     /// generation `g` draws from substreams keyed by `(seed, g)`, the
     /// resumed trajectory is bit-identical to an uninterrupted run on any
@@ -977,14 +1011,7 @@ impl<B: FitnessBackend> Simulation<B> {
         state: &SimulationState,
         backend: B,
     ) -> EgdResult<Self> {
-        if config.seed != state.seed {
-            return Err(EgdError::InvalidConfig {
-                reason: format!(
-                    "checkpoint was taken under seed {} but the configuration has seed {}",
-                    state.seed, config.seed
-                ),
-            });
-        }
+        state.check_config(&config)?;
         state.verify_streams()?;
         let mut sim = Self::with_backend(config, Some(state.population.clone()), backend)?;
         sim.course.generation = state.generation;
@@ -1293,14 +1320,12 @@ mod tests {
     #[test]
     fn with_population_validates_shape() {
         let config = tiny_config(6);
-        let wrong_size =
-            Population::random(StrategySpace::pure(MemoryDepth::ONE), 4, 2, 0).unwrap();
+        let wrong_size = Population::random(StrategySpace::pure(MemoryDepth::ONE), 4, 0).unwrap();
         assert!(
             Simulation::with_population(config.clone(), wrong_size, FitnessMode::Simulated)
                 .is_err()
         );
-        let wrong_memory =
-            Population::random(StrategySpace::pure(MemoryDepth::TWO), 8, 2, 0).unwrap();
+        let wrong_memory = Population::random(StrategySpace::pure(MemoryDepth::TWO), 8, 0).unwrap();
         assert!(
             Simulation::with_population(config.clone(), wrong_memory, FitnessMode::Simulated)
                 .is_err()
@@ -1325,7 +1350,6 @@ mod tests {
         let alld = StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure());
         let population = Population::from_strategies(
             StrategySpace::pure(MemoryDepth::ONE),
-            1,
             vec![alld.clone(); 6],
         )
         .unwrap();
@@ -1358,8 +1382,7 @@ mod tests {
         let mut strategies = vec![allc; 7];
         strategies.push(alld.clone());
         let population =
-            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 1, strategies)
-                .unwrap();
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), strategies).unwrap();
         let mut sim =
             Simulation::with_population(config, population, FitnessMode::Simulated).unwrap();
         sim.run_for(400).unwrap();
@@ -1544,12 +1567,8 @@ mod tests {
         for strategy in strategies.iter_mut().step_by(3) {
             *strategy = StrategyKind::Mixed(MixedStrategy::random(MemoryDepth::ONE, &mut rng));
         }
-        let mixed = Population::from_strategies(
-            StrategySpace::mixed(MemoryDepth::ONE),
-            cfg.agents_per_sset,
-            strategies,
-        )
-        .unwrap();
+        let mixed = Population::from_strategies(StrategySpace::mixed(MemoryDepth::ONE), strategies)
+            .unwrap();
         let mixed_groups = groups(&mixed);
         // (population, compiles, interned, reused)
         let steps = [

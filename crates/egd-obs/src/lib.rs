@@ -3,7 +3,7 @@
 //! One low-overhead tracing/metrics subsystem for all three engines:
 //!
 //! * [`span`] — lock-free-hot-path span tracing: thread-local event buffers,
-//!   a runtime on/off + sampling switch, and the compile-out
+//!   a runtime on/off switch, and the compile-out
 //!   [`obs_span!`] macro. Disabled cost is one relaxed atomic load (or
 //!   nothing at all without the `trace` cargo feature).
 //! * [`metrics`] — the [`MetricsSnapshot`] registry unifying scheduler
@@ -34,9 +34,8 @@ pub use export::{
 };
 pub use metrics::{GenerationMetrics, MetricsSnapshot, RunInfo, TrafficMetrics, WorkerMetrics};
 pub use span::{
-    collect, current_session, disable_tracing, enable_tracing, enable_tracing_sampled,
-    flush_thread, join_session, now_ns, record_span, set_track, tracing_enabled, SpanEvent,
-    SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
+    collect, current_session, disable_tracing, enable_tracing, flush_thread, join_session, now_ns,
+    record_span, set_track, tracing_enabled, SpanEvent, SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
 };
 
 use std::sync::{Mutex, MutexGuard, OnceLock};

@@ -2,8 +2,8 @@
 //!
 //! Every instrumented site records `SpanEvent`s — `(span_id, kind, start_ns,
 //! end_ns, payload)` — onto a *thread-local* buffer, so the hot path never
-//! touches a shared lock: one relaxed atomic load (the enabled/sampling
-//! word), a monotonic clock read, and a `Vec` push. Buffers flush into the
+//! touches a shared lock: one relaxed atomic load (the enabled flag), a
+//! monotonic clock read, and a `Vec` push. Buffers flush into the
 //! global collector when a chunk fills and when the owning thread exits
 //! (scoped worker threads flush before the run returns), bounded by a global
 //! event cap with an overflow counter instead of unbounded growth.
@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -137,10 +137,8 @@ pub struct TraceLog {
     pub dropped: u64,
 }
 
-/// Bit 0: enabled. Bits 8..: per-thread sampling mask (keep spans whose
-/// attempt counter satisfies `attempts & mask == 0`). One word so the hot
-/// path pays a single relaxed load.
-static STATE: AtomicU64 = AtomicU64::new(0);
+/// Whether a session is recording: the hot path pays one relaxed load.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Bumped by [`enable_tracing`]; thread-local buffers from an older epoch
 /// are discarded instead of leaking into the new session.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
@@ -176,7 +174,7 @@ thread_local! {
 pub fn tracing_enabled() -> bool {
     #[cfg(feature = "trace")]
     {
-        STATE.load(Ordering::Relaxed) & 1 == 1 && SESSION.get() == EPOCH.load(Ordering::Relaxed)
+        ENABLED.load(Ordering::Relaxed) && SESSION.get() == EPOCH.load(Ordering::Relaxed)
     }
     #[cfg(not(feature = "trace"))]
     {
@@ -201,32 +199,20 @@ pub fn join_session(session: u64) {
     SESSION.set(session);
 }
 
-/// Starts a fresh trace session recording every span (sampling mask 0):
-/// clears previously collected events and restarts span-id assignment. The
-/// calling thread owns the session.
+/// Starts a fresh trace session recording every span: clears previously
+/// collected events and restarts span-id assignment. The calling thread
+/// owns the session.
 pub fn enable_tracing() {
-    enable_tracing_sampled(0);
-}
-
-/// Starts a fresh trace session keeping one span in `2^shift` per thread
-/// (`shift == 0` keeps all). Sampling is modular over each thread's attempt
-/// counter, so a fixed thread layout samples deterministically.
-pub fn enable_tracing_sampled(shift: u32) {
-    let mask = if shift >= 56 {
-        u64::MAX >> 8
-    } else {
-        (1u64 << shift) - 1
-    };
     SESSION.set(EPOCH.fetch_add(1, Ordering::Relaxed) + 1);
     NEXT_SPAN_ID.store(0, Ordering::Relaxed);
     DROPPED.store(0, Ordering::Relaxed);
     COLLECTOR.lock().expect("trace collector poisoned").clear();
-    STATE.store(1 | (mask << 8), Ordering::Relaxed);
+    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Stops recording. Already-buffered events stay collectable.
 pub fn disable_tracing() {
-    STATE.store(0, Ordering::Relaxed);
+    ENABLED.store(false, Ordering::Relaxed);
 }
 
 /// Drains the collected session. Flushes the calling thread's buffer first;
@@ -260,7 +246,6 @@ struct LocalBuf {
     epoch: u64,
     track: u32,
     seq: u64,
-    attempts: u64,
     events: Vec<SpanEvent>,
 }
 
@@ -270,7 +255,6 @@ impl LocalBuf {
             epoch: 0,
             track: 0,
             seq: 0,
-            attempts: 0,
             events: Vec::new(),
         }
     }
@@ -281,7 +265,6 @@ impl LocalBuf {
             // Events from a collected session must not leak into this one.
             self.epoch = epoch;
             self.seq = 0;
-            self.attempts = 0;
             self.events.clear();
         }
     }
@@ -295,12 +278,6 @@ impl LocalBuf {
         end_ns: u64,
     ) {
         self.refresh_epoch();
-        let mask = STATE.load(Ordering::Relaxed) >> 8;
-        let sampled = self.attempts & mask == 0;
-        self.attempts = self.attempts.wrapping_add(1);
-        if !sampled {
-            return;
-        }
         let event = SpanEvent {
             span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
             track: track.unwrap_or(self.track),
@@ -472,20 +449,6 @@ mod tests {
         assert_eq!(log.events[0].track, 1);
         assert_eq!(log.dropped, 0);
         assert!(collect().events.is_empty());
-    }
-
-    #[test]
-    fn sampling_keeps_one_in_two_to_the_shift() {
-        let _guard = test_lock();
-        enable_tracing_sampled(2);
-        for i in 0..16 {
-            record_span(0, SpanKind::Cell, i, 0, 1);
-        }
-        disable_tracing();
-        let log = collect();
-        assert_eq!(log.events.len(), 4);
-        assert_eq!(log.events[0].payload, 0);
-        assert_eq!(log.events[1].payload, 4);
     }
 
     #[test]

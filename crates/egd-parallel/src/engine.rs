@@ -585,7 +585,7 @@ mod tests {
         // one strategy play one game, on one of four threads.
         let wsls = StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure());
         let uniform =
-            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), 3, vec![wsls; 24])
+            Population::from_strategies(StrategySpace::pure(MemoryDepth::ONE), vec![wsls; 24])
                 .unwrap();
         let engine =
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))

@@ -21,7 +21,6 @@
 //! generation's distinct strategy pairs
 //! ([`egd_core::simulation::PairEvaluator::play_range`]) over the threads.
 
-use egd_core::agent::block_for_slot;
 use egd_core::error::{EgdError, EgdResult};
 use egd_core::game::IpdGame;
 use egd_core::payoff_table::PlannedCells;
@@ -79,15 +78,20 @@ impl SSetPartition {
         self.num_ssets as f64 / self.num_workers as f64
     }
 
-    /// The contiguous block of SSet indices owned by `worker`.
+    /// The contiguous block of SSet indices owned by `worker`: an even
+    /// split, in which the first `num_ssets % num_workers` blocks hold one
+    /// SSet more than the rest.
     pub fn block(&self, worker: usize) -> Range<usize> {
         assert!(worker < self.num_workers, "worker index out of range");
-        block_for_slot(worker as u32, self.num_ssets, self.num_workers as u32)
+        let base = self.num_ssets / self.num_workers;
+        let extra = self.num_ssets % self.num_workers;
+        let start = worker * base + worker.min(extra);
+        start..start + base + usize::from(worker < extra)
     }
 
     /// The worker that owns SSet `sset`: the inverse of [`Self::block`] in
     /// closed form. The first `num_ssets % num_workers` blocks are one SSet
-    /// longer than the rest ([`block_for_slot`]); this is called per planned
+    /// longer than the rest; this is called per planned
     /// game and per selected SSet at 10³ ranks, so it must not walk the
     /// blocks.
     pub fn owner_of(&self, sset: usize) -> usize {
@@ -187,7 +191,7 @@ mod tests {
         let shared = StrategyKind::Pure(PureStrategy::random(memory, &mut rng));
         strategies.extend((0..9).map(|_| shared.clone()));
         let population =
-            Population::from_strategies(StrategySpace::mixed(memory), 2, strategies).unwrap();
+            Population::from_strategies(StrategySpace::mixed(memory), strategies).unwrap();
 
         let partition = SSetPartition::new(12, 4).unwrap();
         let cfg = SimulationConfig::builder()
@@ -253,6 +257,34 @@ mod tests {
                 }
             }
             assert!(covered.iter().all(|&c| c == 1), "{ssets} over {workers}");
+        }
+    }
+
+    #[test]
+    fn blocks_partition_ssets_exactly_in_order() {
+        // In worker order the blocks concatenate to `0..ssets`.
+        for ssets in [0usize, 1, 5, 16, 17, 100, 101] {
+            for workers in [1usize, 2, 3, 4, 7, 16] {
+                let partition = SSetPartition::new(ssets, workers).unwrap();
+                let covered: Vec<usize> = partition.blocks().flat_map(|(_, b)| b).collect();
+                assert_eq!(
+                    covered,
+                    (0..ssets).collect::<Vec<_>>(),
+                    "{ssets} over {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_sizes_differ_by_at_most_one() {
+        for ssets in [7usize, 31, 64, 1000] {
+            for workers in [2usize, 3, 5, 8] {
+                let partition = SSetPartition::new(ssets, workers).unwrap();
+                let lengths: Vec<usize> = partition.blocks().map(|(_, b)| b.len()).collect();
+                let (min, max) = (lengths.iter().min().unwrap(), lengths.iter().max().unwrap());
+                assert!(max - min <= 1, "{ssets} over {workers}");
+            }
         }
     }
 

@@ -145,7 +145,6 @@ mod tests {
         let wrong = egd_core::population::Population::random(
             egd_core::strategy::StrategySpace::pure(MemoryDepth::ONE),
             4,
-            2,
             0,
         )
         .unwrap();

@@ -57,9 +57,8 @@ pub use egd_serve as serve;
 /// Convenience re-exports of the most commonly used types from all crates.
 pub mod prelude {
     pub use egd_analysis::{
-        census::{NamedCensus, StrategyCensus},
+        census::NamedCensus,
         cooperation::population_cooperation_index,
-        efficiency::{parallel_efficiency, speedup},
         kmeans::{KMeans, KMeansResult},
         timeseries::TimeSeries,
     };

@@ -342,7 +342,6 @@ fn population_size_is_conserved_across_a_long_run() {
     let mut sim = Simulation::new(cfg.clone()).unwrap();
     sim.run();
     assert_eq!(sim.population().num_ssets(), cfg.num_ssets);
-    assert_eq!(sim.population().total_agents(), cfg.total_agents());
     // Every strategy in the final population still has the configured memory.
     for strategy in sim.population().strategies() {
         assert_eq!(strategy.memory(), cfg.memory);
@@ -413,13 +412,23 @@ fn checkpoint_with_strategies(state: &SimulationState, strategies: &[StrategyKin
 fn a_checkpoint_with_an_inconsistent_population_is_an_error_on_every_backend() {
     let cfg = config(MemoryDepth::ONE, 0.0, 606, 10);
     let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
-    // Fewer strategies than SSets; strategies of another memory depth.
-    let short = Population::random(StrategySpace::pure(MemoryDepth::ONE), 3, 3, 1).unwrap();
-    let deep = Population::random(StrategySpace::pure(MemoryDepth::TWO), 18, 3, 1).unwrap();
-    for donor in [&short, &deep] {
-        let bytes = checkpoint_with_strategies(&state, donor.strategies());
+    // A strategy view too short to be a population; strategies of another
+    // memory depth.
+    let short = Population::random(StrategySpace::pure(MemoryDepth::ONE), 3, 1).unwrap();
+    let deep = Population::random(StrategySpace::pure(MemoryDepth::TWO), 18, 1).unwrap();
+    for donor in [&short.strategies()[..1], deep.strategies()] {
+        let bytes = checkpoint_with_strategies(&state, donor);
         assert_rejected_by_every_backend(&cfg, &bytes);
     }
+    // Three strategies are a population of three SSets: it decodes, and
+    // restoring it into a run of 18 is an error that names both counts.
+    let bytes = checkpoint_with_strategies(&state, short.strategies());
+    let three = SimulationState::from_bytes(&bytes).unwrap();
+    let err = Simulation::restore(cfg.clone(), &three, FitnessMode::Simulated).unwrap_err();
+    assert!(
+        err.to_string().contains("3 SSets, but the run has 18"),
+        "{err}"
+    );
 }
 
 /// `bytes` decode, but not into a checkpoint anything will run: `from_bytes`

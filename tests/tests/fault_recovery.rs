@@ -18,7 +18,7 @@ use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
 use egd_core::prelude::*;
 use egd_core::simulation::{FitnessMode, SimulationState};
-use egd_fault::{arm, CheckpointStore, DirStore, FaultEvent, FaultPlan};
+use egd_fault::{arm, CheckpointStore, DirStore, FaultEvent, FaultPlan, MemoryStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -150,6 +150,91 @@ fn checkpoints_round_trip_bytes_and_match_the_sequential_run() {
     let mut resumed = Simulation::restore(cfg.clone(), &state, FitnessMode::Simulated).unwrap();
     resumed.run_for(cfg.generations - generation).unwrap();
     assert_eq!(resumed.population(), straight.population());
+}
+
+#[test]
+fn a_respawn_does_not_resume_another_runs_checkpoint() {
+    // Every rank's store already holds a checkpoint of a run with the same
+    // seed but twice the SSets, at generation 7: later than any checkpoint
+    // this run saves before rank 2 crashes at generation 5, so it is the
+    // newest common one. Resuming it would play 24 SSets over a partition
+    // of 12; the respawn must refuse it and say why.
+    let cfg = config(310, 12, 8, 15);
+    let workers = 4usize;
+    let larger = config(310, 24, 8, 15);
+    let foreign =
+        SimulationState::capture(larger.seed, 7, 3, &larger.initial_population().unwrap())
+            .to_bytes()
+            .unwrap();
+    let store: Arc<dyn CheckpointStore> = Arc::new(MemoryStore::new());
+    for rank in 0..=workers {
+        store.save(rank, 7, &foreign).unwrap();
+    }
+    let plan = FaultPlan::new(510).with(FaultEvent::CrashAtGeneration {
+        rank: 2,
+        generation: 5,
+    });
+    let _session = arm(plan);
+    let executor = SupervisedExecutor::with_store(
+        cfg,
+        DistributedConfig::with_workers(workers),
+        SupervisorConfig::default()
+            .checkpoint_interval(2)
+            .fault_domain(510),
+        store,
+    )
+    .unwrap();
+    let err = executor.run().unwrap_err().to_string();
+    assert!(
+        err.contains("24 SSets") && err.contains("has 12"),
+        "the error must name both SSet counts: {err}"
+    );
+}
+
+#[test]
+fn checkpoint_decoder_rejects_every_truncation_and_bit_flip_without_panicking() {
+    // A small checkpoint: pure and mixed strategies in a mixed space, past
+    // generation 0. Every strict prefix must fail to decode, and every
+    // single-bit flip must either fail or decode to a state that passes its
+    // own checks and re-encodes to the flipped bytes — never panic.
+    let space = StrategySpace::mixed(MemoryDepth::ONE);
+    let strategies = vec![
+        StrategyKind::Pure(NamedStrategy::WinStayLoseShift.to_pure()),
+        StrategyKind::Mixed(MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap()),
+        StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
+    ];
+    let population = Population::from_strategies(space, strategies).unwrap();
+    let bytes = SimulationState::capture(312, 5, 2, &population)
+        .to_bytes()
+        .unwrap();
+    let decode = |bytes: &[u8]| {
+        std::panic::catch_unwind(|| SimulationState::from_bytes(bytes))
+            .unwrap_or_else(|_| panic!("decoder panicked on {bytes:02x?}"))
+    };
+    assert!(decode(&bytes).is_ok());
+    for len in 0..bytes.len() {
+        assert!(
+            decode(&bytes[..len]).is_err(),
+            "prefix of {len} bytes decoded"
+        );
+    }
+    let mut accepted = 0;
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(state) = decode(&flipped) {
+            state.verify_streams().unwrap();
+            state.population.validate().unwrap();
+            assert_eq!(state.to_bytes().unwrap(), flipped, "bit {bit}");
+            accepted += 1;
+        }
+    }
+    // The genome words and the mixed strategy's probabilities hold bits
+    // whose flip is another valid checkpoint; the stream positions do not.
+    assert!(
+        accepted > 0 && accepted < bytes.len() * 8,
+        "{accepted} flips decoded"
+    );
 }
 
 #[test]

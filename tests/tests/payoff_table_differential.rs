@@ -15,7 +15,7 @@
 //! SSets, so the table (capacity `num_ssets`) is full and slots are
 //! reclaimed; pure and mixed strategies side by side at noise 0, so
 //! cacheable and stochastic cells share rows; `FitnessMode::ExpectedValue`
-//! (everything cacheable, noise or not); `OpponentPolicy::AllIncludingSelf`;
+//! (everything cacheable, noise or not);
 //! a checkpoint/`restore` mid-run, which starts cold; a caller that hands the
 //! evaluator an unrelated population for one generation; and a caller that,
 //! like a distributed rank, only ever asks for its own block of SSets — which
@@ -31,8 +31,8 @@
 //! generations, and the change → reuse → change transitions between them,
 //! are compared with the brute force like everything else; the fixed tests
 //! below pin when the retained vector must **not** be served (a population
-//! that differs in one SSet but not in `version()`, another block, another
-//! opponent policy, a failed generation in between, a stochastic cell) and
+//! that differs in one SSet, another block, another `swap_exact`, a failed
+//! generation in between, a stochastic cell) and
 //! that serving it moves no counter and no reclaim victim: the
 //! `PayoffTableStats` of three trajectories are pinned to what the commit
 //! before the reuse recorded.
@@ -77,7 +77,6 @@ struct Scenario {
     mix: Mix,
     mode: FitnessMode,
     noise: f64,
-    include_self: bool,
     mutation_rate: f64,
     pc_rate: f64,
     seed: u64,
@@ -91,13 +90,13 @@ struct Scenario {
 fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
     (
         (1u32..=3, 3usize..=9, 0u8..3, 0u8..3),
-        (any::<bool>(), 0.0f64..=1.0, 0.0f64..=1.0, any::<u64>()),
+        (0.0f64..=1.0, 0.0f64..=1.0, any::<u64>()),
         (8u64..28, 0u64..28, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()),
     )
         .prop_map(
             |(
                 (memory, num_ssets, mix, mode),
-                (include_self, mutation_rate, pc_rate, seed),
+                (mutation_rate, pc_rate, seed),
                 (generations, stranger_at, lo, len, calm),
             )| {
                 // A calm scenario changes the population in about one
@@ -124,7 +123,6 @@ fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
                     mix,
                     mode,
                     noise,
-                    include_self,
                     mutation_rate,
                     pc_rate,
                     seed: seed % 4096,
@@ -142,11 +140,6 @@ impl Scenario {
             Mix::Pure => StrategyFamily::Pure,
             Mix::PureAndMixed | Mix::Mixed => StrategyFamily::Mixed,
         };
-        let policy = if self.include_self {
-            OpponentPolicy::AllIncludingSelf
-        } else {
-            OpponentPolicy::AllOthers
-        };
         SimulationConfig::builder()
             .memory(MemoryDepth::new(self.memory).unwrap())
             .family(family)
@@ -157,7 +150,6 @@ impl Scenario {
             .noise(self.noise)
             .pc_rate(self.pc_rate)
             .mutation_rate(self.mutation_rate)
-            .opponent_policy(policy)
             .seed(self.seed)
             .build()
             .unwrap()
@@ -183,9 +175,7 @@ impl Scenario {
                 }
             })
             .collect();
-        Population::from_strategies(population.space(), 2, strategies)
-            .unwrap()
-            .with_opponent_policy(population.opponent_policy())
+        Population::from_strategies(population.space(), strategies).unwrap()
     }
 
     fn block(&self) -> std::ops::Range<usize> {
@@ -219,7 +209,6 @@ fn brute_force(
             pay[g * num_groups + h] = to_g;
         }
     }
-    let include_self = population.opponent_policy() == OpponentPolicy::AllIncludingSelf;
     grouping
         .group_of
         .iter()
@@ -228,10 +217,7 @@ fn brute_force(
             for h in 0..num_groups {
                 total += grouping.group_count[h] * pay[g * num_groups + h];
             }
-            if !include_self {
-                total -= pay[g * num_groups + g];
-            }
-            total
+            total - pay[g * num_groups + g]
         })
         .collect()
 }
@@ -355,13 +341,9 @@ proptest! {
         for generation in 0..scenario.generations {
             if generation == scenario.stranger_at {
                 let stranger = Population::random(
-                    population.space(),
-                    scenario.num_ssets,
-                    2,
-                    scenario.seed ^ 0x5eed,
+                    population.space(), scenario.num_ssets, scenario.seed ^ 0x5eed,
                 )
-                .unwrap()
-                .with_opponent_policy(population.opponent_policy());
+                .unwrap();
                 let expected = brute_force(&config, scenario.mode, &stranger, generation);
                 let got = compute_generation_fitness(&stranger, &mut whole, generation).unwrap();
                 prop_assert_eq!(bits(&got), bits(&expected), "stranger at {}", generation);
@@ -442,7 +424,7 @@ fn numbered_population(config: &SimulationConfig, assignment: &[usize]) -> Popul
             StrategyKind::Pure(PureStrategy::from_bitstring(MemoryDepth::TWO, &bits).unwrap())
         })
         .collect();
-    Population::from_strategies(config.strategy_space(), 2, strategies).unwrap()
+    Population::from_strategies(config.strategy_space(), strategies).unwrap()
 }
 
 proptest! {
@@ -828,8 +810,7 @@ fn memory_two(num_ssets: usize, seed: u64) -> SimulationConfig {
 }
 
 /// `num_ssets` pure strategies (two SSets share one), and the same
-/// population with SSet 5 holding another strategy: a distinct `Population`
-/// with an equal `version()`.
+/// population with SSet 5 holding another strategy.
 fn pure_population_and_near_stranger(config: &SimulationConfig) -> (Population, Population) {
     let mut rng = stream(config.seed, StreamKind::Auxiliary, 16);
     let mut strategies: Vec<StrategyKind> = (0..config.num_ssets)
@@ -837,16 +818,15 @@ fn pure_population_and_near_stranger(config: &SimulationConfig) -> (Population, 
         .collect();
     strategies[3] = strategies[1].clone();
     let space = StrategySpace::mixed(config.memory);
-    let population = Population::from_strategies(space, 2, strategies.clone()).unwrap();
+    let population = Population::from_strategies(space, strategies.clone()).unwrap();
     strategies[5] = StrategyKind::Pure(PureStrategy::random(config.memory, &mut rng));
-    let near_stranger = Population::from_strategies(space, 2, strategies).unwrap();
-    assert_eq!(population.version(), near_stranger.version());
+    let near_stranger = Population::from_strategies(space, strategies).unwrap();
     (population, near_stranger)
 }
 
 /// An unchanged all-cacheable generation is answered without calling the
 /// executor and without planning a game — and only that: a population that
-/// differs in one SSet, another block, another opponent policy, another
+/// differs in one SSet, another block, another
 /// `swap_exact` are all computed, each exactly.
 #[test]
 fn only_the_same_request_for_the_same_strategies_is_reused() {
@@ -897,15 +877,6 @@ fn only_the_same_request_for_the_same_strategies_is_reused() {
     assert!(table.computes(&population, all.clone()));
     assert!(!table.computes(&population, all.clone()));
 
-    // Another opponent policy (the brute force inside `run` includes the
-    // self-pairing too).
-    let including_self = population
-        .clone()
-        .with_opponent_policy(OpponentPolicy::AllIncludingSelf);
-    assert!(table.computes(&including_self, all.clone()));
-    assert!(!table.computes(&including_self, all.clone()));
-    assert!(table.computes(&population, all.clone()));
-
     // Another `swap_exact`.
     let calls = table.calls;
     table
@@ -915,7 +886,7 @@ fn only_the_same_request_for_the_same_strategies_is_reused() {
 
     // Nothing after the near-stranger's newcomer was ever played.
     assert_eq!(table.planned, 28 + 8);
-    assert_eq!(table.table.stats().generations_reused, 6);
+    assert_eq!(table.table.stats().generations_reused, 5);
 }
 
 /// A generation whose executor failed leaves nothing to reuse: the same
@@ -948,7 +919,7 @@ fn an_unchanged_generation_with_one_stochastic_cell_calls_the_executor() {
     let mut strategies = pure.strategies().to_vec();
     let mut rng = stream(config.seed, StreamKind::Auxiliary, 17);
     strategies[6] = StrategyKind::Mixed(MixedStrategy::random(config.memory, &mut rng));
-    let population = Population::from_strategies(pure.space(), 2, strategies).unwrap();
+    let population = Population::from_strategies(pure.space(), strategies).unwrap();
     let mut table = CountingTable::new(&config, FitnessMode::Simulated);
     let mut previous = Vec::new();
     for generation in 0..4 {
@@ -1097,11 +1068,9 @@ fn pooled(k: usize) -> StrategyKind {
 }
 
 /// SSet `i` holds `pooled(assignment[i])`.
-fn pooled_population(assignment: &[usize], policy: OpponentPolicy) -> Population {
+fn pooled_population(assignment: &[usize]) -> Population {
     let strategies = assignment.iter().map(|&k| pooled(k)).collect();
-    Population::from_strategies(StrategySpace::mixed(MemoryDepth::TWO), 2, strategies)
-        .unwrap()
-        .with_opponent_policy(policy)
+    Population::from_strategies(StrategySpace::mixed(MemoryDepth::TWO), strategies).unwrap()
 }
 
 /// One generation on `table` under a made-up game whose payoffs depend on
@@ -1178,15 +1147,9 @@ proptest! {
         num_ssets in 2usize..=20,
         pool in 2usize..=14,
         seed in any::<u64>(),
-        include_self in any::<bool>(),
     ) {
         use rand::Rng;
         let mut rng = stream(seed, StreamKind::Auxiliary, 34);
-        let policy = if include_self {
-            OpponentPolicy::AllIncludingSelf
-        } else {
-            OpponentPolicy::AllOthers
-        };
         let mut assignment: Vec<usize> = (0..num_ssets).map(|_| rng.gen_range(0..pool)).collect();
         let mut whole = PayoffTable::new(num_ssets);
         let mut rank = PayoffTable::new(num_ssets);
@@ -1218,14 +1181,14 @@ proptest! {
                     _ => assignment[i] = assignment[j],
                 }
             }
-            let population = pooled_population(&assignment, policy);
+            let population = pooled_population(&assignment);
             let lo = rng.gen_range(0..num_ssets);
             let block = lo..rng.gen_range(lo + 1..=num_ssets);
 
             if rng.gen_range(0..10) == 0 {
                 let size = num_ssets + rng.gen_range(0..3usize);
                 let unrelated: Vec<usize> = (0..size).map(|_| rng.gen_range(100..100 + size)).collect();
-                let stranger = pooled_population(&unrelated, policy);
+                let stranger = pooled_population(&unrelated);
                 for (table, block) in [(&mut whole, 0..size), (&mut rank, block.start..size)] {
                     let sub_block = block.len() < size;
                     let got = made_up_generation(table, &stranger, block.clone());

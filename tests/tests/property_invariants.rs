@@ -109,10 +109,7 @@ proptest! {
     #[test]
     fn census_accounts_for_every_sset(seed in 0u64..500, num_ssets in 2usize..40) {
         let population = Population::random(
-            StrategySpace::pure(MemoryDepth::ONE),
-            num_ssets,
-            2,
-            seed,
+            StrategySpace::pure(MemoryDepth::ONE), num_ssets, seed,
         )
         .unwrap();
         let census = population.census();
@@ -128,10 +125,7 @@ proptest! {
     #[test]
     fn embeddings_and_clustering_are_well_formed(seed in 0u64..200) {
         let population = Population::random(
-            StrategySpace::pure(MemoryDepth::TWO),
-            12,
-            1,
-            seed,
+            StrategySpace::pure(MemoryDepth::TWO), 12, seed,
         )
         .unwrap();
         for strategy in population.strategies() {
