@@ -31,16 +31,6 @@ impl CsvTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as CSV.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -124,8 +114,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "processors,efficiency");
         assert_eq!(lines[1], "1024,99.7");
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl KMeans {
     }
 
     /// Clusters a set of points with Lloyd's algorithm.
-    pub fn cluster(&self, points: &[Vec<f64>]) -> EgdResult<KMeansResult> {
+    fn cluster(&self, points: &[Vec<f64>]) -> EgdResult<KMeansResult> {
         if points.is_empty() {
             return Err(EgdError::InvalidConfig {
                 reason: "cannot cluster an empty point set".to_string(),

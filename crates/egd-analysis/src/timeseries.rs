@@ -16,21 +16,6 @@ impl TimeSeries {
         TimeSeries { records }
     }
 
-    /// The underlying records.
-    pub fn records(&self) -> &[GenerationRecord] {
-        &self.records
-    }
-
-    /// Number of recorded generations.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The `(generation, dominant fraction)` series — the curve that shows
     /// WSLS taking over in the validation run.
     pub fn dominant_fraction_series(&self) -> Vec<(u64, f64)> {
@@ -63,9 +48,9 @@ mod tests {
             record(20, 0.5, 2.0, true),
             record(10, 0.3, 1.0, false),
         ]);
-        assert_eq!(series.len(), 2);
-        assert!(!series.is_empty());
-        assert_eq!(series.records()[0].generation, 10);
+        assert_eq!(series.records.len(), 2);
+        assert!(!series.records.is_empty());
+        assert_eq!(series.records[0].generation, 10);
         assert_eq!(
             series.dominant_fraction_series(),
             vec![(10, 0.3), (20, 0.5)]
@@ -75,7 +60,7 @@ mod tests {
     #[test]
     fn empty_series() {
         let series = TimeSeries::default();
-        assert!(series.is_empty());
+        assert!(series.records.is_empty());
         assert!(series.dominant_fraction_series().is_empty());
     }
 }

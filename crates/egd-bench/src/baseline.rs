@@ -30,7 +30,7 @@ impl Baseline {
     }
 
     /// Serialises to pretty JSON (one entry per line, sorted by name).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, (name, value)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -41,7 +41,7 @@ impl Baseline {
     }
 
     /// Parses the flat JSON produced by [`Baseline::to_json`].
-    pub fn from_json(text: &str) -> Result<Baseline, String> {
+    fn from_json(text: &str) -> Result<Baseline, String> {
         let mut entries = BTreeMap::new();
         let body = text.trim();
         let body = body

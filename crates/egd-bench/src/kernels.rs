@@ -196,7 +196,7 @@ pub fn measure_stochastic_kernel(workload: &Workload, reps: u32) -> StochasticKe
 
 /// Lane widths the batch harness sweeps (the simd-bench convention:
 /// power-of-two widths up to the kernel's monomorphised maximum).
-pub const BATCH_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
+const BATCH_WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One lane width's timing in the batch study.
 #[derive(Debug, Clone)]
@@ -221,7 +221,7 @@ pub struct BatchKernelStudy {
     /// Single-game compiled kernel nanoseconds per game (the rung the
     /// batched kernel must beat).
     pub single_ns_per_game: f64,
-    /// Per-width timings, in [`BATCH_WIDTHS`] order.
+    /// Per-width timings, in `BATCH_WIDTHS` order.
     pub widths: Vec<BatchWidthTiming>,
     /// The fastest lane width.
     pub best_width: usize,
@@ -248,7 +248,7 @@ impl BatchKernelStudy {
 
 /// Sweeps the lane-parallel batched kernel
 /// ([`egd_core::game::IpdGame::play_batched_width`]) across
-/// [`BATCH_WIDTHS`] on the stochastic cells of the workload's distinct-pair
+/// `BATCH_WIDTHS` on the stochastic cells of the workload's distinct-pair
 /// matrix, against the single-game compiled kernel as the rung to beat.
 /// Both sides play the engine's exact per-pair substreams; every width's
 /// outcomes and final stream positions are asserted bit-identical to the

@@ -52,7 +52,7 @@ pub fn has_flag(flag: &str) -> bool {
 /// Returns the first unrecognized `--flag`, if any.
 ///
 /// Testable core of [`require_known_flags`].
-pub fn check_known_flags(
+fn check_known_flags(
     args: &[String],
     value_flags: &[&str],
     bool_flags: &[&str],

@@ -127,23 +127,9 @@ impl ScaleWorkload {
         ]
     }
 
-    /// The 10⁶-rank stretch point. Deliberately *not* in [`Self::canonical`]
-    /// (and so not in the committed baseline): it exists for the `#[ignore]`d
-    /// stretch test the CI scale-smoke job runs in release mode.
-    pub fn stretch_1e6() -> ScaleWorkload {
-        ScaleWorkload {
-            label: "scale_1e6",
-            ranks: 1_000_000,
-            workers: 4_000,
-            ssets_per_rank: 4,
-            rounds: 200,
-            fixed_opponents: Some(WEAK_OPPONENTS),
-        }
-    }
-
     /// Number of ranks whose blocks hold memory-six SSets (the heavy
     /// prefix): the first eighth, mirroring the committed skewed workload.
-    pub fn heavy_ranks(&self) -> usize {
+    fn heavy_ranks(&self) -> usize {
         self.ranks / 8
     }
 
@@ -177,7 +163,7 @@ impl ScaleWorkload {
     /// on the Blue Gene/P collective + torus networks (paper §V rates:
     /// PC 10%, mutation 5%) — reported next to the compute critical path so
     /// the compute/comm ratio of the scale points stays visible.
-    pub fn modeled_comm_us(&self) -> f64 {
+    fn modeled_comm_us(&self) -> f64 {
         let topology =
             ClusterTopology::blue_gene_p_virtual_node(self.ranks, self.ranks * self.ssets_per_rank)
                 .expect("scale topology is valid");
@@ -371,7 +357,14 @@ mod tests {
     fn scale_million_rank_replay_holds_balance() {
         // The stretch point past the gated set: 10⁶ rank tasks on 4,000
         // virtual workers, weak-scaling work profile.
-        let workload = ScaleWorkload::stretch_1e6();
+        let workload = ScaleWorkload {
+            label: "scale_1e6",
+            ranks: 1_000_000,
+            workers: 4_000,
+            ssets_per_rank: 4,
+            rounds: 200,
+            fixed_opponents: Some(WEAK_OPPONENTS),
+        };
         let a = assess_scale(&workload);
         assert_eq!(a.guided.total_work_ns, a.adaptive.total_work_ns);
         assert!(a.speedup() > 1.3, "speedup {:.3}", a.speedup());

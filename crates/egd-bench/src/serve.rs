@@ -39,7 +39,7 @@ pub struct ServeSimOutcome {
 
 /// The canonical serving tenant: the 16-SSet mixed-strategy workload every
 /// engine golden uses, priced per generation by the cost model.
-pub fn canonical_session_price_ns(generations: u64) -> (u64, u64) {
+fn canonical_session_price_ns(generations: u64) -> (u64, u64) {
     let config = SimulationConfig::builder()
         .memory(MemoryDepth::ONE)
         .num_ssets(16)
@@ -61,7 +61,7 @@ pub fn canonical_session_price_ns(generations: u64) -> (u64, u64) {
 /// of equally priced generations, every boundary is a yield point, and the
 /// earliest-free worker always picks the longest-waiting runnable session
 /// (FIFO — exactly the executor's queue discipline).
-pub fn simulate_serve(
+fn simulate_serve(
     sessions: usize,
     workers: usize,
     generations: u64,

@@ -213,6 +213,7 @@ pub fn measure_engine(workload: &Workload, threads: usize, reps: u32) -> Measure
 mod tests {
     use super::*;
     use egd_sched::{simulate_schedule, Policy};
+    use rand::Rng;
 
     #[test]
     fn skewed_workload_shape() {
@@ -245,7 +246,7 @@ mod tests {
         let mut rng = stream(seed, StreamKind::Auxiliary, 0x5CE3);
         predicted_cell_weights(workload)
             .iter()
-            .map(|&w| (w as f64 * (0.7 + 0.6 * egd_core::rng::uniform01(&mut rng))) as u64)
+            .map(|&w| (w as f64 * (0.7 + 0.6 * rng.gen::<f64>())) as u64)
             .collect()
     }
 

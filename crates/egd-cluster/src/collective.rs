@@ -9,12 +9,12 @@
 //! prices:
 //!
 //! * ranks are rotated so the collective's root sits at virtual rank 0
-//!   ([`vrank`] / [`actual_rank`]), which makes every tree shape a pure
+//!   (`vrank` / `actual_rank`), which makes every tree shape a pure
 //!   function of the world size;
-//! * virtual rank `v > 0` hangs off [`parent`] `v - lowbit(v)` and owns the
+//! * virtual rank `v > 0` hangs off `parent` `v - lowbit(v)` and owns the
 //!   contiguous virtual-rank segment `[v, v + lowbit(v))` — so a reduction
 //!   can ship one *merged, rank-ordered* segment per tree edge;
-//! * [`children`] yields `v + 1, v + 2, v + 4, …` (ascending sub-tree
+//! * `children` yields `v + 1, v + 2, v + 4, …` (ascending sub-tree
 //!   segments), and no node has more than [`stages`]`(size)` = ⌈log₂ size⌉
 //!   of them.
 //!
@@ -41,18 +41,18 @@ pub fn stages(size: usize) -> u32 {
 /// The virtual rank of `rank` in a collective rooted at `root`: ranks are
 /// rotated so the root is virtual rank 0 and the tree shape depends only on
 /// the world size.
-pub fn vrank(rank: usize, root: usize, size: usize) -> usize {
+pub(crate) fn vrank(rank: usize, root: usize, size: usize) -> usize {
     (rank + size - root) % size
 }
 
 /// Inverse of [`vrank`]: the actual rank of virtual rank `v`.
-pub fn actual_rank(v: usize, root: usize, size: usize) -> usize {
+pub(crate) fn actual_rank(v: usize, root: usize, size: usize) -> usize {
     (v + root) % size
 }
 
 /// The parent of virtual rank `v` in the binomial tree (`None` for the
 /// root): `v` with its lowest set bit cleared.
-pub fn parent(v: usize) -> Option<usize> {
+pub(crate) fn parent(v: usize) -> Option<usize> {
     if v == 0 {
         None
     } else {
@@ -63,7 +63,7 @@ pub fn parent(v: usize) -> Option<usize> {
 /// The sub-tree span of virtual rank `v`: its lowest set bit, i.e. the
 /// length bound of the contiguous virtual-rank segment `[v, v + span)` that
 /// `v` merges on the way up (the whole world for the root).
-pub fn subtree_span(v: usize, size: usize) -> usize {
+pub(crate) fn subtree_span(v: usize, size: usize) -> usize {
     if v == 0 {
         size.next_power_of_two()
     } else {
@@ -76,7 +76,7 @@ pub fn subtree_span(v: usize, size: usize) -> usize {
 /// and `v`'s own sub-tree). Ascending order means the children's sub-tree
 /// segments `[v + m, v + 2m)` tile `(v, v + span)` contiguously — a gather
 /// can concatenate them and stay virtual-rank-ordered.
-pub fn children(v: usize, size: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn children(v: usize, size: usize) -> impl Iterator<Item = usize> {
     let span = subtree_span(v, size);
     (0..usize::BITS)
         .map(move |k| 1usize << k)
@@ -88,7 +88,7 @@ pub fn children(v: usize, size: usize) -> impl Iterator<Item = usize> {
 /// The number of tree messages the root sends (broadcast) or receives
 /// (gather) in one collective over `size` ranks: `O(log size)`, versus the
 /// `size - 1` of the retired flat implementation.
-pub fn root_fanout(size: usize) -> u64 {
+pub(crate) fn root_fanout(size: usize) -> u64 {
     children(0, size).count() as u64
 }
 

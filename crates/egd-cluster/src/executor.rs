@@ -215,7 +215,7 @@ impl DistributedExecutor {
     }
 
     /// The distributed configuration.
-    pub fn dist_config(&self) -> &DistributedConfig {
+    pub(crate) fn dist_config(&self) -> &DistributedConfig {
         &self.dist_config
     }
 

@@ -209,11 +209,6 @@ impl SupervisedExecutor {
         })
     }
 
-    /// The checkpoint store backing this executor.
-    pub fn store(&self) -> &Arc<dyn CheckpointStore> {
-        &self.store
-    }
-
     /// Runs the simulation, recovering from injected (or genuine) rank
     /// failures until it completes or `max_attempts` is exhausted. With no
     /// fault plan armed this is the plain distributed run plus the

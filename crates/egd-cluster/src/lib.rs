@@ -64,6 +64,7 @@ pub use fault::{FaultRecoveryStats, SupervisedExecutor, SupervisedRunSummary, Su
 pub use machine::MachineSpec;
 pub use mpi::{Communicator, PendingOp, SimWorld, TrafficStats, WorldFailure};
 pub use network::{CollectiveNetwork, TorusNetwork};
+
 pub use perf::{ScalingHarness, ScalingPoint, Workload};
 pub use scheduled::{ScheduledConfig, ScheduledExecutor, ScheduledRunSummary};
 pub use topology::ClusterTopology;

@@ -51,7 +51,7 @@ impl MachineSpec {
     }
 
     /// IBM Blue Gene/Q (512-node / 16,384-task configuration of the paper).
-    pub fn blue_gene_q() -> Self {
+    pub(crate) fn blue_gene_q() -> Self {
         MachineSpec {
             name: "IBM Blue Gene/Q".to_string(),
             cores_per_node: 16,
@@ -81,7 +81,7 @@ impl MachineSpec {
     }
 
     /// Hardware threads per node.
-    pub fn threads_per_node(&self) -> u32 {
+    pub(crate) fn threads_per_node(&self) -> u32 {
         self.cores_per_node * self.threads_per_core
     }
 

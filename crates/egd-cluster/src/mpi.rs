@@ -420,14 +420,9 @@ impl Communicator {
         self.size
     }
 
-    /// Shared traffic statistics of the whole world.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
     /// The fault-injection domain of this rank's world (see
     /// [`SimWorld::fault_domain`]).
-    pub fn fault_domain(&self) -> u64 {
+    pub(crate) fn fault_domain(&self) -> u64 {
         self.shared.fault_domain
     }
 
@@ -753,7 +748,7 @@ impl Communicator {
 
 /// Ranks blocked at stall-detection time, each paired with the operation it
 /// was parked on (if still claimed when the report was captured).
-pub type BlockedRanks = Vec<(usize, Option<PendingOp>)>;
+type BlockedRanks = Vec<(usize, Option<PendingOp>)>;
 
 /// A structured account of why a world run failed — the raw material fault
 /// supervisors classify (crash vs. transient stall) before deciding whether
@@ -798,11 +793,6 @@ impl SimWorld {
         })
     }
 
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.num_ranks
-    }
-
     /// Sets the worker-pool size multiplexing the rank tasks
     /// (`0` = available parallelism). Any rank count runs on any pool size —
     /// including thousands of ranks on a single worker, cooperatively.
@@ -815,7 +805,7 @@ impl SimWorld {
     /// failed run bumps the epoch so packets from the previous attempt —
     /// should any machinery ever leak them across — are rejected instead of
     /// consumed by the replayed collective schedule.
-    pub fn epoch(mut self, epoch: u64) -> Self {
+    pub(crate) fn epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
         self
     }
@@ -1010,7 +1000,7 @@ mod tests {
     #[test]
     fn world_validation() {
         assert!(SimWorld::new(0).is_err());
-        assert_eq!(SimWorld::new(4).unwrap().num_ranks(), 4);
+        assert_eq!(SimWorld::new(4).unwrap().num_ranks, 4);
     }
 
     #[test]

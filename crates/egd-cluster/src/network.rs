@@ -22,7 +22,7 @@ pub struct TorusNetwork {
 impl TorusNetwork {
     /// Creates a torus with the given dimensions, link bandwidth (GiB/s) and
     /// per-hop latency (µs).
-    pub fn new(dims: Vec<u32>, link_bandwidth_gib_s: f64, hop_latency_us: f64) -> Self {
+    pub(crate) fn new(dims: Vec<u32>, link_bandwidth_gib_s: f64, hop_latency_us: f64) -> Self {
         assert!(!dims.is_empty(), "a torus needs at least one dimension");
         assert!(
             dims.iter().all(|&d| d > 0),
@@ -43,11 +43,6 @@ impl TorusNetwork {
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.dims.iter().map(|&d| d as usize).product()
-    }
-
-    /// Per-link bandwidth in GiB/s.
-    pub fn link_bandwidth_gib_s(&self) -> f64 {
-        self.link_bandwidth_gib_s
     }
 
     /// The torus coordinates of a node index (row-major order).
@@ -97,13 +92,13 @@ impl TorusNetwork {
 
     /// Average hop count of a uniformly random pair, approximated as the sum
     /// of `d/4` per dimension (exact for even dimension sizes).
-    pub fn average_hops(&self) -> f64 {
+    pub(crate) fn average_hops(&self) -> f64 {
         self.dims.iter().map(|&d| d as f64 / 4.0).sum()
     }
 
     /// Time in microseconds for a point-to-point message of `bytes` over
     /// `hops` hops.
-    pub fn p2p_time_us(&self, bytes: usize, hops: u32) -> f64 {
+    pub(crate) fn p2p_time_us(&self, bytes: usize, hops: u32) -> f64 {
         let latency = self.hop_latency_us * hops.max(1) as f64;
         let transfer = bytes as f64 / (self.link_bandwidth_gib_s * 1024.0 * 1024.0 * 1024.0) * 1e6;
         latency + transfer
@@ -126,7 +121,7 @@ pub struct CollectiveNetwork {
 
 impl CollectiveNetwork {
     /// Creates a collective-network model.
-    pub fn new(bandwidth_gib_s: f64, stage_latency_us: f64) -> Self {
+    pub(crate) fn new(bandwidth_gib_s: f64, stage_latency_us: f64) -> Self {
         CollectiveNetwork {
             bandwidth_gib_s,
             stage_latency_us,
@@ -137,12 +132,12 @@ impl CollectiveNetwork {
     /// (`ceil(log2 P)`, at least 1). Delegates to [`crate::collective`] — the
     /// same binomial tree the simulated transport executes, so the model
     /// prices the schedule that actually runs.
-    pub fn stages(num_ranks: usize) -> u32 {
+    pub(crate) fn stages(num_ranks: usize) -> u32 {
         crate::collective::stages(num_ranks)
     }
 
     /// Time in microseconds to broadcast `bytes` to `num_ranks` ranks.
-    pub fn broadcast_time_us(&self, bytes: usize, num_ranks: usize) -> f64 {
+    pub(crate) fn broadcast_time_us(&self, bytes: usize, num_ranks: usize) -> f64 {
         let stages = Self::stages(num_ranks) as f64;
         let transfer = bytes as f64 / (self.bandwidth_gib_s * 1024.0 * 1024.0 * 1024.0) * 1e6;
         stages * self.stage_latency_us + transfer
@@ -150,14 +145,8 @@ impl CollectiveNetwork {
 
     /// Time to reduce `bytes` from `num_ranks` ranks to the root (same shape
     /// as a broadcast on this class of networks).
-    pub fn reduce_time_us(&self, bytes: usize, num_ranks: usize) -> f64 {
+    pub(crate) fn reduce_time_us(&self, bytes: usize, num_ranks: usize) -> f64 {
         self.broadcast_time_us(bytes, num_ranks)
-    }
-
-    /// Time for a full barrier across `num_ranks` ranks (an empty reduce
-    /// followed by an empty broadcast).
-    pub fn barrier_time_us(&self, num_ranks: usize) -> f64 {
-        2.0 * Self::stages(num_ranks) as f64 * self.stage_latency_us
     }
 }
 
@@ -249,7 +238,6 @@ mod tests {
         // Going from 2^10 to 2^18 ranks adds exactly 8 stages of latency.
         assert!((t256k - t1k - 8.0 * 2.0).abs() < 1e-9);
         assert_eq!(c.reduce_time_us(512, 1024), t1k);
-        assert!(c.barrier_time_us(1024) > 0.0);
     }
 
     #[test]

@@ -72,19 +72,19 @@ impl Workload {
 
     /// Returns the same workload with a different population size (used by
     /// weak-scaling sweeps).
-    pub fn with_num_ssets(mut self, num_ssets: usize) -> Self {
+    fn with_num_ssets(mut self, num_ssets: usize) -> Self {
         self.num_ssets = num_ssets;
         self
     }
 
     /// Returns the same workload with a fixed opponent sample size.
-    pub fn with_opponents_per_sset(mut self, opponents: usize) -> Self {
+    fn with_opponents_per_sset(mut self, opponents: usize) -> Self {
         self.opponents_per_sset = Some(opponents);
         self
     }
 
     /// Opponents each SSet plays under this workload.
-    pub fn effective_opponents(&self) -> usize {
+    fn effective_opponents(&self) -> usize {
         self.opponents_per_sset
             .unwrap_or_else(|| self.num_ssets.saturating_sub(1))
     }
@@ -173,19 +173,6 @@ impl ScalingHarness {
         )
     }
 
-    /// Overrides the rank/thread mapping.
-    pub fn with_mapping(mut self, ranks_per_node: u32, threads_per_rank: u32) -> Self {
-        self.ranks_per_node = ranks_per_node;
-        self.threads_per_rank = threads_per_rank;
-        self
-    }
-
-    /// Overrides the optimisation level.
-    pub fn with_level(mut self, level: OptimizationLevel) -> Self {
-        self.level = level;
-        self
-    }
-
     /// Enables sub-SSet work splitting for `R < 1` with the given overhead
     /// penalty (>= 1). Used for the very large strong-scaling runs (Fig. 6b).
     pub fn with_sset_splitting(mut self, penalty: f64) -> Self {
@@ -193,18 +180,12 @@ impl ScalingHarness {
         self
     }
 
-    /// The machine being modelled.
-    pub fn machine(&self) -> &MachineSpec {
-        &self.machine
-    }
-
-    /// The optimisation level being modelled.
-    pub fn level(&self) -> OptimizationLevel {
-        self.level
-    }
-
     /// Builds the topology for a given processor count.
-    pub fn topology(&self, processors: usize, num_ssets: usize) -> EgdResult<ClusterTopology> {
+    pub(crate) fn topology(
+        &self,
+        processors: usize,
+        num_ssets: usize,
+    ) -> EgdResult<ClusterTopology> {
         if processors == 0 {
             return Err(EgdError::InvalidTopology {
                 reason: "processor count must be positive".to_string(),
@@ -600,16 +581,15 @@ mod tests {
 
     #[test]
     fn optimisation_level_changes_estimates() {
-        let base = ScalingHarness::blue_gene_p();
-        let original = base
-            .clone()
-            .with_level(OptimizationLevel::ORIGINAL)
-            .estimate(256, &workload(4096, MemoryDepth::ONE))
-            .unwrap();
-        let optimised = base
-            .with_level(OptimizationLevel::INSTRUCTION)
-            .estimate(256, &workload(4096, MemoryDepth::ONE))
-            .unwrap();
+        let at = |level| {
+            let mut harness = ScalingHarness::blue_gene_p();
+            harness.level = level;
+            harness
+                .estimate(256, &workload(4096, MemoryDepth::ONE))
+                .unwrap()
+        };
+        let original = at(OptimizationLevel::ORIGINAL);
+        let optimised = at(OptimizationLevel::INSTRUCTION);
         assert!(original.total_seconds > optimised.total_seconds);
         assert!(original.comm_seconds > optimised.comm_seconds);
     }

@@ -55,12 +55,6 @@ impl ScheduledConfig {
         self.threads = threads;
         self
     }
-
-    /// Sets the fitness mode.
-    pub fn fitness_mode(mut self, mode: FitnessMode) -> Self {
-        self.fitness_mode = mode;
-        self
-    }
 }
 
 /// Summary of a completed scheduled run.
@@ -103,11 +97,6 @@ impl ScheduledExecutor {
     /// The simulation configuration.
     pub fn sim_config(&self) -> &SimulationConfig {
         &self.sim_config
-    }
-
-    /// The scheduled configuration.
-    pub fn sched_config(&self) -> &ScheduledConfig {
-        &self.sched_config
     }
 
     /// Runs the full simulation, executing every rank's game-play phase as a

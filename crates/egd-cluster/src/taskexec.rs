@@ -173,7 +173,7 @@ impl Future for YieldNow {
 /// blocked task indices *at detection time*, while the suspended futures (and
 /// whatever diagnostic state they hold, e.g. pending-operation records) are
 /// still alive — by the time `run_tasks` returns they have been dropped.
-pub fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
+pub(crate) fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
     workers: usize,
     tasks: Vec<TaskFuture<R>>,
     on_stall: F,

@@ -76,32 +76,27 @@ impl ClusterTopology {
     }
 
     /// The machine description.
-    pub fn machine(&self) -> &MachineSpec {
+    pub(crate) fn machine(&self) -> &MachineSpec {
         &self.machine
     }
 
     /// Number of worker ranks (excluding the Nature Agent).
-    pub fn worker_ranks(&self) -> usize {
+    pub(crate) fn worker_ranks(&self) -> usize {
         self.worker_ranks
     }
 
     /// Total ranks including the Nature Agent.
-    pub fn total_ranks(&self) -> usize {
+    pub(crate) fn total_ranks(&self) -> usize {
         self.worker_ranks + 1
     }
 
-    /// MPI ranks per node.
-    pub fn ranks_per_node(&self) -> u32 {
-        self.ranks_per_node
-    }
-
     /// Threads per rank.
-    pub fn threads_per_rank(&self) -> u32 {
+    pub(crate) fn threads_per_rank(&self) -> u32 {
         self.threads_per_rank
     }
 
     /// Number of SSets in the population.
-    pub fn num_ssets(&self) -> usize {
+    pub(crate) fn num_ssets(&self) -> usize {
         self.num_ssets
     }
 
@@ -110,19 +105,13 @@ impl ClusterTopology {
         self.total_ranks().div_ceil(self.ranks_per_node as usize)
     }
 
-    /// The "processor" count in the paper's sense (cores occupied by worker
-    /// ranks and their threads).
-    pub fn processors(&self) -> usize {
-        self.worker_ranks * self.threads_per_rank as usize
-    }
-
     /// The SSet-to-processor ratio `R` of Table VI.
-    pub fn ssets_per_processor(&self) -> f64 {
+    pub(crate) fn ssets_per_processor(&self) -> f64 {
         self.num_ssets as f64 / self.worker_ranks as f64
     }
 
     /// The SSet ownership map over the worker ranks.
-    pub fn partition(&self) -> SSetPartition {
+    pub(crate) fn partition(&self) -> SSetPartition {
         SSetPartition::new(self.num_ssets, self.worker_ranks)
             .expect("worker_ranks validated to be non-zero")
     }
@@ -130,7 +119,7 @@ impl ClusterTopology {
     /// Number of SSets owned by the most loaded worker rank. When `R < 1`
     /// this stays at 1, which is exactly the load imbalance that degrades
     /// strong scaling in Fig. 4 / Fig. 6b.
-    pub fn max_ssets_per_rank(&self) -> usize {
+    pub(crate) fn max_ssets_per_rank(&self) -> usize {
         self.partition().max_block_len()
     }
 
@@ -164,11 +153,10 @@ mod tests {
     #[test]
     fn blue_gene_presets() {
         let bgp = ClusterTopology::blue_gene_p_virtual_node(1024, 4096 * 1024).unwrap();
-        assert_eq!(bgp.ranks_per_node(), 4);
+        assert_eq!(bgp.ranks_per_node, 4);
         assert_eq!(bgp.threads_per_rank(), 1);
-        assert_eq!(bgp.processors(), 1024);
         let bgq = ClusterTopology::blue_gene_q_hybrid(512, 4096 * 512).unwrap();
-        assert_eq!(bgq.ranks_per_node(), 32);
+        assert_eq!(bgq.ranks_per_node, 32);
         assert_eq!(bgq.threads_per_rank(), 2);
         assert_eq!(bgq.ssets_per_processor(), 4096.0);
     }

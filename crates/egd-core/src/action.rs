@@ -17,9 +17,6 @@ pub enum Move {
 }
 
 impl Move {
-    /// All moves, in bit order (`C`, then `D`).
-    pub const ALL: [Move; 2] = [Move::Cooperate, Move::Defect];
-
     /// The bit encoding of this move: `0` for cooperate, `1` for defect.
     #[inline]
     pub const fn bit(self) -> u8 {
@@ -31,7 +28,7 @@ impl Move {
 
     /// Builds a move from its bit encoding (any non-zero value defects).
     #[inline]
-    pub const fn from_bit(bit: u8) -> Move {
+    pub(crate) const fn from_bit(bit: u8) -> Move {
         if bit == 0 {
             Move::Cooperate
         } else {
@@ -57,7 +54,7 @@ impl Move {
 
     /// Whether this move is a defection.
     #[inline]
-    pub const fn is_defection(self) -> bool {
+    pub(crate) const fn is_defection(self) -> bool {
         matches!(self, Move::Defect)
     }
 
@@ -65,7 +62,7 @@ impl Move {
     /// with some probability an agent plays the opposite of what its strategy
     /// prescribes.
     #[inline]
-    pub const fn flipped(self) -> Move {
+    pub(crate) const fn flipped(self) -> Move {
         match self {
             Move::Cooperate => Move::Defect,
             Move::Defect => Move::Cooperate,
@@ -74,7 +71,7 @@ impl Move {
 
     /// Single-character label used in tables and population maps (`C` / `D`).
     #[inline]
-    pub const fn symbol(self) -> char {
+    const fn symbol(self) -> char {
         match self {
             Move::Cooperate => 'C',
             Move::Defect => 'D',
@@ -111,7 +108,7 @@ mod tests {
 
     #[test]
     fn bit_round_trip() {
-        for m in Move::ALL {
+        for m in [Move::Cooperate, Move::Defect] {
             assert_eq!(Move::from_bit(m.bit()), m);
         }
     }
@@ -131,7 +128,7 @@ mod tests {
 
     #[test]
     fn flipped_is_involution() {
-        for m in Move::ALL {
+        for m in [Move::Cooperate, Move::Defect] {
             assert_eq!(m.flipped().flipped(), m);
             assert_ne!(m.flipped(), m);
         }

@@ -14,12 +14,8 @@ use serde::{Deserialize, Serialize};
 pub struct SelectionIntensity(f64);
 
 impl SelectionIntensity {
-    /// Weak selection commonly used in the evolutionary dynamics literature.
-    pub const WEAK: SelectionIntensity = SelectionIntensity(0.1);
     /// Intermediate selection (the library default).
     pub const INTERMEDIATE: SelectionIntensity = SelectionIntensity(1.0);
-    /// Strong selection: the fitter strategy is adopted almost surely.
-    pub const STRONG: SelectionIntensity = SelectionIntensity(10.0);
 
     /// Creates a selection intensity, rejecting negative or non-finite values.
     pub fn new(beta: f64) -> EgdResult<Self> {
@@ -33,7 +29,7 @@ impl SelectionIntensity {
     }
 
     /// The raw β value.
-    pub fn value(self) -> f64 {
+    pub(crate) fn value(self) -> f64 {
         self.0
     }
 }
@@ -89,7 +85,7 @@ mod tests {
 
     #[test]
     fn strong_selection_is_nearly_deterministic() {
-        let beta = SelectionIntensity::STRONG;
+        let beta = SelectionIntensity::new(10.0).unwrap();
         assert!(fermi_probability(beta, 10.0, 0.0) > 0.999);
         assert!(fermi_probability(beta, 0.0, 10.0) < 0.001);
     }
@@ -103,7 +99,7 @@ mod tests {
 
     #[test]
     fn probability_is_monotone_in_payoff_difference() {
-        let beta = SelectionIntensity::WEAK;
+        let beta = SelectionIntensity::new(0.1).unwrap();
         let mut last = 0.0;
         for diff in -10..=10 {
             let p = fermi_probability(beta, diff as f64, 0.0);

@@ -13,19 +13,19 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the mutation process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Mutation {
+pub(crate) struct Mutation {
     /// Probability that a mutation event happens in a given generation.
     pub rate: f64,
 }
 
 impl Mutation {
     /// The paper's production mutation rate, `µ = 0.05`.
-    pub fn paper_defaults() -> Self {
+    pub(crate) fn paper_defaults() -> Self {
         Mutation { rate: 0.05 }
     }
 
     /// Creates a mutation configuration, validating the rate.
-    pub fn new(rate: f64) -> EgdResult<Self> {
+    pub(crate) fn new(rate: f64) -> EgdResult<Self> {
         if !(0.0..=1.0).contains(&rate) || rate.is_nan() {
             return Err(EgdError::InvalidProbability {
                 name: "mutation_rate",
@@ -37,7 +37,7 @@ impl Mutation {
 
     /// Decides whether a mutation happens this generation and, if so,
     /// generates the new strategy and its target SSet.
-    pub fn maybe_mutate<R: Rng + ?Sized>(
+    pub(crate) fn maybe_mutate<R: Rng + ?Sized>(
         &self,
         space: &StrategySpace,
         num_ssets: usize,

@@ -38,24 +38,6 @@ impl GenerationDecision {
     pub fn changes_population(&self) -> bool {
         self.pairwise.map(|e| e.adopted).unwrap_or(false) || self.mutation.is_some()
     }
-
-    /// The SSet indices whose strategies change, in application order
-    /// (pairwise comparison first, then mutation, matching the paper's
-    /// pseudo-code).
-    pub fn changed_ssets(&self) -> Vec<usize> {
-        let mut changed = Vec::new();
-        if let Some(pc) = &self.pairwise {
-            if pc.adopted {
-                changed.push(pc.learner);
-            }
-        }
-        if let Some(m) = &self.mutation {
-            if !changed.contains(&m.sset) {
-                changed.push(m.sset);
-            }
-        }
-        changed
-    }
 }
 
 /// The Nature Agent.
@@ -65,12 +47,12 @@ pub struct NatureAgent {
     mutation: Mutation,
     space: StrategySpace,
     seed: u64,
-    fitness_scale: f64,
+    pub(crate) fitness_scale: f64,
 }
 
 impl NatureAgent {
     /// Creates a Nature Agent comparing raw fitness values (scale 1).
-    pub fn new(
+    pub(crate) fn new(
         pc: PairwiseComparison,
         mutation: Mutation,
         space: StrategySpace,
@@ -97,24 +79,9 @@ impl NatureAgent {
     /// WSLS-emergence pathway (§VI-A). [`crate::config::SimulationConfig`]
     /// therefore sets `1 / (opponents × rounds)` so the comparison happens
     /// on per-opponent-per-round payoffs.
-    pub fn with_fitness_scale(mut self, fitness_scale: f64) -> Self {
+    pub(crate) fn with_fitness_scale(mut self, fitness_scale: f64) -> Self {
         self.fitness_scale = fitness_scale;
         self
-    }
-
-    /// The factor applied to fitness values before the Fermi comparison.
-    pub fn fitness_scale(&self) -> f64 {
-        self.fitness_scale
-    }
-
-    /// The pairwise-comparison configuration.
-    pub fn pairwise_config(&self) -> &PairwiseComparison {
-        &self.pc
-    }
-
-    /// The mutation configuration.
-    pub fn mutation_config(&self) -> &Mutation {
-        &self.mutation
     }
 
     /// The strategy space mutations draw from.
@@ -203,7 +170,7 @@ mod tests {
 
     fn agent(seed: u64) -> NatureAgent {
         NatureAgent::new(
-            PairwiseComparison::new(1.0, SelectionIntensity::STRONG, true).unwrap(),
+            PairwiseComparison::new(1.0, SelectionIntensity::new(10.0).unwrap(), true).unwrap(),
             Mutation::new(0.0).unwrap(),
             StrategySpace::pure(MemoryDepth::ONE),
             seed,
@@ -276,7 +243,7 @@ mod tests {
     #[test]
     fn mutation_overrides_adoption_on_same_sset() {
         let nature = NatureAgent::new(
-            PairwiseComparison::new(0.0, SelectionIntensity::STRONG, true).unwrap(),
+            PairwiseComparison::new(0.0, SelectionIntensity::new(10.0).unwrap(), true).unwrap(),
             Mutation::new(1.0).unwrap(),
             StrategySpace::pure(MemoryDepth::ONE),
             9,
@@ -290,7 +257,6 @@ mod tests {
             .expect("mutation rate 1.0 always mutates");
         assert_eq!(population.strategy(m.sset).unwrap(), &m.strategy);
         assert!(decision.changes_population());
-        assert_eq!(decision.changed_ssets(), vec![m.sset]);
     }
 
     #[test]
@@ -310,7 +276,6 @@ mod tests {
                 strategy: StrategyKind::Pure(NamedStrategy::AlwaysDefect.to_pure()),
             }),
         };
-        assert_eq!(decision.changed_ssets(), vec![2, 3]);
         assert!(decision.changes_population());
 
         let no_adopt = GenerationDecision {
@@ -322,7 +287,6 @@ mod tests {
             mutation: None,
         };
         assert!(!no_adopt.changes_population());
-        assert!(no_adopt.changed_ssets().is_empty());
     }
 
     #[test]
@@ -346,6 +310,5 @@ mod tests {
     fn default_decision_is_empty() {
         let d = GenerationDecision::default();
         assert!(!d.changes_population());
-        assert!(d.changed_ssets().is_empty());
     }
 }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of the pairwise-comparison process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PairwiseComparison {
+pub(crate) struct PairwiseComparison {
     /// Probability that a PC event is initiated in a given generation
     /// (the paper's production runs use 0.1).
     pub rate: f64,
@@ -32,7 +32,7 @@ pub struct PairwiseComparison {
 impl PairwiseComparison {
     /// The paper's production setting: PC rate 10%, intermediate selection,
     /// teacher must be strictly better.
-    pub fn paper_defaults() -> Self {
+    pub(crate) fn paper_defaults() -> Self {
         PairwiseComparison {
             rate: 0.1,
             beta: SelectionIntensity::INTERMEDIATE,
@@ -41,7 +41,7 @@ impl PairwiseComparison {
     }
 
     /// Creates a PC configuration, validating the rate.
-    pub fn new(
+    pub(crate) fn new(
         rate: f64,
         beta: SelectionIntensity,
         require_teacher_better: bool,
@@ -66,7 +66,7 @@ impl PairwiseComparison {
     /// selected SSets to [`PairwiseComparison::resolve`]. This mirrors the
     /// paper's protocol, where only the two selected SSets send their fitness
     /// back to the Nature Agent.
-    pub fn select_pair<R: Rng + ?Sized>(
+    pub(crate) fn select_pair<R: Rng + ?Sized>(
         &self,
         num_ssets: usize,
         rng: &mut R,
@@ -88,7 +88,7 @@ impl PairwiseComparison {
 
     /// Resolves a selected pair given both fitness values: draws the Fermi
     /// coin and reports whether the learner adopts the teacher's strategy.
-    pub fn resolve<R: Rng + ?Sized>(
+    pub(crate) fn resolve<R: Rng + ?Sized>(
         &self,
         teacher: usize,
         learner: usize,
@@ -148,9 +148,11 @@ mod tests {
 
     #[test]
     fn rate_validation() {
-        assert!(PairwiseComparison::new(1.2, SelectionIntensity::WEAK, true).is_err());
-        assert!(PairwiseComparison::new(-0.1, SelectionIntensity::WEAK, true).is_err());
-        assert!(PairwiseComparison::new(0.5, SelectionIntensity::WEAK, true).is_ok());
+        assert!(PairwiseComparison::new(1.2, SelectionIntensity::new(0.1).unwrap(), true).is_err());
+        assert!(
+            PairwiseComparison::new(-0.1, SelectionIntensity::new(0.1).unwrap(), true).is_err()
+        );
+        assert!(PairwiseComparison::new(0.5, SelectionIntensity::new(0.1).unwrap(), true).is_ok());
     }
 
     #[test]
@@ -209,7 +211,8 @@ mod tests {
 
     #[test]
     fn resolve_respects_teacher_better_gate() {
-        let pc = PairwiseComparison::new(1.0, SelectionIntensity::STRONG, true).unwrap();
+        let pc =
+            PairwiseComparison::new(1.0, SelectionIntensity::new(10.0).unwrap(), true).unwrap();
         let mut rng = stream(5, StreamKind::Nature, 5);
         // Teacher worse: with the gate on, never adopted.
         for _ in 0..200 {
@@ -225,7 +228,8 @@ mod tests {
 
     #[test]
     fn resolve_without_gate_allows_worse_teacher_sometimes() {
-        let pc = PairwiseComparison::new(1.0, SelectionIntensity::WEAK, false).unwrap();
+        let pc =
+            PairwiseComparison::new(1.0, SelectionIntensity::new(0.1).unwrap(), false).unwrap();
         let mut rng = stream(6, StreamKind::Nature, 6);
         let adoptions = (0..5000)
             .filter(|_| pc.resolve(0, 1, 1.0, 2.0, &mut rng).adopted)

@@ -51,7 +51,7 @@ use crate::state::{MemoryDepth, StateIndex, StateSpace};
 use crate::strategy::{Strategy, StrategyKind};
 
 /// Number of low bits `rand` discards when drawing an `f64` (64 − 53).
-pub const DRAW_SHIFT: u32 = 11;
+pub(crate) const DRAW_SHIFT: u32 = 11;
 
 /// `2^53` as a float — the scale of the 53-bit uniform draw.
 const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
@@ -88,7 +88,7 @@ pub fn cooperation_threshold(p: f64) -> u64 {
 /// `p = 1.0`). No sentinels: the threshold for `p = 1.0` is `2^53`, which
 /// every 53-bit draw is below — exactly like `gen_bool(1.0)`.
 #[inline]
-pub fn draw_threshold(p: f64) -> u64 {
+pub(crate) fn draw_threshold(p: f64) -> u64 {
     debug_assert!(p > 0.0 && p <= 1.0, "draw_threshold needs p in (0, 1]");
     (p * TWO_POW_53).ceil() as u64
 }
@@ -132,19 +132,19 @@ impl CompiledStrategy {
 
     /// The memory depth the strategy plays at.
     #[inline]
-    pub fn memory(&self) -> MemoryDepth {
+    pub(crate) fn memory(&self) -> MemoryDepth {
         self.memory
     }
 
     /// Thresholds indexed by the player's own view.
     #[inline]
-    pub fn thresholds(&self) -> &[u64] {
+    fn thresholds(&self) -> &[u64] {
         &self.thr
     }
 
     /// Thresholds indexed by the *opponent's* view (perspective-swapped).
     #[inline]
-    pub fn swapped_thresholds(&self) -> &[u64] {
+    fn swapped_thresholds(&self) -> &[u64] {
         &self.thr_swapped
     }
 }
@@ -245,7 +245,7 @@ impl<'a> BatchedDraws<'a> {
 
     /// Number of game lanes in the batch.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lanes.len()
     }
 
@@ -257,7 +257,7 @@ impl<'a> BatchedDraws<'a> {
 
     /// Per-player table size the batch was begun with.
     #[inline]
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.num_states
     }
 
@@ -341,7 +341,9 @@ mod tests {
 
     #[test]
     fn mixed_strategies_compile_per_state() {
-        let gtft = StrategyKind::Mixed(MixedStrategy::generous_tit_for_tat(0.3).unwrap());
+        let gtft = StrategyKind::Mixed(
+            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![1.0, 0.3, 1.0, 0.3]).unwrap(),
+        );
         let compiled = CompiledStrategy::compile(&gtft);
         assert_eq!(compiled.thresholds()[0], THR_ALWAYS);
         assert_eq!(compiled.thresholds()[1], cooperation_threshold(0.3));
@@ -368,7 +370,7 @@ mod tests {
         let tft =
             CompiledStrategy::compile(&StrategyKind::Pure(NamedStrategy::TitForTat.to_pure()));
         let gtft = CompiledStrategy::compile(&StrategyKind::Mixed(
-            MixedStrategy::generous_tit_for_tat(0.3).unwrap(),
+            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![1.0, 0.3, 1.0, 0.3]).unwrap(),
         ));
         let mut batch = BatchedDraws::new();
         batch.begin(4);

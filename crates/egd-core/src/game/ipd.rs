@@ -186,7 +186,7 @@ impl Deserialize for IpdGame {
 
 impl IpdGame {
     /// The number of rounds per generation used in the paper.
-    pub const PAPER_ROUNDS: u32 = 200;
+    pub(crate) const PAPER_ROUNDS: u32 = 200;
 
     /// Creates a game with the paper's defaults: 200 rounds, payoff matrix
     /// `[3,0,4,1]`, no execution noise.
@@ -240,13 +240,8 @@ impl IpdGame {
         self.rounds
     }
 
-    /// The payoff matrix in use.
-    pub fn payoffs(&self) -> &PayoffMatrix {
-        &self.payoffs
-    }
-
     /// The execution-noise probability.
-    pub fn noise(&self) -> f64 {
+    pub(crate) fn noise(&self) -> f64 {
         self.noise
     }
 
@@ -365,7 +360,7 @@ impl IpdGame {
     ///
     /// A lane is a borrowed pairing and the raw state its per-pair stream
     /// starts at (see `egd_core::rng::substream_state`). The lanes advance
-    /// [`IpdGame::BLOCK_LANES`] at a time through the lane round loop, an odd
+    /// `IpdGame::BLOCK_LANES` at a time through the lane round loop, an odd
     /// last lane alone; `to_a[k]` receives lane `k`'s payoff to its `a` side
     /// and the lane's state is left at the game's final stream position —
     /// both bit-identical to [`IpdGame::play`] on the pairing's strategies
@@ -400,7 +395,7 @@ impl IpdGame {
     /// that won every recorded sweep (`batch_kernel/*` in
     /// `BENCH_baseline.json`): it hides most of the 128-bit-multiply
     /// latency, and wider groups spill the lane state out of registers.
-    pub const BLOCK_LANES: usize = 2;
+    const BLOCK_LANES: usize = 2;
 
     fn run_block<const NOISE: bool>(
         &self,
@@ -734,7 +729,7 @@ impl IpdGame {
     /// "each agent's current view will be the opposite of its opponent"), so
     /// a round that follows `a`'s view has to swap it before it can look up
     /// `b`'s move. Here one player of each game is replaced by its
-    /// *perspective mirror* ([`PureStrategy::mirror_into`]) and the game is
+    /// *perspective mirror* (`PureStrategy::mirror_into`) and the game is
     /// walked in the other player's view, where both moves are the same bit
     /// of two words. A mirror is built once per run of games that share the
     /// mirrored strategy: the side the previous game mirrored if this game
@@ -937,7 +932,7 @@ mod tests {
     fn paper_defaults() {
         let game = IpdGame::paper_defaults(MemoryDepth::ONE);
         assert_eq!(game.rounds(), 200);
-        assert_eq!(*game.payoffs(), PayoffMatrix::PAPER);
+        assert_eq!(game.payoffs, PayoffMatrix::PAPER);
         assert_eq!(game.noise(), 0.0);
     }
 
@@ -1241,7 +1236,9 @@ mod tests {
     #[test]
     fn compiled_kernel_matches_play_for_mixed_pairs() {
         let game = IpdGame::paper_defaults(MemoryDepth::ONE);
-        let gtft = StrategyKind::Mixed(MixedStrategy::generous_tit_for_tat(0.3).unwrap());
+        let gtft = StrategyKind::Mixed(
+            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![1.0, 0.3, 1.0, 0.3]).unwrap(),
+        );
         let alld = kind(NamedStrategy::AlwaysDefect);
         assert_compiled_matches(&game, &gtft, &alld, 3);
         assert_compiled_matches(&game, &alld, &gtft, 4);
@@ -1451,7 +1448,9 @@ mod tests {
     #[test]
     fn mixed_strategy_games_are_reproducible_with_same_stream() {
         let game = IpdGame::paper_defaults(MemoryDepth::ONE);
-        let gtft = StrategyKind::Mixed(MixedStrategy::generous_tit_for_tat(0.3).unwrap());
+        let gtft = StrategyKind::Mixed(
+            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![1.0, 0.3, 1.0, 0.3]).unwrap(),
+        );
         let alld = kind(NamedStrategy::AlwaysDefect);
         let mut rng1 = stream(9, StreamKind::GamePlay, 4);
         let mut rng2 = stream(9, StreamKind::GamePlay, 4);

@@ -72,29 +72,9 @@ impl MarkovGame {
         })
     }
 
-    /// The paper's defaults (200 rounds, `[3,0,4,1]`, no noise).
-    pub fn paper_defaults(memory: MemoryDepth) -> Self {
-        MarkovGame {
-            memory,
-            payoffs: PayoffMatrix::PAPER,
-            noise: 0.0,
-            rounds: 200,
-        }
-    }
-
     /// The memory depth.
     pub fn memory(&self) -> MemoryDepth {
         self.memory
-    }
-
-    /// The configured noise level.
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
-
-    /// Number of rounds for finite-horizon analysis.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
     }
 
     /// Effective cooperation probability after execution noise: the player
@@ -194,7 +174,7 @@ impl MarkovGame {
         next
     }
 
-    /// Exact expected payoffs of a finite game of [`MarkovGame::rounds`]
+    /// Exact expected payoffs of a finite game of `MarkovGame::rounds`
     /// rounds starting from the all-cooperation history — the analytic
     /// counterpart of [`crate::game::IpdGame::play`].
     pub fn finite_horizon(&self, a: &StrategyKind, b: &StrategyKind) -> EgdResult<ExpectedPayoffs> {
@@ -290,7 +270,7 @@ mod tests {
 
     #[test]
     fn finite_horizon_matches_simulation_for_deterministic_pairs() {
-        let markov = MarkovGame::paper_defaults(MemoryDepth::ONE);
+        let markov = MarkovGame::new(MemoryDepth::ONE, 200, PayoffMatrix::PAPER, 0.0).unwrap();
         let sim = IpdGame::paper_defaults(MemoryDepth::ONE);
         for a in NamedStrategy::ALL {
             for b in NamedStrategy::ALL {
@@ -380,7 +360,7 @@ mod tests {
 
     #[test]
     fn alld_exploits_allc_exactly() {
-        let markov = MarkovGame::paper_defaults(MemoryDepth::ONE);
+        let markov = MarkovGame::new(MemoryDepth::ONE, 200, PayoffMatrix::PAPER, 0.0).unwrap();
         let allc = kind(NamedStrategy::AlwaysCooperate);
         let alld = kind(NamedStrategy::AlwaysDefect);
         let e = markov.finite_horizon(&allc, &alld).unwrap();
@@ -393,7 +373,10 @@ mod tests {
     #[test]
     fn gtft_against_alld_cooperates_at_generosity_rate() {
         let markov = MarkovGame::new(MemoryDepth::ONE, 400, PayoffMatrix::PAPER, 0.0).unwrap();
-        let gtft = StrategyKind::Mixed(MixedStrategy::generous_tit_for_tat(0.25).unwrap());
+        let gtft = StrategyKind::Mixed(
+            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![1.0, 0.25, 1.0, 0.25])
+                .unwrap(),
+        );
         let alld = kind(NamedStrategy::AlwaysDefect);
         let e = markov.stationary(&gtft, &alld).unwrap();
         // In the long run GTFT cooperates with probability = generosity.
@@ -403,7 +386,7 @@ mod tests {
 
     #[test]
     fn memory_mismatch_rejected() {
-        let markov = MarkovGame::paper_defaults(MemoryDepth::TWO);
+        let markov = MarkovGame::new(MemoryDepth::TWO, 200, PayoffMatrix::PAPER, 0.0).unwrap();
         let tft = kind(NamedStrategy::TitForTat);
         assert!(markov.finite_horizon(&tft, &tft).is_err());
         assert!(markov.stationary(&tft, &tft).is_err());

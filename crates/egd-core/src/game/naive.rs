@@ -20,7 +20,7 @@ use crate::strategy::PureStrategy;
 /// The paper's `global states` array: every possible current view, listed in
 /// state-index order, as explicit rounds (most recent first).
 #[derive(Debug, Clone)]
-pub struct StateTable {
+struct StateTable {
     memory: MemoryDepth,
     /// `entries[s]` is the explicit history corresponding to state `s`.
     entries: Vec<Vec<RememberedRound>>,
@@ -29,7 +29,7 @@ pub struct StateTable {
 impl StateTable {
     /// Builds the state table for a memory depth (the paper's "Set up global
     /// states" initialisation step).
-    pub fn build(memory: MemoryDepth) -> Self {
+    pub(crate) fn build(memory: MemoryDepth) -> Self {
         let space = StateSpace::new(memory);
         let entries = space
             .states()
@@ -39,32 +39,17 @@ impl StateTable {
     }
 
     /// The memory depth of the table.
-    pub fn memory(&self) -> MemoryDepth {
+    pub(crate) fn memory(&self) -> MemoryDepth {
         self.memory
-    }
-
-    /// Number of entries (`4^n`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty (never true for a valid memory depth).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The paper's `find_state`: linearly scans the table for the entry that
     /// matches `view`. Cost is `O(4^n · n)` comparisons per lookup — this is
     /// exactly the cost the optimised engine removes.
-    pub fn find_state(&self, view: &[RememberedRound]) -> Option<usize> {
+    fn find_state(&self, view: &[RememberedRound]) -> Option<usize> {
         self.entries
             .iter()
             .position(|entry| entry.as_slice() == view)
-    }
-
-    /// The explicit history of state `s`.
-    pub fn entry(&self, s: usize) -> &[RememberedRound] {
-        &self.entries[s]
     }
 }
 
@@ -166,17 +151,15 @@ mod tests {
         for n in 1..=4 {
             let memory = MemoryDepth::new(n).unwrap();
             let table = StateTable::build(memory);
-            assert_eq!(table.len(), memory.num_states());
-            assert!(!table.is_empty());
+            assert_eq!(table.entries.len(), memory.num_states());
         }
     }
 
     #[test]
     fn find_state_locates_every_entry() {
         let table = StateTable::build(MemoryDepth::TWO);
-        for s in 0..table.len() {
-            let entry = table.entry(s).to_vec();
-            assert_eq!(table.find_state(&entry), Some(s));
+        for (s, entry) in table.entries.iter().enumerate() {
+            assert_eq!(table.find_state(entry), Some(s));
         }
         // A view of the wrong length is never found.
         assert_eq!(table.find_state(&[]), None);

@@ -33,7 +33,7 @@
 //! The Nature Agent changes at most two SSets a generation, so the payoff
 //! table ([`crate::payoff_table::PayoffTable`]) does not group the population
 //! afresh: it keeps the last generation's grouping in a [`KeptGrouping`] and
-//! hands it the SSets whose strategy changed ([`KeptGrouping::update`]). Each
+//! hands it the SSets whose strategy changed (`KeptGrouping::update`). Each
 //! of them leaves its old group and joins the group of its new fingerprint
 //! (found in a map from fingerprint to group, or started at the end). A
 //! joining SSet with a smaller index than the group's representative becomes
@@ -51,7 +51,7 @@
 //! [`StrategyGrouping::from_fingerprints`] and [`StrategyGrouping::keepers`]
 //! make of the same population; they stay the oracle the update is tested
 //! against. Keepers are computed the first time a caller asks for them
-//! ([`KeptGrouping::keep_keepers`]: a rank asking for its block) and kept
+//! (`KeptGrouping::keep_keepers`: a rank asking for its block) and kept
 //! from then on; a caller that only asks for the whole population never
 //! hashes one.
 
@@ -144,7 +144,7 @@ impl StrategyGrouping {
 /// Marks an SSet that is in no group yet (a [`KeptGrouping`] before its
 /// first update) and, in [`Regrouping::moved`], a group that did not exist
 /// before the update.
-pub const NO_GROUP: usize = usize::MAX;
+const NO_GROUP: usize = usize::MAX;
 
 /// A [`StrategyGrouping`] kept from one generation to the next and moved by
 /// the SSets whose strategy changed (see "A grouping kept between
@@ -162,7 +162,7 @@ pub struct KeptGrouping {
 impl KeptGrouping {
     /// `num_ssets` SSets in no group: the first [`KeptGrouping::update`]
     /// moves every one of them.
-    pub fn new(num_ssets: usize) -> Self {
+    pub(crate) fn new(num_ssets: usize) -> Self {
         KeptGrouping {
             grouping: StrategyGrouping {
                 group_of: vec![NO_GROUP; num_ssets],
@@ -184,7 +184,7 @@ impl KeptGrouping {
 
     /// Each group's keeper, computed now if they were not kept yet and kept
     /// from now on.
-    pub fn keep_keepers(&mut self) -> &[usize] {
+    pub(crate) fn keep_keepers(&mut self) -> &[usize] {
         let grouping = &self.grouping;
         self.keepers
             .get_or_insert_with(|| grouping.keepers().into_owned())
@@ -193,7 +193,7 @@ impl KeptGrouping {
     /// Moves every SSet of `moves` — `(sset, fingerprint of its strategy
     /// now)`, each SSet once — to the group of its new fingerprint, and
     /// restores first-occurrence order (see the module docs).
-    pub fn update(&mut self, moves: &[(usize, u64)]) -> Regrouping {
+    pub(crate) fn update(&mut self, moves: &[(usize, u64)]) -> Regrouping {
         let StrategyGrouping {
             group_of,
             group_rep,
@@ -329,7 +329,7 @@ impl KeptGrouping {
 /// What a [`KeptGrouping::update`] did to the group indices, for a caller
 /// that keeps something per group.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Regrouping {
+pub(crate) struct Regrouping {
     /// `None` when no group moved: each group has the index it had, and
     /// the indices past the old count are new. Otherwise `from[g]` is the
     /// index group `g` had before the update, or [`NO_GROUP`] for a group

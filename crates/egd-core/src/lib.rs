@@ -16,8 +16,8 @@
 //!   ([`SimulationConfig::agents_per_sset`]) changes no fitness.
 //! * The [`population::Population`] is the strategy view: one strategy per SSet.
 //! * The [`dynamics::NatureAgent`] evolves the population through
-//!   Fermi pairwise-comparison learning ([`dynamics::PairwiseComparison`]) and
-//!   random mutation ([`dynamics::Mutation`]).
+//!   Fermi pairwise-comparison learning (`dynamics::PairwiseComparison`) and
+//!   random mutation (`dynamics::Mutation`).
 //!
 //! The crate is purely sequential and deterministic given a seed; parallel
 //! execution lives in `egd-parallel` (shared memory) and `egd-cluster`

@@ -44,11 +44,6 @@ impl FitnessStats {
             count,
         })
     }
-
-    /// The spread between the best and worst SSet.
-    pub fn range(&self) -> f64 {
-        self.max - self.min
-    }
 }
 
 /// Wall-clock breakdown of one or more generations, mirroring the paper's
@@ -111,7 +106,6 @@ mod tests {
         assert_eq!(stats.mean, 5.0);
         assert_eq!(stats.std_dev, 0.0);
         assert_eq!(stats.count, 1);
-        assert_eq!(stats.range(), 0.0);
     }
 
     #[test]
@@ -121,7 +115,6 @@ mod tests {
         assert_eq!(stats.max, 4.0);
         assert_eq!(stats.mean, 2.5);
         assert!((stats.std_dev - (1.25f64).sqrt()).abs() < 1e-12);
-        assert_eq!(stats.range(), 3.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::fmt;
 /// Reward / Sucker / Temptation / Punishment values.
 ///
 /// The payoff is always from the perspective of the focal player:
-/// [`PayoffMatrix::payoff`]`(my_move, opponent_move)`.
+/// `PayoffMatrix::payoff(my_move, opponent_move)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PayoffMatrix {
     /// Payoff when both players cooperate (`R`).
@@ -36,14 +36,6 @@ impl PayoffMatrix {
         punishment: 1.0,
     };
 
-    /// The classic Axelrod-tournament payoffs `[R,S,T,P] = [3,0,5,1]`.
-    pub const AXELROD: PayoffMatrix = PayoffMatrix {
-        reward: 3.0,
-        sucker: 0.0,
-        temptation: 5.0,
-        punishment: 1.0,
-    };
-
     /// Creates a payoff matrix from the `[R, S, T, P]` vector.
     pub const fn new(reward: f64, sucker: f64, temptation: f64, punishment: f64) -> Self {
         PayoffMatrix {
@@ -61,7 +53,7 @@ impl PayoffMatrix {
     }
 
     /// The `[R, S, T, P]` vector of this matrix.
-    pub const fn as_rstp(&self) -> [f64; 4] {
+    const fn as_rstp(&self) -> [f64; 4] {
         [self.reward, self.sucker, self.temptation, self.punishment]
     }
 
@@ -92,7 +84,7 @@ impl PayoffMatrix {
     /// Payoff of the focal player when it plays `my_move` against
     /// `opponent_move`.
     #[inline]
-    pub fn payoff(&self, my_move: Move, opponent_move: Move) -> f64 {
+    pub(crate) fn payoff(&self, my_move: Move, opponent_move: Move) -> f64 {
         match (my_move, opponent_move) {
             (Move::Cooperate, Move::Cooperate) => self.reward,
             (Move::Cooperate, Move::Defect) => self.sucker,
@@ -110,19 +102,10 @@ impl PayoffMatrix {
         )
     }
 
-    /// Payoff indexed by the outcome's 2-bit encoding
-    /// (`my_bit * 2 + opp_bit`), handy for branch-free accumulation in the
-    /// optimised kernels.
-    #[inline]
-    pub fn payoff_by_bits(&self, my_bit: u8, opp_bit: u8) -> f64 {
-        debug_assert!(my_bit <= 1 && opp_bit <= 1);
-        self.lookup_table()[((my_bit << 1) | opp_bit) as usize]
-    }
-
     /// A 4-entry lookup table indexed by `my_bit * 2 + opp_bit`
     /// (`[R, S, T, P]` reordered to `[CC, CD, DC, DD]`).
     #[inline]
-    pub fn lookup_table(&self) -> [f64; 4] {
+    pub(crate) fn lookup_table(&self) -> [f64; 4] {
         [self.reward, self.sucker, self.temptation, self.punishment]
     }
 
@@ -136,15 +119,8 @@ impl PayoffMatrix {
             && self.punishment > self.sucker
     }
 
-    /// Whether repeated-game cooperation is collectively efficient,
-    /// i.e. `2R > T + S`. Without this condition players could do better by
-    /// alternating exploitation instead of mutually cooperating.
-    pub fn favours_mutual_cooperation(&self) -> bool {
-        2.0 * self.reward > self.temptation + self.sucker
-    }
-
     /// Validates that the payoffs are finite; returns the matrix unchanged.
-    pub fn validated(self) -> Result<Self, EgdError> {
+    pub(crate) fn validated(self) -> Result<Self, EgdError> {
         let values = self.as_rstp();
         if values.iter().all(|v| v.is_finite()) {
             Ok(self)
@@ -201,13 +177,14 @@ mod tests {
     #[test]
     fn paper_matrix_is_a_prisoners_dilemma() {
         assert!(PayoffMatrix::PAPER.is_prisoners_dilemma());
-        assert!(PayoffMatrix::AXELROD.is_prisoners_dilemma());
     }
 
     #[test]
     fn paper_matrix_favours_mutual_cooperation() {
-        // 2R = 6 > T + S = 4.
-        assert!(PayoffMatrix::PAPER.favours_mutual_cooperation());
+        // 2R = 6 > T + S = 4: alternating exploitation pays less than
+        // mutual cooperation.
+        let m = PayoffMatrix::PAPER;
+        assert!(2.0 * m.reward > m.temptation + m.sucker);
     }
 
     #[test]
@@ -222,9 +199,10 @@ mod tests {
     #[test]
     fn payoff_by_bits_matches_enum_path() {
         let m = PayoffMatrix::PAPER;
-        for my in Move::ALL {
-            for opp in Move::ALL {
-                assert_eq!(m.payoff(my, opp), m.payoff_by_bits(my.bit(), opp.bit()));
+        for my in [Move::Cooperate, Move::Defect] {
+            for opp in [Move::Cooperate, Move::Defect] {
+                let bits = (my.bit() << 1) | opp.bit();
+                assert_eq!(m.payoff(my, opp), m.lookup_table()[bits as usize]);
             }
         }
     }

@@ -13,7 +13,7 @@
 //!    returns that generation's fitness vector if nothing differs (see "A
 //!    generation that changed nothing" below); otherwise it hashes only the
 //!    SSets whose strategy differs and moves them in the grouping it kept
-//!    from that generation ([`KeptGrouping::update`]), and
+//!    from that generation (`KeptGrouping::update`), and
 //! 1. **syncs**: carries each surviving group's slot over, and maps the
 //!    groups that entered to slots by fingerprint, giving every strategy
 //!    new to the table a slot (a free one, or — only when the table is
@@ -29,11 +29,11 @@
 //!    accumulator, so that four chains of additions advance at once.
 //!
 //! The three steps after the diff are three calls, so that the games can be
-//! played where the table is not: [`PayoffTable::plan`] diffs, syncs and
+//! played where the table is not: `PayoffTable::plan` diffs, syncs and
 //! works out the list (an owned plan, with copies of the group
 //! representatives that stochastic cells read — the population is the
-//! caller's); the players read [`PayoffTable::planned`] from any thread
-//! while the table is only read; [`PayoffTable::finish`] stores and
+//! caller's); the players read `PayoffTable::planned` from any thread
+//! while the table is only read; `PayoffTable::finish` stores and
 //! reduces. [`PayoffTable::generation_fitness`] is the three in one call,
 //! for callers that play the list where they plan it.
 //!
@@ -134,7 +134,7 @@
 //! behind `execute` are the table's for life, as they are for the cells. An
 //! executor error drops the retained generation together with the slots.
 //! (`==` implies equal fingerprints: see
-//! [`crate::strategy::MixedStrategy::fingerprint`].)
+//! `crate::strategy::MixedStrategy::fingerprint`.)
 //!
 //! Memory follows occupancy, not capacity: the cell matrix is allocated when
 //! the first cacheable strategy arrives and grows with the number of
@@ -419,7 +419,7 @@ impl Plan {
 /// The games of one generation, in the order their payoffs are to be
 /// returned: the table's fresh games first, then the stochastic cells of the
 /// requested rows in row-major group order — a view of the pending plan and
-/// the table's slots ([`PayoffTable::planned`]).
+/// the table's slots (`PayoffTable::planned`).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedCells<'a> {
     plan: &'a Plan,
@@ -429,7 +429,7 @@ pub struct PlannedCells<'a> {
 
 impl<'a> PlannedCells<'a> {
     /// The generation's strategy grouping.
-    pub fn grouping(&self) -> &'a StrategyGrouping {
+    pub(crate) fn grouping(&self) -> &'a StrategyGrouping {
         self.plan.grouping()
     }
 
@@ -657,7 +657,7 @@ impl PayoffTable {
     }
 
     /// Number of valid cells (filled rows × occupied slots).
-    pub fn valid_cells(&self) -> usize {
+    pub(crate) fn valid_cells(&self) -> usize {
         self.slots.iter().filter(|s| s.row_filled).count() * self.slots.len()
     }
 
@@ -789,8 +789,8 @@ impl PayoffTable {
     /// matrix: `Σ_h count[h] · pay[g][h]` over the groups in first-occurrence
     /// order, minus the self-pairing: every SSet plays every other SSet.
     ///
-    /// This is [`PayoffTable::plan`], `execute` on [`PayoffTable::planned`]
-    /// and [`PayoffTable::finish`] in one call, for callers that play the
+    /// This is `PayoffTable::plan`, `execute` on `PayoffTable::planned`
+    /// and `PayoffTable::finish` in one call, for callers that play the
     /// list where they plan it.
     pub fn generation_fitness(
         &mut self,
@@ -817,7 +817,7 @@ impl PayoffTable {
     /// A plan that was never finished — its players panicked — leaves the
     /// newcomers holding slots whose cells were never stored: the next plan
     /// starts from an empty table rather than serve them.
-    pub fn plan(
+    pub(crate) fn plan(
         &mut self,
         population: &Population,
         block: Range<usize>,
@@ -1021,7 +1021,7 @@ impl PayoffTable {
 
     /// The games of the generation [`PayoffTable::plan`] planned, until it
     /// is finished.
-    pub fn planned(&self) -> Option<PlannedCells<'_>> {
+    pub(crate) fn planned(&self) -> Option<PlannedCells<'_>> {
         self.plan.as_ref().map(|plan| PlannedCells {
             plan,
             slots: &self.slots,
@@ -1039,7 +1039,7 @@ impl PayoffTable {
     ///
     /// Without a pending plan, or when `values` does not hold one result per
     /// planned game.
-    pub fn finish(&mut self, values: EgdResult<Vec<(f64, f64)>>) -> EgdResult<KeptFitness> {
+    pub(crate) fn finish(&mut self, values: EgdResult<Vec<(f64, f64)>>) -> EgdResult<KeptFitness> {
         let mut plan = self.plan.take().expect("finish follows plan");
         let values = match values {
             Ok(values) => values,

@@ -12,7 +12,7 @@
 use crate::error::{EgdError, EgdResult};
 use crate::rng::{stream, StreamKind};
 use crate::state::MemoryDepth;
-use crate::strategy::{PureStrategy, Strategy, StrategyKind, StrategySpace};
+use crate::strategy::{Strategy, StrategyKind, StrategySpace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -47,7 +47,7 @@ impl Population {
 
     /// Checks what deserialisation does not: that the population has at
     /// least two SSets and a supported memory depth, and that every strategy
-    /// has the space's memory depth and a table of that depth's length. A
+    /// has the space's memory depth and a well-formed table of that depth. A
     /// population that came from bytes must pass this before an engine
     /// indexes into it.
     pub fn validate(&self) -> EgdResult<()> {
@@ -73,7 +73,7 @@ impl Population {
             if !s.is_well_formed() {
                 return Err(EgdError::InvalidConfig {
                     reason: format!(
-                        "strategy of SSet {i} says {} but its table is not that long",
+                        "strategy of SSet {i} says {} but its table is not one of that depth",
                         s.memory()
                     ),
                 });
@@ -88,7 +88,7 @@ impl Population {
     }
 
     /// The memory depth of every strategy in the population.
-    pub fn memory(&self) -> MemoryDepth {
+    pub(crate) fn memory(&self) -> MemoryDepth {
         self.space.memory()
     }
 
@@ -103,7 +103,7 @@ impl Population {
     }
 
     /// The strategy currently assigned to an SSet.
-    pub fn strategy(&self, sset: usize) -> EgdResult<&StrategyKind> {
+    pub(crate) fn strategy(&self, sset: usize) -> EgdResult<&StrategyKind> {
         self.strategies.get(sset).ok_or(EgdError::SSetOutOfRange {
             index: sset,
             num_ssets: self.num_ssets(),
@@ -111,7 +111,7 @@ impl Population {
     }
 
     /// Replaces the strategy of an SSet (learning or mutation outcome).
-    pub fn set_strategy(&mut self, sset: usize, strategy: StrategyKind) -> EgdResult<()> {
+    pub(crate) fn set_strategy(&mut self, sset: usize, strategy: StrategyKind) -> EgdResult<()> {
         if strategy.memory() != self.memory() {
             return Err(EgdError::InvalidConfig {
                 reason: format!(
@@ -135,7 +135,7 @@ impl Population {
 
     /// Copies the strategy of `teacher` onto `learner` (the pairwise
     /// comparison learning step).
-    pub fn adopt_strategy(&mut self, learner: usize, teacher: usize) -> EgdResult<()> {
+    pub(crate) fn adopt_strategy(&mut self, learner: usize, teacher: usize) -> EgdResult<()> {
         let teacher_strategy = self.strategy(teacher)?.clone();
         self.set_strategy(learner, teacher_strategy)
     }
@@ -175,16 +175,6 @@ impl Population {
         )
     }
 
-    /// Fraction of SSets whose strategy equals the given pure strategy.
-    pub fn fraction_holding(&self, target: &PureStrategy) -> f64 {
-        let count = self
-            .strategies
-            .iter()
-            .filter(|s| s.as_pure().map(|p| p == target).unwrap_or(false))
-            .count();
-        count as f64 / self.num_ssets() as f64
-    }
-
     /// Mean cooperation probability across every state of every SSet's
     /// strategy — a coarse "how cooperative is this population" measure.
     pub fn mean_cooperation_propensity(&self) -> f64 {
@@ -215,7 +205,7 @@ pub struct CensusEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::NamedStrategy;
+    use crate::strategy::{NamedStrategy, PureStrategy};
 
     fn small_space() -> StrategySpace {
         StrategySpace::pure(MemoryDepth::ONE)
@@ -312,10 +302,6 @@ mod tests {
         let (dominant, fraction) = p.dominant_strategy();
         assert_eq!(dominant, wsls);
         assert!((fraction - 0.75).abs() < 1e-12);
-        assert!(
-            (p.fraction_holding(&NamedStrategy::WinStayLoseShift.to_pure()) - 0.75).abs() < 1e-12
-        );
-        assert_eq!(p.fraction_holding(&NamedStrategy::TitForTat.to_pure()), 0.0);
     }
 
     #[test]

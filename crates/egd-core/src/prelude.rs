@@ -9,8 +9,7 @@
 pub use crate::action::Move;
 pub use crate::config::{SimulationConfig, SimulationConfigBuilder};
 pub use crate::dynamics::{
-    fermi_probability, GenerationDecision, Mutation, MutationEvent, NatureAgent,
-    PairwiseComparison, PcEvent, SelectionIntensity,
+    fermi_probability, GenerationDecision, MutationEvent, NatureAgent, PcEvent, SelectionIntensity,
 };
 pub use crate::error::{EgdError, EgdResult};
 pub use crate::game::{CompiledStrategy, GameOutcome, IpdGame, MarkovGame};

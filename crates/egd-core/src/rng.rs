@@ -7,14 +7,13 @@
 //! its own PCG stream derived from a global seed and a logical stream
 //! identifier — never from a shared global generator.
 
-use rand::Rng;
 use rand_pcg::Pcg64Mcg;
 
 /// The random number generator used throughout the workspace.
 ///
 /// `Pcg64Mcg` is small (16 bytes of state), fast, and its output is stable
 /// across platforms and library versions, unlike `StdRng`.
-pub type SimRng = Pcg64Mcg;
+pub(crate) type SimRng = Pcg64Mcg;
 
 /// Logical purposes a random stream can serve. Mixed into the stream key so
 /// that, e.g., the Nature Agent and the noise generator of generation 17 never
@@ -37,7 +36,7 @@ impl StreamKind {
     /// Stable numeric tag mixed into the stream key — public so checkpoint
     /// snapshots can record which logical stream a saved RNG position
     /// belongs to.
-    pub fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             StreamKind::InitialStrategy => 0x01,
             StreamKind::Nature => 0x02,
@@ -79,7 +78,7 @@ pub fn stream(seed: u64, kind: StreamKind, id: u64) -> SimRng {
 /// derive many stream states in one pass (batch kernels fill a seed buffer
 /// first, then construct the generators) — `Pcg64Mcg::new` on this value is
 /// exactly the RNG [`stream`] returns.
-pub fn stream_state(seed: u64, kind: StreamKind, id: u64) -> u128 {
+fn stream_state(seed: u64, kind: StreamKind, id: u64) -> u128 {
     stream_seed(seed, kind, id) | 1
 }
 
@@ -90,17 +89,10 @@ pub fn substream(seed: u64, kind: StreamKind, id: u64, sub_id: u64) -> SimRng {
     Pcg64Mcg::new(substream_state(seed, kind, id, sub_id))
 }
 
-/// The raw 128-bit generator state of [`substream`] (see [`stream_state`]).
+/// The raw 128-bit generator state of [`substream`] (see `stream_state`).
 pub fn substream_state(seed: u64, kind: StreamKind, id: u64, sub_id: u64) -> u128 {
     let mixed = splitmix64(id ^ splitmix64(sub_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
     stream_state(seed, kind, mixed)
-}
-
-/// Draws a uniformly random `f64` in `[0, 1)` — a tiny convenience wrapper
-/// matching the paper's pseudo-code `rand` calls.
-#[inline]
-pub fn uniform01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    rng.gen::<f64>()
 }
 
 #[cfg(test)]
@@ -161,7 +153,7 @@ mod tests {
     fn uniform01_in_range() {
         let mut rng = stream(9, StreamKind::Auxiliary, 0);
         for _ in 0..1000 {
-            let x = uniform01(&mut rng);
+            let x: f64 = rng.gen();
             assert!((0.0..1.0).contains(&x));
         }
     }
@@ -170,7 +162,7 @@ mod tests {
     fn uniform01_is_roughly_uniform() {
         let mut rng = stream(11, StreamKind::Auxiliary, 0);
         let n = 20_000;
-        let mean: f64 = (0..n).map(|_| uniform01(&mut rng)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| rng.gen::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");
     }
 

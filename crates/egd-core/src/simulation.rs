@@ -427,11 +427,6 @@ impl PairEvaluator {
         })
     }
 
-    /// The fitness mode in use.
-    pub fn mode(&self) -> FitnessMode {
-        self.kernel.mode()
-    }
-
     /// The game the evaluator plays.
     pub fn game(&self) -> &IpdGame {
         self.kernel.game()
@@ -630,7 +625,7 @@ pub fn compute_generation_fitness(
 /// `Pcg64Mcg::new(state())` reconstructs the generator exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RngStreamPos {
-    /// [`StreamKind::tag`] of the stream's kind.
+    /// `StreamKind::tag` of the stream's kind.
     pub kind_tag: u64,
     /// Primary stream id (the generation index for per-generation streams).
     pub id: u64,
@@ -1234,7 +1229,7 @@ mod tests {
         sim.run_for(10).unwrap();
         assert!(sim.evaluator().cache_hits() > 0);
         assert!(sim.evaluator().cache_misses() > 0);
-        assert_eq!(sim.evaluator().mode(), FitnessMode::Simulated);
+        assert_eq!(sim.evaluator().kernel.mode(), FitnessMode::Simulated);
     }
 
     #[test]
@@ -1373,7 +1368,7 @@ mod tests {
             .generations(400)
             .mutation_rate(0.0)
             .pc_rate(1.0)
-            .beta(crate::dynamics::SelectionIntensity::STRONG)
+            .beta(crate::dynamics::SelectionIntensity::new(10.0).unwrap())
             .seed(13)
             .build()
             .unwrap();
@@ -1386,9 +1381,9 @@ mod tests {
         let mut sim =
             Simulation::with_population(config, population, FitnessMode::Simulated).unwrap();
         sim.run_for(400).unwrap();
-        let alld_fraction = sim
-            .population()
-            .fraction_holding(&NamedStrategy::AlwaysDefect.to_pure());
+        let strategies = sim.population().strategies();
+        let holders = strategies.iter().filter(|s| **s == alld).count();
+        let alld_fraction = holders as f64 / strategies.len() as f64;
         assert!(
             alld_fraction > 0.5,
             "ALLD should have spread, but holds only {alld_fraction}"
@@ -1619,6 +1614,6 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(evaluator.cache_hits(), 1);
         assert_eq!(evaluator.cached_pairs(), 1);
-        assert_eq!(evaluator.mode(), FitnessMode::ExpectedValue);
+        assert_eq!(evaluator.kernel.mode(), FitnessMode::ExpectedValue);
     }
 }

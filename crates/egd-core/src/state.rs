@@ -40,7 +40,7 @@ impl MemoryDepth {
     /// Memory-four.
     pub const FOUR: MemoryDepth = MemoryDepth(4);
     /// Memory-five.
-    pub const FIVE: MemoryDepth = MemoryDepth(5);
+    const FIVE: MemoryDepth = MemoryDepth(5);
     /// Memory-six — the deepest memory the paper could model at scale.
     pub const SIX: MemoryDepth = MemoryDepth(6);
 
@@ -136,7 +136,7 @@ pub struct RememberedRound {
 
 impl RememberedRound {
     /// Creates a remembered round.
-    pub const fn new(my_move: Move, opponent_move: Move) -> Self {
+    pub(crate) const fn new(my_move: Move, opponent_move: Move) -> Self {
         RememberedRound {
             my_move,
             opponent_move,
@@ -144,28 +144,19 @@ impl RememberedRound {
     }
 
     /// Mutual cooperation.
-    pub const fn mutual_cooperation() -> Self {
+    pub(crate) const fn mutual_cooperation() -> Self {
         RememberedRound::new(Move::Cooperate, Move::Cooperate)
-    }
-
-    /// The same round viewed from the opponent's perspective (players
-    /// swapped).
-    pub const fn swapped(self) -> Self {
-        RememberedRound {
-            my_move: self.opponent_move,
-            opponent_move: self.my_move,
-        }
     }
 
     /// Two-bit encoding `my_move * 2 + opponent_move`.
     #[inline]
-    pub const fn bits(self) -> u32 {
+    pub(crate) const fn bits(self) -> u32 {
         ((self.my_move.bit() as u32) << 1) | self.opponent_move.bit() as u32
     }
 
     /// Decodes a two-bit round encoding.
     #[inline]
-    pub const fn from_bits(bits: u32) -> Self {
+    const fn from_bits(bits: u32) -> Self {
         RememberedRound {
             my_move: Move::from_bit(((bits >> 1) & 1) as u8),
             opponent_move: Move::from_bit((bits & 1) as u8),
@@ -194,15 +185,9 @@ impl StateSpace {
         StateSpace { memory }
     }
 
-    /// The memory depth this space describes.
-    #[inline]
-    pub const fn memory(&self) -> MemoryDepth {
-        self.memory
-    }
-
     /// Number of states, `4^n`.
     #[inline]
-    pub const fn num_states(&self) -> usize {
+    pub(crate) const fn num_states(&self) -> usize {
         self.memory.num_states()
     }
 
@@ -259,7 +244,7 @@ impl StateSpace {
     }
 
     /// Validates that a state index belongs to this space.
-    pub fn check(&self, state: StateIndex) -> EgdResult<()> {
+    pub(crate) fn check(&self, state: StateIndex) -> EgdResult<()> {
         if state.index() < self.num_states() {
             Ok(())
         } else {
@@ -378,8 +363,12 @@ mod tests {
         let state = space.encode(&rounds).unwrap();
         let swapped = space.swap_perspective(state);
         let swapped_rounds = space.decode(swapped).unwrap();
-        assert_eq!(swapped_rounds[0], rounds[0].swapped());
-        assert_eq!(swapped_rounds[1], rounds[1].swapped());
+        for (swapped, round) in swapped_rounds.iter().zip(&rounds) {
+            assert_eq!(
+                *swapped,
+                RememberedRound::new(round.opponent_move, round.my_move)
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl MixedStrategy {
             });
         }
         for &p in &probs {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
+            if !is_probability(&p) {
                 return Err(EgdError::InvalidProbability {
                     name: "cooperation probability",
                     value: p,
@@ -55,73 +55,17 @@ impl MixedStrategy {
         MixedStrategy { memory, probs }
     }
 
-    /// Embeds a pure strategy as the degenerate mixed strategy (probabilities
-    /// 0 / 1).
-    pub fn from_pure(pure: &PureStrategy) -> Self {
-        let probs = pure
-            .moves()
-            .into_iter()
-            .map(|m| if m.is_cooperation() { 1.0 } else { 0.0 })
-            .collect();
-        MixedStrategy {
-            memory: pure.memory(),
-            probs,
-        }
-    }
-
-    /// "Trembles" a pure strategy: plays the prescribed move with probability
-    /// `1 - epsilon` and the opposite move with probability `epsilon`. This is
-    /// the standard way to encode execution errors directly in the strategy.
-    pub fn trembling(pure: &PureStrategy, epsilon: f64) -> EgdResult<Self> {
-        if !(0.0..=1.0).contains(&epsilon) || epsilon.is_nan() {
-            return Err(EgdError::InvalidProbability {
-                name: "epsilon",
-                value: epsilon,
-            });
-        }
-        let probs = pure
-            .moves()
-            .into_iter()
-            .map(|m| {
-                if m.is_cooperation() {
-                    1.0 - epsilon
-                } else {
-                    epsilon
-                }
-            })
-            .collect();
-        Ok(MixedStrategy {
-            memory: pure.memory(),
-            probs,
-        })
-    }
-
-    /// Generous Tit-for-Tat: a memory-one mixed strategy that always
-    /// cooperates after the opponent cooperated and forgives a defection with
-    /// probability `generosity`.
-    pub fn generous_tit_for_tat(generosity: f64) -> EgdResult<Self> {
-        if !(0.0..=1.0).contains(&generosity) || generosity.is_nan() {
-            return Err(EgdError::InvalidProbability {
-                name: "generosity",
-                value: generosity,
-            });
-        }
-        // States (my, opp): CC, CD, DC, DD — cooperate after opponent C,
-        // forgive opponent D with probability `generosity`.
-        Self::from_probabilities(MemoryDepth::ONE, vec![1.0, generosity, 1.0, generosity])
-    }
-
     /// The memory depth of this strategy.
     #[inline]
-    pub fn memory(&self) -> MemoryDepth {
+    pub(crate) fn memory(&self) -> MemoryDepth {
         self.memory
     }
 
-    /// Whether the table holds one probability per state of its memory
-    /// depth. Every constructor guarantees it; a strategy decoded from bytes
-    /// carries whatever the bytes said.
-    pub fn is_well_formed(&self) -> bool {
-        self.probs.len() == self.memory.num_states()
+    /// Whether the table holds one probability in `[0, 1]` per state of its
+    /// memory depth. Every constructor guarantees it; a strategy decoded from
+    /// bytes carries whatever the bytes said (1.5, NaN).
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.probs.len() == self.memory.num_states() && self.probs.iter().all(is_probability)
     }
 
     /// The per-state cooperation probabilities.
@@ -130,7 +74,7 @@ impl MixedStrategy {
     }
 
     /// Mean cooperation probability across states.
-    pub fn mean_cooperation(&self) -> f64 {
+    pub(crate) fn mean_cooperation(&self) -> f64 {
         self.probs.iter().sum::<f64>() / self.probs.len() as f64
     }
 
@@ -149,7 +93,7 @@ impl MixedStrategy {
     /// as a pairwise-fitness cache key. Strategies that are `==` have equal
     /// fingerprints — the payoff table's diff step relies on it — so a
     /// probability of `-0.0` hashes as `0.0`.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut hash = 0x84222325_cbf29ce4u64;
         hash ^= self.memory.steps() as u64;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
@@ -191,6 +135,11 @@ impl fmt::Display for MixedStrategy {
     }
 }
 
+/// Whether `p` is a probability: in `[0, 1]`, and so not NaN.
+fn is_probability(p: &f64) -> bool {
+    (0.0..=1.0).contains(p)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,36 +166,6 @@ mod tests {
             assert_eq!(m.cooperation_probability(StateIndex(s)), 0.25);
         }
         assert!((m.mean_cooperation() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_pure_is_deterministic() {
-        let pure = PureStrategy::from_bitstring(MemoryDepth::ONE, "0110").unwrap();
-        let mixed = MixedStrategy::from_pure(&pure);
-        assert!(mixed.is_deterministic());
-        assert_eq!(mixed.to_pure(), pure);
-    }
-
-    #[test]
-    fn trembling_flips_with_epsilon() {
-        let pure = PureStrategy::all_cooperate(MemoryDepth::ONE);
-        let trembling = MixedStrategy::trembling(&pure, 0.1).unwrap();
-        for s in 0..4u32 {
-            assert!((trembling.cooperation_probability(StateIndex(s)) - 0.9).abs() < 1e-12);
-        }
-        assert!(!trembling.is_deterministic());
-        assert!(MixedStrategy::trembling(&pure, 1.5).is_err());
-    }
-
-    #[test]
-    fn gtft_forgives() {
-        let gtft = MixedStrategy::generous_tit_for_tat(0.3).unwrap();
-        // After opponent cooperation always cooperate; after defection forgive with p=0.3.
-        assert_eq!(gtft.cooperation_probability(StateIndex(0)), 1.0); // CC
-        assert_eq!(gtft.cooperation_probability(StateIndex(1)), 0.3); // CD
-        assert_eq!(gtft.cooperation_probability(StateIndex(2)), 1.0); // DC
-        assert_eq!(gtft.cooperation_probability(StateIndex(3)), 0.3); // DD
-        assert!(MixedStrategy::generous_tit_for_tat(-0.1).is_err());
     }
 
     #[test]

@@ -72,17 +72,10 @@ impl StrategyKind {
         }
     }
 
-    /// The mixed variant, if this is a mixed strategy.
-    pub fn as_mixed(&self) -> Option<&MixedStrategy> {
-        match self {
-            StrategyKind::Mixed(m) => Some(m),
-            StrategyKind::Pure(_) => None,
-        }
-    }
-
-    /// Whether the strategy's table has the length its memory depth calls
-    /// for (see [`PureStrategy::is_well_formed`]).
-    pub fn is_well_formed(&self) -> bool {
+    /// Whether the strategy's table is one a constructor could have made:
+    /// the length its memory depth calls for, and nothing a constructor
+    /// rejects (see [`PureStrategy::is_well_formed`]).
+    pub(crate) fn is_well_formed(&self) -> bool {
         match self {
             StrategyKind::Pure(p) => p.is_well_formed(),
             StrategyKind::Mixed(m) => m.is_well_formed(),
@@ -157,7 +150,6 @@ mod tests {
         assert!(kind.is_deterministic());
         assert_eq!(kind.cooperation_probability(StateIndex(0)), 1.0);
         assert_eq!(kind.as_pure(), Some(&pure));
-        assert!(kind.as_mixed().is_none());
     }
 
     #[test]
@@ -166,8 +158,8 @@ mod tests {
         let kind: StrategyKind = mixed.clone().into();
         assert!(!kind.is_deterministic());
         assert_eq!(kind.cooperation_probability(StateIndex(2)), 0.5);
-        assert_eq!(kind.as_mixed(), Some(&mixed));
         assert!(kind.as_pure().is_none());
+        assert_eq!(kind, StrategyKind::Mixed(mixed));
     }
 
     #[test]

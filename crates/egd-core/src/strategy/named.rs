@@ -156,7 +156,7 @@ impl NamedStrategy {
 
     /// Identifies whether a pure strategy equals this named strategy at the
     /// strategy's memory depth (after lifting the named strategy if needed).
-    pub fn matches(self, strategy: &PureStrategy) -> bool {
+    pub(crate) fn matches(self, strategy: &PureStrategy) -> bool {
         match self.to_pure_with_memory(strategy.memory()) {
             Ok(lifted) => &lifted == strategy,
             Err(_) => false,
@@ -335,6 +335,11 @@ mod tests {
     fn anti_wsls_is_complement_of_wsls() {
         let wsls = NamedStrategy::WinStayLoseShift.to_pure();
         let anti = NamedStrategy::AntiWinStayLoseShift.to_pure();
-        assert_eq!(wsls.hamming_distance(&anti), 4);
+        for s in 0..4 {
+            assert_eq!(
+                anti.move_for(StateIndex(s)),
+                wsls.move_for(StateIndex(s)).flipped()
+            );
+        }
     }
 }

@@ -30,7 +30,7 @@ impl PureStrategy {
     }
 
     /// The strategy that cooperates in every state (`ALLC`).
-    pub fn all_cooperate(memory: MemoryDepth) -> Self {
+    pub(crate) fn all_cooperate(memory: MemoryDepth) -> Self {
         PureStrategy {
             memory,
             genome: vec![0u64; Self::words_for(memory.num_states())],
@@ -38,7 +38,7 @@ impl PureStrategy {
     }
 
     /// The strategy that defects in every state (`ALLD`).
-    pub fn all_defect(memory: MemoryDepth) -> Self {
+    pub(crate) fn all_defect(memory: MemoryDepth) -> Self {
         let num_states = memory.num_states();
         let mut genome = vec![u64::MAX; Self::words_for(num_states)];
         Self::mask_tail(&mut genome, num_states);
@@ -129,7 +129,7 @@ impl PureStrategy {
 
     /// Number of states the strategy covers.
     #[inline]
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.memory.num_states()
     }
 
@@ -152,7 +152,7 @@ impl PureStrategy {
     }
 
     /// The genome as a `0`/`1` string, state 0 first.
-    pub fn bitstring(&self) -> String {
+    pub(crate) fn bitstring(&self) -> String {
         (0..self.num_states() as u32)
             .map(|s| {
                 if self.move_for(StateIndex(s)).is_defection() {
@@ -170,11 +170,15 @@ impl PureStrategy {
     }
 
     /// Whether the genome holds exactly the words its memory depth calls
-    /// for. Every constructor guarantees it; a strategy decoded from bytes
-    /// carries whatever the bytes said, and must pass this before a kernel
-    /// indexes into it.
-    pub fn is_well_formed(&self) -> bool {
-        self.genome.len() == Self::words_for(self.num_states())
+    /// for, with no bit set past the last state. Every constructor
+    /// guarantees both; a strategy decoded from bytes carries whatever the
+    /// bytes said, and must pass this before a kernel indexes into it or its
+    /// fingerprint keys a cache (a stray tail bit changes the fingerprint,
+    /// not the play).
+    pub(crate) fn is_well_formed(&self) -> bool {
+        let states = self.num_states();
+        let stray_tail = |last: &u64| !states.is_multiple_of(64) && last >> (states % 64) != 0;
+        self.genome.len() == Self::words_for(states) && !self.genome.last().is_some_and(stray_tail)
     }
 
     /// Writes into `out` the genome of this strategy's *perspective mirror*:
@@ -187,7 +191,7 @@ impl PureStrategy {
     /// index. The groups above the three lowest address the word — a
     /// permutation of the words — and the three lowest a bit within it: a
     /// delta swap of every word each.
-    pub fn mirror_into(&self, out: &mut Vec<u64>) {
+    pub(crate) fn mirror_into(&self, out: &mut Vec<u64>) {
         let word_mask = self.genome.len().saturating_sub(1);
         out.clear();
         out.extend(
@@ -218,38 +222,9 @@ impl PureStrategy {
     }
 
     /// Fraction of states in which the strategy cooperates.
-    pub fn cooperation_fraction(&self) -> f64 {
+    pub(crate) fn cooperation_fraction(&self) -> f64 {
         let defections: u32 = self.genome.iter().map(|w| w.count_ones()).sum();
         1.0 - defections as f64 / self.num_states() as f64
-    }
-
-    /// Hamming distance between two strategies' genomes (number of states in
-    /// which they prescribe different moves). Panics if memories differ.
-    pub fn hamming_distance(&self, other: &PureStrategy) -> u32 {
-        assert_eq!(
-            self.memory, other.memory,
-            "hamming distance requires equal memory depths"
-        );
-        self.genome
-            .iter()
-            .zip(&other.genome)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum()
-    }
-
-    /// Flips the move of a single state, returning the mutated strategy.
-    /// Used for local-mutation experiments (a gentler alternative to the
-    /// paper's full random resampling).
-    pub fn with_flipped_state(&self, state: StateIndex) -> EgdResult<Self> {
-        if state.index() >= self.num_states() {
-            return Err(EgdError::StateOutOfRange {
-                index: state.index(),
-                num_states: self.num_states(),
-            });
-        }
-        let mut clone = self.clone();
-        clone.genome[state.index() / 64] ^= 1u64 << (state.index() % 64);
-        Ok(clone)
     }
 
     /// Lifts a strategy to a deeper memory: the lifted strategy looks only at
@@ -282,7 +257,7 @@ impl PureStrategy {
 
     /// A stable fingerprint of the genome (FNV-1a over the words), used as a
     /// pairwise-fitness cache key.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         hash ^= self.memory.steps() as u64;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
@@ -449,23 +424,6 @@ mod tests {
             mirror.mirror_into(&mut twice);
             assert_eq!(twice, strategy.genome_words(), "{memory}");
         }
-    }
-
-    #[test]
-    fn hamming_distance() {
-        let allc = PureStrategy::all_cooperate(MemoryDepth::TWO);
-        let alld = PureStrategy::all_defect(MemoryDepth::TWO);
-        assert_eq!(allc.hamming_distance(&alld), 16);
-        assert_eq!(allc.hamming_distance(&allc), 0);
-    }
-
-    #[test]
-    fn with_flipped_state() {
-        let allc = PureStrategy::all_cooperate(MemoryDepth::ONE);
-        let flipped = allc.with_flipped_state(StateIndex(2)).unwrap();
-        assert_eq!(allc.hamming_distance(&flipped), 1);
-        assert_eq!(flipped.move_for(StateIndex(2)), Move::Defect);
-        assert!(allc.with_flipped_state(StateIndex(4)).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! produced as decimal strings by a tiny built-in big-number doubling routine.
 
 use crate::error::EgdResult;
-use crate::state::{MemoryDepth, StateSpace};
+use crate::state::MemoryDepth;
 use crate::strategy::{MixedStrategy, PureStrategy, StrategyKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -51,23 +51,8 @@ impl StrategySpace {
     }
 
     /// The memory depth.
-    pub const fn memory(&self) -> MemoryDepth {
+    pub(crate) const fn memory(&self) -> MemoryDepth {
         self.memory
-    }
-
-    /// The strategy family.
-    pub const fn family(&self) -> StrategyFamily {
-        self.family
-    }
-
-    /// The state space the strategies are defined over.
-    pub const fn state_space(&self) -> StateSpace {
-        StateSpace::new(self.memory)
-    }
-
-    /// Number of game states (`4^n`).
-    pub const fn num_states(&self) -> usize {
-        self.memory.num_states()
     }
 
     /// Base-2 logarithm of the number of pure strategies (`4^n`).
@@ -89,7 +74,7 @@ impl StrategySpace {
     /// Whether the pure strategy count fits in a `u64` (only memory ≤ 2 and
     /// the degenerate 64-state case of memory-3 minus one... in practice
     /// memory ≤ 2).
-    pub fn num_pure_strategies_u64(&self) -> Option<u64> {
+    fn num_pure_strategies_u64(&self) -> Option<u64> {
         let bits = self.log2_num_pure_strategies();
         if bits < 64 {
             Some(1u64 << bits)
@@ -145,7 +130,7 @@ impl StrategySpace {
 ///
 /// `k` up to a few tens of thousands is instantaneous; memory-six needs
 /// `k = 4096` (a 1,234-digit number).
-pub fn pow2_decimal(k: u64) -> String {
+fn pow2_decimal(k: u64) -> String {
     // Little-endian vector of decimal digits.
     let mut digits: Vec<u8> = vec![1];
     for _ in 0..k {

@@ -17,7 +17,7 @@ pub use egd_sched::max_over_mean as imbalance;
 /// Per-chunk weight totals of the legacy **uniform contiguous split**:
 /// `ceil(n / workers)`-item chunks, idle trailing workers excluded. This is
 /// the initial distribution a static schedule is stuck with.
-pub fn uniform_chunk_totals(weights: &[u64], workers: usize) -> Vec<u64> {
+fn uniform_chunk_totals(weights: &[u64], workers: usize) -> Vec<u64> {
     if weights.is_empty() || workers == 0 {
         return Vec::new();
     }
@@ -26,7 +26,7 @@ pub fn uniform_chunk_totals(weights: &[u64], workers: usize) -> Vec<u64> {
 }
 
 /// Per-range weight totals of an explicit partition.
-pub fn partition_totals(weights: &[u64], ranges: &[Range<usize>]) -> Vec<u64> {
+fn partition_totals(weights: &[u64], ranges: &[Range<usize>]) -> Vec<u64> {
     ranges
         .iter()
         .map(|r| weights[r.clone()].iter().sum())
@@ -44,7 +44,7 @@ pub fn static_skew(weights: &[u64], workers: usize) -> f64 {
 /// Skew factor of `weights` under the **cost-guided** partition
 /// ([`weighted_ranges`]): heaviest segment over mean segment. Empty
 /// segments (idle workers) are excluded from the mean, matching
-/// [`uniform_chunk_totals`]'s idle-worker exclusion so the two skews are
+/// `uniform_chunk_totals`'s idle-worker exclusion so the two skews are
 /// directly comparable. With honest weights this stays near 1 — the
 /// residual quantisation error the adaptive scheduler still smooths out.
 pub fn weighted_skew(weights: &[u64], workers: usize) -> f64 {

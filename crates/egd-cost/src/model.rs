@@ -8,7 +8,7 @@
 //! speed — which every execution layer now shares:
 //!
 //! * `egd-sched` sizes initial worker segments from per-item weights priced
-//!   here ([`CostModel::pair_cost_ns`]);
+//!   here (`CostModel::pair_cost_ns`);
 //! * `egd-parallel` prices its work-plan items and pair-matrix cells
 //!   ([`crate::predict`]);
 //! * `egd-cluster` adds the machine-dependent half (collective and torus
@@ -63,12 +63,12 @@ impl OptimizationLevel {
         compute: ComputeOptimization::Baseline,
     };
     /// "Comm": non-blocking fitness returns, baseline kernel.
-    pub const COMM: OptimizationLevel = OptimizationLevel {
+    const COMM: OptimizationLevel = OptimizationLevel {
         comm: CommMode::NonBlocking,
         compute: ComputeOptimization::Baseline,
     };
     /// "Compiler": non-blocking + indexed kernel.
-    pub const COMPILER: OptimizationLevel = OptimizationLevel {
+    const COMPILER: OptimizationLevel = OptimizationLevel {
         comm: CommMode::NonBlocking,
         compute: ComputeOptimization::Compiler,
     };
@@ -178,7 +178,7 @@ impl CostModel {
     /// deterministic (cacheable) pairs, a full simulated game otherwise. The
     /// unit is virtual nanoseconds on the reference core — what the
     /// scheduler's weighted partition and the virtual-time replay consume.
-    pub fn pair_cost_ns(&self, memory: MemoryDepth, rounds: u32, cached: bool) -> u64 {
+    pub(crate) fn pair_cost_ns(&self, memory: MemoryDepth, rounds: u32, cached: bool) -> u64 {
         let us = if cached {
             self.cached_pair_us
         } else {

@@ -1,7 +1,7 @@
 //! Workload cost prediction: pricing real game work items.
 //!
 //! The bridge between the abstract [`CostModel`] and the
-//! engines' actual work items. The matrix predictors ([`pair_weight_ns`] and
+//! engines' actual work items. The matrix predictors (`pair_weight_ns` and
 //! what is built on it) are **steady-state**: a deterministic pair is priced
 //! as a read of the engines' retained payoff matrix
 //! ([`CostModel::cached_pair_us`](crate::CostModel) — it is played once,
@@ -25,12 +25,7 @@ use std::collections::HashSet;
 /// Predicted steady-state cost (ns) of one pair payoff between `a` and `b`
 /// under `game`: a retained-matrix read when the pairing is deterministic
 /// (pure vs pure, noise-free), a full simulated game otherwise.
-pub fn pair_weight_ns(
-    model: &CostModel,
-    game: &IpdGame,
-    a: &StrategyKind,
-    b: &StrategyKind,
-) -> u64 {
+fn pair_weight_ns(model: &CostModel, game: &IpdGame, a: &StrategyKind, b: &StrategyKind) -> u64 {
     model.pair_cost_ns(
         game.memory(),
         game.rounds(),

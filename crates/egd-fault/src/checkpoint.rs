@@ -44,16 +44,6 @@ impl MemoryStore {
         MemoryStore::default()
     }
 
-    /// Number of snapshots held.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the store holds no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(usize, u64), Vec<u8>>> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -119,11 +109,6 @@ impl DirStore {
         let mut store = DirStore::new(root)?;
         store.owns_root = true;
         Ok(store)
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
     }
 
     fn rank_dir(&self, rank: usize) -> PathBuf {
@@ -215,15 +200,15 @@ mod tests {
     #[test]
     fn memory_store_round_trips() {
         let store = MemoryStore::new();
-        assert!(store.is_empty());
+        assert!(store.inner.lock().unwrap().is_empty());
         exercise(&store);
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.inner.lock().unwrap().len(), 4);
     }
 
     #[test]
     fn dir_store_round_trips_and_cleans_its_tempdir() {
         let store = DirStore::tempdir().unwrap();
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         exercise(&store);
         assert!(root.exists());
         drop(store);
@@ -233,7 +218,7 @@ mod tests {
     #[test]
     fn dir_store_persists_across_reopen() {
         let tempdir = DirStore::tempdir().unwrap();
-        let root = tempdir.root().join("nested");
+        let root = tempdir.root.join("nested");
         {
             let store = DirStore::new(&root).unwrap();
             store.save(3, 10, b"snapshot").unwrap();

@@ -55,16 +55,6 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
-    /// The rank a crash or stall targets, if this is a rank-scoped event.
-    pub fn target_rank(&self) -> Option<usize> {
-        match self {
-            FaultEvent::CrashAtGeneration { rank, .. } | FaultEvent::SlowRank { rank, .. } => {
-                Some(*rank)
-            }
-            _ => None,
-        }
-    }
-
     /// Short machine-readable kind name, used in reports and span payloads.
     pub fn kind_label(&self) -> &'static str {
         match self {
@@ -175,14 +165,6 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
-    /// Number of crash events in the plan.
-    pub fn crash_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::CrashAtGeneration { .. }))
-            .count()
-    }
-
     /// A bound on the attempts a supervisor needs: one per event that can
     /// fail an attempt (crashes and drops), plus the fault-free final pass.
     pub fn survivable_attempts(&self) -> u32 {
@@ -252,7 +234,6 @@ mod tests {
                 to: 1,
                 nth: 0,
             });
-        assert_eq!(plan.crash_count(), 1);
         assert_eq!(plan.survivable_attempts(), 3);
     }
 
@@ -274,11 +255,5 @@ mod tests {
         };
         assert_eq!(e.to_string(), "delay(from=1, to=2, nth=3, held=4)");
         assert_eq!(e.kind_label(), "delay");
-        assert_eq!(e.target_rank(), None);
-        let c = FaultEvent::CrashAtGeneration {
-            rank: 5,
-            generation: 6,
-        };
-        assert_eq!(c.target_rank(), Some(5));
     }
 }

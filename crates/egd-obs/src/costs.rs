@@ -20,17 +20,6 @@ pub struct CostSample {
     pub total_ns: u64,
 }
 
-impl CostSample {
-    /// Mean nanoseconds per execution (0 when unsampled).
-    pub fn mean_ns(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.samples as f64
-        }
-    }
-}
-
 /// Measured cost table keyed by `(fingerprint_a, fingerprint_b)` — the
 /// distinct-pair cell identity. Deterministically ordered.
 #[derive(Serialize, Deserialize, Clone, Debug, Default, PartialEq)]
@@ -45,24 +34,6 @@ impl MeasuredCosts {
         let sample = self.cells.entry((a, b)).or_default();
         sample.samples += 1;
         sample.total_ns += ns;
-    }
-
-    /// Mean measured nanoseconds for the `(a, b)` cell, if sampled.
-    pub fn mean_ns(&self, a: u64, b: u64) -> Option<f64> {
-        self.cells
-            .get(&(a, b))
-            .filter(|s| s.samples > 0)
-            .map(CostSample::mean_ns)
-    }
-
-    /// Number of distinct sampled cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when nothing has been sampled.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Total samples across all cells.
@@ -87,15 +58,16 @@ mod tests {
     #[test]
     fn record_and_mean() {
         let mut costs = MeasuredCosts::default();
-        assert!(costs.is_empty());
+        assert!(costs.cells.is_empty());
         costs.record(1, 2, 100);
         costs.record(1, 2, 300);
         costs.record(2, 1, 50);
-        assert_eq!(costs.len(), 2);
+        assert_eq!(costs.cells.len(), 2);
         assert_eq!(costs.total_samples(), 3);
-        assert_eq!(costs.mean_ns(1, 2), Some(200.0));
-        assert_eq!(costs.mean_ns(2, 1), Some(50.0));
-        assert_eq!(costs.mean_ns(9, 9), None);
+        let sample = |samples, total_ns| CostSample { samples, total_ns };
+        assert_eq!(costs.cells[&(1, 2)], sample(2, 400));
+        assert_eq!(costs.cells[&(2, 1)], sample(1, 50));
+        assert!(!costs.cells.contains_key(&(9, 9)));
     }
 
     #[test]
@@ -106,7 +78,11 @@ mod tests {
         b.record(1, 1, 30);
         b.record(5, 6, 7);
         a.merge(&b);
-        assert_eq!(a.mean_ns(1, 1), Some(20.0));
-        assert_eq!(a.len(), 2);
+        let both = CostSample {
+            samples: 2,
+            total_ns: 40,
+        };
+        assert_eq!(a.cells[&(1, 1)], both);
+        assert_eq!(a.cells.len(), 2);
     }
 }

@@ -35,7 +35,7 @@ pub use export::{
 pub use metrics::{GenerationMetrics, MetricsSnapshot, RunInfo, TrafficMetrics, WorkerMetrics};
 pub use span::{
     collect, current_session, disable_tracing, enable_tracing, flush_thread, join_session, now_ns,
-    record_span, set_track, tracing_enabled, SpanEvent, SpanKind, SpanTimer, TraceLog, MAX_EVENTS,
+    set_track, SpanEvent, SpanKind, SpanTimer, TraceLog,
 };
 
 use std::sync::{Mutex, MutexGuard, OnceLock};

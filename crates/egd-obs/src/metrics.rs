@@ -220,7 +220,7 @@ impl MetricsSnapshot {
     }
 
     /// Total steals across the worker table.
-    pub fn total_steals(&self) -> u64 {
+    pub(crate) fn total_steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
     }
 
@@ -230,7 +230,7 @@ impl MetricsSnapshot {
     }
 
     /// Busiest worker's accumulated busy time (nanoseconds).
-    pub fn critical_path_ns(&self) -> u64 {
+    pub(crate) fn critical_path_ns(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_ns).max().unwrap_or(0)
     }
 }

@@ -22,7 +22,7 @@
 //! pays for spans nor writes into a log it does not own.
 //!
 //! With the `trace` cargo feature disabled the recording path compiles out
-//! entirely: [`tracing_enabled`] is a constant `false`, so `SpanTimer::start`
+//! entirely: `tracing_enabled` is a constant `false`, so `SpanTimer::start`
 //! folds to `None` and `obs_span!` leaves only the wrapped body.
 
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable display name used by the exporters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanKind::BlockClaim => "block",
             SpanKind::Steal => "steal",
@@ -147,7 +147,7 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 static COLLECTOR: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 
 /// Hard ceiling on buffered events; beyond it spans are counted as dropped.
-pub const MAX_EVENTS: usize = 1 << 20;
+const MAX_EVENTS: usize = 1 << 20;
 const FLUSH_CHUNK: usize = 1024;
 
 fn clock_epoch() -> Instant {
@@ -171,7 +171,7 @@ thread_local! {
 /// With the `trace` feature off this is a constant `false` and
 /// instrumentation folds away.
 #[inline(always)]
-pub fn tracing_enabled() -> bool {
+fn tracing_enabled() -> bool {
     #[cfg(feature = "trace")]
     {
         ENABLED.load(Ordering::Relaxed) && SESSION.get() == EPOCH.load(Ordering::Relaxed)
@@ -363,14 +363,6 @@ impl SpanTimer {
         })
     }
 
-    /// The span's start timestamp — for callers that also accumulate the
-    /// measured duration elsewhere (e.g. a cost table) without a second
-    /// clock read before the work starts.
-    #[inline]
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
-    }
-
     /// Ends the span and records it with `payload`.
     #[inline]
     pub fn finish(self, payload: u64) {
@@ -381,20 +373,6 @@ impl SpanTimer {
                 .record(self.track, self.kind, payload, self.start_ns, end_ns)
         });
     }
-}
-
-/// Records a complete span with explicit timestamps on an explicit track.
-/// Used by replays and by callers that already measured the interval.
-#[inline]
-pub fn record_span(track: u32, kind: SpanKind, payload: u64, start_ns: u64, end_ns: u64) {
-    if !tracing_enabled() {
-        return;
-    }
-    LOCAL.with(|local| {
-        local
-            .borrow_mut()
-            .record(Some(track), kind, payload, start_ns, end_ns)
-    });
 }
 
 /// Wraps an expression in a span of `kind` with `payload`: the body runs
@@ -420,6 +398,18 @@ macro_rules! obs_span {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records a span with explicit endpoints on this thread.
+    fn record_span(track: u32, kind: SpanKind, payload: u64, start_ns: u64, end_ns: u64) {
+        if !tracing_enabled() {
+            return;
+        }
+        LOCAL.with(|local| {
+            local
+                .borrow_mut()
+                .record(Some(track), kind, payload, start_ns, end_ns)
+        });
+    }
     use crate::session_guard as test_lock;
 
     #[test]

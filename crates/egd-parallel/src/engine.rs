@@ -164,19 +164,6 @@ impl ParallelEngine {
         *self.last_generation.lock()
     }
 
-    /// Measured per-cell wall time keyed by `(fingerprint_a, fingerprint_b)`,
-    /// accumulated across fitness calls while span tracing is enabled. Empty
-    /// when tracing never ran. The cost layer can calibrate its predicted
-    /// cell weights against these means.
-    pub fn measured_costs(&self) -> MeasuredCosts {
-        self.measured.lock().clone()
-    }
-
-    /// Takes (and clears) the accumulated measured-cost table.
-    pub fn take_measured_costs(&self) -> MeasuredCosts {
-        std::mem::take(&mut *self.measured.lock())
-    }
-
     /// The engine's unified metrics snapshot: the workers that ran the most
     /// recent fitness computation and their table, plus pair-cache and
     /// compile counters.
@@ -484,7 +471,9 @@ mod tests {
         let engine =
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(2))
                 .unwrap();
-        assert!(engine.measured_costs().is_empty(), "nothing before tracing");
+        let samples =
+            |engine: &ParallelEngine| engine.metrics("t").counter("measured_cost_samples");
+        assert_eq!(samples(&engine), 0, "nothing before tracing");
         egd_obs::enable_tracing();
         engine.compute_fitness(&population, 0).unwrap();
         egd_obs::disable_tracing();
@@ -520,16 +509,7 @@ mod tests {
             .any(|e| e.kind == egd_obs::SpanKind::CellMatrix));
 
         // Every game's wall time landed in the fingerprint-keyed cost table.
-        let costs = engine.measured_costs();
-        assert_eq!(costs.total_samples(), games as u64);
-        let fps: Vec<u64> = StrategyGrouping::of(population.strategies())
-            .group_rep
-            .iter()
-            .map(|&i| population.strategies()[i].fingerprint())
-            .collect();
-        assert!(costs.mean_ns(fps[0], fps[0]).is_some());
-        assert!(engine.take_measured_costs().total_samples() > 0);
-        assert!(engine.measured_costs().is_empty(), "take clears the table");
+        assert_eq!(samples(&engine), games as u64);
     }
 
     #[test]

@@ -192,21 +192,6 @@ impl GameKernel {
         }
     }
 
-    /// The kernel variant.
-    pub fn variant(&self) -> KernelVariant {
-        self.variant
-    }
-
-    /// The memory depth the kernel plays at.
-    pub fn memory(&self) -> MemoryDepth {
-        self.memory
-    }
-
-    /// Rounds per game.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
     /// Plays one deterministic game between two pure strategies.
     pub fn play(&self, a: &PureStrategy, b: &PureStrategy) -> EgdResult<GameOutcome> {
         match self.variant {
@@ -403,9 +388,9 @@ mod tests {
             50,
             PayoffMatrix::PAPER,
         );
-        assert_eq!(kernel.variant(), KernelVariant::Indexed);
-        assert_eq!(kernel.memory(), MemoryDepth::TWO);
-        assert_eq!(kernel.rounds(), 50);
+        assert_eq!(kernel.variant, KernelVariant::Indexed);
+        assert_eq!(kernel.memory, MemoryDepth::TWO);
+        assert_eq!(kernel.rounds, 50);
     }
 
     #[test]

@@ -62,20 +62,9 @@ impl SSetPartition {
         Self::new(num_ssets, ranks)
     }
 
-    /// Number of SSets being partitioned.
-    pub fn num_ssets(&self) -> usize {
-        self.num_ssets
-    }
-
     /// Number of workers.
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.num_workers
-    }
-
-    /// The paper's key capacity ratio `R` = SSets per worker. Efficiency
-    /// collapses when `R < 1` (Table VI).
-    pub fn ssets_per_worker(&self) -> f64 {
-        self.num_ssets as f64 / self.num_workers as f64
     }
 
     /// The contiguous block of SSet indices owned by `worker`: an even
@@ -320,10 +309,9 @@ mod tests {
     #[test]
     fn ssets_per_worker_ratio() {
         let partition = SSetPartition::new(4096, 256).unwrap();
-        assert_eq!(partition.ssets_per_worker(), 16.0);
+        assert_eq!(partition.max_block_len(), 16);
         // The pathological R = 0.5 case of Table VI / Fig. 6b.
         let thin = SSetPartition::new(32_768, 65_536).unwrap();
-        assert_eq!(thin.ssets_per_worker(), 0.5);
         assert_eq!(thin.max_block_len(), 1);
     }
 

@@ -76,7 +76,7 @@ pub mod weighted;
 pub use scheduler::{live_helpers, map_indexed, panic_message, with_crew, Crew, SPIN_WINDOW};
 pub use simulate::{simulate_schedule, simulate_schedule_recorded, SimOutcome};
 pub use stats::{max_over_mean, SchedStats, WorkerStats};
-pub use stress::{delay_helpers, force_steals, DelayGuard, StressGuard};
+pub use stress::{force_steals, StressGuard};
 pub use weighted::{weighted_ranges, WeightedSource};
 
 use serde::{Deserialize, Serialize};

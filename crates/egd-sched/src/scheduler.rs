@@ -113,7 +113,7 @@ struct RoundParams {
     effective: usize,
     max_block: usize,
     stressed: bool,
-    /// Seed of the helper delays, while [`crate::delay_helpers`] is active.
+    /// Seed of the helper delays, while a test's `delay_helpers` is active.
     delays: Option<u64>,
 }
 
@@ -626,7 +626,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{delay_helpers, force_steals, WeightedSource};
+    use crate::stress::delay_helpers;
+    use crate::{force_steals, WeightedSource};
     use std::sync::mpsc::{channel, RecvTimeoutError};
 
     /// One round over `source` on a crew of up to `workers` workers (at

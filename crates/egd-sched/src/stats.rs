@@ -51,7 +51,7 @@ pub struct WorkerStats {
 
 impl WorkerStats {
     /// Adds another sample into this one.
-    pub fn merge(&mut self, other: &WorkerStats) {
+    fn merge(&mut self, other: &WorkerStats) {
         self.busy_ns += other.busy_ns;
         self.items += other.items;
         self.blocks += other.blocks;
@@ -84,15 +84,6 @@ impl SchedStats {
     /// parallel section (exact when workers do not exceed physical cores).
     pub fn critical_path_ns(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_ns).max().unwrap_or(0)
-    }
-
-    /// Mean per-worker busy time (nanoseconds).
-    pub fn mean_worker_ns(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
-        total as f64 / self.workers.len() as f64
     }
 
     /// Load imbalance: busiest worker over mean worker time
@@ -153,7 +144,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.critical_path_ns(), 900);
-        assert_eq!(stats.mean_worker_ns(), 700.0);
         assert!((stats.imbalance() - 900.0 / 700.0).abs() < 1e-12);
     }
 
@@ -201,6 +191,5 @@ mod tests {
         let stats = SchedStats::default();
         assert_eq!(stats.critical_path_ns(), 0);
         assert_eq!(stats.imbalance(), 1.0);
-        assert_eq!(stats.mean_worker_ns(), 0.0);
     }
 }

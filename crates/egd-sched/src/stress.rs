@@ -21,10 +21,10 @@
 //! concurrent runs that did not ask for stress merely get slower, never
 //! wrong.
 //!
-//! Beside it, [`delay_helpers`] perturbs the crew itself rather than the
-//! steal schedule: seeded sleeps before a helper claims and before it parks
-//! produce helpers that join a round late, find it closed, or park and are
-//! woken — the interleavings of the crew's round protocol.
+//! Beside it, the tests' `delay_helpers` perturbs the crew itself rather
+//! than the steal schedule: seeded sleeps before a helper claims and before
+//! it parks produce helpers that join a round late, find it closed, or park
+//! and are woken — the interleavings of the crew's round protocol.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
@@ -35,7 +35,7 @@ static ACTIVE_GUARDS: AtomicU32 = AtomicU32::new(0);
 pub(crate) const STRESS_MAX_BLOCK: usize = 2;
 
 /// Whether forced-steal stress mode is currently active.
-pub fn stress_active() -> bool {
+pub(crate) fn stress_active() -> bool {
     ACTIVE_GUARDS.load(Ordering::Relaxed) > 0
 }
 
@@ -66,29 +66,7 @@ pub(crate) fn block_delay(start: usize) -> Duration {
 static DELAY_GUARDS: AtomicU32 = AtomicU32::new(0);
 static DELAY_SEED: AtomicU64 = AtomicU64::new(0);
 
-/// Keeps seeded helper delays active while alive.
-#[derive(Debug)]
-pub struct DelayGuard(());
-
-impl Drop for DelayGuard {
-    fn drop(&mut self) {
-        DELAY_GUARDS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Activates seeded helper delays until the returned guard is dropped: a
-/// crew helper then sleeps before each claim and before it parks, for a time
-/// drawn from `seed`, the helper, the round and the claim — helpers that
-/// arrive late, leave late, miss rounds and park between them. Process-wide
-/// like [`force_steals`] (the last seed set wins), so runs that did not ask
-/// merely get slower, never wrong.
-pub fn delay_helpers(seed: u64) -> DelayGuard {
-    DELAY_SEED.store(seed, Ordering::Relaxed);
-    DELAY_GUARDS.fetch_add(1, Ordering::Relaxed);
-    DelayGuard(())
-}
-
-/// The seed of the helper delays, while [`delay_helpers`] is active.
+/// The seed of the helper delays, while a test's `delay_helpers` is active.
 pub(crate) fn helper_delays() -> Option<u64> {
     (DELAY_GUARDS.load(Ordering::Relaxed) > 0).then(|| DELAY_SEED.load(Ordering::Relaxed))
 }
@@ -110,6 +88,31 @@ pub(crate) fn helper_delay(seed: u64, worker: usize, round: u32, step: u64) -> D
     } else {
         Duration::ZERO
     }
+}
+
+/// Keeps seeded helper delays active while alive.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct DelayGuard(());
+
+#[cfg(test)]
+impl Drop for DelayGuard {
+    fn drop(&mut self) {
+        DELAY_GUARDS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Activates seeded helper delays until the returned guard is dropped: a
+/// crew helper then sleeps before each claim and before it parks, for a time
+/// drawn from `seed`, the helper, the round and the claim — helpers that
+/// arrive late, leave late, miss rounds and park between them. Process-wide
+/// like [`force_steals`] (the last seed set wins), so runs that did not ask
+/// merely get slower, never wrong.
+#[cfg(test)]
+pub(crate) fn delay_helpers(seed: u64) -> DelayGuard {
+    DELAY_SEED.store(seed, Ordering::Relaxed);
+    DELAY_GUARDS.fetch_add(1, Ordering::Relaxed);
+    DelayGuard(())
 }
 
 #[cfg(test)]

@@ -125,11 +125,6 @@ impl WeightedSource {
             prefix: prefix_sums(weights).into(),
         }
     }
-
-    /// Total predicted weight of the remaining items.
-    pub fn remaining_weight(&self) -> u64 {
-        self.prefix[self.range.end] - self.prefix[self.range.start]
-    }
 }
 
 impl WorkSource for WeightedSource {
@@ -216,6 +211,11 @@ pub(crate) fn replay_ranges(prefix: &[u64], n: usize, workers: usize) -> Vec<Ran
 mod tests {
     use super::*;
 
+    /// Total weight of the items a source still holds.
+    fn remaining_weight(source: &WeightedSource) -> u64 {
+        source.prefix[source.range.end] - source.prefix[source.range.start]
+    }
+
     fn covers_exactly_once(ranges: &[Range<usize>], n: usize) {
         let mut covered = vec![0u32; n];
         for range in ranges {
@@ -280,7 +280,7 @@ mod tests {
         // everything behind it.
         assert_eq!(source.len(), 1);
         assert_eq!(back.len(), 5);
-        assert!(source.remaining_weight() >= back.remaining_weight());
+        assert!(remaining_weight(&source) >= remaining_weight(&back));
     }
 
     #[test]
@@ -295,8 +295,8 @@ mod tests {
     fn take_front_and_pop_block_track_indices() {
         let mut source = WeightedSource::new(&[1, 2, 3, 4, 5]);
         let front = source.take_front(2);
-        assert_eq!(front.remaining_weight(), 3);
-        assert_eq!(source.remaining_weight(), 12);
+        assert_eq!(remaining_weight(&front), 3);
+        assert_eq!(remaining_weight(&source), 12);
         let block = source.pop_block(2);
         assert_eq!(WeightedSource::block_start(&block), 2);
         assert_eq!(WeightedSource::block_len(&block), 2);
@@ -312,11 +312,7 @@ mod tests {
         assert_eq!(segments.len(), 4);
         let n: usize = segments.iter().map(WorkSource::len).sum();
         assert_eq!(n, 32);
-        let max = segments
-            .iter()
-            .map(WeightedSource::remaining_weight)
-            .max()
-            .unwrap();
+        let max = segments.iter().map(remaining_weight).max().unwrap();
         let total: u64 = weights.iter().sum();
         assert!(
             max <= total / 4 + 800,

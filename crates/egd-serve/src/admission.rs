@@ -36,7 +36,7 @@ pub enum AdmissionAction {
 
 impl AdmissionAction {
     /// Stable display name for tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AdmissionAction::Admitted => "admitted",
             AdmissionAction::Queued => "queued",

@@ -24,7 +24,7 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Stable display name for tables and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             EngineKind::Sequential => "sequential",
             EngineKind::Parallel { .. } => "parallel",
@@ -123,7 +123,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Validates the pool shape.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.pool_workers == 0 {
             return Err("pool_workers must be at least 1".to_string());
         }

@@ -39,5 +39,5 @@ mod timeline;
 pub use admission::{AdmissionAction, AdmissionRecord};
 pub use config::{EngineKind, ServeConfig, SessionConfig};
 pub use manager::{ServeReport, SessionManager, SessionOutcome};
-pub use session::{SessionEvent, SessionHandle, SessionId, SessionStatus};
+pub use session::{SessionEvent, SessionHandle, SessionStatus};
 pub use timeline::serve_timeline_json;

@@ -82,17 +82,6 @@ impl SessionManager {
         })
     }
 
-    /// Replaces the cost model admission prices with.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// The checkpoint store sessions suspend/recover through.
-    pub fn store(&self) -> &Arc<dyn CheckpointStore> {
-        &self.store
-    }
-
     /// Prices `config` and submits it: the returned handle's status tells
     /// whether it was admitted, queued or rejected. Rejection is a status,
     /// not an error — the submission itself only fails on an invalid
@@ -129,13 +118,6 @@ impl SessionManager {
         self.sessions.push(Arc::clone(&shared));
         self.configs.push(config);
         Ok(SessionHandle { shared })
-    }
-
-    /// The handle of a previously submitted session.
-    pub fn handle(&self, id: SessionId) -> Option<SessionHandle> {
-        self.sessions.get(id).map(|shared| SessionHandle {
-            shared: Arc::clone(shared),
-        })
     }
 
     /// Re-admits a suspended session. Its remaining generations are

@@ -12,7 +12,7 @@ use std::task::Waker;
 /// and the timeline track.
 ///
 /// [`SessionManager`]: crate::SessionManager
-pub type SessionId = usize;
+pub(crate) type SessionId = usize;
 
 /// Where a session is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,7 +70,7 @@ impl SessionStatus {
     }
 
     /// Whether the session can still make progress in a future `run`.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(
             self,
             SessionStatus::Rejected
@@ -277,23 +277,10 @@ impl SessionHandle {
         self.shared.lock().generations_done
     }
 
-    /// Requests suspension at the next generation boundary. Takes effect
-    /// cooperatively; the session checkpoints, releases its budget charge
-    /// and parks until [`SessionManager::resume`](crate::SessionManager::resume).
-    pub fn suspend(&self) {
-        self.shared.suspend_requested.store(true, Ordering::Release);
-    }
-
     /// Requests suspension at the first boundary `>= generation` — the
     /// deterministic variant tests use to cut a run at an exact point.
     pub fn suspend_at(&self, generation: u64) {
         self.shared.suspend_at.store(generation, Ordering::Release);
-    }
-
-    /// Requests cancellation at the next generation boundary.
-    pub fn cancel(&self) {
-        self.shared.cancel_requested.store(true, Ordering::Release);
-        self.shared.wake();
     }
 
     /// Requests cancellation at the first boundary `>= generation`.
@@ -309,11 +296,6 @@ impl SessionHandle {
     /// Events lost to the bounded channel so far.
     pub fn dropped_events(&self) -> u64 {
         self.shared.events.dropped()
-    }
-
-    /// The per-session metrics snapshot accumulated so far.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.lock().metrics.clone()
     }
 
     /// The serialised final `SimulationState` of a completed session — the

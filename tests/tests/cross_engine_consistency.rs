@@ -526,3 +526,57 @@ fn a_checkpoint_with_a_short_strategy_table_is_an_error_not_a_panic() {
     let bytes = checkpoint_with_strategies(&state, &strategies);
     assert_rejected_by_every_backend(&cfg, &bytes);
 }
+
+/// A memory-one genome with a bit set past state 3: no constructor makes
+/// one, and it would give TFT a second fingerprint (a second cache key)
+/// for the same play. The decoder refuses it.
+#[test]
+fn a_checkpoint_with_a_stray_genome_bit_is_an_error_not_a_panic() {
+    let cfg = config(MemoryDepth::ONE, 0.0, 709, 10);
+    let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
+    let tft = NamedStrategy::TitForTat.to_pure();
+    // A strategy encodes as its memory tag and then its genome words.
+    let encode = |words: Vec<u64>| serde_json::to_vec(&(MemoryDepth::ONE, words)).unwrap();
+    assert_eq!(
+        encode(tft.genome_words().to_vec()),
+        serde_json::to_vec(&tft).unwrap()
+    );
+    let forged: PureStrategy =
+        serde_json::from_slice(&encode(vec![tft.genome_words()[0] | 1 << 10])).unwrap();
+    let (forged, tft) = (StrategyKind::Pure(forged), StrategyKind::Pure(tft));
+    assert_ne!(forged.fingerprint(), tft.fingerprint());
+    let mut strategies = state.population.strategies().to_vec();
+    strategies[3] = forged;
+    let bytes = checkpoint_with_strategies(&state, &strategies);
+    assert_rejected_by_every_backend(&cfg, &bytes);
+}
+
+/// A mixed table of the right length whose entries are not probabilities
+/// (`from_probabilities` rejects both): the decoder refuses it too.
+#[test]
+fn a_checkpoint_with_an_out_of_range_probability_is_an_error_not_a_panic() {
+    let cfg = SimulationConfig::builder()
+        .memory(MemoryDepth::ONE)
+        .family(StrategyFamily::Mixed)
+        .num_ssets(18)
+        .agents_per_sset(3)
+        .rounds_per_game(30)
+        .generations(10)
+        .seed(710)
+        .build()
+        .unwrap();
+    let state = Simulation::new(cfg.clone()).unwrap().checkpoint();
+    let half = MixedStrategy::uniform(MemoryDepth::ONE, 0.5).unwrap();
+    // A strategy encodes as its memory tag and then its probabilities.
+    let encode = |probs: Vec<f64>| serde_json::to_vec(&(MemoryDepth::ONE, probs)).unwrap();
+    assert_eq!(encode(vec![0.5; 4]), serde_json::to_vec(&half).unwrap());
+    for bad in [1.5, f64::NAN] {
+        assert!(MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![bad; 4]).is_err());
+        let forged: MixedStrategy =
+            serde_json::from_slice(&encode(vec![0.5, bad, 0.5, 0.5])).unwrap();
+        let mut strategies = state.population.strategies().to_vec();
+        strategies[11] = StrategyKind::Mixed(forged);
+        let bytes = checkpoint_with_strategies(&state, &strategies);
+        assert_rejected_by_every_backend(&cfg, &bytes);
+    }
+}
