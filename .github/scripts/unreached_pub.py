@@ -7,9 +7,9 @@ crate calls it. So an item that only its own crate uses should be
 code uses at all then shows up as a warning instead of staying as debt.
 
 This lists every non-test `pub` item (`fn`/`struct`/`enum`/`trait`/`type`/
-`const`/`static`, in the lines of each `crates/*/src` file before its first
-`#[cfg(test)]`, as CI's line-count table counts them) and looks for its name
-as an identifier in the non-test code outside its crate:
+`const`/`static` of each `crates/*/src` file outside its `#[cfg(test)]`
+items, as CI's line-count table counts them: `nontest.py`) and looks for its
+name as an identifier in the non-test code outside its crate:
 
   * the other crates' `src/` (comments and string literals stripped),
   * every `egd-bench` binary, the benchmark's `ledger` included,
@@ -37,6 +37,9 @@ import re
 import subprocess
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from nontest import nontest, strip  # noqa: E402  (the shared test-gate parser)
+
 ALLOW = ".github/scripts/unreached_pub.allow"
 
 TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|.", re.S)
@@ -49,46 +52,6 @@ def tracked_rust_files():
         ["git", "ls-files", "*.rs"], stdout=subprocess.PIPE, text=True, check=True
     ).stdout
     return [path for path in listing.splitlines() if os.path.isfile(path)]
-
-
-def nontest(text):
-    """The lines of a file before its first `#[cfg(test)]`."""
-    match = re.search(r"^[ \t]*#\[cfg\(test\)\]", text, re.M)
-    return text if match is None else text[: match.start()]
-
-
-LITERAL = re.compile(
-    r"//[^\n]*"  # line comment
-    r"|/\*"  # block comment (nested: walked below)
-    r"|\bb?r(#*)\".*?\"\1"  # raw string
-    r"|\"(?:\\.|[^\"\\])*\""  # string
-    r"|'(?:\\.[^']*|[^\\'])'",  # char (not a lifetime)
-    re.S,
-)
-
-BLOCK_COMMENT = re.compile(r"/\*|\*/")
-
-
-def strip(text):
-    """Comments and string/char literals blanked out, newlines kept."""
-    out, i = [], 0
-    while True:
-        match = LITERAL.search(text, i)
-        if match is None:
-            return "".join(out) + text[i:]
-        out.append(text[i : match.start()])
-        end = match.end()
-        if match.group(0) == "/*":
-            depth = 1
-            while depth and end < len(text):
-                step = BLOCK_COMMENT.search(text, end)
-                if step is None:
-                    end = len(text)
-                    break
-                depth += 1 if step.group(0) == "/*" else -1
-                end = step.end()
-        out.append(" " + "\n" * text.count("\n", match.start(), end))
-        i = end
 
 
 def identifiers(text):

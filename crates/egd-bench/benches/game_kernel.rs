@@ -2,8 +2,9 @@
 //! Fig. 3 optimisation ladder and of the Fig. 5 memory-depth cost growth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use egd_core::game::naive::NaiveIpd;
 use egd_core::prelude::*;
-use egd_parallel::kernel::{GameKernel, KernelVariant};
+use egd_core::simulation::PairKernel;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -15,28 +16,41 @@ fn random_pair(memory: MemoryDepth, seed: u64) -> (PureStrategy, PureStrategy) {
     )
 }
 
-/// Kernel-variant ladder at memory-one (Fig. 3's compute rungs).
+/// The compute rungs of Fig. 3 at memory-one: "Original" (`NaiveIpd::play`),
+/// "Compiler" (`IpdGame::play` on two pure strategies) and "Instruction"
+/// (`IpdGame::play_pure`).
 fn bench_kernel_ladder(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_ladder_memory_one");
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
     let (a, b) = random_pair(MemoryDepth::ONE, 1);
-    for variant in KernelVariant::LADDER {
-        let kernel = GameKernel::paper_defaults(variant, MemoryDepth::ONE);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(variant.label()),
-            &kernel,
-            |bench, kernel| {
-                bench.iter(|| black_box(kernel.play(black_box(&a), black_box(&b)).unwrap()));
-            },
-        );
-    }
+    let (kind_a, kind_b) = (StrategyKind::Pure(a.clone()), StrategyKind::Pure(b.clone()));
+    let naive = NaiveIpd::paper_defaults(MemoryDepth::ONE);
+    let game = IpdGame::paper_defaults(MemoryDepth::ONE);
+    // Two pure strategies draw nothing from it.
+    let mut rng = egd_core::rng::stream(1, egd_core::rng::StreamKind::Auxiliary, 1);
+    group.bench_function(BenchmarkId::from_parameter("naive"), |bench| {
+        bench.iter(|| black_box(naive.play(black_box(&a), black_box(&b)).unwrap()));
+    });
+    group.bench_function(BenchmarkId::from_parameter("indexed"), |bench| {
+        bench.iter(|| {
+            black_box(
+                game.play(black_box(&kind_a), black_box(&kind_b), &mut rng)
+                    .unwrap(),
+            )
+        });
+    });
+    group.bench_function(BenchmarkId::from_parameter("optimized"), |bench| {
+        bench.iter(|| black_box(game.play_pure(black_box(&a), black_box(&b)).unwrap()));
+    });
     group.finish();
 }
 
-/// Batched kernel play on the work-stealing scheduler: the full memory-one
-/// pure-strategy round-robin (16 x 16 pairings) as one `play_batch` call.
+/// The full memory-one pure-strategy round-robin (16 x 16 pairings) on the
+/// work-stealing scheduler: one work item per chunk of
+/// [`PairKernel::CHUNK_GAMES`] pairings, played as one block walk, the way
+/// the engines play a chunk of fresh deterministic games.
 fn bench_batched_round_robin(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_batch_round_robin");
     group
@@ -49,13 +63,21 @@ fn bench_batched_round_robin(c: &mut Criterion) {
         .iter()
         .flat_map(|a| strategies.iter().map(move |b| (a, b)))
         .collect();
-    let kernel = GameKernel::paper_defaults(KernelVariant::Optimized, MemoryDepth::ONE);
+    let blocks: Vec<_> = pairs.chunks(PairKernel::CHUNK_GAMES).collect();
+    let game = IpdGame::paper_defaults(MemoryDepth::ONE);
     for threads in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("play_batch", threads),
-            &pairs,
-            |bench, pairs| {
-                bench.iter(|| black_box(kernel.play_batch(threads, pairs).unwrap()));
+            &blocks,
+            |bench, blocks| {
+                bench.iter(|| {
+                    let played = egd_sched::map_indexed(threads, blocks.len(), |k| {
+                        let mut payoffs = vec![(0.0, 0.0); blocks[k].len()];
+                        game.play_pure_block(blocks[k], &mut payoffs)
+                            .map(|()| payoffs)
+                    });
+                    black_box(played.into_iter().collect::<EgdResult<Vec<_>>>().unwrap())
+                });
             },
         );
     }
@@ -70,12 +92,12 @@ fn bench_memory_depths(c: &mut Criterion) {
         .sample_size(20);
     for memory in MemoryDepth::PAPER_RANGE {
         let (a, b) = random_pair(memory, memory.steps() as u64);
-        let kernel = GameKernel::paper_defaults(KernelVariant::Optimized, memory);
+        let game = IpdGame::paper_defaults(memory);
         group.bench_with_input(
             BenchmarkId::from_parameter(memory.steps()),
-            &kernel,
-            |bench, kernel| {
-                bench.iter(|| black_box(kernel.play(black_box(&a), black_box(&b)).unwrap()));
+            &game,
+            |bench, game| {
+                bench.iter(|| black_box(game.play_pure(black_box(&a), black_box(&b)).unwrap()));
             },
         );
     }
@@ -96,12 +118,12 @@ fn bench_naive_by_memory(c: &mut Criterion) {
         MemoryDepth::FOUR,
     ] {
         let (a, b) = random_pair(memory, memory.steps() as u64);
-        let kernel = GameKernel::paper_defaults(KernelVariant::Naive, memory);
+        let naive = NaiveIpd::paper_defaults(memory);
         group.bench_with_input(
             BenchmarkId::from_parameter(memory.steps()),
-            &kernel,
-            |bench, kernel| {
-                bench.iter(|| black_box(kernel.play(black_box(&a), black_box(&b)).unwrap()));
+            &naive,
+            |bench, naive| {
+                bench.iter(|| black_box(naive.play(black_box(&a), black_box(&b)).unwrap()));
             },
         );
     }

@@ -8,9 +8,11 @@
 //!    4,096 SSets, 100 generations), printing total and communication time
 //!    per rung, and
 //! 2. **Measured on the host** with the real kernels (per-game wall-clock of
-//!    the naive / indexed / optimised kernels) and the real message-passing
-//!    executor (point-to-point traffic of the blocking vs non-blocking
-//!    protocol), confirming the same ordering with real code.
+//!    the three compute rungs: `NaiveIpd::play` for "Original",
+//!    `IpdGame::play` on pure strategies for "Compiler", `IpdGame::play_pure`
+//!    for "Instruction") and the real message-passing executor
+//!    (point-to-point traffic of the blocking vs non-blocking protocol),
+//!    confirming the same ordering with real code.
 //!
 //! ```text
 //! cargo run --release -p egd-bench --bin fig3_optimizations
@@ -21,8 +23,9 @@ use egd_bench::{fmt, print_table};
 use egd_cluster::cost::{CommMode, CostModel, OptimizationLevel};
 use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::perf::{ScalingHarness, Workload};
+use egd_core::game::naive::NaiveIpd;
 use egd_core::prelude::*;
-use egd_parallel::kernel::{GameKernel, KernelVariant};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn modelled_ladder() -> CsvTable {
@@ -50,26 +53,53 @@ fn modelled_ladder() -> CsvTable {
     table
 }
 
+/// Mean wall time of one `play` call over 500 calls (µs).
+fn per_game_us(mut play: impl FnMut() -> EgdResult<GameOutcome>) -> f64 {
+    let reps = 500;
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(play().expect("play"));
+    }
+    start.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
 fn measured_kernels() -> CsvTable {
-    let mut table = CsvTable::new(&["kernel", "per-game time on host (us)", "speedup vs naive"]);
+    let mut table = CsvTable::new(&[
+        "rung",
+        "kernel",
+        "per-game time on host (us)",
+        "speedup vs naive",
+    ]);
     let memory = MemoryDepth::ONE;
     let mut rng = egd_core::rng::stream(3, egd_core::rng::StreamKind::Auxiliary, 0);
     let a = PureStrategy::random(memory, &mut rng);
     let b = PureStrategy::random(memory, &mut rng);
-    let mut naive_time = 0.0;
-    for variant in KernelVariant::LADDER {
-        let kernel = GameKernel::paper_defaults(variant, memory);
-        let reps = 500;
-        let start = Instant::now();
-        for _ in 0..reps {
-            let _ = kernel.play(&a, &b).expect("play");
-        }
-        let micros = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        if variant == KernelVariant::Naive {
-            naive_time = micros;
-        }
+    let (kind_a, kind_b) = (StrategyKind::Pure(a.clone()), StrategyKind::Pure(b.clone()));
+    let naive = NaiveIpd::paper_defaults(memory);
+    let game = IpdGame::paper_defaults(memory);
+    // Two pure strategies draw nothing from `rng`.
+    let rungs = [
+        (
+            "Original",
+            "NaiveIpd::play",
+            per_game_us(|| naive.play(black_box(&a), black_box(&b))),
+        ),
+        (
+            "Compiler",
+            "IpdGame::play (pure)",
+            per_game_us(|| game.play(black_box(&kind_a), black_box(&kind_b), &mut rng)),
+        ),
+        (
+            "Instruction",
+            "IpdGame::play_pure",
+            per_game_us(|| game.play_pure(black_box(&a), black_box(&b))),
+        ),
+    ];
+    let naive_time = rungs[0].2;
+    for (rung, kernel, micros) in rungs {
         table.push_row(vec![
-            variant.label().to_string(),
+            rung.to_string(),
+            kernel.to_string(),
             fmt(micros, 3),
             fmt(naive_time / micros, 2),
         ]);

@@ -21,13 +21,12 @@ use egd_cluster::cost::{CostModel, OptimizationLevel};
 use egd_cluster::machine::MachineSpec;
 use egd_cluster::perf::{ScalingHarness, Workload};
 use egd_core::prelude::*;
-use egd_parallel::kernel::{GameKernel, KernelVariant};
 use std::time::Instant;
 
 fn main() {
     let cost = if has_flag("--calibrate") {
         println!("(calibrating the cost model against the real kernels on this host)");
-        egd_parallel::kernel::calibrated_cost_model()
+        egd_bench::kernels::calibrated_cost_model()
     } else {
         CostModel::blue_gene_like()
     };
@@ -64,7 +63,7 @@ fn main() {
     // Real measurement on the host: per-game kernel time by memory depth.
     let mut measured = CsvTable::new(&["memory steps", "states", "optimized kernel per game (us)"]);
     for memory in MemoryDepth::PAPER_RANGE {
-        let kernel = GameKernel::paper_defaults(KernelVariant::Optimized, memory);
+        let game = IpdGame::paper_defaults(memory);
         let mut rng = egd_core::rng::stream(
             9,
             egd_core::rng::StreamKind::Auxiliary,
@@ -75,7 +74,7 @@ fn main() {
         let reps = 200;
         let start = Instant::now();
         for _ in 0..reps {
-            let _ = kernel.play(&a, &b).expect("play");
+            let _ = game.play_pure(&a, &b).expect("play");
         }
         measured.push_row(vec![
             memory.steps().to_string(),

@@ -1,4 +1,5 @@
-//! Per-game kernel timings for the baseline file.
+//! Per-game kernel timings for the baseline file, and the cost model's
+//! calibration against the same kernels.
 //!
 //! The criterion micro-benchmarks (`benches/game_kernel.rs`,
 //! `benches/mixed_kernel.rs`) print to stdout only; this module measures the
@@ -8,22 +9,36 @@
 //!
 //! Two families are measured:
 //!
-//! * [`measure_pure_ladder`] — the deterministic Fig. 3 rungs
-//!   (naive → indexed → optimized) on the same memory-one random pair the
-//!   criterion ladder bench uses.
+//! * [`measure_pure_ladder`] — the deterministic compute rungs of Fig. 3
+//!   ([`ComputeOptimization`]) on the same memory-one random pair the
+//!   criterion ladder bench uses: `Baseline` ("Original") is
+//!   [`NaiveIpd::play`], `Compiler` is [`IpdGame::play`] on two pure
+//!   strategies (packed state, O(1) lookup, every round played) and
+//!   `Intrinsics` ("Instruction") is the block walk,
+//!   [`IpdGame::play_pure_block`].
 //! * [`measure_stochastic_kernel`] — the new stochastic rung: the
 //!   paper-literal `IpdGame::play` versus the compiled threshold kernel
 //!   `IpdGame::play_compiled` over the stochastic pairs of a canonical
 //!   workload's distinct-pair matrix, with identical per-pair substreams.
 //!   Both sides are asserted to produce bit-identical payoffs while being
 //!   timed, so the speedup can never come from divergent behaviour.
+//!
+//! [`calibrated_cost_model`] fits the cost model's compute coefficients to
+//! these kernels on the host.
+//!
+//! [`ComputeOptimization`]: egd_cost::ComputeOptimization
 
 use crate::skew::Workload;
-use egd_core::game::{BatchedDraws, CompiledPair, CompiledStrategy};
+use egd_core::error::EgdResult;
+use egd_core::game::naive::NaiveIpd;
+use egd_core::game::{BatchedDraws, CompiledPair, CompiledStrategy, GameOutcome, IpdGame};
+use egd_core::payoff::PayoffMatrix;
 use egd_core::rng::{stream, substream, substream_state, StreamKind};
 use egd_core::simulation::PairKernel;
-use egd_core::strategy::PureStrategy;
-use egd_parallel::{GameKernel, KernelVariant, StrategyGrouping};
+use egd_core::state::MemoryDepth;
+use egd_core::strategy::{MixedStrategy, PureStrategy, StrategyKind};
+use egd_parallel::StrategyGrouping;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One measured kernel: baseline key plus nanoseconds per game.
@@ -35,44 +50,164 @@ pub struct KernelMeasurement {
     pub ns_per_game: f64,
 }
 
-/// Times the deterministic Fig. 3 ladder (naive / indexed / optimized) at
-/// memory one over about `reps` games of the same random pair the criterion
-/// `kernel_ladder_memory_one` group benches. Every rung plays the pair the
-/// way the engines play a generation's fresh games: a
-/// [`GameKernel::play_block`] of [`PairKernel::CHUNK_GAMES`] games at a
-/// time, which on the optimised rung is one block walk.
+/// Plays `out.len()` games through `play`, one at a time: `out[k]`
+/// receives `(to_a, to_b)` of game `k`.
+fn game_by_game(
+    out: &mut [(f64, f64)],
+    mut play: impl FnMut() -> EgdResult<GameOutcome>,
+) -> EgdResult<()> {
+    for pay in out {
+        let outcome = play()?;
+        *pay = (outcome.fitness_a, outcome.fitness_b);
+    }
+    Ok(())
+}
+
+/// Times the deterministic compute rungs of Fig. 3 (baseline keys `naive`,
+/// `indexed`, `optimized`) at memory one over about `reps` games of the
+/// same random pair the criterion `kernel_ladder_memory_one` group benches.
+/// Every rung plays the pair in chunks of [`PairKernel::CHUNK_GAMES`]
+/// games, the engines' chunk: the optimised rung as one
+/// [`IpdGame::play_pure_block`], the two loops below it game by game.
 pub fn measure_pure_ladder(reps: u32) -> Vec<KernelMeasurement> {
     let mut rng = stream(1, StreamKind::Auxiliary, 0);
-    let memory = egd_core::state::MemoryDepth::ONE;
+    let memory = MemoryDepth::ONE;
     let a = PureStrategy::random(memory, &mut rng);
     let b = PureStrategy::random(memory, &mut rng);
+    let (kind_a, kind_b) = (StrategyKind::Pure(a.clone()), StrategyKind::Pure(b.clone()));
+    let naive = NaiveIpd::paper_defaults(memory);
+    let game = IpdGame::paper_defaults(memory);
     let chunk = [(&a, &b); PairKernel::CHUNK_GAMES];
     let chunks = (reps as usize).div_ceil(chunk.len()).max(1);
-    KernelVariant::LADDER
-        .into_iter()
-        .map(|variant| {
-            let kernel = GameKernel::paper_defaults(variant, memory);
-            let mut payoffs = [(0.0, 0.0); PairKernel::CHUNK_GAMES];
-            let mut sink = 0.0f64;
-            // Warm-up, then measure.
-            kernel
-                .play_block(&chunk, &mut payoffs)
-                .expect("kernel plays");
-            let start = Instant::now();
-            for _ in 0..chunks {
-                kernel
-                    .play_block(&chunk, &mut payoffs)
-                    .expect("kernel plays");
-                sink += payoffs[0].0;
-            }
-            let ns = start.elapsed().as_nanos() as f64 / (chunks * chunk.len()) as f64;
-            std::hint::black_box(sink);
-            KernelMeasurement {
-                key: format!("kernel_ladder/{}/ns_per_game", variant.label()),
-                ns_per_game: ns,
-            }
-        })
-        .collect()
+    // Two pure strategies draw nothing from it.
+    let mut draws = stream(1, StreamKind::Auxiliary, 1);
+    vec![
+        time_chunks("naive", chunks, |out| {
+            game_by_game(out, || naive.play(black_box(&a), black_box(&b)))
+        }),
+        time_chunks("indexed", chunks, |out| {
+            game_by_game(out, || {
+                game.play(black_box(&kind_a), black_box(&kind_b), &mut draws)
+            })
+        }),
+        time_chunks("optimized", chunks, |out| {
+            game.play_pure_block(black_box(&chunk), out)
+        }),
+    ]
+}
+
+/// Times `chunks` calls of `play` on a chunk of [`PairKernel::CHUNK_GAMES`]
+/// games, after one warm-up call, as the baseline entry of rung `label`.
+fn time_chunks(
+    label: &str,
+    chunks: usize,
+    mut play: impl FnMut(&mut [(f64, f64)]) -> EgdResult<()>,
+) -> KernelMeasurement {
+    let mut payoffs = [(0.0, 0.0); PairKernel::CHUNK_GAMES];
+    let mut sink = 0.0f64;
+    play(&mut payoffs).expect("kernel plays");
+    let start = Instant::now();
+    for _ in 0..chunks {
+        play(&mut payoffs).expect("kernel plays");
+        sink += payoffs[0].0;
+    }
+    let ns = start.elapsed().as_nanos() as f64 / (chunks * payoffs.len()) as f64;
+    black_box(sink);
+    KernelMeasurement {
+        key: format!("kernel_ladder/{label}/ns_per_game"),
+        ns_per_game: ns,
+    }
+}
+
+/// Calibrates the compute coefficients of a [`egd_cost::CostModel`] by
+/// timing the real kernels on the host machine (memory-one and memory-four
+/// games). Stochastic full-game work — what `round_base_us` and
+/// `round_per_state_bit_us` price — runs through the block kernel
+/// ([`IpdGame::play_block`]), so those coefficients are fitted from
+/// mixed-strategy games played exactly as the engines play a chunk of them:
+/// one block of [`PairKernel::CHUNK_GAMES`] lanes that borrow their tables,
+/// two lanes to a round loop. The naive-scan penalty comes from the gap
+/// between the ladder's "Original" rung ([`NaiveIpd::play`]) and its
+/// "Compiler" rung ([`IpdGame::play`] on pure strategies); neither has a
+/// block form. Communication coefficients keep their Blue Gene-like
+/// defaults because the host has no torus to measure.
+pub fn calibrated_cost_model() -> egd_cost::CostModel {
+    let mut model = egd_cost::CostModel::blue_gene_like();
+    let rounds = 200u32;
+
+    // Amortised µs per stochastic game through the block kernel, at the
+    // engines' chunk length.
+    let time_block = |memory: MemoryDepth| -> f64 {
+        const LANES: usize = PairKernel::CHUNK_GAMES;
+        let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0)
+            .expect("noise-free calibration parameters are always valid");
+        let mut rng = stream(1234, StreamKind::Auxiliary, 9);
+        let a = CompiledStrategy::compile(&StrategyKind::Mixed(MixedStrategy::random(
+            memory, &mut rng,
+        )));
+        let b = CompiledStrategy::compile(&StrategyKind::Mixed(MixedStrategy::random(
+            memory, &mut rng,
+        )));
+        let run = || {
+            let mut lanes: [_; LANES] = std::array::from_fn(|k| {
+                (
+                    CompiledPair::new(&a, &b),
+                    substream_state(1234, StreamKind::GamePlay, k as u64, 0),
+                )
+            });
+            let mut to_a = [0.0; LANES];
+            game.play_block(&mut lanes, &mut to_a)
+                .expect("block calibration play");
+            black_box(to_a);
+        };
+        for _ in 0..3 {
+            run();
+        }
+        let reps = 50;
+        let start = Instant::now();
+        for _ in 0..reps {
+            run();
+        }
+        start.elapsed().as_secs_f64() * 1e6 / (reps * LANES) as f64
+    };
+
+    // Amortised µs per game of one pure pair through `play`.
+    let time_game = |play: &mut dyn FnMut() -> EgdResult<GameOutcome>| -> f64 {
+        // Warm up, then time a batch.
+        for _ in 0..3 {
+            black_box(play().expect("kernel play"));
+        }
+        let reps = 50;
+        let start = Instant::now();
+        for _ in 0..reps {
+            black_box(play().expect("kernel play"));
+        }
+        start.elapsed().as_secs_f64() * 1e6 / reps as f64
+    };
+
+    let m1 = time_block(MemoryDepth::ONE);
+    let m4 = time_block(MemoryDepth::FOUR);
+    let per_round_m1 = m1 / rounds as f64;
+    let per_round_m4 = m4 / rounds as f64;
+    // Linear fit over state bits: memory-one has 2 bits, memory-four 8.
+    let slope = ((per_round_m4 - per_round_m1) / 6.0).max(0.0);
+    model.round_base_us = (per_round_m1 - 2.0 * slope).max(1e-4);
+    model.round_per_state_bit_us = slope.max(1e-5);
+
+    let memory = MemoryDepth::ONE;
+    let naive = NaiveIpd::new(memory, rounds, PayoffMatrix::PAPER);
+    let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0)
+        .expect("noise-free calibration parameters are always valid");
+    let mut rng = stream(1234, StreamKind::Auxiliary, 7);
+    let a = PureStrategy::random(memory, &mut rng);
+    let b = PureStrategy::random(memory, &mut rng);
+    let (kind_a, kind_b) = (StrategyKind::Pure(a.clone()), StrategyKind::Pure(b.clone()));
+    let naive_m1 = time_game(&mut || naive.play(black_box(&a), black_box(&b))) / rounds as f64;
+    let indexed_m1 = time_game(&mut || game.play(black_box(&kind_a), black_box(&kind_b), &mut rng))
+        / rounds as f64;
+    model.naive_scan_us_per_state =
+        ((naive_m1 - indexed_m1) / memory.num_states() as f64).max(1e-5);
+    model
 }
 
 /// Paper-literal vs compiled timings of the stochastic kernel on one
@@ -330,7 +465,7 @@ pub fn measure_batch_kernel(workload: &Workload, reps: u32) -> BatchKernelStudy 
             let outcome = game
                 .play_compiled(compiled_of(i), compiled_of(j), &mut rng)
                 .expect("compiled kernel plays");
-            std::hint::black_box(outcome);
+            black_box(outcome);
         }
         single_ns = single_ns.min(start.elapsed().as_nanos() as f64 / per_rep);
 
@@ -424,6 +559,20 @@ mod tests {
         assert!(measurements.iter().all(|m| m.ns_per_game > 0.0));
         assert!(measurements[0].key.contains("naive"));
         assert!(measurements[2].key.contains("optimized"));
+    }
+
+    #[test]
+    fn calibrated_model_is_positive_and_ordered() {
+        use egd_cost::ComputeOptimization;
+        let model = calibrated_cost_model();
+        assert!(model.round_base_us > 0.0);
+        assert!(model.round_per_state_bit_us > 0.0);
+        assert!(model.naive_scan_us_per_state > 0.0);
+        // Calibration must preserve the qualitative ladder ordering.
+        let naive = model.game_time_us(MemoryDepth::TWO, 200, ComputeOptimization::Baseline, 1.0);
+        let optimised =
+            model.game_time_us(MemoryDepth::TWO, 200, ComputeOptimization::Intrinsics, 1.0);
+        assert!(naive > optimised);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! extension trait on [`CostModel`].
 //!
 //! Host calibration of the compute coefficients (timing the real kernels)
-//! moved next to the kernels: [`egd_parallel::kernel::calibrated_cost_model`].
+//! lives with the harness that reads it: `egd_bench::kernels::calibrated_cost_model`,
+//! which `fig5_memory_steps --calibrate` runs.
 
 use crate::machine::MachineSpec;
 use crate::network::CollectiveNetwork;
@@ -247,8 +248,5 @@ mod tests {
             .map(|l| l.label())
             .collect();
         assert_eq!(labels, vec!["Original", "Comm", "Compiler", "Instruction"]);
-        let variant =
-            egd_parallel::kernel::KernelVariant::for_optimization(ComputeOptimization::Baseline);
-        assert_eq!(variant, egd_parallel::kernel::KernelVariant::Naive);
     }
 }

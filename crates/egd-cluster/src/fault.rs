@@ -42,6 +42,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Backoff before the first retry of a transient failure, in milliseconds.
+const BACKOFF_BASE_MS: u64 = 1;
+/// Backoff ceiling, in milliseconds: the backoff doubles per retry up to it.
+const BACKOFF_CAP_MS: u64 = 50;
+
 /// Configuration of the fault supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
@@ -50,11 +55,6 @@ pub struct SupervisorConfig {
     pub checkpoint_interval: u64,
     /// Maximum world attempts (first run + recoveries) before giving up.
     pub max_attempts: u32,
-    /// Initial backoff before retrying a transient failure, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, in milliseconds (the backoff doubles per retry up to
-    /// this cap).
-    pub backoff_cap_ms: u64,
     /// Fault-injection domain of the supervised worlds (must equal the armed
     /// plan's seed for faults to reach this run — see
     /// [`SimWorld::fault_domain`]). Irrelevant when nothing is armed.
@@ -66,8 +66,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             checkpoint_interval: 4,
             max_attempts: 8,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 50,
             fault_domain: 0,
         }
     }
@@ -220,7 +218,7 @@ impl SupervisedExecutor {
         let max_attempts = self.supervisor.max_attempts.max(1);
         let mut stats = FaultRecoveryStats::default();
         let mut resume: Option<SimulationState> = None;
-        let mut backoff_ms = self.supervisor.backoff_base_ms;
+        let mut backoff_ms = BACKOFF_BASE_MS;
 
         for attempt in 0..max_attempts {
             stats.attempts = attempt + 1;
@@ -293,7 +291,7 @@ impl SupervisedExecutor {
                     } else {
                         stats.retries += 1;
                         std::thread::sleep(Duration::from_millis(backoff_ms));
-                        backoff_ms = (backoff_ms * 2).min(self.supervisor.backoff_cap_ms.max(1));
+                        backoff_ms = (backoff_ms * 2).min(BACKOFF_CAP_MS);
                     }
 
                     let progressed = ctx.progress.load(Ordering::Relaxed);

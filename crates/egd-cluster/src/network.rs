@@ -35,61 +35,6 @@ impl TorusNetwork {
         }
     }
 
-    /// The dimension sizes.
-    pub fn dimensions(&self) -> &[u32] {
-        &self.dims
-    }
-
-    /// Total number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.dims.iter().map(|&d| d as usize).product()
-    }
-
-    /// The torus coordinates of a node index (row-major order).
-    pub fn coordinates(&self, node: usize) -> Vec<u32> {
-        assert!(node < self.num_nodes(), "node index out of range");
-        let mut remainder = node;
-        let mut coords = vec![0u32; self.dims.len()];
-        for (i, &d) in self.dims.iter().enumerate().rev() {
-            coords[i] = (remainder % d as usize) as u32;
-            remainder /= d as usize;
-        }
-        coords
-    }
-
-    /// The node index of torus coordinates (inverse of
-    /// [`TorusNetwork::coordinates`]).
-    pub fn node_of(&self, coords: &[u32]) -> usize {
-        assert_eq!(coords.len(), self.dims.len(), "dimension mismatch");
-        let mut node = 0usize;
-        for (i, &d) in self.dims.iter().enumerate() {
-            assert!(coords[i] < d, "coordinate out of range");
-            node = node * d as usize + coords[i] as usize;
-        }
-        node
-    }
-
-    /// Minimal hop count between two nodes (Manhattan distance with
-    /// wrap-around in every dimension).
-    pub fn hops(&self, a: usize, b: usize) -> u32 {
-        let ca = self.coordinates(a);
-        let cb = self.coordinates(b);
-        ca.iter()
-            .zip(&cb)
-            .zip(&self.dims)
-            .map(|((&x, &y), &d)| {
-                let diff = x.abs_diff(y);
-                diff.min(d - diff)
-            })
-            .sum()
-    }
-
-    /// The network diameter (maximum minimal hop count between any two
-    /// nodes): the sum of `floor(d/2)` over dimensions.
-    pub fn diameter(&self) -> u32 {
-        self.dims.iter().map(|&d| d / 2).sum()
-    }
-
     /// Average hop count of a uniformly random pair, approximated as the sum
     /// of `d/4` per dimension (exact for even dimension sizes).
     pub(crate) fn average_hops(&self) -> f64 {
@@ -102,11 +47,6 @@ impl TorusNetwork {
         let latency = self.hop_latency_us * hops.max(1) as f64;
         let transfer = bytes as f64 / (self.link_bandwidth_gib_s * 1024.0 * 1024.0 * 1024.0) * 1e6;
         latency + transfer
-    }
-
-    /// Time for a point-to-point message between two specific nodes.
-    pub fn p2p_time_between_us(&self, bytes: usize, a: usize, b: usize) -> f64 {
-        self.p2p_time_us(bytes, self.hops(a, b))
     }
 }
 
@@ -159,54 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn coordinates_round_trip() {
-        let t = torus3();
-        for node in 0..t.num_nodes() {
-            assert_eq!(t.node_of(&t.coordinates(node)), node);
-        }
-    }
-
-    #[test]
-    fn num_nodes_is_product_of_dims() {
-        assert_eq!(torus3().num_nodes(), 64);
-        assert_eq!(
-            TorusNetwork::new(vec![8, 8, 8, 8, 2], 1.0, 1.0).num_nodes(),
-            8192
-        );
-    }
-
-    #[test]
-    fn hops_are_symmetric_and_zero_on_diagonal() {
-        let t = torus3();
-        for a in 0..8 {
-            assert_eq!(t.hops(a, a), 0);
-            for b in 0..t.num_nodes() {
-                assert_eq!(t.hops(a, b), t.hops(b, a));
-            }
-        }
-    }
-
-    #[test]
-    fn hops_respect_wraparound() {
-        let t = TorusNetwork::new(vec![8], 1.0, 1.0);
-        // Nodes 0 and 7 are adjacent through the wrap link.
-        assert_eq!(t.hops(0, 7), 1);
-        assert_eq!(t.hops(0, 4), 4);
-        assert_eq!(t.diameter(), 4);
-    }
-
-    #[test]
-    fn hops_never_exceed_diameter() {
-        let t = torus3();
-        let diameter = t.diameter();
-        for a in 0..t.num_nodes() {
-            for b in 0..t.num_nodes() {
-                assert!(t.hops(a, b) <= diameter);
-            }
-        }
-    }
-
-    #[test]
     fn average_hops_is_reasonable() {
         let t = torus3();
         assert!((t.average_hops() - 3.0).abs() < 1e-12);
@@ -217,7 +109,6 @@ mod tests {
         let t = torus3();
         assert!(t.p2p_time_us(1024, 4) > t.p2p_time_us(1024, 1));
         assert!(t.p2p_time_us(1 << 20, 1) > t.p2p_time_us(1024, 1));
-        assert!(t.p2p_time_between_us(64, 0, 63) >= t.p2p_time_between_us(64, 0, 1));
     }
 
     #[test]
@@ -238,12 +129,6 @@ mod tests {
         // Going from 2^10 to 2^18 ranks adds exactly 8 stages of latency.
         assert!((t256k - t1k - 8.0 * 2.0).abs() < 1e-9);
         assert_eq!(c.reduce_time_us(512, 1024), t1k);
-    }
-
-    #[test]
-    #[should_panic(expected = "node index out of range")]
-    fn out_of_range_node_panics() {
-        torus3().coordinates(64);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct ClusterTopology {
     machine: MachineSpec,
     /// Number of worker ranks that own SSets (the Nature Agent rank is extra).
     worker_ranks: usize,
-    /// MPI ranks per node.
-    ranks_per_node: u32,
     /// Worker threads per rank (the OpenMP level).
     threads_per_rank: u32,
     /// Number of SSets in the population.
@@ -57,7 +55,6 @@ impl ClusterTopology {
         Ok(ClusterTopology {
             machine,
             worker_ranks,
-            ranks_per_node,
             threads_per_rank,
             num_ssets,
         })
@@ -67,12 +64,6 @@ impl ClusterTopology {
     /// one thread per rank).
     pub fn blue_gene_p_virtual_node(worker_ranks: usize, num_ssets: usize) -> EgdResult<Self> {
         Self::new(MachineSpec::blue_gene_p(), worker_ranks, 4, 1, num_ssets)
-    }
-
-    /// The paper's preferred Blue Gene/Q setup: 32 ranks per node with 2
-    /// threads per rank (§VI-C).
-    pub fn blue_gene_q_hybrid(worker_ranks: usize, num_ssets: usize) -> EgdResult<Self> {
-        Self::new(MachineSpec::blue_gene_q(), worker_ranks, 32, 2, num_ssets)
     }
 
     /// The machine description.
@@ -100,11 +91,6 @@ impl ClusterTopology {
         self.num_ssets
     }
 
-    /// Number of nodes needed for the worker ranks.
-    pub fn nodes_used(&self) -> usize {
-        self.total_ranks().div_ceil(self.ranks_per_node as usize)
-    }
-
     /// The SSet-to-processor ratio `R` of Table VI.
     pub(crate) fn ssets_per_processor(&self) -> f64 {
         self.num_ssets as f64 / self.worker_ranks as f64
@@ -121,18 +107,6 @@ impl ClusterTopology {
     /// strong scaling in Fig. 4 / Fig. 6b.
     pub(crate) fn max_ssets_per_rank(&self) -> usize {
         self.partition().max_block_len()
-    }
-
-    /// Whether the machine has enough nodes for this topology.
-    pub fn fits_machine(&self) -> bool {
-        self.nodes_used() <= self.machine.num_nodes()
-    }
-
-    /// Whether the per-rank strategy view fits in node memory for the given
-    /// state-space size (the memory-six limit of the paper).
-    pub fn strategy_view_fits(&self, num_states: usize) -> bool {
-        self.machine
-            .strategy_view_fits(self.num_ssets, num_states, self.ranks_per_node)
     }
 }
 
@@ -153,10 +127,10 @@ mod tests {
     #[test]
     fn blue_gene_presets() {
         let bgp = ClusterTopology::blue_gene_p_virtual_node(1024, 4096 * 1024).unwrap();
-        assert_eq!(bgp.ranks_per_node, 4);
         assert_eq!(bgp.threads_per_rank(), 1);
-        let bgq = ClusterTopology::blue_gene_q_hybrid(512, 4096 * 512).unwrap();
-        assert_eq!(bgq.ranks_per_node, 32);
+        // The paper's preferred Blue Gene/Q setup: 32 ranks per node with 2
+        // threads per rank (§VI-C).
+        let bgq = ClusterTopology::new(MachineSpec::blue_gene_q(), 512, 32, 2, 4096 * 512).unwrap();
         assert_eq!(bgq.threads_per_rank(), 2);
         assert_eq!(bgq.ssets_per_processor(), 4096.0);
     }
@@ -175,23 +149,5 @@ mod tests {
         let fat = ClusterTopology::blue_gene_p_virtual_node(256, 4096).unwrap();
         assert_eq!(fat.ssets_per_processor(), 16.0);
         assert_eq!(fat.max_ssets_per_rank(), 16);
-    }
-
-    #[test]
-    fn nodes_used_and_fit() {
-        let topo = ClusterTopology::blue_gene_q_hybrid(16_384, 4096 * 16_384).unwrap();
-        assert_eq!(topo.nodes_used(), (16_385f64 / 32.0).ceil() as usize);
-        assert!(topo.fits_machine());
-        assert_eq!(topo.total_ranks(), 16_385);
-    }
-
-    #[test]
-    fn memory_limit_reflects_paper_constraint() {
-        // 4,096 SSets per rank at memory six fits BG/Q node memory…
-        let topo = ClusterTopology::blue_gene_q_hybrid(64, 4096 * 64).unwrap();
-        assert!(topo.strategy_view_fits(4096));
-        // …but the same population at a hypothetical memory-ten (1M states)
-        // does not fit per-rank memory.
-        assert!(!topo.strategy_view_fits(1 << 20));
     }
 }

@@ -48,7 +48,7 @@ impl Move {
 
     /// Whether this move is a cooperation.
     #[inline]
-    pub const fn is_cooperation(self) -> bool {
+    pub(crate) const fn is_cooperation(self) -> bool {
         matches!(self, Move::Cooperate)
     }
 

@@ -84,11 +84,6 @@ impl NatureAgent {
         self
     }
 
-    /// The strategy space mutations draw from.
-    pub fn space(&self) -> StrategySpace {
-        self.space
-    }
-
     /// Which SSets (if any) the Nature Agent wants fitness values for in this
     /// generation. Mirrors the paper's two-phase protocol: the selection is
     /// broadcast first, only the selected SSets report their fitness back.

@@ -8,7 +8,7 @@
 //! compiled once into a dense table of exact integer thresholds, after which
 //! a round is `draw u64 → integer compare → packed-state advance`, and B's
 //! view never needs to be tracked because B's table can be pre-permuted
-//! through the perspective swap ([`StateSpace::swap_perspective`]) so it is
+//! through the perspective swap (`StateSpace::swap_perspective`) so it is
 //! indexed directly by A's view.
 //!
 //! # Bit-exact threshold conversion

@@ -72,11 +72,6 @@ impl MarkovGame {
         })
     }
 
-    /// The memory depth.
-    pub fn memory(&self) -> MemoryDepth {
-        self.memory
-    }
-
     /// Effective cooperation probability after execution noise: the player
     /// intends to cooperate with probability `p` and each executed move flips
     /// with probability `e`, so the executed cooperation probability is

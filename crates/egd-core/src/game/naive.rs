@@ -77,11 +77,6 @@ impl NaiveIpd {
         }
     }
 
-    /// Number of rounds per game.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
     /// Plays a deterministic game following the paper's pseudo-code: both
     /// players keep an explicit `current_view` list of remembered rounds and
     /// locate their state by linear search each round.
@@ -210,10 +205,5 @@ mod tests {
         let deep = PureStrategy::all_cooperate(MemoryDepth::TWO);
         let shallow = PureStrategy::all_cooperate(MemoryDepth::ONE);
         assert!(naive.play(&deep, &shallow).is_err());
-    }
-
-    #[test]
-    fn rounds_accessor() {
-        assert_eq!(NaiveIpd::paper_defaults(MemoryDepth::ONE).rounds(), 200);
     }
 }

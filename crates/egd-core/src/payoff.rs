@@ -46,39 +46,9 @@ impl PayoffMatrix {
         }
     }
 
-    /// Creates a payoff matrix from a `[R, S, T, P]` array, mirroring the
-    /// paper's `f[R,S,T,P]` notation.
-    pub const fn from_rstp(values: [f64; 4]) -> Self {
-        PayoffMatrix::new(values[0], values[1], values[2], values[3])
-    }
-
     /// The `[R, S, T, P]` vector of this matrix.
     const fn as_rstp(&self) -> [f64; 4] {
         [self.reward, self.sucker, self.temptation, self.punishment]
-    }
-
-    /// The *donation game* parameterisation: cooperation costs the donor `c`
-    /// and gives the recipient `b` (with `b > c > 0`). A common analytic
-    /// special case of the Prisoner's Dilemma.
-    pub fn donation(benefit: f64, cost: f64) -> Self {
-        PayoffMatrix {
-            reward: benefit - cost,
-            sucker: -cost,
-            temptation: benefit,
-            punishment: 0.0,
-        }
-    }
-
-    /// The *snowdrift* (hawk–dove) game, in which cooperation against a
-    /// defector is still better than mutual defection. Included so that the
-    /// framework generalises beyond the Prisoner's Dilemma.
-    pub fn snowdrift(benefit: f64, cost: f64) -> Self {
-        PayoffMatrix {
-            reward: benefit - cost / 2.0,
-            sucker: benefit - cost,
-            temptation: benefit,
-            punishment: 0.0,
-        }
     }
 
     /// Payoff of the focal player when it plays `my_move` against
@@ -95,7 +65,7 @@ impl PayoffMatrix {
 
     /// Payoffs of both players `(focal, opponent)` for a round.
     #[inline]
-    pub fn pair_payoffs(&self, my_move: Move, opponent_move: Move) -> (f64, f64) {
+    pub(crate) fn pair_payoffs(&self, my_move: Move, opponent_move: Move) -> (f64, f64) {
         (
             self.payoff(my_move, opponent_move),
             self.payoff(opponent_move, my_move),
@@ -107,16 +77,6 @@ impl PayoffMatrix {
     #[inline]
     pub(crate) fn lookup_table(&self) -> [f64; 4] {
         [self.reward, self.sucker, self.temptation, self.punishment]
-    }
-
-    /// Whether these payoffs satisfy the strict Prisoner's Dilemma ordering
-    /// `T > R > P > S`. Under this ordering defection is the dominant
-    /// single-round strategy even though mutual cooperation is collectively
-    /// better.
-    pub fn is_prisoners_dilemma(&self) -> bool {
-        self.temptation > self.reward
-            && self.reward > self.punishment
-            && self.punishment > self.sucker
     }
 
     /// Validates that the payoffs are finite; returns the matrix unchanged.
@@ -176,7 +136,10 @@ mod tests {
 
     #[test]
     fn paper_matrix_is_a_prisoners_dilemma() {
-        assert!(PayoffMatrix::PAPER.is_prisoners_dilemma());
+        // The strict ordering T > R > P > S: defection dominates a single
+        // round although mutual cooperation pays both players more.
+        let m = PayoffMatrix::PAPER;
+        assert!(m.temptation > m.reward && m.reward > m.punishment && m.punishment > m.sucker);
     }
 
     #[test]
@@ -205,27 +168,6 @@ mod tests {
                 assert_eq!(m.payoff(my, opp), m.lookup_table()[bits as usize]);
             }
         }
-    }
-
-    #[test]
-    fn donation_game_is_prisoners_dilemma() {
-        let m = PayoffMatrix::donation(2.0, 1.0);
-        assert!(m.is_prisoners_dilemma());
-        assert_eq!(m.payoff(Move::Cooperate, Move::Cooperate), 1.0);
-        assert_eq!(m.payoff(Move::Cooperate, Move::Defect), -1.0);
-    }
-
-    #[test]
-    fn snowdrift_is_not_a_prisoners_dilemma() {
-        let m = PayoffMatrix::snowdrift(4.0, 2.0);
-        // In snowdrift S > P, so the strict PD ordering fails.
-        assert!(!m.is_prisoners_dilemma());
-    }
-
-    #[test]
-    fn from_rstp_round_trips() {
-        let values = [3.0, 0.0, 4.0, 1.0];
-        assert_eq!(PayoffMatrix::from_rstp(values).as_rstp(), values);
     }
 
     #[test]

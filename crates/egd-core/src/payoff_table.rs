@@ -456,7 +456,7 @@ impl<'a> PlannedCells<'a> {
     /// The games in list order from game `k` on: one search for where the
     /// walk starts, none per game — what lets an executor play any run of
     /// the list, in chunks, without a search per game.
-    pub fn iter_from(&self, k: usize) -> impl Iterator<Item = PlannedCell<'a>> + 'a {
+    pub(crate) fn iter_from(&self, k: usize) -> impl Iterator<Item = PlannedCell<'a>> + 'a {
         let cells = *self;
         let plan = self.plan;
         let fresh = plan.fresh_len();

@@ -648,11 +648,6 @@ impl RngStreamPos {
             state_lo: state as u64,
         }
     }
-
-    /// The full 128-bit generator state.
-    pub fn state(&self) -> u128 {
-        (u128::from(self.state_hi) << 64) | u128::from(self.state_lo)
-    }
 }
 
 /// A byte-exact, serialisable snapshot of a simulation's cross-generation
@@ -1292,7 +1287,10 @@ mod tests {
             substream_state(22, StreamKind::Mutation, 7, 0),
         ];
         for (pos, want) in state.rng_streams.iter().zip(expected) {
-            assert_eq!(pos.state(), want);
+            assert_eq!(
+                (pos.state_hi, pos.state_lo),
+                ((want >> 64) as u64, want as u64)
+            );
         }
 
         // A tampered stream position is rejected at deserialisation.

@@ -86,7 +86,7 @@ impl MemoryDepth {
 
     /// Bit mask selecting a valid state encoding.
     #[inline]
-    pub const fn state_mask(self) -> u64 {
+    pub(crate) const fn state_mask(self) -> u64 {
         (1u64 << self.state_bits()) - 1
     }
 }
@@ -110,7 +110,7 @@ pub struct StateIndex(pub u32);
 
 impl StateIndex {
     /// The all-cooperation history: the canonical initial state of a game.
-    pub const INITIAL: StateIndex = StateIndex(0);
+    pub(crate) const INITIAL: StateIndex = StateIndex(0);
 
     /// The raw index value.
     #[inline]
@@ -224,7 +224,7 @@ impl StateSpace {
     /// other (as the paper notes, "each agent's current view will be the
     /// opposite of its opponent").
     #[inline]
-    pub fn swap_perspective(&self, state: StateIndex) -> StateIndex {
+    pub(crate) fn swap_perspective(&self, state: StateIndex) -> StateIndex {
         let s = state.0 as u64;
         // Swap the two bits of every 2-bit group: (s & odd_mask) >> 1 picks
         // the "my move" bits down into opponent position and vice versa.
@@ -237,7 +237,12 @@ impl StateSpace {
     /// Pushes the outcome of a new round onto a state, dropping the oldest
     /// remembered round: the heart of the game-play inner loop.
     #[inline]
-    pub fn advance(&self, state: StateIndex, my_move: Move, opponent_move: Move) -> StateIndex {
+    pub(crate) fn advance(
+        &self,
+        state: StateIndex,
+        my_move: Move,
+        opponent_move: Move,
+    ) -> StateIndex {
         let round = RememberedRound::new(my_move, opponent_move).bits() as u64;
         let shifted = ((state.0 as u64) << 2) | round;
         StateIndex((shifted & self.memory.state_mask()) as u32)
@@ -346,10 +351,12 @@ mod tests {
 
     #[test]
     fn swap_perspective_is_involution() {
-        let space = StateSpace::new(MemoryDepth::THREE);
-        for state in space.states() {
-            let swapped = space.swap_perspective(state);
-            assert_eq!(space.swap_perspective(swapped), state);
+        for memory in MemoryDepth::PAPER_RANGE {
+            let space = StateSpace::new(memory);
+            for state in space.states() {
+                let swapped = space.swap_perspective(state);
+                assert_eq!(space.swap_perspective(swapped), state);
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::error::{EgdError, EgdResult};
 use crate::state::{MemoryDepth, StateIndex};
-use crate::strategy::{PureStrategy, Strategy};
+use crate::strategy::Strategy;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -78,17 +78,6 @@ impl MixedStrategy {
         self.probs.iter().sum::<f64>() / self.probs.len() as f64
     }
 
-    /// Rounds the strategy to the nearest pure strategy (probability >= 0.5
-    /// becomes cooperation).
-    pub fn to_pure(&self) -> PureStrategy {
-        let moves: Vec<_> = self
-            .probs
-            .iter()
-            .map(|&p| crate::action::Move::from_cooperation(p >= 0.5))
-            .collect();
-        PureStrategy::from_moves(self.memory, &moves).expect("lengths match by construction")
-    }
-
     /// A stable fingerprint of the probability table (bit pattern hash), used
     /// as a pairwise-fitness cache key. Strategies that are `==` have equal
     /// fingerprints — the payoff table's diff step relies on it — so a
@@ -143,7 +132,6 @@ fn is_probability(p: &f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Move;
     use crate::rng::{stream, StreamKind};
 
     #[test]
@@ -176,17 +164,6 @@ mod tests {
             MixedStrategy::random(MemoryDepth::THREE, &mut a),
             MixedStrategy::random(MemoryDepth::THREE, &mut b)
         );
-    }
-
-    #[test]
-    fn to_pure_rounds() {
-        let m =
-            MixedStrategy::from_probabilities(MemoryDepth::ONE, vec![0.9, 0.4, 0.5, 0.1]).unwrap();
-        let p = m.to_pure();
-        assert_eq!(p.move_for(StateIndex(0)), Move::Cooperate);
-        assert_eq!(p.move_for(StateIndex(1)), Move::Defect);
-        assert_eq!(p.move_for(StateIndex(2)), Move::Cooperate);
-        assert_eq!(p.move_for(StateIndex(3)), Move::Defect);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! depth via [`PureStrategy::lifted_to`].
 
 use crate::action::Move;
-use crate::error::{EgdError, EgdResult};
+use crate::error::EgdResult;
 use crate::state::{MemoryDepth, StateIndex, StateSpace};
 use crate::strategy::PureStrategy;
 use serde::{Deserialize, Serialize};
@@ -72,17 +72,6 @@ impl NamedStrategy {
             NamedStrategy::TwoTitsForTat => "2TFT",
             NamedStrategy::AntiWinStayLoseShift => "ANTI-WSLS",
         }
-    }
-
-    /// Parses a short name (case-insensitive).
-    pub fn from_short_name(name: &str) -> EgdResult<Self> {
-        let upper = name.to_ascii_uppercase();
-        Self::ALL
-            .into_iter()
-            .find(|s| s.short_name() == upper)
-            .ok_or_else(|| EgdError::InvalidConfig {
-                reason: format!("unknown strategy name `{name}`"),
-            })
     }
 
     /// The native memory depth of this strategy.
@@ -308,18 +297,6 @@ mod tests {
             NamedStrategy::identify(&lifted),
             Some(NamedStrategy::WinStayLoseShift)
         );
-    }
-
-    #[test]
-    fn short_name_round_trip() {
-        for named in NamedStrategy::ALL {
-            assert_eq!(
-                NamedStrategy::from_short_name(named.short_name()).unwrap(),
-                named
-            );
-        }
-        assert!(NamedStrategy::from_short_name("wsls").is_ok());
-        assert!(NamedStrategy::from_short_name("NOPE").is_err());
     }
 
     #[test]

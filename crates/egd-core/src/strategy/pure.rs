@@ -137,7 +137,7 @@ impl PureStrategy {
     /// (debug-asserted); out-of-range indices in release builds read past the
     /// logical genome but stay within the allocated words.
     #[inline]
-    pub fn move_for(&self, state: StateIndex) -> Move {
+    pub(crate) fn move_for(&self, state: StateIndex) -> Move {
         let s = state.index();
         debug_assert!(s < self.num_states());
         let word = self.genome[s / 64];
@@ -208,16 +208,6 @@ impl PureStrategy {
                 let moved = ((*word >> distance) ^ *word) & lower;
                 *word ^= moved | moved << distance;
             }
-        }
-    }
-
-    /// The integer id of this strategy (only for memories with at most 64
-    /// states, i.e. `n <= 3`).
-    pub fn id(&self) -> Option<u64> {
-        if self.num_states() <= 64 {
-            Some(self.genome[0])
-        } else {
-            None
         }
     }
 
@@ -362,14 +352,13 @@ mod tests {
         // Table III: there are exactly 16 memory-one pure strategies.
         for id in 0..16u64 {
             let strat = PureStrategy::from_id(MemoryDepth::ONE, id).unwrap();
-            assert_eq!(strat.id(), Some(id));
+            assert_eq!(strat.genome_words(), [id]);
         }
     }
 
     #[test]
     fn id_unavailable_for_deep_memory() {
-        let strat = PureStrategy::all_cooperate(MemoryDepth::FOUR);
-        assert_eq!(strat.id(), None);
+        // An id is one genome word: memory four has 256 states.
         assert!(PureStrategy::from_id(MemoryDepth::FOUR, 3).is_err());
     }
 

@@ -10,8 +10,6 @@
 //!   worker stats, collective traffic, rank timings and per-generation
 //!   engine counters in one mergeable, serde-serialisable record with
 //!   deterministic field order.
-//! * [`costs`] — [`MeasuredCosts`], measured per-fingerprint-pair cell
-//!   costs, the feedback table the `egd-cost` predictor can consume.
 //! * [`export`] — Chrome trace-event / Perfetto JSON timelines (for both
 //!   real runs and virtual-time replays), a JSON validator, and the
 //!   markdown metrics summary used by `bench_diff --summary-md`.
@@ -23,12 +21,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod costs;
 pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use costs::{CostSample, MeasuredCosts};
 pub use export::{
     chrome_trace_json, summary_table_md, validate_trace_json, ExportOptions, TraceProcess,
 };

@@ -37,7 +37,7 @@ pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessBackend, FitnessMode, PairEvaluator, PairKernel, RunFitness};
 use egd_cost::CostModel;
-use egd_obs::{GenerationMetrics, MeasuredCosts, MetricsSnapshot, SpanKind, SpanTimer};
+use egd_obs::{GenerationMetrics, SpanKind, SpanTimer};
 use egd_sched::source::{RangeSource, WorkSource};
 use egd_sched::{SchedStats, WeightedSource};
 use parking_lot::{Mutex, RwLock};
@@ -66,10 +66,6 @@ pub struct ParallelEngine {
     run_sched: Mutex<Option<SchedStats>>,
     /// The row of the most recent fitness computation.
     last_generation: Mutex<GenerationMetrics>,
-    /// Measured per-cell wall time keyed by fingerprint pair, accumulated
-    /// while tracing is enabled (the feedback table the cost layer can
-    /// calibrate against).
-    measured: Mutex<MeasuredCosts>,
 }
 
 /// Who owns which SSets, and the runs of the planned list each rank plays
@@ -108,7 +104,6 @@ impl ParallelEngine {
             last_sched: Mutex::new(None),
             run_sched: Mutex::new(None),
             last_generation: Mutex::default(),
-            measured: Mutex::new(MeasuredCosts::default()),
         })
     }
 
@@ -162,25 +157,6 @@ impl ParallelEngine {
     /// time of an item (µs); all zero for a generation that played nothing.
     pub fn last_generation_metrics(&self) -> GenerationMetrics {
         *self.last_generation.lock()
-    }
-
-    /// The engine's unified metrics snapshot: the workers that ran the most
-    /// recent fitness computation and their table, plus pair-cache and
-    /// compile counters.
-    pub fn metrics(&self, label: &str) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::labelled(label);
-        if let Some(stats) = self.last_sched_stats() {
-            snap.run.workers = stats.num_workers() as u64;
-            for row in stats.worker_metrics() {
-                snap.record_worker(row);
-            }
-        }
-        self.evaluator.record_counters(&mut snap);
-        snap.add_counter(
-            "measured_cost_samples",
-            self.measured.lock().total_samples(),
-        );
-        snap
     }
 
     /// Computes the fitness of every SSet for `generation` using strategy
@@ -285,9 +261,7 @@ impl ParallelEngine {
     }
 
     /// Plays work item `item` of the planned generation and times it. While
-    /// tracing, the item is one `Cell` span carrying its game count, and each
-    /// of its games is booked an equal share of the item's wall time in the
-    /// measured-cost table.
+    /// tracing, the item is one `Cell` span carrying its game count.
     fn play_item(&self, item: usize) -> EgdResult<Played> {
         self.with_runs(item, |runs| {
             let span = SpanTimer::start(SpanKind::Cell);
@@ -298,18 +272,7 @@ impl ParallelEngine {
             }
             let elapsed = start.elapsed().as_nanos() as u64;
             if let Some(span) = span {
-                let games = payoffs.len();
-                let mut measured = self.measured.lock();
-                self.evaluator.with_planned(|cells| {
-                    for run in runs {
-                        for game in cells.iter_from(run.start).take(run.len()) {
-                            let (a, b) = game.fingerprints;
-                            measured.record(a, b, elapsed / games as u64);
-                        }
-                    }
-                });
-                drop(measured);
-                span.finish(games as u64);
+                span.finish(payoffs.len() as u64);
             }
             Ok((payoffs, elapsed))
         })
@@ -471,9 +434,6 @@ mod tests {
         let engine =
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(2))
                 .unwrap();
-        let samples =
-            |engine: &ParallelEngine| engine.metrics("t").counter("measured_cost_samples");
-        assert_eq!(samples(&engine), 0, "nothing before tracing");
         egd_obs::enable_tracing();
         engine.compute_fitness(&population, 0).unwrap();
         egd_obs::disable_tracing();
@@ -507,13 +467,16 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == egd_obs::SpanKind::CellMatrix));
-
-        // Every game's wall time landed in the fingerprint-keyed cost table.
-        assert_eq!(samples(&engine), games as u64);
     }
 
     #[test]
     fn metrics_snapshot_carries_workers_and_counters() {
+        use egd_obs::MetricsSnapshot;
+        let counters = |engine: &ParallelEngine| {
+            let mut snap = MetricsSnapshot::labelled("parallel");
+            engine.evaluator().record_counters(&mut snap);
+            snap
+        };
         let cfg = config(0.0, 23);
         let population = cfg.initial_population().unwrap();
         let engine =
@@ -523,11 +486,11 @@ mod tests {
         let row = engine.last_generation_metrics();
         assert_eq!(row.generation, 0);
         assert!(row.items > 0 && row.busy_ns > 0 && row.compute_us > 0.0);
-        let snap = engine.metrics("parallel");
-        assert_eq!(snap.run.label, "parallel");
-        assert_eq!(snap.run.workers, 2);
-        assert!(!snap.workers.is_empty(), "worker table populated");
-        assert!(snap.total_items() > 0);
+        let stats = engine.last_sched_stats().expect("a cold table plays");
+        assert_eq!(stats.num_workers(), 2);
+        assert!(!stats.worker_metrics().is_empty(), "worker table populated");
+        assert!(stats.items > 0);
+        let snap = counters(&engine);
         assert_eq!(snap.counter("pair_cache_hits"), 0, "a cold table plays");
         let played = snap.counter("payoff_cells_played");
         assert_eq!(played, snap.counter("pair_cache_misses"));
@@ -542,8 +505,7 @@ mod tests {
         // nothing is played and no parallel section runs.
         engine.compute_fitness(&population, 1).unwrap();
         assert!(engine.last_sched_stats().is_none());
-        let snap = engine.metrics("parallel");
-        assert!(snap.workers.is_empty());
+        let snap = counters(&engine);
         // The row of a generation that played nothing is all zero.
         assert_eq!(
             engine.last_generation_metrics(),
@@ -571,9 +533,8 @@ mod tests {
             ParallelEngine::new(&cfg, FitnessMode::Simulated, ThreadConfig::with_threads(4))
                 .unwrap();
         engine.compute_fitness(&uniform, 0).unwrap();
-        assert_eq!(engine.last_sched_stats().unwrap().num_workers(), 1);
-        let snap = engine.metrics("parallel");
-        assert_eq!((snap.run.workers, snap.workers.len()), (1, 1));
+        let stats = engine.last_sched_stats().unwrap();
+        assert_eq!((stats.num_workers(), stats.worker_metrics().len()), (1, 1));
     }
 
     #[test]

@@ -23,10 +23,6 @@
 //! count: all randomness is drawn from per-`(pair, generation)` streams and
 //! payoffs are scattered into the fitness table in a fixed order.
 //!
-//! The crate also contains the game-play [`kernel`] variants that make up the
-//! optimisation ladder of the paper's Fig. 3 (naive linear state search →
-//! indexed lookup → branch-free accumulation with cycle closing).
-//!
 //! Parallel sections execute on the `egd-sched` adaptive work-stealing
 //! scheduler (see that crate's docs for the determinism contract);
 //! [`ParallelEngine::last_sched_stats`] and
@@ -37,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod kernel;
 pub mod partition;
 pub mod simulation;
 pub mod thread_pool;
@@ -48,7 +43,6 @@ pub use egd_core::grouping::{self, StrategyGrouping};
 /// shares; kept only for the benchmark package, which imports it.
 pub use egd_core::simulation::PairEvaluator as ConcurrentPairEvaluator;
 pub use engine::{GenerationTiming, ParallelEngine};
-pub use kernel::{calibrated_cost_model, GameKernel, KernelVariant};
 pub use partition::SSetPartition;
 pub use simulation::ParallelSimulation;
 pub use thread_pool::ThreadConfig;

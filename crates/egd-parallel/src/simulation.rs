@@ -11,7 +11,6 @@ use crate::engine::ParallelEngine;
 use crate::thread_pool::ThreadConfig;
 use egd_core::config::SimulationConfig;
 use egd_core::error::EgdResult;
-use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, Simulation, SimulationState};
 use std::ops::{Deref, DerefMut};
 
@@ -34,17 +33,6 @@ impl ParallelSimulation {
     ) -> EgdResult<Self> {
         let engine = ParallelEngine::new(&config, mode, threads)?;
         Simulation::with_backend(config, None, engine).map(ParallelSimulation)
-    }
-
-    /// Creates a parallel simulation starting from an explicit population.
-    pub fn with_population(
-        config: SimulationConfig,
-        population: Population,
-        threads: ThreadConfig,
-        mode: FitnessMode,
-    ) -> EgdResult<Self> {
-        let engine = ParallelEngine::new(&config, mode, threads)?;
-        Simulation::with_backend(config, Some(population), engine).map(ParallelSimulation)
     }
 
     /// [`Simulation::restore_with_backend`] for a parallel engine; the
@@ -137,24 +125,6 @@ mod tests {
             .expect("scheduler stats accumulate");
         assert!(sched.items > 0);
         assert!(sched.num_workers() >= 1);
-    }
-
-    #[test]
-    fn with_population_validates_shape() {
-        let cfg = config(24);
-        let wrong = egd_core::population::Population::random(
-            egd_core::strategy::StrategySpace::pure(MemoryDepth::ONE),
-            4,
-            0,
-        )
-        .unwrap();
-        assert!(ParallelSimulation::with_population(
-            cfg,
-            wrong,
-            ThreadConfig::sequential(),
-            FitnessMode::Simulated
-        )
-        .is_err());
     }
 
     #[test]

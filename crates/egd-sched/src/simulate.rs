@@ -53,15 +53,6 @@ impl SimOutcome {
     pub fn imbalance(&self) -> f64 {
         crate::stats::max_over_mean(self.per_worker_ns.iter().copied())
     }
-
-    /// Ideal critical path: total work divided evenly.
-    pub fn ideal_ns(&self) -> u64 {
-        if self.per_worker_ns.is_empty() {
-            self.total_work_ns
-        } else {
-            self.total_work_ns / self.per_worker_ns.len() as u64
-        }
-    }
 }
 
 /// One worker's state during the replay.
@@ -337,12 +328,6 @@ mod tests {
         let charged: u64 =
             outcome.per_worker_ns.iter().sum::<u64>() - outcome.steals * super::STEAL_OVERHEAD_NS;
         assert_eq!(charged, costs.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn ideal_is_total_over_workers() {
-        let outcome = simulate_schedule(4, &[4_000u64; 8], None, Policy::Static);
-        assert_eq!(outcome.ideal_ns(), 8_000);
     }
 
     #[test]

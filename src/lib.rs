@@ -73,10 +73,7 @@ pub mod prelude {
     };
     pub use egd_core::prelude::*;
     pub use egd_parallel::{
-        engine::ParallelEngine,
-        kernel::{GameKernel, KernelVariant},
-        simulation::ParallelSimulation,
-        thread_pool::ThreadConfig,
+        engine::ParallelEngine, simulation::ParallelSimulation, thread_pool::ThreadConfig,
     };
     pub use egd_sched::{SchedStats, StressGuard};
     pub use egd_serve::{EngineKind, ServeConfig, SessionConfig, SessionManager, SessionStatus};

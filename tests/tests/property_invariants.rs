@@ -2,8 +2,9 @@
 //! several crates.
 
 use egd_analysis::kmeans::{strategy_embedding, KMeans};
+use egd_core::game::naive::NaiveIpd;
 use egd_core::prelude::*;
-use egd_parallel::kernel::{GameKernel, KernelVariant};
+use egd_core::rng::StreamKind;
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
@@ -21,34 +22,51 @@ fn arb_pure_strategy(memory: MemoryDepth) -> impl PropStrategy<Value = PureStrat
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// State encode/decode round-trips for every memory depth.
+    /// State encode/decode round-trips for every memory depth. (That the
+    /// perspective swap is an involution is checked on every state of every
+    /// paper memory depth by `egd-core`'s `swap_perspective_is_involution`.)
     #[test]
     fn state_encoding_round_trips(memory in arb_memory(), raw in any::<u32>()) {
         let space = StateSpace::new(memory);
         let state = StateIndex(raw % memory.num_states() as u32);
         let rounds = space.decode(state).unwrap();
         prop_assert_eq!(space.encode(&rounds).unwrap(), state);
-        // Perspective swap is an involution.
-        prop_assert_eq!(space.swap_perspective(space.swap_perspective(state)), state);
     }
 
-    /// The three game kernels agree on every random strategy pair.
+    /// The three compute rungs of Fig. 3 — `NaiveIpd::play` ("Original"),
+    /// `IpdGame::play` on two pure strategies ("Compiler") and
+    /// `IpdGame::play_pure` ("Instruction") — agree bit for bit on every
+    /// random pair at memory 1–4: both payoffs and both cooperation counts.
+    /// Every rung rejects a strategy of another memory.
     #[test]
-    fn kernels_agree(seed in 0u64..1_000) {
-        let memory = MemoryDepth::TWO;
-        let mut rng = egd_core::rng::stream(seed, egd_core::rng::StreamKind::Auxiliary, 0);
-        let a = PureStrategy::random(memory, &mut rng);
-        let b = PureStrategy::random(memory, &mut rng);
-        let reference = GameKernel::new(KernelVariant::Optimized, memory, 64, PayoffMatrix::PAPER)
-            .play(&a, &b)
-            .unwrap();
-        for variant in [KernelVariant::Naive, KernelVariant::Indexed] {
-            let outcome = GameKernel::new(variant, memory, 64, PayoffMatrix::PAPER)
-                .play(&a, &b)
-                .unwrap();
-            prop_assert!((outcome.fitness_a - reference.fitness_a).abs() < 1e-9);
-            prop_assert!((outcome.fitness_b - reference.fitness_b).abs() < 1e-9);
+    fn kernels_agree(
+        (a, b) in arb_memory().prop_flat_map(|m| (arb_pure_strategy(m), arb_pure_strategy(m))),
+        rounds in 1u32..=256,
+    ) {
+        let memory = a.memory();
+        let naive = NaiveIpd::new(memory, rounds, PayoffMatrix::PAPER);
+        let game = IpdGame::new(memory, rounds, PayoffMatrix::PAPER, 0.0).unwrap();
+        let (kind_a, kind_b) = (StrategyKind::Pure(a.clone()), StrategyKind::Pure(b.clone()));
+        // Two pure strategies draw nothing from it.
+        let mut rng = egd_core::rng::stream(0, StreamKind::Auxiliary, 0);
+        let reference = naive.play(&a, &b).unwrap();
+        let rungs = [
+            game.play(&kind_a, &kind_b, &mut rng).unwrap(),
+            game.play_pure(&a, &b).unwrap(),
+        ];
+        for outcome in rungs {
+            prop_assert_eq!(outcome.fitness_a.to_bits(), reference.fitness_a.to_bits());
+            prop_assert_eq!(outcome.fitness_b.to_bits(), reference.fitness_b.to_bits());
+            prop_assert_eq!(outcome.cooperations_a, reference.cooperations_a);
+            prop_assert_eq!(outcome.cooperations_b, reference.cooperations_b);
         }
+
+        let other = MemoryDepth::new(memory.steps() % 4 + 1).unwrap();
+        let stranger = PureStrategy::random(other, &mut rng);
+        let kind_stranger = StrategyKind::Pure(stranger.clone());
+        prop_assert!(naive.play(&stranger, &b).is_err());
+        prop_assert!(game.play(&kind_stranger, &kind_b, &mut rng).is_err());
+        prop_assert!(game.play_pure(&stranger, &b).is_err());
     }
 
     /// Total payoff of any deterministic game is bounded by the payoff matrix
@@ -98,9 +116,11 @@ proptest! {
         let target = MemoryDepth::new(deeper).unwrap();
         let lifted = strategy.lifted_to(target).unwrap();
         let space = StateSpace::new(target);
+        let (deep, shallow) = (lifted.moves(), strategy.moves());
+        // A memory-one state is the low two bits of a deeper one.
+        let recent_mask = MemoryDepth::ONE.num_states() - 1;
         for state in space.states() {
-            let recent = StateIndex(state.0 & MemoryDepth::ONE.state_mask() as u32);
-            prop_assert_eq!(lifted.move_for(state), strategy.move_for(recent));
+            prop_assert_eq!(deep[state.index()], shallow[state.index() & recent_mask]);
         }
     }
 
