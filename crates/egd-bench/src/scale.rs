@@ -376,6 +376,142 @@ mod tests {
         assert_eq!(a.guided, b.guided);
     }
 
+    /// Fig. 6b's harness: Blue Gene/P with sub-SSet splitting.
+    fn splitting_blue_gene_p() -> egd_cluster::ScalingHarness {
+        egd_cluster::ScalingHarness::blue_gene_p().with_sset_splitting(1.2)
+    }
+
+    /// Per-generation communication time (µs) of 256 Blue Gene/P worker
+    /// ranks at memory one, PC 0.1 and µ 0.05 under `comm`.
+    fn comm_us_at_256_ranks(comm: CommMode) -> f64 {
+        let topology = ClusterTopology::blue_gene_p_virtual_node(256, 4096).unwrap();
+        CostModel::blue_gene_like().generation_comm_time_us(
+            &topology,
+            MemoryDepth::ONE,
+            0.1,
+            0.05,
+            comm,
+        )
+    }
+
+    #[test]
+    fn modelled_figures_reproduce_their_recorded_bits() {
+        use egd_cluster::perf::{ScalingHarness, ScalingPoint, Workload};
+        let mut got: Vec<(String, u64)> = Vec::new();
+        let mut pin = |label: &str, value: f64| got.push((label.to_string(), value.to_bits()));
+        let mut pin_point = |label: &str, p: &ScalingPoint| {
+            pin(&format!("{label} R"), p.ssets_per_processor);
+            pin(&format!("{label} time"), p.time_seconds);
+            pin(&format!("{label} compute"), p.compute_seconds);
+            pin(&format!("{label} comm"), p.comm_seconds);
+            pin(&format!("{label} speedup"), p.speedup);
+            pin(&format!("{label} efficiency"), p.efficiency_percent);
+        };
+        let bgp = ScalingHarness::blue_gene_p();
+        let six = Workload::paper(0, MemoryDepth::SIX, 20);
+
+        let fig4 = bgp
+            .strong_scaling(
+                &Workload::paper(1_024, MemoryDepth::ONE, 100),
+                &[128, 256, 512, 1_024, 2_048],
+            )
+            .unwrap();
+        pin_point("fig4 1024 SSets @2048", &fig4[4]);
+        let fig6a = bgp
+            .weak_scaling(
+                &six,
+                4_096,
+                &[1_024, 4_096, 16_384, 65_536, 131_072, 294_912],
+            )
+            .unwrap();
+        pin_point("fig6a BG/P @294912", &fig6a[5]);
+        let fig6b = splitting_blue_gene_p()
+            .strong_scaling(
+                &Workload::paper(32_768, MemoryDepth::SIX, 20),
+                &[1_024, 2_048, 8_192, 16_384, 262_144],
+            )
+            .unwrap();
+        pin_point("fig6b BG/P split @262144", &fig6b[4]);
+        let bgq = ScalingHarness::blue_gene_q()
+            .weak_scaling(&six, 4_096, &[1_024, 2_048, 4_096, 8_192, 16_384])
+            .unwrap();
+        pin_point("fig6a BG/Q @16384", &bgq[4]);
+
+        let fig5 = bgp
+            .memory_step_breakdown(
+                2_048,
+                &Workload::paper(2_048, MemoryDepth::ONE, 20),
+                &[MemoryDepth::ONE, MemoryDepth::SIX],
+            )
+            .unwrap();
+        for (memory, estimate) in &fig5 {
+            let label = format!("fig5 memory {}", memory.steps());
+            pin(&format!("{label} total"), estimate.total_seconds);
+            pin(&format!("{label} compute"), estimate.compute_seconds);
+            pin(&format!("{label} comm"), estimate.comm_seconds);
+        }
+        for (ratio, efficiency) in bgp.ratio_efficiency(2_048, &[0.5, 1.0], &six).unwrap() {
+            pin(&format!("table6 R={ratio}"), efficiency);
+        }
+
+        pin(
+            "comm blocking @256",
+            comm_us_at_256_ranks(CommMode::Blocking),
+        );
+        pin(
+            "comm non-blocking @256",
+            comm_us_at_256_ranks(CommMode::NonBlocking),
+        );
+        pin(
+            "scale_1e4 comm",
+            assess_scale(&ScaleWorkload::canonical()[1]).comm_us,
+        );
+
+        let got: Vec<(&str, u64)> = got.iter().map(|(l, b)| (l.as_str(), *b)).collect();
+        assert_eq!(got, RECORDED_BITS);
+    }
+
+    /// `f64::to_bits` of the modelled values, recorded on the commit before
+    /// the machine model was folded into the harness. Do not re-record: a
+    /// mismatch means a modelled figure moved.
+    const RECORDED_BITS: &[(&str, u64)] = &[
+        ("fig4 1024 SSets @2048 R", 0x3fe0_0000_0000_0000), // 0.5
+        ("fig4 1024 SSets @2048 time", 0x3ff4_7765_72a3_d076), // 1.2791494825478629
+        ("fig4 1024 SSets @2048 compute", 0x3ff4_601e_955e_124b), // 1.2734666666666665
+        ("fig4 1024 SSets @2048 comm", 0x3f77_46dd_45be_2a4d), // 0.005682815881196191
+        ("fig4 1024 SSets @2048 speedup", 0x401f_dd08_7277_fd5e), // 7.965852535794822
+        ("fig4 1024 SSets @2048 efficiency", 0x4048_e4ae_996d_bdf1), // 49.78657834871763
+        ("fig6a BG/P @294912 R", 0x40b0_0000_0000_0000),    // 4096.0
+        ("fig6a BG/P @294912 time", 0x40c3_ce72_c405_b8c6), // 10140.8966071274
+        ("fig6a BG/P @294912 compute", 0x40c3_ce72_9220_8806), // 10140.895084444444
+        ("fig6a BG/P @294912 comm", 0x3f58_f298_5f85_4928), // 0.001522682954676011
+        ("fig6a BG/P @294912 speedup", 0x4071_ffff_f2e5_a5c9), // 287.99998750406354
+        ("fig6a BG/P @294912 efficiency", 0x4058_ffff_edcd_2d5e), // 99.99999566113317
+        ("fig6b BG/P split @262144 R", 0x3fc0_0000_0000_0000), // 0.125
+        ("fig6b BG/P split @262144 time", 0x4007_c7a2_3465_cba1), // 2.9724773496213435
+        ("fig6b BG/P split @262144 compute", 0x4007_c483_e159_daf8), // 2.9709546666666675
+        ("fig6b BG/P split @262144 comm", 0x3f58_f298_5f85_4928), // 0.001522682954676011
+        ("fig6b BG/P split @262144 speedup", 0x406a_a6ff_9888_c51d), // 213.21870066368948
+        ("fig6b BG/P split @262144 efficiency", 0x4054_d277_af2a_d9ff), // 83.2885549467537
+        ("fig6a BG/Q @16384 R", 0x40c0_0000_0000_0000),     // 8192.0
+        ("fig6a BG/Q @16384 time", 0x40bd_b5ab_f62f_1698),  // 7605.671725218788
+        ("fig6a BG/Q @16384 compute", 0x40bd_b5ab_dc80_5763), // 7605.671333333335
+        ("fig6a BG/Q @16384 comm", 0x3f39_aebf_34c9_3568),  // 0.00039188545341491696
+        ("fig6a BG/Q @16384 speedup", 0x402f_ffff_f88b_befa), // 15.999999777849997
+        ("fig6a BG/Q @16384 efficiency", 0x4058_ffff_fa2d_2d33), // 99.99999861156248
+        ("fig5 memory 1 total", 0x3fe0_5796_ff88_e570),     // 0.5106921187317948
+        ("fig5 memory 1 compute", 0x3fe0_4e47_73d3_662c),   // 0.5095555555555555
+        ("fig5 memory 1 comm", 0x3f52_9f17_6afe_883e),      // 0.0011365631762392382
+        ("fig5 memory 6 total", 0x3ff3_d0f5_9676_faee),     // 1.238515460732454
+        ("fig5 memory 6 compute", 0x3ff3_cc4c_a405_a4b5),   // 1.237377777777778
+        ("fig5 memory 6 comm", 0x3f52_a3c9_c558_e298),      // 0.001137682954676011
+        ("table6 R=0.5", 0x4049_0c94_1689_dd75),            // 50.098269288365294
+        ("table6 R=1", 0x4059_0000_0000_0000),              // 100.0
+        ("comm blocking @256", 0x4054_0fa2_7716_9697),      // 80.24429108816035
+        ("comm non-blocking @256", 0x4048_4a01_1ba2_a2a3),  // 48.578158811961906
+        ("scale_1e4 comm", 0x404f_312b_c0c0_c0c1),          // 62.38414773380055
+    ];
+
     #[test]
     fn wider_pools_degrade_static_but_not_adaptive() {
         // With the heavy prefix pinned to the first chunk, growing the pool
