@@ -257,7 +257,7 @@ fn observability_timeline(quick: bool) -> (String, egd_obs::MetricsSnapshot) {
 
     let ten_k = ScaleWorkload::canonical()[1];
     assert_eq!(ten_k.label, "scale_1e4");
-    let costs = ten_k.rank_costs_ns(&egd_cluster::cost::CostModel::blue_gene_like());
+    let costs = ten_k.rank_costs_ns(&egd_cost::CostModel::blue_gene_like());
     let (_, adaptive_events) =
         simulate_schedule_recorded(ten_k.workers, &costs, None, Policy::Adaptive);
     let (_, guided_events) =

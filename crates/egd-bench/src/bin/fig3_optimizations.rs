@@ -20,9 +20,9 @@
 
 use egd_analysis::export::CsvTable;
 use egd_bench::{fmt, print_table};
-use egd_cluster::cost::{CommMode, CostModel, OptimizationLevel};
 use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::perf::{ScalingHarness, Workload};
+use egd_cluster::{CommMode, CostModel, Machine, OptimizationLevel};
 use egd_core::game::naive::NaiveIpd;
 use egd_core::prelude::*;
 use std::hint::black_box;
@@ -37,11 +37,7 @@ fn modelled_ladder() -> CsvTable {
         "computation (s)",
     ]);
     for level in OptimizationLevel::LADDER {
-        let harness = ScalingHarness::new(
-            egd_cluster::machine::MachineSpec::blue_gene_p(),
-            CostModel::blue_gene_like(),
-            level,
-        );
+        let harness = ScalingHarness::new(Machine::BLUE_GENE_P, CostModel::blue_gene_like(), level);
         let estimate = harness.estimate(256, &workload).expect("estimate");
         table.push_row(vec![
             level.label().to_string(),

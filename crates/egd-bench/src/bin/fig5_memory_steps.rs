@@ -17,9 +17,8 @@
 
 use egd_analysis::export::CsvTable;
 use egd_bench::{fmt, has_flag, print_table};
-use egd_cluster::cost::{CostModel, OptimizationLevel};
-use egd_cluster::machine::MachineSpec;
-use egd_cluster::perf::{ScalingHarness, Workload};
+use egd_cluster::perf::{Machine, ScalingHarness, Workload};
+use egd_cluster::{CostModel, OptimizationLevel};
 use egd_core::prelude::*;
 use std::time::Instant;
 
@@ -30,11 +29,7 @@ fn main() {
     } else {
         CostModel::blue_gene_like()
     };
-    let harness = ScalingHarness::new(
-        MachineSpec::blue_gene_p(),
-        cost,
-        OptimizationLevel::INSTRUCTION,
-    );
+    let harness = ScalingHarness::new(Machine::BLUE_GENE_P, cost, OptimizationLevel::INSTRUCTION);
     let workload = Workload::paper(2_048, MemoryDepth::ONE, 20);
 
     println!(

@@ -64,7 +64,7 @@ fn weak_scaling() {
 fn strong_scaling() {
     let workload = Workload::paper(32_768, MemoryDepth::SIX, 20);
     let bgp = ScalingHarness::blue_gene_p()
-        .with_sset_splitting(1.2)
+        .with_sset_splitting()
         .strong_scaling(&workload, &[1_024, 2_048, 8_192, 16_384, 262_144])
         .expect("strong scaling BG/P");
     print_table(
@@ -73,7 +73,7 @@ fn strong_scaling() {
     );
 
     let bgq = ScalingHarness::blue_gene_q()
-        .with_sset_splitting(1.2)
+        .with_sset_splitting()
         .strong_scaling(&workload, &[1_024, 2_048, 8_192, 16_384])
         .expect("strong scaling BG/Q");
     print_table(

@@ -562,12 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_model_is_positive_and_ordered() {
-        use egd_cost::ComputeOptimization;
+    fn calibrated_model_is_positive() {
         let model = calibrated_cost_model();
         assert!(model.round_base_us > 0.0);
         assert!(model.round_per_state_bit_us > 0.0);
         assert!(model.naive_scan_us_per_state > 0.0);
+    }
+
+    #[test]
+    #[ignore = "asserts an order of host wall-clock timings: run by name in CI's bench-smoke job"]
+    fn calibrated_ladder_is_ordered() {
+        use egd_cost::ComputeOptimization;
+        let model = calibrated_cost_model();
         // Calibration must preserve the qualitative ladder ordering.
         let naive = model.game_time_us(MemoryDepth::TWO, 200, ComputeOptimization::Baseline, 1.0);
         let optimised =

@@ -7,7 +7,7 @@
 //! harness therefore composes the two honest instruments the workspace
 //! already trusts:
 //!
-//! 1. **The cost model** (`egd_cluster::cost`, fixed Blue-Gene-like
+//! 1. **The cost model** (`egd_cost::CostModel`, fixed Blue-Gene-like
 //!    constants) prices each rank's per-generation game-play phase — SSets
 //!    per rank × opponents × per-game time at the rank's memory depth. The
 //!    first ⅛ of the ranks own memory-six blocks (deep-memory
@@ -24,9 +24,9 @@
 //! which is what lets CI gate them (`bench_diff --enforce-scale`) against
 //! `BENCH_baseline.json` without tolerance bands.
 
-use egd_cluster::cost::{CommMode, ComputeOptimization, CostModel, TopologyCost};
-use egd_cluster::topology::ClusterTopology;
+use egd_cluster::perf::{ScalingHarness, Workload};
 use egd_core::state::MemoryDepth;
+use egd_cost::{ComputeOptimization, CostModel};
 use egd_sched::{simulate_schedule, Policy, SimOutcome};
 
 /// A synthetic rank-level workload for the scale studies.
@@ -164,16 +164,10 @@ impl ScaleWorkload {
     /// PC 10%, mutation 5%) — reported next to the compute critical path so
     /// the compute/comm ratio of the scale points stays visible.
     fn modeled_comm_us(&self) -> f64 {
-        let topology =
-            ClusterTopology::blue_gene_p_virtual_node(self.ranks, self.ranks * self.ssets_per_rank)
-                .expect("scale topology is valid");
-        CostModel::blue_gene_like().generation_comm_time_us(
-            &topology,
-            MemoryDepth::SIX,
-            0.1,
-            0.05,
-            CommMode::NonBlocking,
-        )
+        let workload = Workload::paper(self.ranks * self.ssets_per_rank, MemoryDepth::SIX, 1);
+        ScalingHarness::blue_gene_p()
+            .generation_comm_us(self.ranks, &workload)
+            .expect("a scale point has ranks")
     }
 }
 
@@ -229,6 +223,7 @@ pub fn assess_scale(workload: &ScaleWorkload) -> ScaleAssessment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egd_cost::CommMode;
 
     #[test]
     fn heavy_prefix_is_costlier() {
@@ -377,21 +372,24 @@ mod tests {
     }
 
     /// Fig. 6b's harness: Blue Gene/P with sub-SSet splitting.
-    fn splitting_blue_gene_p() -> egd_cluster::ScalingHarness {
-        egd_cluster::ScalingHarness::blue_gene_p().with_sset_splitting(1.2)
+    fn splitting_blue_gene_p() -> ScalingHarness {
+        ScalingHarness::blue_gene_p().with_sset_splitting()
     }
 
     /// Per-generation communication time (µs) of 256 Blue Gene/P worker
     /// ranks at memory one, PC 0.1 and µ 0.05 under `comm`.
     fn comm_us_at_256_ranks(comm: CommMode) -> f64 {
-        let topology = ClusterTopology::blue_gene_p_virtual_node(256, 4096).unwrap();
-        CostModel::blue_gene_like().generation_comm_time_us(
-            &topology,
-            MemoryDepth::ONE,
-            0.1,
-            0.05,
+        let level = egd_cost::OptimizationLevel {
             comm,
+            ..egd_cost::OptimizationLevel::INSTRUCTION
+        };
+        ScalingHarness::new(
+            egd_cluster::Machine::BLUE_GENE_P,
+            CostModel::blue_gene_like(),
+            level,
         )
+        .generation_comm_us(256, &Workload::paper(4096, MemoryDepth::ONE, 1))
+        .unwrap()
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Blue Gene machines run broadcasts and reductions on a dedicated
 //! collective network that is log-depth *by construction* (§V-B), and the
-//! analytic model in [`crate::network`] has always priced them that way.
+//! analytic model in [`crate::perf`] has always priced them that way.
 //! This module pins down the one concrete tree both layers now agree on — a
 //! **binomial tree over virtual ranks** — so the schedule the simulated
 //! transport ([`crate::mpi`]) executes is the schedule the cost model

@@ -40,7 +40,6 @@
 //! `trace_interval` generations, a row with Fig. 5's compute/communication
 //! split.
 
-use crate::cost::CommMode;
 use crate::mpi::{Communicator, SimWorld};
 use egd_core::config::SimulationConfig;
 use egd_core::dynamics::GenerationDecision;
@@ -49,6 +48,7 @@ use egd_core::grouping::keeper_of;
 use egd_core::payoff_table::{KeptFitness, PayoffTableStats};
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessMode, PairEvaluator, SimulationState};
+use egd_cost::CommMode;
 use egd_obs::{GenerationMetrics, MetricsSnapshot, SpanKind, SpanTimer, TrafficMetrics};
 use egd_parallel::partition::SSetPartition;
 use serde::{Deserialize, Serialize};

@@ -13,9 +13,6 @@
 //!   pool by [`taskexec`]; blocking collectives are task yields, so worlds
 //!   of 10³–10⁴ ranks cost no OS threads (the original thread-per-rank
 //!   transport topped out around 10² ranks and has been retired).
-//! * [`machine`] / [`network`] — machine descriptions of Blue Gene/P and
-//!   Blue Gene/Q (cores, threads, memory, torus dimensions, link bandwidth,
-//!   collective latency) and analytic torus / collective-network timing.
 //! * [`executor`] — the paper's distributed algorithm (§V) run over the
 //!   simulated communicator: rank 0 is the Nature Agent, the other ranks own
 //!   blocks of SSets, and every strategy change is broadcast so all ranks
@@ -31,12 +28,14 @@
 //!   generation cadence, and [`fault::SupervisedExecutor`] classifies
 //!   failures and replays from verified checkpoints until the run completes
 //!   byte-identical to a fault-free execution.
-//! * [`cost`] / [`perf`] — a calibrated compute + communication cost model
-//!   and the analytic scaling harness that regenerates the paper's scaling
-//!   results (Fig. 4, Fig. 5, Fig. 6, Table VI) for processor counts far
-//!   beyond what can be spawned as real threads. Combined with
-//!   `egd_sched::simulate` virtual-time replay it also drives the
-//!   10³–10⁴-rank scale gate in `egd-bench`'s `bench_diff`.
+//! * [`perf`] — the analytic scaling harness that regenerates the paper's
+//!   scaling results (Fig. 4, Fig. 5, Fig. 6, Table VI) for processor counts
+//!   far beyond what can be spawned as real threads: the busiest rank's
+//!   games priced by `egd_cost::CostModel` plus the expected collective and
+//!   torus traffic, over a [`Machine`] price list of Blue Gene/P or Blue
+//!   Gene/Q. Its communication price is also the modelled-comm column of
+//!   the 10³–10⁵-rank scale points that `egd-bench`'s `bench_diff` replays
+//!   with `egd_sched::simulate`.
 //!
 //! Every executor reports its run through one `egd_obs::MetricsSnapshot`
 //! (`metrics` on [`DistributedRunSummary`] and [`ScheduledRunSummary`]; a
@@ -47,24 +46,16 @@
 #![warn(missing_docs)]
 
 pub mod collective;
-pub mod cost;
 pub mod executor;
 pub mod fault;
-pub mod machine;
 pub mod mpi;
-pub mod network;
 pub mod perf;
 pub mod scheduled;
 pub mod taskexec;
-pub mod topology;
 
-pub use cost::{CommMode, ComputeOptimization, CostModel, OptimizationLevel, TopologyCost};
+pub use egd_cost::{CommMode, CostModel, OptimizationLevel};
 pub use executor::{DistributedConfig, DistributedExecutor, DistributedRunSummary};
 pub use fault::{FaultRecoveryStats, SupervisedExecutor, SupervisedRunSummary, SupervisorConfig};
-pub use machine::MachineSpec;
 pub use mpi::{Communicator, PendingOp, SimWorld, TrafficStats, WorldFailure};
-pub use network::{CollectiveNetwork, TorusNetwork};
-
-pub use perf::{ScalingHarness, ScalingPoint, Workload};
+pub use perf::{Machine, ScalingHarness, ScalingPoint, Workload};
 pub use scheduled::{ScheduledConfig, ScheduledExecutor, ScheduledRunSummary};
-pub use topology::ClusterTopology;

@@ -17,8 +17,8 @@
 //! index and payload and detects protocol deadlocks instead of hanging.
 //!
 //! Collectives are **tree-structured** over the binomial tree of
-//! [`crate::collective`] — the same shape the cost model's
-//! [`crate::network::CollectiveNetwork`] prices. A broadcast walks the tree
+//! [`crate::collective`] — the same shape the scaling harness
+//! ([`crate::perf`]) prices. A broadcast walks the tree
 //! root-down (every node forwards the root's `Arc`-shared payload to its
 //! ≤ ⌈log₂ P⌉ children), a gather walks it leaves-up (every node merges its
 //! children's contiguous virtual-rank segments and sends *one* message to
@@ -33,8 +33,8 @@
 //!
 //! The communicator preserves the *communication pattern* of the paper
 //! exactly; the transport is in-memory mailboxes instead of a torus, which is
-//! why wall-clock communication costs are charged separately by the cost
-//! model in [`crate::cost`] rather than measured here.
+//! why wall-clock communication costs are charged separately by the
+//! scaling harness in [`crate::perf`] rather than measured here.
 //!
 //! ## Fault injection
 //!

@@ -1,12 +1,14 @@
-//! Analytic scaling harness.
+//! Analytic scaling harness: one machine price list and one closed form.
 //!
 //! The paper's scaling studies run on up to 294,912 cores. Spawning that many
-//! real threads is impossible, so the scaling figures are regenerated from
-//! the cost model of [`crate::cost`]: for every processor count the harness
-//! builds the corresponding topology, charges the busiest rank's game-play
-//! time plus the expected per-generation communication time, and converts the
-//! resulting run times into the speedup / parallel-efficiency series the
-//! paper plots (Fig. 4, Fig. 6a/b) and tabulates (Table VI).
+//! real threads is impossible, so the scaling figures are regenerated from a
+//! closed form: for every processor count the harness charges the busiest
+//! rank's games × the per-game price of the shared [`CostModel`], plus the
+//! expected per-generation traffic on the machine's collective and torus
+//! networks, and converts the resulting run times into the speedup /
+//! parallel-efficiency series the paper plots (Fig. 4, Fig. 5, Fig. 6a/b) and
+//! tabulates (Table VI). The machine is a [`Machine`] price list: Blue Gene/P
+//! or Blue Gene/Q, as the paper ran them.
 //!
 //! Two workload knobs capture ambiguities of the paper that matter for the
 //! shapes:
@@ -26,12 +28,97 @@
 //!   overhead penalty, giving the ~82% dip the paper reports at 262,144
 //!   processors.
 
-use crate::cost::{CostModel, OptimizationLevel, TopologyCost};
-use crate::machine::MachineSpec;
-use crate::topology::ClusterTopology;
+use crate::collective;
 use egd_core::error::{EgdError, EgdResult};
 use egd_core::state::MemoryDepth;
+use egd_cost::{CommMode, CostModel, OptimizationLevel};
 use serde::{Deserialize, Serialize};
+
+/// The prices of one of the paper's machines (§VI and the cited Blue Gene
+/// hardware papers): its rank layout, the speed of one core, and the
+/// latency + size/bandwidth of its two networks (§V-B) — the collective
+/// (tree) network that carries broadcasts and reductions, and the torus that
+/// carries point-to-point messages.
+#[derive(Debug, Clone, Copy)]
+pub struct Machine {
+    /// Worker threads per rank (the OpenMP level).
+    threads_per_rank: u32,
+    /// Relative serial compute speed of one core (1.0 = the calibration
+    /// machine). Blue Gene cores are slow embedded cores.
+    core_speed_factor: f64,
+    /// Collective-network bandwidth (GiB/s).
+    collective_gib_s: f64,
+    /// Collective-network latency per tree stage (µs).
+    stage_latency_us: f64,
+    /// Average torus hop count of a uniformly random pair of nodes: the sum
+    /// of `d/4` over the torus dimensions `d`.
+    torus_hops: f64,
+    /// Torus link bandwidth (GiB/s).
+    torus_gib_s: f64,
+    /// Torus latency per hop (µs).
+    hop_latency_us: f64,
+}
+
+impl Machine {
+    /// IBM Blue Gene/P, the 294,912-core system of the large-scale runs, in
+    /// virtual-node mode: 4 cores per node, one rank per core, one thread
+    /// per rank; a 72 × 32 × 32 torus.
+    pub const BLUE_GENE_P: Machine = Machine {
+        threads_per_rank: 1,
+        core_speed_factor: 0.45,
+        collective_gib_s: 0.85,
+        stage_latency_us: 2.5,
+        torus_hops: (72.0 + 32.0 + 32.0) / 4.0,
+        torus_gib_s: 0.425,
+        hop_latency_us: 3.5,
+    };
+
+    /// IBM Blue Gene/Q in the paper's hybrid mode (§VI-C): 16 cores × 4
+    /// hardware threads per node, run as 32 ranks × 2 threads per node; an
+    /// 8 × 8 × 8 × 8 × 2 torus.
+    pub(crate) const BLUE_GENE_Q: Machine = Machine {
+        threads_per_rank: 2,
+        core_speed_factor: 0.6,
+        collective_gib_s: 2.0,
+        stage_latency_us: 1.2,
+        torus_hops: (8.0 + 8.0 + 8.0 + 8.0 + 2.0) / 4.0,
+        torus_gib_s: 2.0,
+        hop_latency_us: 0.6,
+    };
+
+    /// Time (µs) to broadcast (or reduce) `bytes` over `ranks` ranks on the
+    /// collective network: one latency per stage of the binomial tree the
+    /// transport runs ([`collective::stages`]) plus the transfer.
+    fn broadcast_us(&self, bytes: usize, ranks: usize) -> f64 {
+        let stages = collective::stages(ranks) as f64;
+        let transfer = bytes as f64 / (self.collective_gib_s * 1024.0 * 1024.0 * 1024.0) * 1e6;
+        stages * self.stage_latency_us + transfer
+    }
+
+    /// Time (µs) of a point-to-point message of `bytes` over `hops` torus
+    /// hops.
+    fn p2p_us(&self, bytes: usize, hops: u32) -> f64 {
+        let latency = self.hop_latency_us * hops.max(1) as f64;
+        let transfer = bytes as f64 / (self.torus_gib_s * 1024.0 * 1024.0 * 1024.0) * 1e6;
+        latency + transfer
+    }
+}
+
+/// Overhead factor of sub-SSet splitting: the duplicated state and extra
+/// reduction of an SSet whose games are split across processors.
+const SPLITTING_PENALTY: f64 = 1.2;
+
+/// SSets owned by the busiest of `workers` ranks: the longest block of the
+/// SSet partition. Below one SSet per rank this stays 1, which is exactly
+/// the load imbalance that degrades strong scaling in Fig. 4 / Fig. 6b.
+fn busiest_rank_ssets(workers: usize, num_ssets: usize) -> usize {
+    num_ssets.div_ceil(workers)
+}
+
+/// The SSets-per-processor ratio `R` of Table VI.
+fn ssets_per_worker(workers: usize, num_ssets: usize) -> f64 {
+    num_ssets as f64 / workers as f64
+}
 
 /// The scientific workload whose scaling is being studied.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -112,7 +199,7 @@ pub struct ScalingPoint {
     pub efficiency_percent: f64,
 }
 
-/// Estimated run cost for one topology.
+/// Estimated run cost on one processor count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunEstimate {
     /// Total wall-clock seconds.
@@ -126,31 +213,22 @@ pub struct RunEstimate {
 /// The analytic scaling harness.
 #[derive(Debug, Clone)]
 pub struct ScalingHarness {
-    machine: MachineSpec,
+    machine: Machine,
     cost: CostModel,
     level: OptimizationLevel,
-    ranks_per_node: u32,
-    threads_per_rank: u32,
-    /// `Some(penalty)` enables sub-SSet work splitting when `R < 1`.
-    splitting_penalty: Option<f64>,
+    /// Sub-SSet work splitting when `R < 1`.
+    sset_splitting: bool,
 }
 
 impl ScalingHarness {
     /// Creates a harness for a machine with an explicit cost model and
     /// optimisation level.
-    pub fn new(machine: MachineSpec, cost: CostModel, level: OptimizationLevel) -> Self {
-        let (ranks_per_node, threads_per_rank) = if machine.name.contains('Q') {
-            (32, 2)
-        } else {
-            (machine.cores_per_node, 1)
-        };
+    pub fn new(machine: Machine, cost: CostModel, level: OptimizationLevel) -> Self {
         ScalingHarness {
             machine,
             cost,
             level,
-            ranks_per_node,
-            threads_per_rank,
-            splitting_penalty: None,
+            sset_splitting: false,
         }
     }
 
@@ -158,7 +236,7 @@ impl ScalingHarness {
     /// model and full optimisation.
     pub fn blue_gene_p() -> Self {
         Self::new(
-            MachineSpec::blue_gene_p(),
+            Machine::BLUE_GENE_P,
             CostModel::blue_gene_like(),
             OptimizationLevel::INSTRUCTION,
         )
@@ -167,83 +245,131 @@ impl ScalingHarness {
     /// Harness for Blue Gene/Q in the paper's 32×2 hybrid mode.
     pub fn blue_gene_q() -> Self {
         Self::new(
-            MachineSpec::blue_gene_q(),
+            Machine::BLUE_GENE_Q,
             CostModel::blue_gene_like(),
             OptimizationLevel::INSTRUCTION,
         )
     }
 
-    /// Enables sub-SSet work splitting for `R < 1` with the given overhead
-    /// penalty (>= 1). Used for the very large strong-scaling runs (Fig. 6b).
-    pub fn with_sset_splitting(mut self, penalty: f64) -> Self {
-        self.splitting_penalty = Some(penalty.max(1.0));
+    /// Enables sub-SSet work splitting for `R < 1`, at a 1.2× overhead
+    /// penalty. Used for the very large strong-scaling runs (Fig. 6b).
+    pub fn with_sset_splitting(mut self) -> Self {
+        self.sset_splitting = true;
         self
     }
 
-    /// Builds the topology for a given processor count.
-    pub(crate) fn topology(
-        &self,
-        processors: usize,
-        num_ssets: usize,
-    ) -> EgdResult<ClusterTopology> {
+    /// Worker ranks that own SSets on `processors` processors (the Nature
+    /// Agent's rank is extra).
+    fn worker_ranks(&self, processors: usize) -> EgdResult<usize> {
         if processors == 0 {
             return Err(EgdError::InvalidTopology {
                 reason: "processor count must be positive".to_string(),
             });
         }
-        let worker_ranks = (processors / self.threads_per_rank as usize).max(1);
-        ClusterTopology::new(
-            self.machine.clone(),
-            worker_ranks,
-            self.ranks_per_node,
-            self.threads_per_rank,
-            num_ssets,
-        )
+        Ok((processors / self.machine.threads_per_rank as usize).max(1))
     }
 
-    /// Number of games the busiest rank plays per generation.
-    fn games_on_busiest_rank(&self, topology: &ClusterTopology, workload: &Workload) -> f64 {
-        let opponents = workload.effective_opponents() as f64;
-        let ratio = topology.ssets_per_processor();
-        match self.splitting_penalty {
-            Some(penalty) if ratio < 1.0 => {
-                // Sub-SSet splitting: games divide evenly across ranks at a
-                // small duplication / reduction overhead.
-                workload.num_ssets as f64 * opponents / topology.worker_ranks() as f64 * penalty
-            }
-            _ => topology.max_ssets_per_rank() as f64 * opponents,
-        }
-    }
-
-    /// Per-generation compute time (µs) on the busiest rank.
-    fn generation_compute_us(&self, topology: &ClusterTopology, workload: &Workload) -> f64 {
-        let game_time = self.cost.game_time_us(
+    /// Time (µs) of one game of `workload` on one core of the machine.
+    fn game_us(&self, workload: &Workload) -> f64 {
+        self.cost.game_time_us(
             workload.memory,
             workload.rounds,
             self.level.compute,
-            topology.machine().core_speed_factor,
-        );
-        self.games_on_busiest_rank(topology, workload) * game_time
-            / topology.threads_per_rank() as f64
+            self.machine.core_speed_factor,
+        )
+    }
+
+    /// Per-generation compute time (µs) on the busiest of `workers` ranks:
+    /// its games spread over the rank's threads.
+    fn compute_us(&self, workers: usize, workload: &Workload) -> f64 {
+        let opponents = workload.effective_opponents() as f64;
+        let games = if self.sset_splitting && ssets_per_worker(workers, workload.num_ssets) < 1.0 {
+            // Sub-SSet splitting: games divide evenly across ranks at a
+            // small duplication / reduction overhead.
+            workload.num_ssets as f64 * opponents / workers as f64 * SPLITTING_PENALTY
+        } else {
+            busiest_rank_ssets(workers, workload.num_ssets) as f64 * opponents
+        };
+        games * self.game_us(workload) / self.machine.threads_per_rank as f64
             + self.cost.per_generation_overhead_us
+    }
+
+    /// Expected per-generation communication time (µs) of `workers` worker
+    /// ranks plus the Nature Agent's.
+    fn comm_us(&self, workers: usize, workload: &Workload) -> f64 {
+        let machine = &self.machine;
+        let ranks = workers + 1;
+
+        // 1. Every generation: the Nature Agent announces whether PC /
+        //    mutation happen (a small broadcast that doubles as the global
+        //    synchronisation point).
+        let announce = machine.broadcast_us(16, ranks);
+
+        // 2. PC events: the two selected owners return their fitness.
+        let fitness_return = match self.level.comm {
+            CommMode::NonBlocking => 2.0 * machine.p2p_us(16, machine.torus_hops.ceil() as u32),
+            CommMode::Blocking => {
+                // The unoptimised protocol gathers a fitness message from
+                // every rank. The transport runs the binomial reduction tree
+                // of `crate::collective`, so the latency term is one p2p
+                // exchange per tree *stage* — not per rank — plus the
+                // collective-network reduce of the full payload. What stays
+                // linear is the root itself: it still deserialises and folds
+                // one contribution per rank from the merged segments.
+                let stages = collective::stages(ranks) as f64;
+                self.cost.blocking_comm_penalty
+                    * (stages * machine.p2p_us(8, 1)
+                        + ranks as f64 * self.cost.root_ingest_us
+                        + machine.broadcast_us(8 * ranks, ranks))
+            }
+        };
+
+        // 3. Strategy updates: an adopted PC result (≈ half of PC events) or
+        //    a mutation requires broadcasting a strategy-sized payload.
+        let strategy_bytes = CostModel::strategy_message_bytes(workload.memory);
+        let update_probability = workload.pc_rate * 0.5 + workload.mutation_rate;
+        let update = machine.broadcast_us(strategy_bytes, ranks);
+
+        announce + workload.pc_rate * fitness_return + update_probability * update
+    }
+
+    /// Expected per-generation communication time (µs) of a workload on a
+    /// processor count.
+    pub fn generation_comm_us(&self, processors: usize, workload: &Workload) -> EgdResult<f64> {
+        Ok(self.comm_us(self.worker_ranks(processors)?, workload))
     }
 
     /// Estimates the wall-clock cost of a workload on a processor count.
     pub fn estimate(&self, processors: usize, workload: &Workload) -> EgdResult<RunEstimate> {
-        let topology = self.topology(processors, workload.num_ssets)?;
-        let compute_us = self.generation_compute_us(&topology, workload);
-        let comm_us = self.cost.generation_comm_time_us(
-            &topology,
-            workload.memory,
-            workload.pc_rate,
-            workload.mutation_rate,
-            self.level.comm,
-        );
+        Ok(self.estimate_on(self.worker_ranks(processors)?, workload))
+    }
+
+    /// The run cost of a workload on `workers` worker ranks.
+    fn estimate_on(&self, workers: usize, workload: &Workload) -> RunEstimate {
+        let compute_us = self.compute_us(workers, workload);
+        let comm_us = self.comm_us(workers, workload);
         let generations = workload.generations as f64;
-        Ok(RunEstimate {
+        RunEstimate {
             total_seconds: (compute_us + comm_us) * generations / 1e6,
             compute_seconds: compute_us * generations / 1e6,
             comm_seconds: comm_us * generations / 1e6,
+        }
+    }
+
+    /// One point of a study, with speedup 1 and efficiency 100 % until the
+    /// study compares it with its baseline.
+    fn point(&self, processors: usize, workload: &Workload) -> EgdResult<ScalingPoint> {
+        let workers = self.worker_ranks(processors)?;
+        let estimate = self.estimate_on(workers, workload);
+        Ok(ScalingPoint {
+            processors,
+            worker_ranks: workers,
+            ssets_per_processor: ssets_per_worker(workers, workload.num_ssets),
+            time_seconds: estimate.total_seconds,
+            compute_seconds: estimate.compute_seconds,
+            comm_seconds: estimate.comm_seconds,
+            speedup: 1.0,
+            efficiency_percent: 100.0,
         })
     }
 
@@ -262,24 +388,15 @@ impl ScalingHarness {
                          (the first is the speedup baseline)"
                     .to_string(),
             })?;
-        let base = self.estimate(base_processors, workload)?;
+        let base = self.point(base_processors, workload)?;
         processor_counts
             .iter()
             .map(|&p| {
-                let estimate = self.estimate(p, workload)?;
-                let topology = self.topology(p, workload.num_ssets)?;
-                let speedup = base.total_seconds / estimate.total_seconds;
+                let mut point = self.point(p, workload)?;
+                point.speedup = base.time_seconds / point.time_seconds;
                 let ideal = p as f64 / base_processors as f64;
-                Ok(ScalingPoint {
-                    processors: p,
-                    worker_ranks: topology.worker_ranks(),
-                    ssets_per_processor: topology.ssets_per_processor(),
-                    time_seconds: estimate.total_seconds,
-                    compute_seconds: estimate.compute_seconds,
-                    comm_seconds: estimate.comm_seconds,
-                    speedup,
-                    efficiency_percent: 100.0 * speedup / ideal,
-                })
+                point.efficiency_percent = 100.0 * point.speedup / ideal;
+                Ok(point)
             })
             .collect()
     }
@@ -310,24 +427,15 @@ impl ScalingHarness {
                         .unwrap_or(ssets_per_processor),
                 )
         };
-        let base = self.estimate(base_processors, &per_point(base_processors))?;
+        let base = self.point(base_processors, &per_point(base_processors))?;
         processor_counts
             .iter()
             .map(|&p| {
-                let workload = per_point(p);
-                let estimate = self.estimate(p, &workload)?;
-                let topology = self.topology(p, workload.num_ssets)?;
-                Ok(ScalingPoint {
-                    processors: p,
-                    worker_ranks: topology.worker_ranks(),
-                    ssets_per_processor: topology.ssets_per_processor(),
-                    time_seconds: estimate.total_seconds,
-                    compute_seconds: estimate.compute_seconds,
-                    comm_seconds: estimate.comm_seconds,
-                    speedup: base.total_seconds / estimate.total_seconds * p as f64
-                        / base_processors as f64,
-                    efficiency_percent: 100.0 * base.total_seconds / estimate.total_seconds,
-                })
+                let mut point = self.point(p, &per_point(p))?;
+                point.speedup =
+                    base.time_seconds / point.time_seconds * p as f64 / base_processors as f64;
+                point.efficiency_percent = 100.0 * base.time_seconds / point.time_seconds;
+                Ok(point)
             })
             .collect()
     }
@@ -347,41 +455,26 @@ impl ScalingHarness {
                 reason: "ratio-efficiency table needs at least one R ratio row".to_string(),
             });
         }
-        ratios
+        let workers = self.worker_ranks(processors)?;
+        Ok(ratios
             .iter()
             .map(|&ratio| {
-                let topology_probe = self.topology(processors, 1)?;
-                let workers = topology_probe.worker_ranks();
                 let num_ssets = ((ratio * workers as f64).round() as usize).max(1);
                 let workload = workload_template.with_num_ssets(num_ssets);
-                let topology = self.topology(processors, num_ssets)?;
-                let estimate = self.estimate(processors, &workload)?;
+                let estimate = self.estimate_on(workers, &workload);
 
                 // Ideal: the same total game work divided perfectly evenly
                 // (fractional SSets allowed), same communication.
-                let game_time = self.cost.game_time_us(
-                    workload.memory,
-                    workload.rounds,
-                    self.level.compute,
-                    self.machine.core_speed_factor,
-                );
                 let total_games = num_ssets as f64 * workload.effective_opponents() as f64;
-                let ideal_compute_us = total_games * game_time
-                    / (topology.worker_ranks() as f64 * topology.threads_per_rank() as f64)
+                let ideal_compute_us = total_games * self.game_us(&workload)
+                    / (workers as f64 * self.machine.threads_per_rank as f64)
                     + self.cost.per_generation_overhead_us;
-                let ideal_total = (ideal_compute_us
-                    + self.cost.generation_comm_time_us(
-                        &topology,
-                        workload.memory,
-                        workload.pc_rate,
-                        workload.mutation_rate,
-                        self.level.comm,
-                    ))
+                let ideal_total = (ideal_compute_us + self.comm_us(workers, &workload))
                     * workload.generations as f64
                     / 1e6;
-                Ok((ratio, 100.0 * ideal_total / estimate.total_seconds))
+                (ratio, 100.0 * ideal_total / estimate.total_seconds)
             })
-            .collect()
+            .collect())
     }
 
     /// Fig. 5: the compute / communication split per generation as the memory
@@ -411,6 +504,122 @@ mod tests {
 
     fn workload(ssets: usize, memory: MemoryDepth) -> Workload {
         Workload::paper(ssets, memory, 20)
+    }
+
+    /// A per-generation workload for the network-price tests: PC 0.1, µ 0.05.
+    fn one_generation(ssets: usize, memory: MemoryDepth) -> Workload {
+        Workload::paper(ssets, memory, 1)
+    }
+
+    #[test]
+    fn presets_price_the_papers_layouts() {
+        let bgp = Machine::BLUE_GENE_P;
+        let bgq = Machine::BLUE_GENE_Q;
+        assert_eq!(bgp.threads_per_rank, 1, "virtual-node mode");
+        assert_eq!(bgq.threads_per_rank, 2, "32 ranks x 2 threads");
+        assert!(bgp.core_speed_factor < 1.0, "an embedded core");
+        assert!(bgq.core_speed_factor < 1.0, "an embedded core");
+        assert_eq!(bgp.torus_hops, 34.0);
+        assert_eq!(bgq.torus_hops, 8.5);
+        // 512 BG/Q nodes x 32 ranks, 2 threads each: 16,384 tasks.
+        let harness = ScalingHarness::blue_gene_q();
+        assert_eq!(harness.worker_ranks(2 * 512 * 32).unwrap(), 512 * 32);
+    }
+
+    #[test]
+    fn ratio_and_busiest_rank() {
+        assert_eq!(ssets_per_worker(2048, 2048), 1.0);
+        assert_eq!(busiest_rank_ssets(2048, 2048), 1);
+        assert_eq!(ssets_per_worker(2048, 1024), 0.5);
+        // Even at R = 0.5 the busiest rank still owns one full SSet.
+        assert_eq!(busiest_rank_ssets(2048, 1024), 1);
+        assert_eq!(ssets_per_worker(256, 4096), 16.0);
+        assert_eq!(busiest_rank_ssets(256, 4096), 16);
+        // The busiest rank owns the longest block of the partition the
+        // executors deal SSets out with.
+        for workers in [1usize, 3, 7, 256, 2048] {
+            for ssets in [0usize, 1, 5, 255, 256, 257, 4096, 10_000] {
+                let partition =
+                    egd_parallel::partition::SSetPartition::new(ssets, workers).unwrap();
+                let longest = partition.blocks().map(|(_, b)| b.len()).max();
+                assert_eq!(
+                    Some(busiest_rank_ssets(workers, ssets)),
+                    longest,
+                    "{ssets} SSets over {workers} ranks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn p2p_time_grows_with_hops_and_bytes() {
+        let m = Machine::BLUE_GENE_P;
+        assert!(m.p2p_us(1024, 4) > m.p2p_us(1024, 1));
+        assert!(m.p2p_us(1 << 20, 1) > m.p2p_us(1024, 1));
+    }
+
+    #[test]
+    fn broadcast_time_grows_logarithmically() {
+        let m = Machine::BLUE_GENE_P;
+        let t1k = m.broadcast_us(512, 1024);
+        let t256k = m.broadcast_us(512, 262_144);
+        assert!(t256k > t1k);
+        // Going from 2^10 to 2^18 ranks adds exactly 8 stages of latency.
+        assert!((t256k - t1k - 8.0 * m.stage_latency_us).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rank_compute_time_scales_with_load() {
+        let harness = ScalingHarness::blue_gene_p();
+        let light = harness.compute_us(256, &workload(1024, MemoryDepth::ONE));
+        let heavy = harness.compute_us(256, &workload(4096, MemoryDepth::ONE));
+        // 4x the SSets means 4x ssets-per-rank and 4x the opponents: ~16x work.
+        assert!(heavy > light * 10.0);
+    }
+
+    #[test]
+    fn comm_time_grows_with_rank_count_and_memory() {
+        let harness = ScalingHarness::blue_gene_p();
+        let six = one_generation(0, MemoryDepth::SIX);
+        let small = harness.comm_us(1024, &six);
+        let large = harness.comm_us(262_144, &six);
+        assert!(large > small);
+        let shallow = harness.comm_us(1024, &one_generation(0, MemoryDepth::ONE));
+        assert!(small > shallow);
+    }
+
+    #[test]
+    fn blocking_comm_is_more_expensive() {
+        let one = one_generation(4096, MemoryDepth::ONE);
+        let blocking = ScalingHarness::new(
+            Machine::BLUE_GENE_P,
+            CostModel::blue_gene_like(),
+            OptimizationLevel::ORIGINAL,
+        )
+        .comm_us(256, &one);
+        let nonblocking = ScalingHarness::blue_gene_p().comm_us(256, &one);
+        assert!(blocking > nonblocking);
+    }
+
+    #[test]
+    fn blocking_price_matches_the_executed_tree_schedule() {
+        // The fitness-return term must price what the transport runs: one
+        // p2p exchange per binomial-tree stage plus a per-rank root ingest —
+        // not the retired flat transport's one exchange per rank.
+        let model = CostModel::blue_gene_like();
+        let m = Machine::BLUE_GENE_P;
+        let ranks = 256 + 1;
+        let stages = collective::stages(ranks) as f64;
+        let fitness_return = model.blocking_comm_penalty
+            * (stages * m.p2p_us(8, 1)
+                + ranks as f64 * model.root_ingest_us
+                + m.broadcast_us(8 * ranks, ranks));
+        let announce = m.broadcast_us(16, ranks);
+        let update = m.broadcast_us(CostModel::strategy_message_bytes(MemoryDepth::ONE), ranks);
+        let expected = announce + 0.1 * fitness_return + (0.1 * 0.5 + 0.05) * update;
+        let priced = ScalingHarness::new(m, model, OptimizationLevel::ORIGINAL)
+            .comm_us(256, &one_generation(4096, MemoryDepth::ONE));
+        assert!((priced - expected).abs() < 1e-9, "{priced} vs {expected}");
     }
 
     #[test]
@@ -463,7 +672,7 @@ mod tests {
     fn strong_scaling_with_splitting_dips_at_huge_scale() {
         // Fig. 6b: 32,768 SSets, near-ideal through 16,384 processors and a
         // dip (paper: 82%) at 262,144 where SSets must be split.
-        let harness = ScalingHarness::blue_gene_p().with_sset_splitting(1.2);
+        let harness = ScalingHarness::blue_gene_p().with_sset_splitting();
         let counts = [1024usize, 2048, 8192, 16_384, 262_144];
         let points = harness
             .strong_scaling(&workload(32_768, MemoryDepth::SIX), &counts)

@@ -30,10 +30,10 @@
 //!   weights over a population's strategies.
 //! * [`balance`] — the shared skew/imbalance arithmetic (max-over-mean).
 //!
-//! Machine-*dependent* costs stay where their inputs live: `egd-cluster`
-//! extends [`CostModel`] with collective/torus communication times (its
-//! `TopologyCost` trait), and `egd-parallel` calibrates the compute
-//! coefficients by timing its real kernels.
+//! Machine-*dependent* costs stay where their inputs live: `egd-cluster`'s
+//! `ScalingHarness` adds collective/torus communication times from its
+//! `Machine` price list, and `egd_bench::kernels::calibrated_cost_model`
+//! calibrates the compute coefficients by timing the real kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

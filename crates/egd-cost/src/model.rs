@@ -11,10 +11,10 @@
 //!   here (`CostModel::pair_cost_ns`);
 //! * `egd-parallel` prices its work-plan items and pair-matrix cells
 //!   ([`crate::predict`]);
-//! * `egd-cluster` adds the machine-dependent half (collective and torus
-//!   network times need a `ClusterTopology`) through its `TopologyCost`
-//!   extension trait, and `egd-parallel` provides host calibration by timing
-//!   its real kernels.
+//! * `egd-cluster`'s `ScalingHarness` adds the machine-dependent half
+//!   (collective and torus network times from its `Machine` price list),
+//!   and `egd_bench::kernels::calibrated_cost_model` provides host
+//!   calibration by timing the real kernels.
 //!
 //! The optimisation ladder of Fig. 3 is expressed as
 //! [`OptimizationLevel`] = communication mode × compute optimisation.

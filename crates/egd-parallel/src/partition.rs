@@ -101,12 +101,6 @@ impl SSetPartition {
     pub fn blocks(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         (0..self.num_workers).map(move |w| (w, self.block(w)))
     }
-
-    /// The maximum number of SSets any single worker owns (the load-balance
-    /// bound that drives strong-scaling efficiency).
-    pub fn max_block_len(&self) -> usize {
-        self.blocks().map(|(_, b)| b.len()).max().unwrap_or(0)
-    }
 }
 
 /// Splits one generation's games over the ranks of `partition`: a game
@@ -308,11 +302,12 @@ mod tests {
 
     #[test]
     fn ssets_per_worker_ratio() {
+        let max_block_len = |p: &SSetPartition| p.blocks().map(|(_, b)| b.len()).max();
         let partition = SSetPartition::new(4096, 256).unwrap();
-        assert_eq!(partition.max_block_len(), 16);
+        assert_eq!(max_block_len(&partition), Some(16));
         // The pathological R = 0.5 case of Table VI / Fig. 6b.
         let thin = SSetPartition::new(32_768, 65_536).unwrap();
-        assert_eq!(thin.max_block_len(), 1);
+        assert_eq!(max_block_len(&thin), Some(1));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
 
     println!("\nStrong scaling, 32,768 SSets, memory-six (Fig. 6b analogue):");
     let strong = ScalingHarness::blue_gene_p()
-        .with_sset_splitting(1.2)
+        .with_sset_splitting()
         .strong_scaling(
             &Workload::paper(32_768, MemoryDepth::SIX, 20),
             &[1024, 2048, 8192, 16_384, 262_144],

@@ -63,15 +63,13 @@ pub mod prelude {
         timeseries::TimeSeries,
     };
     pub use egd_cluster::{
-        cost::{CommMode, ComputeOptimization, CostModel, OptimizationLevel, TopologyCost},
         executor::{DistributedConfig, DistributedExecutor},
-        machine::MachineSpec,
         mpi::SimWorld,
-        perf::{ScalingHarness, Workload},
+        perf::{Machine, ScalingHarness, Workload},
         scheduled::{ScheduledConfig, ScheduledExecutor},
-        topology::ClusterTopology,
     };
     pub use egd_core::prelude::*;
+    pub use egd_cost::{CommMode, ComputeOptimization, CostModel, OptimizationLevel};
     pub use egd_parallel::{
         engine::ParallelEngine, simulation::ParallelSimulation, thread_pool::ThreadConfig,
     };

@@ -3,10 +3,10 @@
 //! populations for the same configuration — regardless of thread or rank
 //! count. This is the end-to-end guarantee the whole decomposition relies on.
 
-use egd_cluster::cost::CommMode;
 use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
 use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
+use egd_cluster::CommMode;
 use egd_core::prelude::*;
 use egd_core::simulation::{PairKernel, SimulationState};
 use egd_fault::{arm, FaultEvent, FaultPlan};

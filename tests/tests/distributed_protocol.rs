@@ -8,14 +8,12 @@
 //! scale regime (the `scale_*` suites, `#[ignore]`d in debug tier-1 and run
 //! in release mode by the CI `scale-smoke` job).
 
-use egd_cluster::cost::{CommMode, TopologyCost};
 use egd_cluster::executor::{DistributedConfig, DistributedExecutor};
 use egd_cluster::fault::{SupervisedExecutor, SupervisorConfig};
-use egd_cluster::machine::MachineSpec;
 use egd_cluster::mpi::{PendingOp, SimWorld};
-use egd_cluster::perf::{ScalingHarness, Workload};
+use egd_cluster::perf::{Machine, ScalingHarness, Workload};
 use egd_cluster::scheduled::{ScheduledConfig, ScheduledExecutor};
-use egd_cluster::topology::ClusterTopology;
+use egd_cluster::{CommMode, CostModel, OptimizationLevel};
 use egd_core::prelude::*;
 
 fn base_config(seed: u64, generations: u64) -> SimulationConfig {
@@ -221,18 +219,17 @@ fn distributed_traces_reflect_actual_rank_count() {
 fn analytic_model_and_real_executor_agree_on_comm_mode_ordering() {
     // The cost model says blocking communication is more expensive; the real
     // executor's traffic counters must point the same way (more bytes moved).
-    let machine = MachineSpec::blue_gene_p();
-    let topology = ClusterTopology::new(machine, 256, 4, 1, 4096).unwrap();
-    let cost = egd_cluster::cost::CostModel::blue_gene_like();
-    let blocking_us =
-        cost.generation_comm_time_us(&topology, MemoryDepth::ONE, 0.1, 0.05, CommMode::Blocking);
-    let nonblocking_us = cost.generation_comm_time_us(
-        &topology,
-        MemoryDepth::ONE,
-        0.1,
-        0.05,
-        CommMode::NonBlocking,
-    );
+    let workload = Workload::paper(4096, MemoryDepth::ONE, 1);
+    let blocking_us = ScalingHarness::new(
+        Machine::BLUE_GENE_P,
+        CostModel::blue_gene_like(),
+        OptimizationLevel::ORIGINAL,
+    )
+    .generation_comm_us(256, &workload)
+    .unwrap();
+    let nonblocking_us = ScalingHarness::blue_gene_p()
+        .generation_comm_us(256, &workload)
+        .unwrap();
     assert!(blocking_us > nonblocking_us);
 
     let cfg = base_config(19, 40);
