@@ -512,18 +512,59 @@ mod tests {
     }
 
     #[test]
-    fn presets_price_the_papers_layouts() {
+    fn blue_gene_p_shape() {
         let bgp = Machine::BLUE_GENE_P;
-        let bgq = Machine::BLUE_GENE_Q;
         assert_eq!(bgp.threads_per_rank, 1, "virtual-node mode");
-        assert_eq!(bgq.threads_per_rank, 2, "32 ranks x 2 threads");
         assert!(bgp.core_speed_factor < 1.0, "an embedded core");
+        // One rank per core: every processor is a worker rank.
+        let harness = ScalingHarness::blue_gene_p();
+        assert_eq!(harness.worker_ranks(4 * 1024).unwrap(), 4 * 1024);
+    }
+
+    #[test]
+    fn blue_gene_q_shape() {
+        let bgq = Machine::BLUE_GENE_Q;
+        assert_eq!(bgq.threads_per_rank, 2, "32 ranks x 2 threads");
         assert!(bgq.core_speed_factor < 1.0, "an embedded core");
-        assert_eq!(bgp.torus_hops, 34.0);
-        assert_eq!(bgq.torus_hops, 8.5);
         // 512 BG/Q nodes x 32 ranks, 2 threads each: 16,384 tasks.
         let harness = ScalingHarness::blue_gene_q();
         assert_eq!(harness.worker_ranks(2 * 512 * 32).unwrap(), 512 * 32);
+    }
+
+    #[test]
+    fn average_hops_is_reasonable() {
+        // d/4 summed over a 72 x 32 x 32 and an 8 x 8 x 8 x 8 x 2 torus.
+        assert_eq!(Machine::BLUE_GENE_P.torus_hops, 34.0);
+        assert_eq!(Machine::BLUE_GENE_Q.torus_hops, 8.5);
+        // The non-blocking fitness return prices the rounded-up hop count.
+        let m = Machine::BLUE_GENE_Q;
+        assert_eq!(
+            m.p2p_us(0, m.torus_hops.ceil() as u32),
+            9.0 * m.hop_latency_us
+        );
+    }
+
+    #[test]
+    fn blue_gene_presets() {
+        assert_eq!(ScalingHarness::blue_gene_p().machine.threads_per_rank, 1);
+        // The paper's preferred Blue Gene/Q setup: 32 ranks per node with 2
+        // threads per rank (§VI-C), 4,096 SSets per rank.
+        let bgq = ScalingHarness::blue_gene_q();
+        assert_eq!(bgq.machine.threads_per_rank, 2);
+        let workers = bgq.worker_ranks(2 * 512 * 32).unwrap();
+        assert_eq!(ssets_per_worker(workers, 4096 * workers), 4096.0);
+    }
+
+    #[test]
+    fn collective_stages() {
+        // With no payload a broadcast costs one latency per stage of the
+        // transport's binomial tree.
+        let m = Machine::BLUE_GENE_P;
+        for (ranks, stages) in [(1usize, 1u32), (2, 1), (3, 2), (1024, 10), (294_912, 19)] {
+            assert_eq!(collective::stages(ranks), stages);
+            let priced = m.broadcast_us(0, ranks);
+            assert!((priced - stages as f64 * m.stage_latency_us).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -620,6 +661,23 @@ mod tests {
         let priced = ScalingHarness::new(m, model, OptimizationLevel::ORIGINAL)
             .comm_us(256, &one_generation(4096, MemoryDepth::ONE));
         assert!((priced - expected).abs() < 1e-9, "{priced} vs {expected}");
+    }
+
+    #[test]
+    fn generation_time_combines_compute_and_comm() {
+        // One generation of the fully optimised level: intrinsics compute on
+        // the busiest rank plus non-blocking communication.
+        let harness = ScalingHarness::blue_gene_p();
+        let one = one_generation(4096, MemoryDepth::ONE);
+        let est = harness.estimate(256, &one).unwrap();
+        let compute = harness.compute_us(256, &one);
+        let comm = harness.comm_us(256, &one);
+        assert_eq!(
+            harness.level.compute,
+            egd_cost::ComputeOptimization::Intrinsics
+        );
+        assert_eq!(harness.level.comm, CommMode::NonBlocking);
+        assert!((est.total_seconds * 1e6 - compute - comm).abs() < 1e-6);
     }
 
     #[test]
