@@ -50,12 +50,12 @@
 //! message count exceeds the binomial tree's ⌈log₂ ranks⌉ bound (an
 //! Ω(ranks) flat collective would trip it immediately). `--scale-only`
 //! skips the measured layers (for the CI `scale-smoke` job). Each scale
-//! point is additionally replayed with the **cost-guided initial
-//! partition** active (per-worker rank segments at the predicted-cost
-//! quantiles — the two-level contract the live executors run), recorded as
+//! point is additionally replayed with a **cost-guided initial partition**
+//! (per-worker rank segments at the predicted-cost quantiles), recorded as
 //! `partition_*` entries; `--enforce-steals` gates the 10⁴-rank guided
 //! steal count at ≤ the committed uniform-adaptive baseline with no
-//! critical-path regression.
+//! critical-path regression. That partition is a virtual-time model only:
+//! the live executors' crews split their rank items uniformly and steal.
 //!
 //! Reporting: `--report-json PATH` writes the freshly measured baseline
 //! table as JSON (the CI artifact), `--summary-md PATH` appends a markdown

@@ -172,8 +172,8 @@ impl ScaleWorkload {
 }
 
 /// Virtual-time outcome of one scale point under the three scheduling
-/// regimes: uniform static split, uniform split + adaptive stealing, and
-/// cost-guided initial partition + adaptive stealing.
+/// regimes: uniform static split, uniform split + adaptive stealing (what a
+/// live crew runs), and cost-guided initial partition + adaptive stealing.
 #[derive(Debug, Clone)]
 pub struct ScaleAssessment {
     /// The workload replayed.
@@ -183,10 +183,11 @@ pub struct ScaleAssessment {
     /// Outcome under the adaptive work-stealing scheduler (uniform initial
     /// split).
     pub adaptive: SimOutcome,
-    /// Outcome with the **cost-guided initial partition** active: per-worker
+    /// Outcome with a **cost-guided initial partition** modelled: per-worker
     /// rank segments sized by the cost model's predicted rank cost, adaptive
-    /// stealing correcting the residue — the two-level contract the live
-    /// `ScheduledExecutor` runs.
+    /// stealing correcting the residue. A model only — the live
+    /// `ScheduledExecutor`'s crew splits its rank items uniformly, as
+    /// [`Self::adaptive`] does.
     pub guided: SimOutcome,
     /// Modelled per-generation communication time (µs).
     pub comm_us: f64,

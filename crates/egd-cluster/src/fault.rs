@@ -20,9 +20,7 @@
 //! makes progress past the fault deterministically, and because all model
 //! randomness comes from per-generation RNG substreams, the recovered run's
 //! final population is byte-identical to a fault-free run — the chaos suite
-//! in `egd-tests` asserts exactly that. After each recovery the surviving
-//! partition is repriced with the shared cost model so the run's metrics
-//! record what the post-recovery load balance looks like.
+//! in `egd-tests` asserts exactly that.
 
 use crate::executor::{
     assemble_summary, run_rank_from, DistributedExecutor, DistributedRunSummary, FaultContext,
@@ -31,12 +29,9 @@ use crate::executor::{
 use crate::mpi::{SimWorld, WorldFailure};
 use egd_core::config::SimulationConfig;
 use egd_core::error::{EgdError, EgdResult};
-use egd_core::population::Population;
 use egd_core::SimulationState;
 use egd_fault::{CheckpointStore, FaultEvent, FiredFault, MemoryStore};
 use egd_obs::{SpanKind, SpanTimer};
-use egd_parallel::grouping::StrategyGrouping;
-use egd_parallel::partition::SSetPartition;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,10 +102,6 @@ pub struct FaultRecoveryStats {
     pub checkpoints_saved: u64,
     /// Recoveries that resumed from a checkpoint (rather than generation 0).
     pub checkpoint_resumes: u64,
-    /// Post-recovery partition repricings performed.
-    pub repricings: u64,
-    /// Heaviest predicted worker-block weight (ns) from the last repricing.
-    pub repriced_max_block_weight: u64,
     /// Faults the armed plan fired during this run (all kinds).
     pub faults_injected: u64,
     /// Injected rank crashes.
@@ -147,11 +138,6 @@ impl FaultRecoveryStats {
         snap.add_counter("fault_generations_replayed", self.generations_replayed);
         snap.add_counter("fault_checkpoints_saved", self.checkpoints_saved);
         snap.add_counter("fault_checkpoint_resumes", self.checkpoint_resumes);
-        snap.add_counter("fault_repricings", self.repricings);
-        snap.add_counter(
-            "fault_repriced_max_block_weight",
-            self.repriced_max_block_weight,
-        );
         snap.add_counter("fault_injected", self.faults_injected);
         snap.add_counter("fault_crashes", self.crashes_injected);
         snap.add_counter("fault_drops", self.drops_injected);
@@ -304,17 +290,6 @@ impl SupervisedExecutor {
                     if let Some(span) = SpanTimer::start_on(0, SpanKind::Recovery) {
                         span.finish(resumed_from);
                     }
-
-                    // Reprice the partition the recovered world re-enters:
-                    // the metrics record what the post-recovery load balance
-                    // looks like under the shared cost model.
-                    let population = match &resume {
-                        Some(state) => state.population.clone(),
-                        None => sim_config.initial_population()?,
-                    };
-                    stats.repricings += 1;
-                    stats.repriced_max_block_weight =
-                        reprice_partition(&sim_config, &population, dist.workers)?;
                 }
             }
         }
@@ -366,29 +341,6 @@ impl SupervisedExecutor {
         state.check_config(config)?;
         Ok(Some(state))
     }
-}
-
-/// Prices the worker blocks of the partition a recovered run re-enters,
-/// using the shared cost model: returns the heaviest predicted block weight
-/// (ns). Each strategy's row is charged once, to the block holding its
-/// keeper SSet — the one rank that plays it. Pure accounting — the
-/// partition itself is deterministic and unchanged by recovery.
-fn reprice_partition(
-    config: &SimulationConfig,
-    population: &Population,
-    workers: usize,
-) -> EgdResult<u64> {
-    let model = egd_cost::CostModel::blue_gene_like();
-    let game = config.game()?;
-    let strategies = population.strategies();
-    let grouping = StrategyGrouping::of(strategies);
-    let rows = egd_cost::predict::row_weights(&model, &game, strategies, &grouping.group_rep);
-    let partition = SSetPartition::new(config.num_ssets, workers)?;
-    let mut blocks = vec![0u64; workers];
-    for (row, &keeper) in rows.iter().zip(grouping.keepers().iter()) {
-        blocks[partition.owner_of(keeper)] += row;
-    }
-    Ok(blocks.into_iter().max().unwrap_or(0))
 }
 
 /// Renders the supervisor's terminal failure report: the last attempt's
@@ -533,25 +485,5 @@ mod tests {
         assert!(report.contains("failed after 2 attempt(s)"), "{report}");
         assert!(report.contains("0: "), "{report}");
         assert!(report.contains("… and 4 more"), "{report}");
-    }
-
-    /// One strategy on every SSet is one row, played by the rank holding its
-    /// keeper: the heaviest block weighs that row, not a row per SSet.
-    #[test]
-    fn repricing_charges_each_strategy_row_once() {
-        use egd_core::strategy::{NamedStrategy, StrategyKind};
-        let config = SimulationConfig::builder().num_ssets(16).build().unwrap();
-        let tft = StrategyKind::Pure(NamedStrategy::TitForTat.to_pure());
-        let population =
-            Population::from_strategies(config.strategy_space(), vec![tft; 16]).unwrap();
-        let game = config.game().unwrap();
-        let row = egd_cost::predict::row_weights(
-            &egd_cost::CostModel::blue_gene_like(),
-            &game,
-            population.strategies(),
-            &[0],
-        )[0];
-        assert!(row > 0);
-        assert_eq!(reprice_partition(&config, &population, 4).unwrap(), row);
     }
 }

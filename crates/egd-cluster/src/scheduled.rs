@@ -4,8 +4,8 @@
 //! SSets are split over `ranks` simulated ranks, and every generation each
 //! rank's game-play phase is one task of a round on a small crew of
 //! `egd-sched` workers (never more than there are ranks). Thousands of ranks
-//! then cost no OS threads, only tasks; rounds are split by predicted rank
-//! cost, and stealing corrects what the prediction got wrong. (The
+//! then cost no OS threads, only tasks; a round splits its ranks uniformly
+//! over the crew, and stealing evens out ranks that play more games. (The
 //! protocol-level [`crate::executor::DistributedExecutor`] runs the same
 //! science with explicit message passing.)
 //!
@@ -232,29 +232,28 @@ mod tests {
         }
     }
 
-    /// One weighted round of a rank job on a crew of `threads` workers: its
+    /// One round of `ranks` rank tasks on a crew of `threads` workers: its
     /// results and statistics.
-    fn weighted_rank_round<T: Send>(
+    fn rank_round<T: Send>(
         threads: usize,
-        weights: &[u64],
+        ranks: usize,
         job: impl Fn(usize) -> T + Sync,
     ) -> (Vec<T>, SchedStats) {
-        egd_sched::with_crew(threads, job, |crew| {
-            crew.round(egd_sched::WeightedSource::new(weights))
-        })
+        egd_sched::with_crew(threads, job, |crew| crew.round(ranks))
     }
 
     #[test]
     fn zero_ranks_is_an_empty_workload() {
-        let (results, _) = weighted_rank_round(4, &[], |rank| rank);
+        let (results, stats) = rank_round(4, 0, |rank| rank);
         assert!(results.is_empty());
+        assert_eq!((stats.items, stats.steals), (0, 0));
     }
 
     #[test]
     fn fewer_ranks_than_workers_leaves_workers_idle() {
         // 3 ranks on an 8-worker crew: results stay rank-ordered and the
         // round clamps its workers to the rank count.
-        let (results, stats) = weighted_rank_round(8, &[1; 3], |rank| rank * 10);
+        let (results, stats) = rank_round(8, 3, |rank| rank * 10);
         assert_eq!(results, vec![0, 10, 20]);
         assert!(stats.num_workers() <= 3);
 

@@ -30,7 +30,6 @@
 //!   reported.
 
 pub use egd_sched::panic_message;
-use egd_sched::source::RangeSource;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,7 +213,7 @@ pub(crate) fn run_tasks_observed<R: Send, F: Fn(&[usize]) + Sync>(
     egd_sched::with_crew(
         workers,
         |_: usize| worker_loop(&exec, &slots, &results, &wakers, n, &on_stall),
-        |crew| crew.round(RangeSource::new(workers)),
+        |crew| crew.round(workers),
     );
 
     let fatal = exec

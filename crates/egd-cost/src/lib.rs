@@ -1,32 +1,32 @@
 //! # egd-cost
 //!
-//! The shared **cost and partitioning layer** of the workspace: one cost
-//! model, one set of skew/imbalance helpers, one way to price a work item —
-//! consumed by every execution engine instead of each layer keeping its own
-//! copy (the model used to live inside `egd-cluster`; the skew math used to
-//! be re-derived in `egd-parallel` and `egd-bench` separately).
+//! The shared **cost layer** of the workspace: one cost model, one set of
+//! skew/imbalance helpers, one way to price a work item — instead of each
+//! layer keeping its own copy (the model used to live inside `egd-cluster`;
+//! the skew math used to be re-derived in `egd-parallel` and `egd-bench`
+//! separately).
 //!
-//! ## The two-level partitioning contract
+//! ## What reads a price
 //!
-//! 1. **Cost-proportional initial partition.** Work (pair-matrix cells,
-//!    agent work items, distributed rank tasks) is priced by the
-//!    [`CostModel`] ([`predict`]) and split across workers at cost quantiles
-//!    ([`egd_sched::weighted_ranges`]), so every worker *starts* with the
-//!    same predicted load even when the population is heavily skewed.
-//! 2. **Adaptive steal correction.** The `egd-sched` work-stealing loop
-//!    corrects whatever the prediction got wrong — instead of correcting the
-//!    entire skew, as it had to under the old uniform split.
-//!
-//! Partitioning influences only the schedule: all results flow through the
-//! scheduler's deterministic index-ordered reduction, so goldens stay
-//! byte-identical for any worker count, steal schedule and weight vector.
+//! * **Serve admission.** `egd-serve` prices a session's generation
+//!   ([`predict::generation_weight_ns`]) and the price decides whether the
+//!   session is admitted, queued or rejected.
+//! * **The modelled figures.** `egd-cluster`'s `ScalingHarness` prices the
+//!   busiest rank's games for Fig. 4–6 and Table VI.
+//! * **A virtual-time model of a cost-guided split.** The benchmarks price
+//!   pair-matrix cells ([`predict::cell_weights`]) and replay a schedule
+//!   whose first split sits at their cost quantiles
+//!   ([`egd_sched::weighted_ranges`], [`egd_sched::simulate_schedule`]).
+//!   The live crews do not run that split: a round splits its items
+//!   uniformly, as the paper splits SSets over processors, and stealing
+//!   corrects the skew.
 //!
 //! ## Layering
 //!
 //! * [`model`] — the workload-independent coefficients (per-round compute
 //!   cost by memory depth, the Fig. 3 optimisation ladder, cached-pair
 //!   probe cost).
-//! * [`predict`] — pricing real work items: pair, cell-matrix and rank-row
+//! * [`predict`] — pricing real work items: cell-matrix and generation
 //!   weights over a population's strategies.
 //! * [`balance`] — the shared skew/imbalance arithmetic (max-over-mean).
 //!

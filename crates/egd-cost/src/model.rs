@@ -7,10 +7,9 @@
 //! time as a function of memory depth, kernel optimisation level and core
 //! speed — which every execution layer now shares:
 //!
-//! * `egd-sched` sizes initial worker segments from per-item weights priced
-//!   here (`CostModel::pair_cost_ns`);
-//! * `egd-parallel` prices its work-plan items and pair-matrix cells
-//!   ([`crate::predict`]);
+//! * [`crate::predict`] prices pair-matrix cells and whole generations
+//!   (`CostModel::pair_cost_ns`), for serve admission and the virtual-time
+//!   replay of a cost-guided split;
 //! * `egd-cluster`'s `ScalingHarness` adds the machine-dependent half
 //!   (collective and torus network times from its `Machine` price list),
 //!   and `egd_bench::kernels::calibrated_cost_model` provides host
@@ -176,8 +175,8 @@ impl CostModel {
 
     /// Predicted cost (ns) of evaluating one pair payoff: a cache probe for
     /// deterministic (cacheable) pairs, a full simulated game otherwise. The
-    /// unit is virtual nanoseconds on the reference core — what the
-    /// scheduler's weighted partition and the virtual-time replay consume.
+    /// unit is virtual nanoseconds on the reference core — what serve
+    /// admission and the virtual-time replay consume.
     pub(crate) fn pair_cost_ns(&self, memory: MemoryDepth, rounds: u32, cached: bool) -> u64 {
         let us = if cached {
             self.cached_pair_us

@@ -6,16 +6,12 @@
 //! as a read of the engines' retained payoff matrix
 //! ([`CostModel::cached_pair_us`](crate::CostModel) — it is played once,
 //! when its strategies enter the population, and kept), a stochastic pair as
-//! a full simulated game at the game's memory depth and round count. The
-//! games an engine actually *plays* in a generation — the fresh
-//! deterministic ones included — are all priced as games
-//! ([`game_weight_ns`]). The outputs are the weight vectors the scheduler's
-//! cost-guided partition (crew rounds over an [`egd_sched::WeightedSource`]:
-//! the scheduled executor's rank tasks) and the virtual-time replay
-//! ([`egd_sched::simulate_schedule`] with weights) consume.
-//!
-//! Predictions steer only the *schedule*; results flow through the
-//! deterministic index-ordered reduction and cannot depend on them.
+//! a full simulated game at the game's memory depth and round count. Two
+//! consumers read the outputs: `egd-serve` prices a session's generation
+//! for admission ([`generation_weight_ns`]), and the benchmarks' virtual-time
+//! replay ([`egd_sched::simulate_schedule`] with weights) models a first
+//! split at cost quantiles with the cell weights. No live crew reads a
+//! prediction: a crew round splits its items uniformly and steals.
 
 use crate::model::CostModel;
 use egd_core::game::IpdGame;
@@ -31,14 +27,6 @@ fn pair_weight_ns(model: &CostModel, game: &IpdGame, a: &StrategyKind, b: &Strat
         game.rounds(),
         game.is_deterministic_for(a, b),
     )
-}
-
-/// Predicted cost (ns) of one game an engine plays this generation (an entry
-/// of the payoff table's planned list): a full game, whether it is a
-/// stochastic cell or a deterministic pair that has just entered — that one
-/// is played too, once, and only later read.
-pub fn game_weight_ns(model: &CostModel, game: &IpdGame) -> u64 {
-    model.pair_cost_ns(game.memory(), game.rounds(), false)
 }
 
 /// Predicted weights of the distinct-pair payoff matrix, in the engine's
@@ -62,26 +50,6 @@ pub fn cell_weights(
         }
     }
     weights
-}
-
-/// Predicted cost of each group's full **row** of the pair matrix (group
-/// representative vs every group). This is the unit of work a distributed
-/// rank performs per distinct strategy in its SSet block.
-pub fn row_weights(
-    model: &CostModel,
-    game: &IpdGame,
-    strategies: &[StrategyKind],
-    group_rep: &[usize],
-) -> Vec<u64> {
-    group_rep
-        .iter()
-        .map(|&gi| {
-            group_rep
-                .iter()
-                .map(|&hj| pair_weight_ns(model, game, &strategies[gi], &strategies[hj]))
-                .sum()
-        })
-        .collect()
 }
 
 /// Predicted cost (ns) of one full generation over `strategies`, under the
@@ -146,15 +114,7 @@ mod tests {
         let pure_pure = weights[0];
         let mixed = weights[2];
         assert!(mixed > 20 * pure_pure, "{mixed} vs {pure_pure}");
-        // A played game is a game, whichever pair plays it: the price of
-        // the stochastic cells of the steady-state matrix.
-        assert_eq!(game_weight_ns(&model, &game), mixed);
         assert_eq!(weights[2 * 3], mixed);
-        // Row weights are the row sums of the cell matrix.
-        let rows = row_weights(&model, &game, &strategies, &[0, 1, 2]);
-        assert_eq!(rows[0], weights[0..3].iter().sum::<u64>());
-        assert_eq!(rows[2], weights[6..9].iter().sum::<u64>());
-        assert!(rows[2] > rows[0]);
     }
 
     #[test]
@@ -163,8 +123,8 @@ mod tests {
         let game = game(0.0);
         let mut strategies = sample_strategies();
         let whole = generation_weight_ns(&model, &game, &strategies);
-        let rows = row_weights(&model, &game, &strategies, &[0, 1, 2]);
-        assert_eq!(whole, rows.iter().sum::<u64>());
+        let cells = cell_weights(&model, &game, &strategies, &[0, 1, 2]);
+        assert_eq!(whole, cells.iter().sum::<u64>());
         // Duplicating a strategy adds no predicted work: the duplicate joins
         // an existing group.
         strategies.push(strategies[0].clone());

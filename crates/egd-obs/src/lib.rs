@@ -3,9 +3,8 @@
 //! One low-overhead tracing/metrics subsystem for all three engines:
 //!
 //! * [`span`] — lock-free-hot-path span tracing: thread-local event buffers,
-//!   a runtime on/off switch, and the compile-out
-//!   [`obs_span!`] macro. Disabled cost is one relaxed atomic load (or
-//!   nothing at all without the `trace` cargo feature).
+//!   a runtime on/off switch, and the [`obs_span!`] macro. Disabled cost is
+//!   one relaxed atomic load.
 //! * [`metrics`] — the [`MetricsSnapshot`] registry unifying scheduler
 //!   worker stats, collective traffic, rank timings and per-generation
 //!   engine counters in one mergeable, serde-serialisable record with

@@ -20,10 +20,6 @@
 //! other thread of the process tracing stays off, so code running beside a
 //! session — the other `#[test]`s of a test binary most of all — neither
 //! pays for spans nor writes into a log it does not own.
-//!
-//! With the `trace` cargo feature disabled the recording path compiles out
-//! entirely: `tracing_enabled` is a constant `false`, so `SpanTimer::start`
-//! folds to `None` and `obs_span!` leaves only the wrapped body.
 
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -168,18 +164,9 @@ thread_local! {
 
 /// Whether span recording is live on the calling thread: a session is
 /// enabled and the thread belongs to it. Disabled costs one relaxed load.
-/// With the `trace` feature off this is a constant `false` and
-/// instrumentation folds away.
 #[inline(always)]
 fn tracing_enabled() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        ENABLED.load(Ordering::Relaxed) && SESSION.get() == EPOCH.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed) && SESSION.get() == EPOCH.load(Ordering::Relaxed)
 }
 
 /// The live trace session the calling thread records into, as a token for
@@ -376,8 +363,7 @@ impl SpanTimer {
 }
 
 /// Wraps an expression in a span of `kind` with `payload`: the body runs
-/// unconditionally; the span is recorded only while tracing is enabled (and
-/// not at all without the `trace` feature).
+/// unconditionally; the span is recorded only while tracing is enabled.
 ///
 /// ```
 /// let n = egd_obs::obs_span!(egd_obs::SpanKind::Reduce, 4, { 2 + 2 });

@@ -18,14 +18,14 @@
 //! position; how the list is cut into items decides only who plays what:
 //!
 //! * into chunks of [`PairKernel::CHUNK_GAMES`] games
-//!   ([`ParallelEngine::new`]). Every planned game is priced as one game, so
-//!   a round's source is a plain range of chunks, whose uniform initial split
-//!   is already the cost-proportional one;
+//!   ([`ParallelEngine::new`]);
 //! * by rank ([`ParallelEngine::with_ranks`]): an item is the games of the
 //!   strategies whose representative SSet a rank owns — the paper's rank
-//!   level, run as tasks on a crew of no more workers than ranks. A round's
-//!   source carries each rank's predicted cost, so its initial split places
-//!   the boundaries at cost quantiles.
+//!   level, run as tasks on a crew of no more workers than ranks.
+//!
+//! Either way a round is a count of items, split uniformly over the crew as
+//! the paper splits SSets over processors; stealing evens out items that
+//! play more games than others.
 //!
 //! A lone [`ParallelEngine::compute_fitness`] call is a crew of one round.
 
@@ -36,10 +36,8 @@ use egd_core::error::{EgdError, EgdResult};
 pub use egd_core::metrics::GenerationTiming;
 use egd_core::population::Population;
 use egd_core::simulation::{FitnessBackend, FitnessMode, PairEvaluator, PairKernel, RunFitness};
-use egd_cost::CostModel;
 use egd_obs::{GenerationMetrics, SpanKind, SpanTimer};
-use egd_sched::source::{RangeSource, WorkSource};
-use egd_sched::{SchedStats, WeightedSource};
+use egd_sched::SchedStats;
 use parking_lot::{Mutex, RwLock};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,13 +76,10 @@ struct RankSplit {
 
 impl RankSplit {
     /// Cuts the planned generation by rank: keeps each rank's runs and
-    /// returns the round's source, weighted by predicted rank cost.
-    fn source(&self, evaluator: &PairEvaluator) -> WeightedSource {
-        let model = CostModel::blue_gene_like();
-        let (runs, weights) = evaluator
-            .with_planned(|planned| rank_work(&model, evaluator.game(), planned, &self.partition));
-        *self.runs.write() = runs;
-        WeightedSource::new(&weights)
+    /// returns the round's item count, one per rank.
+    fn cut(&self, evaluator: &PairEvaluator) -> usize {
+        *self.runs.write() = evaluator.with_planned(|planned| rank_work(planned, &self.partition));
+        self.partition.num_workers()
     }
 }
 
@@ -165,33 +160,22 @@ impl ParallelEngine {
     /// played — in parallel, on a crew opened for this call — and scattered
     /// into the matrix after the join.
     pub fn compute_fitness(&self, population: &Population, generation: u64) -> EgdResult<Vec<f64>> {
-        self.fitness_on(population, generation, &mut |games| match &self.ranks {
-            None => self.lone_round(RangeSource::new(games.div_ceil(PairKernel::CHUNK_GAMES))),
-            Some(split) => self.lone_round(split.source(&self.evaluator)),
+        self.fitness_on(population, generation, &mut |games| {
+            // A crew opened for this round alone, of no more workers than
+            // items.
+            let items = self.items(games);
+            let workers = self.workers().min(items);
+            egd_sched::with_crew(workers, self.job(), |crew| crew.round(items))
         })
     }
 
-    /// A round on a crew opened for it alone, of no more workers than items.
-    fn lone_round<S: WorkSource<Item = usize>>(
-        &self,
-        source: S,
-    ) -> (Vec<EgdResult<Played>>, SchedStats) {
-        let workers = self.workers().min(source.len());
-        egd_sched::with_crew(workers, self.job(), |crew| crew.round(source))
-    }
-
-    /// Runs `generations` on one crew: each generation that plays anything
-    /// is one round, of the source `cut` makes from its number of games.
-    fn run_on<S: WorkSource<Item = usize>>(
-        &self,
-        cut: impl Fn(usize) -> S,
-        generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
-    ) -> EgdResult<()> {
-        egd_sched::with_crew(self.workers(), self.job(), |crew| {
-            generations(&mut |population, generation| {
-                self.fitness_on(population, generation, &mut |games| crew.round(cut(games)))
-            })
-        })
+    /// The work items of a planned generation of `games` games: its chunks,
+    /// or its ranks (whose runs this cuts).
+    fn items(&self, games: usize) -> usize {
+        match &self.ranks {
+            None => games.div_ceil(PairKernel::CHUNK_GAMES),
+            Some(split) => split.cut(&self.evaluator),
+        }
     }
 
     /// One generation's fitness, its games played by `round` (nothing is
@@ -307,13 +291,13 @@ impl FitnessBackend for &ParallelEngine {
         &mut self,
         generations: &mut dyn FnMut(&mut RunFitness<'_>) -> EgdResult<()>,
     ) -> EgdResult<()> {
-        match &self.ranks {
-            None => self.run_on(
-                |games| RangeSource::new(games.div_ceil(PairKernel::CHUNK_GAMES)),
-                generations,
-            ),
-            Some(split) => self.run_on(|_| split.source(&self.evaluator), generations),
-        }
+        egd_sched::with_crew(self.workers(), self.job(), |crew| {
+            generations(&mut |population, generation| {
+                self.fitness_on(population, generation, &mut |games| {
+                    crew.round(self.items(games))
+                })
+            })
+        })
     }
 }
 
@@ -581,28 +565,24 @@ mod tests {
             .expect("the run ended within the watchdog's limit");
     }
 
-    /// Weighted rounds of a contained rank job on one crew of `threads`
-    /// workers (one round per entry of `rounds`, a weight per rank): each
-    /// round's results and statistics.
-    fn weighted_rank_rounds<T: Send>(
+    /// Rounds of a contained rank job on one crew of `threads` workers (one
+    /// round per entry of `rounds`, its rank count): each round's results
+    /// and statistics.
+    fn rank_rounds<T: Send>(
         threads: usize,
-        rounds: &[&[u64]],
+        rounds: &[usize],
         body: impl Fn(usize) -> EgdResult<T> + Sync,
     ) -> Vec<(Vec<EgdResult<T>>, SchedStats)> {
         egd_sched::with_crew(threads, contained("rank", body), |crew| {
-            rounds
-                .iter()
-                .map(|weights| crew.round(WeightedSource::new(weights)))
-                .collect()
+            rounds.iter().map(|&ranks| crew.round(ranks)).collect()
         })
     }
 
     #[test]
-    fn weighted_rank_tasks_keep_rank_order_and_contain_panics() {
-        let weights: Vec<u64> = (0..12).map(|r| if r < 3 { 10_000 } else { 10 }).collect();
-        let (results, _) = weighted_rank_rounds(4, &[&weights], |rank| {
+    fn rank_tasks_keep_rank_order_and_contain_panics() {
+        let (results, _) = rank_rounds(4, &[12], |rank| {
             if rank == 7 {
-                panic!("weighted failure");
+                panic!("rank failure");
             }
             Ok(rank * 3)
         })
@@ -612,7 +592,7 @@ mod tests {
             if rank == 7 {
                 let message = result.as_ref().unwrap_err().to_string();
                 assert!(message.contains("rank 7"), "{message}");
-                assert!(message.contains("weighted failure"), "{message}");
+                assert!(message.contains("rank failure"), "{message}");
             } else {
                 assert_eq!(*result.as_ref().unwrap(), rank * 3);
             }
@@ -622,7 +602,7 @@ mod tests {
     #[test]
     fn rank_panic_names_rank_and_spares_the_pool() {
         // Two rounds on one crew: eight ranks, then five.
-        let mut rounds = weighted_rank_rounds(4, &[&[1; 8], &[1; 5]], |rank| {
+        let mut rounds = rank_rounds(4, &[8, 5], |rank| {
             if rank == 5 {
                 panic!("injected failure");
             }

@@ -22,9 +22,7 @@
 //! ([`egd_core::simulation::PairEvaluator::play_range`]) over the threads.
 
 use egd_core::error::{EgdError, EgdResult};
-use egd_core::game::IpdGame;
 use egd_core::payoff_table::PlannedCells;
-use egd_cost::CostModel;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -109,23 +107,12 @@ impl SSetPartition {
 /// orients a pair played once for both of its cells so that each row keeps
 /// about half of its pairs). Returns, per rank, the games it plays as runs of
 /// consecutive list positions — a rank's rows are neighbours in the list, so
-/// its stochastic games are one run, which it plays in chunks — and their
-/// predicted cost (ns) under `model` — every planned game is a full game, a
-/// fresh deterministic one included — so blocks that play more weigh more.
+/// its stochastic games are one run, which it plays in chunks.
 pub(crate) fn rank_work(
-    model: &CostModel,
-    game: &IpdGame,
     cells: &PlannedCells<'_>,
     partition: &SSetPartition,
-) -> (Vec<Vec<Range<usize>>>, Vec<u64>) {
-    let ranks = partition.num_workers();
-    let mut rank_cells: Vec<Vec<Range<usize>>> = vec![Vec::new(); ranks];
-    // Per-SSet accumulation overhead keeps ranks without games from
-    // weighing zero.
-    let mut weights: Vec<u64> = (0..ranks)
-        .map(|rank| partition.block(rank).len() as u64)
-        .collect();
-    let game_ns = egd_cost::predict::game_weight_ns(model, game);
+) -> Vec<Vec<Range<usize>>> {
+    let mut rank_cells: Vec<Vec<Range<usize>>> = vec![Vec::new(); partition.num_workers()];
     // A row's games are neighbours in the list: look its owner up once.
     // `for_each`, not `for`: the list is a chain of iterators, and folding
     // it walks each part in a loop of its own (≈ 2× faster than a `next`
@@ -140,9 +127,8 @@ pub(crate) fn rank_work(
             Some(run) if run.end == k => run.end += 1,
             _ => rank_cells[rank].push(k..k + 1),
         }
-        weights[rank] = weights[rank].saturating_add(game_ns);
     });
-    (rank_cells, weights)
+    rank_cells
 }
 
 #[cfg(test)]
@@ -156,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn predicted_rank_weights_reflect_block_skew() {
+    fn each_row_is_played_by_the_rank_owning_it() {
         use egd_core::config::SimulationConfig;
         use egd_core::population::Population;
         use egd_core::simulation::{FitnessMode, PairEvaluator};
@@ -187,21 +173,17 @@ mod tests {
             .build()
             .unwrap();
         let evaluator = PairEvaluator::new(&cfg, FitnessMode::Simulated).unwrap();
-        let model = CostModel::blue_gene_like();
         let mut work = None;
         evaluator
             .generation_fitness(&population, 0, |games| {
-                work =
-                    Some(evaluator.with_planned(|cells| {
-                        rank_work(&model, evaluator.game(), cells, &partition)
-                    }));
+                work = Some(evaluator.with_planned(|cells| rank_work(cells, &partition)));
                 let mut payoffs = Vec::new();
                 evaluator.play_range(0..games, &mut payoffs)?;
                 Ok(payoffs)
             })
             .unwrap();
-        let (rank_cells, weights) = work.unwrap();
-        assert_eq!(weights.len(), 4);
+        let rank_cells = work.unwrap();
+        assert_eq!(rank_cells.len(), 4);
         // Every matrix row is played by exactly one rank: the mixed block
         // plays three full rows of four games, rank 1 the pure row (three
         // games against the mixed groups and its one cacheable cell), and
@@ -215,18 +197,6 @@ mod tests {
         // order: a rank's stochastic games are one run.
         assert_eq!(rank_cells[0], vec![1..13]);
         assert_eq!(rank_cells[1], vec![0..1, 13..16]);
-        // Every planned game is priced as a game, the pure row's one fresh
-        // cacheable game too.
-        assert!(
-            weights[0] > 2 * weights[1],
-            "mixed block {} should outweigh the pure row {} three to one",
-            weights[0],
-            weights[1]
-        );
-        assert!(weights[1] > 100 * weights[2]);
-        // Ranks without games still weigh their per-SSet accumulation.
-        assert_eq!(weights[2], weights[3]);
-        assert!(weights[3] > 0);
     }
 
     #[test]

@@ -17,12 +17,10 @@
 //!
 //! ## Execution model (adaptive work stealing)
 //!
-//! * Work is a logical index range `0..n` over items. It is pre-split into
-//!   one contiguous **segment per worker** held in a per-worker slot —
-//!   uniform item blocks by default, or segments bounded at the **cost
-//!   quantiles** of predicted per-item weights for a [`WeightedSource`]
-//!   (the scheduled executor's rank tasks), so stealing only has to correct
-//!   the prediction error rather than the whole skew.
+//! * A round's work is a count of items, the logical index range `0..n`. It
+//!   is pre-split into one uniform contiguous **segment per worker** held in
+//!   a per-worker slot, as the paper gives every processor an equal block of
+//!   SSets; stealing corrects whatever skew the items carry.
 //! * Each worker repeatedly claims an **adaptive block** from the *front* of
 //!   its own segment (block size starts small and doubles up to a cap, so
 //!   sequential throughput is amortised while steal granularity stays fine),
@@ -32,8 +30,10 @@
 //!   and splits the *back half* of the largest-remaining segment into its own
 //!   slot. Victims keep working undisturbed on their front halves.
 //! * A live round always steals. [`Policy::Static`] — one contiguous chunk
-//!   per worker, no stealing — exists only in the virtual-time replay
-//!   ([`simulate`]), as the baseline stealing is measured against.
+//!   per worker, no stealing — and a first split at the **cost quantiles**
+//!   of predicted per-item weights ([`weighted_ranges`]) exist only in the
+//!   virtual-time replay ([`simulate`]), as models stealing is measured
+//!   against.
 //! * The workers are a [`Crew`] ([`with_crew`]): the caller plus helpers
 //!   spawned once and kept for a whole run, which execute one parallel
 //!   section — a **round** — per generation, and poll, then park, in
@@ -68,7 +68,6 @@
 
 pub mod scheduler;
 pub mod simulate;
-pub mod source;
 pub mod stats;
 pub mod stress;
 pub mod weighted;
@@ -77,7 +76,7 @@ pub use scheduler::{live_helpers, map_indexed, panic_message, with_crew, Crew, S
 pub use simulate::{simulate_schedule, simulate_schedule_recorded, SimOutcome};
 pub use stats::{max_over_mean, SchedStats, WorkerStats};
 pub use stress::{force_steals, StressGuard};
-pub use weighted::{weighted_ranges, WeightedSource};
+pub use weighted::weighted_ranges;
 
 use serde::{Deserialize, Serialize};
 

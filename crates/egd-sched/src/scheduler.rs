@@ -27,8 +27,9 @@
 //!
 //! # A round
 //!
-//! * the source is pre-split into one contiguous segment per worker, held in
-//!   a shared per-worker slot (`Mutex<Option<S>>`),
+//! * the round's items `0..n` are pre-split into one uniform contiguous
+//!   segment per worker, held in a shared per-worker slot
+//!   (`Mutex<Range<usize>>`),
 //! * each worker claims adaptive blocks from the **front** of its own slot —
 //!   block size starts at one item and doubles per claimed block up to
 //!   `len / (workers * 8)`, so the tail of every segment stays finely
@@ -47,11 +48,12 @@
 //! by sorting on `logical_start` — the fixed-shape, index-keyed reduction
 //! that makes output independent of the steal schedule.
 
-use crate::source::{RangeSource, WorkSource};
 use crate::stats::{SchedStats, WorkerStats};
 use crate::stress;
+use crate::weighted::uniform_ranges;
 use egd_obs::{SpanKind, SpanTimer};
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -109,7 +111,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 struct RoundParams {
     number: u32,
     /// Workers taking part: the others enter and leave at once. A round of
-    /// one is the caller alone, claiming its whole source as one block.
+    /// one is the caller alone, claiming all its items as one block.
     effective: usize,
     max_block: usize,
     stressed: bool,
@@ -118,7 +120,7 @@ struct RoundParams {
 }
 
 /// What a crew's workers share.
-struct Deck<S, R> {
+struct Deck<R> {
     gate: AtomicU64,
     stop: AtomicBool,
     /// Helpers parked (or about to park) on `wake`.
@@ -126,7 +128,8 @@ struct Deck<S, R> {
     park: Mutex<()>,
     wake: Condvar,
     params: Mutex<RoundParams>,
-    slots: Vec<Mutex<Option<S>>>,
+    /// Each worker's unclaimed items.
+    slots: Vec<Mutex<Range<usize>>>,
     unclaimed: AtomicUsize,
     /// Set when a worker panicked: the others stop claiming.
     abort: AtomicBool,
@@ -134,7 +137,7 @@ struct Deck<S, R> {
     panic: Mutex<Option<Payload>>,
 }
 
-impl<S: WorkSource, R: Send> Deck<S, R> {
+impl<R: Send> Deck<R> {
     fn new(workers: usize) -> Self {
         Deck {
             gate: AtomicU64::new(0),
@@ -149,7 +152,7 @@ impl<S: WorkSource, R: Send> Deck<S, R> {
                 stressed: false,
                 delays: None,
             }),
-            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            slots: (0..workers).map(|_| Mutex::new(0..0)).collect(),
             unclaimed: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
             outputs: (0..workers).map(|_| Mutex::new(None)).collect(),
@@ -255,14 +258,14 @@ fn wait_until(done: impl Fn() -> bool) {
 /// A set of workers open for one [`with_crew`] call, running one job over
 /// rounds of work. Rounds are submitted from the thread that opened the
 /// crew, one at a time.
-pub struct Crew<'c, S, R, F> {
-    deck: &'c Deck<S, R>,
+pub struct Crew<'c, R, F> {
+    deck: &'c Deck<R>,
     job: &'c F,
     workers: usize,
     rounds: u32,
 }
 
-impl<S, R, F> Drop for Crew<'_, S, R, F> {
+impl<R, F> Drop for Crew<'_, R, F> {
     fn drop(&mut self) {
         self.deck.stop.store(true, Ordering::SeqCst);
         let _park = self
@@ -278,15 +281,10 @@ impl<S, R, F> Drop for Crew<'_, S, R, F> {
 /// running `job`, and hands it to `body`; returns what `body` returns once
 /// every helper has exited. A panic in `body` stops the helpers too, then
 /// continues unwinding.
-pub fn with_crew<S, R, F, T>(
-    workers: usize,
-    job: F,
-    body: impl FnOnce(&mut Crew<'_, S, R, F>) -> T,
-) -> T
+pub fn with_crew<R, F, T>(workers: usize, job: F, body: impl FnOnce(&mut Crew<'_, R, F>) -> T) -> T
 where
-    S: WorkSource,
     R: Send,
-    F: Fn(S::Item) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
     let workers = workers.max(1);
     let deck = &Deck::new(workers);
@@ -337,11 +335,10 @@ impl Drop for LiveHelper {
 
 /// A helper's life: wait for a round, take part if it is still open, bank
 /// the output (or the panic), leave; until the crew stops.
-fn helper<S, R, F>(me: usize, deck: &Deck<S, R>, job: &F)
+fn helper<R, F>(me: usize, deck: &Deck<R>, job: &F)
 where
-    S: WorkSource,
     R: Send,
-    F: Fn(S::Item) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
     let mut seen = 0;
     loop {
@@ -366,25 +363,23 @@ where
     }
 }
 
-impl<S, R, F> Crew<'_, S, R, F>
+impl<R, F> Crew<'_, R, F>
 where
-    S: WorkSource,
     R: Send,
-    F: Fn(S::Item) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    /// Runs the job over every item of `source` on the crew's workers (at
-    /// most one per item) and returns the results in index order, with the
-    /// round's statistics. A panic in any worker is re-raised here, with its
-    /// own payload, after the round's other workers have stopped; the crew
-    /// takes further rounds afterwards.
-    pub fn round(&mut self, source: S) -> (Vec<R>, SchedStats) {
-        let n = source.len();
+    /// Runs the job over the items `0..n` on the crew's workers (at most one
+    /// per item) and returns the results in index order, with the round's
+    /// statistics. A panic in any worker is re-raised here, with its own
+    /// payload, after the round's other workers have stopped; the crew takes
+    /// further rounds afterwards.
+    pub fn round(&mut self, n: usize) -> (Vec<R>, SchedStats) {
         let started = Instant::now();
         let effective = self.workers.min(n.max(1));
         let per_worker = if effective <= 1 {
-            vec![self.inline(source)]
+            vec![self.inline(n)]
         } else {
-            self.spread(source, effective)
+            self.spread(n, effective)
         };
 
         let mut blocks = Vec::new();
@@ -404,13 +399,13 @@ where
         (assemble(blocks, n), stats)
     }
 
-    /// A round of one worker: the caller claims the whole source as one
-    /// block; no helper is woken.
-    fn inline(&mut self, source: S) -> WorkerOutput<R> {
+    /// A round of one worker: the caller claims all `n` items as one block;
+    /// no helper is woken.
+    fn inline(&mut self, n: usize) -> WorkerOutput<R> {
         let deck = self.deck;
-        deck.unclaimed.store(source.len(), Ordering::SeqCst);
+        deck.unclaimed.store(n, Ordering::SeqCst);
         deck.abort.store(false, Ordering::SeqCst);
-        *deck.slots[0].lock().expect("slot poisoned") = (!source.is_empty()).then_some(source);
+        *deck.slots[0].lock().expect("slot poisoned") = 0..n;
         let round = RoundParams {
             number: self.rounds,
             effective: 1,
@@ -424,23 +419,21 @@ where
     /// A round of `effective` workers: fills the slots, opens the round,
     /// works as worker 0, closes the round and collects every worker's
     /// output.
-    fn spread(&mut self, source: S, effective: usize) -> Vec<WorkerOutput<R>> {
+    fn spread(&mut self, n: usize, effective: usize) -> Vec<WorkerOutput<R>> {
         let deck = self.deck;
-        let n = source.len();
         let stressed = stress::stress_active();
-        // Initial contiguous segmentation: uniform blocks for plain sources,
-        // cost quantiles for weighted ones. Under forced steals the caller
-        // starts with an empty slot, so its first claim is a steal from a
-        // helper's segment.
+        // Initial contiguous segmentation: uniform item blocks. Under forced
+        // steals the caller starts with an empty slot, so its first claim is
+        // a steal from a helper's segment.
         let owners = effective - usize::from(stressed);
-        let mut segments = source.split_initial(owners).into_iter();
+        let mut segments = uniform_ranges(0..n, owners).into_iter();
         for (id, slot) in deck.slots.iter().enumerate() {
             let segment = if stressed && id == 0 {
                 None
             } else {
                 segments.next()
             };
-            *slot.lock().expect("slot poisoned") = segment.filter(|s| !s.is_empty());
+            *slot.lock().expect("slot poisoned") = segment.unwrap_or(0..0);
         }
         deck.unclaimed.store(n, Ordering::SeqCst);
         deck.abort.store(false, Ordering::SeqCst);
@@ -492,16 +485,10 @@ where
     }
 }
 
-fn worker_loop<S, R, F>(
-    me: usize,
-    deck: &Deck<S, R>,
-    job: &F,
-    round: &RoundParams,
-) -> WorkerOutput<R>
+fn worker_loop<R, F>(me: usize, deck: &Deck<R>, job: &F, round: &RoundParams) -> WorkerOutput<R>
 where
-    S: WorkSource,
     R: Send,
-    F: Fn(S::Item) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
     let mut out = Vec::new();
     let mut stats = WorkerStats::default();
@@ -517,53 +504,45 @@ where
         // Claim a block from the front of our own slot; the remainder stays
         // in the slot where thieves can reach it.
         let block = {
-            let mut guard = deck.slots[me].lock().expect("slot poisoned");
-            guard.take().map(|mut src| {
-                let block = src.pop_block(size);
-                if !src.is_empty() {
-                    *guard = Some(src);
-                }
-                block
-            })
+            let mut slot = deck.slots[me].lock().expect("slot poisoned");
+            let end = slot.start + size.min(slot.len());
+            let block = slot.start..end;
+            slot.start = end;
+            block
         };
 
-        match block {
-            Some(block) => {
-                let len = S::block_len(&block);
-                let start = S::block_start(&block);
-                deck.unclaimed.fetch_sub(len, Ordering::SeqCst);
-                if round.stressed {
-                    std::thread::sleep(stress::block_delay(start));
-                }
-                let span = SpanTimer::start(SpanKind::BlockClaim);
-                let busy_start = Instant::now();
-                let mut results = Vec::with_capacity(len);
-                S::for_each_in(block, |_, item| results.push(job(item)));
-                stats.busy_ns += busy_start.elapsed().as_nanos() as u64;
-                if let Some(span) = span {
-                    span.finish(start as u64);
-                }
-                stats.items += len as u64;
-                stats.blocks += 1;
-                out.push((start, results));
-                size = size.saturating_mul(2).min(round.max_block);
+        if !block.is_empty() {
+            let (start, len) = (block.start, block.len());
+            deck.unclaimed.fetch_sub(len, Ordering::SeqCst);
+            if round.stressed {
+                std::thread::sleep(stress::block_delay(start));
             }
-            None => {
-                if alone {
-                    break;
+            let span = SpanTimer::start(SpanKind::BlockClaim);
+            let busy_start = Instant::now();
+            let results: Vec<R> = block.map(job).collect();
+            stats.busy_ns += busy_start.elapsed().as_nanos() as u64;
+            if let Some(span) = span {
+                span.finish(start as u64);
+            }
+            stats.items += len as u64;
+            stats.blocks += 1;
+            out.push((start, results));
+            size = size.saturating_mul(2).min(round.max_block);
+        } else {
+            if alone {
+                break;
+            }
+            size = INITIAL_BLOCK;
+            let span = SpanTimer::start(SpanKind::Steal);
+            if let Some(victim) = try_steal(me, deck, round.effective) {
+                stats.steals += 1;
+                if let Some(span) = span {
+                    span.finish(victim as u64);
                 }
-                size = INITIAL_BLOCK;
-                let span = SpanTimer::start(SpanKind::Steal);
-                if let Some(victim) = try_steal(me, deck, round.effective) {
-                    stats.steals += 1;
-                    if let Some(span) = span {
-                        span.finish(victim as u64);
-                    }
-                } else if deck.unclaimed.load(Ordering::SeqCst) == 0 {
-                    break;
-                } else {
-                    std::thread::yield_now();
-                }
+            } else if deck.unclaimed.load(Ordering::SeqCst) == 0 {
+                break;
+            } else {
+                std::thread::yield_now();
             }
         }
     }
@@ -572,29 +551,32 @@ where
 }
 
 /// Attempts to steal work for `me` from the round's other `effective − 1`
-/// workers: splits the back half of the first non-empty victim segment
-/// (taking one-item segments whole). The victim's guard is dropped before
-/// `me`'s slot is locked, so locks never nest. Returns the victim's id on
-/// success.
-fn try_steal<S: WorkSource, R>(me: usize, deck: &Deck<S, R>, effective: usize) -> Option<usize> {
+/// workers: takes the back half of the first non-empty victim segment
+/// ([`back_half`]). The victim's guard is dropped before `me`'s slot is
+/// locked, so locks never nest. Returns the victim's id on success.
+fn try_steal<R>(me: usize, deck: &Deck<R>, effective: usize) -> Option<usize> {
     for offset in 1..effective {
         let victim = (me + offset) % effective;
-        let stolen = {
-            match deck.slots[victim].try_lock() {
-                Ok(mut guard) => match guard.as_mut() {
-                    Some(src) if src.len() >= 2 => Some(src.split_back_half()),
-                    Some(_) => guard.take(),
-                    None => None,
-                },
-                Err(_) => None,
-            }
+        let stolen = match deck.slots[victim].try_lock() {
+            Ok(mut slot) => back_half(&mut slot),
+            Err(_) => continue,
         };
-        if let Some(source) = stolen {
-            *deck.slots[me].lock().expect("slot poisoned") = Some(source);
+        if !stolen.is_empty() {
+            *deck.slots[me].lock().expect("slot poisoned") = stolen;
             return Some(victim);
         }
     }
     None
+}
+
+/// Splits the back `len / 2` items off `slot` — the whole slot when it holds
+/// one item — and returns them; `slot` keeps the front.
+fn back_half(slot: &mut Range<usize>) -> Range<usize> {
+    let give = (slot.len() / 2).max(usize::from(slot.len() == 1));
+    let mid = slot.end - give;
+    let back = mid..slot.end;
+    slot.end = mid;
+    back
 }
 
 /// Assembles per-block partial results into index order.
@@ -620,25 +602,24 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let workers = workers.max(1).min(n.max(1));
-    with_crew(workers, f, |crew| crew.round(RangeSource::new(n))).0
+    with_crew(workers, f, |crew| crew.round(n)).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::force_steals;
     use crate::stress::delay_helpers;
-    use crate::{force_steals, WeightedSource};
     use std::sync::mpsc::{channel, RecvTimeoutError};
 
-    /// One round over `source` on a crew of up to `workers` workers (at
-    /// most one per item): its results and its statistics.
-    fn one_round<S: WorkSource, R: Send>(
+    /// One round of `n` items on a crew of up to `workers` workers (at most
+    /// one per item): its results and its statistics.
+    fn one_round<R: Send>(
         workers: usize,
-        source: S,
-        f: impl Fn(S::Item) -> R + Sync,
+        n: usize,
+        f: impl Fn(usize) -> R + Sync,
     ) -> (Vec<R>, SchedStats) {
-        let workers = workers.max(1).min(source.len().max(1));
-        with_crew(workers, f, |crew| crew.round(source))
+        with_crew(workers.max(1).min(n.max(1)), f, |crew| crew.round(n))
     }
 
     #[test]
@@ -655,6 +636,7 @@ mod tests {
         let empty: Vec<u32> = map_indexed(4, 0, |i| i as u32);
         assert!(empty.is_empty());
         assert_eq!(map_indexed(4, 1, |i| i), vec![0]);
+        assert_eq!(map_indexed(16, 3, |i| i * 2), vec![0, 2, 4]);
     }
 
     #[test]
@@ -670,7 +652,7 @@ mod tests {
             acc
         };
         let expected: Vec<u64> = (0..256).map(work).collect();
-        let (got, stats) = one_round(4, RangeSource::new(256), work);
+        let (got, stats) = one_round(4, 256, work);
         assert_eq!(got, expected);
         assert_eq!(stats.items, 256);
         assert!(
@@ -689,7 +671,7 @@ mod tests {
 
         let (stressed, stats) = {
             let _guard = force_steals();
-            one_round(4, RangeSource::new(200), work)
+            one_round(4, 200, work)
         };
         assert_eq!(stressed, reference);
         assert!(
@@ -700,7 +682,7 @@ mod tests {
 
     #[test]
     fn stats_account_for_every_item() {
-        let (_, stats) = one_round(4, RangeSource::new(1024), |i| i);
+        let (_, stats) = one_round(4, 1024, |i| i);
         assert_eq!(stats.items, 1024);
         let processed: u64 = stats.workers.iter().map(|w| w.items).sum();
         assert_eq!(processed, 1024);
@@ -710,53 +692,39 @@ mod tests {
 
     #[test]
     fn more_workers_than_items_is_safe() {
-        let (got, stats) = one_round(64, RangeSource::new(5), |i| i + 1);
+        let (got, stats) = one_round(64, 5, |i| i + 1);
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
         assert!(stats.num_workers() <= 5);
     }
 
     #[test]
-    fn weighted_map_matches_plain_map() {
-        let weights: Vec<u64> = (0..300)
-            .map(|i| if i < 75 { 10_000 } else { 100 })
-            .collect();
-        let expected: Vec<u64> = (0..300).map(|i| (i as u64).wrapping_mul(31)).collect();
-        for workers in [1, 2, 4, 8, 13] {
-            let (got, stats) = one_round(workers, WeightedSource::new(&weights), |i| {
-                (i as u64).wrapping_mul(31)
-            });
-            assert_eq!(got, expected, "workers = {workers}");
-            assert_eq!(stats.items, 300, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn weighted_map_edge_cases() {
-        let (empty, _) = one_round(4, WeightedSource::new(&[]), |i| i as u32);
-        assert!(empty.is_empty());
-        assert_eq!(one_round(8, WeightedSource::new(&[42]), |i| i).0, vec![0]);
-        // More workers than items, pathological weights.
-        assert_eq!(
-            one_round(16, WeightedSource::new(&[0, 1_000_000, 0]), |i| i * 2).0,
-            vec![0, 2, 4]
-        );
-        let (all_zero, _) = one_round(4, WeightedSource::new(&[0; 9]), |i| i);
-        assert_eq!(all_zero, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_forced_steals_change_schedule_not_results() {
-        // The cost-quantile split starts balanced, but under stress mode the
-        // caller starts empty and steals, so every run steals.
-        let weights: Vec<u64> = (0..160).map(|i| (i as u64 % 7) * 1_000 + 1).collect();
+    fn forced_steals_steal_in_every_round() {
+        // Under stress mode the caller starts empty and steals, so every
+        // round steals, at every crew size.
         let reference: Vec<u64> = (0..160).map(|i| (i as u64) * 13 + 5).collect();
         let _guard = force_steals();
-        for round in 0..20 {
-            let (stressed, stats) =
-                one_round(4, WeightedSource::new(&weights), |i| (i as u64) * 13 + 5);
-            assert_eq!(stressed, reference, "round {round}");
-            assert!(stats.steals > 0, "round {round} did not steal: {stats:?}");
+        for workers in [2, 3, 4] {
+            for round in 0..20 {
+                let (stressed, stats) = one_round(workers, 160, |i| (i as u64) * 13 + 5);
+                assert_eq!(stressed, reference, "{workers} workers, round {round}");
+                assert!(
+                    stats.steals > 0,
+                    "{workers} workers, round {round} did not steal: {stats:?}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn split_halves_cover_everything() {
+        for n in 1..40 {
+            let mut slot = 0..n;
+            let back = back_half(&mut slot);
+            assert_eq!((slot.end, back.end), (back.start, n), "{n} items");
+            assert_eq!(back.len(), (n / 2).max(usize::from(n == 1)), "{n} items");
+            assert!(slot.len() >= back.len() || n == 1, "{n} items");
+        }
+        assert!(back_half(&mut (5..5)).is_empty());
     }
 
     #[test]
@@ -764,7 +732,7 @@ mod tests {
         let _session = egd_obs::session_guard();
         egd_obs::enable_tracing();
         let _guard = force_steals();
-        let (got, stats) = one_round(4, RangeSource::new(200), |i| i as u64 + 1);
+        let (got, stats) = one_round(4, 200, |i| i as u64 + 1);
         egd_obs::disable_tracing();
         let log = egd_obs::collect();
         assert_eq!(got.len(), 200);
@@ -801,10 +769,6 @@ mod tests {
                 let expected: Vec<u64> = (0..n as u64).map(|i| i ^ round).collect();
                 let plain = map_indexed(4, n, |i| i as u64 ^ round);
                 assert_eq!(plain, expected, "plain n = {n} round {round}");
-                let weights = vec![1u64; n];
-                let (weighted, _) =
-                    one_round(4, WeightedSource::new(&weights), |i| i as u64 ^ round);
-                assert_eq!(weighted, expected, "weighted n = {n} round {round}");
             }
         }
     }
@@ -858,7 +822,7 @@ mod tests {
             for round in 0..rounds {
                 let x = mix(seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let n = (x % 41) as usize;
-                let (got, stats) = crew.round(RangeSource::new(n));
+                let (got, stats) = crew.round(n);
                 let expected: Vec<u64> = (0..n).map(job).collect();
                 assert_eq!(got, expected, "{workers} workers, round {round}, {n} items");
                 let processed: u64 = stats.workers.iter().map(|w| w.items).sum();
@@ -900,12 +864,10 @@ mod tests {
             };
             with_crew(3, job, |crew| {
                 for _ in 0..3 {
-                    let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        crew.round(RangeSource::new(64))
-                    }))
-                    .unwrap_err();
+                    let payload =
+                        std::panic::catch_unwind(AssertUnwindSafe(|| crew.round(64))).unwrap_err();
                     assert_eq!(panic_message(&*payload), "round panic at 17");
-                    let (got, _) = crew.round(RangeSource::new(17));
+                    let (got, _) = crew.round(17);
                     assert_eq!(got, (0..17).map(|i| i * 2).collect::<Vec<_>>());
                 }
             });
@@ -921,7 +883,7 @@ mod tests {
                 4,
                 |i: usize| i as u64,
                 |crew| {
-                    let (got, _) = crew.round(RangeSource::new(100));
+                    let (got, _) = crew.round(100);
                     assert_eq!(got.len(), 100);
                     // Long enough for every helper to park.
                     std::thread::sleep(SPIN_WINDOW * 4);
@@ -935,7 +897,7 @@ mod tests {
                     4,
                     |i: usize| i as u64,
                     |crew| {
-                        crew.round(RangeSource::new(100));
+                        crew.round(100);
                         std::thread::sleep(SPIN_WINDOW * 4);
                         panic!("a caller panic between rounds");
                     },
@@ -954,7 +916,7 @@ mod tests {
                 |i: usize| i + 1,
                 |crew| {
                     for n in [0usize, 1, 3, 0, 8, 5, 0, 20, 2] {
-                        let (got, stats) = crew.round(RangeSource::new(n));
+                        let (got, stats) = crew.round(n);
                         assert_eq!(got, (1..=n).collect::<Vec<_>>(), "{n} items");
                         assert_eq!(stats.items, n as u64);
                         assert!(stats.num_workers() <= n.max(1), "{n} items: {stats:?}");
@@ -968,14 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn a_crew_plays_many_rounds_of_every_source_kind() {
-        let weights: Vec<u64> = (0..90).map(|i| (i % 7) * 100 + 1).collect();
+    fn a_crew_plays_many_rounds() {
         with_crew(
             3,
             |i: usize| i * 3,
             |crew| {
                 for _ in 0..50 {
-                    let (got, _) = crew.round(WeightedSource::new(&weights));
+                    let (got, _) = crew.round(90);
                     assert_eq!(got, (0..90).map(|i| i * 3).collect::<Vec<_>>());
                 }
             },
@@ -985,7 +946,7 @@ mod tests {
             |i: usize| i + 7,
             |crew| {
                 for n in 0..30 {
-                    let (got, _) = crew.round(RangeSource::new(n));
+                    let (got, _) = crew.round(n);
                     assert_eq!(got, (7..n + 7).collect::<Vec<_>>());
                 }
             },

@@ -66,16 +66,18 @@ struct SimWorker {
 }
 
 /// Replays the scheduler over `costs` (per-item virtual cost, ns) with
-/// `workers` workers under `policy`, using the same segmentation, block
-/// growth and steal rules as the live run loop.
+/// `workers` workers under `policy`. Without `weights`, the adaptive
+/// policy uses the same segmentation, block growth and steal rules as a
+/// live crew round.
 ///
 /// With `weights` (one predicted cost per item) the replay runs the
 /// **cost-guided partition**: initial per-worker segments sit at the cost
 /// quantiles of `weights` and steals split at the victim's predicted cost
-/// midpoint — exactly the rules a crew round over a
-/// [`crate::WeightedSource`] runs live. `costs` stay the *actual* per-item
-/// costs charged to the virtual clocks, so passing imperfect predictions
-/// measures how much stealing must correct the prediction error.
+/// midpoint. No live crew runs these rules — a crew round splits its items
+/// uniformly — so this is a virtual-time model only. `costs` stay the
+/// *actual* per-item costs charged to the virtual clocks, so passing
+/// imperfect predictions measures how much stealing must correct the
+/// prediction error.
 pub fn simulate_schedule(
     workers: usize,
     costs: &[u64],

@@ -1,30 +1,22 @@
-//! Cost-weighted work decomposition.
+//! Cost-weighted work decomposition, for the virtual-time replay.
 //!
 //! The uniform initial split hands every worker the same *number* of items,
 //! which pins skewed workloads on whichever workers draw the expensive
 //! contiguous prefix; adaptive stealing then has to move the whole excess at
-//! run time. When a per-item cost prediction is available, the scheduler can
-//! instead place the initial segment boundaries at **cost quantiles** —
-//! every worker starts with (approximately) the same predicted work, and
-//! stealing only has to correct the *prediction error*.
+//! run time. Given a per-item cost prediction, a schedule can instead place
+//! the initial segment boundaries at **cost quantiles** — every worker
+//! starts with (approximately) the same predicted work, and stealing only
+//! has to correct the *prediction error*.
 //!
-//! This module provides that machinery:
-//!
-//! * [`weighted_ranges`] — the pure partition math: contiguous ranges whose
-//!   boundaries sit at the cost quantiles of a weight vector (prefix sums,
-//!   integer arithmetic, fully deterministic);
-//! * [`WeightedSource`] — a [`WorkSource`] over `0..n` carrying per-item
-//!   weights, whose initial segmentation uses [`weighted_ranges`] and whose
-//!   back-half steals split at the **cost midpoint** of the victim's
-//!   remaining range instead of the item midpoint.
-//!
-//! Results are unaffected: the deterministic index-ordered reduction does
-//! not care where segment boundaries fall. Only the schedule (and therefore
-//! steal counts and the critical path) changes.
+//! A live crew round splits uniformly and steals ([`crate::Crew::round`]);
+//! the cost-quantile split is modelled only, by [`crate::simulate_schedule`]
+//! with weights, whose steals split at the **cost midpoint** of the victim's
+//! remaining range instead of the item midpoint. [`weighted_ranges`] is the
+//! pure partition math: contiguous ranges whose boundaries sit at the cost
+//! quantiles of a weight vector (prefix sums, integer arithmetic, fully
+//! deterministic).
 
-use crate::source::WorkSource;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Prefix sums of a weight vector: `prefix[i]` is the total weight of items
 /// `0..i` (length `n + 1`, saturating on overflow).
@@ -50,7 +42,7 @@ pub fn weighted_ranges(weights: &[u64], workers: usize) -> Vec<Range<usize>> {
 }
 
 /// The quantile partition of `range` under prefix sums, shared by
-/// [`weighted_ranges`] and [`WeightedSource::split_initial`].
+/// [`weighted_ranges`] and the replay's initial split.
 fn ranges_from_prefix(prefix: &[u64], range: Range<usize>, workers: usize) -> Vec<Range<usize>> {
     let workers = workers.max(1);
     let base = prefix[range.start];
@@ -74,10 +66,10 @@ fn ranges_from_prefix(prefix: &[u64], range: Range<usize>, workers: usize) -> Ve
     cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// The legacy uniform item split of `range` into `ceil(len / workers)`-item
-/// contiguous blocks — the single definition the weighted fallback and the
-/// virtual-time replay's uniform branch both use, so they can never drift
-/// from the live scheduler's default segmentation (pinned by
+/// The uniform item split of `range` into `ceil(len / workers)`-item
+/// contiguous blocks — the single definition a live crew round, the weighted
+/// fallback and the virtual-time replay's uniform branch all use, so they
+/// can never drift apart (pinned by
 /// `split_initial_default_is_the_uniform_chunking`).
 pub(crate) fn uniform_ranges(range: Range<usize>, workers: usize) -> Vec<Range<usize>> {
     let workers = workers.max(1);
@@ -108,88 +100,9 @@ fn cost_midpoint(prefix: &[u64], range: &Range<usize>) -> usize {
     mid.clamp(range.start + 1, range.end - 1)
 }
 
-/// An index source carrying per-item cost predictions: the items are the
-/// logical indices `0..n`, the weights steer segmentation and steals.
-#[derive(Debug, Clone)]
-pub struct WeightedSource {
-    range: Range<usize>,
-    /// Shared prefix sums over the *full* index space (length `n + 1`).
-    prefix: Arc<[u64]>,
-}
-
-impl WeightedSource {
-    /// Source over `0..weights.len()` with the given per-item weights.
-    pub fn new(weights: &[u64]) -> Self {
-        WeightedSource {
-            range: 0..weights.len(),
-            prefix: prefix_sums(weights).into(),
-        }
-    }
-}
-
-impl WorkSource for WeightedSource {
-    type Item = usize;
-    type Block = Range<usize>;
-
-    fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    fn split_initial(self, workers: usize) -> Vec<Self> {
-        ranges_from_prefix(&self.prefix, self.range, workers)
-            .into_iter()
-            .map(|range| WeightedSource {
-                range,
-                prefix: self.prefix.clone(),
-            })
-            .collect()
-    }
-
-    fn take_front(&mut self, count: usize) -> Self {
-        let mid = self.range.start + count.min(self.range.len());
-        let front = self.range.start..mid;
-        self.range.start = mid;
-        WeightedSource {
-            range: front,
-            prefix: self.prefix.clone(),
-        }
-    }
-
-    fn split_back_half(&mut self) -> Self {
-        let mid = cost_midpoint(&self.prefix, &self.range);
-        let back = mid..self.range.end;
-        self.range.end = mid;
-        WeightedSource {
-            range: back,
-            prefix: self.prefix.clone(),
-        }
-    }
-
-    fn pop_block(&mut self, max: usize) -> Range<usize> {
-        let mid = self.range.start + max.min(self.range.len());
-        let block = self.range.start..mid;
-        self.range.start = mid;
-        block
-    }
-
-    fn block_start(block: &Range<usize>) -> usize {
-        block.start
-    }
-
-    fn block_len(block: &Range<usize>) -> usize {
-        block.len()
-    }
-
-    fn for_each_in<F: FnMut(usize, usize)>(block: Range<usize>, mut f: F) {
-        for i in block {
-            f(i, i);
-        }
-    }
-}
-
 /// The steal split of a weighted range in *replay*: how many back items a
-/// thief receives from `range`, mirroring [`WeightedSource::split_back_half`]
-/// (whole range when it holds a single item).
+/// thief receives from `range` — those behind its cost midpoint, or the
+/// whole range when it holds a single item.
 pub(crate) fn steal_share(prefix: &[u64], range: &Range<usize>) -> usize {
     if range.len() <= 1 {
         return range.len();
@@ -210,11 +123,6 @@ pub(crate) fn replay_ranges(prefix: &[u64], n: usize, workers: usize) -> Vec<Ran
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Total weight of the items a source still holds.
-    fn remaining_weight(source: &WeightedSource) -> u64 {
-        source.prefix[source.range.end] - source.prefix[source.range.start]
-    }
 
     fn covers_exactly_once(ranges: &[Range<usize>], n: usize) {
         let mut covered = vec![0u32; n];
@@ -273,50 +181,53 @@ mod tests {
 
     #[test]
     fn split_back_half_splits_at_cost_midpoint() {
-        let weights = [100, 1, 1, 1, 1, 1];
-        let mut source = WeightedSource::new(&weights);
-        let back = source.split_back_half();
+        let prefix = replay_prefix(&[100, 1, 1, 1, 1, 1]);
         // The front item carries ~95% of the cost: the thief receives
         // everything behind it.
-        assert_eq!(source.len(), 1);
-        assert_eq!(back.len(), 5);
-        assert!(remaining_weight(&source) >= remaining_weight(&back));
+        assert_eq!(steal_share(&prefix, &(0..6)), 5);
+        // Behind it the weights are even: the item midpoint.
+        assert_eq!(steal_share(&prefix, &(1..6)), 2);
+        assert_eq!(steal_share(&prefix, &(3..4)), 1, "a single item goes whole");
     }
 
     #[test]
     fn zero_weight_split_matches_item_midpoint() {
-        let mut source = WeightedSource::new(&[0; 10]);
-        let back = source.split_back_half();
-        assert_eq!(source.len(), 5);
-        assert_eq!(back.len(), 5);
-    }
-
-    #[test]
-    fn take_front_and_pop_block_track_indices() {
-        let mut source = WeightedSource::new(&[1, 2, 3, 4, 5]);
-        let front = source.take_front(2);
-        assert_eq!(remaining_weight(&front), 3);
-        assert_eq!(remaining_weight(&source), 12);
-        let block = source.pop_block(2);
-        assert_eq!(WeightedSource::block_start(&block), 2);
-        assert_eq!(WeightedSource::block_len(&block), 2);
-        let mut seen = Vec::new();
-        WeightedSource::for_each_in(block, |i, item| seen.push((i, item)));
-        assert_eq!(seen, vec![(2, 2), (3, 3)]);
+        let prefix = replay_prefix(&[0; 10]);
+        assert_eq!(steal_share(&prefix, &(0..10)), 5);
+        assert_eq!(steal_share(&prefix, &(2..9)), 3);
     }
 
     #[test]
     fn split_initial_respects_cost_quantiles() {
         let weights: Vec<u64> = (0..32).map(|i| if i < 4 { 800 } else { 100 }).collect();
-        let segments = WeightedSource::new(&weights).split_initial(4);
-        assert_eq!(segments.len(), 4);
-        let n: usize = segments.iter().map(WorkSource::len).sum();
-        assert_eq!(n, 32);
-        let max = segments.iter().map(remaining_weight).max().unwrap();
+        let segments = replay_ranges(&replay_prefix(&weights), 32, 4);
+        covers_exactly_once(&segments, 32);
+        let max = segments
+            .iter()
+            .map(|range| weights[range.clone()].iter().sum::<u64>())
+            .max()
+            .unwrap();
         let total: u64 = weights.iter().sum();
         assert!(
             max <= total / 4 + 800,
             "cost-guided initial split is balanced (max {max} of {total})"
         );
+    }
+
+    #[test]
+    fn split_initial_default_is_the_uniform_chunking() {
+        for (n, workers) in [(10usize, 4usize), (5, 8), (1, 3), (0, 2), (16, 4)] {
+            let segments = uniform_ranges(0..n, workers);
+            assert_eq!(segments.len(), workers, "{n} items over {workers}");
+            let chunk = n.div_ceil(workers);
+            for (k, segment) in segments.iter().enumerate() {
+                assert_eq!(
+                    *segment,
+                    (k * chunk).min(n)..((k + 1) * chunk).min(n),
+                    "{n} items over {workers}, worker {k}"
+                );
+            }
+            covers_exactly_once(&segments, n);
+        }
     }
 }

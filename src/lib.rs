@@ -9,8 +9,9 @@
 //!   decomposition engine;
 //! * [`sched`] (`egd-sched`) — the adaptive work-stealing scheduler with
 //!   deterministic index-ordered reduction backing every parallel layer;
-//! * [`cost`] (`egd-cost`) — the shared cost model and cost-guided
-//!   partitioning layer every engine seeds its initial work split from;
+//! * [`cost`] (`egd-cost`) — the shared cost model: serve admission's
+//!   prices, the modelled scaling figures and the virtual-time replay of a
+//!   cost-guided work split;
 //! * [`cluster`] (`egd-cluster`) — the simulated HPC substrate (message
 //!   passing, Blue Gene machine models, distributed executor, scaling
 //!   harness);

@@ -336,6 +336,58 @@ fn an_odd_stochastic_game_count_agrees_on_all_five_engines() {
     assert_eq!(served.final_state_bytes().unwrap(), reference, "serve");
 }
 
+/// The rank cut under forced steals, shaped like `validation`: memory-one
+/// pure strategies under noise hold at most 16 groups and replay every row
+/// every generation, so on 32 ranks most rank items play nothing. A round
+/// splits its 32 items uniformly over the crew; under forced steals the
+/// caller starts with none and steals. The bytes must be the sequential
+/// run's at every crew size.
+#[test]
+fn the_rank_cut_under_forced_steals_keeps_the_sequential_bytes() {
+    let cfg = SimulationConfig::builder()
+        .memory(MemoryDepth::ONE)
+        .num_ssets(64)
+        .agents_per_sset(2)
+        .rounds_per_game(20)
+        .generations(40)
+        .pc_rate(0.5)
+        .mutation_rate(0.05)
+        .noise(0.02)
+        .seed(4545)
+        .build()
+        .unwrap();
+    assert!(cfg.initial_population().unwrap().census().len() <= 16);
+    let mut sequential = Simulation::new(cfg.clone()).unwrap();
+    sequential.run();
+    let reference = serde_json::to_vec(sequential.population()).unwrap();
+
+    let _steals = egd_sched::force_steals();
+    for threads in [2, 3, 4] {
+        let summary = ScheduledExecutor::new(
+            cfg.clone(),
+            ScheduledConfig::with_ranks(32).threads(threads),
+        )
+        .unwrap()
+        .run()
+        .unwrap();
+        assert_eq!(
+            serde_json::to_vec(&summary.population).unwrap(),
+            reference,
+            "{threads} threads"
+        );
+        let sched = summary.sched.expect("a noisy run plays");
+        assert!(sched.steals > 0, "{threads} threads: {sched:?}");
+        let rows = &summary.metrics.generations;
+        let played = rows.iter().filter(|g| g.items > 0).count() as u64;
+        assert!(played > 0, "{threads} threads");
+        assert!(
+            rows.iter().all(|g| g.items == 0 || g.items == 32),
+            "{threads} threads: a round that plays has one item per rank"
+        );
+        assert_eq!(sched.items, 32 * played, "{threads} threads");
+    }
+}
+
 #[test]
 fn population_size_is_conserved_across_a_long_run() {
     let cfg = config(MemoryDepth::ONE, 0.01, 404, 150);

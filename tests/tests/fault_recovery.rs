@@ -268,8 +268,6 @@ fn injected_crash_respawns_from_checkpoint_byte_identical() {
     // replayed at least the crashed generation.
     assert_eq!(run.recovery.checkpoint_resumes, 1);
     assert!(run.recovery.generations_replayed >= 1);
-    assert_eq!(run.recovery.repricings, 1);
-    assert!(run.recovery.repriced_max_block_weight > 0);
 }
 
 #[test]

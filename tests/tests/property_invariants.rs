@@ -203,13 +203,6 @@ proptest! {
             next = range.end;
         }
         prop_assert_eq!(next, weights.len(), "every index covered");
-        // The live WeightedSource segmentation agrees with the pure math.
-        let segments = egd_sched::source::WorkSource::split_initial(
-            egd_sched::WeightedSource::new(&weights),
-            workers,
-        );
-        let total: usize = segments.iter().map(egd_sched::source::WorkSource::len).sum();
-        prop_assert_eq!(total, weights.len());
     }
 
     /// The weighted partition balances arbitrary positive weights to within
