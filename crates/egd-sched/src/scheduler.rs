@@ -697,6 +697,53 @@ mod tests {
         assert!(stats.num_workers() <= 5);
     }
 
+    /// Busy work whose cost is `weight` loop steps, so a round's items can
+    /// carry skewed weights.
+    fn weighted_work(i: usize, weight: u64) -> u64 {
+        let mut acc = (i as u64).wrapping_mul(31);
+        for k in 0..weight {
+            acc = acc.wrapping_add(k ^ i as u64).rotate_left(1);
+        }
+        acc
+    }
+
+    #[test]
+    fn weighted_map_matches_plain_map() {
+        // The first quarter of the items weighs 100x the rest; a crew round
+        // over them returns exactly what a plain sequential map returns.
+        let weights: Vec<u64> = (0..300)
+            .map(|i| if i < 75 { 10_000 } else { 100 })
+            .collect();
+        let expected: Vec<u64> = (0..300).map(|i| weighted_work(i, weights[i])).collect();
+        for workers in [1, 2, 4, 8, 13] {
+            let (got, stats) = one_round(workers, weights.len(), |i| weighted_work(i, weights[i]));
+            assert_eq!(got, expected, "workers = {workers}");
+            assert_eq!(stats.items, 300, "workers = {workers}");
+            let processed: u64 = stats.workers.iter().map(|w| w.items).sum();
+            assert_eq!(processed, 300, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn weighted_map_edge_cases() {
+        let (empty, stats) = one_round(4, 0, |i| weighted_work(i, 1) as u32);
+        assert!(empty.is_empty());
+        assert_eq!(stats.items, 0);
+        assert_eq!(one_round(8, 1, |i| i).0, vec![0]);
+        // More workers than items, pathological weights.
+        let weights = [0u64, 1_000_000, 0];
+        let (got, stats) = one_round(16, 3, |i| weighted_work(i, weights[i]));
+        let expected: Vec<u64> = (0..3).map(|i| weighted_work(i, weights[i])).collect();
+        assert_eq!(got, expected);
+        assert!(stats.num_workers() <= 3);
+        // All-zero weights: every item is free, none is dropped.
+        let (all_zero, _) = one_round(4, 9, |i| weighted_work(i, 0));
+        assert_eq!(
+            all_zero,
+            (0..9).map(|i| weighted_work(i, 0)).collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn forced_steals_steal_in_every_round() {
         // Under stress mode the caller starts empty and steals, so every
